@@ -1,0 +1,375 @@
+"""Sector-block storage engines.
+
+A graded operator is a collection of rectangular blocks, one per source
+sector.  Three engines cover the scalar rings:
+
+* DictBlock    -- column-major nested dicts; any exact scalar that supports
+                  +, *, unary -.  Used for symbolic (Laurent) construction
+                  and for Phi-adic audits.
+* CycloBlock   -- dense (rows, cols, D) integer coordinate arrays over
+                  Z[q]/Phi_2N; products are D^2 integer matmuls followed by
+                  one linear reduction of the overflow coordinates.
+* ComplexBlock -- dense complex128, float smoke mode only.
+
+Blocks are immutable by convention: every operation returns a new block.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+import numpy as np
+
+from .rings import CycloElem, CycloRing, FloatRing, ring_is_zero
+
+INT64_SAFE = 2**62
+
+
+# ---------------------------------------------------------------------------
+# DictBlock
+
+
+class DictBlock:
+    """Sparse block as {col: {row: scalar}} with no stored zeros."""
+
+    __slots__ = ("ring", "nrows", "ncols", "cols")
+
+    def __init__(self, ring, nrows: int, ncols: int, cols: dict | None = None):
+        self.ring = ring
+        self.nrows = nrows
+        self.ncols = ncols
+        self.cols = cols if cols is not None else {}
+
+    @property
+    def shape(self):
+        return (self.nrows, self.ncols)
+
+    @classmethod
+    def from_entries(cls, ring, nrows, ncols, triples) -> "DictBlock":
+        cols: dict = {}
+        for r, c, v in triples:
+            if not ring_is_zero(ring, v):
+                cols.setdefault(c, {})[r] = v
+        return cls(ring, nrows, ncols, cols)
+
+    def entries(self):
+        out = []
+        for c in self.cols:
+            for r, v in self.cols[c].items():
+                out.append((r, c, v))
+        out.sort(key=lambda t: (t[0], t[1]))
+        return out
+
+    def nnz(self) -> int:
+        return sum(len(col) for col in self.cols.values())
+
+    def is_zero(self) -> bool:
+        return not self.cols
+
+    def eq(self, other: "DictBlock") -> bool:
+        if self.shape != other.shape:
+            return False
+        return self.sub(other).is_zero()
+
+    def matmul(self, other: "DictBlock") -> "DictBlock":
+        if self.ncols != other.nrows:
+            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
+        ring = self.ring
+        out: dict = {}
+        for c, bcol in other.cols.items():
+            acc: dict = {}
+            for k, bv in bcol.items():
+                acol = self.cols.get(k)
+                if acol is None:
+                    continue
+                for r, av in acol.items():
+                    prod = av * bv
+                    if r in acc:
+                        acc[r] = acc[r] + prod
+                    else:
+                        acc[r] = prod
+            acc = {r: v for r, v in acc.items() if not ring_is_zero(ring, v)}
+            if acc:
+                out[c] = acc
+        return DictBlock(ring, self.nrows, other.ncols, out)
+
+    def add(self, other: "DictBlock") -> "DictBlock":
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
+        ring = self.ring
+        out = {c: dict(col) for c, col in self.cols.items()}
+        for c, bcol in other.cols.items():
+            acol = out.setdefault(c, {})
+            for r, v in bcol.items():
+                s = acol[r] + v if r in acol else v
+                if ring_is_zero(ring, s):
+                    acol.pop(r, None)
+                else:
+                    acol[r] = s
+            if not acol:
+                del out[c]
+        return DictBlock(ring, self.nrows, self.ncols, out)
+
+    def neg(self) -> "DictBlock":
+        return DictBlock(self.ring, self.nrows, self.ncols,
+                         {c: {r: -v for r, v in col.items()}
+                          for c, col in self.cols.items()})
+
+    def sub(self, other: "DictBlock") -> "DictBlock":
+        return self.add(other.neg())
+
+    def scale(self, scalar) -> "DictBlock":
+        if ring_is_zero(self.ring, scalar):
+            return DictBlock(self.ring, self.nrows, self.ncols, {})
+        return DictBlock(self.ring, self.nrows, self.ncols,
+                         {c: {r: v * scalar for r, v in col.items()}
+                          for c, col in self.cols.items()})
+
+    def map_values(self, fn, ring=None) -> "DictBlock":
+        """Entry-wise transform, re-pruning zeros (used by specialization)."""
+        ring = ring if ring is not None else self.ring
+        out: dict = {}
+        for c, col in self.cols.items():
+            new = {}
+            for r, v in col.items():
+                w = fn(v)
+                if not ring_is_zero(ring, w):
+                    new[r] = w
+            if new:
+                out[c] = new
+        return DictBlock(ring, self.nrows, self.ncols, out)
+
+    def __repr__(self):
+        return f"DictBlock({self.nrows}x{self.ncols}, nnz={self.nnz()})"
+
+
+# ---------------------------------------------------------------------------
+# CycloBlock
+
+
+@lru_cache(maxsize=None)
+def _reduction_matrix(n_param: int) -> np.ndarray:
+    """(2D-1, D) map from raw convolution coordinates q^0..q^(2D-2) back to
+    the canonical basis; row k is the power table entry for q^k."""
+    ring = CycloRing(n_param)
+    d = ring.degree
+    return np.array([ring.powtab[k] for k in range(2 * d - 1)], dtype=np.int64)
+
+
+def _as_coord_array(nrows, ncols, d, coords_entries):
+    """Dense (nrows, ncols, d) array; int64 when every value fits."""
+    big = any(abs(x) >= INT64_SAFE for _, _, cs in coords_entries for x in cs)
+    dtype = object if big else np.int64
+    arr = np.zeros((nrows, ncols, d), dtype=dtype)
+    for r, c, cs in coords_entries:
+        for i, x in enumerate(cs):
+            arr[r, c, i] = x
+    return arr
+
+
+class CycloBlock:
+    """Dense coordinate-array block over Z[q]/Phi_2N."""
+
+    __slots__ = ("ring", "arr")
+
+    def __init__(self, ring: CycloRing, arr: np.ndarray):
+        self.ring = ring
+        self.arr = arr
+
+    @property
+    def shape(self):
+        return (self.arr.shape[0], self.arr.shape[1])
+
+    @classmethod
+    def zeros(cls, ring, nrows, ncols) -> "CycloBlock":
+        return cls(ring, np.zeros((nrows, ncols, ring.degree), dtype=np.int64))
+
+    @classmethod
+    def from_entries(cls, ring, nrows, ncols, triples) -> "CycloBlock":
+        coords = [(r, c, v.coords) for r, c, v in triples]
+        return cls(ring, _as_coord_array(nrows, ncols, ring.degree, coords))
+
+    def _max_abs(self) -> int:
+        if self.arr.size == 0:
+            return 0
+        if self.arr.dtype == object:
+            return max((abs(int(x)) for x in self.arr.flat), default=0)
+        return int(np.abs(self.arr).max(initial=0))
+
+    def entries(self):
+        mask = np.argwhere(np.any(self.arr != 0, axis=2))
+        out = []
+        for r, c in mask:
+            coords = tuple(int(x) for x in self.arr[r, c])
+            out.append((int(r), int(c), CycloElem(self.ring, coords)))
+        return out
+
+    def nnz(self) -> int:
+        return int(np.any(self.arr != 0, axis=2).sum())
+
+    def is_zero(self) -> bool:
+        return not np.any(self.arr != 0)
+
+    def eq(self, other: "CycloBlock") -> bool:
+        return self.shape == other.shape and not np.any(self.arr != other.arr)
+
+    def matmul(self, other: "CycloBlock") -> "CycloBlock":
+        if self.arr.shape[1] != other.arr.shape[0]:
+            raise ValueError("shape mismatch in block product")
+        ring = self.ring
+        d = ring.degree
+        red = _reduction_matrix(ring.n_param)
+        a, b = self.arr, other.arr
+        inner = a.shape[1]
+        bound = (2 * d - 1) * int(red.max(initial=1)) * d * max(inner, 1) \
+            * max(self._max_abs(), 1) * max(other._max_abs(), 1)
+        fast = bound < INT64_SAFE and a.dtype != object and b.dtype != object
+        if not fast:
+            a = a.astype(object)
+            b = b.astype(object)
+        raw_dtype = np.int64 if fast else object
+        raw = np.zeros((a.shape[0], b.shape[1], 2 * d - 1), dtype=raw_dtype)
+        for i in range(d):
+            ai = a[:, :, i]
+            if not np.any(ai != 0):
+                continue
+            for j in range(d):
+                bj = b[:, :, j]
+                if not np.any(bj != 0):
+                    continue
+                raw[:, :, i + j] += np.dot(ai, bj)
+        if fast:
+            out = np.einsum("rck,kd->rcd", raw, red)
+        else:
+            out = np.zeros((a.shape[0], b.shape[1], d), dtype=object)
+            for k in range(2 * d - 1):
+                rk = raw[:, :, k]
+                if not np.any(rk != 0):
+                    continue
+                for col in range(d):
+                    if red[k, col]:
+                        out[:, :, col] += rk * int(red[k, col])
+        return CycloBlock(ring, out)
+
+    def add(self, other: "CycloBlock") -> "CycloBlock":
+        if self.shape != other.shape:
+            raise ValueError("shape mismatch in block sum")
+        a, b = self.arr, other.arr
+        if a.dtype != object and b.dtype != object:
+            if self._max_abs() + other._max_abs() >= INT64_SAFE:
+                a = a.astype(object)
+                b = b.astype(object)
+        return CycloBlock(self.ring, a + b)
+
+    def neg(self) -> "CycloBlock":
+        return CycloBlock(self.ring, -self.arr)
+
+    def sub(self, other: "CycloBlock") -> "CycloBlock":
+        return self.add(other.neg())
+
+    def scale(self, scalar) -> "CycloBlock":
+        """Multiply by an integer or a CycloElem."""
+        if isinstance(scalar, int):
+            arr = self.arr
+            if arr.dtype != object and abs(scalar) * max(self._max_abs(), 1) >= INT64_SAFE:
+                arr = arr.astype(object)
+            return CycloBlock(self.ring, arr * scalar)
+        if not isinstance(scalar, CycloElem):
+            raise TypeError(f"cannot scale CycloBlock by {type(scalar).__name__}")
+        ring = self.ring
+        d = ring.degree
+        red = _reduction_matrix(ring.n_param)
+        a = self.arr
+        smax = max((abs(x) for x in scalar.coords), default=0)
+        bound = (2 * d - 1) * int(red.max(initial=1)) * d \
+            * max(self._max_abs(), 1) * max(smax, 1)
+        fast = bound < INT64_SAFE and a.dtype != object
+        if not fast:
+            a = a.astype(object)
+        raw = np.zeros((a.shape[0], a.shape[1], 2 * d - 1),
+                       dtype=np.int64 if fast else object)
+        for i in range(d):
+            ai = a[:, :, i]
+            if not np.any(ai != 0):
+                continue
+            for j, sj in enumerate(scalar.coords):
+                if sj:
+                    raw[:, :, i + j] += ai * (sj if fast else int(sj))
+        if fast:
+            out = np.einsum("rck,kd->rcd", raw, red)
+        else:
+            out = np.zeros((a.shape[0], a.shape[1], d), dtype=object)
+            for k in range(2 * d - 1):
+                rk = raw[:, :, k]
+                if not np.any(rk != 0):
+                    continue
+                for col in range(d):
+                    if red[k, col]:
+                        out[:, :, col] += rk * int(red[k, col])
+        return CycloBlock(self.ring, out)
+
+    def __repr__(self):
+        return f"CycloBlock({self.shape[0]}x{self.shape[1]}, N={self.ring.n_param})"
+
+
+# ---------------------------------------------------------------------------
+# ComplexBlock
+
+
+class ComplexBlock:
+    """Dense complex block for the float smoke mode."""
+
+    __slots__ = ("ring", "arr")
+
+    def __init__(self, ring: FloatRing, arr: np.ndarray):
+        self.ring = ring
+        self.arr = np.asarray(arr, dtype=np.complex128)
+
+    @property
+    def shape(self):
+        return self.arr.shape
+
+    @classmethod
+    def zeros(cls, ring, nrows, ncols) -> "ComplexBlock":
+        return cls(ring, np.zeros((nrows, ncols), dtype=np.complex128))
+
+    @classmethod
+    def from_entries(cls, ring, nrows, ncols, triples) -> "ComplexBlock":
+        arr = np.zeros((nrows, ncols), dtype=np.complex128)
+        for r, c, v in triples:
+            arr[r, c] = v
+        return cls(ring, arr)
+
+    def entries(self):
+        mask = np.argwhere(np.abs(self.arr) >= self.ring.tolerance)
+        return [(int(r), int(c), complex(self.arr[r, c])) for r, c in mask]
+
+    def nnz(self) -> int:
+        return int((np.abs(self.arr) >= self.ring.tolerance).sum())
+
+    def is_zero(self) -> bool:
+        return bool(np.all(np.abs(self.arr) < self.ring.tolerance))
+
+    def eq(self, other: "ComplexBlock") -> bool:
+        return self.shape == other.shape and self.sub(other).is_zero()
+
+    def max_abs(self) -> float:
+        return float(np.abs(self.arr).max(initial=0.0))
+
+    def matmul(self, other: "ComplexBlock") -> "ComplexBlock":
+        return ComplexBlock(self.ring, self.arr @ other.arr)
+
+    def add(self, other: "ComplexBlock") -> "ComplexBlock":
+        return ComplexBlock(self.ring, self.arr + other.arr)
+
+    def neg(self) -> "ComplexBlock":
+        return ComplexBlock(self.ring, -self.arr)
+
+    def sub(self, other: "ComplexBlock") -> "ComplexBlock":
+        return ComplexBlock(self.ring, self.arr - other.arr)
+
+    def scale(self, scalar) -> "ComplexBlock":
+        return ComplexBlock(self.ring, self.arr * complex(scalar))
+
+    def __repr__(self):
+        return f"ComplexBlock({self.shape[0]}x{self.shape[1]})"

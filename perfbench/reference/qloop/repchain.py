@@ -1,0 +1,890 @@
+"""Site representations and graded chain operators.
+
+A site representation supplies four d x d matrices with LaurentPoly entries:
+a raising operator, a lowering operator, an invertible diagonal, and a clock
+diagonal whose eigenvalues are integer powers of w = q^2.  Chains of L sites
+are graded by the total clock exponent; every operator built here shifts that
+grading uniformly, which is what makes sector-block storage possible.
+
+Clock labels are chosen per backend so that raising operators shift the total
+exponent by exactly -1 without wrapping (spin_half uses labels -1 and 0 for
+this reason).  The cyclic backend wraps by construction; operators that rely
+on the integer-exponent square root of the clock product refuse it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+from .blocks import ComplexBlock, CycloBlock, DictBlock
+from .identity import (
+    ERROR,
+    EXACT_ZERO,
+    APPROX_ZERO,
+    KIND_INTERNAL,
+    KIND_NOT_DIVISIBLE,
+    KIND_TRUNCATION,
+    KIND_WRAP,
+    NONZERO,
+    REGISTRY,
+    VACUOUS_ZERO,
+    CheckTimer,
+    IdentityCheck,
+    make_check,
+)
+from .qcomb import q_int
+from .rings import (
+    LAURENT_RING,
+    CycloRing,
+    FloatRing,
+    InternalInconsistency,
+    LaurentPoly,
+    LaurentRing,
+    NotDivisible,
+    PhiAdicRing,
+    TruncationOverflow,
+    cyclo_ring,
+    ring_is_zero,
+)
+
+
+class UnsupportedKind(ValueError):
+    """Unknown site representation family."""
+
+
+class InvalidParams(ValueError):
+    """Missing or malformed site representation parameters."""
+
+
+class NotGraded(ValueError):
+    """An operator's entries do not share a single sector shift."""
+
+
+class WrapInconsistency(ArithmeticError):
+    """Clock wrap-around breaks the integer-exponent square root."""
+
+
+# ---------------------------------------------------------------------------
+# small dense matrices: {(row, col): LaurentPoly}, zero entries absent
+
+
+def smat_mul(a: dict, b: dict, dim: int) -> dict:
+    out: dict = {}
+    for (r, k), va in a.items():
+        for c in range(dim):
+            vb = b.get((k, c))
+            if vb is not None:
+                key = (r, c)
+                s = out.get(key, LaurentPoly(0)) + va * vb
+                if s.is_zero():
+                    out.pop(key, None)
+                else:
+                    out[key] = s
+    return out
+
+
+def smat_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for key, v in b.items():
+        s = out.get(key, LaurentPoly(0)) + v
+        if s.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = s
+    return out
+
+
+def smat_neg(a: dict) -> dict:
+    return {key: -v for key, v in a.items()}
+
+
+def smat_sub(a: dict, b: dict) -> dict:
+    return smat_add(a, smat_neg(b))
+
+
+def smat_scale(a: dict, s: LaurentPoly) -> dict:
+    if s.is_zero():
+        return {}
+    return {key: v * s for key, v in a.items()}
+
+
+def smat_identity(dim: int) -> dict:
+    one = LaurentPoly(1)
+    return {(i, i): one for i in range(dim)}
+
+
+def smat_pow(a: dict, n: int, dim: int) -> dict:
+    out = smat_identity(dim)
+    for _ in range(n):
+        out = smat_mul(out, a, dim)
+    return out
+
+
+def invert_diag(a: dict, dim: int) -> dict:
+    """Invert a diagonal matrix of +-monomials exactly."""
+    out = {}
+    for i in range(dim):
+        v = a.get((i, i))
+        if v is None or len(v.c) != 1:
+            raise InvalidParams("diagonal inverse needs monomial entries")
+        (e, coeff), = v.c.items()
+        if coeff not in (1, -1):
+            raise InvalidParams("diagonal inverse needs unit coefficients")
+        out[(i, i)] = LaurentPoly.q_power(-e, coeff)
+    if any(r != c for r, c in a):
+        raise InvalidParams("matrix is not diagonal")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# site representations
+
+
+@dataclass(frozen=True)
+class SiteRep:
+    """One lattice site: matrices, clock labels, and validity metadata."""
+
+    kind: str
+    n_param: int
+    dim: int
+    e_pr: dict
+    f_pr: dict
+    k_pr: dict
+    z: dict
+    labels: tuple[int, ...]         # clock exponent of each basis vector
+    wrap_free: bool                 # shifts never wrap the clock labels
+    params: dict = field(default_factory=dict)
+
+
+def build_site_rep(kind: str, n_param: int, params: dict | None = None) -> SiteRep:
+    """Construct one of the three site families.
+
+    spin_half       d=2, generic q; clock labels (-1, 0) so the raising
+                    operator lowers the total clock exponent by one.
+    highest_weight  d=N, generic q; labels 0..N-1, shifts stay in range.
+    cyclic          d=N, root of unity only; the lowering operator wraps.
+    """
+    if n_param < 2:
+        raise InvalidParams("need N >= 2")
+    params = dict(params or {})
+    if kind == "spin_half":
+        e_pr = {(0, 1): LaurentPoly(1)}
+        f_pr = {(1, 0): LaurentPoly(1)}
+        k_pr = {(0, 0): LaurentPoly.q_power(1), (1, 1): LaurentPoly.q_power(-1)}
+        z = {(0, 0): LaurentPoly.q_power(-2), (1, 1): LaurentPoly(1)}
+        return SiteRep(kind, n_param, 2, e_pr, f_pr, k_pr, z,
+                       labels=(-1, 0), wrap_free=True)
+    if kind == "highest_weight":
+        d = n_param
+        e_pr = {(n - 1, n): q_int(n_param - n) for n in range(1, d)}
+        f_pr = {(n + 1, n): q_int(n + 1) for n in range(d - 1)}
+        k_pr = {(n, n): LaurentPoly.q_power(n_param - 1 - 2 * n) for n in range(d)}
+        z = {(n, n): LaurentPoly.q_power(2 * n) for n in range(d)}
+        return SiteRep(kind, n_param, d, e_pr, f_pr, k_pr, z,
+                       labels=tuple(range(d)), wrap_free=True)
+    if kind == "cyclic":
+        if "c" not in params:
+            raise InvalidParams("cyclic family needs the scalar parameter c")
+        c = params["c"]
+        if isinstance(c, int):
+            c = LaurentPoly(c)
+        if not isinstance(c, LaurentPoly):
+            raise InvalidParams("parameter c must be an integer or LaurentPoly")
+        d = n_param
+        f_pr = {((n + 1) % d, n): LaurentPoly(1) for n in range(d)}
+        e_pr = {}
+        for n in range(d):
+            coeff = c - q_int(n) * q_int(n)
+            if not coeff.is_zero():
+                e_pr[((n - 1) % d, n)] = coeff
+        k_pr = {(n, n): LaurentPoly.q_power(-(2 * n + 1)) for n in range(d)}
+        z = {(n, n): LaurentPoly.q_power(2 * n) for n in range(d)}
+        return SiteRep(kind, n_param, d, e_pr, f_pr, k_pr, z,
+                       labels=tuple(range(d)), wrap_free=False,
+                       params={"c": c})
+    raise UnsupportedKind(f"unknown site family {kind!r}")
+
+
+def rescaled_rep(rep: SiteRep, alpha: LaurentPoly, beta: LaurentPoly) -> SiteRep:
+    """Rescale the shift operators: e' -> alpha e', f' -> beta f'.
+
+    Identities homogeneous in each shift operator must be blind to this;
+    the audit suites rerun themselves under such a rescale and compare
+    statuses.  The level-zero commutator is deliberately not invariant.
+    """
+    return SiteRep(rep.kind, rep.n_param, rep.dim,
+                   smat_scale(rep.e_pr, alpha), smat_scale(rep.f_pr, beta),
+                   rep.k_pr, rep.z, rep.labels, rep.wrap_free, dict(rep.params))
+
+
+# ---------------------------------------------------------------------------
+# representation gate
+
+
+REGISTRY.register(
+    "rep.k-e-exchange",
+    "k' e' - q^2 e' k' == 0 (site matrices)",
+    "generic q for wrap-free families; cyclic wrap rows need the root",
+)
+REGISTRY.register(
+    "rep.k-f-exchange",
+    "k' f' - q^-2 f' k' == 0 (site matrices)",
+    "generic q for wrap-free families; cyclic wrap rows need the root",
+)
+REGISTRY.register(
+    "rep.ef-commutator",
+    "(e'f' - f'e')(q - q^-1) - (k' - k'^-1) == 0 (site matrices)",
+    "generic q for spin_half and highest_weight; root of unity only for "
+    "cyclic (the wrap row needs q^2N = 1)",
+)
+REGISTRY.register(
+    "rep.clock-order",
+    "Z^N - 1 == 0 (site matrices)",
+    "root of unity only: Z eigenvalues are powers of w = q^2",
+)
+REGISTRY.register(
+    "rep.clock-shift-exchange",
+    "Z f' - w f' Z == 0 (site matrices; cyclic family)",
+    "root of unity only at the wrap row; exact elsewhere",
+)
+REGISTRY.register(
+    "rep.k-clock-sign",
+    "q k' Z == +-1 (records which sign, and in which ring it holds)",
+    "spin_half and cyclic: +1 at generic q; highest_weight: -1 at the root",
+)
+
+
+def _smat_status(diff: dict, n_param: int, mode: str):
+    """Classify a small-matrix residual in the requested mode."""
+    if not diff:
+        return EXACT_ZERO, None, {"holds_generically": True}
+    if mode == "generic":
+        entries = sorted(diff)
+        r, c = entries[0]
+        ring = cyclo_ring(n_param)
+        at_root = all(ring.from_laurent(v).is_zero() for v in diff.values())
+        return (NONZERO, {"row": r, "col": c, "value": diff[(r, c)].render()},
+                {"holds_at_root": at_root})
+    ring = cyclo_ring(n_param)
+    bad = {}
+    for key in sorted(diff):
+        red = ring.from_laurent(diff[key])
+        if not red.is_zero():
+            bad[key] = red
+    if not bad:
+        return EXACT_ZERO, None, {"holds_generically": False}
+    (r, c), val = next(iter(bad.items()))
+    return NONZERO, {"row": r, "col": c, "value": val.render()}, {}
+
+
+def rep_self_check(rep: SiteRep, mode: str = "generic") -> list[IdentityCheck]:
+    """Validate every site-level relation the chain construction consumes.
+
+    Failures are reported as Nonzero checks, never raised: the caller decides
+    what a given backend is allowed to fail in a given mode.
+    """
+    if mode not in ("generic", "root_of_unity"):
+        raise ValueError(f"unknown gate mode {mode!r}")
+    d = rep.dim
+    n_param = rep.n_param
+    base = {"kind": rep.kind, "N": n_param, "mode": mode}
+    checks: list[IdentityCheck] = []
+
+    def emit(family, diff, extra_params=None, extra=None):
+        params = dict(base)
+        if extra_params:
+            params.update(extra_params)
+        with CheckTimer() as t:
+            status, witness, info = _smat_status(diff, n_param, mode)
+        if extra:
+            info.update(extra)
+        cid = f"{family}[" + ",".join(f"{k}={v}" for k, v in params.items()) + "]"
+        checks.append(make_check(cid, family, params, status, witness=witness,
+                                 millis=t.millis, extra=info))
+
+    q2 = LaurentPoly.q_power(2)
+    qm2 = LaurentPoly.q_power(-2)
+    emit("rep.k-e-exchange",
+         smat_sub(smat_mul(rep.k_pr, rep.e_pr, d), smat_scale(smat_mul(rep.e_pr, rep.k_pr, d), q2)))
+    emit("rep.k-f-exchange",
+         smat_sub(smat_mul(rep.k_pr, rep.f_pr, d), smat_scale(smat_mul(rep.f_pr, rep.k_pr, d), qm2)))
+    comm = smat_sub(smat_mul(rep.e_pr, rep.f_pr, d), smat_mul(rep.f_pr, rep.e_pr, d))
+    bracket = LaurentPoly.q_power(1) - LaurentPoly.q_power(-1)
+    emit("rep.ef-commutator",
+         smat_sub(smat_scale(comm, bracket), smat_sub(rep.k_pr, invert_diag(rep.k_pr, d))))
+    emit("rep.clock-order",
+         smat_sub(smat_pow(rep.z, n_param, d), smat_identity(d)))
+    if rep.kind == "cyclic":
+        omega = LaurentPoly.q_power(2)
+        emit("rep.clock-shift-exchange",
+             smat_sub(smat_mul(rep.z, rep.f_pr, d),
+                      smat_scale(smat_mul(rep.f_pr, rep.z, d), omega)))
+
+    # sign bookkeeping: is q k' Z equal to +1 or -1, and where?
+    prod = smat_scale(smat_mul(rep.k_pr, rep.z, d), LaurentPoly.q_power(1))
+    ident = smat_identity(d)
+    sign, where = "none", "nowhere"
+    for cand, name in ((ident, "+"), (smat_neg(ident), "-")):
+        diff = smat_sub(prod, cand)
+        if not diff:
+            sign, where = name, "generic"
+            break
+        ring = cyclo_ring(n_param)
+        if all(ring.from_laurent(v).is_zero() for v in diff.values()):
+            sign, where = name, "root_of_unity"
+            break
+    target = ident if sign != "-" else smat_neg(ident)
+    emit("rep.k-clock-sign", smat_sub(prod, target) if sign != "none" else prod,
+         extra={"sign": sign, "valid_in": where})
+    return checks
+
+
+# ---------------------------------------------------------------------------
+# chain context
+
+
+class ChainContext:
+    """L sites of one representation, with the sector tables precomputed."""
+
+    def __init__(self, rep: SiteRep, length: int, ring_mode: str = "cyclotomic"):
+        if length < 1:
+            raise InvalidParams("need L >= 1")
+        self.rep = rep
+        self.length = length
+        self.n_param = rep.n_param
+        self.ring_mode = ring_mode
+        d = rep.dim
+        self.dim_total = d**length
+        grade_of: list[int] = []
+        for state in range(self.dim_total):
+            g = 0
+            s = state
+            for _ in range(length):
+                g += rep.labels[s % d]
+                s //= d
+            if not rep.wrap_free:
+                g %= rep.n_param
+            grade_of.append(g)
+        self.grade_of = grade_of
+        sectors: dict[int, list[int]] = {}
+        for state, g in enumerate(grade_of):
+            sectors.setdefault(g, []).append(state)
+        self.sectors = {g: tuple(states) for g, states in sorted(sectors.items())}
+        self.sector_pos = {g: {s: i for i, s in enumerate(states)}
+                           for g, states in self.sectors.items()}
+
+    def state_tuple(self, state: int) -> tuple[int, ...]:
+        """Site basis indices, site 1 first (slowest-varying)."""
+        d = self.rep.dim
+        out = []
+        for _ in range(self.length):
+            out.append(state % d)
+            state //= d
+        return tuple(reversed(out))
+
+    def wrap_grade(self, g: int) -> int:
+        return g % self.n_param if not self.rep.wrap_free else g
+
+    def __repr__(self):
+        return (f"ChainContext(kind={self.rep.kind}, N={self.n_param}, "
+                f"L={self.length})")
+
+
+# ---------------------------------------------------------------------------
+# graded operators
+
+
+def make_block(ring, nrows, ncols, triples):
+    if isinstance(ring, CycloRing):
+        return CycloBlock.from_entries(ring, nrows, ncols, triples)
+    if isinstance(ring, FloatRing):
+        return ComplexBlock.from_entries(ring, nrows, ncols, triples)
+    return DictBlock.from_entries(ring, nrows, ncols, triples)
+
+
+class GradedOperator:
+    """Homogeneous operator stored as one block per source sector.
+
+    blocks[g] maps sector g into sector g + shift (wrapped for cyclic
+    backends); zero blocks are never stored.
+    """
+
+    __slots__ = ("ctx", "ring", "shift", "blocks")
+
+    def __init__(self, ctx: ChainContext, ring, shift: int, blocks: dict):
+        self.ctx = ctx
+        self.ring = ring
+        self.shift = shift
+        self.blocks = {g: b for g, b in blocks.items() if not b.is_zero()}
+
+    @property
+    def charge(self) -> int:
+        return self.shift % self.ctx.n_param
+
+    def is_zero(self) -> bool:
+        return not self.blocks
+
+    def __eq__(self, other):
+        if not isinstance(other, GradedOperator):
+            return NotImplemented
+        return (self - other).is_zero()
+
+    def __matmul__(self, other: "GradedOperator") -> "GradedOperator":
+        if other.ctx is not self.ctx:
+            raise ValueError("operators live on different chains")
+        ctx = self.ctx
+        out: dict = {}
+        for g, right in other.blocks.items():
+            mid = ctx.wrap_grade(g + other.shift)
+            left = self.blocks.get(mid)
+            if left is None:
+                continue
+            prod = left.matmul(right)
+            if not prod.is_zero():
+                out[g] = prod
+        return GradedOperator(ctx, self.ring, self.shift + other.shift, out)
+
+    def __add__(self, other: "GradedOperator") -> "GradedOperator":
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
+        if self.ctx.wrap_grade(self.shift) != self.ctx.wrap_grade(other.shift):
+            raise NotGraded(
+                f"cannot add shift {self.shift} to shift {other.shift}")
+        out = dict(self.blocks)
+        for g, b in other.blocks.items():
+            cur = out.get(g)
+            out[g] = b if cur is None else cur.add(b)
+        return GradedOperator(self.ctx, self.ring, self.shift, out)
+
+    def __neg__(self) -> "GradedOperator":
+        return GradedOperator(self.ctx, self.ring, self.shift,
+                              {g: b.neg() for g, b in self.blocks.items()})
+
+    def __sub__(self, other: "GradedOperator") -> "GradedOperator":
+        return self + (-other)
+
+    def scale(self, scalar) -> "GradedOperator":
+        return GradedOperator(self.ctx, self.ring, self.shift,
+                              {g: b.scale(scalar) for g, b in self.blocks.items()})
+
+    def power(self, n: int) -> "GradedOperator":
+        out = identity_operator(self.ctx, self.ring)
+        for _ in range(n):
+            out = self @ out
+        return out
+
+    def nnz(self) -> int:
+        return sum(b.nnz() for b in self.blocks.values())
+
+    def entries(self):
+        """(src_sector, row_state, col_state, value), deterministic order."""
+        ctx = self.ctx
+        out = []
+        for g in sorted(self.blocks):
+            dst = ctx.sectors[ctx.wrap_grade(g + self.shift)]
+            src = ctx.sectors[g]
+            for r, c, v in self.blocks[g].entries():
+                out.append((g, dst[r], src[c], v))
+        return out
+
+    def __repr__(self):
+        return (f"GradedOperator(shift={self.shift}, sectors={len(self.blocks)}, "
+                f"nnz={self.nnz()})")
+
+
+def operator_from_entries(ctx: ChainContext, ring, entries,
+                          shift: int | None = None) -> GradedOperator:
+    """Group global-matrix entries (row_state, col_state, value) into sector
+    blocks, inferring and enforcing a single grading shift."""
+    per_sector: dict[int, list] = {}
+    seen_shift = None
+    for row, col, val in entries:
+        if ring_is_zero(ring, val):
+            continue
+        g_src = ctx.grade_of[col]
+        g_dst = ctx.grade_of[row]
+        s = g_dst - g_src
+        if not ctx.rep.wrap_free:
+            s %= ctx.n_param
+        if seen_shift is None:
+            seen_shift = s
+        elif seen_shift != s:
+            raise NotGraded(f"mixed sector shifts {seen_shift} and {s}")
+        per_sector.setdefault(g_src, []).append((row, col, val))
+    if seen_shift is None:
+        seen_shift = 0 if shift is None else shift
+    if shift is not None and seen_shift != shift and per_sector:
+        raise NotGraded(f"expected shift {shift}, found {seen_shift}")
+    blocks = {}
+    for g, triples in per_sector.items():
+        dst = ctx.sector_pos[ctx.wrap_grade(g + seen_shift)]
+        src = ctx.sector_pos[g]
+        local = [(dst[r], src[c], v) for r, c, v in triples]
+        blocks[g] = make_block(ring, len(dst), len(src), local)
+    return GradedOperator(ctx, ring, seen_shift, blocks)
+
+
+def identity_operator(ctx: ChainContext, ring) -> GradedOperator:
+    blocks = {}
+    for g, states in ctx.sectors.items():
+        n = len(states)
+        blocks[g] = make_block(ring, n, n,
+                               [(i, i, ring.one) for i in range(n)])
+    return GradedOperator(ctx, ring, 0, blocks)
+
+
+def diagonal_operator(ctx: ChainContext, ring, value_of_state) -> GradedOperator:
+    """Diagonal operator from a state -> scalar function (shift 0)."""
+    blocks = {}
+    for g, states in ctx.sectors.items():
+        triples = [(i, i, value_of_state(s)) for i, s in enumerate(states)]
+        blocks[g] = make_block(ring, len(states), len(states), triples)
+    return GradedOperator(ctx, ring, 0, blocks)
+
+
+def charge_of(op: GradedOperator) -> int:
+    """Sector shift modulo N, consistency-checked against the blocks."""
+    ctx = op.ctx
+    for g, block in op.blocks.items():
+        dst = ctx.wrap_grade(g + op.shift)
+        want_rows = len(ctx.sectors[dst])
+        if block.shape[0] != want_rows or block.shape[1] != len(ctx.sectors[g]):
+            raise NotGraded(f"block at sector {g} has inconsistent shape")
+    return op.shift % ctx.n_param
+
+
+def sector_project(op: GradedOperator, charge_q: int) -> GradedOperator:
+    """Restrict the domain to source sectors of charge class Q (mod N)."""
+    n = op.ctx.n_param
+    kept = {g: b for g, b in op.blocks.items() if g % n == charge_q % n}
+    return GradedOperator(op.ctx, op.ring, op.shift, kept)
+
+
+# ---------------------------------------------------------------------------
+# chain generators
+
+
+def _site_col_maps(mat: dict, dim: int) -> list[list[tuple[int, LaurentPoly]]]:
+    cols: list[list[tuple[int, LaurentPoly]]] = [[] for _ in range(dim)]
+    for (r, c), v in mat.items():
+        cols[c].append((r, v))
+    return cols
+
+
+def _chain_term_entries(ctx: ChainContext, factors: list[dict]):
+    """Entries of factor_1 x .. x factor_L over the full chain basis.
+
+    Yields (row_state, col_state, LaurentPoly).  Efficient because every
+    local factor used here has at most one entry per column.
+    """
+    d = ctx.rep.dim
+    col_maps = [_site_col_maps(f, d) for f in factors]
+    length = ctx.length
+    for col_state in range(ctx.dim_total):
+        digits = ctx.state_tuple(col_state)
+        row_state = 0
+        val = None
+        dead = False
+        for j in range(length):
+            options = col_maps[j][digits[j]]
+            if not options:
+                dead = True
+                break
+            if len(options) != 1:
+                raise InternalInconsistency("chain factors must be single-valued")
+            r, v = options[0]
+            row_state = row_state * d + r
+            val = v if val is None else val * v
+        if not dead and val is not None and not val.is_zero():
+            yield (row_state, col_state, val)
+
+
+def _sum_terms(ctx, ring, term_factor_lists, shift):
+    entries: dict[tuple[int, int], LaurentPoly] = {}
+    for factors in term_factor_lists:
+        for r, c, v in _chain_term_entries(ctx, factors):
+            key = (r, c)
+            s = entries.get(key, LaurentPoly(0)) + v
+            if s.is_zero():
+                entries.pop(key, None)
+            else:
+                entries[key] = s
+    return operator_from_entries(ctx, ring, [(r, c, v) for (r, c), v in entries.items()],
+                                 shift=shift)
+
+
+def build_chain_generators(ctx: ChainContext) -> dict:
+    """Global generators via the iterated coproduct, plus the clock product.
+
+    E1 = sum_j k' .. k' e'_j 1 .. 1        F1 = sum_j 1 .. 1 f'_j k'^-1 .. k'^-1
+    E0 = sum_j k'^-1 .. k'^-1 f'_j 1 .. 1  F0 = sum_j 1 .. 1 e'_j k' .. k'
+    K  = prod_j k'_j;  A_L = prod_j Z_j;  A_L_half = diagonal q^(sum of labels)
+
+    All operators are symbolic (LaurentPoly entries); specialize afterwards.
+    """
+    rep = ctx.rep
+    d = rep.dim
+    length = ctx.length
+    ring = LAURENT_RING
+    ident = smat_identity(d)
+    k_inv = invert_diag(rep.k_pr, d)
+
+    def dressed(site_mat, left, right):
+        terms = []
+        for j in range(length):
+            factors = [left] * j + [site_mat] + [right] * (length - j - 1)
+            terms.append(factors)
+        return terms
+
+    e1 = _sum_terms(ctx, ring, dressed(rep.e_pr, rep.k_pr, ident), shift=None)
+    f1 = _sum_terms(ctx, ring, dressed(rep.f_pr, ident, k_inv), shift=None)
+    e0 = _sum_terms(ctx, ring, dressed(rep.f_pr, k_inv, ident), shift=None)
+    f0 = _sum_terms(ctx, ring, dressed(rep.e_pr, ident, rep.k_pr), shift=None)
+    k_op = _sum_terms(ctx, ring, [[rep.k_pr] * length], shift=0)
+    k_inv_op = _sum_terms(ctx, ring, [[k_inv] * length], shift=0)
+    a_op = _sum_terms(ctx, ring, [[rep.z] * length], shift=0)
+
+    def half_exponent(state):
+        return LaurentPoly.q_power(ctx.grade_of[state])
+
+    a_half = diagonal_operator(ctx, ring, half_exponent)
+    return {
+        "E0": e0, "E1": e1, "F0": f0, "F1": f1,
+        "K": k_op, "K_inv": k_inv_op,
+        "A_L": a_op, "A_L_half": a_half,
+    }
+
+
+def a_half_inverse(ctx: ChainContext) -> GradedOperator:
+    return diagonal_operator(ctx, LAURENT_RING,
+                             lambda s: LaurentPoly.q_power(-ctx.grade_of[s]))
+
+
+def build_barred_ops(ctx: ChainContext, gens: dict | None = None) -> dict:
+    """Site-labeled global operators, defined from the +- family by clock
+    dressing and scalar prefactors:
+
+        B1bar  =  q^(L-2) A^(1/2) E0      BLbar  =  q^-1 A^(1/2) F1
+        C0bar  = -q^(L-2) E1 A^(1/2)      CL1bar = -q^-1 F0 A^(1/2)
+
+    Refuses backends whose shifts wrap the clock labels: the integer-exponent
+    A^(1/2) would pick up stray q^N = -1 signs on the wrap rows.
+    """
+    if not ctx.rep.wrap_free:
+        raise WrapInconsistency(
+            f"backend {ctx.rep.kind!r} wraps clock labels; the half-clock "
+            "dressing is not single-valued there")
+    gens = gens if gens is not None else build_chain_generators(ctx)
+    length = ctx.length
+    a_half = gens["A_L_half"]
+    pref_edge = LaurentPoly.q_power(length - 2)
+    pref_inner = LaurentPoly.q_power(-1)
+    return {
+        "B1bar": (a_half @ gens["E0"]).scale(pref_edge),
+        "BLbar": (a_half @ gens["F1"]).scale(pref_inner),
+        "C0bar": (gens["E1"] @ a_half).scale(-pref_edge),
+        "CL1bar": (gens["F0"] @ a_half).scale(-pref_inner),
+    }
+
+
+# ---------------------------------------------------------------------------
+# specialization across rings
+
+
+def specialize_operator(op: GradedOperator, ring) -> GradedOperator:
+    """Map a symbolically built (Laurent) operator into another scalar ring."""
+    if not isinstance(op.ring, LaurentRing):
+        raise ValueError("specialization starts from the symbolic ring")
+    if isinstance(ring, LaurentRing):
+        return op
+    if isinstance(ring, CycloRing):
+        conv = ring.from_laurent
+    elif isinstance(ring, PhiAdicRing):
+        conv = ring.embed
+    elif isinstance(ring, FloatRing):
+        conv = lambda p: p.evaluate(ring.q)  # noqa: E731
+    else:
+        raise TypeError(f"unknown target ring {ring!r}")
+    blocks = {}
+    for g, block in op.blocks.items():
+        triples = [(r, c, conv(v)) for r, c, v in block.entries()]
+        blocks[g] = make_block(ring, block.shape[0], block.shape[1], triples)
+    return GradedOperator(op.ctx, ring, op.shift, blocks)
+
+
+# ---------------------------------------------------------------------------
+# the uniform zero-identity runner
+
+
+def evaluate_zero_identity(family: str, params: dict, terms: list[GradedOperator],
+                           ring) -> IdentityCheck:
+    """Sum the terms and classify the residual.
+
+    VacuousZero: every term is individually zero.
+    ExactZero / ApproxZero: the sum vanishes (exact ring / float ring).
+    Nonzero: witness is the first nonzero entry in deterministic order.
+    Arithmetic obstructions arriving as exceptions become Error statuses.
+    """
+    cid = f"{family}[" + ",".join(f"{k}={v}" for k, v in params.items()) + "]"
+    status = witness = nontrivial = None
+    with CheckTimer() as t:
+        nonzero_terms = [op for op in terms if not op.is_zero()]
+        if not nonzero_terms:
+            status = VACUOUS_ZERO
+        else:
+            total = nonzero_terms[0]
+            for op in nonzero_terms[1:]:
+                total = total + op
+            nontrivial = {
+                "terms": len(terms),
+                "terms_nonzero": len(nonzero_terms),
+                "max_term_nnz": max(op.nnz() for op in nonzero_terms),
+            }
+            if total.is_zero():
+                status = APPROX_ZERO if isinstance(ring, FloatRing) else EXACT_ZERO
+            else:
+                status = NONZERO
+                g, row, col, val = total.entries()[0]
+                witness = {
+                    "sector": g, "row_state": row, "col_state": col,
+                    "value": val.render() if hasattr(val, "render") else repr(val),
+                }
+    extra = {"terms": len(terms), "terms_nonzero": 0} if status == VACUOUS_ZERO else {}
+    return make_check(cid, family, params, status, witness=witness,
+                      millis=t.millis, nontrivial=nontrivial, extra=extra)
+
+
+def run_guarded(family: str, params: dict, thunk) -> IdentityCheck:
+    """Run a check body, converting arithmetic obstructions into Error records."""
+    cid = f"{family}[" + ",".join(f"{k}={v}" for k, v in params.items()) + "]"
+    kinds = (
+        (NotDivisible, KIND_NOT_DIVISIBLE),
+        (TruncationOverflow, KIND_TRUNCATION),
+        (WrapInconsistency, KIND_WRAP),
+        (InternalInconsistency, KIND_INTERNAL),
+    )
+    caught = None
+    with CheckTimer() as t:
+        try:
+            result = thunk()
+        except tuple(k for k, _ in kinds) as exc:
+            caught = exc
+    if caught is None:
+        return result
+    kind = next(tag for cls, tag in kinds if isinstance(caught, cls))
+    return make_check(cid, family, params, ERROR, error_kind=kind,
+                      detail=str(caught), millis=t.millis)
+
+
+# ---------------------------------------------------------------------------
+# chain-level relation checks
+
+
+REGISTRY.register(
+    "chain.k-exchange",
+    "K E - q^(+-2) E K == 0 for E in {E1 (+2), E0 (-2), F1 (-2), F0 (+2)}",
+    "generic q, all wrap-free backends and lengths",
+)
+REGISTRY.register(
+    "chain.ef-commutator",
+    "(E1 F1 - F1 E1)(q - q^-1) - (K - K^-1) == 0; "
+    "(E0 F0 - F0 E0)(q - q^-1) - (K^-1 - K) == 0",
+    "generic q for wrap-free backends; root of unity for cyclic",
+)
+REGISTRY.register(
+    "chain.mixed-commutator",
+    "E1 F0 - F0 E1 == 0 and E0 F1 - F1 E0 == 0",
+    "generic q",
+)
+REGISTRY.register(
+    "chain.grading",
+    "A_L T A_L^-1 - w^s T == 0 with s the sector shift of T",
+    "generic q for wrap-free backends (s is the integer shift); root of "
+    "unity for cyclic; c(E1) = c(F0) = -1, c(E0) = c(F1) = +1 mod N",
+)
+REGISTRY.register(
+    "chain.half-clock-commutation",
+    "A^(-1/2) Cbar - q Cbar A^(-1/2) == 0 and Bbar A^(-1/2) - q A^(-1/2) Bbar == 0",
+    "wrap-free backends, any L, generic q; cyclic backends are refused "
+    "with WrapInconsistency",
+)
+
+
+def check_chain_chevalley(ctx: ChainContext, ring=None) -> list[IdentityCheck]:
+    """Level-zero relations of the global generators, reported one by one."""
+    ring = ring if ring is not None else LAURENT_RING
+    gens = build_chain_generators(ctx)
+    if not isinstance(ring, LaurentRing):
+        gens = {k: specialize_operator(v, ring) for k, v in gens.items()}
+    base = {"kind": ctx.rep.kind, "N": ctx.n_param, "L": ctx.length,
+            "ring": ring.kind}
+    out = []
+    q2 = LaurentPoly.q_power(2)
+    qm2 = LaurentPoly.q_power(-2)
+    bracket = LaurentPoly.q_power(1) - LaurentPoly.q_power(-1)
+    coerced = ring.coerce
+
+    for name, sign in (("E1", q2), ("E0", qm2), ("F1", qm2), ("F0", q2)):
+        op = gens[name]
+        params = dict(base, generator=name)
+        out.append(evaluate_zero_identity(
+            "chain.k-exchange", params,
+            [gens["K"] @ op, (op @ gens["K"]).scale(coerced(-sign))], ring))
+    for pair, inv_first in ((("E1", "F1"), False), (("E0", "F0"), True)):
+        a, b = gens[pair[0]], gens[pair[1]]
+        lhs = ((a @ b) - (b @ a)).scale(coerced(bracket))
+        rhs = (gens["K_inv"] - gens["K"]) if inv_first else (gens["K"] - gens["K_inv"])
+        params = dict(base, pair="".join(pair))
+        out.append(evaluate_zero_identity("chain.ef-commutator", params,
+                                          [lhs, -rhs], ring))
+    for pair in (("E1", "F0"), ("E0", "F1")):
+        a, b = gens[pair[0]], gens[pair[1]]
+        params = dict(base, pair="".join(pair))
+        out.append(evaluate_zero_identity("chain.mixed-commutator", params,
+                                          [a @ b, -(b @ a)], ring))
+    for name in ("E0", "E1", "F0", "F1"):
+        op = gens[name]
+        omega_s = LaurentPoly.q_power(2 * op.shift)
+        params = dict(base, generator=name, charge=op.shift % ctx.n_param)
+        conj = gens["A_L"] @ op @ _a_inverse(ctx, ring)
+        out.append(evaluate_zero_identity("chain.grading", params,
+                                          [conj, op.scale(coerced(-omega_s))], ring))
+    return out
+
+
+def _a_inverse(ctx, ring):
+    z_inv = invert_diag(ctx.rep.z, ctx.rep.dim)
+    inv = _sum_terms(ctx, LAURENT_RING, [[z_inv] * ctx.length], shift=0)
+    if isinstance(ring, LaurentRing):
+        return inv
+    return specialize_operator(inv, ring)
+
+
+def check_half_clock_commutation(ctx: ChainContext, ring=None) -> list[IdentityCheck]:
+    """The two clock-dressing exchange laws for all four barred operators."""
+    ring = ring if ring is not None else LAURENT_RING
+    barred = build_barred_ops(ctx)
+    a_inv_half = a_half_inverse(ctx)
+    if not isinstance(ring, LaurentRing):
+        barred = {k: specialize_operator(v, ring) for k, v in barred.items()}
+        a_inv_half = specialize_operator(a_inv_half, ring)
+    base = {"kind": ctx.rep.kind, "N": ctx.n_param, "L": ctx.length,
+            "ring": ring.kind}
+    q1 = LaurentPoly.q_power(1)
+    coerced = ring.coerce
+    out = []
+    for name in ("C0bar", "CL1bar"):
+        op = barred[name]
+        params = dict(base, op=name)
+        out.append(evaluate_zero_identity(
+            "chain.half-clock-commutation", params,
+            [a_inv_half @ op, (op @ a_inv_half).scale(coerced(-q1))], ring))
+    for name in ("B1bar", "BLbar"):
+        op = barred[name]
+        params = dict(base, op=name)
+        out.append(evaluate_zero_identity(
+            "chain.half-clock-commutation", params,
+            [op @ a_inv_half, (a_inv_half @ op).scale(coerced(-q1))], ring))
+    return out

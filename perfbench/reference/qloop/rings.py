@@ -1,0 +1,778 @@
+"""Exact scalar rings for root-of-unity computations.
+
+Four rings share one deformation parameter q:
+
+* LaurentPoly      -- Z[q, q^-1], the generic symbolic ring.
+* CycloRing        -- Z[q]/Phi_2N(q), q a primitive 2N-th root of unity.
+* PhiAdicRing      -- truncated series sum_i a_i * Phi_2N^i with CycloRing
+                      digits, for divisions whose denominators vanish at the
+                      root of unity.
+* FloatRing        -- complex evaluation at q = exp(i*pi/N), smoke tests only.
+
+q is never a float inside the exact rings.  omega means q^2 throughout.
+All integer coefficients are Python ints, so they never overflow.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import lru_cache
+
+
+class NotDivisible(ArithmeticError):
+    """Exact division was requested but leaves a remainder."""
+
+
+class TruncationOverflow(ArithmeticError):
+    """A Phi-adic computation ran out of valid digits."""
+
+
+class InternalInconsistency(AssertionError):
+    """Two routes that must agree produced different values."""
+
+
+# ---------------------------------------------------------------------------
+# integer polynomial helpers (dense ascending coefficient lists)
+
+
+def _poly_trim(c: list[int]) -> list[int]:
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return _poly_trim(out)
+
+
+def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+    """Long division over Z.  Every leading-term division must be exact."""
+    num = list(num)
+    den = _poly_trim(list(den))
+    if not den:
+        raise ZeroDivisionError("polynomial division by zero")
+    lead = den[-1]
+    quot = [0] * max(0, len(num) - len(den) + 1)
+    for k in range(len(num) - len(den), -1, -1):
+        c = num[k + len(den) - 1]
+        if c == 0:
+            continue
+        if c % lead != 0:
+            raise NotDivisible(f"leading coefficient {c} not divisible by {lead}")
+        f = c // lead
+        quot[k] = f
+        for j, dj in enumerate(den):
+            num[k + j] -= f * dj
+    return _poly_trim(quot), _poly_trim(num)
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_poly(m: int) -> tuple[int, ...]:
+    """Coefficients of Phi_m(x), ascending.  Phi_m is monic over Z."""
+    if m < 1:
+        raise ValueError("m must be positive")
+    poly = [-1] + [0] * (m - 1) + [1]          # x^m - 1
+    for d in range(1, m):
+        if m % d == 0:
+            poly, rem = _poly_divmod(poly, list(cyclotomic_poly(d)))
+            if rem:
+                raise InternalInconsistency("cyclotomic division left a remainder")
+    return tuple(poly)
+
+
+# ---------------------------------------------------------------------------
+# LaurentPoly
+
+
+class LaurentPoly:
+    """Laurent polynomial in q with Python-int coefficients.
+
+    Stored as {exponent: coefficient} with no zero coefficients, so equal
+    values have equal dicts.
+    """
+
+    __slots__ = ("c",)
+
+    def __init__(self, coeffs: dict[int, int] | int = 0):
+        if isinstance(coeffs, int):
+            self.c = {0: coeffs} if coeffs else {}
+        else:
+            self.c = {e: v for e, v in coeffs.items() if v}
+
+    @classmethod
+    def _raw(cls, c: dict[int, int]) -> "LaurentPoly":
+        p = cls.__new__(cls)
+        p.c = c
+        return p
+
+    @classmethod
+    def q_power(cls, e: int, coeff: int = 1) -> "LaurentPoly":
+        return cls._raw({e: coeff} if coeff else {})
+
+    def is_zero(self) -> bool:
+        return not self.c
+
+    def __bool__(self) -> bool:
+        return bool(self.c)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, int):
+            return self.c == ({0: other} if other else {})
+        if isinstance(other, LaurentPoly):
+            return self.c == other.c
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(frozenset(self.c.items()))
+
+    def __neg__(self) -> "LaurentPoly":
+        return LaurentPoly._raw({e: -v for e, v in self.c.items()})
+
+    def __add__(self, other) -> "LaurentPoly":
+        if isinstance(other, int):
+            other = LaurentPoly(other)
+        out = dict(self.c)
+        for e, v in other.c.items():
+            s = out.get(e, 0) + v
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return LaurentPoly._raw(out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "LaurentPoly":
+        if isinstance(other, int):
+            other = LaurentPoly(other)
+        return self + (-other)
+
+    def __rsub__(self, other) -> "LaurentPoly":
+        return (-self) + other
+
+    def __mul__(self, other) -> "LaurentPoly":
+        if isinstance(other, int):
+            if other == 0:
+                return LaurentPoly._raw({})
+            return LaurentPoly._raw({e: v * other for e, v in self.c.items()})
+        a, b = self.c, other.c
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) == 1:
+            (ea, va), = a.items()
+            return LaurentPoly._raw({ea + e: va * v for e, v in b.items()})
+        out: dict[int, int] = {}
+        for ea, va in a.items():
+            for eb, vb in b.items():
+                e = ea + eb
+                s = out.get(e, 0) + va * vb
+                if s:
+                    out[e] = s
+                elif e in out:
+                    del out[e]
+        return LaurentPoly._raw(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "LaurentPoly":
+        if n < 0:
+            raise ValueError("negative powers are not closed in Z[q,q^-1]")
+        out = LaurentPoly(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def min_exp(self) -> int:
+        return min(self.c) if self.c else 0
+
+    def max_exp(self) -> int:
+        return max(self.c) if self.c else 0
+
+    def max_abs_coeff(self) -> int:
+        return max((abs(v) for v in self.c.values()), default=0)
+
+    def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
+        """Exact division in Z[q, q^-1]; raises NotDivisible on a remainder."""
+        if not isinstance(other, LaurentPoly):
+            other = LaurentPoly(other)
+        if other.is_zero():
+            raise ZeroDivisionError("division by zero Laurent polynomial")
+        if self.is_zero():
+            return LaurentPoly._raw({})
+        sa, sb = self.min_exp(), other.min_exp()
+        na = [0] * (self.max_exp() - sa + 1)
+        for e, v in self.c.items():
+            na[e - sa] = v
+        nb = [0] * (other.max_exp() - sb + 1)
+        for e, v in other.c.items():
+            nb[e - sb] = v
+        quot, rem = _poly_divmod(na, nb)
+        if rem:
+            raise NotDivisible("Laurent division left a remainder")
+        shift = sa - sb
+        return LaurentPoly._raw({i + shift: v for i, v in enumerate(quot) if v})
+
+    def evaluate(self, z: complex) -> complex:
+        return sum(v * z**e for e, v in self.c.items()) if self.c else 0j
+
+    def render(self) -> str:
+        """Canonical text form: ascending exponents, explicit signs."""
+        if not self.c:
+            return "0"
+        parts = []
+        for e in sorted(self.c):
+            v = self.c[e]
+            sign = "-" if v < 0 else "+"
+            mag = abs(v)
+            if e == 0:
+                body = str(mag)
+            else:
+                var = "q" if e == 1 else f"q^{e}"
+                body = var if mag == 1 else f"{mag}*{var}"
+            parts.append((sign, body))
+        first_sign, first_body = parts[0]
+        text = ("-" if first_sign == "-" else "") + first_body
+        for sign, body in parts[1:]:
+            text += f" {sign} {body}"
+        return text
+
+    def __repr__(self) -> str:
+        return f"LaurentPoly({self.render()})"
+
+
+LAURENT_ZERO = LaurentPoly(0)
+LAURENT_ONE = LaurentPoly(1)
+
+
+# ---------------------------------------------------------------------------
+# CycloRing / CycloElem
+
+
+class CycloElem:
+    """Residue in Z[q]/Phi_2N(q), held as coordinates on 1, q, .., q^(D-1)."""
+
+    __slots__ = ("ring", "coords")
+
+    def __init__(self, ring: "CycloRing", coords: tuple[int, ...]):
+        self.ring = ring
+        self.coords = coords
+
+    def is_zero(self) -> bool:
+        return not any(self.coords)
+
+    def __bool__(self) -> bool:
+        return any(self.coords)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, CycloElem):
+            return self.ring.n_param == other.ring.n_param and self.coords == other.coords
+        if isinstance(other, int):
+            return self == self.ring.from_int(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ring.n_param, self.coords))
+
+    def __neg__(self):
+        return CycloElem(self.ring, tuple(-x for x in self.coords))
+
+    def __add__(self, other):
+        other = self.ring.coerce(other)
+        return CycloElem(self.ring, tuple(a + b for a, b in zip(self.coords, other.coords)))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self.ring.coerce(other)
+        return CycloElem(self.ring, tuple(a - b for a, b in zip(self.coords, other.coords)))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return CycloElem(self.ring, tuple(x * other for x in self.coords))
+        other = self.ring.coerce(other)
+        return self.ring.mul(self, other)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        out = self.ring.one
+        base = self
+        if n < 0:
+            raise ValueError("use ring.q_power for negative q exponents")
+        for _ in range(n):
+            out = out * base
+        return out
+
+    def render(self) -> str:
+        return LaurentPoly({i: v for i, v in enumerate(self.coords)}).render()
+
+    def __repr__(self):
+        return f"CycloElem(N={self.ring.n_param}, {self.render()})"
+
+
+class CycloRing:
+    """Arithmetic of Z[q]/Phi_2N(q) for a fixed N >= 2."""
+
+    kind = "cyclotomic"
+
+    def __init__(self, n_param: int):
+        if n_param < 2:
+            raise ValueError("need N >= 2")
+        self.n_param = n_param
+        self.order = 2 * n_param                      # q has this multiplicative order
+        phi = list(cyclotomic_poly(self.order))
+        self.phi = phi
+        self.degree = len(phi) - 1
+        # power table: coords of q^k for k in 0..2N-1; q^2N wraps to 1
+        powtab: list[tuple[int, ...]] = []
+        cur = [1] + [0] * (self.degree - 1)
+        for _ in range(self.order):
+            powtab.append(tuple(cur))
+            nxt = [0] + cur[:-1]
+            spill = cur[-1]
+            if spill:
+                for i in range(self.degree):
+                    nxt[i] -= spill * phi[i]
+            cur = nxt
+        self.powtab = powtab
+        if tuple(cur) != powtab[0]:
+            raise InternalInconsistency("q^2N did not reduce to 1 mod Phi_2N")
+        self.zero = CycloElem(self, (0,) * self.degree)
+        self.one = CycloElem(self, powtab[0])
+        self.q = CycloElem(self, powtab[1])
+        self.omega = CycloElem(self, powtab[2 % self.order])
+
+    def coerce(self, x) -> CycloElem:
+        if isinstance(x, CycloElem):
+            if x.ring.n_param != self.n_param:
+                raise ValueError("mixed cyclotomic rings")
+            return x
+        if isinstance(x, int):
+            return self.from_int(x)
+        if isinstance(x, LaurentPoly):
+            return self.from_laurent(x)
+        raise TypeError(f"cannot coerce {type(x).__name__} into CycloRing")
+
+    def from_int(self, k: int) -> CycloElem:
+        return CycloElem(self, tuple(k * c for c in self.powtab[0]))
+
+    def q_power(self, e: int) -> CycloElem:
+        return CycloElem(self, self.powtab[e % self.order])
+
+    def from_laurent(self, p: LaurentPoly) -> CycloElem:
+        acc = [0] * self.degree
+        for e, v in p.c.items():
+            row = self.powtab[e % self.order]
+            for i in range(self.degree):
+                acc[i] += v * row[i]
+        return CycloElem(self, tuple(acc))
+
+    def mul(self, a: CycloElem, b: CycloElem) -> CycloElem:
+        d = self.degree
+        raw = [0] * (2 * d - 1)
+        ca, cb = a.coords, b.coords
+        for i in range(d):
+            ai = ca[i]
+            if ai:
+                for j in range(d):
+                    if cb[j]:
+                        raw[i + j] += ai * cb[j]
+        acc = list(raw[:d])
+        for k in range(d, 2 * d - 1):
+            v = raw[k]
+            if v:
+                row = self.powtab[k]
+                for i in range(d):
+                    acc[i] += v * row[i]
+        return CycloElem(self, tuple(acc))
+
+    def mult_matrix(self, a: CycloElem) -> list[list[int]]:
+        """Columns are the coordinates of a * q^j."""
+        cols = []
+        cur = a
+        for _ in range(self.degree):
+            cols.append(cur.coords)
+            cur = cur * self.q
+        return [[cols[j][i] for j in range(self.degree)] for i in range(self.degree)]
+
+    def divexact(self, a: CycloElem, b: CycloElem) -> CycloElem:
+        """Solve x*b = a exactly over Z; Phi_2N is irreducible so b != 0 suffices
+        for uniqueness, and NotDivisible is raised when x is not integral."""
+        if b.is_zero():
+            raise ZeroDivisionError("division by zero in cyclotomic ring")
+        if a.is_zero():
+            return self.zero
+        d = self.degree
+        m = [[Fraction(v) for v in row] for row in self.mult_matrix(b)]
+        rhs = [Fraction(v) for v in a.coords]
+        # Gaussian elimination with exact fractions; d <= phi(2N) is tiny.
+        for col in range(d):
+            piv = next((r for r in range(col, d) if m[r][col] != 0), None)
+            if piv is None:
+                raise NotDivisible("singular multiplication matrix")
+            m[col], m[piv] = m[piv], m[col]
+            rhs[col], rhs[piv] = rhs[piv], rhs[col]
+            inv = 1 / m[col][col]
+            m[col] = [x * inv for x in m[col]]
+            rhs[col] *= inv
+            for r in range(d):
+                if r != col and m[r][col]:
+                    f = m[r][col]
+                    m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+                    rhs[r] -= f * rhs[col]
+        coords = []
+        for x in rhs:
+            if x.denominator != 1:
+                raise NotDivisible("quotient is not an algebraic integer combination")
+            coords.append(int(x))
+        return CycloElem(self, tuple(coords))
+
+    def __repr__(self):
+        return f"CycloRing(N={self.n_param})"
+
+
+@lru_cache(maxsize=None)
+def cyclo_ring(n_param: int) -> CycloRing:
+    return CycloRing(n_param)
+
+
+# ---------------------------------------------------------------------------
+# PhiAdicRing / PhiAdicElem
+
+
+class PhiAdicElem:
+    """Element of Z[q] / Phi_2N(q)^(K+1), tracked to a known adic precision.
+
+    Stored as an integer polynomial in q (ascending tuple, degree below
+    (K+1)*deg(Phi), trimmed).  Digits in base Phi are derived on demand; they
+    cannot be stored as residues because digit products carry into the next
+    digit.  prec counts how many leading base-Phi digits are meaningful:
+    the element is only known modulo Phi^prec.
+    """
+
+    __slots__ = ("ring", "poly", "prec")
+
+    def __init__(self, ring: "PhiAdicRing", poly: tuple[int, ...], prec: int | None = None):
+        self.ring = ring
+        p = ring.trunc_order + 1 if prec is None else prec
+        self.prec = max(0, min(p, ring.trunc_order + 1))
+        self.poly = poly
+
+    def valuation(self) -> int:
+        """Largest v <= prec with Phi^v dividing this element exactly."""
+        v = 0
+        cur = list(self.poly)
+        while v < self.prec and cur:
+            quot, rem = _divmod_by_monic(cur, self.ring.cyclo.phi)
+            if rem:
+                return v
+            cur = quot
+            v += 1
+        return self.prec
+
+    def is_zero(self) -> bool:
+        return self.valuation() >= self.prec
+
+    def __bool__(self):
+        return not self.is_zero()
+
+    def digit(self, i: int) -> CycloElem:
+        """Base-Phi digit i as a cyclotomic residue (0 <= i < prec)."""
+        if not 0 <= i < self.prec:
+            raise TruncationOverflow(f"digit {i} is not known at precision {self.prec}")
+        cur = list(self.poly)
+        rem: list[int] = []
+        for _ in range(i + 1):
+            cur, rem = _divmod_by_monic(cur, self.ring.cyclo.phi)
+        pad = list(rem) + [0] * (self.ring.cyclo.degree - len(rem))
+        return CycloElem(self.ring.cyclo, tuple(pad))
+
+    def __eq__(self, other):
+        if not isinstance(other, PhiAdicElem):
+            if isinstance(other, int):
+                return self == self.ring.from_int(other)
+            return NotImplemented
+        if self.ring.n_param != other.ring.n_param or self.ring.trunc_order != other.ring.trunc_order:
+            return False
+        diff = self - other
+        return diff.valuation() >= diff.prec
+
+    def __hash__(self):
+        return hash((self.ring.n_param, self.ring.trunc_order))
+
+    def __neg__(self):
+        return PhiAdicElem(self.ring, tuple(-c for c in self.poly), self.prec)
+
+    def __add__(self, other):
+        other = self.ring.coerce(other)
+        n = max(len(self.poly), len(other.poly))
+        a = list(self.poly) + [0] * (n - len(self.poly))
+        for i, c in enumerate(other.poly):
+            a[i] += c
+        return PhiAdicElem(self.ring, tuple(_poly_trim(a)), min(self.prec, other.prec))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self.ring.coerce(other)
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return PhiAdicElem(self.ring, tuple(c * other for c in self.poly) if other else (),
+                               self.prec)
+        other = self.ring.coerce(other)
+        return self.ring.mul(self, other)
+
+    __rmul__ = __mul__
+
+    def render(self) -> str:
+        parts = []
+        for i in range(self.prec):
+            d = self.digit(i)
+            if d:
+                term = f"({d.render()})"
+                parts.append(term if i == 0 else f"{term}*PHI^{i}")
+        body = " + ".join(parts) if parts else "0"
+        return f"{body} + O(PHI^{self.prec})"
+
+    def __repr__(self):
+        return f"PhiAdicElem(N={self.ring.n_param}, {self.render()})"
+
+
+class PhiAdicRing:
+    """Truncated Phi_2N-adic arithmetic: Z[q]/Phi^(K+1) plus precision flow."""
+
+    kind = "phi-adic"
+
+    def __init__(self, n_param: int, trunc_order: int):
+        if trunc_order < 0:
+            raise ValueError("truncation order must be >= 0")
+        self.n_param = n_param
+        self.trunc_order = trunc_order
+        self.cyclo = cyclo_ring(n_param)
+        phi = list(self.cyclo.phi)
+        mod = [1]
+        for _ in range(trunc_order + 1):
+            mod = _poly_mul(mod, phi)
+        self._modulus = mod                       # Phi^(K+1), monic
+        self.zero = self.from_int(0)
+        self.one = self.from_int(1)
+        self.q = PhiAdicElem(self, self._reduce([0, 1]))
+        self.phi_elem = PhiAdicElem(self, self._reduce(phi))
+        self.qinv = self._compute_qinv()
+
+    def _reduce(self, coeffs: list[int]) -> tuple[int, ...]:
+        _, rem = _divmod_by_monic(list(coeffs), self._modulus)
+        return tuple(rem)
+
+    def coerce(self, x) -> PhiAdicElem:
+        if isinstance(x, PhiAdicElem):
+            if x.ring.n_param != self.n_param or x.ring.trunc_order != self.trunc_order:
+                raise ValueError("mixed phi-adic rings")
+            return x
+        if isinstance(x, int):
+            return self.from_int(x)
+        if isinstance(x, LaurentPoly):
+            return self.embed(x)
+        raise TypeError(f"cannot coerce {type(x).__name__} into PhiAdicRing")
+
+    def from_int(self, k: int) -> PhiAdicElem:
+        return PhiAdicElem(self, (k,) if k else ())
+
+    def _compute_qinv(self) -> PhiAdicElem:
+        order = self.cyclo.order
+        u = PhiAdicElem(self, self._reduce([0] * (order - 1) + [1]))   # q^(2N-1)
+        r = PhiAdicElem(self, self._reduce([0] * order + [1]))         # q^2N
+        t = r - self.one                          # vanishes at the root: val >= 1
+        if self.trunc_order >= 1 and t.valuation() < 1:
+            raise InternalInconsistency("q^2N - 1 should have positive valuation")
+        inv = self.one
+        power = self.one
+        for _ in range(self.trunc_order):
+            power = power * (-t)
+            inv = inv + power
+        qinv = u * inv
+        if not (qinv * self.q == self.one):
+            raise InternalInconsistency("q^-1 construction failed")
+        return qinv
+
+    def embed(self, p: LaurentPoly) -> PhiAdicElem:
+        """Ring homomorphism Z[q,q^-1] -> Z[q]/Phi^(K+1), full precision."""
+        if p.is_zero():
+            return self.zero
+        shift = -min(0, p.min_exp())
+        coeffs = [0] * (p.max_exp() + shift + 1)
+        for e, v in p.c.items():
+            coeffs[e + shift] = v
+        out = PhiAdicElem(self, self._reduce(coeffs))
+        if shift:
+            out = out * self.qinv_power(shift)
+        return out
+
+    @lru_cache(maxsize=None)
+    def qinv_power(self, k: int) -> PhiAdicElem:
+        out = self.one
+        for _ in range(k):
+            out = out * self.qinv
+        return out
+
+    def q_power(self, e: int) -> PhiAdicElem:
+        return self.embed(LaurentPoly.q_power(e))
+
+    def mul(self, a: PhiAdicElem, b: PhiAdicElem) -> PhiAdicElem:
+        prec = min(a.prec + b.valuation(), b.prec + a.valuation(), self.trunc_order + 1)
+        prod = _poly_mul(list(a.poly), list(b.poly))
+        return PhiAdicElem(self, self._reduce(prod), prec)
+
+    def divexact(self, a: PhiAdicElem, b: PhiAdicElem) -> PhiAdicElem:
+        """Quotient a/b with precision min(prec) - val(b); exactness enforced
+        digit by digit so a non-multiple raises NotDivisible."""
+        if b.is_zero():
+            raise ZeroDivisionError("division by (known-)zero phi-adic element")
+        v = b.valuation()
+        prec = min(a.prec, b.prec) - v
+        if prec < 1:
+            raise TruncationOverflow("no valid digits left after division; raise K")
+        if a.valuation() < v:
+            raise NotDivisible("dividend valuation below divisor valuation")
+        phi = list(self.cyclo.phi)
+        bshift = list(b.poly)
+        ashift = list(a.poly)
+        for _ in range(v):
+            bshift, rb = _divmod_by_monic(bshift, phi)
+            ashift, ra = _divmod_by_monic(ashift, phi)
+            if rb or ra:
+                raise InternalInconsistency("valuation bookkeeping out of step")
+        unit0 = PhiAdicElem(self, tuple(bshift)).digit(0)
+        rem = ashift
+        quot_poly: list[int] = []
+        phi_j = [1]
+        for j in range(prec):
+            rem_elem = PhiAdicElem(self, self._reduce(rem), self.trunc_order + 1)
+            if rem_elem.valuation() <= j:
+                d = rem_elem.digit(j)
+                c = self.cyclo.divexact(d, unit0)
+            else:
+                c = self.cyclo.zero
+            if c:
+                c_poly = _poly_trim(list(c.coords))
+                term = _poly_mul(_poly_mul(c_poly, phi_j), bshift)
+                n = max(len(rem), len(term))
+                rem = list(rem) + [0] * (n - len(rem))
+                for i, t in enumerate(term):
+                    rem[i] -= t
+                rem = _poly_trim(rem)
+                quot_list = list(quot_poly)
+                addend = _poly_mul(c_poly, phi_j)
+                n = max(len(quot_list), len(addend))
+                quot_list += [0] * (n - len(quot_list))
+                for i, t in enumerate(addend):
+                    quot_list[i] += t
+                quot_poly = _poly_trim(quot_list)
+            phi_j = _poly_mul(phi_j, phi)
+        return PhiAdicElem(self, self._reduce(quot_poly), prec)
+
+    def specialize(self, a: PhiAdicElem) -> CycloElem:
+        """Digit zero, i.e. the image in Z[q]/Phi_2N."""
+        return a.digit(0)
+
+    def __repr__(self):
+        return f"PhiAdicRing(N={self.n_param}, K={self.trunc_order})"
+
+
+def _divmod_by_monic(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+    """divmod over Z by a monic polynomial; remainder has degree < deg(den)."""
+    num = list(num)
+    d = len(den) - 1
+    if len(num) <= d:
+        return [], _poly_trim(num)
+    quot = [0] * (len(num) - d)
+    for k in range(len(num) - d - 1, -1, -1):
+        f = num[k + d]
+        if f:
+            quot[k] = f
+            for j in range(d + 1):
+                num[k + j] -= f * den[j]
+    return _poly_trim(quot), _poly_trim(num[:d])
+
+
+# ---------------------------------------------------------------------------
+# FloatRing
+
+
+class FloatRing:
+    """Complex evaluation at q = exp(i*pi/N).  Smoke checks only; results are
+    ApproxZero at best, never ExactZero."""
+
+    kind = "float"
+    tolerance = 1e-9
+
+    def __init__(self, n_param: int):
+        import cmath
+
+        self.n_param = n_param
+        self.q = cmath.exp(1j * cmath.pi / n_param)
+        self.zero = 0j
+        self.one = 1 + 0j
+
+    def coerce(self, x) -> complex:
+        if isinstance(x, complex):
+            return x
+        if isinstance(x, (int, float)):
+            return complex(x)
+        if isinstance(x, LaurentPoly):
+            return x.evaluate(self.q)
+        raise TypeError(f"cannot coerce {type(x).__name__} into FloatRing")
+
+    def is_zero(self, x: complex) -> bool:
+        return abs(x) < self.tolerance
+
+    def __repr__(self):
+        return f"FloatRing(N={self.n_param})"
+
+
+class LaurentRing:
+    """Ring-protocol wrapper over LaurentPoly scalars."""
+
+    kind = "laurent"
+
+    def __init__(self):
+        self.zero = LAURENT_ZERO
+        self.one = LAURENT_ONE
+
+    def coerce(self, x) -> LaurentPoly:
+        if isinstance(x, LaurentPoly):
+            return x
+        if isinstance(x, int):
+            return LaurentPoly(x)
+        raise TypeError(f"cannot coerce {type(x).__name__} into LaurentRing")
+
+    def is_zero(self, x: LaurentPoly) -> bool:
+        return x.is_zero()
+
+    def __repr__(self):
+        return "LaurentRing()"
+
+
+LAURENT_RING = LaurentRing()
+
+
+def ring_is_zero(ring, x) -> bool:
+    """Zero test that works across all four scalar rings."""
+    if isinstance(ring, FloatRing):
+        return ring.is_zero(x)
+    return not x
