@@ -29,6 +29,7 @@ from .repchain import (
 )
 from .rings import (
     LAURENT_RING,
+    CycloRing,
     LaurentPoly,
     LaurentRing,
     PhiAdicRing,
@@ -75,14 +76,21 @@ def _divide_entries(op: GradedOperator, divisor: LaurentPoly) -> GradedOperator:
     return GradedOperator(op.ctx, ring, op.shift, blocks)
 
 
-def divided_power(op: GradedOperator, n: int, normalization: str) -> GradedOperator:
-    """theta^(n) = theta^n / n-th factorial.
+def _divided_step(base: GradedOperator, prev: GradedOperator, k: int,
+                  normalization: str) -> GradedOperator:
+    """theta^(k) = (theta theta^(k-1)) / [k], exact entry by entry."""
+    return _divide_entries(base @ prev, increment_poly(k, normalization))
 
-    Symbolic entries divide iteratively, theta^(k) = (theta theta^(k-1))/[k],
-    exactly at each step.  Truncated phi-expansion entries instead compute
-    the full power (exact residues, no precision loss) and divide once by
-    the whole factorial: one valuation-aware division keeps the precision
-    bookkeeping honest for every entry, including structural zeros.
+
+def divided_power(op: GradedOperator, n: int, normalization: str) -> GradedOperator:
+    """theta^(n) = theta^n / n-th factorial, for an operator outside a store.
+
+    Symbolic entries divide iteratively, one _divided_step per order, the
+    same step a DividedPowerStore fills with.  Truncated phi-expansion
+    entries instead compute the full power (exact residues, no precision
+    loss) and divide once by the whole factorial: one valuation-aware
+    division keeps the precision bookkeeping honest for every entry,
+    including structural zeros.
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
@@ -90,13 +98,21 @@ def divided_power(op: GradedOperator, n: int, normalization: str) -> GradedOpera
         return _divide_entries(op.power(n), factorial_poly(n, normalization))
     out = identity_operator(op.ctx, op.ring)
     for k in range(1, n + 1):
-        out = _divide_entries(op @ out, increment_poly(k, normalization))
+        out = _divided_step(op, out, k, normalization)
     return out
 
 
 class DividedPowerStore:
-    """Memoized divided powers of named base operators, disk-cache aware.
+    """The one owner of a run's divided powers of named base operators.
 
+    get(op_id, n, norm) returns the Laurent power theta^(n), filled order by
+    order from the memo, the disk cache, or one _divided_step.  With a
+    cyclotomic ring it returns that power's root-of-unity specialization,
+    memoized per (op_id, norm, n, ring); cyclo_ring(N) interns that ring.
+    Phi-adic and float rings are built per call, so their specializations
+    are recomputed rather than kept, and the memo cannot grow with them.
+
+    Checks take the store explicitly and never mutate what it returns.
     The fill is idempotent, so one coarse lock around it keeps concurrent
     suite workers correct without cleverness.
     """
@@ -106,6 +122,7 @@ class DividedPowerStore:
         self.cache = cache
         self._base: dict[str, GradedOperator] = {}
         self._memo: dict[tuple[str, str], list[GradedOperator]] = {}
+        self._specialized: dict[tuple[str, str, int, CycloRing], GradedOperator] = {}
         self._lock = threading.Lock()
 
     def register(self, op_id: str, op: GradedOperator) -> None:
@@ -126,25 +143,36 @@ class DividedPowerStore:
     def base(self, op_id: str) -> GradedOperator:
         return self._base[op_id]
 
-    def get(self, op_id: str, n: int, normalization: str) -> GradedOperator:
+    def get(self, op_id: str, n: int, normalization: str,
+            ring=LAURENT_RING) -> GradedOperator:
         if normalization not in NORMALIZATIONS:
             raise ValueError(f"unknown normalization {normalization!r}")
         with self._lock:
-            seq = self._memo.setdefault((op_id, normalization),
-                                        [identity_operator(self.ctx, LAURENT_RING)])
-            base = self._base[op_id]
-            while len(seq) <= n:
-                k = len(seq)
-                key = make_key(self.ctx.rep.kind, self.ctx.n_param,
-                               self.ctx.length, "laurent", op_id,
-                               normalization, k)
-                cached = self.cache.load(key, self.ctx)
-                if cached is None:
-                    cached = _divide_entries(base @ seq[k - 1],
-                                             increment_poly(k, normalization))
-                    self.cache.store(key, cached)
-                seq.append(cached)
-            return seq[n]
+            laurent = self._fill(op_id, n, normalization)
+            if isinstance(ring, CycloRing):
+                key = (op_id, normalization, n, ring)
+                out = self._specialized.get(key)
+                if out is None:
+                    out = self._specialized[key] = specialize_operator(laurent, ring)
+                return out
+        return specialize_operator(laurent, ring)
+
+    def _fill(self, op_id: str, n: int, normalization: str) -> GradedOperator:
+        """Laurent theta^(n), filling missing orders; caller holds the lock."""
+        seq = self._memo.setdefault((op_id, normalization),
+                                    [identity_operator(self.ctx, LAURENT_RING)])
+        base = self._base[op_id]
+        while len(seq) <= n:
+            k = len(seq)
+            key = make_key(self.ctx.rep.kind, self.ctx.n_param,
+                           self.ctx.length, "laurent", op_id,
+                           normalization, k)
+            cached = self.cache.load(key, self.ctx)
+            if cached is None:
+                cached = _divided_step(base, seq[k - 1], k, normalization)
+                self.cache.store(key, cached)
+            seq.append(cached)
+        return seq[n]
 
 
 # ---------------------------------------------------------------------------
@@ -188,41 +216,48 @@ REGISTRY.register(
 )
 
 
-def check_power_factorial(op_id: str, op: GradedOperator, n: int,
+def check_power_factorial(store: DividedPowerStore, op_id: str, n: int,
                           normalization: str = NORM_Q) -> IdentityCheck:
+    """The store's iterative theta^(n), times the factorial, against the
+    plain power theta^n of the base operator."""
+    ctx = store.ctx
     params = {"op": op_id, "n": n, "norm": normalization,
-              "kind": op.ctx.rep.kind, "N": op.ctx.n_param, "L": op.ctx.length}
-    divided = divided_power(op, n, normalization)
+              "kind": ctx.rep.kind, "N": ctx.n_param, "L": ctx.length}
+    divided = store.get(op_id, n, normalization)
     fact = factorial_poly(n, normalization)
     return evaluate_zero_identity(
         "divpow.power-factorial", params,
-        [divided.scale(fact), -op.power(n)], op.ring)
+        [divided.scale(fact), -store.base(op_id).power(n)], LAURENT_RING)
 
 
-def check_normalization_bridge(op_id: str, op: GradedOperator, n: int) -> IdentityCheck:
+def check_normalization_bridge(store: DividedPowerStore, op_id: str,
+                               n: int) -> IdentityCheck:
+    ctx = store.ctx
     params = {"op": op_id, "n": n,
-              "kind": op.ctx.rep.kind, "N": op.ctx.n_param, "L": op.ctx.length}
-    via_q = divided_power(op, n, NORM_Q)
-    via_omega = divided_power(op, n, NORM_OMEGA)
+              "kind": ctx.rep.kind, "N": ctx.n_param, "L": ctx.length}
+    via_q = store.get(op_id, n, NORM_Q)
+    via_omega = store.get(op_id, n, NORM_OMEGA)
     bridge = LaurentPoly.q_power(n * (n - 1) // 2)
     return evaluate_zero_identity(
         "divpow.normalization-bridge", params,
-        [via_q, -via_omega.scale(bridge)], op.ring)
+        [via_q, -via_omega.scale(bridge)], LAURENT_RING)
 
 
-def check_adic_agreement(op_id: str, op: GradedOperator, n: int,
+def check_adic_agreement(store: DividedPowerStore, op_id: str, n: int,
                          normalization: str = NORM_OMEGA) -> IdentityCheck:
-    """Dual-route audit: full symbolic division against truncated phi-adic
-    division, compared at the root."""
-    ctx = op.ctx
+    """Dual-route audit: the store's symbolic division against truncated
+    phi-adic division of the base operator, compared at the root."""
+    ctx = store.ctx
     n_param = ctx.n_param
     params = {"op": op_id, "n": n, "norm": normalization,
               "kind": ctx.rep.kind, "N": n_param, "L": ctx.length}
     cring = cyclo_ring(n_param)
-    via_laurent = specialize_operator(divided_power(op, n, normalization), cring)
+    via_laurent = store.get(op_id, n, normalization, cring)
     trunc = n // n_param + 1  # enough digits to survive the factorial's valuation
     adic = PhiAdicRing(n_param, trunc)
-    via_adic = divided_power(specialize_operator(op, adic), n, normalization)
+    # the phi-adic route stays independent of the store
+    via_adic = divided_power(specialize_operator(store.base(op_id), adic),
+                             n, normalization)
     blocks = {}
     for g, block in via_adic.blocks.items():
         triples = [(r, c, adic.specialize(v)) for r, c, v in block.entries()]
@@ -232,11 +267,12 @@ def check_adic_agreement(op_id: str, op: GradedOperator, n: int,
                                   [via_laurent, -at_root], cring)
 
 
-def check_nilpotency(op_id: str, op: GradedOperator, n: int) -> IdentityCheck:
+def check_nilpotency(store: DividedPowerStore, op_id: str, n: int) -> IdentityCheck:
+    ctx = store.ctx
     params = {"op": op_id, "n": n,
-              "kind": op.ctx.rep.kind, "N": op.ctx.n_param, "L": op.ctx.length}
+              "kind": ctx.rep.kind, "N": ctx.n_param, "L": ctx.length}
     check = evaluate_zero_identity("divpow.nilpotency", params,
-                                   [divided_power(op, n, NORM_Q)], op.ring)
+                                   [store.get(op_id, n, NORM_Q)], LAURENT_RING)
     if check.status == VACUOUS_ZERO:
         # a one-term vanishing claim is the content, not an empty statement
         check.status = EXACT_ZERO
@@ -252,14 +288,12 @@ def check_mulo(store: DividedPowerStore, q_sector: int, k: int, j: int,
     params = {"op": op_id, "Q": q_sector, "k": k, "j": j,
               "kind": ctx.rep.kind, "N": n_param, "L": ctx.length}
     cring = cyclo_ring(n_param)
-    lhs = store.get(op_id, k * n_param + q_sector, NORM_OMEGA) \
-        @ store.get(op_id, j * n_param, NORM_OMEGA)
-    rhs = store.get(op_id, (k + j) * n_param + q_sector, NORM_OMEGA)
+    lhs = store.get(op_id, k * n_param + q_sector, NORM_OMEGA, cring) \
+        @ store.get(op_id, j * n_param, NORM_OMEGA, cring)
+    rhs = store.get(op_id, (k + j) * n_param + q_sector, NORM_OMEGA, cring)
     coeff = comb(k + j, k)
     check = evaluate_zero_identity(
-        "divpow.merge-binomial", params,
-        [specialize_operator(lhs, cring),
-         specialize_operator(rhs, cring).scale(-coeff)], cring)
+        "divpow.merge-binomial", params, [lhs, rhs.scale(-coeff)], cring)
     check.extra["coefficient"] = coeff
     return check
 
@@ -288,11 +322,8 @@ def check_cross_normalization(store: DividedPowerStore, n: int,
         params = {"pm": pm_id, "bar": bar_id, "n": n,
                   "kind": ctx.rep.kind, "N": ctx.n_param, "L": length,
                   "ring": ring.kind}
-        pm = store.get(pm_id, n, NORM_Q)
-        bar = store.get(bar_id, n, NORM_OMEGA)
-        if not isinstance(ring, LaurentRing):
-            pm = specialize_operator(pm, ring)
-            bar = specialize_operator(bar, ring)
+        pm = store.get(pm_id, n, NORM_Q, ring)
+        bar = store.get(bar_id, n, NORM_OMEGA, ring)
         dressed = bar @ a_minus_half_n if side == "right" \
             else a_minus_half_n @ bar
         scalar = LaurentPoly.q_power(n * (1 - length)) if edge else LaurentPoly(1)

@@ -120,6 +120,11 @@ class CheckTimer:
         return False
 
 
+def format_check_id(family: str, params: dict[str, Any]) -> str:
+    """The canonical check id, family[k=v,...] in the params' own order."""
+    return f"{family}[" + ",".join(f"{k}={v}" for k, v in params.items()) + "]"
+
+
 def make_check(check_id: str, family: str, params: dict[str, Any], status: str,
                **kw) -> IdentityCheck:
     REGISTRY.get(family)  # fail fast on unregistered families

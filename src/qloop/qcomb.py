@@ -23,6 +23,7 @@ from .identity import (
     VACUOUS_ZERO,
     CheckTimer,
     IdentityCheck,
+    format_check_id,
     make_check,
 )
 from .rings import (
@@ -219,11 +220,6 @@ REGISTRY.register(
 )
 
 
-def _params_id(family: str, params: dict) -> str:
-    inner = ",".join(f"{k}={v}" for k, v in params.items())
-    return f"{family}[{inner}]"
-
-
 def _status_mod_phi(diff: LaurentPoly, n_param: int):
     """Classify a Laurent residual: zero generically, zero at the root, or not."""
     if diff.is_zero():
@@ -237,7 +233,7 @@ def _status_mod_phi(diff: LaurentPoly, n_param: int):
 def _finish(family: str, params: dict, diff: LaurentPoly, n_param: int,
             timer: CheckTimer, nontrivial=None) -> IdentityCheck:
     status, witness, extra = _status_mod_phi(diff, n_param)
-    return make_check(_params_id(family, params), family, params, status,
+    return make_check(format_check_id(family, params), family, params, status,
                       witness=witness, nontrivial=nontrivial,
                       millis=timer.millis, extra=extra)
 
@@ -263,7 +259,7 @@ def check_gauss_periodicity(k: int, p: int, l: int, n_param: int) -> IdentityChe
     family = "qcomb.periodicity"
     params = {"k": k, "p": p, "l": l, "N": n_param}
     if not (0 <= p < n_param and 0 <= l <= n_param - 1 and k >= 0):
-        return make_check(_params_id(family, params), family, params, ERROR,
+        return make_check(format_check_id(family, params), family, params, ERROR,
                           error_kind=KIND_REGIME,
                           detail="requires 0 <= p < N, 0 <= l <= N-1, k >= 0")
     with CheckTimer() as t:
@@ -276,7 +272,7 @@ def check_alternating_sum(p: int, n_param: int) -> IdentityCheck:
     family = "qcomb.delta-sum"
     params = {"p": p, "N": n_param}
     if p < 0:
-        return make_check(_params_id(family, params), family, params, ERROR,
+        return make_check(format_check_id(family, params), family, params, ERROR,
                           error_kind=KIND_REGIME, detail="requires p >= 0")
     with CheckTimer() as t:
         total = LaurentPoly(0)
@@ -292,7 +288,7 @@ def check_vanishing_wrap(p: int, n: int, m: int, n_param: int, k: int) -> Identi
     a = m - 2 * n
     params = {"p": p, "n": n, "m": m, "N": n_param, "k": k}
     if not (1 <= a <= n_param - 1 and a <= p <= n_param - 1 and k >= 0):
-        return make_check(_params_id(family, params), family, params, ERROR,
+        return make_check(format_check_id(family, params), family, params, ERROR,
                           error_kind=KIND_REGIME,
                           detail="requires 1 <= m-2n <= N-1, m-2n <= p <= N-1, "
                                  "k >= 0 (at m-2n = 0 the binomial equals 1)")
@@ -312,7 +308,7 @@ def check_omega_lucas(a: int, b: int, n_param: int) -> IdentityCheck:
     family = "qcomb.omega-lucas"
     params = {"a": a, "b": b, "N": n_param}
     if a < 0 or b < 0 or a < b or (a - b) % n_param or a % n_param != b % n_param:
-        return make_check(_params_id(family, params), family, params, ERROR,
+        return make_check(format_check_id(family, params), family, params, ERROR,
                           error_kind=KIND_REGIME,
                           detail="requires a = (k+j)N+Q and b = kN+Q with "
                                  "0 <= Q < N and k, j >= 0")

@@ -18,18 +18,14 @@ from dataclasses import dataclass, field
 
 from .blocks import ComplexBlock, CycloBlock, DictBlock
 from .identity import (
-    ERROR,
     EXACT_ZERO,
     APPROX_ZERO,
-    KIND_INTERNAL,
-    KIND_NOT_DIVISIBLE,
-    KIND_TRUNCATION,
-    KIND_WRAP,
     NONZERO,
     REGISTRY,
     VACUOUS_ZERO,
     CheckTimer,
     IdentityCheck,
+    format_check_id,
     make_check,
 )
 from .qcomb import q_int
@@ -40,9 +36,7 @@ from .rings import (
     InternalInconsistency,
     LaurentPoly,
     LaurentRing,
-    NotDivisible,
     PhiAdicRing,
-    TruncationOverflow,
     cyclo_ring,
     ring_is_zero,
 )
@@ -298,9 +292,9 @@ def rep_self_check(rep: SiteRep, mode: str = "generic") -> list[IdentityCheck]:
             status, witness, info = _smat_status(diff, n_param, mode)
         if extra:
             info.update(extra)
-        cid = f"{family}[" + ",".join(f"{k}={v}" for k, v in params.items()) + "]"
-        checks.append(make_check(cid, family, params, status, witness=witness,
-                                 millis=t.millis, extra=info))
+        checks.append(make_check(format_check_id(family, params), family, params,
+                                 status, witness=witness, millis=t.millis,
+                                 extra=info))
 
     q2 = LaurentPoly.q_power(2)
     qm2 = LaurentPoly.q_power(-2)
@@ -727,7 +721,6 @@ def evaluate_zero_identity(family: str, params: dict, terms: list[GradedOperator
     Nonzero: witness is the first nonzero entry in deterministic order.
     Arithmetic obstructions arriving as exceptions become Error statuses.
     """
-    cid = f"{family}[" + ",".join(f"{k}={v}" for k, v in params.items()) + "]"
     status = witness = nontrivial = None
     with CheckTimer() as t:
         nonzero_terms = [op for op in terms if not op.is_zero()]
@@ -752,30 +745,9 @@ def evaluate_zero_identity(family: str, params: dict, terms: list[GradedOperator
                     "value": val.render() if hasattr(val, "render") else repr(val),
                 }
     extra = {"terms": len(terms), "terms_nonzero": 0} if status == VACUOUS_ZERO else {}
-    return make_check(cid, family, params, status, witness=witness,
-                      millis=t.millis, nontrivial=nontrivial, extra=extra)
-
-
-def run_guarded(family: str, params: dict, thunk) -> IdentityCheck:
-    """Run a check body, converting arithmetic obstructions into Error records."""
-    cid = f"{family}[" + ",".join(f"{k}={v}" for k, v in params.items()) + "]"
-    kinds = (
-        (NotDivisible, KIND_NOT_DIVISIBLE),
-        (TruncationOverflow, KIND_TRUNCATION),
-        (WrapInconsistency, KIND_WRAP),
-        (InternalInconsistency, KIND_INTERNAL),
-    )
-    caught = None
-    with CheckTimer() as t:
-        try:
-            result = thunk()
-        except tuple(k for k, _ in kinds) as exc:
-            caught = exc
-    if caught is None:
-        return result
-    kind = next(tag for cls, tag in kinds if isinstance(caught, cls))
-    return make_check(cid, family, params, ERROR, error_kind=kind,
-                      detail=str(caught), millis=t.millis)
+    return make_check(format_check_id(family, params), family, params, status,
+                      witness=witness, millis=t.millis, nontrivial=nontrivial,
+                      extra=extra)
 
 
 # ---------------------------------------------------------------------------

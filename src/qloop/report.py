@@ -51,6 +51,7 @@ from .identity import (
     CheckTimer,
     IdentityCheck,
     error_check,
+    format_check_id,
     make_check,
 )
 from .opcache import DISABLED_CACHE, OperatorCache
@@ -296,11 +297,12 @@ def _run_job(job: _Job) -> list[IdentityCheck]:
         raise ResourceError(f"job {job.job_id} exhausted memory") from exc
     except _GUARDED as exc:
         kind = next(k for e, k in _GUARD_KINDS if isinstance(exc, e))
+        params = {"job": job.job_id}
         return [
             error_check(
-                f"run.guard[job={job.job_id}]",
+                format_check_id("run.guard", params),
                 "run.guard",
-                {"job": job.job_id},
+                params,
                 kind,
                 f"{type(exc).__name__}: {exc}",
             )
@@ -400,28 +402,26 @@ def _jobs_divpow(env: _RunEnv) -> list[_Job]:
     orders = sorted({2, 3, n, n + 1})
     jobs = []
     for op_id in op_ids:
-        base = store.base(op_id)
         jobs.append(_Job(
             f"divpow/{op_id}-factorial", "divpow",
-            lambda op_id=op_id, base=base: [
-                check_power_factorial(op_id, base, k) for k in orders],
+            lambda op_id=op_id: [
+                check_power_factorial(store, op_id, k) for k in orders],
         ))
         jobs.append(_Job(
             f"divpow/{op_id}-bridge", "divpow",
-            lambda op_id=op_id, base=base: [
-                check_normalization_bridge(op_id, base, k) for k in orders],
+            lambda op_id=op_id: [
+                check_normalization_bridge(store, op_id, k) for k in orders],
         ))
         jobs.append(_Job(
             f"divpow/{op_id}-adic", "divpow",
-            lambda op_id=op_id, base=base: [
-                check_adic_agreement(op_id, base, k) for k in (n, n + 1)],
+            lambda op_id=op_id: [
+                check_adic_agreement(store, op_id, k) for k in (n, n + 1)],
         ))
         if env.ctx.rep.kind == "spin_half":
             # each site operator squares to zero, so order L+1 must vanish
             jobs.append(_Job(
                 f"divpow/{op_id}-nilpotency", "divpow",
-                lambda op_id=op_id, base=base: check_nilpotency(
-                    op_id, base, length + 1),
+                lambda op_id=op_id: check_nilpotency(store, op_id, length + 1),
             ))
     if env.ctx.rep.wrap_free:
         def mulo_thunk():
@@ -687,20 +687,21 @@ def run(config: RunConfig) -> ReportDocument:
     """Execute the configured suites and return the report document.
 
     Raises ConfigError before any computation if the configuration is
-    rejected, and ResourceError if a job exhausts memory.
+    rejected, and ResourceError if building the chain and its store, or a
+    job, exhausts memory.
     """
     t0 = time.perf_counter()
     config.validate()
     selected = config.selected_suites()
-    env = _RunEnv(config)
-    jobs = [job for suite in selected for job in _SUITE_BUILDERS[suite](env)]
     try:
+        env = _RunEnv(config)
+        jobs = [job for suite in selected for job in _SUITE_BUILDERS[suite](env)]
         results = _execute(jobs, config.jobs)
+        checks, per_suite = _collect(zip(jobs, results))
+        if config.rescale_audit:
+            checks = checks + _audit_checks(config, per_suite, selected)
     except MemoryError as exc:
         raise ResourceError("run exhausted memory") from exc
-    checks, per_suite = _collect(zip(jobs, results))
-    if config.rescale_audit:
-        checks = checks + _audit_checks(config, per_suite, selected)
     summary = {key: 0 for key in _STATUS_KEYS.values()}
     for check in checks:
         summary[_STATUS_KEYS[check.status]] += 1

@@ -21,11 +21,10 @@ residual already at N=2, L=5.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from .divpow import NORM_OMEGA, NORM_Q, DividedPowerStore, check_mulo
-from .identity import REGISTRY, NONZERO, IdentityCheck, make_check
+from .identity import REGISTRY, NONZERO, IdentityCheck, format_check_id, make_check
 from .qcomb import c_coefficient_poly
 from .repchain import (
     ChainContext,
@@ -33,13 +32,11 @@ from .repchain import (
     build_site_rep,
     evaluate_zero_identity,
     identity_operator,
-    specialize_operator,
 )
 from .rings import (
     LAURENT_RING,
     InternalInconsistency,
     LaurentPoly,
-    LaurentRing,
     cyclo_ring,
 )
 
@@ -80,11 +77,6 @@ _BRANCH_OPS = {"plus": ("E0", "E1"), "minus": ("F1", "F0")}
 # (B-like, C-like) clock-dressed ids per chain side
 _SIDE_OPS = {"one_zero": ("B1bar", "C0bar"), "L_Lm1": ("BLbar", "CL1bar")}
 
-# stores built implicitly for a context, so back-to-back checks on the
-# same chain reuse powers; bounded because a store can hold large operators
-_SHARED_STORES: "OrderedDict[int, DividedPowerStore]" = OrderedDict()
-_SHARED_LIMIT = 4
-
 
 def make_store(ctx: ChainContext, cache=None) -> DividedPowerStore:
     """A divided-power store with the standard generators registered."""
@@ -94,18 +86,12 @@ def make_store(ctx: ChainContext, cache=None) -> DividedPowerStore:
 
 
 def _store_for(ctx: ChainContext, store: DividedPowerStore | None) -> DividedPowerStore:
-    if store is not None:
-        if store.ctx is not ctx:
-            raise ValueError("store was built for a different chain context")
-        return store
-    st = _SHARED_STORES.get(id(ctx))
-    if st is None or st.ctx is not ctx:
-        st = make_store(ctx)
-        _SHARED_STORES[id(ctx)] = st
-    _SHARED_STORES.move_to_end(id(ctx))
-    while len(_SHARED_STORES) > _SHARED_LIMIT:
-        _SHARED_STORES.popitem(last=False)
-    return st
+    """The caller's store, or a fresh one for this call alone."""
+    if store is None:
+        return make_store(ctx)
+    if store.ctx is not ctx:
+        raise ValueError("store was built for a different chain context")
+    return store
 
 
 def _proper_pair(pair) -> tuple[str, str]:
@@ -126,9 +112,7 @@ def _word_operator(store: DividedPowerStore, word, normalization: str,
     for op_id, order in word:
         if order == 0:
             continue
-        factor = store.get(op_id, order, normalization)
-        if not isinstance(ring, LaurentRing):
-            factor = specialize_operator(factor, ring)
+        factor = store.get(op_id, order, normalization, ring)
         op = factor if op is None else op @ factor
     if op is None:
         op = identity_operator(store.ctx, ring)
@@ -310,7 +294,7 @@ def check_id2(n: int, m: int, pair, ctx: ChainContext, *,
                        "value": val.render() if hasattr(val, "render") else repr(val),
                        "support_order": s}
             return make_check(
-                f"{family}[" + ",".join(f"{k}={v}" for k, v in params.items()) + "]",
+                format_check_id(family, params),
                 family, params, NONZERO, witness=witness,
                 detail=f"supporting wrap product at order s={s} is nonzero")
         support += 1
@@ -407,16 +391,6 @@ REGISTRY.register(
     "generic q; full branch sums l to N-1, truncated branch to m-2n-1",
 )
 
-_G_CTX_CACHE: dict[tuple[int, int], ChainContext] = {}
-
-
-def _g_ctx(n_param: int, length: int) -> ChainContext:
-    key = (n_param, length)
-    if key not in _G_CTX_CACHE:
-        _G_CTX_CACHE[key] = ChainContext(build_site_rep("spin_half", n_param),
-                                         length)
-    return _G_CTX_CACHE[key]
-
 
 def check_g_forms(n: int, m: int, n_param: int, branch: str = "full", *,
                   pair=("E0", "E1"), length: int = 4,
@@ -434,8 +408,8 @@ def check_g_forms(n: int, m: int, n_param: int, branch: str = "full", *,
         top = m - 2 * n - 1
     else:
         raise ValueError(f"unknown branch {branch!r}")
-    ctx = _g_ctx(n_param, length) if store is None else store.ctx
-    store = _store_for(ctx, store)
+    if store is None:
+        store = make_store(ChainContext(build_site_rep("spin_half", n_param), length))
     ring = LAURENT_RING
     terms = []
     for l in range(0, top + 1):

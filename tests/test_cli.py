@@ -5,8 +5,9 @@ import json
 import pytest
 
 import qloop.cli as cli
+import qloop.report as report
 from qloop.cli import _load_config_file, main
-from qloop.report import ConfigError, ResourceError
+from qloop.report import ConfigError, ResourceError, RunConfig
 
 
 def test_run_subcommand_passes(capsys):
@@ -36,6 +37,28 @@ def test_resource_error_exit_three(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run", fake_run)
     assert main(["--suite", "qcomb"]) == 3
     assert "resource error" in capsys.readouterr().err
+
+
+def test_memory_error_while_building_the_run_exits_three(monkeypatch, capsys):
+    real_make_store = report.make_store
+    calls = []
+
+    def make_store_once(ctx, cache=None):
+        # the first store succeeds, so the rescale audit's own set-up fails
+        if calls:
+            raise MemoryError
+        calls.append(ctx)
+        return real_make_store(ctx, cache)
+
+    monkeypatch.setattr(report, "make_store", make_store_once)
+    with pytest.raises(ResourceError):
+        report.run(RunConfig(n_param=2, length=2, suites=("id2",),
+                             rescale_audit=True))
+    assert len(calls) == 1
+    assert main(["--suite", "qcomb", "--N", "2", "--L", "2"]) == 3
+    assert "resource error" in capsys.readouterr().err
+    with pytest.raises(ResourceError):
+        report.run(RunConfig(n_param=2, length=2, suites=("qcomb",)))
 
 
 def test_failing_checks_exit_one(monkeypatch, capsys):

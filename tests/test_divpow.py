@@ -1,7 +1,9 @@
 """Divided powers: iterative construction vs recomputation, both
-normalizations, the phi-adic dual route, order merging, and the four
-cross-normalization bridges."""
+normalizations, the phi-adic dual route, order merging, the four
+cross-normalization bridges, and the store's memoized Laurent and
+root-of-unity powers against lone divided_power calls."""
 
+import sys
 import threading
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from qloop.divpow import (
     NORM_OMEGA,
     NORM_Q,
+    NORMALIZATIONS,
     DividedPowerStore,
     check_adic_agreement,
     check_cross_normalization,
@@ -27,7 +30,6 @@ from qloop.repchain import (
     ChainContext,
     build_chain_generators,
     build_site_rep,
-    build_barred_ops,
     specialize_operator,
 )
 from qloop.rings import (
@@ -38,10 +40,17 @@ from qloop.rings import (
     TruncationOverflow,
     cyclo_ring,
 )
+from qloop.serre import check_lemma_chain
 
 
 def _ctx(kind="spin_half", n_param=2, length=4):
     return ChainContext(build_site_rep(kind, n_param), length)
+
+
+def _store(ctx):
+    store = DividedPowerStore(ctx)
+    store.register_standard()
+    return store
 
 
 def test_increment_and_factorial_polys():
@@ -74,29 +83,28 @@ def test_frozen_second_power_spin_l2():
 
 def test_power_factorial_audit():
     ctx = _ctx(length=4)
-    gens = build_chain_generators(ctx)
+    store = _store(ctx)
     for name in ("E0", "E1", "F0", "F1"):
         for n in (2, 3):
-            check = check_power_factorial(name, gens[name], n)
+            check = check_power_factorial(store, name, n)
             assert check.status == EXACT_ZERO, (name, n, check.witness)
-    vac = check_power_factorial("E1", gens["E1"], ctx.length + 1)
+    vac = check_power_factorial(store, "E1", ctx.length + 1)
     assert vac.status == VACUOUS_ZERO
 
 
 def test_nilpotency_threshold():
     ctx = _ctx(length=3)
-    gens = build_chain_generators(ctx)
+    store = _store(ctx)
     for name in ("E0", "E1", "F0", "F1"):
-        assert check_nilpotency(name, gens[name], ctx.length + 1).status == EXACT_ZERO
-        assert check_nilpotency(name, gens[name], ctx.length).status == NONZERO
+        assert check_nilpotency(store, name, ctx.length + 1).status == EXACT_ZERO
+        assert check_nilpotency(store, name, ctx.length).status == NONZERO
 
 
 def test_normalization_bridge():
-    ctx = _ctx(length=4)
-    gens = build_chain_generators(ctx)
+    store = _store(_ctx(length=4))
     for name in ("E1", "F0"):
         for n in range(5):
-            check = check_normalization_bridge(name, gens[name], n)
+            check = check_normalization_bridge(store, name, n)
             assert check.ok, (name, n, check.witness)
 
 
@@ -112,11 +120,9 @@ def test_adic_agreement_across_vanishing_factorials():
             ("spin_half", 2, 4, "B1bar", NORM_OMEGA),
             ("spin_half", 2, 4, "E1", NORM_Q),
             ("spin_half", 3, 3, "BLbar", NORM_OMEGA)):
-        ctx = _ctx(kind, n_param, length)
-        source = build_barred_ops(ctx) if op_id.endswith("bar") \
-            else build_chain_generators(ctx)
+        store = _store(_ctx(kind, n_param, length))
         for n in range(n_param, n_param + 3):
-            check = check_adic_agreement(op_id, source[op_id], n, norm)
+            check = check_adic_agreement(store, op_id, n, norm)
             assert check.status in (EXACT_ZERO, VACUOUS_ZERO), \
                 (op_id, n, check.status, check.witness)
 
@@ -194,16 +200,26 @@ def test_store_concurrent_fill_is_deterministic(tmp_path):
     store = DividedPowerStore(ctx, OperatorCache(tmp_path))
     store.register_standard()
     results = [None] * 8
+    at_root = [None] * 8
+    cring = cyclo_ring(2)
 
     def work(i):
         results[i] = store.get("C0bar", 4, NORM_OMEGA)
+        at_root[i] = store.get("C0bar", 4, NORM_OMEGA, cring)
 
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert all(r is results[0] for r in results)
+    assert all(r is at_root[0] for r in at_root)
 
 
 def test_store_rejects_specialized_operators():
@@ -212,3 +228,50 @@ def test_store_rejects_specialized_operators():
     store = DividedPowerStore(ctx)
     with pytest.raises(ValueError):
         store.register("E1", specialize_operator(e1, cyclo_ring(2)))
+
+
+_STANDARD_OPS = ("E0", "E1", "F0", "F1", "B1bar", "C0bar", "BLbar", "CL1bar")
+
+
+@pytest.mark.parametrize("kind,n_param,length",
+                         [("spin_half", 2, 4), ("highest_weight", 3, 3)])
+def test_store_get_matches_lone_divided_power(kind, n_param, length):
+    store = _store(_ctx(kind, n_param, length))
+    cring = cyclo_ring(n_param)
+    for op_id in _STANDARD_OPS:
+        base = store.base(op_id)
+        for norm in NORMALIZATIONS:
+            for n in range(2 * n_param + 2):
+                want = divided_power(base, n, norm)
+                laurent = store.get(op_id, n, norm)
+                assert laurent.entries() == want.entries(), (op_id, norm, n)
+                at_root = store.get(op_id, n, norm, cring)
+                want_root = specialize_operator(want, cring)
+                assert at_root.shift == want_root.shift
+                assert at_root.entries() == want_root.entries(), (op_id, norm, n)
+                assert store.get(op_id, n, norm, cring) is at_root
+
+
+def test_store_specializes_phi_adic_without_memoizing():
+    store = _store(_ctx(length=4))
+    store.get("B1bar", 3, NORM_OMEGA, cyclo_ring(2))
+    memo_size = len(store._specialized)
+    adic = PhiAdicRing(2, 3)
+    got = store.get("B1bar", 3, NORM_OMEGA, adic)
+    want = specialize_operator(divided_power(store.base("B1bar"), 3, NORM_OMEGA),
+                               adic)
+    assert got.ring is adic
+    assert not got.is_zero()
+    assert got.entries() == want.entries()
+    assert len(store._specialized) == memo_size
+
+
+def test_lemma_chain_leaves_memoized_specializations_intact():
+    ctx = _ctx(length=5)
+    store = _store(ctx)
+    check_lemma_chain(1, ctx, store=store)
+    assert store._specialized
+    for (op_id, norm, n, ring), op in store._specialized.items():
+        fresh = specialize_operator(store.get(op_id, n, norm), ring)
+        assert op.shift == fresh.shift
+        assert op.entries() == fresh.entries(), (op_id, norm, n)
