@@ -41,21 +41,19 @@ def report(check):
 def main():
     rep = build_site_rep("spin_half", 2)
 
-    ctx = ChainContext(rep, 6)
-    store = make_store(ctx)
+    store = make_store(ChainContext(rep, 6))
     print("N = 2, chain of 6 sites, raising family.\n")
     print("The alternating combination at (n, m) = (1, 3), over generic q:")
-    report(check_higher_serre(1, 3, E_PAIR, ctx, LAURENT_RING, store=store))
+    report(check_higher_serre(store, 1, 3, E_PAIR, LAURENT_RING))
     print("Passing in the Laurent ring means the relation holds as a"
           " polynomial\nidentity, before any root is chosen.\n")
 
-    ctx = ChainContext(rep, 5)
-    store = make_store(ctx)
+    store = make_store(ChainContext(rep, 5))
     print("Now a narrow-gap ladder at (n, m) = (1, 3) on 5 sites.")
     print("At the root (mod Phi_4):")
-    report(check_id2(1, 3, E_PAIR, ctx, store=store))
+    report(check_id2(store, 1, 3, E_PAIR))
     print("The very same two terms over generic q:")
-    report(check_id2(1, 3, E_PAIR, ctx, store=store, ring=LAURENT_RING))
+    report(check_id2(store, 1, 3, E_PAIR, ring=LAURENT_RING))
 
     print("Identical operators, identical code, only the ring differs."
           "\nThe ladder needs q^(2N) = 1; the witness above is what is left"

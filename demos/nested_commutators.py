@@ -35,10 +35,9 @@ def main():
     print(f"Step 2: realize a and b on a chain (N={n_param}, Q={q_sector},"
           f" L={length}).\n")
     rep = build_site_rep("spin_half", n_param)
-    ctx = ChainContext(rep, length)
-    store = make_store(ctx)
+    store = make_store(ChainContext(rep, length))
 
-    gens = build_loop_generators(q_sector, ctx, store=store)
+    gens = build_loop_generators(store, q_sector)
     for name, charge in gens.charges.items():
         shift = getattr(gens, name).shift
         print(f"  generator {name:14s} weight shift {shift:+d},"
@@ -49,7 +48,7 @@ def main():
 
     print("Step 3: evaluate, one check per dominant sign and family.\n")
     for family in ("x", "xbar"):
-        for check in check_serre_nested(q_sector, ctx, family, store=store):
+        for check in check_serre_nested(store, q_sector, family):
             print(f"  {check.check_id}")
             print(f"    status: {check.status}")
             for mono in check.extra["monomials"]:

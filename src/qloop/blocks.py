@@ -167,6 +167,55 @@ def _as_coord_array(nrows, ncols, d, coords_entries):
     return arr
 
 
+def _max_abs(arr: np.ndarray) -> int:
+    if arr.size == 0:
+        return 0
+    if arr.dtype == object:
+        return max((abs(int(x)) for x in arr.flat), default=0)
+    return int(np.abs(arr).max(initial=0))
+
+
+def _convolve(ring: CycloRing, a: np.ndarray, b: np.ndarray, product,
+              shape: tuple[int, int], inner: int) -> "CycloBlock":
+    """sum_{i,j} product(a_i, b_j) q^(i+j), reduced mod Phi_2N.
+
+    a and b are coordinate arrays (last axis: the D coordinates); product
+    multiplies two coordinate slices into a `shape` array, each entry a
+    sum of at most `inner` scalar products.  Runs in int64 while the
+    worst-case coordinate stays below INT64_SAFE, in exact Python ints
+    (object dtype) otherwise.
+    """
+    d = ring.degree
+    red = _reduction_matrix(ring.n_param)
+    bound = (2 * d - 1) * int(red.max(initial=1)) * d * max(inner, 1) \
+        * max(_max_abs(a), 1) * max(_max_abs(b), 1)
+    fast = bound < INT64_SAFE and a.dtype != object and b.dtype != object
+    if not fast:
+        a = a.astype(object)
+        b = b.astype(object)
+    raw = np.zeros(shape + (2 * d - 1,), dtype=np.int64 if fast else object)
+    for i in range(d):
+        ai = a[:, :, i]
+        if not np.any(ai != 0):
+            continue
+        for j in range(d):
+            bj = b[:, :, j]
+            if not np.any(bj != 0):
+                continue
+            raw[:, :, i + j] += product(ai, bj)
+    if fast:
+        return CycloBlock(ring, np.einsum("rck,kd->rcd", raw, red))
+    out = np.zeros(shape + (d,), dtype=object)
+    for k in range(2 * d - 1):
+        rk = raw[:, :, k]
+        if not np.any(rk != 0):
+            continue
+        for col in range(d):
+            if red[k, col]:
+                out[:, :, col] += rk * int(red[k, col])
+    return CycloBlock(ring, out)
+
+
 class CycloBlock:
     """Dense coordinate-array block over Z[q]/Phi_2N."""
 
@@ -189,13 +238,6 @@ class CycloBlock:
         coords = [(r, c, v.coords) for r, c, v in triples]
         return cls(ring, _as_coord_array(nrows, ncols, ring.degree, coords))
 
-    def _max_abs(self) -> int:
-        if self.arr.size == 0:
-            return 0
-        if self.arr.dtype == object:
-            return max((abs(int(x)) for x in self.arr.flat), default=0)
-        return int(np.abs(self.arr).max(initial=0))
-
     def entries(self):
         mask = np.argwhere(np.any(self.arr != 0, axis=2))
         out = []
@@ -216,47 +258,16 @@ class CycloBlock:
     def matmul(self, other: "CycloBlock") -> "CycloBlock":
         if self.arr.shape[1] != other.arr.shape[0]:
             raise ValueError("shape mismatch in block product")
-        ring = self.ring
-        d = ring.degree
-        red = _reduction_matrix(ring.n_param)
-        a, b = self.arr, other.arr
-        inner = a.shape[1]
-        bound = (2 * d - 1) * int(red.max(initial=1)) * d * max(inner, 1) \
-            * max(self._max_abs(), 1) * max(other._max_abs(), 1)
-        fast = bound < INT64_SAFE and a.dtype != object and b.dtype != object
-        if not fast:
-            a = a.astype(object)
-            b = b.astype(object)
-        raw_dtype = np.int64 if fast else object
-        raw = np.zeros((a.shape[0], b.shape[1], 2 * d - 1), dtype=raw_dtype)
-        for i in range(d):
-            ai = a[:, :, i]
-            if not np.any(ai != 0):
-                continue
-            for j in range(d):
-                bj = b[:, :, j]
-                if not np.any(bj != 0):
-                    continue
-                raw[:, :, i + j] += np.dot(ai, bj)
-        if fast:
-            out = np.einsum("rck,kd->rcd", raw, red)
-        else:
-            out = np.zeros((a.shape[0], b.shape[1], d), dtype=object)
-            for k in range(2 * d - 1):
-                rk = raw[:, :, k]
-                if not np.any(rk != 0):
-                    continue
-                for col in range(d):
-                    if red[k, col]:
-                        out[:, :, col] += rk * int(red[k, col])
-        return CycloBlock(ring, out)
+        return _convolve(self.ring, self.arr, other.arr, np.dot,
+                         (self.arr.shape[0], other.arr.shape[1]),
+                         self.arr.shape[1])
 
     def add(self, other: "CycloBlock") -> "CycloBlock":
         if self.shape != other.shape:
             raise ValueError("shape mismatch in block sum")
         a, b = self.arr, other.arr
         if a.dtype != object and b.dtype != object:
-            if self._max_abs() + other._max_abs() >= INT64_SAFE:
+            if _max_abs(a) + _max_abs(b) >= INT64_SAFE:
                 a = a.astype(object)
                 b = b.astype(object)
         return CycloBlock(self.ring, a + b)
@@ -271,42 +282,15 @@ class CycloBlock:
         """Multiply by an integer or a CycloElem."""
         if isinstance(scalar, int):
             arr = self.arr
-            if arr.dtype != object and abs(scalar) * max(self._max_abs(), 1) >= INT64_SAFE:
+            if arr.dtype != object and abs(scalar) * max(_max_abs(arr), 1) >= INT64_SAFE:
                 arr = arr.astype(object)
             return CycloBlock(self.ring, arr * scalar)
         if not isinstance(scalar, CycloElem):
             raise TypeError(f"cannot scale CycloBlock by {type(scalar).__name__}")
-        ring = self.ring
-        d = ring.degree
-        red = _reduction_matrix(ring.n_param)
-        a = self.arr
-        smax = max((abs(x) for x in scalar.coords), default=0)
-        bound = (2 * d - 1) * int(red.max(initial=1)) * d \
-            * max(self._max_abs(), 1) * max(smax, 1)
-        fast = bound < INT64_SAFE and a.dtype != object
-        if not fast:
-            a = a.astype(object)
-        raw = np.zeros((a.shape[0], a.shape[1], 2 * d - 1),
-                       dtype=np.int64 if fast else object)
-        for i in range(d):
-            ai = a[:, :, i]
-            if not np.any(ai != 0):
-                continue
-            for j, sj in enumerate(scalar.coords):
-                if sj:
-                    raw[:, :, i + j] += ai * (sj if fast else int(sj))
-        if fast:
-            out = np.einsum("rck,kd->rcd", raw, red)
-        else:
-            out = np.zeros((a.shape[0], a.shape[1], d), dtype=object)
-            for k in range(2 * d - 1):
-                rk = raw[:, :, k]
-                if not np.any(rk != 0):
-                    continue
-                for col in range(d):
-                    if red[k, col]:
-                        out[:, :, col] += rk * int(red[k, col])
-        return CycloBlock(self.ring, out)
+        d = self.ring.degree
+        coords = _as_coord_array(1, 1, d, [(0, 0, scalar.coords)])
+        return _convolve(self.ring, self.arr, coords, np.multiply,
+                         self.shape, 1)
 
     def __repr__(self):
         return f"CycloBlock({self.shape[0]}x{self.shape[1]}, N={self.ring.n_param})"

@@ -6,6 +6,10 @@ above N are the interesting ones: the factorial then vanishes at the root,
 so the division must happen symbolically (or phi-adically) before any
 specialization.  NotDivisible from an entry is a mathematical finding, not
 a bug, and is surfaced as such.
+
+The DividedPowerStore also holds the chain's plain operators (order 1 is
+the operator itself), so the chain-level relation checks at the end of
+this module read their generators from it as well.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from .qcomb import TABLE, omega_int, q_int
 from .repchain import (
     ChainContext,
     GradedOperator,
+    WrapInconsistency,
     build_barred_ops,
     build_chain_generators,
     diagonal_operator,
@@ -106,7 +111,9 @@ class DividedPowerStore:
     """The one owner of a run's divided powers of named base operators.
 
     get(op_id, n, norm) returns the Laurent power theta^(n), filled order by
-    order from the memo, the disk cache, or one _divided_step.  With a
+    order from the memo, the disk cache, or one _divided_step; order 1 is
+    the registered operator itself, so get(op_id, 1, norm, ring) is how a
+    check reads a plain operator (K, A_L_inv, ...) in its ring.  With a
     cyclotomic ring it returns that power's root-of-unity specialization,
     memoized per (op_id, norm, n, ring); cyclo_ring(N) interns that ring.
     Phi-adic and float rings are built per call, so their specializations
@@ -132,10 +139,10 @@ class DividedPowerStore:
             self._base[op_id] = op
 
     def register_standard(self) -> None:
-        """Register the chain generators and, when defined, the barred ops."""
+        """Register every chain generator and, when defined, the barred ops."""
         gens = build_chain_generators(self.ctx)
-        for name in ("E0", "E1", "F0", "F1"):
-            self.register(name, gens[name])
+        for name, op in gens.items():
+            self.register(name, op)
         if self.ctx.rep.wrap_free:
             for name, op in build_barred_ops(self.ctx, gens).items():
                 self.register(name, op)
@@ -159,9 +166,12 @@ class DividedPowerStore:
 
     def _fill(self, op_id: str, n: int, normalization: str) -> GradedOperator:
         """Laurent theta^(n), filling missing orders; caller holds the lock."""
-        seq = self._memo.setdefault((op_id, normalization),
-                                    [identity_operator(self.ctx, LAURENT_RING)])
         base = self._base[op_id]
+        seq = self._memo.get((op_id, normalization))
+        if seq is None:
+            # orders 0 and 1 need no division: the identity and the operator
+            seq = self._memo[(op_id, normalization)] = [
+                identity_operator(self.ctx, LAURENT_RING), base]
         while len(seq) <= n:
             k = len(seq)
             key = make_key(self.ctx.rep.kind, self.ctx.n_param,
@@ -332,6 +342,107 @@ def check_cross_normalization(store: DividedPowerStore, n: int,
         out.append(evaluate_zero_identity(
             "divpow.cross-normalization", params,
             [pm, -dressed.scale(ring.coerce(scalar))], ring))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# chain-level relation checks on the registered generators
+
+
+REGISTRY.register(
+    "chain.k-exchange",
+    "K E - q^(+-2) E K == 0 for E in {E1 (+2), E0 (-2), F1 (-2), F0 (+2)}",
+    "generic q, all wrap-free backends and lengths",
+)
+REGISTRY.register(
+    "chain.ef-commutator",
+    "(E1 F1 - F1 E1)(q - q^-1) - (K - K^-1) == 0; "
+    "(E0 F0 - F0 E0)(q - q^-1) - (K^-1 - K) == 0",
+    "generic q for wrap-free backends; root of unity for cyclic",
+)
+REGISTRY.register(
+    "chain.mixed-commutator",
+    "E1 F0 - F0 E1 == 0 and E0 F1 - F1 E0 == 0",
+    "generic q",
+)
+REGISTRY.register(
+    "chain.grading",
+    "A_L T A_L^-1 - w^s T == 0 with s the sector shift of T",
+    "generic q for wrap-free backends (s is the integer shift); root of "
+    "unity for cyclic; c(E1) = c(F0) = -1, c(E0) = c(F1) = +1 mod N",
+)
+REGISTRY.register(
+    "chain.half-clock-commutation",
+    "A^(-1/2) Cbar - q Cbar A^(-1/2) == 0 and Bbar A^(-1/2) - q A^(-1/2) Bbar == 0",
+    "wrap-free backends, any L, generic q; cyclic backends are refused "
+    "with WrapInconsistency",
+)
+
+
+def _chain_params(ctx: ChainContext, ring) -> dict:
+    return {"kind": ctx.rep.kind, "N": ctx.n_param, "L": ctx.length,
+            "ring": ring.kind}
+
+
+def check_chain_chevalley(store: DividedPowerStore,
+                          ring=LAURENT_RING) -> list[IdentityCheck]:
+    """Level-zero relations of the global generators, reported one by one."""
+    ctx = store.ctx
+    op = {name: store.get(name, 1, NORM_Q, ring)
+          for name in ("E0", "E1", "F0", "F1", "K", "K_inv", "A_L", "A_L_inv")}
+    base = _chain_params(ctx, ring)
+    out = []
+    q2 = LaurentPoly.q_power(2)
+    qm2 = LaurentPoly.q_power(-2)
+    bracket = LaurentPoly.q_power(1) - LaurentPoly.q_power(-1)
+    coerced = ring.coerce
+
+    for name, sign in (("E1", q2), ("E0", qm2), ("F1", qm2), ("F0", q2)):
+        params = dict(base, generator=name)
+        out.append(evaluate_zero_identity(
+            "chain.k-exchange", params,
+            [op["K"] @ op[name], (op[name] @ op["K"]).scale(coerced(-sign))],
+            ring))
+    for pair, inv_first in ((("E1", "F1"), False), (("E0", "F0"), True)):
+        a, b = op[pair[0]], op[pair[1]]
+        lhs = ((a @ b) - (b @ a)).scale(coerced(bracket))
+        rhs = (op["K_inv"] - op["K"]) if inv_first else (op["K"] - op["K_inv"])
+        params = dict(base, pair="".join(pair))
+        out.append(evaluate_zero_identity("chain.ef-commutator", params,
+                                          [lhs, -rhs], ring))
+    for pair in (("E1", "F0"), ("E0", "F1")):
+        a, b = op[pair[0]], op[pair[1]]
+        params = dict(base, pair="".join(pair))
+        out.append(evaluate_zero_identity("chain.mixed-commutator", params,
+                                          [a @ b, -(b @ a)], ring))
+    for name in ("E0", "E1", "F0", "F1"):
+        gen = op[name]
+        omega_s = LaurentPoly.q_power(2 * gen.shift)
+        params = dict(base, generator=name, charge=gen.shift % ctx.n_param)
+        conj = op["A_L"] @ gen @ op["A_L_inv"]
+        out.append(evaluate_zero_identity(
+            "chain.grading", params, [conj, gen.scale(coerced(-omega_s))], ring))
+    return out
+
+
+def check_half_clock_commutation(store: DividedPowerStore,
+                                 ring=LAURENT_RING) -> list[IdentityCheck]:
+    """The two clock-dressing exchange laws for all four barred operators."""
+    ctx = store.ctx
+    if not ctx.rep.wrap_free:
+        raise WrapInconsistency(
+            f"backend {ctx.rep.kind!r} wraps clock labels; it has no barred "
+            "operators")
+    a_inv_half = store.get("A_L_half_inv", 1, NORM_Q, ring)
+    base = _chain_params(ctx, ring)
+    minus_q = ring.coerce(-LaurentPoly.q_power(1))
+    out = []
+    for name in ("C0bar", "CL1bar", "B1bar", "BLbar"):
+        op = store.get(name, 1, NORM_Q, ring)
+        left, right = (a_inv_half, op) if name.startswith("C") else (op, a_inv_half)
+        out.append(evaluate_zero_identity(
+            "chain.half-clock-commutation", dict(base, op=name),
+            [left @ right, (right @ left).scale(minus_q)], ring))
     return out
 
 

@@ -340,13 +340,12 @@ def rep_self_check(rep: SiteRep, mode: str = "generic") -> list[IdentityCheck]:
 class ChainContext:
     """L sites of one representation, with the sector tables precomputed."""
 
-    def __init__(self, rep: SiteRep, length: int, ring_mode: str = "cyclotomic"):
+    def __init__(self, rep: SiteRep, length: int):
         if length < 1:
             raise InvalidParams("need L >= 1")
         self.rep = rep
         self.length = length
         self.n_param = rep.n_param
-        self.ring_mode = ring_mode
         d = rep.dim
         self.dim_total = d**length
         grade_of: list[int] = []
@@ -616,6 +615,8 @@ def build_chain_generators(ctx: ChainContext) -> dict:
     E0 = sum_j k'^-1 .. k'^-1 f'_j 1 .. 1  F0 = sum_j 1 .. 1 e'_j k' .. k'
     K  = prod_j k'_j;  A_L = prod_j Z_j;  A_L_half = diagonal q^(sum of labels)
 
+    plus the inverses K_inv, A_L_inv and A_L_half_inv.
+
     All operators are symbolic (LaurentPoly entries); specialize afterwards.
     """
     rep = ctx.rep
@@ -624,6 +625,7 @@ def build_chain_generators(ctx: ChainContext) -> dict:
     ring = LAURENT_RING
     ident = smat_identity(d)
     k_inv = invert_diag(rep.k_pr, d)
+    z_inv = invert_diag(rep.z, d)
 
     def dressed(site_mat, left, right):
         terms = []
@@ -632,33 +634,28 @@ def build_chain_generators(ctx: ChainContext) -> dict:
             terms.append(factors)
         return terms
 
-    e1 = _sum_terms(ctx, ring, dressed(rep.e_pr, rep.k_pr, ident), shift=None)
-    f1 = _sum_terms(ctx, ring, dressed(rep.f_pr, ident, k_inv), shift=None)
-    e0 = _sum_terms(ctx, ring, dressed(rep.f_pr, k_inv, ident), shift=None)
-    f0 = _sum_terms(ctx, ring, dressed(rep.e_pr, ident, rep.k_pr), shift=None)
-    k_op = _sum_terms(ctx, ring, [[rep.k_pr] * length], shift=0)
-    k_inv_op = _sum_terms(ctx, ring, [[k_inv] * length], shift=0)
-    a_op = _sum_terms(ctx, ring, [[rep.z] * length], shift=0)
+    def product(site_mat):
+        return _sum_terms(ctx, ring, [[site_mat] * length], shift=0)
 
-    def half_exponent(state):
-        return LaurentPoly.q_power(ctx.grade_of[state])
+    def half_clock(sign):
+        return diagonal_operator(
+            ctx, ring, lambda s: LaurentPoly.q_power(sign * ctx.grade_of[s]))
 
-    a_half = diagonal_operator(ctx, ring, half_exponent)
     return {
-        "E0": e0, "E1": e1, "F0": f0, "F1": f1,
-        "K": k_op, "K_inv": k_inv_op,
-        "A_L": a_op, "A_L_half": a_half,
+        "E1": _sum_terms(ctx, ring, dressed(rep.e_pr, rep.k_pr, ident), shift=None),
+        "F1": _sum_terms(ctx, ring, dressed(rep.f_pr, ident, k_inv), shift=None),
+        "E0": _sum_terms(ctx, ring, dressed(rep.f_pr, k_inv, ident), shift=None),
+        "F0": _sum_terms(ctx, ring, dressed(rep.e_pr, ident, rep.k_pr), shift=None),
+        "K": product(rep.k_pr), "K_inv": product(k_inv),
+        "A_L": product(rep.z), "A_L_inv": product(z_inv),
+        "A_L_half": half_clock(1), "A_L_half_inv": half_clock(-1),
     }
 
 
-def a_half_inverse(ctx: ChainContext) -> GradedOperator:
-    return diagonal_operator(ctx, LAURENT_RING,
-                             lambda s: LaurentPoly.q_power(-ctx.grade_of[s]))
-
-
-def build_barred_ops(ctx: ChainContext, gens: dict | None = None) -> dict:
-    """Site-labeled global operators, defined from the +- family by clock
-    dressing and scalar prefactors:
+def build_barred_ops(ctx: ChainContext, gens: dict) -> dict:
+    """Site-labeled global operators, defined from the +- family `gens`
+    (as returned by build_chain_generators) by clock dressing and scalar
+    prefactors:
 
         B1bar  =  q^(L-2) A^(1/2) E0      BLbar  =  q^-1 A^(1/2) F1
         C0bar  = -q^(L-2) E1 A^(1/2)      CL1bar = -q^-1 F0 A^(1/2)
@@ -670,7 +667,6 @@ def build_barred_ops(ctx: ChainContext, gens: dict | None = None) -> dict:
         raise WrapInconsistency(
             f"backend {ctx.rep.kind!r} wraps clock labels; the half-clock "
             "dressing is not single-valued there")
-    gens = gens if gens is not None else build_chain_generators(ctx)
     length = ctx.length
     a_half = gens["A_L_half"]
     pref_edge = LaurentPoly.q_power(length - 2)
@@ -719,7 +715,9 @@ def evaluate_zero_identity(family: str, params: dict, terms: list[GradedOperator
     VacuousZero: every term is individually zero.
     ExactZero / ApproxZero: the sum vanishes (exact ring / float ring).
     Nonzero: witness is the first nonzero entry in deterministic order.
-    Arithmetic obstructions arriving as exceptions become Error statuses.
+    Arithmetic obstructions (NotDivisible, TruncationOverflow, ...) raised
+    while building or summing the terms propagate to the caller; a run
+    turns them into Error records in report._run_job.
     """
     status = witness = nontrivial = None
     with CheckTimer() as t:
@@ -748,115 +746,3 @@ def evaluate_zero_identity(family: str, params: dict, terms: list[GradedOperator
     return make_check(format_check_id(family, params), family, params, status,
                       witness=witness, millis=t.millis, nontrivial=nontrivial,
                       extra=extra)
-
-
-# ---------------------------------------------------------------------------
-# chain-level relation checks
-
-
-REGISTRY.register(
-    "chain.k-exchange",
-    "K E - q^(+-2) E K == 0 for E in {E1 (+2), E0 (-2), F1 (-2), F0 (+2)}",
-    "generic q, all wrap-free backends and lengths",
-)
-REGISTRY.register(
-    "chain.ef-commutator",
-    "(E1 F1 - F1 E1)(q - q^-1) - (K - K^-1) == 0; "
-    "(E0 F0 - F0 E0)(q - q^-1) - (K^-1 - K) == 0",
-    "generic q for wrap-free backends; root of unity for cyclic",
-)
-REGISTRY.register(
-    "chain.mixed-commutator",
-    "E1 F0 - F0 E1 == 0 and E0 F1 - F1 E0 == 0",
-    "generic q",
-)
-REGISTRY.register(
-    "chain.grading",
-    "A_L T A_L^-1 - w^s T == 0 with s the sector shift of T",
-    "generic q for wrap-free backends (s is the integer shift); root of "
-    "unity for cyclic; c(E1) = c(F0) = -1, c(E0) = c(F1) = +1 mod N",
-)
-REGISTRY.register(
-    "chain.half-clock-commutation",
-    "A^(-1/2) Cbar - q Cbar A^(-1/2) == 0 and Bbar A^(-1/2) - q A^(-1/2) Bbar == 0",
-    "wrap-free backends, any L, generic q; cyclic backends are refused "
-    "with WrapInconsistency",
-)
-
-
-def check_chain_chevalley(ctx: ChainContext, ring=None) -> list[IdentityCheck]:
-    """Level-zero relations of the global generators, reported one by one."""
-    ring = ring if ring is not None else LAURENT_RING
-    gens = build_chain_generators(ctx)
-    if not isinstance(ring, LaurentRing):
-        gens = {k: specialize_operator(v, ring) for k, v in gens.items()}
-    base = {"kind": ctx.rep.kind, "N": ctx.n_param, "L": ctx.length,
-            "ring": ring.kind}
-    out = []
-    q2 = LaurentPoly.q_power(2)
-    qm2 = LaurentPoly.q_power(-2)
-    bracket = LaurentPoly.q_power(1) - LaurentPoly.q_power(-1)
-    coerced = ring.coerce
-
-    for name, sign in (("E1", q2), ("E0", qm2), ("F1", qm2), ("F0", q2)):
-        op = gens[name]
-        params = dict(base, generator=name)
-        out.append(evaluate_zero_identity(
-            "chain.k-exchange", params,
-            [gens["K"] @ op, (op @ gens["K"]).scale(coerced(-sign))], ring))
-    for pair, inv_first in ((("E1", "F1"), False), (("E0", "F0"), True)):
-        a, b = gens[pair[0]], gens[pair[1]]
-        lhs = ((a @ b) - (b @ a)).scale(coerced(bracket))
-        rhs = (gens["K_inv"] - gens["K"]) if inv_first else (gens["K"] - gens["K_inv"])
-        params = dict(base, pair="".join(pair))
-        out.append(evaluate_zero_identity("chain.ef-commutator", params,
-                                          [lhs, -rhs], ring))
-    for pair in (("E1", "F0"), ("E0", "F1")):
-        a, b = gens[pair[0]], gens[pair[1]]
-        params = dict(base, pair="".join(pair))
-        out.append(evaluate_zero_identity("chain.mixed-commutator", params,
-                                          [a @ b, -(b @ a)], ring))
-    for name in ("E0", "E1", "F0", "F1"):
-        op = gens[name]
-        omega_s = LaurentPoly.q_power(2 * op.shift)
-        params = dict(base, generator=name, charge=op.shift % ctx.n_param)
-        conj = gens["A_L"] @ op @ _a_inverse(ctx, ring)
-        out.append(evaluate_zero_identity("chain.grading", params,
-                                          [conj, op.scale(coerced(-omega_s))], ring))
-    return out
-
-
-def _a_inverse(ctx, ring):
-    z_inv = invert_diag(ctx.rep.z, ctx.rep.dim)
-    inv = _sum_terms(ctx, LAURENT_RING, [[z_inv] * ctx.length], shift=0)
-    if isinstance(ring, LaurentRing):
-        return inv
-    return specialize_operator(inv, ring)
-
-
-def check_half_clock_commutation(ctx: ChainContext, ring=None) -> list[IdentityCheck]:
-    """The two clock-dressing exchange laws for all four barred operators."""
-    ring = ring if ring is not None else LAURENT_RING
-    barred = build_barred_ops(ctx)
-    a_inv_half = a_half_inverse(ctx)
-    if not isinstance(ring, LaurentRing):
-        barred = {k: specialize_operator(v, ring) for k, v in barred.items()}
-        a_inv_half = specialize_operator(a_inv_half, ring)
-    base = {"kind": ctx.rep.kind, "N": ctx.n_param, "L": ctx.length,
-            "ring": ring.kind}
-    q1 = LaurentPoly.q_power(1)
-    coerced = ring.coerce
-    out = []
-    for name in ("C0bar", "CL1bar"):
-        op = barred[name]
-        params = dict(base, op=name)
-        out.append(evaluate_zero_identity(
-            "chain.half-clock-commutation", params,
-            [a_inv_half @ op, (op @ a_inv_half).scale(coerced(-q1))], ring))
-    for name in ("B1bar", "BLbar"):
-        op = barred[name]
-        params = dict(base, op=name)
-        out.append(evaluate_zero_identity(
-            "chain.half-clock-commutation", params,
-            [op @ a_inv_half, (a_inv_half @ op).scale(coerced(-q1))], ring))
-    return out

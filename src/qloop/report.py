@@ -30,7 +30,9 @@ from typing import Any, Callable
 from . import __version__
 from .divpow import (
     check_adic_agreement,
+    check_chain_chevalley,
     check_cross_normalization,
+    check_half_clock_commutation,
     check_mulo,
     check_nilpotency,
     check_normalization_bridge,
@@ -69,8 +71,6 @@ from .repchain import (
     UnsupportedKind,
     WrapInconsistency,
     build_site_rep,
-    check_chain_chevalley,
-    check_half_clock_commutation,
     rep_self_check,
     rescaled_rep,
 )
@@ -239,7 +239,8 @@ class RunConfig:
 
 
 class _RunEnv:
-    """Chain context and divided-power store shared by every job of a run."""
+    """The divided-power store (and through it the chain) shared by every
+    job of a run."""
 
     def __init__(self, config: RunConfig, rescale: bool = False):
         params = {"c": 0} if config.backend == "cyclic" else None
@@ -250,9 +251,8 @@ class _RunEnv:
         if rescale:
             rep = rescaled_rep(rep, LaurentPoly.q_power(3), LaurentPoly({1: -1}))
         self.config = config
-        self.ctx = ChainContext(rep, config.length)
         cache = OperatorCache(config.cache_dir) if config.cache_dir else DISABLED_CACHE
-        self.store = make_store(self.ctx, cache)
+        self.store = make_store(ChainContext(rep, config.length), cache)
 
     def generic_ring(self, max_order: int = 0):
         """Ring for identities that hold at generic q."""
@@ -373,7 +373,7 @@ def _jobs_rep_gate(env: _RunEnv) -> list[_Job]:
     else:
         ring = env.generic_ring()
     jobs.append(_Job("rep-gate/chain-chevalley", "rep-gate",
-                     lambda: check_chain_chevalley(env.ctx, ring)))
+                     lambda: check_chain_chevalley(env.store, ring)))
     return jobs
 
 
@@ -381,7 +381,7 @@ def _jobs_barred(env: _RunEnv) -> list[_Job]:
     n = env.config.n_param
     jobs = [
         _Job("barred/half-clock", "barred",
-             lambda: check_half_clock_commutation(env.ctx, env.generic_ring())),
+             lambda: check_half_clock_commutation(env.store, env.generic_ring())),
     ]
     for order in range(1, 2 * n + 2):
         jobs.append(_Job(
@@ -396,8 +396,9 @@ def _jobs_divpow(env: _RunEnv) -> list[_Job]:
     n = env.config.n_param
     length = env.config.length
     store = env.store
+    rep = store.ctx.rep
     op_ids = ["E0", "E1", "F0", "F1"]
-    if env.ctx.rep.wrap_free:
+    if rep.wrap_free:
         op_ids += ["B1bar", "C0bar", "BLbar", "CL1bar"]
     orders = sorted({2, 3, n, n + 1})
     jobs = []
@@ -417,13 +418,13 @@ def _jobs_divpow(env: _RunEnv) -> list[_Job]:
             lambda op_id=op_id: [
                 check_adic_agreement(store, op_id, k) for k in (n, n + 1)],
         ))
-        if env.ctx.rep.kind == "spin_half":
+        if rep.kind == "spin_half":
             # each site operator squares to zero, so order L+1 must vanish
             jobs.append(_Job(
                 f"divpow/{op_id}-nilpotency", "divpow",
                 lambda op_id=op_id: check_nilpotency(store, op_id, length + 1),
             ))
-    if env.ctx.rep.wrap_free:
+    if rep.wrap_free:
         def mulo_thunk():
             out = []
             for q in env.config.sectors():
@@ -438,20 +439,19 @@ def _jobs_divpow(env: _RunEnv) -> list[_Job]:
 
 def _jobs_id1(env: _RunEnv) -> list[_Job]:
     n = env.config.n_param
-    ctx, store = env.ctx, env.store
+    store = env.store
     jobs = [
         _Job("id1/higher-generic", "id1", lambda: [
-            check_higher_serre(1, 3, pair, ctx,
-                               env.generic_ring(max_order=3), store=store)
+            check_higher_serre(store, 1, 3, pair, env.generic_ring(max_order=3))
             for pair in (_E_PAIR, _F_PAIR)
         ]),
         _Job("id1/higher-root", "id1", lambda: [
-            check_higher_serre(k, m, pair, ctx, env.root_ring(), store=store)
+            check_higher_serre(store, k, m, pair, env.root_ring())
             for (k, m) in ((1, 4), (2, 5), (2, 6))
             for pair in (_E_PAIR, _F_PAIR)
         ]),
         _Job("id1/ladder-base", "id1", lambda: [
-            check_id1(0, n, pair, ctx, store=store, ring=env.root_ring())
+            check_id1(store, 0, n, pair, ring=env.root_ring())
             for pair in (_E_PAIR, _F_PAIR)
         ]),
     ]
@@ -459,7 +459,7 @@ def _jobs_id1(env: _RunEnv) -> list[_Job]:
         jobs.append(_Job(
             f"id1/three-term-Q{q}", "id1",
             lambda q=q: [
-                fn(q, ctx, branch, store=store, ring=env.root_ring())
+                fn(store, q, branch, ring=env.root_ring())
                 for fn in (check_BCN, check_CBN)
                 for branch in ("plus", "minus")
             ],
@@ -467,31 +467,35 @@ def _jobs_id1(env: _RunEnv) -> list[_Job]:
     return jobs
 
 
+def _g_forms_thunk(n: int) -> list[IdentityCheck]:
+    # the resummation is a polynomial identity: one small spin_half chain
+    # of length 4 carries it, whatever the run's backend and length
+    store = make_store(ChainContext(build_site_rep("spin_half", n), 4))
+    return [check_g_forms(store, 1, 3, branch) for branch in ("full", "truncated")]
+
+
 def _jobs_id2(env: _RunEnv) -> list[_Job]:
     n = env.config.n_param
-    ctx, store = env.ctx, env.store
+    store = env.store
     jobs = []
     for q in env.config.sectors():
         # at Q = 0 both entries have gap N and route to the wide ladder
         jobs.append(_Job(
             f"id2/swap-Q{q}", "id2",
             lambda q=q: [
-                dispatch_root_serre(q, n + q, pair, ctx,
-                                    store=store, ring=env.root_ring())
+                dispatch_root_serre(store, q, n + q, pair, ring=env.root_ring())
                 for pair in (_E_PAIR, _F_PAIR)
             ],
         ))
         jobs.append(_Job(
             f"id2/four-term-Q{q}", "id2",
             lambda q=q: [
-                dispatch_root_serre(n + q, 3 * n + q, pair, ctx,
-                                    store=store, ring=env.root_ring())
+                dispatch_root_serre(store, n + q, 3 * n + q, pair,
+                                    ring=env.root_ring())
                 for pair in (_E_PAIR, _F_PAIR)
             ],
         ))
-    jobs.append(_Job("id2/g-forms", "id2", lambda: [
-        check_g_forms(1, 3, n, branch) for branch in ("full", "truncated")
-    ]))
+    jobs.append(_Job("id2/g-forms", "id2", lambda: _g_forms_thunk(n)))
     return jobs
 
 
@@ -502,7 +506,7 @@ def _jobs_site(env: _RunEnv) -> list[_Job]:
             jobs.append(_Job(
                 f"site/Q{q}-{side}", "site",
                 lambda q=q, side=side: check_site_suite(
-                    q, env.ctx, side, store=env.store, ring=env.root_ring()),
+                    env.store, q, side, ring=env.root_ring()),
             ))
     return jobs
 
@@ -510,8 +514,7 @@ def _jobs_site(env: _RunEnv) -> list[_Job]:
 def _jobs_lemmas(env: _RunEnv) -> list[_Job]:
     return [
         _Job(f"lemmas/Q{q}", "lemmas",
-             lambda q=q: check_lemma_chain(q, env.ctx, store=env.store,
-                                           ring=env.root_ring()))
+             lambda q=q: check_lemma_chain(env.store, q, ring=env.root_ring()))
         for q in env.config.sectors()
     ]
 
@@ -523,7 +526,7 @@ def _jobs_serre_nested(env: _RunEnv) -> list[_Job]:
             jobs.append(_Job(
                 f"serre-nested/Q{q}-{family}", "serre-nested",
                 lambda q=q, family=family: check_serre_nested(
-                    q, env.ctx, family, store=env.store, ring=env.root_ring()),
+                    env.store, q, family, ring=env.root_ring()),
             ))
     return jobs
 

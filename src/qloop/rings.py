@@ -574,6 +574,7 @@ class PhiAdicRing:
         self.q = PhiAdicElem(self, self._reduce([0, 1]))
         self.phi_elem = PhiAdicElem(self, self._reduce(phi))
         self.qinv = self._compute_qinv()
+        self._qinv_powers: dict[int, PhiAdicElem] = {}
 
     def _reduce(self, coeffs: list[int]) -> tuple[int, ...]:
         _, rem = _divmod_by_monic(list(coeffs), self._modulus)
@@ -623,11 +624,14 @@ class PhiAdicRing:
             out = out * self.qinv_power(shift)
         return out
 
-    @lru_cache(maxsize=None)
     def qinv_power(self, k: int) -> PhiAdicElem:
-        out = self.one
-        for _ in range(k):
-            out = out * self.qinv
+        # memoized on the instance, so the ring can be collected with it
+        out = self._qinv_powers.get(k)
+        if out is None:
+            out = self.one
+            for _ in range(k):
+                out = out * self.qinv
+            self._qinv_powers[k] = out
         return out
 
     def q_power(self, e: int) -> PhiAdicElem:

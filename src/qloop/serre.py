@@ -2,8 +2,10 @@
 loop-generator lemma chain built from them.
 
 Everything here is an operator identity on a finite chain, verified in
-exact arithmetic: each term is a left-to-right product of cached divided
-powers, and the sum of terms is classified by evaluate_zero_identity.
+exact arithmetic: each term is a left-to-right product of divided powers
+read from a DividedPowerStore, and the sum of terms is classified by
+evaluate_zero_identity.  Every public check takes that store as its first
+argument and reads the chain from store.ctx.
 Identities between the plus/minus generators use q-normalized powers;
 the clock-dressed (site-labeled) identities use w-normalized powers.
 
@@ -29,7 +31,6 @@ from .qcomb import c_coefficient_poly
 from .repchain import (
     ChainContext,
     GradedOperator,
-    build_site_rep,
     evaluate_zero_identity,
     identity_operator,
 )
@@ -85,15 +86,6 @@ def make_store(ctx: ChainContext, cache=None) -> DividedPowerStore:
     return store
 
 
-def _store_for(ctx: ChainContext, store: DividedPowerStore | None) -> DividedPowerStore:
-    """The caller's store, or a fresh one for this call alone."""
-    if store is None:
-        return make_store(ctx)
-    if store.ctx is not ctx:
-        raise ValueError("store was built for a different chain context")
-    return store
-
-
 def _proper_pair(pair) -> tuple[str, str]:
     i_id, j_id = pair
     if i_id not in _PM_CLASS or j_id not in _PM_CLASS:
@@ -145,7 +137,8 @@ def _sum_specs(specs, store: DividedPowerStore, normalization: str,
     return total
 
 
-def _base_params(ctx: ChainContext) -> dict:
+def _base_params(store: DividedPowerStore) -> dict:
+    ctx = store.ctx
     return {"kind": ctx.rep.kind, "N": ctx.n_param, "L": ctx.length}
 
 
@@ -169,9 +162,8 @@ def _f_specs(i_id: str, j_id: str, n: int, m: int):
     return specs
 
 
-def lusztig_f(theta_i: str, theta_j: str, n: int, m: int,
-              normalization: str = NORM_Q, *, ctx: ChainContext | None = None,
-              store: DividedPowerStore | None = None,
+def lusztig_f(store: DividedPowerStore, theta_i: str, theta_j: str, n: int,
+              m: int, normalization: str = NORM_Q, *,
               ring=None) -> GradedOperator:
     """The alternating sum over splittings r+s=m of Ti^(r) Tj^(n) Ti^(s).
 
@@ -183,15 +175,12 @@ def lusztig_f(theta_i: str, theta_j: str, n: int, m: int,
         raise ValueError("orders must be nonnegative")
     if theta_i == theta_j:
         raise ValueError("the two generators must differ")
-    if store is None and ctx is None:
-        raise ValueError("need a chain context or a divided-power store")
-    store = _store_for(ctx if ctx is not None else store.ctx, store)
     ring = LAURENT_RING if ring is None else ring
     return _sum_specs(_f_specs(theta_i, theta_j, n, m), store, normalization, ring)
 
 
-def check_higher_serre(n: int, m: int, pair, ctx: ChainContext, ring=None, *,
-                       store: DividedPowerStore | None = None) -> IdentityCheck:
+def check_higher_serre(store: DividedPowerStore, n: int, m: int, pair,
+                       ring=None) -> IdentityCheck:
     """Vanishing of the alternating combination for m > 2n.
 
     The claim is generic in q, so the default ring is the symbolic one;
@@ -201,9 +190,8 @@ def check_higher_serre(n: int, m: int, pair, ctx: ChainContext, ring=None, *,
     if m <= 2 * n:
         raise InvalidRegime(f"no vanishing claim for m <= 2n (n={n}, m={m})")
     ring = LAURENT_RING if ring is None else ring
-    store = _store_for(ctx, store)
     params = {"theta_i": i_id, "theta_j": j_id, "n": n, "m": m,
-              "ring": ring.kind, **_base_params(ctx)}
+              "ring": ring.kind, **_base_params(store)}
     return _evaluate_specs("serre.f-vanishing", params,
                            _f_specs(i_id, j_id, n, m), store, NORM_Q, ring)
 
@@ -245,25 +233,24 @@ def _ladder_narrow_specs(i_id: str, j_id: str, n: int, m: int, n_param: int):
     return specs
 
 
-def check_id1(n: int, m: int, pair, ctx: ChainContext, *,
-              store: DividedPowerStore | None = None, ring=None) -> IdentityCheck:
+def check_id1(store: DividedPowerStore, n: int, m: int, pair, *,
+              ring=None) -> IdentityCheck:
     """Wide-gap ladder: the order-m power collapses onto N-spaced orders."""
     i_id, j_id = _proper_pair(pair)
-    n_param = ctx.n_param
+    n_param = store.ctx.n_param
     if m - 2 * n < n_param:
         raise InvalidRegime(
             f"wide ladder needs m - 2n >= N (got m-2n={m - 2 * n}, N={n_param})")
     ring = cyclo_ring(n_param) if ring is None else ring
-    store = _store_for(ctx, store)
     params = {"theta_i": i_id, "theta_j": j_id, "n": n, "m": m,
-              **_base_params(ctx)}
+              **_base_params(store)}
     return _evaluate_specs("serre.ladder-wide", params,
                            _ladder_wide_specs(i_id, j_id, n, m, n_param),
                            store, NORM_Q, ring)
 
 
-def check_id2(n: int, m: int, pair, ctx: ChainContext, *,
-              store: DividedPowerStore | None = None, ring=None) -> IdentityCheck:
+def check_id2(store: DividedPowerStore, n: int, m: int, pair, *,
+              ring=None) -> IdentityCheck:
     """Narrow-gap ladder, obtained by right-multiplying with Ti^(N-m+2n).
 
     Also verifies the supporting wrap vanishing that justifies dropping
@@ -271,16 +258,15 @@ def check_id2(n: int, m: int, pair, ctx: ChainContext, *,
     whenever s mod N lies in [m-2n, N-1].
     """
     i_id, j_id = _proper_pair(pair)
-    n_param = ctx.n_param
+    n_param = store.ctx.n_param
     gap = m - 2 * n
     if not 1 <= gap <= n_param - 1:
         raise InvalidRegime(
             f"narrow ladder needs 1 <= m - 2n <= N-1 (got m-2n={gap}, "
             f"N={n_param}); the gap-0 extension has a nonzero residual")
     ring = cyclo_ring(n_param) if ring is None else ring
-    store = _store_for(ctx, store)
     params = {"theta_i": i_id, "theta_j": j_id, "n": n, "m": m,
-              **_base_params(ctx)}
+              **_base_params(store)}
     family = "serre.ladder-narrow"
     support = 0
     for s in range(m + 1):
@@ -305,7 +291,7 @@ def check_id2(n: int, m: int, pair, ctx: ChainContext, *,
     return check
 
 
-def dispatch_root_serre(n: int, m: int, pair, ctx: ChainContext,
+def dispatch_root_serre(store: DividedPowerStore, n: int, m: int, pair,
                         **kw) -> IdentityCheck:
     """Route (n, m) with m > 2n to the wide or narrow ladder.
 
@@ -315,15 +301,15 @@ def dispatch_root_serre(n: int, m: int, pair, ctx: ChainContext,
     gap = m - 2 * n
     if gap <= 0:
         raise InvalidRegime(f"ladder identities need m > 2n (got m-2n={gap})")
-    n_param = ctx.n_param
+    n_param = store.ctx.n_param
     wide = gap >= n_param
     narrow = 1 <= gap <= n_param - 1
     if wide == narrow:
         raise InternalInconsistency(
             f"regime dichotomy violated at gap={gap}, N={n_param}")
     if wide:
-        return check_id1(n, m, pair, ctx, **kw)
-    return check_id2(n, m, pair, ctx, **kw)
+        return check_id1(store, n, m, pair, **kw)
+    return check_id2(store, n, m, pair, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -338,17 +324,16 @@ REGISTRY.register(
 )
 
 
-def _three_term(q_sector: int, ctx: ChainContext, branch: str, roles: str,
-                store: DividedPowerStore | None, ring) -> IdentityCheck:
+def _three_term(store: DividedPowerStore, q_sector: int, branch: str,
+                roles: str, ring) -> IdentityCheck:
+    n_param = store.ctx.n_param
     if branch not in _BRANCH_OPS:
         raise ValueError(f"unknown branch {branch!r}")
-    if not 0 <= q_sector <= ctx.n_param - 1:
+    if not 0 <= q_sector <= n_param - 1:
         raise ValueError(f"Q must lie in 0..N-1 (got {q_sector})")
     b_id, c_id = _BRANCH_OPS[branch]
     i_id, j_id = (b_id, c_id) if roles == "bc" else (c_id, b_id)
-    n_param = ctx.n_param
     ring = cyclo_ring(n_param) if ring is None else ring
-    store = _store_for(ctx, store)
     mid_sign = -1 if (n_param + q_sector - 1) % 2 else 1
     hand = [
         (1, ((i_id, 2 * n_param + q_sector), (j_id, q_sector))),
@@ -356,7 +341,7 @@ def _three_term(q_sector: int, ctx: ChainContext, branch: str, roles: str,
         (1, ((i_id, q_sector), (j_id, q_sector), (i_id, 2 * n_param))),
     ]
     params = {"roles": roles, "branch": branch, "Q": q_sector,
-              **_base_params(ctx)}
+              **_base_params(store)}
     check = _evaluate_specs("serre.three-term", params, hand, store, NORM_Q, ring)
     # the same residual must come out of the general wide-ladder builder
     general = _ladder_wide_specs(i_id, j_id, q_sector,
@@ -369,16 +354,16 @@ def _three_term(q_sector: int, ctx: ChainContext, branch: str, roles: str,
     return check
 
 
-def check_BCN(q_sector: int, ctx: ChainContext, branch: str = "plus", *,
-              store: DividedPowerStore | None = None, ring=None) -> IdentityCheck:
+def check_BCN(store: DividedPowerStore, q_sector: int, branch: str = "plus", *,
+              ring=None) -> IdentityCheck:
     """Three-term identity with the B-like operator outside."""
-    return _three_term(q_sector, ctx, branch, "bc", store, ring)
+    return _three_term(store, q_sector, branch, "bc", ring)
 
 
-def check_CBN(q_sector: int, ctx: ChainContext, branch: str = "plus", *,
-              store: DividedPowerStore | None = None, ring=None) -> IdentityCheck:
+def check_CBN(store: DividedPowerStore, q_sector: int, branch: str = "plus", *,
+              ring=None) -> IdentityCheck:
     """Three-term identity with the C-like operator outside."""
-    return _three_term(q_sector, ctx, branch, "cb", store, ring)
+    return _three_term(store, q_sector, branch, "cb", ring)
 
 
 # ---------------------------------------------------------------------------
@@ -392,24 +377,23 @@ REGISTRY.register(
 )
 
 
-def check_g_forms(n: int, m: int, n_param: int, branch: str = "full", *,
-                  pair=("E0", "E1"), length: int = 4,
-                  store: DividedPowerStore | None = None) -> IdentityCheck:
+def check_g_forms(store: DividedPowerStore, n: int, m: int, branch: str = "full",
+                  *, pair=("E0", "E1")) -> IdentityCheck:
     """The two constructions of the ladder's generating combination agree.
 
     Route A assembles it from the alternating f-combinations themselves;
-    route B uses the resummed coefficients c_s. Equality is a polynomial
-    identity, so the comparison runs in the symbolic ring on a small chain.
+    route B uses the resummed coefficients c_s, with N taken from the
+    store's chain. Equality is a polynomial identity, so the comparison
+    runs in the symbolic ring; a small chain (spin_half, L=4) suffices.
     """
     i_id, j_id = _proper_pair(pair)
+    n_param = store.ctx.n_param
     if branch == "full":
         top = n_param - 1
     elif branch == "truncated":
         top = m - 2 * n - 1
     else:
         raise ValueError(f"unknown branch {branch!r}")
-    if store is None:
-        store = make_store(ChainContext(build_site_rep("spin_half", n_param), length))
     ring = LAURENT_RING
     terms = []
     for l in range(0, top + 1):
@@ -427,7 +411,7 @@ def check_g_forms(n: int, m: int, n_param: int, branch: str = "full", *,
                             NORM_Q, ring)
         terms.append(_scaled(op, -coeff, ring))
     params = {"theta_i": i_id, "theta_j": j_id, "n": n, "m": m,
-              "branch": branch, **_base_params(store.ctx)}
+              "branch": branch, **_base_params(store)}
     return evaluate_zero_identity("serre.g-resummation", params, terms, ring)
 
 
@@ -453,31 +437,29 @@ REGISTRY.register(
 )
 
 
-def check_site_suite(q_sector: int, ctx: ChainContext, side: str = "one_zero", *,
-                     store: DividedPowerStore | None = None,
-                     ring=None) -> list[IdentityCheck]:
+def check_site_suite(store: DividedPowerStore, q_sector: int,
+                     side: str = "one_zero", *, ring=None) -> list[IdentityCheck]:
     """Three-term, swap, and four-term identities for one chain side.
 
     side selects which pair of clock-dressed operators plays (B, C):
     "one_zero" the site-1/site-0 pair, "L_Lm1" the site-L/site-(L-1) pair.
     Each identity is checked with B outside and with C outside.
     """
+    n_param = store.ctx.n_param
     if side not in _SIDE_OPS:
         raise ValueError(f"unknown side {side!r}")
-    if not 0 <= q_sector <= ctx.n_param - 1:
+    if not 0 <= q_sector <= n_param - 1:
         raise ValueError(f"Q must lie in 0..N-1 (got {q_sector})")
-    if not ctx.rep.wrap_free:
+    if not store.ctx.rep.wrap_free:
         raise ValueError("clock-dressed operators need a wrap-free backend")
     b_id, c_id = _SIDE_OPS[side]
-    n_param = ctx.n_param
     ring = cyclo_ring(n_param) if ring is None else ring
-    store = _store_for(ctx, store)
     q = q_sector
     out = []
 
     def run(family, outer, inner, specs):
         params = {"side": side, "outer": outer, "inner": inner, "Q": q,
-                  **_base_params(ctx)}
+                  **_base_params(store)}
         out.append(_evaluate_specs(family, params, specs, store, NORM_OMEGA, ring))
 
     for outer, inner in ((b_id, c_id), (c_id, b_id)):
@@ -520,13 +502,11 @@ class LoopGenerators:
     charges: dict = field(default_factory=dict)
 
 
-def build_loop_generators(q_sector: int, ctx: ChainContext, *,
-                          store: DividedPowerStore | None = None,
+def build_loop_generators(store: DividedPowerStore, q_sector: int, *,
                           ring=None) -> LoopGenerators:
-    if not 0 <= q_sector <= ctx.n_param - 1:
+    n_param = store.ctx.n_param
+    if not 0 <= q_sector <= n_param - 1:
         raise ValueError(f"Q must lie in 0..N-1 (got {q_sector})")
-    store = _store_for(ctx, store)
-    n_param = ctx.n_param
     ring = cyclo_ring(n_param) if ring is None else ring
     q = q_sector
     words = {
@@ -560,8 +540,7 @@ REGISTRY.register(
 )
 
 
-def check_lemma_chain(q_sector: int, ctx: ChainContext, *,
-                      store: DividedPowerStore | None = None,
+def check_lemma_chain(store: DividedPowerStore, q_sector: int, *,
                       ring=None) -> list[IdentityCheck]:
     """Every stepping-stone between the site suite and the nested relations.
 
@@ -569,10 +548,9 @@ def check_lemma_chain(q_sector: int, ctx: ChainContext, *,
     commutativity of the two diagonal blocks, and each product normal form
     with its exact integer coefficient (2 or 6).
     """
-    if not 0 <= q_sector <= ctx.n_param - 1:
+    n_param = store.ctx.n_param
+    if not 0 <= q_sector <= n_param - 1:
         raise ValueError(f"Q must lie in 0..N-1 (got {q_sector})")
-    store = _store_for(ctx, store)
-    n_param = ctx.n_param
     ring = cyclo_ring(n_param) if ring is None else ring
     q = q_sector
     n1, n2, n3 = n_param + q, 2 * n_param + q, 3 * n_param + q
@@ -587,7 +565,7 @@ def check_lemma_chain(q_sector: int, ctx: ChainContext, *,
             out.append(check_mulo(store, q, k, j, op_id=op_id))
 
     def run(lemma, lhs_word, coeff, rhs_word):
-        params = {"lemma": lemma, "Q": q, **_base_params(ctx)}
+        params = {"lemma": lemma, "Q": q, **_base_params(store)}
         check = _evaluate_specs("loop.normal-form", params,
                                 [(1, lhs_word), (-coeff, rhs_word)],
                                 store, NORM_OMEGA, ring)
@@ -597,7 +575,7 @@ def check_lemma_chain(q_sector: int, ctx: ChainContext, *,
     run("xp_xm.a", xp + xm, 1, ((C, q), (B, q), (C, n1), (B, n1)))
     run("xp_xm.b", xp + xm, 1, ((C, n1), (B, n1), (C, q), (B, q)))
 
-    params = {"Q": q, **_base_params(ctx)}
+    params = {"Q": q, **_base_params(store)}
     out.append(_evaluate_specs(
         "loop.block-commutator", params,
         [(1, ((C, q), (B, q), (C, n1), (B, n1))),
@@ -652,18 +630,16 @@ def nested_commutator_words(depth: int = 3) -> dict[tuple, int]:
     return words
 
 
-def check_serre_nested(q_sector: int, ctx: ChainContext, family: str = "x", *,
-                       store: DividedPowerStore | None = None,
-                       ring=None) -> list[IdentityCheck]:
+def check_serre_nested(store: DividedPowerStore, q_sector: int,
+                       family: str = "x", *, ring=None) -> list[IdentityCheck]:
     """The nested commutator relations for one generator family.
 
     Returns one check per dominant sign: [[[a, b], b], b] with b the
     minus generator, then with b the plus generator. Each check records
     the individual nonzero status of its monomial terms.
     """
-    store = _store_for(ctx, store)
-    ring = cyclo_ring(ctx.n_param) if ring is None else ring
-    gens = build_loop_generators(q_sector, ctx, store=store, ring=ring)
+    ring = cyclo_ring(store.ctx.n_param) if ring is None else ring
+    gens = build_loop_generators(store, q_sector, ring=ring)
     if family == "x":
         plus, minus = gens.x_plus_0Q, gens.x_minus_1Q
     elif family == "xbar":
@@ -691,7 +667,7 @@ def check_serre_nested(q_sector: int, ctx: ChainContext, family: str = "x", *,
                 "nonzero": not op.is_zero(),
             })
         params = {"family": family, "dominant": dominant, "Q": q_sector,
-                  **_base_params(ctx)}
+                  **_base_params(store)}
         check = evaluate_zero_identity("loop.serre-nested", params, terms, ring)
         check.extra["monomials"] = monomials
         out.append(check)

@@ -34,9 +34,12 @@ from qloop import (
     run,
     strip_timing,
 )
-from qloop.divpow import check_cross_normalization
+from qloop.divpow import (
+    check_chain_chevalley,
+    check_cross_normalization,
+    check_half_clock_commutation,
+)
 from qloop.identity import EXACT_ZERO, OK_STATUSES, VACUOUS_ZERO
-from qloop.repchain import check_chain_chevalley, check_half_clock_commutation
 from qloop.rings import LAURENT_RING, cyclo_ring
 
 E_PAIR = ("E0", "E1")
@@ -51,8 +54,7 @@ def _chain(n_param, length, rescale=False):
         rep = build_site_rep("spin_half", n_param)
         if rescale:
             rep = rescaled_rep(rep, LaurentPoly.q_power(3), LaurentPoly({1: -1}))
-        ctx = ChainContext(rep, length)
-        _CHAINS[key] = (ctx, make_store(ctx))
+        _CHAINS[key] = make_store(ChainContext(rep, length))
     return _CHAINS[key]
 
 
@@ -82,42 +84,42 @@ def _nontrivial(check):
 # instances shared between gates 5-8 and the rescale audit in gate 9
 
 def _three_term(q):
-    def go(ctx, store):
+    def go(store):
         out = []
         for branch in ("plus", "minus"):
-            out.append(check_BCN(q, ctx, branch, store=store))
-            out.append(check_CBN(q, ctx, branch, store=store))
+            out.append(check_BCN(store, q, branch))
+            out.append(check_CBN(store, q, branch))
         return out
     return go
 
 
 def _narrow_ladder(n, m):
-    def go(ctx, store):
-        return [check_id2(n, m, pair, ctx, store=store)
+    def go(store):
+        return [check_id2(store, n, m, pair)
                 for pair in (E_PAIR, F_PAIR)]
     return go
 
 
 def _site_both_sides(q):
-    def go(ctx, store):
+    def go(store):
         out = []
         for side in ("one_zero", "L_Lm1"):
-            out.extend(check_site_suite(q, ctx, side, store=store))
+            out.extend(check_site_suite(store, q, side))
         return out
     return go
 
 
 def _lemma_chain(q):
-    def go(ctx, store):
-        return check_lemma_chain(q, ctx, store=store)
+    def go(store):
+        return check_lemma_chain(store, q)
     return go
 
 
 def _nested(q, families):
-    def go(ctx, store):
+    def go(store):
         out = []
         for family in families:
-            out.extend(check_serre_nested(q, ctx, family, store=store))
+            out.extend(check_serre_nested(store, q, family))
         return out
     return go
 
@@ -147,8 +149,7 @@ def _forward(label):
     spec = next(row for row in _INSTANCES if row[0] == label)
     _, n_param, length, fn = spec
     start = time.perf_counter()
-    ctx, store = _chain(n_param, length)
-    checks = fn(ctx, store)
+    checks = fn(_chain(n_param, length))
     _FORWARD_SECONDS[label] = time.perf_counter() - start
     _OBSERVED[label] = {c.check_id: c.status for c in checks}
     return checks
@@ -170,8 +171,8 @@ def test_acceptance_2_rep_gate():
                 for check in rep_self_check(rep, "root_of_unity"):
                     assert check.status == EXACT_ZERO, check.check_id
                 for length in (1, 2, 3, 4):
-                    ctx = ChainContext(rep, length)
-                    out = check_chain_chevalley(ctx, LAURENT_RING)
+                    out = check_chain_chevalley(
+                        make_store(ChainContext(rep, length)), LAURENT_RING)
                     for check in out:
                         assert check.status in OK_STATUSES, check.check_id
                     if length >= 2:
@@ -181,16 +182,16 @@ def test_acceptance_2_rep_gate():
         for check in rep_self_check(cyclic, "root_of_unity"):
             assert check.status == EXACT_ZERO, check.check_id
         for length in (1, 2):
-            out = check_chain_chevalley(ChainContext(cyclic, length),
-                                        cyclo_ring(3))
+            out = check_chain_chevalley(
+                make_store(ChainContext(cyclic, length)), cyclo_ring(3))
             assert all(c.status == EXACT_ZERO for c in out), length
 
 
 def test_acceptance_3_cross_normalization():
     with _gate(3, "cross-normalization and half-clock", 60.0):
         for n_param, length in ((2, 5), (3, 4)):
-            ctx, store = _chain(n_param, length)
-            for check in check_half_clock_commutation(ctx):
+            store = _chain(n_param, length)
+            for check in check_half_clock_commutation(store):
                 assert check.status == EXACT_ZERO, check.check_id
             for order in range(1, 2 * n_param + 2):
                 for check in check_cross_normalization(store, order):
@@ -203,16 +204,14 @@ def test_acceptance_3_cross_normalization():
 
 def test_acceptance_4_higher_serre():
     with _gate(4, "higher-order Serre", 120.0):
-        ctx, store = _chain(2, 6)
+        store = _chain(2, 6)
         for pair in (E_PAIR, F_PAIR):
-            _nontrivial(check_higher_serre(1, 3, pair, ctx, LAURENT_RING,
-                                           store=store))
+            _nontrivial(check_higher_serre(store, 1, 3, pair, LAURENT_RING))
         # the combination vanishes generically too, but the gate pins the
         # root-of-unity image, so reduce mod Phi_4 explicitly
         for n, m in ((1, 4), (2, 5), (2, 6)):
             for pair in (E_PAIR, F_PAIR):
-                check = check_higher_serre(n, m, pair, ctx, cyclo_ring(2),
-                                           store=store)
+                check = check_higher_serre(store, n, m, pair, cyclo_ring(2))
                 _nontrivial(check)
 
 
@@ -294,9 +293,9 @@ def test_acceptance_9_rescale_and_determinism():
         for label, n_param, length, fn in _INSTANCES:
             by_size.setdefault((n_param, length), []).append((label, fn))
         for (n_param, length), group in sorted(by_size.items()):
-            ctx, store = _chain(n_param, length, rescale=True)
+            store = _chain(n_param, length, rescale=True)
             for label, fn in group:
-                redone = {c.check_id: c.status for c in fn(ctx, store)}
+                redone = {c.check_id: c.status for c in fn(store)}
                 assert redone == _OBSERVED[label], label
             del _CHAINS[(n_param, length, True)]
         replay_elapsed = time.perf_counter() - replay_start

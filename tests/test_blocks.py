@@ -129,6 +129,21 @@ def test_cyclo_block_scale_matches_matmul():
     del one_by_one
 
 
+def test_cyclo_block_scale_by_huge_elem_falls_back():
+    rng = random.Random(23)
+    ring = cyclo_ring(3)
+    a = _random_cyclo_block(rng, ring, 3, 2)
+    big = int(INT64_SAFE)
+    s = type(ring.one)(ring, (big, -3 * big))
+    scaled = a.scale(s)
+    assert a.arr.dtype == np.int64
+    assert scaled.arr.dtype == object
+    want = {(r, c): v * s for r, c, v in a.entries()}
+    got = {(r, c): v for r, c, v in scaled.entries()}
+    assert got == {k: v for k, v in want.items() if v}
+    assert any(abs(x) >= big for v in got.values() for x in v.coords)
+
+
 def test_specialization_commutes_with_product():
     rng = random.Random(15)
     ring = cyclo_ring(3)

@@ -269,9 +269,42 @@ def test_store_specializes_phi_adic_without_memoizing():
 def test_lemma_chain_leaves_memoized_specializations_intact():
     ctx = _ctx(length=5)
     store = _store(ctx)
-    check_lemma_chain(1, ctx, store=store)
+    check_lemma_chain(store, 1)
     assert store._specialized
     for (op_id, norm, n, ring), op in store._specialized.items():
         fresh = specialize_operator(store.get(op_id, n, norm), ring)
         assert op.shift == fresh.shift
         assert op.entries() == fresh.entries(), (op_id, norm, n)
+
+
+def test_store_repeated_get_builds_no_identity(monkeypatch, tmp_path):
+    import qloop.divpow as divpow
+    store = DividedPowerStore(_ctx(length=4), OperatorCache(tmp_path))
+    store.register_standard()
+    store.get("E1", 3, NORM_Q)
+    built = []
+    real = divpow.identity_operator
+
+    def counting_identity(ctx, ring):
+        built.append(ring)
+        return real(ctx, ring)
+
+    monkeypatch.setattr(divpow, "identity_operator", counting_identity)
+    for n in (0, 1, 2, 3):
+        store.get("E1", n, NORM_Q)
+        store.get("E1", n, NORM_Q, cyclo_ring(2))
+    assert built == []
+    # a new key builds its order-0 seed once
+    store.get("F1", 2, NORM_Q)
+    store.get("F1", 2, NORM_Q)
+    assert len(built) == 1
+
+
+def test_store_order_one_is_the_registered_operator(tmp_path):
+    store = DividedPowerStore(_ctx(length=4), OperatorCache(tmp_path))
+    store.register_standard()
+    for op_id in ("E0", "K", "A_L_inv", "A_L_half_inv", "B1bar"):
+        for norm in (NORM_Q, NORM_OMEGA):
+            assert store.get(op_id, 1, norm) is store.base(op_id)
+    # no division step, hence no disk-cache file, below order 2
+    assert not list(tmp_path.glob("*.qop"))

@@ -153,6 +153,30 @@ def test_float_mode_never_reports_exact_for_ring_checks():
             assert check.status != EXACT_ZERO, check.check_id
 
 
+# --- operator construction --------------------------------------------------
+
+def test_plain_run_builds_chain_generators_twice(monkeypatch):
+    # the run's own chain and the spin_half L=4 chain of the g-forms job;
+    # every other check reads its operators from the run's store
+    import qloop.divpow
+    import qloop.repchain
+    import qloop.report
+    import qloop.serre
+    real = qloop.repchain.build_chain_generators
+    built = []
+
+    def counting(ctx):
+        built.append((ctx.rep.kind, ctx.n_param, ctx.length))
+        return real(ctx)
+
+    for module in (qloop.repchain, qloop.divpow, qloop.serre, qloop.report):
+        if hasattr(module, "build_chain_generators"):
+            monkeypatch.setattr(module, "build_chain_generators", counting)
+    doc = run(RunConfig(backend="spin_half", n_param=2, length=5))
+    assert doc.ok
+    assert sorted(built) == [("spin_half", 2, 4), ("spin_half", 2, 5)]
+
+
 # --- rescale audit ----------------------------------------------------------
 
 def test_rescale_audit_statuses_unchanged():

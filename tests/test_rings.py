@@ -1,6 +1,8 @@
 """Ring-level correctness: Laurent, cyclotomic, Phi-adic, float."""
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -195,6 +197,15 @@ def test_phi_adic_qinv():
         adic = PhiAdicRing(n_param, 3)
         assert adic.qinv * adic.q == adic.one
         assert adic.embed(LaurentPoly({-3: 1})) * adic.embed(LaurentPoly({3: 1})) == adic.one
+
+
+def test_phi_adic_ring_is_collected_after_use():
+    adic = PhiAdicRing(2, 3)
+    adic.embed(LaurentPoly({-3: 1}))  # memoizes q^-3 on the ring
+    ref = weakref.ref(adic)
+    del adic
+    gc.collect()
+    assert ref() is None
 
 
 def test_phi_adic_precision_tracks_division():

@@ -33,14 +33,13 @@ E_PAIR = ("E0", "E1")
 F_PAIR = ("F0", "F1")
 
 
-def _ctx(n_param=2, length=4, kind="spin_half"):
-    return ChainContext(build_site_rep(kind, n_param), length)
+def _store(n_param=2, length=4, kind="spin_half"):
+    return make_store(ChainContext(build_site_rep(kind, n_param), length))
 
 
 # the heavier chains, shared across tests
-CTX_27 = _ctx(2, 7)
-CTX_2X = _ctx(2, 10)
-STORE_2X = make_store(CTX_2X)
+STORE_27 = _store(2, 7)
+STORE_2X = _store(2, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -48,29 +47,29 @@ STORE_2X = make_store(CTX_2X)
 
 
 def test_f_at_m0_reduces_to_single_power():
-    ctx = _ctx(2, 3)
-    store = make_store(ctx)
-    f = lusztig_f("E0", "E1", 2, 0, store=store)
+    store = _store(2, 3)
+    f = lusztig_f(store, "E0", "E1", 2, 0)
     assert f == store.get("E1", 2, "q_fact")
 
 
 def test_f_no_vanishing_at_m_equal_2n():
-    f = lusztig_f("E0", "E1", 1, 2, ctx=_ctx(2, 4))
+    f = lusztig_f(_store(2, 4), "E0", "E1", 1, 2)
     assert not f.is_zero()
 
 
 def test_f_mixed_class_pair_is_exposed_but_not_asserted():
     # nothing is claimed for an E against an F; the operator still builds
-    op = lusztig_f("E0", "F0", 1, 3, ctx=_ctx(2, 4))
+    store = _store(2, 4)
+    op = lusztig_f(store, "E0", "F0", 1, 3)
     assert op is not None
     with pytest.raises(ValueError):
-        check_higher_serre(1, 3, ("E0", "F0"), _ctx(2, 4))
+        check_higher_serre(store, 1, 3, ("E0", "F0"))
     with pytest.raises(ValueError):
-        lusztig_f("E1", "E1", 1, 3, ctx=_ctx(2, 4))
+        lusztig_f(store, "E1", "E1", 1, 3)
 
 
 def test_higher_serre_generic_frozen():
-    check = check_higher_serre(1, 3, E_PAIR, _ctx(2, 4))
+    check = check_higher_serre(_store(2, 4), 1, 3, E_PAIR)
     assert check.status == EXACT_ZERO
     assert check.params["ring"] == "laurent"
     assert check.nontrivial == {"terms": 4, "terms_nonzero": 4,
@@ -78,25 +77,25 @@ def test_higher_serre_generic_frozen():
 
 
 def test_higher_serre_all_proper_pairs_and_root_image():
-    ctx = _ctx(2, 3)
+    store = _store(2, 3)
     for pair in (E_PAIR, ("E1", "E0"), F_PAIR, ("F1", "F0")):
-        assert check_higher_serre(1, 3, pair, ctx).status == EXACT_ZERO
-    at_root = check_higher_serre(2, 5, E_PAIR, _ctx(2, 6), cyclo_ring(2))
+        assert check_higher_serre(store, 1, 3, pair).status == EXACT_ZERO
+    at_root = check_higher_serre(_store(2, 6), 2, 5, E_PAIR, cyclo_ring(2))
     assert at_root.status == EXACT_ZERO
     assert at_root.params["ring"] == "cyclotomic"
 
 
 def test_higher_serre_vacuous_needs_l1():
     # at L=2 the two middle splittings survive individually and cancel
-    assert check_higher_serre(1, 3, E_PAIR, _ctx(2, 1)).status == VACUOUS_ZERO
-    boundary = check_higher_serre(1, 3, E_PAIR, _ctx(2, 2))
+    assert check_higher_serre(_store(2, 1), 1, 3, E_PAIR).status == VACUOUS_ZERO
+    boundary = check_higher_serre(_store(2, 2), 1, 3, E_PAIR)
     assert boundary.status == EXACT_ZERO
     assert boundary.nontrivial["terms_nonzero"] == 2
 
 
 def test_higher_serre_rejects_m_at_most_2n():
     with pytest.raises(InvalidRegime):
-        check_higher_serre(1, 2, E_PAIR, _ctx(2, 4))
+        check_higher_serre(_store(2, 4), 1, 2, E_PAIR)
 
 
 # ---------------------------------------------------------------------------
@@ -104,29 +103,29 @@ def test_higher_serre_rejects_m_at_most_2n():
 
 
 def test_id1_frozen_instance():
-    check = check_id1(1, 5, E_PAIR, CTX_27)
+    check = check_id1(STORE_27, 1, 5, E_PAIR)
     assert check.status == EXACT_ZERO
     assert check.nontrivial == {"terms": 3, "terms_nonzero": 3,
                                 "max_term_nnz": 364}
 
 
 def test_id1_smallest_two_term_instance():
-    check = check_id1(0, 2, E_PAIR, _ctx(2, 3))
+    check = check_id1(_store(2, 3), 0, 2, E_PAIR)
     assert check.status == EXACT_ZERO
     assert check.nontrivial["terms"] == 2
     assert check.nontrivial["terms_nonzero"] == 2
 
 
 def test_id1_vacuous_boundary():
-    assert check_id1(1, 5, E_PAIR, _ctx(2, 3)).status == VACUOUS_ZERO
-    partial = check_id1(1, 5, E_PAIR, _ctx(2, 4))
+    assert check_id1(_store(2, 3), 1, 5, E_PAIR).status == VACUOUS_ZERO
+    partial = check_id1(_store(2, 4), 1, 5, E_PAIR)
     assert partial.status == EXACT_ZERO
     assert partial.nontrivial["terms_nonzero"] == 2
 
 
 def test_id1_rejects_narrow_gap():
     with pytest.raises(InvalidRegime):
-        check_id1(1, 3, E_PAIR, _ctx(2, 5))
+        check_id1(_store(2, 5), 1, 3, E_PAIR)
 
 
 # ---------------------------------------------------------------------------
@@ -134,25 +133,24 @@ def test_id1_rejects_narrow_gap():
 
 
 def test_id2_small_instances_with_support_count():
-    check = check_id2(1, 3, E_PAIR, _ctx(2, 5))
+    check = check_id2(_store(2, 5), 1, 3, E_PAIR)
     assert check.status == EXACT_ZERO
     assert check.extra["support_products_zero"] == 2
-    assert check_id2(3, 7, E_PAIR, CTX_27).status == EXACT_ZERO
-    assert check_id2(1, 4, E_PAIR, _ctx(3, 5)).status == EXACT_ZERO
+    assert check_id2(STORE_27, 3, 7, E_PAIR).status == EXACT_ZERO
+    assert check_id2(_store(3, 5), 1, 4, E_PAIR).status == EXACT_ZERO
 
 
 def test_id2_rejects_gap_zero():
     with pytest.raises(InvalidRegime):
-        check_id2(1, 2, E_PAIR, _ctx(2, 5))
+        check_id2(_store(2, 5), 1, 2, E_PAIR)
     with pytest.raises(InvalidRegime):
-        check_id2(0, 0, E_PAIR, _ctx(2, 3))
+        check_id2(_store(2, 3), 0, 0, E_PAIR)
 
 
 def test_id2_gap_zero_extension_is_genuinely_false():
     # the regime bound is not conservatism: the gap-0 sum has a nonzero
     # residual once the chain is long enough to see it
-    ctx = _ctx(2, 5)
-    store = make_store(ctx)
+    store = _store(2, 5)
     specs = _ladder_narrow_specs("E0", "E1", 1, 2, 2)
     check = _evaluate_specs("serre.ladder-narrow",
                             {"n": 1, "m": 2, "N": 2, "L": 5},
@@ -163,16 +161,15 @@ def test_id2_gap_zero_extension_is_genuinely_false():
 
 
 def test_dispatcher_partitions_all_gaps():
-    ctx = _ctx(2, 5)
-    store = make_store(ctx)
+    store = _store(2, 5)
     for n in (0, 1, 2):
         for m in range(2 * n + 1, 2 * n + 5):
-            check = dispatch_root_serre(n, m, E_PAIR, ctx, store=store)
+            check = dispatch_root_serre(store, n, m, E_PAIR)
             expected = ("serre.ladder-wide" if m - 2 * n >= 2
                         else "serre.ladder-narrow")
             assert check.family == expected
     with pytest.raises(InvalidRegime):
-        dispatch_root_serre(1, 2, E_PAIR, ctx)
+        dispatch_root_serre(store, 1, 2, E_PAIR)
 
 
 # ---------------------------------------------------------------------------
@@ -180,22 +177,22 @@ def test_dispatcher_partitions_all_gaps():
 
 
 def test_three_term_frozen_instances():
-    check = check_BCN(1, CTX_27, "plus")
+    check = check_BCN(STORE_27, 1, "plus")
     assert check.status == EXACT_ZERO
     assert check.nontrivial == {"terms": 3, "terms_nonzero": 3,
                                 "max_term_nnz": 364}
     assert check.extra["matches_wide_ladder"] is True
-    cbn = check_CBN(2, _ctx(3, 8), "minus")
+    cbn = check_CBN(_store(3, 8), 2, "minus")
     assert cbn.status == EXACT_ZERO
     assert cbn.nontrivial["max_term_nnz"] == 118
 
 
 def test_three_term_vacuous_boundary_and_q0():
-    assert check_BCN(1, _ctx(2, 3)).status == VACUOUS_ZERO
-    partial = check_BCN(1, _ctx(2, 4))
+    assert check_BCN(_store(2, 3), 1).status == VACUOUS_ZERO
+    partial = check_BCN(_store(2, 4), 1)
     assert partial.status == EXACT_ZERO
     assert partial.nontrivial["terms_nonzero"] == 2
-    q0 = check_BCN(0, _ctx(2, 5))
+    q0 = check_BCN(_store(2, 5), 0)
     assert q0.status == EXACT_ZERO
     assert q0.nontrivial["terms_nonzero"] == 3
 
@@ -203,10 +200,9 @@ def test_three_term_vacuous_boundary_and_q0():
 def test_three_term_matches_wide_ladder_statuses():
     # same residual as the (n, m) = (Q, 2N+Q) ladder, computed independently
     for length in (4, 5, 7):
-        ctx = _ctx(2, length)
-        store = make_store(ctx)
-        bcn = check_BCN(1, ctx, store=store)
-        id1 = check_id1(1, 5, E_PAIR, ctx, store=store)
+        store = _store(2, length)
+        bcn = check_BCN(store, 1)
+        id1 = check_id1(store, 1, 5, E_PAIR)
         assert bcn.status == id1.status
         assert (bcn.nontrivial or {}).get("terms_nonzero") == \
                (id1.nontrivial or {}).get("terms_nonzero")
@@ -214,8 +210,7 @@ def test_three_term_matches_wide_ladder_statuses():
 
 def test_three_term_sign_tamper_detected():
     # flipping the middle sign must break the identity, not rescale it
-    ctx = _ctx(2, 5)
-    store = make_store(ctx)
+    store = _store(2, 5)
     specs = [
         (1, (("E0", 5), ("E1", 1))),
         (-1, (("E0", 3), ("E1", 1), ("E0", 2))),   # true sign is +1 here
@@ -228,9 +223,9 @@ def test_three_term_sign_tamper_detected():
 
 def test_three_term_rejects_bad_branch_and_sector():
     with pytest.raises(ValueError):
-        check_BCN(1, _ctx(2, 5), "up")
+        check_BCN(_store(2, 5), 1, "up")
     with pytest.raises(ValueError):
-        check_BCN(2, _ctx(2, 5))
+        check_BCN(_store(2, 5), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -238,22 +233,24 @@ def test_three_term_rejects_bad_branch_and_sector():
 
 
 def test_g_forms_frozen():
+    store = _store(2, 4)
     for branch in ("full", "truncated"):
-        check = check_g_forms(1, 3, 2, branch)
+        check = check_g_forms(store, 1, 3, branch)
         assert check.status == EXACT_ZERO
         assert check.nontrivial["terms_nonzero"] == 4
-    full_n3 = check_g_forms(1, 3, 3, "full")
+    full_n3 = check_g_forms(_store(3, 4), 1, 3, "full")
     assert full_n3.status == EXACT_ZERO
-    assert check_g_forms(1, 4, 2, "truncated").status == EXACT_ZERO
+    assert check_g_forms(store, 1, 4, "truncated").status == EXACT_ZERO
     # gap 0 truncates to an empty sum on both routes
-    assert check_g_forms(2, 4, 2, "truncated").status == VACUOUS_ZERO
+    assert check_g_forms(store, 2, 4, "truncated").status == VACUOUS_ZERO
 
 
 def test_g_forms_degenerate_m0():
-    assert check_g_forms(2, 0, 2, "full").status == EXACT_ZERO
-    assert check_g_forms(2, 0, 2, "truncated").status == VACUOUS_ZERO
+    store = _store(2, 4)
+    assert check_g_forms(store, 2, 0, "full").status == EXACT_ZERO
+    assert check_g_forms(store, 2, 0, "truncated").status == VACUOUS_ZERO
     with pytest.raises(ValueError):
-        check_g_forms(1, 3, 2, "half")
+        check_g_forms(store, 1, 3, "half")
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +258,7 @@ def test_g_forms_degenerate_m0():
 
 
 def test_site_suite_frozen_statuses():
-    suite = check_site_suite(1, CTX_27, "one_zero")
+    suite = check_site_suite(STORE_27, 1, "one_zero")
     assert [c.family for c in suite] == [
         "site.three-term", "site.three-term", "site.swap", "site.swap",
         "site.four-term", "site.four-term"]
@@ -271,39 +268,38 @@ def test_site_suite_frozen_statuses():
 
 
 def test_site_suite_short_chain_mixes_vacuous_and_exact():
-    suite = check_site_suite(1, _ctx(3, 5), "L_Lm1")
+    suite = check_site_suite(_store(3, 5), 1, "L_Lm1")
     assert [c.status for c in suite] == [
         VACUOUS_ZERO, VACUOUS_ZERO, EXACT_ZERO, EXACT_ZERO,
         VACUOUS_ZERO, VACUOUS_ZERO]
 
 
 def test_site_suite_sides_agree():
-    one = check_site_suite(1, CTX_27, "one_zero")
-    other = check_site_suite(1, CTX_27, "L_Lm1")
+    one = check_site_suite(STORE_27, 1, "one_zero")
+    other = check_site_suite(STORE_27, 1, "L_Lm1")
     assert [c.status for c in one] == [c.status for c in other]
 
 
 def test_site_suite_statuses_match_plus_minus_suite():
     # the q-normalized identities behind the dressed ones, run independently
-    store = make_store(CTX_27)
-    site = check_site_suite(1, CTX_27, "one_zero", store=store)
+    store = _store(2, 7)
+    site = check_site_suite(store, 1, "one_zero")
     pm = [
-        check_BCN(1, CTX_27, "plus", store=store),
-        check_CBN(1, CTX_27, "plus", store=store),
-        check_id2(1, 3, E_PAIR, CTX_27, store=store),
-        check_id2(1, 3, ("E1", "E0"), CTX_27, store=store),
-        check_id2(3, 7, E_PAIR, CTX_27, store=store),
-        check_id2(3, 7, ("E1", "E0"), CTX_27, store=store),
+        check_BCN(store, 1, "plus"),
+        check_CBN(store, 1, "plus"),
+        check_id2(store, 1, 3, E_PAIR),
+        check_id2(store, 1, 3, ("E1", "E0")),
+        check_id2(store, 3, 7, E_PAIR),
+        check_id2(store, 3, 7, ("E1", "E0")),
     ]
     assert [c.status for c in site] == [c.status for c in pm]
 
 
 def test_site_suite_rejects_bad_side_and_backend():
     with pytest.raises(ValueError):
-        check_site_suite(1, CTX_27, "both_ends")
-    cyclic = ChainContext(build_site_rep("cyclic", 3, {"c": 0}), 2)
+        check_site_suite(STORE_27, 1, "both_ends")
     with pytest.raises(ValueError):
-        check_site_suite(1, cyclic, "one_zero")
+        check_site_suite(_store(3, 2, "cyclic"), 1, "one_zero")
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +307,14 @@ def test_site_suite_rejects_bad_side_and_backend():
 
 
 def test_identities_blind_to_generator_rescale():
-    plain = _ctx(2, 5)
+    plain = _store(2, 5)
     rep = rescaled_rep(build_site_rep("spin_half", 2),
                        LaurentPoly.q_power(3), LaurentPoly({1: -1}))
-    scaled = ChainContext(rep, 5)
-    for ctx in (plain, scaled):
-        assert check_BCN(1, ctx).status == EXACT_ZERO
-        assert check_id2(1, 3, E_PAIR, ctx).status == EXACT_ZERO
-        suite = check_site_suite(1, ctx, "one_zero")
+    scaled = make_store(ChainContext(rep, 5))
+    for store in (plain, scaled):
+        assert check_BCN(store, 1).status == EXACT_ZERO
+        assert check_id2(store, 1, 3, E_PAIR).status == EXACT_ZERO
+        suite = check_site_suite(store, 1, "one_zero")
         assert all(c.status in (EXACT_ZERO, VACUOUS_ZERO) for c in suite)
 
 
@@ -327,7 +323,7 @@ def test_identities_blind_to_generator_rescale():
 
 
 def test_loop_generators_nonzero_and_neutral():
-    gens = build_loop_generators(1, _ctx(2, 5))
+    gens = build_loop_generators(_store(2, 5), 1)
     for name in ("x_minus_1Q", "x_plus_0Q", "xbar_minus_0Q", "xbar_plus_m1Q"):
         assert not getattr(gens, name).is_zero()
         # B-degree exceeds C-degree by exactly N, so the charge is neutral
@@ -336,22 +332,16 @@ def test_loop_generators_nonzero_and_neutral():
 
 
 def test_loop_generators_vacuous_flagged():
-    gens = build_loop_generators(1, _ctx(2, 2))
+    gens = build_loop_generators(_store(2, 2), 1)
     assert gens.x_minus_1Q.is_zero()
     assert gens.charges["x_minus_1Q"] is None
 
 
 def test_loop_generators_q0_orders_collapse():
-    store = make_store(_ctx(2, 4))
-    gens = build_loop_generators(0, store.ctx, store=store, ring=LAURENT_RING)
+    store = _store(2, 4)
+    gens = build_loop_generators(store, 0, ring=LAURENT_RING)
     assert gens.x_minus_1Q == store.get("B1bar", 2, "omega_fact")
     assert gens.x_plus_0Q == store.get("C0bar", 2, "omega_fact")
-
-
-def test_store_context_validation():
-    store = make_store(_ctx(2, 4))
-    with pytest.raises(ValueError):
-        check_BCN(1, _ctx(2, 5), store=store)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +349,7 @@ def test_store_context_validation():
 
 
 def test_lemma_chain_all_exact_with_integer_coefficients():
-    chain = check_lemma_chain(1, CTX_27)
+    chain = check_lemma_chain(STORE_27, 1)
     assert len(chain) == 22
     assert all(c.status == EXACT_ZERO for c in chain)
     merges = [c for c in chain if c.family == "divpow.merge-binomial"]
@@ -377,8 +367,7 @@ def test_lemma_chain_all_exact_with_integer_coefficients():
 def test_lemma_coefficient_tamper_detected():
     # 2 means 2: doubling squared lowering against the merged form with any
     # other integer must leave a residual
-    ctx = _ctx(2, 5)
-    store = make_store(ctx)
+    store = _store(2, 5)
     q, n1, n2 = 1, 3, 5
     lhs = (("C0bar", q), ("B1bar", n1), ("C0bar", q), ("B1bar", n1))
     rhs = (("C0bar", q), ("B1bar", q), ("C0bar", q), ("B1bar", n2))
@@ -424,7 +413,7 @@ def test_nested_words_match_direct_commutator(a_rows, b_rows):
 
 def test_nested_serre_frozen_at_top_size():
     for family in ("x", "xbar"):
-        pair = check_serre_nested(1, CTX_2X, family, store=STORE_2X)
+        pair = check_serre_nested(STORE_2X, 1, family)
         assert [c.params["dominant"] for c in pair] == ["minus", "plus"]
         for check in pair:
             assert check.status == EXACT_ZERO
@@ -436,7 +425,7 @@ def test_nested_serre_frozen_at_top_size():
 
 
 def test_nested_serre_monomial_labels():
-    pair = check_serre_nested(1, _ctx(2, 5), "x")
+    pair = check_serre_nested(_store(2, 5), 1, "x")
     minus, plus = pair
     assert [m["word"] for m in minus.extra["monomials"]] == \
         ["+---", "-+--", "--+-", "---+"]
@@ -445,20 +434,20 @@ def test_nested_serre_monomial_labels():
 
 
 def test_nested_serre_partial_and_vacuous_boundaries():
-    for check in check_serre_nested(1, _ctx(2, 5), "xbar"):
+    for check in check_serre_nested(_store(2, 5), 1, "xbar"):
         assert check.status == EXACT_ZERO
         assert [m["nonzero"] for m in check.extra["monomials"]] == \
             [False, True, True, False]
-    for check in check_serre_nested(1, _ctx(2, 4), "xbar"):
+    for check in check_serre_nested(_store(2, 4), 1, "xbar"):
         assert check.status == VACUOUS_ZERO
 
 
 def test_nested_serre_q0_regression():
-    for check in check_serre_nested(0, _ctx(2, 8), "x"):
+    for check in check_serre_nested(_store(2, 8), 0, "x"):
         assert check.status == EXACT_ZERO
         assert check.nontrivial["terms_nonzero"] == 4
 
 
 def test_nested_serre_rejects_unknown_family():
     with pytest.raises(ValueError):
-        check_serre_nested(1, _ctx(2, 5), "y")
+        check_serre_nested(_store(2, 5), 1, "y")
