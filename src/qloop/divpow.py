@@ -226,13 +226,17 @@ REGISTRY.register(
 )
 
 
+def _base_params(store: DividedPowerStore) -> dict:
+    """The chain's identifying params, in the order every check id uses."""
+    ctx = store.ctx
+    return {"kind": ctx.rep.kind, "N": ctx.n_param, "L": ctx.length}
+
+
 def check_power_factorial(store: DividedPowerStore, op_id: str, n: int,
                           normalization: str = NORM_Q) -> IdentityCheck:
     """The store's iterative theta^(n), times the factorial, against the
     plain power theta^n of the base operator."""
-    ctx = store.ctx
-    params = {"op": op_id, "n": n, "norm": normalization,
-              "kind": ctx.rep.kind, "N": ctx.n_param, "L": ctx.length}
+    params = {"op": op_id, "n": n, "norm": normalization, **_base_params(store)}
     divided = store.get(op_id, n, normalization)
     fact = factorial_poly(n, normalization)
     return evaluate_zero_identity(
@@ -242,9 +246,7 @@ def check_power_factorial(store: DividedPowerStore, op_id: str, n: int,
 
 def check_normalization_bridge(store: DividedPowerStore, op_id: str,
                                n: int) -> IdentityCheck:
-    ctx = store.ctx
-    params = {"op": op_id, "n": n,
-              "kind": ctx.rep.kind, "N": ctx.n_param, "L": ctx.length}
+    params = {"op": op_id, "n": n, **_base_params(store)}
     via_q = store.get(op_id, n, NORM_Q)
     via_omega = store.get(op_id, n, NORM_OMEGA)
     bridge = LaurentPoly.q_power(n * (n - 1) // 2)
@@ -259,8 +261,7 @@ def check_adic_agreement(store: DividedPowerStore, op_id: str, n: int,
     phi-adic division of the base operator, compared at the root."""
     ctx = store.ctx
     n_param = ctx.n_param
-    params = {"op": op_id, "n": n, "norm": normalization,
-              "kind": ctx.rep.kind, "N": n_param, "L": ctx.length}
+    params = {"op": op_id, "n": n, "norm": normalization, **_base_params(store)}
     cring = cyclo_ring(n_param)
     via_laurent = store.get(op_id, n, normalization, cring)
     trunc = n // n_param + 1  # enough digits to survive the factorial's valuation
@@ -278,9 +279,7 @@ def check_adic_agreement(store: DividedPowerStore, op_id: str, n: int,
 
 
 def check_nilpotency(store: DividedPowerStore, op_id: str, n: int) -> IdentityCheck:
-    ctx = store.ctx
-    params = {"op": op_id, "n": n,
-              "kind": ctx.rep.kind, "N": ctx.n_param, "L": ctx.length}
+    params = {"op": op_id, "n": n, **_base_params(store)}
     check = evaluate_zero_identity("divpow.nilpotency", params,
                                    [store.get(op_id, n, NORM_Q)], LAURENT_RING)
     if check.status == VACUOUS_ZERO:
@@ -295,8 +294,7 @@ def check_mulo(store: DividedPowerStore, q_sector: int, k: int, j: int,
     with an ordinary (integer) binomial coefficient, at the root."""
     ctx = store.ctx
     n_param = ctx.n_param
-    params = {"op": op_id, "Q": q_sector, "k": k, "j": j,
-              "kind": ctx.rep.kind, "N": n_param, "L": ctx.length}
+    params = {"op": op_id, "Q": q_sector, "k": k, "j": j, **_base_params(store)}
     cring = cyclo_ring(n_param)
     lhs = store.get(op_id, k * n_param + q_sector, NORM_OMEGA, cring) \
         @ store.get(op_id, j * n_param, NORM_OMEGA, cring)
@@ -329,8 +327,7 @@ def check_cross_normalization(store: DividedPowerStore, n: int,
         else _diag_power(ctx, -n)
     out = []
     for pm_id, bar_id, side, signed, edge in _CROSS_RELATIONS:
-        params = {"pm": pm_id, "bar": bar_id, "n": n,
-                  "kind": ctx.rep.kind, "N": ctx.n_param, "L": length,
+        params = {"pm": pm_id, "bar": bar_id, "n": n, **_base_params(store),
                   "ring": ring.kind}
         pm = store.get(pm_id, n, NORM_Q, ring)
         bar = store.get(bar_id, n, NORM_OMEGA, ring)
@@ -379,18 +376,13 @@ REGISTRY.register(
 )
 
 
-def _chain_params(ctx: ChainContext, ring) -> dict:
-    return {"kind": ctx.rep.kind, "N": ctx.n_param, "L": ctx.length,
-            "ring": ring.kind}
-
-
 def check_chain_chevalley(store: DividedPowerStore,
                           ring=LAURENT_RING) -> list[IdentityCheck]:
     """Level-zero relations of the global generators, reported one by one."""
     ctx = store.ctx
     op = {name: store.get(name, 1, NORM_Q, ring)
           for name in ("E0", "E1", "F0", "F1", "K", "K_inv", "A_L", "A_L_inv")}
-    base = _chain_params(ctx, ring)
+    base = dict(_base_params(store), ring=ring.kind)
     out = []
     q2 = LaurentPoly.q_power(2)
     qm2 = LaurentPoly.q_power(-2)
@@ -434,7 +426,7 @@ def check_half_clock_commutation(store: DividedPowerStore,
             f"backend {ctx.rep.kind!r} wraps clock labels; it has no barred "
             "operators")
     a_inv_half = store.get("A_L_half_inv", 1, NORM_Q, ring)
-    base = _chain_params(ctx, ring)
+    base = dict(_base_params(store), ring=ring.kind)
     minus_q = ring.coerce(-LaurentPoly.q_power(1))
     out = []
     for name in ("C0bar", "CL1bar", "B1bar", "BLbar"):

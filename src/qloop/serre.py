@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .divpow import NORM_OMEGA, NORM_Q, DividedPowerStore, check_mulo
+from .divpow import NORM_OMEGA, NORM_Q, DividedPowerStore, _base_params, check_mulo
 from .identity import REGISTRY, NONZERO, IdentityCheck, format_check_id, make_check
 from .qcomb import c_coefficient_poly
 from .repchain import (
@@ -135,11 +135,6 @@ def _sum_specs(specs, store: DividedPowerStore, normalization: str,
         op = _scaled(_word_operator(store, word, normalization, ring), coeff, ring)
         total = op if total is None else total + op
     return total
-
-
-def _base_params(store: DividedPowerStore) -> dict:
-    ctx = store.ctx
-    return {"kind": ctx.rep.kind, "N": ctx.n_param, "L": ctx.length}
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,8 @@ E_PAIR = ("E0", "E1")
 F_PAIR = ("F0", "F1")
 
 
-def _store(n_param=2, length=4, kind="spin_half"):
-    return make_store(ChainContext(build_site_rep(kind, n_param), length))
+def _store(n_param=2, length=4, kind="spin_half", params=None):
+    return make_store(ChainContext(build_site_rep(kind, n_param, params), length))
 
 
 # the heavier chains, shared across tests
@@ -296,10 +296,10 @@ def test_site_suite_statuses_match_plus_minus_suite():
 
 
 def test_site_suite_rejects_bad_side_and_backend():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown side"):
         check_site_suite(STORE_27, 1, "both_ends")
-    with pytest.raises(ValueError):
-        check_site_suite(_store(3, 2, "cyclic"), 1, "one_zero")
+    with pytest.raises(ValueError, match="wrap-free backend"):
+        check_site_suite(_store(3, 2, "cyclic", {"c": 0}), 1, "one_zero")
 
 
 # ---------------------------------------------------------------------------
