@@ -6,9 +6,10 @@ sector.  Three engines cover the scalar rings:
 * DictBlock    -- column-major nested dicts; any exact scalar that supports
                   +, *, unary -.  Used for symbolic (Laurent) construction
                   and for Phi-adic audits.
-* CycloBlock   -- dense (rows, cols, D) integer coordinate arrays over
-                  Z[q]/Phi_2N; products are D^2 integer matmuls followed by
-                  one linear reduction of the overflow coordinates.
+* CycloBlock   -- dense (rows, cols, D) coordinate arrays over Z[q]/Phi_2N,
+                  int64 with an exact object-dtype fallback; a product is
+                  one integer matmul against the right operand's entries
+                  embedded as D x D multiplication matrices.
 * ComplexBlock -- dense complex128, float smoke mode only.
 
 Blocks are immutable by convention: every operation returns a new block.
@@ -148,12 +149,23 @@ class DictBlock:
 
 
 @lru_cache(maxsize=None)
-def _reduction_matrix(n_param: int) -> np.ndarray:
-    """(2D-1, D) map from raw convolution coordinates q^0..q^(2D-2) back to
-    the canonical basis; row k is the power table entry for q^k."""
+def _mult_tensor(n_param: int) -> tuple[np.ndarray, int]:
+    """The multiplication tensor T of Z[q]/Phi_2N, q^i q^j = sum_o T[i,j,o] q^o,
+    as a read-only (D, D*D) int64 matrix with row i and column (j, o), and
+    its weight max_o sum_{i,j} |T[i,j,o]|.
+
+    T is symmetric in i and j, so a coordinate vector b times this matrix,
+    reshaped to (D, D), is the multiplication matrix of b: row j holds the
+    coordinates of b q^j.
+    """
     ring = CycloRing(n_param)
     d = ring.degree
-    return np.array([ring.powtab[k] for k in range(2 * d - 1)], dtype=np.int64)
+    t = np.array([[ring.powtab[i + j] for j in range(d)] for i in range(d)],
+                 dtype=np.int64)
+    weight = int(np.abs(t).sum(axis=(0, 1)).max(initial=1))
+    t = t.reshape(d, d * d)
+    t.setflags(write=False)
+    return t, weight
 
 
 def _as_coord_array(nrows, ncols, d, coords_entries):
@@ -175,45 +187,26 @@ def _max_abs(arr: np.ndarray) -> int:
     return int(np.abs(arr).max(initial=0))
 
 
-def _convolve(ring: CycloRing, a: np.ndarray, b: np.ndarray, product,
-              shape: tuple[int, int], inner: int) -> "CycloBlock":
-    """sum_{i,j} product(a_i, b_j) q^(i+j), reduced mod Phi_2N.
+def _product(ring: CycloRing, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (r, c, D) coordinates of the block product of a (r, k, D) and
+    b (k, c, D) over Z[q]/Phi_2N, as one integer matmul.
 
-    a and b are coordinate arrays (last axis: the D coordinates); product
-    multiplies two coordinate slices into a `shape` array, each entry a
-    sum of at most `inner` scalar products.  Runs in int64 while the
-    worst-case coordinate stays below INT64_SAFE, in exact Python ints
-    (object dtype) otherwise.
+    Each entry of b is embedded as its D x D multiplication matrix, so b
+    becomes a (k*D, c*D) integer matrix and a is read as (r, k*D).  Every
+    partial sum, the embedding's included, is bounded by
+    k * max|a| * max|b| * weight(T); the product runs in int64 while that
+    bound stays below INT64_SAFE and in exact Python ints (object dtype)
+    otherwise.
     """
-    d = ring.degree
-    red = _reduction_matrix(ring.n_param)
-    bound = (2 * d - 1) * int(red.max(initial=1)) * d * max(inner, 1) \
-        * max(_max_abs(a), 1) * max(_max_abs(b), 1)
-    fast = bound < INT64_SAFE and a.dtype != object and b.dtype != object
-    if not fast:
-        a = a.astype(object)
-        b = b.astype(object)
-    raw = np.zeros(shape + (2 * d - 1,), dtype=np.int64 if fast else object)
-    for i in range(d):
-        ai = a[:, :, i]
-        if not np.any(ai != 0):
-            continue
-        for j in range(d):
-            bj = b[:, :, j]
-            if not np.any(bj != 0):
-                continue
-            raw[:, :, i + j] += product(ai, bj)
-    if fast:
-        return CycloBlock(ring, np.einsum("rck,kd->rcd", raw, red))
-    out = np.zeros(shape + (d,), dtype=object)
-    for k in range(2 * d - 1):
-        rk = raw[:, :, k]
-        if not np.any(rk != 0):
-            continue
-        for col in range(d):
-            if red[k, col]:
-                out[:, :, col] += rk * int(red[k, col])
-    return CycloBlock(ring, out)
+    r, k, d = a.shape
+    c = b.shape[1]
+    tensor, weight = _mult_tensor(ring.n_param)
+    bound = max(k, 1) * max(_max_abs(a), 1) * max(_max_abs(b), 1) * weight
+    if bound >= INT64_SAFE or a.dtype == object or b.dtype == object:
+        a, b, tensor = a.astype(object), b.astype(object), tensor.astype(object)
+    embedded = (b.reshape(k * c, d) @ tensor).reshape(k, c, d, d)
+    embedded = embedded.transpose(0, 2, 1, 3).reshape(k * d, c * d)
+    return (a.reshape(r, k * d) @ embedded).reshape(r, c, d)
 
 
 class CycloBlock:
@@ -247,20 +240,18 @@ class CycloBlock:
         return out
 
     def nnz(self) -> int:
-        return int(np.any(self.arr != 0, axis=2).sum())
+        return int(np.count_nonzero(self.arr.any(axis=2)))
 
     def is_zero(self) -> bool:
-        return not np.any(self.arr != 0)
+        return not self.arr.any()
 
     def eq(self, other: "CycloBlock") -> bool:
-        return self.shape == other.shape and not np.any(self.arr != other.arr)
+        return self.shape == other.shape and np.array_equal(self.arr, other.arr)
 
     def matmul(self, other: "CycloBlock") -> "CycloBlock":
         if self.arr.shape[1] != other.arr.shape[0]:
             raise ValueError("shape mismatch in block product")
-        return _convolve(self.ring, self.arr, other.arr, np.dot,
-                         (self.arr.shape[0], other.arr.shape[1]),
-                         self.arr.shape[1])
+        return CycloBlock(self.ring, _product(self.ring, self.arr, other.arr))
 
     def add(self, other: "CycloBlock") -> "CycloBlock":
         if self.shape != other.shape:
@@ -287,10 +278,11 @@ class CycloBlock:
             return CycloBlock(self.ring, arr * scalar)
         if not isinstance(scalar, CycloElem):
             raise TypeError(f"cannot scale CycloBlock by {type(scalar).__name__}")
-        d = self.ring.degree
+        # an (r*c, 1) column times the 1 x 1 block of the scalar
+        rows, cols, d = self.arr.shape
         coords = _as_coord_array(1, 1, d, [(0, 0, scalar.coords)])
-        return _convolve(self.ring, self.arr, coords, np.multiply,
-                         self.shape, 1)
+        out = _product(self.ring, self.arr.reshape(rows * cols, 1, d), coords)
+        return CycloBlock(self.ring, out.reshape(rows, cols, d))
 
     def __repr__(self):
         return f"CycloBlock({self.shape[0]}x{self.shape[1]}, N={self.ring.n_param})"

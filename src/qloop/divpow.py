@@ -26,7 +26,6 @@ from .repchain import (
     WrapInconsistency,
     build_barred_ops,
     build_chain_generators,
-    diagonal_operator,
     evaluate_zero_identity,
     identity_operator,
     make_block,
@@ -322,9 +321,7 @@ def check_cross_normalization(store: DividedPowerStore, n: int,
     ctx = store.ctx
     ring = ring if ring is not None else cyclo_ring(ctx.n_param)
     length = ctx.length
-    a_minus_half_n = specialize_operator(
-        _diag_power(ctx, -n), ring) if not isinstance(ring, LaurentRing) \
-        else _diag_power(ctx, -n)
+    a_minus_half_n = store.get("A_L_half_inv", 1, NORM_Q, ring).power(n)
     out = []
     for pm_id, bar_id, side, signed, edge in _CROSS_RELATIONS:
         params = {"pm": pm_id, "bar": bar_id, "n": n, **_base_params(store),
@@ -436,10 +433,3 @@ def check_half_clock_commutation(store: DividedPowerStore,
             "chain.half-clock-commutation", dict(base, op=name),
             [left @ right, (right @ left).scale(minus_q)], ring))
     return out
-
-
-def _diag_power(ctx: ChainContext, n_half: int) -> GradedOperator:
-    """A^(n_half/2) as a symbolic diagonal, n_half any integer."""
-    return diagonal_operator(
-        ctx, LAURENT_RING,
-        lambda s: LaurentPoly.q_power(n_half * ctx.grade_of[s]))

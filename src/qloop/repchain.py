@@ -463,8 +463,10 @@ class GradedOperator:
                               {g: b.scale(scalar) for g, b in self.blocks.items()})
 
     def power(self, n: int) -> "GradedOperator":
-        out = identity_operator(self.ctx, self.ring)
-        for _ in range(n):
+        if n < 1:
+            return identity_operator(self.ctx, self.ring)
+        out = self
+        for _ in range(n - 1):
             out = self @ out
         return out
 

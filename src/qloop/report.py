@@ -240,19 +240,26 @@ class RunConfig:
 
 class _RunEnv:
     """The divided-power store (and through it the chain) shared by every
-    job of a run."""
+    job of a run.  A rescaled env scales every site representation it
+    builds, the run's own and any a job builds for itself."""
 
     def __init__(self, config: RunConfig, rescale: bool = False):
-        params = {"c": 0} if config.backend == "cyclic" else None
+        self.config = config
+        self.rescale = rescale
         try:
-            rep = build_site_rep(config.backend, config.n_param, params)
+            rep = self.site_rep(config.backend)
         except (UnsupportedKind, InvalidParams) as exc:
             raise ConfigError(str(exc)) from None
-        if rescale:
-            rep = rescaled_rep(rep, LaurentPoly.q_power(3), LaurentPoly({1: -1}))
-        self.config = config
         cache = OperatorCache(config.cache_dir) if config.cache_dir else DISABLED_CACHE
         self.store = make_store(ChainContext(rep, config.length), cache)
+
+    def site_rep(self, kind: str):
+        """The run's site representation of `kind`, rescaled when the env is."""
+        params = {"c": 0} if kind == "cyclic" else None
+        rep = build_site_rep(kind, self.config.n_param, params)
+        if self.rescale:
+            rep = rescaled_rep(rep, LaurentPoly.q_power(3), LaurentPoly({1: -1}))
+        return rep
 
     def generic_ring(self, max_order: int = 0):
         """Ring for identities that hold at generic q."""
@@ -467,10 +474,10 @@ def _jobs_id1(env: _RunEnv) -> list[_Job]:
     return jobs
 
 
-def _g_forms_thunk(n: int) -> list[IdentityCheck]:
+def _g_forms_thunk(env: _RunEnv) -> list[IdentityCheck]:
     # the resummation is a polynomial identity: one small spin_half chain
     # of length 4 carries it, whatever the run's backend and length
-    store = make_store(ChainContext(build_site_rep("spin_half", n), 4))
+    store = make_store(ChainContext(env.site_rep("spin_half"), 4))
     return [check_g_forms(store, 1, 3, branch) for branch in ("full", "truncated")]
 
 
@@ -495,7 +502,7 @@ def _jobs_id2(env: _RunEnv) -> list[_Job]:
                 for pair in (_E_PAIR, _F_PAIR)
             ],
         ))
-    jobs.append(_Job("id2/g-forms", "id2", lambda: _g_forms_thunk(n)))
+    jobs.append(_Job("id2/g-forms", "id2", lambda: _g_forms_thunk(env)))
     return jobs
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 
 class NotDivisible(ArithmeticError):
@@ -251,6 +252,35 @@ LAURENT_ZERO = LaurentPoly(0)
 LAURENT_ONE = LaurentPoly(1)
 
 
+# divisors whose inverses one cyclotomic ring keeps before starting afresh
+_INVERSE_MEMO_LIMIT = 4096
+
+
+def _integer_inverse(m: list[list[int]]) -> tuple[list[list[int]], int]:
+    """(P, den) with m^-1 = P / den, P integral and den > 0 the least common
+    denominator of m^-1.  Gauss-Jordan in exact fractions; NotDivisible
+    when m is singular."""
+    d = len(m)
+    rows = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(d)]
+            for i, row in enumerate(m)]
+    for col in range(d):
+        piv = next((r for r in range(col, d) if rows[r][col] != 0), None)
+        if piv is None:
+            raise NotDivisible("singular multiplication matrix")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv = 1 / rows[col][col]
+        rows[col] = [x * inv for x in rows[col]]
+        for r in range(d):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    denom = 1
+    for row in rows:
+        for x in row[d:]:
+            denom = lcm(denom, x.denominator)
+    return [[int(x * denom) for x in row[d:]] for row in rows], denom
+
+
 # ---------------------------------------------------------------------------
 # CycloRing / CycloElem
 
@@ -351,6 +381,8 @@ class CycloRing:
         self.one = CycloElem(self, powtab[0])
         self.q = CycloElem(self, powtab[1])
         self.omega = CycloElem(self, powtab[2 % self.order])
+        # divisor coords -> its integer inverse, see divexact
+        self._inverses: dict[tuple[int, ...], tuple] = {}
 
     def coerce(self, x) -> CycloElem:
         if isinstance(x, CycloElem):
@@ -412,29 +444,20 @@ class CycloRing:
             raise ZeroDivisionError("division by zero in cyclotomic ring")
         if a.is_zero():
             return self.zero
-        d = self.degree
-        m = [[Fraction(v) for v in row] for row in self.mult_matrix(b)]
-        rhs = [Fraction(v) for v in a.coords]
-        # Gaussian elimination with exact fractions; d <= phi(2N) is tiny.
-        for col in range(d):
-            piv = next((r for r in range(col, d) if m[r][col] != 0), None)
-            if piv is None:
-                raise NotDivisible("singular multiplication matrix")
-            m[col], m[piv] = m[piv], m[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
-            inv = 1 / m[col][col]
-            m[col] = [x * inv for x in m[col]]
-            rhs[col] *= inv
-            for r in range(d):
-                if r != col and m[r][col]:
-                    f = m[r][col]
-                    m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-                    rhs[r] -= f * rhs[col]
+        inverse = self._inverses.get(b.coords)
+        if inverse is None:
+            inverse = _integer_inverse(self.mult_matrix(b))
+            if len(self._inverses) >= _INVERSE_MEMO_LIMIT:
+                self._inverses.clear()
+            # a racing thread stores the same value, so no lock is needed
+            self._inverses[b.coords] = inverse
+        numer, denom = inverse
         coords = []
-        for x in rhs:
-            if x.denominator != 1:
+        for row in numer:
+            y = sum(m * v for m, v in zip(row, a.coords))
+            if y % denom:
                 raise NotDivisible("quotient is not an algebraic integer combination")
-            coords.append(int(x))
+            coords.append(y // denom)
         return CycloElem(self, tuple(coords))
 
     def __repr__(self):
@@ -460,16 +483,22 @@ class PhiAdicElem:
     the element is only known modulo Phi^prec.
     """
 
-    __slots__ = ("ring", "poly", "prec")
+    __slots__ = ("ring", "poly", "prec", "_valuation")
 
     def __init__(self, ring: "PhiAdicRing", poly: tuple[int, ...], prec: int | None = None):
         self.ring = ring
         p = ring.trunc_order + 1 if prec is None else prec
         self.prec = max(0, min(p, ring.trunc_order + 1))
         self.poly = poly
+        self._valuation: int | None = None
 
     def valuation(self) -> int:
         """Largest v <= prec with Phi^v dividing this element exactly."""
+        if self._valuation is None:
+            self._valuation = self._compute_valuation()
+        return self._valuation
+
+    def _compute_valuation(self) -> int:
         v = 0
         cur = list(self.poly)
         while v < self.prec and cur:
@@ -575,6 +604,7 @@ class PhiAdicRing:
         self.phi_elem = PhiAdicElem(self, self._reduce(phi))
         self.qinv = self._compute_qinv()
         self._qinv_powers: dict[int, PhiAdicElem] = {}
+        self._divisors: dict[tuple, tuple[int, tuple[int, ...], CycloElem]] = {}
 
     def _reduce(self, coeffs: list[int]) -> tuple[int, ...]:
         _, rem = _divmod_by_monic(list(coeffs), self._modulus)
@@ -647,21 +677,18 @@ class PhiAdicRing:
         digit by digit so a non-multiple raises NotDivisible."""
         if b.is_zero():
             raise ZeroDivisionError("division by (known-)zero phi-adic element")
-        v = b.valuation()
+        v, bshift, unit0 = self._divisor(b)
         prec = min(a.prec, b.prec) - v
         if prec < 1:
             raise TruncationOverflow("no valid digits left after division; raise K")
         if a.valuation() < v:
             raise NotDivisible("dividend valuation below divisor valuation")
         phi = list(self.cyclo.phi)
-        bshift = list(b.poly)
         ashift = list(a.poly)
         for _ in range(v):
-            bshift, rb = _divmod_by_monic(bshift, phi)
             ashift, ra = _divmod_by_monic(ashift, phi)
-            if rb or ra:
+            if ra:
                 raise InternalInconsistency("valuation bookkeeping out of step")
-        unit0 = PhiAdicElem(self, tuple(bshift)).digit(0)
         rem = ashift
         quot_poly: list[int] = []
         phi_j = [1]
@@ -689,6 +716,22 @@ class PhiAdicRing:
                 quot_poly = _poly_trim(quot_list)
             phi_j = _poly_mul(phi_j, phi)
         return PhiAdicElem(self, self._reduce(quot_poly), prec)
+
+    def _divisor(self, b: PhiAdicElem) -> tuple[int, tuple[int, ...], CycloElem]:
+        """(valuation, b / Phi^valuation, its digit 0), once per divisor: an
+        operator's entries all share one divisor."""
+        key = (b.poly, b.prec)
+        out = self._divisors.get(key)
+        if out is None:
+            v = b.valuation()
+            bshift = list(b.poly)
+            for _ in range(v):
+                bshift, rb = _divmod_by_monic(bshift, self.cyclo.phi)
+                if rb:
+                    raise InternalInconsistency("valuation bookkeeping out of step")
+            unit0 = PhiAdicElem(self, tuple(bshift)).digit(0)
+            out = self._divisors[key] = (v, tuple(bshift), unit0)
+        return out
 
     def specialize(self, a: PhiAdicElem) -> CycloElem:
         """Digit zero, i.e. the image in Z[q]/Phi_2N."""

@@ -121,20 +121,36 @@ def _scaled(op: GradedOperator, coeff, ring) -> GradedOperator:
     return op.scale(ring.coerce(coeff))
 
 
+def _spec_terms(specs, store: DividedPowerStore, normalization: str, ring,
+                words: dict | None = None) -> list[GradedOperator]:
+    """The scaled word operators of (coeff, word) specs.  Pass one `words`
+    dict to several calls to build each word operator only once."""
+    words = {} if words is None else words
+    terms = []
+    for coeff, word in specs:
+        op = words.get(word)
+        if op is None:
+            op = words[word] = _word_operator(store, word, normalization, ring)
+        terms.append(_scaled(op, coeff, ring))
+    return terms
+
+
+def _total(terms) -> GradedOperator:
+    total = terms[0]
+    for op in terms[1:]:
+        total = total + op
+    return total
+
+
 def _evaluate_specs(family: str, params: dict, specs, store: DividedPowerStore,
                     normalization: str, ring) -> IdentityCheck:
-    terms = [_scaled(_word_operator(store, word, normalization, ring), coeff, ring)
-             for coeff, word in specs]
-    return evaluate_zero_identity(family, params, terms, ring)
+    return evaluate_zero_identity(
+        family, params, _spec_terms(specs, store, normalization, ring), ring)
 
 
 def _sum_specs(specs, store: DividedPowerStore, normalization: str,
                ring) -> GradedOperator:
-    total = None
-    for coeff, word in specs:
-        op = _scaled(_word_operator(store, word, normalization, ring), coeff, ring)
-        total = op if total is None else total + op
-    return total
+    return _total(_spec_terms(specs, store, normalization, ring))
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +353,15 @@ def _three_term(store: DividedPowerStore, q_sector: int, branch: str,
     ]
     params = {"roles": roles, "branch": branch, "Q": q_sector,
               **_base_params(store)}
-    check = _evaluate_specs("serre.three-term", params, hand, store, NORM_Q, ring)
-    # the same residual must come out of the general wide-ladder builder
-    general = _ladder_wide_specs(i_id, j_id, q_sector,
-                                 2 * n_param + q_sector, n_param)
-    if not (_sum_specs(hand, store, NORM_Q, ring)
-            == _sum_specs(general, store, NORM_Q, ring)):
+    words: dict = {}
+    terms = _spec_terms(hand, store, NORM_Q, ring, words)
+    check = evaluate_zero_identity("serre.three-term", params, terms, ring)
+    # the same residual must come out of the general wide-ladder builder,
+    # whose words are the hand-written ones
+    general = _spec_terms(
+        _ladder_wide_specs(i_id, j_id, q_sector, 2 * n_param + q_sector, n_param),
+        store, NORM_Q, ring, words)
+    if not _total(terms) == _total(general):
         raise InternalInconsistency(
             "three-term residual differs from its wide-ladder instance")
     check.extra["matches_wide_ladder"] = True

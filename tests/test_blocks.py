@@ -4,10 +4,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qloop.blocks import INT64_SAFE, ComplexBlock, CycloBlock, DictBlock
 from qloop.rings import (
     LAURENT_RING,
+    CycloElem,
     FloatRing,
     LaurentPoly,
     cyclo_ring,
@@ -142,6 +145,84 @@ def test_cyclo_block_scale_by_huge_elem_falls_back():
     got = {(r, c): v for r, c, v in scaled.entries()}
     assert got == {k: v for k, v in want.items() if v}
     assert any(abs(x) >= big for v in got.values() for x in v.coords)
+
+
+# coordinates small enough for int64, large enough that a product's bound
+# leaves it, and either side of INT64_SAFE on entry
+_COORD = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.integers(-2**33, 2**33),
+    st.integers(INT64_SAFE - 2, INT64_SAFE + 1).flatmap(
+        lambda x: st.sampled_from([x, -x])),
+)
+
+
+@st.composite
+def _cyclo_blocks(draw, shapes):
+    ring = cyclo_ring(draw(st.sampled_from([2, 3, 4, 5, 6])))
+
+    def block(nrows, ncols):
+        triples = [(r, c, CycloElem(ring, tuple(draw(_COORD)
+                                                for _ in range(ring.degree))))
+                   for r in range(nrows) for c in range(ncols)]
+        return CycloBlock.from_entries(ring, nrows, ncols, triples)
+
+    dims = [draw(st.integers(1, 4)) for _ in range(shapes + 1)]
+    return [block(dims[i], dims[i + 1]) for i in range(shapes)]
+
+
+def _elem(block, r, c):
+    return CycloElem(block.ring, tuple(int(x) for x in block.arr[r, c]))
+
+
+def _as_dict(block):
+    return {(r, c): v.coords for r, c, v in block.entries()}
+
+
+def _coords_below(block, bound):
+    return all(abs(int(x)) < bound for x in block.arr.flat)
+
+
+@given(_cyclo_blocks(2))
+@settings(max_examples=150, deadline=None)
+def test_cyclo_matmul_matches_entrywise_ring_mul(blocks):
+    a, b = blocks
+    ring = a.ring
+    want = {}
+    for r in range(a.shape[0]):
+        for c in range(b.shape[1]):
+            acc = ring.zero
+            for k in range(a.shape[1]):
+                acc = acc + ring.mul(_elem(a, r, k), _elem(b, k, c))
+            if acc:
+                want[(r, c)] = acc.coords
+    prod = a.matmul(b)
+    assert _as_dict(prod) == want
+    assert prod.shape == (a.shape[0], b.shape[1])
+    if a.arr.dtype == object or b.arr.dtype == object:
+        assert prod.arr.dtype == object
+    if _coords_below(a, 2**20) and _coords_below(b, 2**20):
+        assert prod.arr.dtype == np.int64
+
+
+@given(_cyclo_blocks(1), st.lists(_COORD, min_size=6, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_cyclo_scale_matches_entrywise_ring_mul(blocks, coords):
+    a, = blocks
+    ring = a.ring
+    s = CycloElem(ring, tuple(coords[:ring.degree]))
+    want = {}
+    for r in range(a.shape[0]):
+        for c in range(a.shape[1]):
+            v = ring.mul(_elem(a, r, c), s)
+            if v:
+                want[(r, c)] = v.coords
+    scaled = a.scale(s)
+    assert _as_dict(scaled) == want
+    assert scaled.shape == a.shape
+    if _coords_below(a, 2**20) and all(abs(x) < 2**20 for x in s.coords):
+        assert scaled.arr.dtype == np.int64
 
 
 def test_specialization_commutes_with_product():

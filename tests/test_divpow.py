@@ -30,6 +30,7 @@ from qloop.repchain import (
     ChainContext,
     build_chain_generators,
     build_site_rep,
+    diagonal_operator,
     specialize_operator,
 )
 from qloop.rings import (
@@ -172,6 +173,25 @@ def test_cross_normalization(n_param, length):
     # the derivation uses only exchange laws, so generic q works too
     for check in check_cross_normalization(store, 3, LAURENT_RING):
         assert check.status in (EXACT_ZERO, VACUOUS_ZERO)
+
+
+def test_cross_normalization_reads_the_half_clock_from_the_store(monkeypatch):
+    store = _store(_ctx("highest_weight", 3, 3))
+    ctx = store.ctx
+    for n in range(5):
+        want = diagonal_operator(
+            ctx, LAURENT_RING, lambda s: LaurentPoly.q_power(-n * ctx.grade_of[s]))
+        assert store.get("A_L_half_inv", 1, NORM_Q).power(n) == want
+    asked = []
+    real = store.get
+
+    def recording(op_id, n, normalization, ring=LAURENT_RING):
+        asked.append(op_id)
+        return real(op_id, n, normalization, ring)
+
+    monkeypatch.setattr(store, "get", recording)
+    assert all(check.ok for check in check_cross_normalization(store, 3))
+    assert "A_L_half_inv" in asked
 
 
 def test_store_memoizes_and_uses_disk(tmp_path):

@@ -20,7 +20,8 @@ from qloop.report import (
     run,
     strip_timing,
 )
-from qloop.rings import InternalInconsistency, NotDivisible
+from qloop.repchain import build_site_rep, rescaled_rep
+from qloop.rings import InternalInconsistency, LaurentPoly, NotDivisible
 from qloop.serre import InvalidRegime
 
 
@@ -187,6 +188,28 @@ def test_rescale_audit_statuses_unchanged():
     for audit in audits:
         assert audit.status == EXACT_ZERO
         assert audit.nontrivial["checks_compared"] > 0
+    assert doc.ok
+
+
+def test_rescale_audit_runs_g_forms_on_a_rescaled_chain(monkeypatch):
+    import qloop.report
+    real = qloop.report.check_g_forms
+    reps = []
+
+    def recording(store, *args, **kwargs):
+        reps.append(store.ctx.rep)
+        return real(store, *args, **kwargs)
+
+    monkeypatch.setattr(qloop.report, "check_g_forms", recording)
+    doc = run(RunConfig(n_param=2, length=3, q_sectors=(1,), suites=("id2",),
+                        rescale_audit=True))
+    plain = build_site_rep("spin_half", 2)
+    scaled = rescaled_rep(plain, LaurentPoly.q_power(3), LaurentPoly({1: -1}))
+    # both branches on the run's plain chain, then on the audit's chain
+    assert [(rep.e_pr, rep.f_pr) for rep in reps] == \
+        [(plain.e_pr, plain.f_pr)] * 2 + [(scaled.e_pr, scaled.f_pr)] * 2
+    audits = [c for c in doc.checks if c.family == "audit.rescale"]
+    assert [a.status for a in audits] == [EXACT_ZERO]
     assert doc.ok
 
 

@@ -3,17 +3,21 @@
 import gc
 import random
 import weakref
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qloop import rings
 from qloop.rings import (
+    CycloElem,
     CycloRing,
     FloatRing,
     LaurentPoly,
     LaurentRing,
     NotDivisible,
+    PhiAdicElem,
     PhiAdicRing,
     TruncationOverflow,
     cyclo_ring,
@@ -155,6 +159,68 @@ def test_cyclo_division_inexact():
         cyclo.divexact(two, cyclo.zero)
 
 
+def _fraction_solve(ring, a, b):
+    """The rational x with x*b = a, by Gaussian elimination on b's
+    multiplication matrix in exact fractions (the reference route)."""
+    d = ring.degree
+    m = [[Fraction(v) for v in row] for row in ring.mult_matrix(b)]
+    rhs = [Fraction(v) for v in a.coords]
+    for col in range(d):
+        piv = next(r for r in range(col, d) if m[r][col] != 0)
+        m[col], m[piv] = m[piv], m[col]
+        rhs[col], rhs[piv] = rhs[piv], rhs[col]
+        inv = 1 / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        rhs[col] *= inv
+        for r in range(d):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+                rhs[r] -= f * rhs[col]
+    return rhs
+
+
+def _check_divexact(ring, a, b):
+    want = _fraction_solve(ring, a, b)
+    if all(x.denominator == 1 for x in want):
+        assert ring.divexact(a, b).coords == tuple(int(x) for x in want)
+    else:
+        with pytest.raises(NotDivisible):
+            ring.divexact(a, b)
+
+
+_small_coords = st.lists(st.integers(-6, 6), min_size=6, max_size=6)
+
+
+@given(st.sampled_from([2, 3, 4, 5, 6, 7]), _small_coords, _small_coords,
+       st.lists(_small_coords, min_size=1, max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_cyclo_divexact_matches_fraction_solve(n_param, b_coords, x_coords,
+                                               dividends):
+    ring = cyclo_ring(n_param)
+    d = ring.degree
+    b = CycloElem(ring, tuple(b_coords[:d]))
+    if b.is_zero():
+        return
+    x = CycloElem(ring, tuple(x_coords[:d]))
+    assert ring.divexact(x * b, b) == x
+    # the same divisor again, for divisible and non-divisible dividends
+    for coords in dividends:
+        _check_divexact(ring, CycloElem(ring, tuple(coords[:d])), b)
+    _check_divexact(ring, x * b + ring.one, b)
+    assert ring.divexact(x * b, b) == x
+
+
+def test_cyclo_divexact_memo_stays_bounded(monkeypatch):
+    monkeypatch.setattr(rings, "_INVERSE_MEMO_LIMIT", 2)
+    ring = CycloRing(3)
+    x = ring.from_laurent(LaurentPoly({0: 2, 1: -1}))
+    for k in range(2, 8):
+        b = ring.from_laurent(LaurentPoly({0: k, 1: 1}))
+        assert ring.divexact(x * b, b) == x
+        assert len(ring._inverses) <= 2
+
+
 def test_cyclo_root_of_unity_facts():
     for n_param in (2, 3, 4, 6):
         cyclo = cyclo_ring(n_param)
@@ -206,6 +272,35 @@ def test_phi_adic_ring_is_collected_after_use():
     del adic
     gc.collect()
     assert ref() is None
+
+
+@given(st.sampled_from([2, 3, 4]), st.integers(0, 2), st.integers(1, 2),
+       st.lists(st.tuples(st.integers(0, 3), laurent_strategy), min_size=1,
+                max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_phi_adic_division_by_one_divisor_matches_fresh_rings(
+        n_param, v, spare_digits, entries):
+    # one ring divides many entries by one divisor, as an operator does;
+    # each outcome must equal a division on a ring that has seen nothing
+    trunc = v + spare_digits
+    adic = PhiAdicRing(n_param, trunc)
+    divisor = adic.embed(LaurentPoly({0: 2, 1: 1}))
+    for _ in range(v):
+        divisor = divisor * adic.phi_elem
+    for power, unit in entries:
+        a = adic.embed(unit)
+        for _ in range(power):
+            a = a * adic.phi_elem
+        fresh = PhiAdicRing(n_param, trunc)
+        try:
+            want = fresh.divexact(PhiAdicElem(fresh, a.poly, a.prec),
+                                  PhiAdicElem(fresh, divisor.poly, divisor.prec))
+        except (NotDivisible, TruncationOverflow) as exc:
+            with pytest.raises(type(exc)):
+                adic.divexact(a, divisor)
+            continue
+        got = adic.divexact(a, divisor)
+        assert (got.poly, got.prec) == (want.poly, want.prec)
 
 
 def test_phi_adic_precision_tracks_division():

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qloop.serre
+from qloop.blocks import CycloBlock
 from qloop.identity import EXACT_ZERO, NONZERO, VACUOUS_ZERO
 from qloop.repchain import ChainContext, build_site_rep, rescaled_rep
 from qloop.rings import LAURENT_RING, InternalInconsistency, LaurentPoly, cyclo_ring
@@ -13,6 +15,8 @@ from qloop.serre import (
     InvalidRegime,
     _evaluate_specs,
     _ladder_narrow_specs,
+    _ladder_wide_specs,
+    _word_operator,
     build_loop_generators,
     check_BCN,
     check_CBN,
@@ -219,6 +223,43 @@ def test_three_term_sign_tamper_detected():
     check = _evaluate_specs("serre.three-term", {"N": 2, "L": 5, "Q": 1},
                             specs, store, "q_fact", cyclo_ring(2))
     assert check.status == NONZERO
+
+
+def _count_cyclo_products(monkeypatch):
+    calls = []
+    real = CycloBlock.matmul
+
+    def counting(self, other):
+        calls.append(self.shape)
+        return real(self, other)
+
+    monkeypatch.setattr(CycloBlock, "matmul", counting)
+    return calls
+
+
+def test_three_term_builds_each_word_once(monkeypatch):
+    check_BCN(STORE_27, 1)  # fills and specializes every power it reads
+    calls = _count_cyclo_products(monkeypatch)
+    check = check_BCN(STORE_27, 1)
+    assert check.status == EXACT_ZERO
+    per_check = len(calls)
+    calls.clear()
+    ring = cyclo_ring(2)
+    for word in ((("E0", 5), ("E1", 1)),
+                 (("E0", 3), ("E1", 1), ("E0", 2)),
+                 (("E0", 1), ("E1", 1), ("E0", 4))):
+        _word_operator(STORE_27, word, "q_fact", ring)
+    assert per_check == len(calls) > 0
+
+
+def test_three_term_cross_check_still_compares_the_ladder(monkeypatch):
+    def tampered(*args):
+        (coeff, word), *rest = _ladder_wide_specs(*args)
+        return [(-coeff, word), *rest]
+
+    monkeypatch.setattr(qloop.serre, "_ladder_wide_specs", tampered)
+    with pytest.raises(InternalInconsistency):
+        check_BCN(STORE_27, 1)
 
 
 def test_three_term_rejects_bad_branch_and_sector():
