@@ -3,16 +3,17 @@
 A graded operator is a collection of rectangular blocks, one per source
 sector.  Three engines cover the scalar rings:
 
-* DictBlock    -- column-major nested dicts; any exact scalar that supports
-                  +, *, unary -.  Used for symbolic (Laurent) construction
-                  and for Phi-adic audits.
+* DictBlock    -- column-major nested dicts of Laurent or Phi-adic entries,
+                  whose truth value is their zero test.  Used for symbolic
+                  construction, site matrices and Phi-adic audits.
 * CycloBlock   -- dense (rows, cols, D) coordinate arrays over Z[q]/Phi_2N,
                   int64 with an exact object-dtype fallback; a product is
                   one integer matmul against the right operand's entries
                   embedded as D x D multiplication matrices.
 * ComplexBlock -- dense complex128, float smoke mode only.
 
-Blocks are immutable by convention: every operation returns a new block.
+make_block picks the engine for a ring.  Blocks are immutable by
+convention: every operation returns a new block.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rings import CycloElem, CycloRing, FloatRing, ring_is_zero
+from .rings import CycloElem, CycloRing, FloatRing
 
 INT64_SAFE = 2**62
 
@@ -49,7 +50,7 @@ class DictBlock:
     def from_entries(cls, ring, nrows, ncols, triples) -> "DictBlock":
         cols: dict = {}
         for r, c, v in triples:
-            if not ring_is_zero(ring, v):
+            if v:
                 cols.setdefault(c, {})[r] = v
         return cls(ring, nrows, ncols, cols)
 
@@ -89,7 +90,7 @@ class DictBlock:
                         acc[r] = acc[r] + prod
                     else:
                         acc[r] = prod
-            acc = {r: v for r, v in acc.items() if not ring_is_zero(ring, v)}
+            acc = {r: v for r, v in acc.items() if v}
             if acc:
                 out[c] = acc
         return DictBlock(ring, self.nrows, other.ncols, out)
@@ -103,10 +104,10 @@ class DictBlock:
             acol = out.setdefault(c, {})
             for r, v in bcol.items():
                 s = acol[r] + v if r in acol else v
-                if ring_is_zero(ring, s):
-                    acol.pop(r, None)
-                else:
+                if s:
                     acol[r] = s
+                else:
+                    acol.pop(r, None)
             if not acol:
                 del out[c]
         return DictBlock(ring, self.nrows, self.ncols, out)
@@ -120,25 +121,25 @@ class DictBlock:
         return self.add(other.neg())
 
     def scale(self, scalar) -> "DictBlock":
-        if ring_is_zero(self.ring, scalar):
+        if not scalar:
             return DictBlock(self.ring, self.nrows, self.ncols, {})
         return DictBlock(self.ring, self.nrows, self.ncols,
                          {c: {r: v * scalar for r, v in col.items()}
                           for c, col in self.cols.items()})
 
-    def map_values(self, fn, ring=None) -> "DictBlock":
-        """Entry-wise transform, re-pruning zeros (used by specialization)."""
-        ring = ring if ring is not None else self.ring
+    def map_values(self, fn) -> "DictBlock":
+        """Entry-wise transform within the ring, re-pruning zeros (used by
+        exact division)."""
         out: dict = {}
         for c, col in self.cols.items():
             new = {}
             for r, v in col.items():
                 w = fn(v)
-                if not ring_is_zero(ring, w):
+                if w:
                     new[r] = w
             if new:
                 out[c] = new
-        return DictBlock(ring, self.nrows, self.ncols, out)
+        return DictBlock(self.ring, self.nrows, self.ncols, out)
 
     def __repr__(self):
         return f"DictBlock({self.nrows}x{self.ncols}, nnz={self.nnz()})"
@@ -349,3 +350,12 @@ class ComplexBlock:
 
     def __repr__(self):
         return f"ComplexBlock({self.shape[0]}x{self.shape[1]})"
+
+
+def make_block(ring, nrows, ncols, triples):
+    """A block of `ring` entries, in the engine that ring uses."""
+    if isinstance(ring, CycloRing):
+        return CycloBlock.from_entries(ring, nrows, ncols, triples)
+    if isinstance(ring, FloatRing):
+        return ComplexBlock.from_entries(ring, nrows, ncols, triples)
+    return DictBlock.from_entries(ring, nrows, ncols, triples)

@@ -18,7 +18,8 @@ import threading
 from math import comb
 
 from .identity import EXACT_ZERO, VACUOUS_ZERO, IdentityCheck, REGISTRY
-from .opcache import DISABLED_CACHE, OperatorCache, make_key
+from .blocks import make_block
+from .opcache import DISABLED_CACHE, OperatorCache, make_key, rep_digest
 from .qcomb import TABLE, omega_int, q_int
 from .repchain import (
     ChainContext,
@@ -28,7 +29,6 @@ from .repchain import (
     build_chain_generators,
     evaluate_zero_identity,
     identity_operator,
-    make_block,
     specialize_operator,
 )
 from .rings import (
@@ -65,18 +65,17 @@ def factorial_poly(n: int, normalization: str) -> LaurentPoly:
 
 def _divide_entries(op: GradedOperator, divisor: LaurentPoly) -> GradedOperator:
     ring = op.ring
-    if isinstance(ring, LaurentRing):
-        div = lambda v: v.divexact(divisor)  # noqa: E731
-    elif isinstance(ring, PhiAdicRing):
-        d = ring.embed(divisor)
-        if d.is_zero():
-            raise TruncationOverflow(
-                "divisor is below resolution at this truncation order; "
-                "rebuild the ring with a larger K")
-        div = lambda v: ring.divexact(v, d)  # noqa: E731
-    else:
+    if not isinstance(ring, (LaurentRing, PhiAdicRing)):
         raise TypeError("divided powers need a symbolic-capable ring")
-    blocks = {g: b.map_values(div) for g, b in op.blocks.items()}
+    d = ring.coerce(divisor)
+    if ring.is_zero(d):
+        # the divisors are nonzero Laurent polynomials, so only a phi-adic
+        # embedding can lose one below its last digit
+        raise TruncationOverflow(
+            "divisor is below resolution at this truncation order; "
+            "rebuild the ring with a larger K")
+    blocks = {g: b.map_values(lambda v: ring.divexact(v, d))
+              for g, b in op.blocks.items()}
     return GradedOperator(op.ctx, ring, op.shift, blocks)
 
 
@@ -126,6 +125,7 @@ class DividedPowerStore:
     def __init__(self, ctx: ChainContext, cache: OperatorCache = DISABLED_CACHE):
         self.ctx = ctx
         self.cache = cache
+        self._rep_digest = rep_digest(ctx.rep)
         self._base: dict[str, GradedOperator] = {}
         self._memo: dict[tuple[str, str], list[GradedOperator]] = {}
         self._specialized: dict[tuple[str, str, int, CycloRing], GradedOperator] = {}
@@ -173,9 +173,8 @@ class DividedPowerStore:
                 identity_operator(self.ctx, LAURENT_RING), base]
         while len(seq) <= n:
             k = len(seq)
-            key = make_key(self.ctx.rep.kind, self.ctx.n_param,
-                           self.ctx.length, "laurent", op_id,
-                           normalization, k)
+            key = make_key(self._rep_digest, self.ctx.length, "laurent",
+                           op_id, normalization, k)
             cached = self.cache.load(key, self.ctx)
             if cached is None:
                 cached = _divided_step(base, seq[k - 1], k, normalization)

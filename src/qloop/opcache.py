@@ -1,5 +1,13 @@
 """Content-addressed on-disk cache for symbolically built operators.
 
+A key is a content address of the chain: the SHA-256 of a canonical
+rendering of its site representation (kind, N, clock labels, the four site
+matrices and the family parameters, see rep_digest), the chain length, and
+the operator, normalization and order.  Two chains share files only when
+they are the same chain, so a rescaled representation or a cyclic family
+with another c never reads another chain's powers.  The digest is stable
+across processes: it hashes text, never Python's salted hash().
+
 File format, all integers little-endian:
 
     8 bytes   magic "QLOOPOP1"
@@ -30,15 +38,27 @@ import tempfile
 from pathlib import Path
 
 from .blocks import DictBlock
-from .repchain import ChainContext, GradedOperator
+from .repchain import ChainContext, GradedOperator, SiteRep
 from .rings import LAURENT_RING, LaurentPoly
 
 MAGIC = b"QLOOPOP1"
 
 
-def make_key(backend: str, n_param: int, length: int, ring: str,
-             operator_id: str, normalization: str, order: int) -> str:
-    return (f"backend={backend}|N={n_param}|L={length}|ring={ring}"
+def rep_digest(rep: SiteRep) -> str:
+    """SHA-256 of a canonical rendering of a site representation."""
+    parts = [f"kind={rep.kind}", f"N={rep.n_param}", f"labels={rep.labels}"]
+    for name in ("e_pr", "f_pr", "k_pr", "z"):
+        block = getattr(rep, name)
+        cells = ";".join(f"{r},{c}:{v.render()}" for r, c, v in block.entries())
+        parts.append(f"{name}={block.nrows}x{block.ncols}[{cells}]")
+    parts += [f"{k}={rep.params[k]!r}" for k in sorted(rep.params)]
+    return hashlib.sha256("|".join(parts).encode()).hexdigest()
+
+
+def make_key(rep: str, length: int, ring: str, operator_id: str,
+             normalization: str, order: int) -> str:
+    """The cache key of one operator; rep is the chain's rep_digest."""
+    return (f"rep={rep}|L={length}|ring={ring}"
             f"|op={operator_id}|norm={normalization}|n={order}")
 
 
@@ -61,6 +81,8 @@ class _Reader:
 
     def take(self, fmt: str):
         size = struct.calcsize(fmt)
+        if self.pos + size > len(self.blob):
+            raise ValueError("truncated cache file")
         out = struct.unpack_from(fmt, self.blob, self.pos)
         self.pos += size
         return out

@@ -145,10 +145,8 @@ def q_factorial(n: int) -> LaurentPoly:
     return TABLE.q_factorial(n)
 
 
-def omega_factorial(n: int, n_param: int | None = None) -> LaurentPoly:
-    """omega-flavor factorial.  The polynomial does not depend on n_param;
-    the argument is accepted because callers often thread the modulus through."""
-    del n_param
+def omega_factorial(n: int) -> LaurentPoly:
+    """omega-flavor factorial; the polynomial does not depend on N."""
     return TABLE.omega_factorial(n)
 
 

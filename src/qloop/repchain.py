@@ -1,10 +1,13 @@
 """Site representations and graded chain operators.
 
-A site representation supplies four d x d matrices with LaurentPoly entries:
-a raising operator, a lowering operator, an invertible diagonal, and a clock
-diagonal whose eigenvalues are integer powers of w = q^2.  Chains of L sites
-are graded by the total clock exponent; every operator built here shifts that
-grading uniformly, which is what makes sector-block storage possible.
+A site representation supplies four d x d matrices, DictBlocks over
+LAURENT_RING: a raising operator, a lowering operator, an invertible
+diagonal, and a clock diagonal whose eigenvalues are integer powers of
+w = q^2.  Chains of L sites are graded by the total clock exponent; every
+operator built here shifts that grading uniformly, which is what makes
+sector-block storage possible.  The representation (kind, N, labels, the
+four matrices, params) is the chain's identity: the disk cache addresses a
+chain's operators by a digest of it (opcache.rep_digest) and the length.
 
 Clock labels are chosen per backend so that raising operators shift the total
 exponent by exactly -1 without wrapping (spin_half uses labels -1 and 0 for
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .blocks import ComplexBlock, CycloBlock, DictBlock
+from .blocks import DictBlock, make_block
 from .identity import (
     EXACT_ZERO,
     APPROX_ZERO,
@@ -30,15 +33,13 @@ from .identity import (
 )
 from .qcomb import q_int
 from .rings import (
+    LAURENT_ONE,
     LAURENT_RING,
-    CycloRing,
     FloatRing,
     InternalInconsistency,
     LaurentPoly,
     LaurentRing,
-    PhiAdicRing,
     cyclo_ring,
-    ring_is_zero,
 )
 
 
@@ -59,75 +60,33 @@ class WrapInconsistency(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# small dense matrices: {(row, col): LaurentPoly}, zero entries absent
+# site matrices: d x d DictBlocks over LAURENT_RING
 
 
-def smat_mul(a: dict, b: dict, dim: int) -> dict:
-    out: dict = {}
-    for (r, k), va in a.items():
-        for c in range(dim):
-            vb = b.get((k, c))
-            if vb is not None:
-                key = (r, c)
-                s = out.get(key, LaurentPoly(0)) + va * vb
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-    return out
+def _site_block(dim: int, entries: dict) -> DictBlock:
+    """A d x d site matrix from {(row, col): LaurentPoly}; zeros dropped."""
+    return DictBlock.from_entries(
+        LAURENT_RING, dim, dim, [(r, c, v) for (r, c), v in entries.items()])
 
 
-def smat_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for key, v in b.items():
-        s = out.get(key, LaurentPoly(0)) + v
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return out
+def _site_identity(dim: int) -> DictBlock:
+    return _site_block(dim, {(i, i): LAURENT_ONE for i in range(dim)})
 
 
-def smat_neg(a: dict) -> dict:
-    return {key: -v for key, v in a.items()}
-
-
-def smat_sub(a: dict, b: dict) -> dict:
-    return smat_add(a, smat_neg(b))
-
-
-def smat_scale(a: dict, s: LaurentPoly) -> dict:
-    if s.is_zero():
-        return {}
-    return {key: v * s for key, v in a.items()}
-
-
-def smat_identity(dim: int) -> dict:
-    one = LaurentPoly(1)
-    return {(i, i): one for i in range(dim)}
-
-
-def smat_pow(a: dict, n: int, dim: int) -> dict:
-    out = smat_identity(dim)
-    for _ in range(n):
-        out = smat_mul(out, a, dim)
-    return out
-
-
-def invert_diag(a: dict, dim: int) -> dict:
-    """Invert a diagonal matrix of +-monomials exactly."""
+def invert_diag(a: DictBlock) -> DictBlock:
+    """Invert a diagonal block of +-monomials exactly."""
     out = {}
-    for i in range(dim):
-        v = a.get((i, i))
+    for i in range(a.nrows):
+        v = a.cols.get(i, {}).get(i)
         if v is None or len(v.c) != 1:
             raise InvalidParams("diagonal inverse needs monomial entries")
         (e, coeff), = v.c.items()
         if coeff not in (1, -1):
             raise InvalidParams("diagonal inverse needs unit coefficients")
         out[(i, i)] = LaurentPoly.q_power(-e, coeff)
-    if any(r != c for r, c in a):
+    if a.nnz() != len(out):
         raise InvalidParams("matrix is not diagonal")
-    return out
+    return _site_block(a.nrows, out)
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +100,10 @@ class SiteRep:
     kind: str
     n_param: int
     dim: int
-    e_pr: dict
-    f_pr: dict
-    k_pr: dict
-    z: dict
+    e_pr: DictBlock
+    f_pr: DictBlock
+    k_pr: DictBlock
+    z: DictBlock
     labels: tuple[int, ...]         # clock exponent of each basis vector
     wrap_free: bool                 # shifts never wrap the clock labels
     params: dict = field(default_factory=dict)
@@ -161,22 +120,20 @@ def build_site_rep(kind: str, n_param: int, params: dict | None = None) -> SiteR
     if n_param < 2:
         raise InvalidParams("need N >= 2")
     params = dict(params or {})
+    rep_params = {}
     if kind == "spin_half":
+        d, labels, wrap_free = 2, (-1, 0), True
         e_pr = {(0, 1): LaurentPoly(1)}
         f_pr = {(1, 0): LaurentPoly(1)}
         k_pr = {(0, 0): LaurentPoly.q_power(1), (1, 1): LaurentPoly.q_power(-1)}
         z = {(0, 0): LaurentPoly.q_power(-2), (1, 1): LaurentPoly(1)}
-        return SiteRep(kind, n_param, 2, e_pr, f_pr, k_pr, z,
-                       labels=(-1, 0), wrap_free=True)
-    if kind == "highest_weight":
-        d = n_param
+    elif kind == "highest_weight":
+        d, labels, wrap_free = n_param, tuple(range(n_param)), True
         e_pr = {(n - 1, n): q_int(n_param - n) for n in range(1, d)}
         f_pr = {(n + 1, n): q_int(n + 1) for n in range(d - 1)}
         k_pr = {(n, n): LaurentPoly.q_power(n_param - 1 - 2 * n) for n in range(d)}
         z = {(n, n): LaurentPoly.q_power(2 * n) for n in range(d)}
-        return SiteRep(kind, n_param, d, e_pr, f_pr, k_pr, z,
-                       labels=tuple(range(d)), wrap_free=True)
-    if kind == "cyclic":
+    elif kind == "cyclic":
         if "c" not in params:
             raise InvalidParams("cyclic family needs the scalar parameter c")
         c = params["c"]
@@ -184,19 +141,17 @@ def build_site_rep(kind: str, n_param: int, params: dict | None = None) -> SiteR
             c = LaurentPoly(c)
         if not isinstance(c, LaurentPoly):
             raise InvalidParams("parameter c must be an integer or LaurentPoly")
-        d = n_param
+        d, labels, wrap_free = n_param, tuple(range(n_param)), False
+        rep_params = {"c": c}
         f_pr = {((n + 1) % d, n): LaurentPoly(1) for n in range(d)}
-        e_pr = {}
-        for n in range(d):
-            coeff = c - q_int(n) * q_int(n)
-            if not coeff.is_zero():
-                e_pr[((n - 1) % d, n)] = coeff
+        e_pr = {((n - 1) % d, n): c - q_int(n) * q_int(n) for n in range(d)}
         k_pr = {(n, n): LaurentPoly.q_power(-(2 * n + 1)) for n in range(d)}
         z = {(n, n): LaurentPoly.q_power(2 * n) for n in range(d)}
-        return SiteRep(kind, n_param, d, e_pr, f_pr, k_pr, z,
-                       labels=tuple(range(d)), wrap_free=False,
-                       params={"c": c})
-    raise UnsupportedKind(f"unknown site family {kind!r}")
+    else:
+        raise UnsupportedKind(f"unknown site family {kind!r}")
+    mats = (_site_block(d, m) for m in (e_pr, f_pr, k_pr, z))
+    return SiteRep(kind, n_param, d, *mats, labels=labels, wrap_free=wrap_free,
+                   params=rep_params)
 
 
 def rescaled_rep(rep: SiteRep, alpha: LaurentPoly, beta: LaurentPoly) -> SiteRep:
@@ -207,7 +162,7 @@ def rescaled_rep(rep: SiteRep, alpha: LaurentPoly, beta: LaurentPoly) -> SiteRep
     statuses.  The level-zero commutator is deliberately not invariant.
     """
     return SiteRep(rep.kind, rep.n_param, rep.dim,
-                   smat_scale(rep.e_pr, alpha), smat_scale(rep.f_pr, beta),
+                   rep.e_pr.scale(alpha), rep.f_pr.scale(beta),
                    rep.k_pr, rep.z, rep.labels, rep.wrap_free, dict(rep.params))
 
 
@@ -248,27 +203,25 @@ REGISTRY.register(
 )
 
 
-def _smat_status(diff: dict, n_param: int, mode: str):
-    """Classify a small-matrix residual in the requested mode."""
-    if not diff:
+def _vanishes_at_root(block: DictBlock, n_param: int) -> bool:
+    ring = cyclo_ring(n_param)
+    return all(ring.is_zero(ring.coerce(v)) for _, _, v in block.entries())
+
+
+def _site_status(diff: DictBlock, n_param: int, mode: str):
+    """Classify a site-matrix residual in the requested mode."""
+    if diff.is_zero():
         return EXACT_ZERO, None, {"holds_generically": True}
     if mode == "generic":
-        entries = sorted(diff)
-        r, c = entries[0]
-        ring = cyclo_ring(n_param)
-        at_root = all(ring.from_laurent(v).is_zero() for v in diff.values())
-        return (NONZERO, {"row": r, "col": c, "value": diff[(r, c)].render()},
-                {"holds_at_root": at_root})
+        r, c, v = diff.entries()[0]
+        return (NONZERO, {"row": r, "col": c, "value": v.render()},
+                {"holds_at_root": _vanishes_at_root(diff, n_param)})
     ring = cyclo_ring(n_param)
-    bad = {}
-    for key in sorted(diff):
-        red = ring.from_laurent(diff[key])
-        if not red.is_zero():
-            bad[key] = red
-    if not bad:
-        return EXACT_ZERO, None, {"holds_generically": False}
-    (r, c), val = next(iter(bad.items()))
-    return NONZERO, {"row": r, "col": c, "value": val.render()}, {}
+    for r, c, v in diff.entries():
+        red = ring.coerce(v)
+        if not ring.is_zero(red):
+            return NONZERO, {"row": r, "col": c, "value": red.render()}, {}
+    return EXACT_ZERO, None, {"holds_generically": False}
 
 
 def rep_self_check(rep: SiteRep, mode: str = "generic") -> list[IdentityCheck]:
@@ -279,7 +232,6 @@ def rep_self_check(rep: SiteRep, mode: str = "generic") -> list[IdentityCheck]:
     """
     if mode not in ("generic", "root_of_unity"):
         raise ValueError(f"unknown gate mode {mode!r}")
-    d = rep.dim
     n_param = rep.n_param
     base = {"kind": rep.kind, "N": n_param, "mode": mode}
     checks: list[IdentityCheck] = []
@@ -289,46 +241,42 @@ def rep_self_check(rep: SiteRep, mode: str = "generic") -> list[IdentityCheck]:
         if extra_params:
             params.update(extra_params)
         with CheckTimer() as t:
-            status, witness, info = _smat_status(diff, n_param, mode)
+            status, witness, info = _site_status(diff, n_param, mode)
         if extra:
             info.update(extra)
         checks.append(make_check(format_check_id(family, params), family, params,
                                  status, witness=witness, millis=t.millis,
                                  extra=info))
 
+    e, f, k, z = rep.e_pr, rep.f_pr, rep.k_pr, rep.z
     q2 = LaurentPoly.q_power(2)
     qm2 = LaurentPoly.q_power(-2)
-    emit("rep.k-e-exchange",
-         smat_sub(smat_mul(rep.k_pr, rep.e_pr, d), smat_scale(smat_mul(rep.e_pr, rep.k_pr, d), q2)))
-    emit("rep.k-f-exchange",
-         smat_sub(smat_mul(rep.k_pr, rep.f_pr, d), smat_scale(smat_mul(rep.f_pr, rep.k_pr, d), qm2)))
-    comm = smat_sub(smat_mul(rep.e_pr, rep.f_pr, d), smat_mul(rep.f_pr, rep.e_pr, d))
+    emit("rep.k-e-exchange", k.matmul(e).sub(e.matmul(k).scale(q2)))
+    emit("rep.k-f-exchange", k.matmul(f).sub(f.matmul(k).scale(qm2)))
+    comm = e.matmul(f).sub(f.matmul(e))
     bracket = LaurentPoly.q_power(1) - LaurentPoly.q_power(-1)
-    emit("rep.ef-commutator",
-         smat_sub(smat_scale(comm, bracket), smat_sub(rep.k_pr, invert_diag(rep.k_pr, d))))
-    emit("rep.clock-order",
-         smat_sub(smat_pow(rep.z, n_param, d), smat_identity(d)))
+    emit("rep.ef-commutator", comm.scale(bracket).sub(k.sub(invert_diag(k))))
+    ident = _site_identity(rep.dim)
+    z_power = ident
+    for _ in range(n_param):
+        z_power = z_power.matmul(z)
+    emit("rep.clock-order", z_power.sub(ident))
     if rep.kind == "cyclic":
-        omega = LaurentPoly.q_power(2)
-        emit("rep.clock-shift-exchange",
-             smat_sub(smat_mul(rep.z, rep.f_pr, d),
-                      smat_scale(smat_mul(rep.f_pr, rep.z, d), omega)))
+        emit("rep.clock-shift-exchange", z.matmul(f).sub(f.matmul(z).scale(q2)))
 
     # sign bookkeeping: is q k' Z equal to +1 or -1, and where?
-    prod = smat_scale(smat_mul(rep.k_pr, rep.z, d), LaurentPoly.q_power(1))
-    ident = smat_identity(d)
+    prod = k.matmul(z).scale(LaurentPoly.q_power(1))
     sign, where = "none", "nowhere"
-    for cand, name in ((ident, "+"), (smat_neg(ident), "-")):
-        diff = smat_sub(prod, cand)
-        if not diff:
+    for cand, name in ((ident, "+"), (ident.neg(), "-")):
+        diff = prod.sub(cand)
+        if diff.is_zero():
             sign, where = name, "generic"
             break
-        ring = cyclo_ring(n_param)
-        if all(ring.from_laurent(v).is_zero() for v in diff.values()):
+        if _vanishes_at_root(diff, n_param):
             sign, where = name, "root_of_unity"
             break
-    target = ident if sign != "-" else smat_neg(ident)
-    emit("rep.k-clock-sign", smat_sub(prod, target) if sign != "none" else prod,
+    target = ident if sign != "-" else ident.neg()
+    emit("rep.k-clock-sign", prod.sub(target) if sign != "none" else prod,
          extra={"sign": sign, "valid_in": where})
     return checks
 
@@ -385,14 +333,6 @@ class ChainContext:
 
 # ---------------------------------------------------------------------------
 # graded operators
-
-
-def make_block(ring, nrows, ncols, triples):
-    if isinstance(ring, CycloRing):
-        return CycloBlock.from_entries(ring, nrows, ncols, triples)
-    if isinstance(ring, FloatRing):
-        return ComplexBlock.from_entries(ring, nrows, ncols, triples)
-    return DictBlock.from_entries(ring, nrows, ncols, triples)
 
 
 class GradedOperator:
@@ -496,7 +436,7 @@ def operator_from_entries(ctx: ChainContext, ring, entries,
     per_sector: dict[int, list] = {}
     seen_shift = None
     for row, col, val in entries:
-        if ring_is_zero(ring, val):
+        if ring.is_zero(val):
             continue
         g_src = ctx.grade_of[col]
         g_dst = ctx.grade_of[row]
@@ -561,21 +501,13 @@ def sector_project(op: GradedOperator, charge_q: int) -> GradedOperator:
 # chain generators
 
 
-def _site_col_maps(mat: dict, dim: int) -> list[list[tuple[int, LaurentPoly]]]:
-    cols: list[list[tuple[int, LaurentPoly]]] = [[] for _ in range(dim)]
-    for (r, c), v in mat.items():
-        cols[c].append((r, v))
-    return cols
-
-
-def _chain_term_entries(ctx: ChainContext, factors: list[dict]):
+def _chain_term_entries(ctx: ChainContext, factors: list[DictBlock]):
     """Entries of factor_1 x .. x factor_L over the full chain basis.
 
     Yields (row_state, col_state, LaurentPoly).  Efficient because every
     local factor used here has at most one entry per column.
     """
     d = ctx.rep.dim
-    col_maps = [_site_col_maps(f, d) for f in factors]
     length = ctx.length
     for col_state in range(ctx.dim_total):
         digits = ctx.state_tuple(col_state)
@@ -583,13 +515,13 @@ def _chain_term_entries(ctx: ChainContext, factors: list[dict]):
         val = None
         dead = False
         for j in range(length):
-            options = col_maps[j][digits[j]]
-            if not options:
+            column = factors[j].cols.get(digits[j])
+            if not column:
                 dead = True
                 break
-            if len(options) != 1:
+            if len(column) != 1:
                 raise InternalInconsistency("chain factors must be single-valued")
-            r, v = options[0]
+            (r, v), = column.items()
             row_state = row_state * d + r
             val = v if val is None else val * v
         if not dead and val is not None and not val.is_zero():
@@ -622,12 +554,11 @@ def build_chain_generators(ctx: ChainContext) -> dict:
     All operators are symbolic (LaurentPoly entries); specialize afterwards.
     """
     rep = ctx.rep
-    d = rep.dim
     length = ctx.length
     ring = LAURENT_RING
-    ident = smat_identity(d)
-    k_inv = invert_diag(rep.k_pr, d)
-    z_inv = invert_diag(rep.z, d)
+    ident = _site_identity(rep.dim)
+    k_inv = invert_diag(rep.k_pr)
+    z_inv = invert_diag(rep.z)
 
     def dressed(site_mat, left, right):
         terms = []
@@ -686,28 +617,29 @@ def build_barred_ops(ctx: ChainContext, gens: dict) -> dict:
 
 
 def specialize_operator(op: GradedOperator, ring) -> GradedOperator:
-    """Map a symbolically built (Laurent) operator into another scalar ring."""
+    """Map a symbolically built (Laurent) operator into another scalar ring,
+    converting each entry with ring.coerce."""
     if not isinstance(op.ring, LaurentRing):
         raise ValueError("specialization starts from the symbolic ring")
     if isinstance(ring, LaurentRing):
         return op
-    if isinstance(ring, CycloRing):
-        conv = ring.from_laurent
-    elif isinstance(ring, PhiAdicRing):
-        conv = ring.embed
-    elif isinstance(ring, FloatRing):
-        conv = lambda p: p.evaluate(ring.q)  # noqa: E731
-    else:
-        raise TypeError(f"unknown target ring {ring!r}")
     blocks = {}
     for g, block in op.blocks.items():
-        triples = [(r, c, conv(v)) for r, c, v in block.entries()]
+        triples = [(r, c, ring.coerce(v)) for r, c, v in block.entries()]
         blocks[g] = make_block(ring, block.shape[0], block.shape[1], triples)
     return GradedOperator(op.ctx, ring, op.shift, blocks)
 
 
 # ---------------------------------------------------------------------------
 # the uniform zero-identity runner
+
+
+def first_entry_witness(op: GradedOperator) -> dict:
+    """The first nonzero entry of a nonzero operator, in deterministic
+    order, as a check witness."""
+    g, row, col, val = op.entries()[0]
+    return {"sector": g, "row_state": row, "col_state": col,
+            "value": val.render() if hasattr(val, "render") else repr(val)}
 
 
 def evaluate_zero_identity(family: str, params: dict, terms: list[GradedOperator],
@@ -739,11 +671,7 @@ def evaluate_zero_identity(family: str, params: dict, terms: list[GradedOperator
                 status = APPROX_ZERO if isinstance(ring, FloatRing) else EXACT_ZERO
             else:
                 status = NONZERO
-                g, row, col, val = total.entries()[0]
-                witness = {
-                    "sector": g, "row_state": row, "col_state": col,
-                    "value": val.render() if hasattr(val, "render") else repr(val),
-                }
+                witness = first_entry_witness(total)
     extra = {"terms": len(terms), "terms_nonzero": 0} if status == VACUOUS_ZERO else {}
     return make_check(format_check_id(family, params), family, params, status,
                       witness=witness, millis=t.millis, nontrivial=nontrivial,

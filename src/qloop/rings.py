@@ -9,6 +9,11 @@ Four rings share one deformation parameter q:
                       root of unity.
 * FloatRing        -- complex evaluation at q = exp(i*pi/N), smoke tests only.
 
+Each ring object (LAURENT_RING, a CycloRing, a PhiAdicRing, a FloatRing)
+owns its entries: coerce maps a LaurentPoly into the ring, is_zero tests an
+entry, and the exact rings divide with divexact.  The other modules ask the
+ring and never branch on which ring it is.
+
 q is never a float inside the exact rings.  omega means q^2 throughout.
 All integer coefficients are Python ints, so they never overflow.
 """
@@ -395,6 +400,9 @@ class CycloRing:
             return self.from_laurent(x)
         raise TypeError(f"cannot coerce {type(x).__name__} into CycloRing")
 
+    def is_zero(self, x: CycloElem) -> bool:
+        return x.is_zero()
+
     def from_int(self, k: int) -> CycloElem:
         return CycloElem(self, tuple(k * c for c in self.powtab[0]))
 
@@ -621,6 +629,9 @@ class PhiAdicRing:
             return self.embed(x)
         raise TypeError(f"cannot coerce {type(x).__name__} into PhiAdicRing")
 
+    def is_zero(self, x: PhiAdicElem) -> bool:
+        return x.is_zero()
+
     def from_int(self, k: int) -> PhiAdicElem:
         return PhiAdicElem(self, (k,) if k else ())
 
@@ -811,15 +822,12 @@ class LaurentRing:
     def is_zero(self, x: LaurentPoly) -> bool:
         return x.is_zero()
 
+    def divexact(self, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+        return a.divexact(b)
+
     def __repr__(self):
         return "LaurentRing()"
 
 
 LAURENT_RING = LaurentRing()
 
-
-def ring_is_zero(ring, x) -> bool:
-    """Zero test that works across all four scalar rings."""
-    if isinstance(ring, FloatRing):
-        return ring.is_zero(x)
-    return not x

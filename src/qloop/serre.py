@@ -32,6 +32,7 @@ from .repchain import (
     ChainContext,
     GradedOperator,
     evaluate_zero_identity,
+    first_entry_witness,
     identity_operator,
 )
 from .rings import (
@@ -286,10 +287,7 @@ def check_id2(store: DividedPowerStore, n: int, m: int, pair, *,
         prod = _word_operator(store, ((i_id, s), (i_id, n_param - gap)),
                               NORM_Q, ring)
         if not prod.is_zero():
-            g, row, col, val = prod.entries()[0]
-            witness = {"sector": g, "row_state": row, "col_state": col,
-                       "value": val.render() if hasattr(val, "render") else repr(val),
-                       "support_order": s}
+            witness = dict(first_entry_witness(prod), support_order=s)
             return make_check(
                 format_check_id(family, params),
                 family, params, NONZERO, witness=witness,

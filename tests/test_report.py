@@ -127,6 +127,32 @@ def test_cache_cold_warm_and_disabled_agree(small_doc, tmp_path):
     assert _stripped(cold, drop=("cache_dir",)) == _stripped(small_doc, drop=("cache_dir",))
 
 
+def test_cache_keeps_the_rescaled_chain_apart(tmp_path):
+    """The rescale audit's store must not read the plain chain's powers."""
+    settings = dict(n_param=2, length=4, suites=("id1",), rescale_audit=True)
+    uncached = _stripped(run(RunConfig(**settings)), drop=("cache_dir",))
+    cached = RunConfig(**settings, cache_dir=str(tmp_path / "opcache"))
+    cold = run(cached)
+    warm = run(cached)
+    assert _stripped(cold, drop=("cache_dir",)) == uncached
+    assert _stripped(warm, drop=("cache_dir",)) == uncached
+
+
+def test_truncated_cache_files_are_recomputed(tmp_path):
+    settings = dict(n_param=2, length=3, suites=("id1",))
+    uncached = _stripped(run(RunConfig(**settings)), drop=("cache_dir",))
+    cache = tmp_path / "opcache"
+    cached = RunConfig(**settings, cache_dir=str(cache))
+    run(cached)
+    blobs = {path: path.read_bytes() for path in cache.iterdir()}
+    assert blobs, "cache dir stayed empty"
+    for cut in (lambda n: 0, lambda n: 10, lambda n: 20,
+                lambda n: n // 2, lambda n: n - 1):
+        for path, blob in blobs.items():
+            path.write_bytes(blob[:cut(len(blob))])
+        assert _stripped(run(cached), drop=("cache_dir",)) == uncached
+
+
 def test_report_file_round_trips(tmp_path):
     path = tmp_path / "out" / "report.json"
     doc = run(RunConfig(n_param=2, length=3, suites=("qcomb",),
@@ -206,8 +232,9 @@ def test_rescale_audit_runs_g_forms_on_a_rescaled_chain(monkeypatch):
     plain = build_site_rep("spin_half", 2)
     scaled = rescaled_rep(plain, LaurentPoly.q_power(3), LaurentPoly({1: -1}))
     # both branches on the run's plain chain, then on the audit's chain
-    assert [(rep.e_pr, rep.f_pr) for rep in reps] == \
-        [(plain.e_pr, plain.f_pr)] * 2 + [(scaled.e_pr, scaled.f_pr)] * 2
+    assert [(rep.e_pr.entries(), rep.f_pr.entries()) for rep in reps] == \
+        [(plain.e_pr.entries(), plain.f_pr.entries())] * 2 \
+        + [(scaled.e_pr.entries(), scaled.f_pr.entries())] * 2
     audits = [c for c in doc.checks if c.family == "audit.rescale"]
     assert [a.status for a in audits] == [EXACT_ZERO]
     assert doc.ok

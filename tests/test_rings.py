@@ -22,7 +22,6 @@ from qloop.rings import (
     TruncationOverflow,
     cyclo_ring,
     cyclotomic_poly,
-    ring_is_zero,
 )
 
 
@@ -316,10 +315,25 @@ def test_phi_adic_precision_tracks_division():
 
 
 def test_ring_is_zero_across_rings():
-    assert ring_is_zero(LaurentRing(), LaurentPoly(0))
-    assert not ring_is_zero(LaurentRing(), LaurentPoly(2))
+    laurent = LaurentRing()
+    assert laurent.is_zero(LaurentPoly(0))
+    assert not laurent.is_zero(LaurentPoly(2))
     cyclo = cyclo_ring(3)
-    assert ring_is_zero(cyclo, cyclo.zero)
+    assert cyclo.is_zero(cyclo.zero)
+    assert not cyclo.is_zero(cyclo.q)
+    assert cyclo.is_zero(cyclo.coerce(LaurentPoly.q_power(6) - 1))  # q^2N = 1
+    adic = PhiAdicRing(3, 1)
+    assert adic.is_zero(adic.zero)
+    assert not adic.is_zero(adic.phi_elem)
+    assert adic.is_zero(adic.phi_elem * adic.phi_elem)  # beyond the last digit
     flt = FloatRing(3)
-    assert ring_is_zero(flt, 1e-12 + 0j)
-    assert not ring_is_zero(flt, 1e-3 + 0j)
+    assert flt.is_zero(1e-12 + 0j)
+    assert not flt.is_zero(1e-3 + 0j)
+
+
+def test_laurent_ring_divides_its_entries():
+    a = LaurentPoly({-1: 1, 1: -1})
+    b = LaurentPoly({0: 1, 2: 1})
+    assert LaurentRing().divexact(a * b, b) == a
+    with pytest.raises(NotDivisible):
+        LaurentRing().divexact(a, b)
