@@ -75,7 +75,8 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
                         help="suite to run, repeatable; 'all' or one of "
                              f"{', '.join(SUITE_NAMES)}")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="worker count for the job pool")
+                        help="worker processes for the job pool, at most one per "
+                             "core (results are identical for any count)")
     parser.add_argument("--cache-dir", dest="cache_dir", default=None,
                         help="divided-power disk cache directory "
                              f"(default ${_ENV_CACHE_DIR})")

@@ -118,8 +118,10 @@ class DividedPowerStore:
     are recomputed rather than kept, and the memo cannot grow with them.
 
     Checks take the store explicitly and never mutate what it returns.
-    The fill is idempotent, so one coarse lock around it keeps concurrent
-    suite workers correct without cleverness.
+    The fill is idempotent, so one coarse lock around it keeps a library
+    caller's threads that share a store correct without cleverness.  A
+    run's worker processes do not share it: each fills its own forked copy,
+    and they meet only in the disk cache.
     """
 
     def __init__(self, ctx: ChainContext, cache: OperatorCache = DISABLED_CACHE):

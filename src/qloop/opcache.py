@@ -23,7 +23,9 @@ File format, all integers little-endian:
 The cache is an optimization only: a miss recomputes, a hit must be
 bit-identical to the recomputation.  Writes go through a temp file and an
 atomic rename, so concurrent readers never see partial files and concurrent
-writers of the same key are idempotent.
+writers of the same key (two worker processes filling the same power) leave
+one whole file.  A store replaces whatever file the key had, so a corrupt
+file is mended by the first run that misses on it.
 
 Only operators with LaurentPoly entries are cached; every consumer builds
 symbolically first and specializes afterwards, so this loses nothing.
@@ -178,9 +180,9 @@ class OperatorCache:
     def store(self, key: str, op: GradedOperator) -> None:
         if not self.enabled:
             return
+        # only called after load() missed, so an existing file at this path
+        # is stale or corrupt and must be replaced
         path = self.path_for(key)
-        if path.exists():
-            return  # idempotent fill: first writer wins
         blob = serialize_operator(key, op)
         fd, tmp = tempfile.mkstemp(dir=self.dir, suffix=".tmp")
         try:

@@ -3,9 +3,18 @@
 A run is described by a RunConfig, executed by run(), and summarized in a
 ReportDocument whose JSON form is byte-stable across reruns except for the
 timing fields.  Determinism is load-bearing: checks are assembled in a fixed
-order, executed (possibly on a thread pool, which only changes scheduling),
-deduplicated by check id, and sorted, so cold/warm caches and any worker
-count produce the same document modulo milliseconds.
+order, executed (with jobs > 1, on forked worker processes, which only
+changes scheduling), deduplicated by check id, and sorted, so cold/warm
+caches and any worker count produce the same document modulo milliseconds.
+
+Worker processes.  The jobs are pure-Python exact arithmetic, so threads
+would queue on the interpreter lock; workers are processes forked after the
+jobs are built.  Each inherits the job list and the run's store through the
+fork, fills its own copy of the store, and sends back only IdentityCheck
+lists, in job order.  Contiguous chunks of jobs go to one worker, so jobs
+that read the same divided powers mostly share one copy.  A worker that
+dies ends the run with ResourceError.  Where the platform cannot fork, or
+the calling process runs other threads, the jobs run in the calling process.
 
 Ring modes.  Identities that hold for generic q honor the configured ring
 (laurent, cyclotomic image, phi-adic, float).  Identities that hold only at
@@ -20,10 +29,11 @@ zero mod the cyclotomic factor.
 from __future__ import annotations
 
 import json
+import math
 import os
+import threading
 import time
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -137,7 +147,7 @@ class ConfigError(ValueError):
 
 
 class ResourceError(RuntimeError):
-    """The run exceeded a resource limit (memory)."""
+    """The run exceeded a resource limit (memory), or a job worker died."""
 
 
 class UnknownId(KeyError):
@@ -476,8 +486,10 @@ def _jobs_id1(env: _RunEnv) -> list[_Job]:
 
 def _g_forms_thunk(env: _RunEnv) -> list[IdentityCheck]:
     # the resummation is a polynomial identity: one small spin_half chain
-    # of length 4 carries it, whatever the run's backend and length
-    store = make_store(ChainContext(env.site_rep("spin_half"), 4))
+    # of length 4 carries it, whatever the run's backend and length.  Its
+    # cache keys hold the rep's digest and L=4, so it shares the run's cache
+    # without touching the run's own chain (or a rescaled one's) powers.
+    store = make_store(ChainContext(env.site_rep("spin_half"), 4), env.store.cache)
     return [check_g_forms(store, 1, 3, branch) for branch in ("full", "truncated")]
 
 
@@ -551,11 +563,76 @@ _SUITE_BUILDERS: dict[str, Callable[[_RunEnv], list[_Job]]] = {
 }
 
 
+def _core_count() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# The job list of the pool a worker process belongs to; set in the worker
+# right after the fork, never in the process that runs the pool.
+_WORKER_JOBS: list[_Job] = []
+
+
+def _adopt_jobs(jobs: list[_Job]) -> None:
+    global _WORKER_JOBS
+    _WORKER_JOBS = jobs
+    threading.Thread(target=_exit_with_parent, daemon=True).start()
+
+
+def _exit_with_parent() -> None:
+    # a worker waits on its job queue forever; if the run is killed, end
+    # the worker too instead of leaving it behind
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    wait([multiprocessing.parent_process().sentinel])
+    os._exit(1)
+
+
+def _run_worker_job(index: int) -> list[IdentityCheck]:
+    return _run_job(_WORKER_JOBS[index])
+
+
+def _fork_pool(workers: int, jobs: list[_Job]):
+    """A pool of `workers` forked processes that inherit `jobs`, or None
+    where the platform cannot fork or other threads run in this process (a
+    child would inherit any lock they hold, held forever).  The pool is
+    imported here, so a one-worker run never pays for it."""
+    if threading.active_count() > 1:
+        return None
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    # fork, not spawn: jobs are closures over the run's store, which cannot
+    # be pickled, and a spawned worker would rebuild the chain from scratch.
+    # The initargs reach the workers through the fork, unpickled.
+    return ProcessPoolExecutor(
+        max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt_jobs, initargs=(jobs,))
+
+
 def _execute(jobs: list[_Job], workers: int) -> list[list[IdentityCheck]]:
-    if workers <= 1 or len(jobs) <= 1:
+    pool = None
+    if workers > 1 and len(jobs) > 1:
+        workers = min(workers, len(jobs), _core_count())
+        pool = _fork_pool(workers, jobs) if workers > 1 else None
+    if pool is None:
         return [_run_job(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_job, jobs))
+    from concurrent.futures.process import BrokenProcessPool
+
+    chunksize = math.ceil(len(jobs) / (4 * workers))
+    try:
+        with pool:
+            return list(pool.map(_run_worker_job, range(len(jobs)),
+                                 chunksize=chunksize))
+    except BrokenProcessPool as exc:
+        raise ResourceError("a job worker process died (killed, or out of "
+                            "memory)") from exc
 
 
 def _collect(job_results) -> tuple[list[IdentityCheck], dict[str, list[IdentityCheck]]]:

@@ -85,10 +85,21 @@ def test_store_is_idempotent(tmp_path):
     e1 = build_chain_generators(ctx)["E1"]
     key = _key(ctx)
     cache.store(key, e1)
-    stamp = cache.path_for(key).stat().st_mtime_ns
+    blob = cache.path_for(key).read_bytes()
     cache.store(key, e1)
-    assert cache.path_for(key).stat().st_mtime_ns == stamp
+    assert cache.path_for(key).read_bytes() == blob
     assert len(list(tmp_path.iterdir())) == 1  # no stray temp files
+
+
+def test_store_replaces_a_corrupt_file(tmp_path):
+    ctx = _ctx()
+    cache = OperatorCache(tmp_path)
+    e1 = build_chain_generators(ctx)["E1"]
+    key = _key(ctx)
+    cache.path_for(key).write_bytes(serialize_operator(key, e1)[:10])
+    assert cache.load(key, ctx) is None
+    cache.store(key, e1)
+    assert cache.load(key, ctx) == e1
 
 
 def test_disabled_cache_is_inert():

@@ -1,6 +1,7 @@
 """Run orchestration: config validation, determinism, auditing, explain."""
 
 import json
+import os
 
 import pytest
 
@@ -20,7 +21,8 @@ from qloop.report import (
     run,
     strip_timing,
 )
-from qloop.repchain import build_site_rep, rescaled_rep
+from qloop.opcache import MAGIC, OperatorCache
+from qloop.repchain import ChainContext, build_site_rep, rescaled_rep
 from qloop.rings import InternalInconsistency, LaurentPoly, NotDivisible
 from qloop.serre import InvalidRegime
 
@@ -153,12 +155,259 @@ def test_truncated_cache_files_are_recomputed(tmp_path):
         assert _stripped(run(cached), drop=("cache_dir",)) == uncached
 
 
+def _cache_keys(cache_dir):
+    keys = []
+    for path in cache_dir.iterdir():
+        blob = path.read_bytes()
+        klen = int.from_bytes(blob[len(MAGIC):len(MAGIC) + 4], "little")
+        keys.append(blob[len(MAGIC) + 4:len(MAGIC) + 4 + klen].decode())
+    return keys
+
+
+def test_truncated_cache_files_are_replaced(tmp_path):
+    cache = tmp_path / "opcache"
+    cached = RunConfig(n_param=2, length=3, suites=("id1",), cache_dir=str(cache))
+    run(cached)
+    blobs = {path: path.read_bytes() for path in cache.iterdir()}
+    assert blobs, "cache dir stayed empty"
+    for path in blobs:
+        path.write_bytes(blobs[path][:10])
+    run(cached)
+    assert {path: path.read_bytes() for path in cache.iterdir()} == blobs
+    ctx = ChainContext(build_site_rep("spin_half", 2), 3)
+    reader = OperatorCache(cache)
+    for key in _cache_keys(cache):
+        assert reader.load(key, ctx) is not None, key
+
+
+def _file_stamps(cache_dir):
+    return {path.name: (path.stat().st_ino, path.stat().st_mtime_ns)
+            for path in cache_dir.iterdir()}
+
+
+def test_g_forms_store_reads_and_writes_the_run_cache(tmp_path):
+    cache = tmp_path / "opcache"
+    cfg = RunConfig(n_param=2, length=5, suites=("id2",), cache_dir=str(cache))
+    cold = run(cfg)
+    keys = _cache_keys(cache)
+    assert any("|L=4|" in key for key in keys), keys
+    assert any("|L=5|" in key for key in keys), keys
+    stamps = _file_stamps(cache)
+    warm = run(cfg)
+    assert _file_stamps(cache) == stamps, "a warm run wrote cache files"
+    assert _stripped(cold) == _stripped(warm)
+
+
 def test_report_file_round_trips(tmp_path):
     path = tmp_path / "out" / "report.json"
     doc = run(RunConfig(n_param=2, length=3, suites=("qcomb",),
                         report_path=str(path)))
     on_disk = json.loads(path.read_text())
     assert on_disk == doc.to_json_dict()
+
+
+# --- worker processes -------------------------------------------------------
+
+class _InlinePool:
+    """Stands in for the fork pool: records its size, runs jobs in-process."""
+
+    sizes = []
+
+    def __init__(self, workers, jobs):
+        self.sizes.append(workers)
+        self.jobs = jobs
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, indices, chunksize=1):
+        assert chunksize >= 1
+        return [_run_job(self.jobs[i]) for i in indices]
+
+
+def test_worker_count_is_capped_without_starting_processes(monkeypatch, small_doc):
+    import qloop.report as report
+
+    def no_fork():
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(report, "_fork_pool", _InlinePool)
+    _InlinePool.sizes = []
+    doc = run(RunConfig(n_param=2, length=4, q_sectors=(1,), jobs=1000000))
+    assert _InlinePool.sizes, "the pool was never asked for"
+    assert max(_InlinePool.sizes) <= report._core_count()
+    assert _stripped(doc, drop=("jobs",)) == _stripped(small_doc, drop=("jobs",))
+
+
+def test_other_threads_keep_the_run_in_process(monkeypatch, small_doc):
+    import threading
+
+    import qloop.report as report
+
+    def no_fork():
+        raise AssertionError("forked while another thread was running")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(report, "_core_count", lambda: 2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        doc = run(RunConfig(n_param=2, length=4, q_sectors=(1,), jobs=2))
+    finally:
+        release.set()
+        other.join(60)
+    assert not other.is_alive()
+    assert _stripped(doc, drop=("jobs",)) == _stripped(small_doc, drop=("jobs",))
+
+
+def _builder_with(job_fn):
+    """A qcomb suite builder that adds one job running job_fn."""
+    import qloop.report as report
+
+    real = report._SUITE_BUILDERS["qcomb"]
+
+    def builder(env):
+        return real(env) + [_Job("qcomb/planted", "qcomb", job_fn)]
+
+    return builder
+
+
+def test_worker_memory_error_is_a_resource_error(monkeypatch):
+    import qloop.report as report
+
+    parent = os.getpid()
+
+    def exhaust():
+        if os.getpid() != parent:
+            raise MemoryError("worker out of memory")
+        return []
+
+    monkeypatch.setitem(report._SUITE_BUILDERS, "qcomb", _builder_with(exhaust))
+    monkeypatch.setattr(report, "_core_count", lambda: 2)
+    with pytest.raises(ResourceError, match="exhausted memory"):
+        run(RunConfig(n_param=2, length=2, suites=("qcomb",), jobs=2))
+
+
+# `qloop run` on two workers, with one more qcomb job whose {body} runs only
+# in a worker process; sys.argv[1] is left for the body to use
+_PLANTED_RUN = """
+import os, sys, time
+from pathlib import Path
+import qloop.report as report
+parent = os.getpid()
+real = report._SUITE_BUILDERS["qcomb"]
+
+def planted():
+    if os.getpid() != parent:
+        {body}
+    return []
+
+report._SUITE_BUILDERS["qcomb"] = lambda env: real(env) + [
+    report._Job("qcomb/planted", "qcomb", planted)]
+report._core_count = lambda: 2
+from qloop.cli import main
+sys.exit(main(["run", "--N", "2", "--L", "2", "--suite", "qcomb", "--jobs", "2"]))
+"""
+
+
+def _src_env():
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_dead_worker_exits_three_promptly():
+    import subprocess
+    import sys
+    import time
+
+    start = time.monotonic()
+    script = _PLANTED_RUN.format(body="os._exit(1)")
+    proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 3, proc.stderr
+    assert "resource error" in proc.stderr and "Traceback" not in proc.stderr
+    assert elapsed < 30
+
+
+def _running(pid):
+    """False once pid has exited (a zombie waiting to be reaped counts)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_workers_end_when_the_run_is_killed(tmp_path):
+    import subprocess
+    import sys
+    import time
+
+    pid_file = tmp_path / "worker.pid"
+    script = _PLANTED_RUN.format(
+        body="Path(sys.argv[1]).write_text(str(os.getpid())); time.sleep(120)")
+    proc = subprocess.Popen([sys.executable, "-c", script, str(pid_file)],
+                            env=_src_env())
+    try:
+        deadline = time.monotonic() + 60
+        while not pid_file.exists() or not pid_file.read_text():
+            assert time.monotonic() < deadline, "no worker reached the job"
+            assert proc.poll() is None, "the run ended early"
+            time.sleep(0.05)
+        worker = int(pid_file.read_text())
+        assert _running(worker)
+    finally:
+        proc.kill()
+        proc.wait(60)
+    deadline = time.monotonic() + 30
+    try:
+        while _running(worker):
+            assert time.monotonic() < deadline, "the worker outlived the run"
+            time.sleep(0.05)
+    finally:
+        if _running(worker):
+            os.kill(worker, 9)
+
+
+@pytest.mark.parametrize("settings", [
+    {"ring": "float"},
+    {"ring": "phi-adic"},
+    {"rescale_audit": True, "suites": ("id1", "id2", "site", "serre-nested")},
+], ids=["float", "phi-adic", "rescale-audit"])
+def test_worker_processes_do_not_change_results(monkeypatch, settings):
+    import qloop.report as report
+
+    # more workers than this host may have cores, so three really fork
+    monkeypatch.setattr(report, "_core_count", lambda: 3)
+    docs = [_stripped(run(RunConfig(n_param=2, length=4, q_sectors=(1,),
+                                    jobs=jobs, **settings)), drop=("jobs",))
+            for jobs in (1, 2, 3)]
+    assert docs[0] == docs[1] == docs[2]
+
+
+def test_worker_processes_share_one_cold_cache(monkeypatch, small_doc, tmp_path):
+    import qloop.report as report
+
+    monkeypatch.setattr(report, "_core_count", lambda: 3)
+    cache = tmp_path / "opcache"
+    # the widest pool fills the cold cache, with its workers writing at once
+    for jobs in (3, 2, 1):
+        doc = run(RunConfig(n_param=2, length=4, q_sectors=(1,), jobs=jobs,
+                            cache_dir=str(cache)))
+        assert _stripped(doc, drop=("jobs", "cache_dir")) == \
+            _stripped(small_doc, drop=("jobs", "cache_dir"))
+    assert not [p for p in cache.iterdir() if p.suffix != ".qop"]
 
 
 # --- ring modes -------------------------------------------------------------
