@@ -86,8 +86,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
                         action="store_true", default=None,
                         help="rerun ladder suites on rescaled generators and "
                              "check statuses are unchanged")
-    parser.add_argument("--max-L", dest="max_length", type=int, default=None,
-                        help="upper bound accepted for --L")
     parser.add_argument("--config", dest="config_file", default=None,
                         metavar="FILE",
                         help="key=value file with the same options; "
@@ -148,8 +146,6 @@ def _load_config_file(path: str) -> dict[str, object]:
                 out["report_path"] = value
             elif key == "rescale_audit":
                 out["rescale_audit"] = _parse_bool(value, key)
-            elif key == "max_L":
-                out["max_length"] = int(value)
             else:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         except ValueError as exc:
@@ -158,8 +154,7 @@ def _load_config_file(path: str) -> dict[str, object]:
 
 
 _ARG_FIELDS = ("backend", "n_param", "length", "q_sectors", "ring", "suites",
-               "jobs", "cache_dir", "report_path", "rescale_audit",
-               "max_length")
+               "jobs", "cache_dir", "report_path", "rescale_audit")
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:

@@ -18,7 +18,6 @@ import threading
 from math import comb
 
 from .identity import EXACT_ZERO, VACUOUS_ZERO, IdentityCheck, REGISTRY
-from .blocks import make_block
 from .opcache import DISABLED_CACHE, OperatorCache, make_key, rep_digest
 from .qcomb import TABLE, omega_int, q_int
 from .repchain import (
@@ -88,21 +87,15 @@ def _divided_step(base: GradedOperator, prev: GradedOperator, k: int,
 def divided_power(op: GradedOperator, n: int, normalization: str) -> GradedOperator:
     """theta^(n) = theta^n / n-th factorial, for an operator outside a store.
 
-    Symbolic entries divide iteratively, one _divided_step per order, the
-    same step a DividedPowerStore fills with.  Truncated phi-expansion
-    entries instead compute the full power (exact residues, no precision
-    loss) and divide once by the whole factorial: one valuation-aware
+    The route independent of a DividedPowerStore's order-by-order fill: the
+    full power, with exact entries and no precision loss, divided once by
+    the whole factorial.  Over the phi-adic ring that one valuation-aware
     division keeps the precision bookkeeping honest for every entry,
     including structural zeros.
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
-    if isinstance(op.ring, PhiAdicRing):
-        return _divide_entries(op.power(n), factorial_poly(n, normalization))
-    out = identity_operator(op.ctx, op.ring)
-    for k in range(1, n + 1):
-        out = _divided_step(op, out, k, normalization)
-    return out
+    return _divide_entries(op.power(n), factorial_poly(n, normalization))
 
 
 class DividedPowerStore:
@@ -259,8 +252,7 @@ def check_adic_agreement(store: DividedPowerStore, op_id: str, n: int,
                          normalization: str = NORM_OMEGA) -> IdentityCheck:
     """Dual-route audit: the store's symbolic division against truncated
     phi-adic division of the base operator, compared at the root."""
-    ctx = store.ctx
-    n_param = ctx.n_param
+    n_param = store.ctx.n_param
     params = {"op": op_id, "n": n, "norm": normalization, **_base_params(store)}
     cring = cyclo_ring(n_param)
     via_laurent = store.get(op_id, n, normalization, cring)
@@ -269,11 +261,7 @@ def check_adic_agreement(store: DividedPowerStore, op_id: str, n: int,
     # the phi-adic route stays independent of the store
     via_adic = divided_power(specialize_operator(store.base(op_id), adic),
                              n, normalization)
-    blocks = {}
-    for g, block in via_adic.blocks.items():
-        triples = [(r, c, adic.specialize(v)) for r, c, v in block.entries()]
-        blocks[g] = make_block(cring, block.shape[0], block.shape[1], triples)
-    at_root = GradedOperator(ctx, cring, via_adic.shift, blocks)
+    at_root = specialize_operator(via_adic, cring)
     return evaluate_zero_identity("divpow.adic-agreement", params,
                                   [via_laurent, -at_root], cring)
 

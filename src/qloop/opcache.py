@@ -21,7 +21,10 @@ File format, all integers little-endian:
         i64 exponent, i8 coefficient sign, u32 magnitude length, magnitude
 
 The cache is an optimization only: a miss recomputes, a hit must be
-bit-identical to the recomputation.  Writes go through a temp file and an
+bit-identical to the recomputation.  So a reader rejects, as a miss,
+anything the writer never produces: an entry index out of range, entries
+out of row-major order, a zero polynomial or coefficient, exponents out of
+ascending order, or a sign other than +-1.  Writes go through a temp file and an
 atomic rename, so concurrent readers never see partial files and concurrent
 writers of the same key (two worker processes filling the same power) leave
 one whole file.  A store replaces whatever file the key had, so a corrupt
@@ -98,11 +101,24 @@ class _Reader:
 
 
 def _unpack_poly(r: _Reader) -> LaurentPoly:
+    """A nonzero polynomial as _pack_poly writes it; anything else raises
+    ValueError."""
     (nterms,) = r.take("<I")
+    if not nterms:
+        raise ValueError("zero polynomial entry")
     coeffs = {}
+    last = None
     for _ in range(nterms):
         e, sign, nbytes = r.take("<qbI")
-        coeffs[e] = sign * int.from_bytes(r.raw(nbytes), "big")
+        if last is not None and e <= last:
+            raise ValueError("exponents not strictly increasing")
+        if sign not in (1, -1):
+            raise ValueError("coefficient sign outside +-1")
+        mag = int.from_bytes(r.raw(nbytes), "big")
+        if not mag:
+            raise ValueError("zero coefficient")
+        coeffs[e] = sign * mag
+        last = e
     return LaurentPoly._raw(coeffs)
 
 
@@ -139,8 +155,14 @@ def deserialize_operator(blob: bytes, expected_key: str,
                 or len(ctx.sectors.get(g, ())) != ncols):
             raise ValueError("sector shapes do not match this chain")
         triples = []
+        prev = (-1, -1)
         for _ in range(nnz):
             row, col = r.take("<II")
+            if row >= nrows or col >= ncols:
+                raise ValueError("entry index out of range")
+            if (row, col) <= prev:
+                raise ValueError("entries not strictly increasing in row-major order")
+            prev = (row, col)
             triples.append((row, col, _unpack_poly(r)))
         blocks[g] = DictBlock.from_entries(LAURENT_RING, nrows, ncols, triples)
     if r.pos != len(blob):

@@ -30,8 +30,7 @@ from .rings import (
     InternalInconsistency,
     LaurentPoly,
     NotDivisible,
-    _divmod_by_monic,
-    _poly_trim,
+    _poly_divmod,
     cyclo_ring,
     cyclotomic_poly,
 )
@@ -159,15 +158,11 @@ def phi_valuation(p: LaurentPoly, n_param: int):
     """Multiplicity of Phi_2N(q) in p; inf for the zero polynomial."""
     if p.is_zero():
         return float("inf")
-    phi = list(cyclotomic_poly(2 * n_param))
-    shift = p.min_exp()
-    cur = [0] * (p.max_exp() - shift + 1)
-    for e, v in p.c.items():
-        cur[e - shift] = v
-    cur = _poly_trim(cur)
+    phi = cyclotomic_poly(2 * n_param)
+    _, cur = p.dense()
     val = 0
     while True:
-        quot, rem = _divmod_by_monic(list(cur), phi)
+        quot, rem = _poly_divmod(cur, phi)
         if rem or not quot:
             return val
         cur = quot

@@ -38,7 +38,6 @@ from .rings import (
     FloatRing,
     InternalInconsistency,
     LaurentPoly,
-    LaurentRing,
     cyclo_ring,
 )
 
@@ -617,11 +616,11 @@ def build_barred_ops(ctx: ChainContext, gens: dict) -> dict:
 
 
 def specialize_operator(op: GradedOperator, ring) -> GradedOperator:
-    """Map a symbolically built (Laurent) operator into another scalar ring,
-    converting each entry with ring.coerce."""
-    if not isinstance(op.ring, LaurentRing):
-        raise ValueError("specialization starts from the symbolic ring")
-    if isinstance(ring, LaurentRing):
+    """Map an operator into `ring`, converting each entry with ring.coerce:
+    a Laurent operator into any ring, a phi-adic one onto its digit zero in
+    the cyclotomic ring of the same N.  An operator already in `ring` is
+    returned as it is."""
+    if ring is op.ring:
         return op
     blocks = {}
     for g, block in op.blocks.items():

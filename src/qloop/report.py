@@ -112,6 +112,8 @@ TOOL_NAME = "qloop"
 
 BACKENDS = ("spin_half", "highest_weight", "cyclic")
 RING_MODES = ("laurent", "cyclotomic", "phi-adic", "float")
+# the longest chain a run accepts; every state of it is walked in Python
+MAX_LENGTH = 14
 SUITE_NAMES = (
     "qcomb",
     "rep-gate",
@@ -188,16 +190,15 @@ class RunConfig:
     cache_dir: str | None = None
     report_path: str | None = None
     rescale_audit: bool = False
-    max_length: int = 14
 
     def validate(self) -> None:
         if self.backend not in BACKENDS:
             raise ConfigError(f"unknown backend {self.backend!r}; choose from {BACKENDS}")
         if not isinstance(self.n_param, int) or self.n_param < 2:
             raise ConfigError(f"N must be an integer >= 2, got {self.n_param!r}")
-        if not isinstance(self.length, int) or not 1 <= self.length <= self.max_length:
+        if not isinstance(self.length, int) or not 1 <= self.length <= MAX_LENGTH:
             raise ConfigError(
-                f"L must be an integer in 1..{self.max_length}, got {self.length!r}"
+                f"L must be an integer in 1..{MAX_LENGTH}, got {self.length!r}"
             )
         for q in self.q_sectors:
             if not isinstance(q, int) or not 0 <= q < self.n_param:

@@ -11,8 +11,10 @@ Four rings share one deformation parameter q:
 
 Each ring object (LAURENT_RING, a CycloRing, a PhiAdicRing, a FloatRing)
 owns its entries: coerce maps a LaurentPoly into the ring, is_zero tests an
-entry, and the exact rings divide with divexact.  The other modules ask the
-ring and never branch on which ring it is.
+entry, and the exact rings divide with divexact.  CycloRing.coerce also
+takes a phi-adic element of the same N onto its digit zero, its image at
+the root.  The other modules ask the ring and never branch on which ring
+it is.
 
 q is never a float inside the exact rings.  omega means q^2 throughout.
 All integer coefficients are Python ints, so they never overflow.
@@ -58,25 +60,42 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     return _poly_trim(out)
 
 
+def _poly_add(a: list[int], b: list[int]) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, bi in enumerate(b):
+        out[i] += bi
+    return _poly_trim(out)
+
+
 def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Long division over Z.  Every leading-term division must be exact."""
-    num = list(num)
-    den = _poly_trim(list(den))
+    """Long division over Z by a trimmed divisor: (quotient, remainder), both
+    trimmed, the remainder of degree below deg(den).
+
+    Every leading-term division must be exact, else NotDivisible; a monic
+    divisor needs no such test, so it is skipped when the lead is 1.
+    """
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
+    d = len(den) - 1
+    num = list(num)
+    if len(num) <= d:
+        return [], _poly_trim(num)
     lead = den[-1]
-    quot = [0] * max(0, len(num) - len(den) + 1)
-    for k in range(len(num) - len(den), -1, -1):
-        c = num[k + len(den) - 1]
-        if c == 0:
-            continue
-        if c % lead != 0:
-            raise NotDivisible(f"leading coefficient {c} not divisible by {lead}")
-        f = c // lead
-        quot[k] = f
-        for j, dj in enumerate(den):
-            num[k + j] -= f * dj
-    return _poly_trim(quot), _poly_trim(num)
+    monic = lead == 1
+    quot = [0] * (len(num) - d)
+    for k in range(len(num) - d - 1, -1, -1):
+        f = num[k + d]
+        if f:
+            if not monic:
+                if f % lead:
+                    raise NotDivisible(f"leading coefficient {f} not divisible by {lead}")
+                f //= lead
+            quot[k] = f
+            for j, dj in enumerate(den):
+                num[k + j] -= f * dj
+    return _poly_trim(quot), _poly_trim(num[:d])
 
 
 @lru_cache(maxsize=None)
@@ -204,6 +223,16 @@ class LaurentPoly:
     def max_abs_coeff(self) -> int:
         return max((abs(v) for v in self.c.values()), default=0)
 
+    def dense(self) -> tuple[int, list[int]]:
+        """(lowest exponent, coefficients ascending from it); (0, []) for 0."""
+        if not self.c:
+            return 0, []
+        lo = min(self.c)
+        out = [0] * (max(self.c) - lo + 1)
+        for e, v in self.c.items():
+            out[e - lo] = v
+        return lo, out
+
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division in Z[q, q^-1]; raises NotDivisible on a remainder."""
         if not isinstance(other, LaurentPoly):
@@ -212,13 +241,8 @@ class LaurentPoly:
             raise ZeroDivisionError("division by zero Laurent polynomial")
         if self.is_zero():
             return LaurentPoly._raw({})
-        sa, sb = self.min_exp(), other.min_exp()
-        na = [0] * (self.max_exp() - sa + 1)
-        for e, v in self.c.items():
-            na[e - sa] = v
-        nb = [0] * (other.max_exp() - sb + 1)
-        for e, v in other.c.items():
-            nb[e - sb] = v
+        sa, na = self.dense()
+        sb, nb = other.dense()
         quot, rem = _poly_divmod(na, nb)
         if rem:
             raise NotDivisible("Laurent division left a remainder")
@@ -398,6 +422,10 @@ class CycloRing:
             return self.from_int(x)
         if isinstance(x, LaurentPoly):
             return self.from_laurent(x)
+        if isinstance(x, PhiAdicElem):
+            if x.ring.n_param != self.n_param:
+                raise ValueError("mixed cyclotomic and phi-adic rings")
+            return x.digit(0)
         raise TypeError(f"cannot coerce {type(x).__name__} into CycloRing")
 
     def is_zero(self, x: CycloElem) -> bool:
@@ -508,9 +536,9 @@ class PhiAdicElem:
 
     def _compute_valuation(self) -> int:
         v = 0
-        cur = list(self.poly)
+        cur = self.poly
         while v < self.prec and cur:
-            quot, rem = _divmod_by_monic(cur, self.ring.cyclo.phi)
+            quot, rem = _poly_divmod(cur, self.ring.cyclo.phi)
             if rem:
                 return v
             cur = quot
@@ -527,10 +555,10 @@ class PhiAdicElem:
         """Base-Phi digit i as a cyclotomic residue (0 <= i < prec)."""
         if not 0 <= i < self.prec:
             raise TruncationOverflow(f"digit {i} is not known at precision {self.prec}")
-        cur = list(self.poly)
+        cur = self.poly
         rem: list[int] = []
         for _ in range(i + 1):
-            cur, rem = _divmod_by_monic(cur, self.ring.cyclo.phi)
+            cur, rem = _poly_divmod(cur, self.ring.cyclo.phi)
         pad = list(rem) + [0] * (self.ring.cyclo.degree - len(rem))
         return CycloElem(self.ring.cyclo, tuple(pad))
 
@@ -552,11 +580,8 @@ class PhiAdicElem:
 
     def __add__(self, other):
         other = self.ring.coerce(other)
-        n = max(len(self.poly), len(other.poly))
-        a = list(self.poly) + [0] * (n - len(self.poly))
-        for i, c in enumerate(other.poly):
-            a[i] += c
-        return PhiAdicElem(self.ring, tuple(_poly_trim(a)), min(self.prec, other.prec))
+        return PhiAdicElem(self.ring, tuple(_poly_add(self.poly, other.poly)),
+                           min(self.prec, other.prec))
 
     __radd__ = __add__
 
@@ -610,12 +635,15 @@ class PhiAdicRing:
         self.one = self.from_int(1)
         self.q = PhiAdicElem(self, self._reduce([0, 1]))
         self.phi_elem = PhiAdicElem(self, self._reduce(phi))
-        self.qinv = self._compute_qinv()
+        # Phi_2N(0) = 1, so the modulus M has M(0) = 1 and q * -(M - 1)/q = 1 - M
+        self.qinv = PhiAdicElem(self, tuple(-c for c in mod[1:]))
+        if not (self.qinv * self.q == self.one):
+            raise InternalInconsistency("q^-1 construction failed")
         self._qinv_powers: dict[int, PhiAdicElem] = {}
         self._divisors: dict[tuple, tuple[int, tuple[int, ...], CycloElem]] = {}
 
     def _reduce(self, coeffs: list[int]) -> tuple[int, ...]:
-        _, rem = _divmod_by_monic(list(coeffs), self._modulus)
+        _, rem = _poly_divmod(coeffs, self._modulus)
         return tuple(rem)
 
     def coerce(self, x) -> PhiAdicElem:
@@ -635,34 +663,14 @@ class PhiAdicRing:
     def from_int(self, k: int) -> PhiAdicElem:
         return PhiAdicElem(self, (k,) if k else ())
 
-    def _compute_qinv(self) -> PhiAdicElem:
-        order = self.cyclo.order
-        u = PhiAdicElem(self, self._reduce([0] * (order - 1) + [1]))   # q^(2N-1)
-        r = PhiAdicElem(self, self._reduce([0] * order + [1]))         # q^2N
-        t = r - self.one                          # vanishes at the root: val >= 1
-        if self.trunc_order >= 1 and t.valuation() < 1:
-            raise InternalInconsistency("q^2N - 1 should have positive valuation")
-        inv = self.one
-        power = self.one
-        for _ in range(self.trunc_order):
-            power = power * (-t)
-            inv = inv + power
-        qinv = u * inv
-        if not (qinv * self.q == self.one):
-            raise InternalInconsistency("q^-1 construction failed")
-        return qinv
-
     def embed(self, p: LaurentPoly) -> PhiAdicElem:
         """Ring homomorphism Z[q,q^-1] -> Z[q]/Phi^(K+1), full precision."""
         if p.is_zero():
             return self.zero
-        shift = -min(0, p.min_exp())
-        coeffs = [0] * (p.max_exp() + shift + 1)
-        for e, v in p.c.items():
-            coeffs[e + shift] = v
-        out = PhiAdicElem(self, self._reduce(coeffs))
-        if shift:
-            out = out * self.qinv_power(shift)
+        lo, coeffs = p.dense()
+        out = PhiAdicElem(self, self._reduce([0] * max(lo, 0) + coeffs))
+        if lo < 0:
+            out = out * self.qinv_power(-lo)
         return out
 
     def qinv_power(self, k: int) -> PhiAdicElem:
@@ -694,37 +702,18 @@ class PhiAdicRing:
             raise TruncationOverflow("no valid digits left after division; raise K")
         if a.valuation() < v:
             raise NotDivisible("dividend valuation below divisor valuation")
-        phi = list(self.cyclo.phi)
-        ashift = list(a.poly)
-        for _ in range(v):
-            ashift, ra = _divmod_by_monic(ashift, phi)
-            if ra:
-                raise InternalInconsistency("valuation bookkeeping out of step")
-        rem = ashift
+        phi = self.cyclo.phi
+        rem = self._phi_shift(a.poly, v)
         quot_poly: list[int] = []
         phi_j = [1]
         for j in range(prec):
-            rem_elem = PhiAdicElem(self, self._reduce(rem), self.trunc_order + 1)
-            if rem_elem.valuation() <= j:
-                d = rem_elem.digit(j)
-                c = self.cyclo.divexact(d, unit0)
-            else:
-                c = self.cyclo.zero
+            # digit j of the remainder, whose lower digits are already zero
+            digit = PhiAdicElem(self, self._reduce(rem)).digit(j)
+            c = self.cyclo.divexact(digit, unit0)
             if c:
-                c_poly = _poly_trim(list(c.coords))
-                term = _poly_mul(_poly_mul(c_poly, phi_j), bshift)
-                n = max(len(rem), len(term))
-                rem = list(rem) + [0] * (n - len(rem))
-                for i, t in enumerate(term):
-                    rem[i] -= t
-                rem = _poly_trim(rem)
-                quot_list = list(quot_poly)
-                addend = _poly_mul(c_poly, phi_j)
-                n = max(len(quot_list), len(addend))
-                quot_list += [0] * (n - len(quot_list))
-                for i, t in enumerate(addend):
-                    quot_list[i] += t
-                quot_poly = _poly_trim(quot_list)
+                addend = _poly_mul(_poly_trim(list(c.coords)), phi_j)
+                quot_poly = _poly_add(quot_poly, addend)
+                rem = _poly_add(rem, _poly_mul([-x for x in addend], bshift))
             phi_j = _poly_mul(phi_j, phi)
         return PhiAdicElem(self, self._reduce(quot_poly), prec)
 
@@ -735,37 +724,22 @@ class PhiAdicRing:
         out = self._divisors.get(key)
         if out is None:
             v = b.valuation()
-            bshift = list(b.poly)
-            for _ in range(v):
-                bshift, rb = _divmod_by_monic(bshift, self.cyclo.phi)
-                if rb:
-                    raise InternalInconsistency("valuation bookkeeping out of step")
-            unit0 = PhiAdicElem(self, tuple(bshift)).digit(0)
-            out = self._divisors[key] = (v, tuple(bshift), unit0)
+            bshift = tuple(self._phi_shift(b.poly, v))
+            unit0 = PhiAdicElem(self, bshift).digit(0)
+            out = self._divisors[key] = (v, bshift, unit0)
         return out
 
-    def specialize(self, a: PhiAdicElem) -> CycloElem:
-        """Digit zero, i.e. the image in Z[q]/Phi_2N."""
-        return a.digit(0)
+    def _phi_shift(self, poly, v: int) -> list[int]:
+        """poly / Phi^v, for a poly whose valuation is at least v."""
+        out = list(poly)
+        for _ in range(v):
+            out, rem = _poly_divmod(out, self.cyclo.phi)
+            if rem:
+                raise InternalInconsistency("valuation bookkeeping out of step")
+        return out
 
     def __repr__(self):
         return f"PhiAdicRing(N={self.n_param}, K={self.trunc_order})"
-
-
-def _divmod_by_monic(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """divmod over Z by a monic polynomial; remainder has degree < deg(den)."""
-    num = list(num)
-    d = len(den) - 1
-    if len(num) <= d:
-        return [], _poly_trim(num)
-    quot = [0] * (len(num) - d)
-    for k in range(len(num) - d - 1, -1, -1):
-        f = num[k + d]
-        if f:
-            quot[k] = f
-            for j in range(d + 1):
-                num[k + j] -= f * den[j]
-    return _poly_trim(quot), _poly_trim(num[:d])
 
 
 # ---------------------------------------------------------------------------

@@ -122,18 +122,11 @@ def _scaled(op: GradedOperator, coeff, ring) -> GradedOperator:
     return op.scale(ring.coerce(coeff))
 
 
-def _spec_terms(specs, store: DividedPowerStore, normalization: str, ring,
-                words: dict | None = None) -> list[GradedOperator]:
-    """The scaled word operators of (coeff, word) specs.  Pass one `words`
-    dict to several calls to build each word operator only once."""
-    words = {} if words is None else words
-    terms = []
-    for coeff, word in specs:
-        op = words.get(word)
-        if op is None:
-            op = words[word] = _word_operator(store, word, normalization, ring)
-        terms.append(_scaled(op, coeff, ring))
-    return terms
+def _spec_terms(specs, store: DividedPowerStore, normalization: str,
+                ring) -> list[GradedOperator]:
+    """The scaled word operators of (coeff, word) specs."""
+    return [_scaled(_word_operator(store, word, normalization, ring), coeff, ring)
+            for coeff, word in specs]
 
 
 def _total(terms) -> GradedOperator:
@@ -349,19 +342,16 @@ def _three_term(store: DividedPowerStore, q_sector: int, branch: str,
         (mid_sign, ((i_id, n_param + q_sector), (j_id, q_sector), (i_id, n_param))),
         (1, ((i_id, q_sector), (j_id, q_sector), (i_id, 2 * n_param))),
     ]
+    # the hand-written instance must be the general wide-ladder builder's
+    # spec list, so both give the same residual
+    general = _ladder_wide_specs(i_id, j_id, q_sector, 2 * n_param + q_sector,
+                                 n_param)
+    if sorted(hand) != sorted(general):
+        raise InternalInconsistency(
+            "three-term instance differs from its wide-ladder specs")
     params = {"roles": roles, "branch": branch, "Q": q_sector,
               **_base_params(store)}
-    words: dict = {}
-    terms = _spec_terms(hand, store, NORM_Q, ring, words)
-    check = evaluate_zero_identity("serre.three-term", params, terms, ring)
-    # the same residual must come out of the general wide-ladder builder,
-    # whose words are the hand-written ones
-    general = _spec_terms(
-        _ladder_wide_specs(i_id, j_id, q_sector, 2 * n_param + q_sector, n_param),
-        store, NORM_Q, ring, words)
-    if not _total(terms) == _total(general):
-        raise InternalInconsistency(
-            "three-term residual differs from its wide-ladder instance")
+    check = _evaluate_specs("serre.three-term", params, hand, store, NORM_Q, ring)
     check.extra["matches_wide_ladder"] = True
     return check
 

@@ -97,6 +97,18 @@ def test_config_file_with_flag_overrides(tmp_path, capsys):
     assert "L=4" in out and "suites=qcomb" in out and "N=2" in out
 
 
+def test_length_bound_is_not_configurable(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--max-L", "20", "--L", "20"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max_L=20\nL=20\n")
+    assert main(["--config", str(cfg)]) == 2
+    assert "unknown config key 'max_L'" in capsys.readouterr().err
+    assert main(["--L", "15"]) == 2
+    assert "L must be an integer in 1..14" in capsys.readouterr().err
+
+
 def test_config_file_parsing_errors(tmp_path):
     bad_line = tmp_path / "a.cfg"
     bad_line.write_text("just words\n")

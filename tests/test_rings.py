@@ -6,7 +6,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qloop import rings
@@ -20,6 +20,7 @@ from qloop.rings import (
     PhiAdicElem,
     PhiAdicRing,
     TruncationOverflow,
+    _poly_divmod,
     cyclo_ring,
     cyclotomic_poly,
 )
@@ -45,6 +46,34 @@ def test_cyclotomic_small_values_frozen():
     assert cyclotomic_poly(8) == (1, 0, 0, 0, 1)
     assert cyclotomic_poly(10) == (1, -1, 1, -1, 1)
     assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
+
+
+def _ascending(poly) -> list[int]:
+    return [] if poly.is_zero else [int(c) for c in reversed(poly.all_coeffs())]
+
+
+@given(st.lists(st.integers(-20, 20), max_size=9),
+       st.lists(st.integers(-20, 20), min_size=1, max_size=5).filter(
+           lambda d: d[-1] != 0),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_poly_divmod_matches_sympy(num, den, monic):
+    import sympy
+
+    if monic:
+        den = den[:-1] + [1]
+    x = sympy.symbols("x")
+    f = sympy.Poly(num[::-1] or [0], x, domain=sympy.ZZ)
+    g = sympy.Poly(den[::-1], x, domain=sympy.ZZ)
+    # over ZZ sympy stops at the first leading division that is not exact
+    quot, rem = f.div(g, auto=False)
+    before = list(num)
+    if rem.is_zero or rem.degree() < g.degree():
+        assert _poly_divmod(num, den) == (_ascending(quot), _ascending(rem))
+    else:
+        with pytest.raises(NotDivisible):
+            _poly_divmod(num, den)
+    assert num == before
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +160,7 @@ def test_ring_homomorphisms_random(n_param):
         assert adic.embed(a * b) == pa * pb
         assert adic.embed(a + b) == pa + pb
         # digit zero of the adic embedding is the cyclotomic residue
-        assert adic.specialize(pa) == ca
+        assert cyclo.coerce(pa) == ca
         # float evaluation agrees with the cyclotomic coordinate evaluation
         za = LaurentPoly(dict(enumerate(ca.coords))).evaluate(flt.q)
         assert abs(za - a.evaluate(flt.q)) < 1e-8 * (1 + a.max_abs_coeff())
@@ -264,6 +293,66 @@ def test_phi_adic_qinv():
         assert adic.embed(LaurentPoly({-3: 1})) * adic.embed(LaurentPoly({3: 1})) == adic.one
 
 
+@pytest.mark.parametrize("n_param", range(2, 9))
+def test_phi_adic_qinv_at_every_truncation(n_param):
+    for trunc in range(5):
+        adic = PhiAdicRing(n_param, trunc)
+        assert adic.qinv.prec == trunc + 1
+        assert adic.qinv * adic.q == adic.one
+
+
+def _phi_power(adic, elem, v):
+    for _ in range(v):
+        elem = elem * adic.phi_elem
+    return elem
+
+
+@given(st.sampled_from([2, 3, 4, 5]), st.integers(0, 3), st.integers(0, 3),
+       st.integers(1, 3), laurent_strategy, laurent_strategy)
+@settings(max_examples=120, deadline=None)
+def test_phi_adic_divexact_recovers_the_cofactor(n_param, trunc, v, times,
+                                                 unit, cofactor):
+    # a = c * b^times divided by b, times over: each division spends
+    # val(b) digits, so the quotient is c to precision K + 1 - times*val(b),
+    # and TruncationOverflow once no digit would be left
+    adic = PhiAdicRing(n_param, trunc)
+    b = _phi_power(adic, adic.embed(unit), v)
+    assume(not b.is_zero())
+    c = adic.embed(cofactor)
+    a = c
+    for _ in range(times):
+        a = a * b
+    prec = trunc + 1 - times * b.valuation()
+    if prec < 1:
+        with pytest.raises(TruncationOverflow):
+            for _ in range(times):
+                a = adic.divexact(a, b)
+        return
+    for _ in range(times):
+        a = adic.divexact(a, b)
+    assert a.prec == prec
+    assert a == c
+
+
+@given(st.sampled_from([2, 3, 4, 5]), st.integers(1, 3), st.integers(1, 3),
+       laurent_strategy, laurent_strategy, st.integers(2, 6), st.integers(-4, 4))
+@settings(max_examples=120, deadline=None)
+def test_phi_adic_divexact_rejects_non_multiples(n_param, trunc, v, unit,
+                                                 cofactor, k, j):
+    adic = PhiAdicRing(n_param, trunc)
+    c = adic.embed(cofactor)
+    # a dividend whose valuation is below the divisor's
+    b = _phi_power(adic, adic.embed(unit), v)
+    assume(not b.is_zero())
+    for w in range(b.valuation()):
+        with pytest.raises(NotDivisible):
+            adic.divexact(c * b + _phi_power(adic, adic.one, w), b)
+    # a digit the divisor's unit k*q^j does not divide over Z
+    b = adic.embed(LaurentPoly({j: k}))
+    with pytest.raises(NotDivisible):
+        adic.divexact(c * b + adic.one, b)
+
+
 def test_phi_adic_ring_is_collected_after_use():
     adic = PhiAdicRing(2, 3)
     adic.embed(LaurentPoly({-3: 1}))  # memoizes q^-3 on the ring
@@ -329,6 +418,15 @@ def test_ring_is_zero_across_rings():
     flt = FloatRing(3)
     assert flt.is_zero(1e-12 + 0j)
     assert not flt.is_zero(1e-3 + 0j)
+
+
+def test_cyclo_coerce_takes_phi_adic_digit_zero_of_the_same_n_only():
+    adic = PhiAdicRing(3, 2)
+    x = adic.embed(LaurentPoly({-1: 2, 4: 1}))
+    assert cyclo_ring(3).coerce(x) == x.digit(0)
+    for n_param in (2, 4):
+        with pytest.raises(ValueError):
+            cyclo_ring(n_param).coerce(x)
 
 
 def test_laurent_ring_divides_its_entries():
