@@ -12,8 +12,10 @@ sector.  Three engines cover the scalar rings:
                   embedded as D x D multiplication matrices.
 * ComplexBlock -- dense complex128, float smoke mode only.
 
-make_block picks the engine for a ring.  Blocks are immutable by
-convention: every operation returns a new block.
+make_block picks the engine for a ring; the layout is private to this
+module, read elsewhere only through shape, entries(), nnz() and the
+arithmetic methods.  _exact_dtype is the one int64-or-exact-ints rule.
+Blocks are immutable by convention: every operation returns a new block.
 """
 
 from __future__ import annotations
@@ -169,11 +171,19 @@ def _mult_tensor(n_param: int) -> tuple[np.ndarray, int]:
     return t, weight
 
 
+def _exact_dtype(bound: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The operands of an exact operation whose every value, partial sums
+    included, is at most `bound` in size: as they are (int64) while the
+    bound is below INT64_SAFE and none is object dtype, else in object dtype."""
+    if bound < INT64_SAFE and not any(a.dtype.hasobject for a in arrays):
+        return arrays
+    return tuple(a.astype(object) for a in arrays)
+
+
 def _as_coord_array(nrows, ncols, d, coords_entries):
     """Dense (nrows, ncols, d) array; int64 when every value fits."""
-    big = any(abs(x) >= INT64_SAFE for _, _, cs in coords_entries for x in cs)
-    dtype = object if big else np.int64
-    arr = np.zeros((nrows, ncols, d), dtype=dtype)
+    bound = max((abs(x) for _, _, cs in coords_entries for x in cs), default=0)
+    arr, = _exact_dtype(bound, np.zeros((nrows, ncols, d), dtype=np.int64))
     for r, c, cs in coords_entries:
         for i, x in enumerate(cs):
             arr[r, c, i] = x
@@ -197,14 +207,13 @@ def _product(ring: CycloRing, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     partial sum, the embedding's included, is bounded by
     k * max|a| * max|b| * weight(T); the product runs in int64 while that
     bound stays below INT64_SAFE and in exact Python ints (object dtype)
-    otherwise.
+    otherwise (_exact_dtype).
     """
     r, k, d = a.shape
     c = b.shape[1]
     tensor, weight = _mult_tensor(ring.n_param)
     bound = max(k, 1) * max(_max_abs(a), 1) * max(_max_abs(b), 1) * weight
-    if bound >= INT64_SAFE or a.dtype == object or b.dtype == object:
-        a, b, tensor = a.astype(object), b.astype(object), tensor.astype(object)
+    a, b, tensor = _exact_dtype(bound, a, b, tensor)
     embedded = (b.reshape(k * c, d) @ tensor).reshape(k, c, d, d)
     embedded = embedded.transpose(0, 2, 1, 3).reshape(k * d, c * d)
     return (a.reshape(r, k * d) @ embedded).reshape(r, c, d)
@@ -222,10 +231,6 @@ class CycloBlock:
     @property
     def shape(self):
         return (self.arr.shape[0], self.arr.shape[1])
-
-    @classmethod
-    def zeros(cls, ring, nrows, ncols) -> "CycloBlock":
-        return cls(ring, np.zeros((nrows, ncols, ring.degree), dtype=np.int64))
 
     @classmethod
     def from_entries(cls, ring, nrows, ncols, triples) -> "CycloBlock":
@@ -257,11 +262,8 @@ class CycloBlock:
     def add(self, other: "CycloBlock") -> "CycloBlock":
         if self.shape != other.shape:
             raise ValueError("shape mismatch in block sum")
-        a, b = self.arr, other.arr
-        if a.dtype != object and b.dtype != object:
-            if _max_abs(a) + _max_abs(b) >= INT64_SAFE:
-                a = a.astype(object)
-                b = b.astype(object)
+        a, b = _exact_dtype(_max_abs(self.arr) + _max_abs(other.arr),
+                            self.arr, other.arr)
         return CycloBlock(self.ring, a + b)
 
     def neg(self) -> "CycloBlock":
@@ -273,9 +275,7 @@ class CycloBlock:
     def scale(self, scalar) -> "CycloBlock":
         """Multiply by an integer or a CycloElem."""
         if isinstance(scalar, int):
-            arr = self.arr
-            if arr.dtype != object and abs(scalar) * max(_max_abs(arr), 1) >= INT64_SAFE:
-                arr = arr.astype(object)
+            arr, = _exact_dtype(abs(scalar) * max(_max_abs(self.arr), 1), self.arr)
             return CycloBlock(self.ring, arr * scalar)
         if not isinstance(scalar, CycloElem):
             raise TypeError(f"cannot scale CycloBlock by {type(scalar).__name__}")
@@ -305,10 +305,6 @@ class ComplexBlock:
     @property
     def shape(self):
         return self.arr.shape
-
-    @classmethod
-    def zeros(cls, ring, nrows, ncols) -> "ComplexBlock":
-        return cls(ring, np.zeros((nrows, ncols), dtype=np.complex128))
 
     @classmethod
     def from_entries(cls, ring, nrows, ncols, triples) -> "ComplexBlock":
@@ -352,7 +348,10 @@ class ComplexBlock:
         return f"ComplexBlock({self.shape[0]}x{self.shape[1]})"
 
 
-def make_block(ring, nrows, ncols, triples):
+Block = DictBlock | CycloBlock | ComplexBlock  # for annotations elsewhere
+
+
+def make_block(ring, nrows, ncols, triples) -> Block:
     """A block of `ring` entries, in the engine that ring uses."""
     if isinstance(ring, CycloRing):
         return CycloBlock.from_entries(ring, nrows, ncols, triples)

@@ -19,7 +19,7 @@ from math import comb
 
 from .identity import EXACT_ZERO, VACUOUS_ZERO, IdentityCheck, REGISTRY
 from .opcache import DISABLED_CACHE, OperatorCache, make_key, rep_digest
-from .qcomb import TABLE, omega_int, q_int
+from .qcomb import omega_factorial, omega_int, q_factorial, q_int
 from .repchain import (
     ChainContext,
     GradedOperator,
@@ -42,24 +42,24 @@ from .rings import (
 
 NORM_Q = "q_fact"
 NORM_OMEGA = "omega_fact"
-NORMALIZATIONS = (NORM_Q, NORM_OMEGA)
+# (increment [k], factorial [n]!) of each normalization
+_DIVISORS = {NORM_Q: (q_int, q_factorial), NORM_OMEGA: (omega_int, omega_factorial)}
+NORMALIZATIONS = tuple(_DIVISORS)
+
+
+def _divisors(normalization: str):
+    if normalization not in _DIVISORS:
+        raise ValueError(f"unknown normalization {normalization!r}")
+    return _DIVISORS[normalization]
 
 
 def increment_poly(k: int, normalization: str) -> LaurentPoly:
     """The divisor stepping theta^(k-1) to theta^(k)."""
-    if normalization == NORM_Q:
-        return q_int(k)
-    if normalization == NORM_OMEGA:
-        return omega_int(k)
-    raise ValueError(f"unknown normalization {normalization!r}")
+    return _divisors(normalization)[0](k)
 
 
 def factorial_poly(n: int, normalization: str) -> LaurentPoly:
-    if normalization == NORM_Q:
-        return TABLE.q_factorial(n)
-    if normalization == NORM_OMEGA:
-        return TABLE.omega_factorial(n)
-    raise ValueError(f"unknown normalization {normalization!r}")
+    return _divisors(normalization)[1](n)
 
 
 def _divide_entries(op: GradedOperator, divisor: LaurentPoly) -> GradedOperator:
@@ -146,8 +146,7 @@ class DividedPowerStore:
 
     def get(self, op_id: str, n: int, normalization: str,
             ring=LAURENT_RING) -> GradedOperator:
-        if normalization not in NORMALIZATIONS:
-            raise ValueError(f"unknown normalization {normalization!r}")
+        _divisors(normalization)  # rejects an unknown name before any fill
         with self._lock:
             laurent = self._fill(op_id, n, normalization)
             if isinstance(ring, CycloRing):
@@ -168,8 +167,8 @@ class DividedPowerStore:
                 identity_operator(self.ctx, LAURENT_RING), base]
         while len(seq) <= n:
             k = len(seq)
-            key = make_key(self._rep_digest, self.ctx.length, "laurent",
-                           op_id, normalization, k)
+            key = make_key(self._rep_digest, self.ctx.length, op_id,
+                           normalization, k)
             cached = self.cache.load(key, self.ctx)
             if cached is None:
                 cached = _divided_step(base, seq[k - 1], k, normalization)

@@ -30,8 +30,9 @@ writers of the same key (two worker processes filling the same power) leave
 one whole file.  A store replaces whatever file the key had, so a corrupt
 file is mended by the first run that misses on it.
 
-Only operators with LaurentPoly entries are cached; every consumer builds
-symbolically first and specializes afterwards, so this loses nothing.
+Only operators with LaurentPoly entries are cached (keys say ring=laurent);
+every consumer builds symbolically first and specializes afterwards, so this
+loses nothing.  Blocks go through shape, entries() and make_block only.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import struct
 import tempfile
 from pathlib import Path
 
-from .blocks import DictBlock
+from .blocks import make_block
 from .repchain import ChainContext, GradedOperator, SiteRep
 from .rings import LAURENT_RING, LaurentPoly
 
@@ -55,15 +56,15 @@ def rep_digest(rep: SiteRep) -> str:
     for name in ("e_pr", "f_pr", "k_pr", "z"):
         block = getattr(rep, name)
         cells = ";".join(f"{r},{c}:{v.render()}" for r, c, v in block.entries())
-        parts.append(f"{name}={block.nrows}x{block.ncols}[{cells}]")
+        parts.append(f"{name}={block.shape[0]}x{block.shape[1]}[{cells}]")
     parts += [f"{k}={rep.params[k]!r}" for k in sorted(rep.params)]
     return hashlib.sha256("|".join(parts).encode()).hexdigest()
 
 
-def make_key(rep: str, length: int, ring: str, operator_id: str,
+def make_key(rep: str, length: int, operator_id: str,
              normalization: str, order: int) -> str:
-    """The cache key of one operator; rep is the chain's rep_digest."""
-    return (f"rep={rep}|L={length}|ring={ring}"
+    """The cache key of one Laurent operator; rep is the chain's rep_digest."""
+    return (f"rep={rep}|L={length}|ring=laurent"
             f"|op={operator_id}|norm={normalization}|n={order}")
 
 
@@ -164,7 +165,7 @@ def deserialize_operator(blob: bytes, expected_key: str,
                 raise ValueError("entries not strictly increasing in row-major order")
             prev = (row, col)
             triples.append((row, col, _unpack_poly(r)))
-        blocks[g] = DictBlock.from_entries(LAURENT_RING, nrows, ncols, triples)
+        blocks[g] = make_block(LAURENT_RING, nrows, ncols, triples)
     if r.pos != len(blob):
         raise ValueError("trailing bytes")
     return GradedOperator(ctx, LAURENT_RING, shift, blocks)

@@ -1,13 +1,14 @@
 """Site representations and graded chain operators.
 
-A site representation supplies four d x d matrices, DictBlocks over
-LAURENT_RING: a raising operator, a lowering operator, an invertible
-diagonal, and a clock diagonal whose eigenvalues are integer powers of
-w = q^2.  Chains of L sites are graded by the total clock exponent; every
-operator built here shifts that grading uniformly, which is what makes
-sector-block storage possible.  The representation (kind, N, labels, the
-four matrices, params) is the chain's identity: the disk cache addresses a
-chain's operators by a digest of it (opcache.rep_digest) and the length.
+A site representation supplies four d x d matrices, blocks over
+LAURENT_RING (built by make_block, read through entries() and shape): a
+raising operator, a lowering operator, an invertible diagonal, and a clock
+diagonal whose eigenvalues are integer powers of w = q^2.  Chains of L
+sites are graded by the total clock exponent; every operator built here
+shifts that grading uniformly, which is what makes sector-block storage
+possible.  The representation (kind, N, labels, the four matrices, params)
+is the chain's identity: the disk cache addresses a chain's operators by a
+digest of it (opcache.rep_digest) and the length.
 
 Clock labels are chosen per backend so that raising operators shift the total
 exponent by exactly -1 without wrapping (spin_half uses labels -1 and 0 for
@@ -17,9 +18,10 @@ on the integer-exponent square root of the clock product refuse it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
-from .blocks import DictBlock, make_block
+from .blocks import Block, make_block
 from .identity import (
     EXACT_ZERO,
     APPROX_ZERO,
@@ -59,33 +61,35 @@ class WrapInconsistency(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# site matrices: d x d DictBlocks over LAURENT_RING
+# site matrices: d x d blocks over LAURENT_RING
 
 
-def _site_block(dim: int, entries: dict) -> DictBlock:
+def _site_block(dim: int, entries: dict) -> Block:
     """A d x d site matrix from {(row, col): LaurentPoly}; zeros dropped."""
-    return DictBlock.from_entries(
+    return make_block(
         LAURENT_RING, dim, dim, [(r, c, v) for (r, c), v in entries.items()])
 
 
-def _site_identity(dim: int) -> DictBlock:
+def _site_identity(dim: int) -> Block:
     return _site_block(dim, {(i, i): LAURENT_ONE for i in range(dim)})
 
 
-def invert_diag(a: DictBlock) -> DictBlock:
+def invert_diag(a: Block) -> Block:
     """Invert a diagonal block of +-monomials exactly."""
+    entries = a.entries()
+    diagonal = {r: v for r, c, v in entries if r == c}
     out = {}
-    for i in range(a.nrows):
-        v = a.cols.get(i, {}).get(i)
+    for i in range(a.shape[0]):
+        v = diagonal.get(i)
         if v is None or len(v.c) != 1:
             raise InvalidParams("diagonal inverse needs monomial entries")
         (e, coeff), = v.c.items()
         if coeff not in (1, -1):
             raise InvalidParams("diagonal inverse needs unit coefficients")
         out[(i, i)] = LaurentPoly.q_power(-e, coeff)
-    if a.nnz() != len(out):
+    if len(entries) != len(out):
         raise InvalidParams("matrix is not diagonal")
-    return _site_block(a.nrows, out)
+    return _site_block(a.shape[0], out)
 
 
 # ---------------------------------------------------------------------------
@@ -99,10 +103,10 @@ class SiteRep:
     kind: str
     n_param: int
     dim: int
-    e_pr: DictBlock
-    f_pr: DictBlock
-    k_pr: DictBlock
-    z: DictBlock
+    e_pr: Block
+    f_pr: Block
+    k_pr: Block
+    z: Block
     labels: tuple[int, ...]         # clock exponent of each basis vector
     wrap_free: bool                 # shifts never wrap the clock labels
     params: dict = field(default_factory=dict)
@@ -202,12 +206,12 @@ REGISTRY.register(
 )
 
 
-def _vanishes_at_root(block: DictBlock, n_param: int) -> bool:
+def _vanishes_at_root(block: Block, n_param: int) -> bool:
     ring = cyclo_ring(n_param)
     return all(ring.is_zero(ring.coerce(v)) for _, _, v in block.entries())
 
 
-def _site_status(diff: DictBlock, n_param: int, mode: str):
+def _site_status(diff: Block, n_param: int, mode: str):
     """Classify a site-matrix residual in the requested mode."""
     if diff.is_zero():
         return EXACT_ZERO, None, {"holds_generically": True}
@@ -312,15 +316,6 @@ class ChainContext:
         self.sectors = {g: tuple(states) for g, states in sorted(sectors.items())}
         self.sector_pos = {g: {s: i for i, s in enumerate(states)}
                            for g, states in self.sectors.items()}
-
-    def state_tuple(self, state: int) -> tuple[int, ...]:
-        """Site basis indices, site 1 first (slowest-varying)."""
-        d = self.rep.dim
-        out = []
-        for _ in range(self.length):
-            out.append(state % d)
-            state //= d
-        return tuple(reversed(out))
 
     def wrap_grade(self, g: int) -> int:
         return g % self.n_param if not self.rep.wrap_free else g
@@ -500,30 +495,42 @@ def sector_project(op: GradedOperator, charge_q: int) -> GradedOperator:
 # chain generators
 
 
-def _chain_term_entries(ctx: ChainContext, factors: list[DictBlock]):
+_MULTI = object()
+
+
+def _column_map(block: Block) -> dict:
+    """{col: (row, value)}; _MULTI marks a column of several entries."""
+    out: dict = {}
+    for r, c, v in block.entries():
+        out[c] = _MULTI if c in out else (r, v)
+    return out
+
+
+def _chain_term_entries(ctx: ChainContext, factors: list[Block]):
     """Entries of factor_1 x .. x factor_L over the full chain basis.
 
-    Yields (row_state, col_state, LaurentPoly).  Efficient because every
-    local factor used here has at most one entry per column.
+    Yields (row_state, col_state, LaurentPoly), each nonzero: a product of
+    nonzero Laurent polynomials.  Efficient because every local factor used
+    here has at most one entry per column, so a column costs one dict lookup.
     """
     d = ctx.rep.dim
-    length = ctx.length
-    for col_state in range(ctx.dim_total):
-        digits = ctx.state_tuple(col_state)
+    maps = {id(f): _column_map(f) for f in factors}
+    columns = [maps[id(f)] for f in factors]
+    # a state's site basis indices, site 1 first (slowest-varying)
+    for col_state, digits in enumerate(itertools.product(range(d), repeat=ctx.length)):
         row_state = 0
         val = None
-        dead = False
-        for j in range(length):
-            column = factors[j].cols.get(digits[j])
-            if not column:
-                dead = True
+        for column, digit in zip(columns, digits):
+            hit = column.get(digit)
+            if hit is None:
+                val = None
                 break
-            if len(column) != 1:
+            if hit is _MULTI:
                 raise InternalInconsistency("chain factors must be single-valued")
-            (r, v), = column.items()
+            r, v = hit
             row_state = row_state * d + r
             val = v if val is None else val * v
-        if not dead and val is not None and not val.is_zero():
+        if val is not None:
             yield (row_state, col_state, val)
 
 
@@ -531,12 +538,9 @@ def _sum_terms(ctx, ring, term_factor_lists, shift):
     entries: dict[tuple[int, int], LaurentPoly] = {}
     for factors in term_factor_lists:
         for r, c, v in _chain_term_entries(ctx, factors):
-            key = (r, c)
-            s = entries.get(key, LaurentPoly(0)) + v
-            if s.is_zero():
-                entries.pop(key, None)
-            else:
-                entries[key] = s
+            prev = entries.get((r, c))
+            entries[(r, c)] = v if prev is None else prev + v
+    # operator_from_entries drops the sums that cancelled to zero
     return operator_from_entries(ctx, ring, [(r, c, v) for (r, c), v in entries.items()],
                                  shift=shift)
 

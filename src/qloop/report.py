@@ -60,7 +60,6 @@ from .identity import (
     NONZERO,
     REGISTRY,
     VACUOUS_ZERO,
-    CheckTimer,
     IdentityCheck,
     error_check,
     format_check_id,
@@ -659,22 +658,18 @@ def _collect(job_results) -> tuple[list[IdentityCheck], dict[str, list[IdentityC
     return ordered, per_suite
 
 
-def _audit_checks(config: RunConfig, per_suite: dict[str, list[IdentityCheck]],
-                  selected: tuple[str, ...]) -> list[IdentityCheck]:
-    suites = [s for s in selected if s in _AUDIT_SUITES]
-    if not suites:
-        return []
-    env = _RunEnv(config, rescale=True)
+def _audit_checks(suites: list[str], per_suite: dict[str, list[IdentityCheck]],
+                  rescaled_results) -> list[IdentityCheck]:
+    """One record per audited suite: do its plain and rescaled (job, checks)
+    results agree on every status?  millis is the rescaled checks' time."""
+    rescaled_per_suite: dict[str, list[IdentityCheck]] = defaultdict(list)
+    for job, checks in rescaled_results:
+        rescaled_per_suite[job.suite].extend(checks)
     out = []
     for suite in suites:
-        with CheckTimer() as timer:
-            jobs = _SUITE_BUILDERS[suite](env)
-            results = _execute(jobs, config.jobs)
-        rescaled = {}
-        for job, checks in zip(jobs, results):
-            for check in checks:
-                rescaled[check.check_id] = check.status
         plain = {c.check_id: c.status for c in per_suite.get(suite, [])}
+        rescaled = {c.check_id: c.status for c in rescaled_per_suite[suite]}
+        millis = sum(c.millis for c in rescaled_per_suite[suite])
         mismatches = []
         for cid in sorted(set(plain) | set(rescaled)):
             a = plain.get(cid, "missing")
@@ -686,14 +681,14 @@ def _audit_checks(config: RunConfig, per_suite: dict[str, list[IdentityCheck]],
         if mismatches:
             out.append(make_check(
                 cid, "audit.rescale", params, NONZERO,
-                witness=mismatches[0], millis=timer.millis,
+                witness=mismatches[0], millis=millis,
                 detail=f"{len(mismatches)} status change(s) under rescale",
                 extra={"mismatches": mismatches},
             ))
         else:
             out.append(make_check(
                 cid, "audit.rescale", params, EXACT_ZERO,
-                millis=timer.millis,
+                millis=millis,
                 nontrivial={"checks_compared": len(plain)},
             ))
     return out
@@ -781,13 +776,20 @@ def run(config: RunConfig) -> ReportDocument:
     t0 = time.perf_counter()
     config.validate()
     selected = config.selected_suites()
+    audited = [s for s in selected if config.rescale_audit and s in _AUDIT_SUITES]
     try:
         env = _RunEnv(config)
+        # both chains are built before the run's one pool forks, so every
+        # worker inherits both stores
+        rescaled_env = _RunEnv(config, rescale=True) if audited else None
         jobs = [job for suite in selected for job in _SUITE_BUILDERS[suite](env)]
+        plain_count = len(jobs)
+        jobs += [job for suite in audited
+                 for job in _SUITE_BUILDERS[suite](rescaled_env)]
         results = _execute(jobs, config.jobs)
-        checks, per_suite = _collect(zip(jobs, results))
-        if config.rescale_audit:
-            checks = checks + _audit_checks(config, per_suite, selected)
+        checks, per_suite = _collect(zip(jobs[:plain_count], results[:plain_count]))
+        checks += _audit_checks(audited, per_suite,
+                                zip(jobs[plain_count:], results[plain_count:]))
     except MemoryError as exc:
         raise ResourceError("run exhausted memory") from exc
     summary = {key: 0 for key in _STATUS_KEYS.values()}

@@ -214,12 +214,6 @@ class LaurentPoly:
             out = out * self
         return out
 
-    def min_exp(self) -> int:
-        return min(self.c) if self.c else 0
-
-    def max_exp(self) -> int:
-        return max(self.c) if self.c else 0
-
     def max_abs_coeff(self) -> int:
         return max((abs(v) for v in self.c.values()), default=0)
 

@@ -34,7 +34,7 @@ def _ctx(length=3):
 
 
 def _key(ctx, op_id="E1"):
-    return make_key(rep_digest(ctx.rep), ctx.length, "laurent", op_id, "q_fact", 1)
+    return make_key(rep_digest(ctx.rep), ctx.length, op_id, "q_fact", 1)
 
 
 def test_roundtrip_bit_identical():

@@ -6,11 +6,13 @@ code), chained with explicit Kronecker products, and compared entrywise to
 the sector-block operators after float specialization.
 """
 
+import dataclasses
 from functools import reduce
 
 import numpy as np
 import pytest
 
+from qloop.blocks import make_block
 from qloop.divpow import check_chain_chevalley, check_half_clock_commutation
 from qloop.identity import (
     APPROX_ZERO,
@@ -30,6 +32,7 @@ from qloop.repchain import (
     build_chain_generators,
     build_site_rep,
     charge_of,
+    invert_diag,
     operator_from_entries,
     rep_self_check,
     rescaled_rep,
@@ -39,6 +42,7 @@ from qloop.repchain import (
 from qloop.rings import (
     LAURENT_RING,
     FloatRing,
+    InternalInconsistency,
     LaurentPoly,
     PhiAdicRing,
     cyclo_ring,
@@ -414,3 +418,44 @@ def test_rescale_leaves_homogeneous_checks_alone():
         assert check.ok
     # the level-zero commutator is intentionally not rescale-invariant
     assert any(c.status == NONZERO for c in by_family["chain.ef-commutator"])
+
+
+# ---------------------------------------------------------------------------
+# guards of the site-matrix helpers
+
+
+def _site(entries, dim=2):
+    return make_block(LAURENT_RING, dim, dim,
+                      [(r, c, v) for (r, c), v in entries.items()])
+
+
+def test_invert_diag_inverts_signed_monomials():
+    q = LaurentPoly.q_power
+    a = _site({(0, 0): q(1), (1, 1): q(-2, -1), (2, 2): LaurentPoly(1)}, dim=3)
+    inv = invert_diag(a)
+    assert inv.shape == (3, 3)
+    assert [(r, c, v) for r, c, v in inv.entries()] == \
+        [(0, 0, q(-1)), (1, 1, q(2, -1)), (2, 2, LaurentPoly(1))]
+    assert a.matmul(inv).eq(_site({(i, i): LaurentPoly(1) for i in range(3)}, dim=3))
+
+
+@pytest.mark.parametrize("entries,message", [
+    ({(0, 0): LaurentPoly.q_power(1)}, "diagonal inverse needs monomial entries"),
+    ({(0, 0): LaurentPoly.q_power(1), (1, 1): LaurentPoly({1: 1, 0: 1})},
+     "diagonal inverse needs monomial entries"),
+    ({(0, 0): LaurentPoly.q_power(1, 2), (1, 1): LaurentPoly(1)},
+     "diagonal inverse needs unit coefficients"),
+    ({(0, 0): LaurentPoly(1), (1, 1): LaurentPoly(-1), (0, 1): LaurentPoly(1)},
+     "matrix is not diagonal"),
+], ids=["missing", "q+1", "2q", "off-diagonal"])
+def test_invert_diag_rejects(entries, message):
+    with pytest.raises(InvalidParams, match=message):
+        invert_diag(_site(entries))
+
+
+def test_chain_factor_with_two_entries_in_a_column_is_inconsistent():
+    rep = build_site_rep("spin_half", 2)
+    two_in_column_one = _site({(0, 1): LaurentPoly(1), (1, 1): LaurentPoly(1)})
+    bad = dataclasses.replace(rep, e_pr=two_in_column_one)
+    with pytest.raises(InternalInconsistency, match="single-valued"):
+        build_chain_generators(ChainContext(bad, 2))

@@ -243,6 +243,19 @@ def test_worker_count_is_capped_without_starting_processes(monkeypatch, small_do
     assert _stripped(doc, drop=("jobs",)) == _stripped(small_doc, drop=("jobs",))
 
 
+def test_rescale_audit_runs_in_the_run_pool(monkeypatch):
+    import qloop.report as report
+    from qloop.cli import main
+
+    monkeypatch.setattr(report, "_core_count", lambda: 2)
+    monkeypatch.setattr(report, "_fork_pool", _InlinePool)
+    _InlinePool.sizes = []
+    assert main(["run", "--N", "2", "--L", "4", "--rescale-audit",
+                 "--jobs", "2"]) == 0
+    # one pool for the plain and the rescaled jobs, not one per audited suite
+    assert _InlinePool.sizes == [2]
+
+
 def test_other_threads_keep_the_run_in_process(monkeypatch, small_doc):
     import threading
 
