@@ -13,6 +13,7 @@ configuration or usage, 3 resource exhaustion.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -96,17 +97,37 @@ _TRUE_WORDS = {"1", "true", "yes", "on"}
 _FALSE_WORDS = {"0", "false", "no", "off"}
 
 
-def _parse_bool(value: str, key: str) -> bool:
+def _parse_bool(value: str) -> bool:
     word = value.strip().lower()
     if word in _TRUE_WORDS:
         return True
     if word in _FALSE_WORDS:
         return False
-    raise ConfigError(f"{key}: expected a boolean, got {value!r}")
+    raise ValueError(f"expected a boolean, got {value!r}")
 
 
-def _split_csv(value: str) -> list[str]:
-    return [part.strip() for part in value.split(",") if part.strip()]
+def _split_csv(value: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in value.split(",") if part.strip())
+
+
+def _split_csv_ints(value: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in _split_csv(value))
+
+
+# config-file key -> (RunConfig field, parser of the value text)
+_FILE_KEYS = {
+    "backend": ("backend", str),
+    "N": ("n_param", int),
+    "L": ("length", int),
+    "Q": ("q_sectors", _split_csv_ints),
+    "ring": ("ring", str),
+    "suite": ("suites", _split_csv),
+    "suites": ("suites", _split_csv),
+    "jobs": ("jobs", int),
+    "cache_dir": ("cache_dir", str),
+    "report": ("report_path", str),
+    "rescale_audit": ("rescale_audit", _parse_bool),
+}
 
 
 def _load_config_file(path: str) -> dict[str, object]:
@@ -124,37 +145,17 @@ def _load_config_file(path: str) -> dict[str, object]:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        value = value.strip()
+        if key not in _FILE_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        name, parse = _FILE_KEYS[key]
         try:
-            if key == "backend":
-                out["backend"] = value
-            elif key == "N":
-                out["n_param"] = int(value)
-            elif key == "L":
-                out["length"] = int(value)
-            elif key == "Q":
-                out["q_sectors"] = tuple(int(part) for part in _split_csv(value))
-            elif key == "ring":
-                out["ring"] = value
-            elif key in ("suite", "suites"):
-                out["suites"] = tuple(_split_csv(value))
-            elif key == "jobs":
-                out["jobs"] = int(value)
-            elif key == "cache_dir":
-                out["cache_dir"] = value
-            elif key == "report":
-                out["report_path"] = value
-            elif key == "rescale_audit":
-                out["rescale_audit"] = _parse_bool(value, key)
-            else:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            out[name] = parse(value.strip())
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+            raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from None
     return out
 
 
-_ARG_FIELDS = ("backend", "n_param", "length", "q_sectors", "ring", "suites",
-               "jobs", "cache_dir", "report_path", "rescale_audit")
+_ARG_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig))
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:

@@ -1,9 +1,13 @@
 """Check records, statuses, and the formula registry.
 
-Every verification in this package produces an IdentityCheck.  A check never
-raises for a mathematical failure: a nonzero residual becomes status Nonzero
-with a witness, and an arithmetic obstruction becomes status Error with a
-kind tag.  Only programming errors raise.
+Every verification in this package produces an IdentityCheck, built by
+make_check, which also derives the check id from the family and params.
+One rule decides how a check ends.  A mathematical failure is a record with
+status Nonzero and a witness.  An arithmetic fault (NotDivisible,
+TruncationOverflow, ...) or a request outside the identity's regime
+(InvalidRegime) raises; report._run_job is the one guard that turns either
+into a record with status Error, whose error_kind is the exception's class
+name.
 """
 
 from __future__ import annotations
@@ -20,14 +24,9 @@ ERROR = "Error"
 
 OK_STATUSES = (EXACT_ZERO, VACUOUS_ZERO, APPROX_ZERO)
 
-# error kinds carried by status == ERROR
-KIND_NOT_DIVISIBLE = "NotDivisible"
-KIND_TRUNCATION = "TruncationOverflow"
-KIND_WRAP = "WrapInconsistency"
-KIND_REGIME = "InvalidRegime"
-KIND_INTERNAL = "InternalInconsistency"
-KIND_CONFIG = "ConfigError"
-KIND_RESOURCE = "ResourceError"
+
+class InvalidRegime(ValueError):
+    """The requested parameters lie outside the identity's regime."""
 
 
 @dataclass
@@ -125,14 +124,9 @@ def format_check_id(family: str, params: dict[str, Any]) -> str:
     return f"{family}[" + ",".join(f"{k}={v}" for k, v in params.items()) + "]"
 
 
-def make_check(check_id: str, family: str, params: dict[str, Any], status: str,
+def make_check(family: str, params: dict[str, Any], status: str,
                **kw) -> IdentityCheck:
+    """A registered family's record; check_id defaults to format_check_id."""
     REGISTRY.get(family)  # fail fast on unregistered families
-    return IdentityCheck(check_id=check_id, equation=family, params=params,
-                         status=status, **kw)
-
-
-def error_check(check_id: str, family: str, params: dict[str, Any], kind: str,
-                detail: str, millis: float = 0.0) -> IdentityCheck:
-    return make_check(check_id, family, params, ERROR,
-                      error_kind=kind, detail=detail, millis=millis)
+    kw.setdefault("check_id", format_check_id(family, params))
+    return IdentityCheck(equation=family, params=params, status=status, **kw)

@@ -15,15 +15,13 @@ import threading
 from math import comb
 
 from .identity import (
-    ERROR,
     EXACT_ZERO,
-    KIND_REGIME,
     NONZERO,
     REGISTRY,
     VACUOUS_ZERO,
     CheckTimer,
     IdentityCheck,
-    format_check_id,
+    InvalidRegime,
     make_check,
 )
 from .rings import (
@@ -226,9 +224,8 @@ def _status_mod_phi(diff: LaurentPoly, n_param: int):
 def _finish(family: str, params: dict, diff: LaurentPoly, n_param: int,
             timer: CheckTimer, nontrivial=None) -> IdentityCheck:
     status, witness, extra = _status_mod_phi(diff, n_param)
-    return make_check(format_check_id(family, params), family, params, status,
-                      witness=witness, nontrivial=nontrivial,
-                      millis=timer.millis, extra=extra)
+    return make_check(family, params, status, witness=witness,
+                      nontrivial=nontrivial, millis=timer.millis, extra=extra)
 
 
 def check_q_omega_factorial_relation(n: int, n_param: int) -> IdentityCheck:
@@ -252,9 +249,7 @@ def check_gauss_periodicity(k: int, p: int, l: int, n_param: int) -> IdentityChe
     family = "qcomb.periodicity"
     params = {"k": k, "p": p, "l": l, "N": n_param}
     if not (0 <= p < n_param and 0 <= l <= n_param - 1 and k >= 0):
-        return make_check(format_check_id(family, params), family, params, ERROR,
-                          error_kind=KIND_REGIME,
-                          detail="requires 0 <= p < N, 0 <= l <= N-1, k >= 0")
+        raise InvalidRegime("requires 0 <= p < N, 0 <= l <= N-1, k >= 0")
     with CheckTimer() as t:
         lhs = gauss_binomial(k * n_param + p, l, "q")
         rhs = LaurentPoly.q_power(k * n_param * l) * gauss_binomial(p, l, "q")
@@ -265,8 +260,7 @@ def check_alternating_sum(p: int, n_param: int) -> IdentityCheck:
     family = "qcomb.delta-sum"
     params = {"p": p, "N": n_param}
     if p < 0:
-        return make_check(format_check_id(family, params), family, params, ERROR,
-                          error_kind=KIND_REGIME, detail="requires p >= 0")
+        raise InvalidRegime("requires p >= 0")
     with CheckTimer() as t:
         total = LaurentPoly(0)
         for l in range(p + 1):
@@ -281,10 +275,8 @@ def check_vanishing_wrap(p: int, n: int, m: int, n_param: int, k: int) -> Identi
     a = m - 2 * n
     params = {"p": p, "n": n, "m": m, "N": n_param, "k": k}
     if not (1 <= a <= n_param - 1 and a <= p <= n_param - 1 and k >= 0):
-        return make_check(format_check_id(family, params), family, params, ERROR,
-                          error_kind=KIND_REGIME,
-                          detail="requires 1 <= m-2n <= N-1, m-2n <= p <= N-1, "
-                                 "k >= 0 (at m-2n = 0 the binomial equals 1)")
+        raise InvalidRegime("requires 1 <= m-2n <= N-1, m-2n <= p <= N-1, "
+                            "k >= 0 (at m-2n = 0 the binomial equals 1)")
     with CheckTimer() as t:
         poly = gauss_binomial(k * n_param + n_param + p - a, n_param - a, "q")
         nontrivial = None
@@ -301,10 +293,8 @@ def check_omega_lucas(a: int, b: int, n_param: int) -> IdentityCheck:
     family = "qcomb.omega-lucas"
     params = {"a": a, "b": b, "N": n_param}
     if a < 0 or b < 0 or a < b or (a - b) % n_param or a % n_param != b % n_param:
-        return make_check(format_check_id(family, params), family, params, ERROR,
-                          error_kind=KIND_REGIME,
-                          detail="requires a = (k+j)N+Q and b = kN+Q with "
-                                 "0 <= Q < N and k, j >= 0")
+        raise InvalidRegime("requires a = (k+j)N+Q and b = kN+Q with "
+                            "0 <= Q < N and k, j >= 0")
     big_q = b % n_param
     k = (b - big_q) // n_param
     j = (a - big_q) // n_param - k

@@ -30,7 +30,6 @@ from .identity import (
     VACUOUS_ZERO,
     CheckTimer,
     IdentityCheck,
-    format_check_id,
     make_check,
 )
 from .qcomb import q_int
@@ -247,9 +246,8 @@ def rep_self_check(rep: SiteRep, mode: str = "generic") -> list[IdentityCheck]:
             status, witness, info = _site_status(diff, n_param, mode)
         if extra:
             info.update(extra)
-        checks.append(make_check(format_check_id(family, params), family, params,
-                                 status, witness=witness, millis=t.millis,
-                                 extra=info))
+        checks.append(make_check(family, params, status, witness=witness,
+                                 millis=t.millis, extra=info))
 
     e, f, k, z = rep.e_pr, rep.f_pr, rep.k_pr, rep.z
     q2 = LaurentPoly.q_power(2)
@@ -662,9 +660,7 @@ def evaluate_zero_identity(family: str, params: dict, terms: list[GradedOperator
         if not nonzero_terms:
             status = VACUOUS_ZERO
         else:
-            total = nonzero_terms[0]
-            for op in nonzero_terms[1:]:
-                total = total + op
+            total = sum(nonzero_terms[1:], nonzero_terms[0])
             nontrivial = {
                 "terms": len(terms),
                 "terms_nonzero": len(nonzero_terms),
@@ -676,6 +672,5 @@ def evaluate_zero_identity(family: str, params: dict, terms: list[GradedOperator
                 status = NONZERO
                 witness = first_entry_witness(total)
     extra = {"terms": len(terms), "terms_nonzero": 0} if status == VACUOUS_ZERO else {}
-    return make_check(format_check_id(family, params), family, params, status,
-                      witness=witness, millis=t.millis, nontrivial=nontrivial,
-                      extra=extra)
+    return make_check(family, params, status, witness=witness, millis=t.millis,
+                      nontrivial=nontrivial, extra=extra)

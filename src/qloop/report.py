@@ -52,16 +52,11 @@ from .identity import (
     APPROX_ZERO,
     ERROR,
     EXACT_ZERO,
-    KIND_INTERNAL,
-    KIND_NOT_DIVISIBLE,
-    KIND_REGIME,
-    KIND_TRUNCATION,
-    KIND_WRAP,
     NONZERO,
     REGISTRY,
     VACUOUS_ZERO,
     IdentityCheck,
-    error_check,
+    InvalidRegime,
     format_check_id,
     make_check,
 )
@@ -94,7 +89,6 @@ from .rings import (
     cyclo_ring,
 )
 from .serre import (
-    InvalidRegime,
     check_BCN,
     check_CBN,
     check_g_forms,
@@ -170,6 +164,11 @@ REGISTRY.register(
 )
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool (True would otherwise pass as 1)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a run needs, with conservative defaults.
@@ -193,14 +192,14 @@ class RunConfig:
     def validate(self) -> None:
         if self.backend not in BACKENDS:
             raise ConfigError(f"unknown backend {self.backend!r}; choose from {BACKENDS}")
-        if not isinstance(self.n_param, int) or self.n_param < 2:
+        if not _is_int(self.n_param) or self.n_param < 2:
             raise ConfigError(f"N must be an integer >= 2, got {self.n_param!r}")
-        if not isinstance(self.length, int) or not 1 <= self.length <= MAX_LENGTH:
+        if not _is_int(self.length) or not 1 <= self.length <= MAX_LENGTH:
             raise ConfigError(
                 f"L must be an integer in 1..{MAX_LENGTH}, got {self.length!r}"
             )
         for q in self.q_sectors:
-            if not isinstance(q, int) or not 0 <= q < self.n_param:
+            if not _is_int(q) or not 0 <= q < self.n_param:
                 raise ConfigError(f"Q must lie in 0..{self.n_param - 1}, got {q!r}")
         if self.ring not in RING_MODES:
             raise ConfigError(f"unknown ring mode {self.ring!r}; choose from {RING_MODES}")
@@ -216,7 +215,7 @@ class RunConfig:
                     "edge-modified generators; the cyclic family exists only "
                     "at the root of unity (use spin_half or highest_weight)"
                 )
-        if not isinstance(self.jobs, int) or self.jobs < 1:
+        if not _is_int(self.jobs) or self.jobs < 1:
             raise ConfigError(f"jobs must be a positive integer, got {self.jobs!r}")
 
     def sectors(self) -> tuple[int, ...]:
@@ -297,14 +296,15 @@ class _Job:
     thunk: Callable[[], Any]
 
 
-_GUARD_KINDS = (
-    (NotDivisible, KIND_NOT_DIVISIBLE),
-    (TruncationOverflow, KIND_TRUNCATION),
-    (WrapInconsistency, KIND_WRAP),
-    (InvalidRegime, KIND_REGIME),
-    (InternalInconsistency, KIND_INTERNAL),
+# the faults a job may raise; its Error record's kind is the name of the
+# first class here that matches
+_GUARDED = (
+    NotDivisible,
+    TruncationOverflow,
+    WrapInconsistency,
+    InvalidRegime,
+    InternalInconsistency,
 )
-_GUARDED = tuple(exc for exc, _ in _GUARD_KINDS)
 
 
 def _run_job(job: _Job) -> list[IdentityCheck]:
@@ -313,17 +313,9 @@ def _run_job(job: _Job) -> list[IdentityCheck]:
     except MemoryError as exc:
         raise ResourceError(f"job {job.job_id} exhausted memory") from exc
     except _GUARDED as exc:
-        kind = next(k for e, k in _GUARD_KINDS if isinstance(exc, e))
-        params = {"job": job.job_id}
-        return [
-            error_check(
-                format_check_id("run.guard", params),
-                "run.guard",
-                params,
-                kind,
-                f"{type(exc).__name__}: {exc}",
-            )
-        ]
+        kind = next(e.__name__ for e in _GUARDED if isinstance(exc, e))
+        return [make_check("run.guard", {"job": job.job_id}, ERROR, error_kind=kind,
+                           detail=f"{type(exc).__name__}: {exc}")]
     return list(out) if isinstance(out, (list, tuple)) else [out]
 
 
@@ -676,18 +668,18 @@ def _audit_checks(suites: list[str], per_suite: dict[str, list[IdentityCheck]],
             b = rescaled.get(cid, "missing")
             if a != b:
                 mismatches.append({"check": cid, "plain": a, "rescaled": b})
-        cid = f"audit.rescale[suite={suite}]"
+        cid = format_check_id("audit.rescale", {"suite": suite})
         params = {"suite": suite, "alpha": "q^3", "beta": "-q"}
         if mismatches:
             out.append(make_check(
-                cid, "audit.rescale", params, NONZERO,
+                "audit.rescale", params, NONZERO, check_id=cid,
                 witness=mismatches[0], millis=millis,
                 detail=f"{len(mismatches)} status change(s) under rescale",
                 extra={"mismatches": mismatches},
             ))
         else:
             out.append(make_check(
-                cid, "audit.rescale", params, EXACT_ZERO,
+                "audit.rescale", params, EXACT_ZERO, check_id=cid,
                 millis=millis,
                 nontrivial={"checks_compared": len(plain)},
             ))

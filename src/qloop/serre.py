@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .divpow import NORM_OMEGA, NORM_Q, DividedPowerStore, _base_params, check_mulo
-from .identity import REGISTRY, NONZERO, IdentityCheck, format_check_id, make_check
+from .identity import REGISTRY, NONZERO, IdentityCheck, InvalidRegime, make_check
 from .qcomb import c_coefficient_poly
 from .repchain import (
     ChainContext,
@@ -62,10 +62,6 @@ __all__ = [
 ]
 
 
-class InvalidRegime(ValueError):
-    """The requested (n, m) lies outside the regime where the identity holds."""
-
-
 # ---------------------------------------------------------------------------
 # operator words
 
@@ -85,6 +81,16 @@ def make_store(ctx: ChainContext, cache=None) -> DividedPowerStore:
     store = DividedPowerStore(ctx) if cache is None else DividedPowerStore(ctx, cache)
     store.register_standard()
     return store
+
+
+def _root_ring(store: DividedPowerStore, ring):
+    """The ring of a root-only identity: the cyclotomic one unless given."""
+    return cyclo_ring(store.ctx.n_param) if ring is None else ring
+
+
+def _check_sector(store: DividedPowerStore, q_sector: int) -> None:
+    if not 0 <= q_sector <= store.ctx.n_param - 1:
+        raise ValueError(f"Q must lie in 0..N-1 (got {q_sector})")
 
 
 def _proper_pair(pair) -> tuple[str, str]:
@@ -130,10 +136,7 @@ def _spec_terms(specs, store: DividedPowerStore, normalization: str,
 
 
 def _total(terms) -> GradedOperator:
-    total = terms[0]
-    for op in terms[1:]:
-        total = total + op
-    return total
+    return sum(terms[1:], terms[0])
 
 
 def _evaluate_specs(family: str, params: dict, specs, store: DividedPowerStore,
@@ -246,7 +249,7 @@ def check_id1(store: DividedPowerStore, n: int, m: int, pair, *,
     if m - 2 * n < n_param:
         raise InvalidRegime(
             f"wide ladder needs m - 2n >= N (got m-2n={m - 2 * n}, N={n_param})")
-    ring = cyclo_ring(n_param) if ring is None else ring
+    ring = _root_ring(store, ring)
     params = {"theta_i": i_id, "theta_j": j_id, "n": n, "m": m,
               **_base_params(store)}
     return _evaluate_specs("serre.ladder-wide", params,
@@ -269,7 +272,7 @@ def check_id2(store: DividedPowerStore, n: int, m: int, pair, *,
         raise InvalidRegime(
             f"narrow ladder needs 1 <= m - 2n <= N-1 (got m-2n={gap}, "
             f"N={n_param}); the gap-0 extension has a nonzero residual")
-    ring = cyclo_ring(n_param) if ring is None else ring
+    ring = _root_ring(store, ring)
     params = {"theta_i": i_id, "theta_j": j_id, "n": n, "m": m,
               **_base_params(store)}
     family = "serre.ladder-narrow"
@@ -282,7 +285,6 @@ def check_id2(store: DividedPowerStore, n: int, m: int, pair, *,
         if not prod.is_zero():
             witness = dict(first_entry_witness(prod), support_order=s)
             return make_check(
-                format_check_id(family, params),
                 family, params, NONZERO, witness=witness,
                 detail=f"supporting wrap product at order s={s} is nonzero")
         support += 1
@@ -331,11 +333,10 @@ def _three_term(store: DividedPowerStore, q_sector: int, branch: str,
     n_param = store.ctx.n_param
     if branch not in _BRANCH_OPS:
         raise ValueError(f"unknown branch {branch!r}")
-    if not 0 <= q_sector <= n_param - 1:
-        raise ValueError(f"Q must lie in 0..N-1 (got {q_sector})")
+    _check_sector(store, q_sector)
     b_id, c_id = _BRANCH_OPS[branch]
     i_id, j_id = (b_id, c_id) if roles == "bc" else (c_id, b_id)
-    ring = cyclo_ring(n_param) if ring is None else ring
+    ring = _root_ring(store, ring)
     mid_sign = -1 if (n_param + q_sector - 1) % 2 else 1
     hand = [
         (1, ((i_id, 2 * n_param + q_sector), (j_id, q_sector))),
@@ -450,12 +451,11 @@ def check_site_suite(store: DividedPowerStore, q_sector: int,
     n_param = store.ctx.n_param
     if side not in _SIDE_OPS:
         raise ValueError(f"unknown side {side!r}")
-    if not 0 <= q_sector <= n_param - 1:
-        raise ValueError(f"Q must lie in 0..N-1 (got {q_sector})")
+    _check_sector(store, q_sector)
     if not store.ctx.rep.wrap_free:
         raise ValueError("clock-dressed operators need a wrap-free backend")
     b_id, c_id = _SIDE_OPS[side]
-    ring = cyclo_ring(n_param) if ring is None else ring
+    ring = _root_ring(store, ring)
     q = q_sector
     out = []
 
@@ -507,9 +507,8 @@ class LoopGenerators:
 def build_loop_generators(store: DividedPowerStore, q_sector: int, *,
                           ring=None) -> LoopGenerators:
     n_param = store.ctx.n_param
-    if not 0 <= q_sector <= n_param - 1:
-        raise ValueError(f"Q must lie in 0..N-1 (got {q_sector})")
-    ring = cyclo_ring(n_param) if ring is None else ring
+    _check_sector(store, q_sector)
+    ring = _root_ring(store, ring)
     q = q_sector
     words = {
         "x_minus_1Q": (("C0bar", q), ("B1bar", n_param + q)),
@@ -551,9 +550,8 @@ def check_lemma_chain(store: DividedPowerStore, q_sector: int, *,
     with its exact integer coefficient (2 or 6).
     """
     n_param = store.ctx.n_param
-    if not 0 <= q_sector <= n_param - 1:
-        raise ValueError(f"Q must lie in 0..N-1 (got {q_sector})")
-    ring = cyclo_ring(n_param) if ring is None else ring
+    _check_sector(store, q_sector)
+    ring = _root_ring(store, ring)
     q = q_sector
     n1, n2, n3 = n_param + q, 2 * n_param + q, 3 * n_param + q
     B, C = "B1bar", "C0bar"
@@ -640,7 +638,7 @@ def check_serre_nested(store: DividedPowerStore, q_sector: int,
     minus generator, then with b the plus generator. Each check records
     the individual nonzero status of its monomial terms.
     """
-    ring = cyclo_ring(store.ctx.n_param) if ring is None else ring
+    ring = _root_ring(store, ring)
     gens = build_loop_generators(store, q_sector, ring=ring)
     if family == "x":
         plus, minus = gens.x_plus_0Q, gens.x_minus_1Q

@@ -134,6 +134,17 @@ def test_config_file_parsing_errors(tmp_path):
         _load_config_file(str(tmp_path / "missing.cfg"))
 
 
+def test_config_file_errors_name_their_location_once(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("N=2\nfoo=3\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {cfg}:2: unknown config key 'foo'\n"
+    cfg.write_text("N=2\nrescale-audit = maybe\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {cfg}:2: rescale_audit: expected a boolean, got 'maybe'\n")
+
+
 def test_missing_config_file_exits_two(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "none.cfg")]) == 2
     assert "cannot read" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from qloop.identity import ERROR, EXACT_ZERO, KIND_REGIME
+from qloop.identity import EXACT_ZERO, InvalidRegime
 from qloop.qcomb import (
     QFactorialTable,
     c_coefficient,
@@ -119,8 +119,8 @@ def test_periodicity_grid_and_regime():
                 for l in range(0, n_param):
                     assert check_gauss_periodicity(k, p, l, n_param).status == EXACT_ZERO
     # outside the regime the statement is false, so the check must refuse
-    bad = check_gauss_periodicity(1, 0, 2, 2)
-    assert bad.status == ERROR and bad.error_kind == KIND_REGIME
+    with pytest.raises(InvalidRegime, match="requires 0 <= p < N, 0 <= l <= N-1, k >= 0"):
+        check_gauss_periodicity(1, 0, 2, 2)
     lhs = cyclo_ring(2).from_laurent(gauss_binomial(4, 2, "q"))
     assert not lhs.is_zero()  # the would-be left side; right side is zero
 
@@ -130,7 +130,8 @@ def test_alternating_sum():
         check = check_alternating_sum(p, 3)
         assert check.status == EXACT_ZERO
         assert check.extra["holds_generically"]
-    assert check_alternating_sum(-1, 3).status == ERROR
+    with pytest.raises(InvalidRegime, match="requires p >= 0"):
+        check_alternating_sum(-1, 3)
 
 
 def test_vanishing_wrap_examples():
@@ -139,8 +140,9 @@ def test_vanishing_wrap_examples():
     assert check.nontrivial == {"generic_value": "q^-1 + q"}
     assert not check.extra["holds_generically"]
     assert check_vanishing_wrap(2, 1, 3, 3, 1).status == EXACT_ZERO
-    bad = check_vanishing_wrap(0, 1, 2, 2, 0)     # m-2n = 0 boundary
-    assert bad.status == ERROR and bad.error_kind == KIND_REGIME
+    with pytest.raises(InvalidRegime, match=r"requires 1 <= m-2n <= N-1, m-2n <= p <= N-1, "
+                                            r"k >= 0 \(at m-2n = 0 the binomial equals 1\)"):
+        check_vanishing_wrap(0, 1, 2, 2, 0)       # m-2n = 0 boundary
 
 
 def test_vanishing_wrap_grid():
@@ -162,8 +164,9 @@ def test_omega_lucas_examples():
     check = check_omega_lucas(11, 5, 3)           # k = 1, j = 2, Q = 2
     assert check.status == EXACT_ZERO
     assert check.extra["expected"] == 3
-    bad = check_omega_lucas(4, 1, 2)              # residues differ
-    assert bad.status == ERROR and bad.error_kind == KIND_REGIME
+    with pytest.raises(InvalidRegime, match=r"requires a = \(k\+j\)N\+Q and b = kN\+Q with "
+                                            r"0 <= Q < N and k, j >= 0"):
+        check_omega_lucas(4, 1, 2)                # residues differ
 
 
 def test_omega_lucas_general_form_random():

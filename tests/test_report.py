@@ -5,7 +5,14 @@ import os
 
 import pytest
 
-from qloop.identity import ERROR, EXACT_ZERO, NONZERO, OK_STATUSES, make_check
+from qloop.identity import (
+    ERROR,
+    EXACT_ZERO,
+    NONZERO,
+    OK_STATUSES,
+    format_check_id,
+    make_check,
+)
 from qloop.report import (
     SUITE_NAMES,
     ConfigError,
@@ -22,8 +29,13 @@ from qloop.report import (
     strip_timing,
 )
 from qloop.opcache import MAGIC, OperatorCache
-from qloop.repchain import ChainContext, build_site_rep, rescaled_rep
-from qloop.rings import InternalInconsistency, LaurentPoly, NotDivisible
+from qloop.repchain import ChainContext, WrapInconsistency, build_site_rep, rescaled_rep
+from qloop.rings import (
+    InternalInconsistency,
+    LaurentPoly,
+    NotDivisible,
+    TruncationOverflow,
+)
 from qloop.serre import InvalidRegime
 
 
@@ -52,6 +64,18 @@ def _stripped(doc, drop=()):
 def test_config_rejections(kwargs, fragment):
     with pytest.raises(ConfigError, match=fragment):
         RunConfig(**kwargs).validate()
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"n_param": True}, "N must be an integer >= 2, got True"),
+    ({"length": True}, "L must be an integer in 1..14, got True"),
+    ({"q_sectors": (True,)}, "Q must lie in 0..1, got True"),
+    ({"jobs": True}, "jobs must be a positive integer, got True"),
+])
+def test_config_rejects_booleans_as_integers(kwargs, message):
+    with pytest.raises(ConfigError) as exc:
+        RunConfig(**kwargs).validate()
+    assert str(exc.value) == message
 
 
 def test_unknown_suite_rejected_before_any_computation(tmp_path):
@@ -502,6 +526,19 @@ def test_rescale_audit_runs_g_forms_on_a_rescaled_chain(monkeypatch):
     assert doc.ok
 
 
+def test_every_check_id_is_derived_from_family_and_params():
+    doc = run(RunConfig(n_param=2, length=3, rescale_audit=True))
+    audits = [c for c in doc.checks if c.family == "audit.rescale"]
+    assert len(audits) == 5
+    for check in doc.checks:
+        if check.family == "audit.rescale":
+            # the audit id names the suite only; alpha and beta are params
+            expected = format_check_id(check.family, {"suite": check.params["suite"]})
+        else:
+            expected = format_check_id(check.family, check.params)
+        assert check.check_id == expected
+
+
 def test_rescale_audit_skips_unaudited_suites():
     doc = run(RunConfig(n_param=2, length=3, rescale_audit=True,
                         suites=("qcomb", "rep-gate")))
@@ -511,18 +548,27 @@ def test_rescale_audit_skips_unaudited_suites():
 # --- job guard and collection ----------------------------------------------
 
 def test_guard_converts_faults_to_error_records():
-    def boom_regime():
-        raise InvalidRegime("outside the narrow window")
+    class SubclassedDivision(NotDivisible):
+        pass
 
-    def boom_division():
-        raise NotDivisible("q-factorial does not divide")
+    for exc, kind in (
+        (InvalidRegime("outside the narrow window"), "InvalidRegime"),
+        (NotDivisible("q-factorial does not divide"), "NotDivisible"),
+        (TruncationOverflow("phi-adic digits exhausted"), "TruncationOverflow"),
+        (WrapInconsistency("clock wraps"), "WrapInconsistency"),
+        (InternalInconsistency("two routes disagree"), "InternalInconsistency"),
+        # the kind names the guarded class that matches, not the subclass
+        (SubclassedDivision("remainder left"), "NotDivisible"),
+    ):
+        def boom():
+            raise exc
 
-    for thunk, kind in ((boom_regime, "InvalidRegime"),
-                        (boom_division, "NotDivisible")):
-        out = _run_job(_Job("t/x", "id1", thunk))
+        out = _run_job(_Job("t/x", "id1", boom))
         assert len(out) == 1 and out[0].status == ERROR
         assert out[0].family == "run.guard"
         assert out[0].error_kind == kind
+        assert out[0].check_id == "run.guard[job=t/x]"
+        assert out[0].detail == f"{type(exc).__name__}: {exc}"
 
 
 def test_guard_escalates_memory_errors():
@@ -534,16 +580,16 @@ def test_guard_escalates_memory_errors():
 
 
 def test_collect_rejects_conflicting_duplicate_ids():
-    a = make_check("run.guard[job=dup]", "run.guard", {"job": "dup"}, EXACT_ZERO)
-    b = make_check("run.guard[job=dup]", "run.guard", {"job": "dup"}, NONZERO)
+    a = make_check("run.guard", {"job": "dup"}, EXACT_ZERO)
+    b = make_check("run.guard", {"job": "dup"}, NONZERO)
     jobs = [(_Job("j1", "id1", None), [a]), (_Job("j2", "id2", None), [b])]
     with pytest.raises(InternalInconsistency):
         _collect(jobs)
 
 
 def test_collect_merges_agreeing_duplicates():
-    a = make_check("run.guard[job=dup]", "run.guard", {"job": "dup"}, EXACT_ZERO)
-    b = make_check("run.guard[job=dup]", "run.guard", {"job": "dup"}, EXACT_ZERO)
+    a = make_check("run.guard", {"job": "dup"}, EXACT_ZERO)
+    b = make_check("run.guard", {"job": "dup"}, EXACT_ZERO)
     ordered, per_suite = _collect([
         (_Job("j1", "id1", None), [a]), (_Job("j2", "id2", None), [b]),
     ])
@@ -580,7 +626,7 @@ def test_family_listing_is_complete():
 # --- summary rendering ------------------------------------------------------
 
 def test_summary_lines_flag_failures_and_vacuity():
-    failing = make_check("run.guard[job=x]", "run.guard", {"job": "x"}, NONZERO,
+    failing = make_check("run.guard", {"job": "x"}, NONZERO,
                          witness={"value": "1"})
     doc = ReportDocument(
         tool={"name": "qloop", "version": "0.0"},
