@@ -18,7 +18,6 @@ on the integer-exponent square root of the clock product refuse it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .blocks import Block, make_block
@@ -37,7 +36,6 @@ from .rings import (
     LAURENT_ONE,
     LAURENT_RING,
     FloatRing,
-    InternalInconsistency,
     LaurentPoly,
     cyclo_ring,
 )
@@ -421,10 +419,10 @@ class GradedOperator:
                 f"nnz={self.nnz()})")
 
 
-def operator_from_entries(ctx: ChainContext, ring, entries,
-                          shift: int | None = None) -> GradedOperator:
+def operator_from_entries(ctx: ChainContext, ring, entries) -> GradedOperator:
     """Group global-matrix entries (row_state, col_state, value) into sector
-    blocks, inferring and enforcing a single grading shift."""
+    blocks, inferring and enforcing a single grading shift (0 when every
+    entry is zero)."""
     per_sector: dict[int, list] = {}
     seen_shift = None
     for row, col, val in entries:
@@ -441,9 +439,7 @@ def operator_from_entries(ctx: ChainContext, ring, entries,
             raise NotGraded(f"mixed sector shifts {seen_shift} and {s}")
         per_sector.setdefault(g_src, []).append((row, col, val))
     if seen_shift is None:
-        seen_shift = 0 if shift is None else shift
-    if shift is not None and seen_shift != shift and per_sector:
-        raise NotGraded(f"expected shift {shift}, found {seen_shift}")
+        seen_shift = 0
     blocks = {}
     for g, triples in per_sector.items():
         dst = ctx.sector_pos[ctx.wrap_grade(g + seen_shift)]
@@ -493,54 +489,30 @@ def sector_project(op: GradedOperator, charge_q: int) -> GradedOperator:
 # chain generators
 
 
-_MULTI = object()
+def _coproduct_step(terms, d: int) -> dict:
+    """Entries of sum_i left_i x site_i, the new site the last and
+    fastest-varying digit: global index prev * d + digit.
 
-
-def _column_map(block: Block) -> dict:
-    """{col: (row, value)}; _MULTI marks a column of several entries."""
-    out: dict = {}
-    for r, c, v in block.entries():
-        out[c] = _MULTI if c in out else (r, v)
-    return out
-
-
-def _chain_term_entries(ctx: ChainContext, factors: list[Block]):
-    """Entries of factor_1 x .. x factor_L over the full chain basis.
-
-    Yields (row_state, col_state, LaurentPoly), each nonzero: a product of
-    nonzero Laurent polynomials.  Efficient because every local factor used
-    here has at most one entry per column, so a column costs one dict lookup.
+    `terms` pairs {(row, col): LaurentPoly} dicts with site blocks; entries
+    where two terms collide are summed, and sums that cancel are dropped.
+    A factor that is LAURENT_ONE (the identity's entries) is not multiplied:
+    the entry shares the other factor's value, which keeps the dicts small.
     """
-    d = ctx.rep.dim
-    maps = {id(f): _column_map(f) for f in factors}
-    columns = [maps[id(f)] for f in factors]
-    # a state's site basis indices, site 1 first (slowest-varying)
-    for col_state, digits in enumerate(itertools.product(range(d), repeat=ctx.length)):
-        row_state = 0
-        val = None
-        for column, digit in zip(columns, digits):
-            hit = column.get(digit)
-            if hit is None:
-                val = None
-                break
-            if hit is _MULTI:
-                raise InternalInconsistency("chain factors must be single-valued")
-            r, v = hit
-            row_state = row_state * d + r
-            val = v if val is None else val * v
-        if val is not None:
-            yield (row_state, col_state, val)
-
-
-def _sum_terms(ctx, ring, term_factor_lists, shift):
-    entries: dict[tuple[int, int], LaurentPoly] = {}
-    for factors in term_factor_lists:
-        for r, c, v in _chain_term_entries(ctx, factors):
-            prev = entries.get((r, c))
-            entries[(r, c)] = v if prev is None else prev + v
-    # operator_from_entries drops the sums that cancelled to zero
-    return operator_from_entries(ctx, ring, [(r, c, v) for (r, c), v in entries.items()],
-                                 shift=shift)
+    out: dict = {}
+    for left, site in terms:
+        site_entries = site.entries()
+        for (r, c), v in left.items():
+            r, c = r * d, c * d
+            for sr, sc, sv in site_entries:
+                key = (r + sr, c + sc)
+                prev = out.get(key)
+                val = sv if v is LAURENT_ONE else v if sv is LAURENT_ONE else v * sv
+                val = val if prev is None else prev + val
+                if val:
+                    out[key] = val
+                else:
+                    del out[key]
+    return out
 
 
 def build_chain_generators(ctx: ChainContext) -> dict:
@@ -550,38 +522,51 @@ def build_chain_generators(ctx: ChainContext) -> dict:
     E0 = sum_j k'^-1 .. k'^-1 f'_j 1 .. 1  F0 = sum_j 1 .. 1 e'_j k' .. k'
     K  = prod_j k'_j;  A_L = prod_j Z_j;  A_L_half = diagonal q^(sum of labels)
 
-    plus the inverses K_inv, A_L_inv and A_L_half_inv.
+    plus the inverses K_inv, A_L_inv and A_L_half_inv.  The sums are built
+    one site at a time by the recursion of the coproduct, from m to m + 1
+    sites:
+
+    E1 <- E1 x 1 + K x e'        F1 <- F1 x k'^-1 + 1 x f'
+    E0 <- E0 x 1 + K_inv x f'    F0 <- F0 x k' + 1 x e'
+
+    and K, K_inv, A_L, A_L_inv are tensor powers of their site diagonals.
 
     All operators are symbolic (LaurentPoly entries); specialize afterwards.
     """
     rep = ctx.rep
-    length = ctx.length
+    d = rep.dim
     ring = LAURENT_RING
-    ident = _site_identity(rep.dim)
+    ident = _site_identity(d)
     k_inv = invert_diag(rep.k_pr)
     z_inv = invert_diag(rep.z)
+    e1 = f1 = e0 = f0 = {}
+    one = k = ki = a = ai = {(0, 0): LAURENT_ONE}
+    for _ in range(ctx.length):
+        e1 = _coproduct_step([(e1, ident), (k, rep.e_pr)], d)
+        f1 = _coproduct_step([(f1, k_inv), (one, rep.f_pr)], d)
+        e0 = _coproduct_step([(e0, ident), (ki, rep.f_pr)], d)
+        f0 = _coproduct_step([(f0, rep.k_pr), (one, rep.e_pr)], d)
+        one = _coproduct_step([(one, ident)], d)
+        k = _coproduct_step([(k, rep.k_pr)], d)
+        ki = _coproduct_step([(ki, k_inv)], d)
+        a = _coproduct_step([(a, rep.z)], d)
+        ai = _coproduct_step([(ai, z_inv)], d)
 
-    def dressed(site_mat, left, right):
-        terms = []
-        for j in range(length):
-            factors = [left] * j + [site_mat] + [right] * (length - j - 1)
-            terms.append(factors)
-        return terms
-
-    def product(site_mat):
-        return _sum_terms(ctx, ring, [[site_mat] * length], shift=0)
+    def operator(entries):
+        op = operator_from_entries(
+            ctx, ring, [(r, c, v) for (r, c), v in entries.items()])
+        entries.clear()  # free each level-L dict once its operator is built
+        return op
 
     def half_clock(sign):
         return diagonal_operator(
             ctx, ring, lambda s: LaurentPoly.q_power(sign * ctx.grade_of[s]))
 
     return {
-        "E1": _sum_terms(ctx, ring, dressed(rep.e_pr, rep.k_pr, ident), shift=None),
-        "F1": _sum_terms(ctx, ring, dressed(rep.f_pr, ident, k_inv), shift=None),
-        "E0": _sum_terms(ctx, ring, dressed(rep.f_pr, k_inv, ident), shift=None),
-        "F0": _sum_terms(ctx, ring, dressed(rep.e_pr, ident, rep.k_pr), shift=None),
-        "K": product(rep.k_pr), "K_inv": product(k_inv),
-        "A_L": product(rep.z), "A_L_inv": product(z_inv),
+        "E1": operator(e1), "F1": operator(f1),
+        "E0": operator(e0), "F0": operator(f0),
+        "K": operator(k), "K_inv": operator(ki),
+        "A_L": operator(a), "A_L_inv": operator(ai),
         "A_L_half": half_clock(1), "A_L_half_inv": half_clock(-1),
     }
 

@@ -105,8 +105,9 @@ TOOL_NAME = "qloop"
 
 BACKENDS = ("spin_half", "highest_weight", "cyclic")
 RING_MODES = ("laurent", "cyclotomic", "phi-adic", "float")
-# the longest chain a run accepts; every state of it is walked in Python
-MAX_LENGTH = 14
+# the most chain states (d^L, site dimension d = 2 for spin_half and N
+# otherwise) a run accepts; the sector tables list every state in Python
+MAX_STATES = 2**14
 SUITE_NAMES = (
     "qcomb",
     "rep-gate",
@@ -194,9 +195,17 @@ class RunConfig:
             raise ConfigError(f"unknown backend {self.backend!r}; choose from {BACKENDS}")
         if not _is_int(self.n_param) or self.n_param < 2:
             raise ConfigError(f"N must be an integer >= 2, got {self.n_param!r}")
-        if not _is_int(self.length) or not 1 <= self.length <= MAX_LENGTH:
+        d = 2 if self.backend == "spin_half" else self.n_param
+        longest = 0  # the longest chain whose d^L states fit the budget
+        while d ** (longest + 1) <= MAX_STATES:
+            longest += 1
+        if not longest:
             raise ConfigError(
-                f"L must be an integer in 1..{MAX_LENGTH}, got {self.length!r}"
+                f"a {self.backend} site of N={self.n_param} has more than "
+                f"{MAX_STATES} states")
+        if not _is_int(self.length) or not 1 <= self.length <= longest:
+            raise ConfigError(
+                f"L must be an integer in 1..{longest}, got {self.length!r}"
             )
         for q in self.q_sectors:
             if not _is_int(q) or not 0 <= q < self.n_param:

@@ -109,6 +109,15 @@ def test_length_bound_is_not_configurable(tmp_path, capsys):
     assert "L must be an integer in 1..14" in capsys.readouterr().err
 
 
+def test_state_budget_exits_two_before_any_chain_is_built(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a chain was built for an oversized run")
+
+    monkeypatch.setattr(report, "_RunEnv", refuse)
+    assert main(["run", "--backend", "highest_weight", "--N", "8", "--L", "14"]) == 2
+    assert "L must be an integer in 1..4, got 14" in capsys.readouterr().err
+
+
 def test_config_file_parsing_errors(tmp_path):
     bad_line = tmp_path / "a.cfg"
     bad_line.write_text("just words\n")

@@ -60,6 +60,14 @@ def _stripped(doc, drop=()):
     ({"backend": "cyclic", "suites": ("site",)}, "cyclic"),
     ({"backend": "cyclic", "suites": ("divpow",)}, "cyclic"),
     ({"jobs": 0}, "jobs"),
+    ({"backend": "highest_weight", "n_param": 8, "length": 14},
+     "L must be an integer in 1..4, got 14"),
+    ({"backend": "highest_weight", "n_param": 3, "length": 9},
+     "L must be an integer in 1..8, got 9"),
+    ({"backend": "cyclic", "n_param": 5, "length": 14},
+     "L must be an integer in 1..6, got 14"),
+    ({"backend": "cyclic", "n_param": 2**14 + 1, "length": 1},
+     "has more than 16384 states"),
 ])
 def test_config_rejections(kwargs, fragment):
     with pytest.raises(ConfigError, match=fragment):
