@@ -103,7 +103,7 @@ class DividedPowerStore:
 
     get(op_id, n, norm) returns the Laurent power theta^(n), filled order by
     order from the memo, the disk cache, or one _divided_step; order 1 is
-    the registered operator itself, so get(op_id, 1, norm, ring) is how a
+    the base operator itself, so get(op_id, 1, norm, ring) is how a
     check reads a plain operator (K, A_L_inv, ...) in its ring.  With a
     cyclotomic ring it returns that power's root-of-unity specialization,
     memoized per (op_id, norm, n, ring); cyclo_ring(N) interns that ring.
@@ -121,25 +121,13 @@ class DividedPowerStore:
         self.ctx = ctx
         self.cache = cache
         self._rep_digest = rep_digest(ctx.rep)
-        self._base: dict[str, GradedOperator] = {}
+        # every chain generator and, when defined, the barred operators
+        self._base: dict[str, GradedOperator] = build_chain_generators(ctx)
+        if ctx.rep.wrap_free:
+            self._base.update(build_barred_ops(ctx, self._base))
         self._memo: dict[tuple[str, str], list[GradedOperator]] = {}
         self._specialized: dict[tuple[str, str, int, CycloRing], GradedOperator] = {}
         self._lock = threading.Lock()
-
-    def register(self, op_id: str, op: GradedOperator) -> None:
-        if op.ring is not LAURENT_RING:
-            raise ValueError("store holds symbolic operators only")
-        with self._lock:
-            self._base[op_id] = op
-
-    def register_standard(self) -> None:
-        """Register every chain generator and, when defined, the barred ops."""
-        gens = build_chain_generators(self.ctx)
-        for name, op in gens.items():
-            self.register(name, op)
-        if self.ctx.rep.wrap_free:
-            for name, op in build_barred_ops(self.ctx, gens).items():
-                self.register(name, op)
 
     def base(self, op_id: str) -> GradedOperator:
         return self._base[op_id]

@@ -28,9 +28,9 @@ from .rings import (
     InternalInconsistency,
     LaurentPoly,
     NotDivisible,
-    _poly_divmod,
     cyclo_ring,
     cyclotomic_poly,
+    phi_multiplicity,
 )
 
 
@@ -154,17 +154,7 @@ def gauss_binomial(s: int, l: int, flavor: str = "q") -> LaurentPoly:
 
 def phi_valuation(p: LaurentPoly, n_param: int):
     """Multiplicity of Phi_2N(q) in p; inf for the zero polynomial."""
-    if p.is_zero():
-        return float("inf")
-    phi = cyclotomic_poly(2 * n_param)
-    _, cur = p.dense()
-    val = 0
-    while True:
-        quot, rem = _poly_divmod(cur, phi)
-        if rem or not quot:
-            return val
-        cur = quot
-        val += 1
+    return phi_multiplicity(p.dense()[1], cyclotomic_poly(2 * n_param), float("inf"))
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,9 @@ RING_MODES = ("laurent", "cyclotomic", "phi-adic", "float")
 # the most chain states (d^L, site dimension d = 2 for spin_half and N
 # otherwise) a run accepts; the sector tables list every state in Python
 MAX_STATES = 2**14
+# the most bytes the Z[q]/Phi_2N multiplication table (8 * D^3 for int64
+# entries, D = phi(2N)) may take; it bounds memory, not time
+MAX_RING_TABLE_BYTES = 2**28
 SUITE_NAMES = (
     "qcomb",
     "rep-gate",
@@ -170,6 +173,10 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _euler_phi(m: int) -> int:
+    return sum(math.gcd(k, m) == 1 for k in range(m))
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a run needs, with conservative defaults.
@@ -207,6 +214,16 @@ class RunConfig:
             raise ConfigError(
                 f"L must be an integer in 1..{longest}, got {self.length!r}"
             )
+        degree = 0  # the largest phi(2N) whose table fits the budget
+        while 8 * (degree + 1) ** 3 <= MAX_RING_TABLE_BYTES:
+            degree += 1
+        # phi(2N) >= sqrt(N), so a larger N is refused without factoring
+        if self.n_param > degree**2 or _euler_phi(2 * self.n_param) > degree:
+            raise ConfigError(
+                f"N={self.n_param} is too large: the Z[q]/Phi_2N multiplication "
+                f"table takes 8*phi(2N)^3 bytes, at most {MAX_RING_TABLE_BYTES}, "
+                f"so phi(2N) must be at most {degree} (this bounds memory, "
+                "not run time)")
         for q in self.q_sectors:
             if not _is_int(q) or not 0 <= q < self.n_param:
                 raise ConfigError(f"Q must lie in 0..{self.n_param - 1}, got {q!r}")
@@ -261,14 +278,13 @@ class _RunEnv:
     job of a run.  A rescaled env scales every site representation it
     builds, the run's own and any a job builds for itself."""
 
-    def __init__(self, config: RunConfig, rescale: bool = False):
+    def __init__(self, config: RunConfig, cache: OperatorCache, rescale: bool = False):
         self.config = config
         self.rescale = rescale
         try:
             rep = self.site_rep(config.backend)
         except (UnsupportedKind, InvalidParams) as exc:
             raise ConfigError(str(exc)) from None
-        cache = OperatorCache(config.cache_dir) if config.cache_dir else DISABLED_CACHE
         self.store = make_store(ChainContext(rep, config.length), cache)
 
     def site_rep(self, kind: str):
@@ -767,6 +783,25 @@ def strip_timing(doc: dict[str, Any]) -> dict[str, Any]:
     return out
 
 
+def _prepare_outputs(config: RunConfig) -> OperatorCache:
+    """The run's operator cache, its directory made, and the report path's
+    directory made; ConfigError when either path cannot serve."""
+    try:
+        cache = OperatorCache(config.cache_dir) if config.cache_dir else DISABLED_CACHE
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot use cache directory {config.cache_dir}: {exc.strerror}") from None
+    path = config.report_path
+    if path:
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write report to {path}: it is a directory")
+        try:
+            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report to {path}: {exc.strerror}") from None
+    return cache
+
+
 def run(config: RunConfig) -> ReportDocument:
     """Execute the configured suites and return the report document.
 
@@ -776,13 +811,14 @@ def run(config: RunConfig) -> ReportDocument:
     """
     t0 = time.perf_counter()
     config.validate()
+    cache = _prepare_outputs(config)
     selected = config.selected_suites()
     audited = [s for s in selected if config.rescale_audit and s in _AUDIT_SUITES]
     try:
-        env = _RunEnv(config)
+        env = _RunEnv(config, cache)
         # both chains are built before the run's one pool forks, so every
         # worker inherits both stores
-        rescaled_env = _RunEnv(config, rescale=True) if audited else None
+        rescaled_env = _RunEnv(config, cache, rescale=True) if audited else None
         jobs = [job for suite in selected for job in _SUITE_BUILDERS[suite](env)]
         plain_count = len(jobs)
         jobs += [job for suite in audited
@@ -805,8 +841,6 @@ def run(config: RunConfig) -> ReportDocument:
         total_millis=(time.perf_counter() - t0) * 1000.0,
     )
     if config.report_path:
-        parent = os.path.dirname(os.path.abspath(config.report_path))
-        os.makedirs(parent, exist_ok=True)
         with open(config.report_path, "w", encoding="utf-8") as fh:
             fh.write(doc.to_json())
     return doc

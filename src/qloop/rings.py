@@ -4,9 +4,9 @@ Four rings share one deformation parameter q:
 
 * LaurentPoly      -- Z[q, q^-1], the generic symbolic ring.
 * CycloRing        -- Z[q]/Phi_2N(q), q a primitive 2N-th root of unity.
-* PhiAdicRing      -- truncated series sum_i a_i * Phi_2N^i with CycloRing
-                      digits, for divisions whose denominators vanish at the
-                      root of unity.
+* PhiAdicRing      -- Z[q]/Phi_2N(q)^(K+1) with a tracked adic precision,
+                      for divisions whose denominators vanish at the root
+                      of unity.
 * FloatRing        -- complex evaluation at q = exp(i*pi/N), smoke tests only.
 
 Each ring object (LAURENT_RING, a CycloRing, a PhiAdicRing, a FloatRing)
@@ -15,6 +15,11 @@ entry, and the exact rings divide with divexact.  CycloRing.coerce also
 takes a phi-adic element of the same N onto its digit zero, its image at
 the root.  The other modules ask the ring and never branch on which ring
 it is.
+
+Both quotient rings divide by one routine, _divide_mod: exact division in
+Z[q]/M for a monic modulus M (Phi_2N, or a power of it) multiplies the
+dividend's coordinates by the integer inverse of the divisor's
+multiplication matrix mod M, memoized per (divisor, modulus).
 
 q is never a float inside the exact rings.  omega means q^2 throughout.
 All integer coefficients are Python ints, so they never overflow.
@@ -275,8 +280,16 @@ LAURENT_ZERO = LaurentPoly(0)
 LAURENT_ONE = LaurentPoly(1)
 
 
-# divisors whose inverses one cyclotomic ring keeps before starting afresh
-_INVERSE_MEMO_LIMIT = 4096
+def phi_multiplicity(poly: list[int], phi, limit) -> int:
+    """The largest v <= limit with phi^v dividing the polynomial poly, so
+    limit for the zero polynomial; phi is monic."""
+    v = 0
+    while v < limit and poly:
+        poly, rem = _poly_divmod(poly, phi)
+        if rem:
+            return v
+        v += 1
+    return limit
 
 
 def _integer_inverse(m: list[list[int]]) -> tuple[list[list[int]], int]:
@@ -302,6 +315,36 @@ def _integer_inverse(m: list[list[int]]) -> tuple[list[list[int]], int]:
         for x in row[d:]:
             denom = lcm(denom, x.denominator)
     return [[int(x * denom) for x in row[d:]] for row in rows], denom
+
+
+# an operator's entries share a few divisors, so a bounded memo serves a run
+@lru_cache(maxsize=4096)
+def _division_inverse(divisor: tuple[int, ...],
+                      modulus: tuple[int, ...]) -> tuple[list[list[int]], int]:
+    """_integer_inverse of the matrix of multiplication by divisor in
+    Z[q]/modulus, whose column j holds the coordinates of divisor * q^j."""
+    d = len(modulus) - 1
+    cols = [(_poly_divmod([0] * j + list(divisor), modulus)[1] + [0] * d)[:d]
+            for j in range(d)]
+    return _integer_inverse(list(zip(*cols)))
+
+
+def _divide_mod(a: tuple[int, ...], b: tuple[int, ...],
+                modulus: tuple[int, ...]) -> tuple[int, ...]:
+    """Coordinates of the x with x*b = a in Z[q]/modulus, for a monic modulus
+    and a, b reduced mod it (missing high coordinates count as zeros).
+    NotDivisible when x is not integral or b's multiplication matrix is
+    singular."""
+    if not any(a):
+        return (0,) * (len(modulus) - 1)
+    numer, denom = _division_inverse(b, modulus)
+    coords = []
+    for row in numer:
+        y = sum(m * v for m, v in zip(row, a))
+        if y % denom:
+            raise NotDivisible("quotient is not an algebraic integer combination")
+        coords.append(y // denom)
+    return tuple(coords)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +426,7 @@ class CycloRing:
             raise ValueError("need N >= 2")
         self.n_param = n_param
         self.order = 2 * n_param                      # q has this multiplicative order
-        phi = list(cyclotomic_poly(self.order))
+        phi = cyclotomic_poly(self.order)
         self.phi = phi
         self.degree = len(phi) - 1
         # power table: coords of q^k for k in 0..2N-1; q^2N wraps to 1
@@ -404,8 +447,6 @@ class CycloRing:
         self.one = CycloElem(self, powtab[0])
         self.q = CycloElem(self, powtab[1])
         self.omega = CycloElem(self, powtab[2 % self.order])
-        # divisor coords -> its integer inverse, see divexact
-        self._inverses: dict[tuple[int, ...], tuple] = {}
 
     def coerce(self, x) -> CycloElem:
         if isinstance(x, CycloElem):
@@ -458,37 +499,13 @@ class CycloRing:
                     acc[i] += v * row[i]
         return CycloElem(self, tuple(acc))
 
-    def mult_matrix(self, a: CycloElem) -> list[list[int]]:
-        """Columns are the coordinates of a * q^j."""
-        cols = []
-        cur = a
-        for _ in range(self.degree):
-            cols.append(cur.coords)
-            cur = cur * self.q
-        return [[cols[j][i] for j in range(self.degree)] for i in range(self.degree)]
-
     def divexact(self, a: CycloElem, b: CycloElem) -> CycloElem:
-        """Solve x*b = a exactly over Z; Phi_2N is irreducible so b != 0 suffices
-        for uniqueness, and NotDivisible is raised when x is not integral."""
+        """Solve x*b = a exactly over Z by _divide_mod with modulus Phi_2N.
+        Phi_2N is irreducible, so b != 0 makes x unique, and NotDivisible is
+        raised when x is not integral."""
         if b.is_zero():
             raise ZeroDivisionError("division by zero in cyclotomic ring")
-        if a.is_zero():
-            return self.zero
-        inverse = self._inverses.get(b.coords)
-        if inverse is None:
-            inverse = _integer_inverse(self.mult_matrix(b))
-            if len(self._inverses) >= _INVERSE_MEMO_LIMIT:
-                self._inverses.clear()
-            # a racing thread stores the same value, so no lock is needed
-            self._inverses[b.coords] = inverse
-        numer, denom = inverse
-        coords = []
-        for row in numer:
-            y = sum(m * v for m, v in zip(row, a.coords))
-            if y % denom:
-                raise NotDivisible("quotient is not an algebraic integer combination")
-            coords.append(y // denom)
-        return CycloElem(self, tuple(coords))
+        return CycloElem(self, _divide_mod(a.coords, b.coords, self.phi))
 
     def __repr__(self):
         return f"CycloRing(N={self.n_param})"
@@ -525,19 +542,8 @@ class PhiAdicElem:
     def valuation(self) -> int:
         """Largest v <= prec with Phi^v dividing this element exactly."""
         if self._valuation is None:
-            self._valuation = self._compute_valuation()
+            self._valuation = phi_multiplicity(self.poly, self.ring.cyclo.phi, self.prec)
         return self._valuation
-
-    def _compute_valuation(self) -> int:
-        v = 0
-        cur = self.poly
-        while v < self.prec and cur:
-            quot, rem = _poly_divmod(cur, self.ring.cyclo.phi)
-            if rem:
-                return v
-            cur = quot
-            v += 1
-        return self.prec
 
     def is_zero(self) -> bool:
         return self.valuation() >= self.prec
@@ -621,10 +627,12 @@ class PhiAdicRing:
         self.trunc_order = trunc_order
         self.cyclo = cyclo_ring(n_param)
         phi = list(self.cyclo.phi)
-        mod = [1]
+        # Phi^k for k in 0..K+1, all monic; Phi^(K+1) is the ring's modulus
+        powers = [(1,)]
         for _ in range(trunc_order + 1):
-            mod = _poly_mul(mod, phi)
-        self._modulus = mod                       # Phi^(K+1), monic
+            powers.append(tuple(_poly_mul(powers[-1], phi)))
+        self._phi_powers = powers
+        self._modulus = mod = powers[-1]
         self.zero = self.from_int(0)
         self.one = self.from_int(1)
         self.q = PhiAdicElem(self, self._reduce([0, 1]))
@@ -634,7 +642,6 @@ class PhiAdicRing:
         if not (self.qinv * self.q == self.one):
             raise InternalInconsistency("q^-1 construction failed")
         self._qinv_powers: dict[int, PhiAdicElem] = {}
-        self._divisors: dict[tuple, tuple[int, tuple[int, ...], CycloElem]] = {}
 
     def _reduce(self, coeffs: list[int]) -> tuple[int, ...]:
         _, rem = _poly_divmod(coeffs, self._modulus)
@@ -686,42 +693,24 @@ class PhiAdicRing:
         return PhiAdicElem(self, self._reduce(prod), prec)
 
     def divexact(self, a: PhiAdicElem, b: PhiAdicElem) -> PhiAdicElem:
-        """Quotient a/b with precision min(prec) - val(b); exactness enforced
-        digit by digit so a non-multiple raises NotDivisible."""
+        """Quotient a/b with precision prec = min(prec) - val(b).  Both are
+        divided by Phi^val(b) and reduced mod Phi^prec, then _divide_mod
+        solves there.  Phi is monic, so base-Phi digits and coordinates are
+        related by a unimodular map: the quotient is integral exactly when
+        every digit is, and a non-multiple raises NotDivisible."""
         if b.is_zero():
             raise ZeroDivisionError("division by (known-)zero phi-adic element")
-        v, bshift, unit0 = self._divisor(b)
+        v = b.valuation()
         prec = min(a.prec, b.prec) - v
         if prec < 1:
             raise TruncationOverflow("no valid digits left after division; raise K")
         if a.valuation() < v:
             raise NotDivisible("dividend valuation below divisor valuation")
-        phi = self.cyclo.phi
-        rem = self._phi_shift(a.poly, v)
-        quot_poly: list[int] = []
-        phi_j = [1]
-        for j in range(prec):
-            # digit j of the remainder, whose lower digits are already zero
-            digit = PhiAdicElem(self, self._reduce(rem)).digit(j)
-            c = self.cyclo.divexact(digit, unit0)
-            if c:
-                addend = _poly_mul(_poly_trim(list(c.coords)), phi_j)
-                quot_poly = _poly_add(quot_poly, addend)
-                rem = _poly_add(rem, _poly_mul([-x for x in addend], bshift))
-            phi_j = _poly_mul(phi_j, phi)
-        return PhiAdicElem(self, self._reduce(quot_poly), prec)
-
-    def _divisor(self, b: PhiAdicElem) -> tuple[int, tuple[int, ...], CycloElem]:
-        """(valuation, b / Phi^valuation, its digit 0), once per divisor: an
-        operator's entries all share one divisor."""
-        key = (b.poly, b.prec)
-        out = self._divisors.get(key)
-        if out is None:
-            v = b.valuation()
-            bshift = tuple(self._phi_shift(b.poly, v))
-            unit0 = PhiAdicElem(self, bshift).digit(0)
-            out = self._divisors[key] = (v, bshift, unit0)
-        return out
+        modulus = self._phi_powers[prec]
+        _, num = _poly_divmod(self._phi_shift(a.poly, v), modulus)
+        _, den = _poly_divmod(self._phi_shift(b.poly, v), modulus)
+        quot = _divide_mod(tuple(num), tuple(den), modulus)
+        return PhiAdicElem(self, tuple(_poly_trim(list(quot))), prec)
 
     def _phi_shift(self, poly, v: int) -> list[int]:
         """poly / Phi^v, for a poly whose valuation is at least v."""

@@ -77,10 +77,8 @@ _SIDE_OPS = {"one_zero": ("B1bar", "C0bar"), "L_Lm1": ("BLbar", "CL1bar")}
 
 
 def make_store(ctx: ChainContext, cache=None) -> DividedPowerStore:
-    """A divided-power store with the standard generators registered."""
-    store = DividedPowerStore(ctx) if cache is None else DividedPowerStore(ctx, cache)
-    store.register_standard()
-    return store
+    """A divided-power store of the chain's generators and barred operators."""
+    return DividedPowerStore(ctx) if cache is None else DividedPowerStore(ctx, cache)
 
 
 def _root_ring(store: DividedPowerStore, ring):

@@ -109,13 +109,45 @@ def test_length_bound_is_not_configurable(tmp_path, capsys):
     assert "L must be an integer in 1..14" in capsys.readouterr().err
 
 
-def test_state_budget_exits_two_before_any_chain_is_built(monkeypatch, capsys):
+@pytest.fixture
+def no_chain(monkeypatch):
+    """Make building a run's chain, and so running any job, fail the test."""
     def refuse(*args, **kwargs):
-        raise AssertionError("a chain was built for an oversized run")
+        raise AssertionError("a chain was built for a rejected run")
 
     monkeypatch.setattr(report, "_RunEnv", refuse)
+
+
+def test_state_budget_exits_two_before_any_chain_is_built(no_chain, capsys):
     assert main(["run", "--backend", "highest_weight", "--N", "8", "--L", "14"]) == 2
     assert "L must be an integer in 1..4, got 14" in capsys.readouterr().err
+
+
+def test_ring_table_budget_exits_two_before_any_chain_is_built(no_chain, capsys):
+    assert main(["run", "--N", "1000000", "--L", "2"]) == 2
+    assert "phi(2N) must be at most 322" in capsys.readouterr().err
+
+
+def test_report_path_that_is_a_directory_exits_two(no_chain, tmp_path, capsys):
+    assert main(["run", "--suite", "qcomb", "--report", str(tmp_path)]) == 2
+    assert "config error: cannot write report to" in capsys.readouterr().err
+
+
+def test_report_path_under_a_file_exits_two(no_chain, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["run", "--suite", "qcomb", "--report", str(blocker / "x.json")]) == 2
+    assert "config error: cannot write report to" in capsys.readouterr().err
+
+
+def test_cache_dir_that_is_a_file_exits_two(no_chain, tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["run", "--suite", "qcomb", "--cache-dir", str(blocker)]) == 2
+    monkeypatch.setenv("QLOOP_CACHE_DIR", str(blocker))
+    assert main(["run", "--suite", "qcomb"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("config error: cannot use cache directory") == 2
 
 
 def test_config_file_parsing_errors(tmp_path):

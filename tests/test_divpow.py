@@ -50,7 +50,6 @@ def _ctx(kind="spin_half", n_param=2, length=4):
 
 def _store(ctx):
     store = DividedPowerStore(ctx)
-    store.register_standard()
     return store
 
 
@@ -140,7 +139,6 @@ def test_adic_truncation_too_small_raises():
 def test_merge_binomial():
     ctx = _ctx(length=7)
     store = DividedPowerStore(ctx)
-    store.register_standard()
     check = check_mulo(store, q_sector=1, k=1, j=1)
     assert check.status == EXACT_ZERO
     assert check.extra["coefficient"] == 2
@@ -148,7 +146,6 @@ def test_merge_binomial():
 
     ctx3 = ChainContext(build_site_rep("spin_half", 3), 5)
     store3 = DividedPowerStore(ctx3)
-    store3.register_standard()
     check3 = check_mulo(store3, q_sector=1, k=0, j=1)
     assert check3.status == EXACT_ZERO
     assert check3.extra["coefficient"] == 1
@@ -157,7 +154,6 @@ def test_merge_binomial():
 def test_merge_binomial_vacuous_when_chain_too_short():
     ctx = _ctx(length=3)
     store = DividedPowerStore(ctx)
-    store.register_standard()
     check = check_mulo(store, q_sector=1, k=1, j=1)  # needs order 5 > L
     assert check.status == VACUOUS_ZERO
 
@@ -166,7 +162,6 @@ def test_merge_binomial_vacuous_when_chain_too_short():
 def test_cross_normalization(n_param, length):
     ctx = _ctx("spin_half", n_param, length)
     store = DividedPowerStore(ctx)
-    store.register_standard()
     for n in range(0, 2 * n_param + 2):
         for check in check_cross_normalization(store, n):
             assert check.ok, (n, check.params, check.witness)
@@ -198,7 +193,6 @@ def test_store_memoizes_and_uses_disk(tmp_path):
     ctx = _ctx(length=4)
     cache = OperatorCache(tmp_path)
     store = DividedPowerStore(ctx, cache)
-    store.register_standard()
     first = store.get("B1bar", 3, NORM_OMEGA)
     again = store.get("B1bar", 3, NORM_OMEGA)
     assert first is again  # memo hit
@@ -206,10 +200,8 @@ def test_store_memoizes_and_uses_disk(tmp_path):
     assert files  # disk was filled
 
     fresh = DividedPowerStore(_ctx(length=4), OperatorCache(tmp_path))
-    fresh.register_standard()
     from_disk = fresh.get("B1bar", 3, NORM_OMEGA)
     cold = DividedPowerStore(_ctx(length=4))
-    cold.register_standard()
     recomputed = cold.get("B1bar", 3, NORM_OMEGA)
     assert from_disk.entries() == recomputed.entries()
     assert from_disk.shift == recomputed.shift
@@ -218,7 +210,6 @@ def test_store_memoizes_and_uses_disk(tmp_path):
 def test_store_concurrent_fill_is_deterministic(tmp_path):
     ctx = _ctx(length=4)
     store = DividedPowerStore(ctx, OperatorCache(tmp_path))
-    store.register_standard()
     results = [None] * 8
     at_root = [None] * 8
     cring = cyclo_ring(2)
@@ -240,14 +231,6 @@ def test_store_concurrent_fill_is_deterministic(tmp_path):
     assert not any(t.is_alive() for t in threads)
     assert all(r is results[0] for r in results)
     assert all(r is at_root[0] for r in at_root)
-
-
-def test_store_rejects_specialized_operators():
-    ctx = _ctx(length=2)
-    e1 = build_chain_generators(ctx)["E1"]
-    store = DividedPowerStore(ctx)
-    with pytest.raises(ValueError):
-        store.register("E1", specialize_operator(e1, cyclo_ring(2)))
 
 
 _STANDARD_OPS = ("E0", "E1", "F0", "F1", "B1bar", "C0bar", "BLbar", "CL1bar")
@@ -300,7 +283,6 @@ def test_lemma_chain_leaves_memoized_specializations_intact():
 def test_store_repeated_get_builds_no_identity(monkeypatch, tmp_path):
     import qloop.divpow as divpow
     store = DividedPowerStore(_ctx(length=4), OperatorCache(tmp_path))
-    store.register_standard()
     store.get("E1", 3, NORM_Q)
     built = []
     real = divpow.identity_operator
@@ -322,7 +304,6 @@ def test_store_repeated_get_builds_no_identity(monkeypatch, tmp_path):
 
 def test_store_order_one_is_the_registered_operator(tmp_path):
     store = DividedPowerStore(_ctx(length=4), OperatorCache(tmp_path))
-    store.register_standard()
     for op_id in ("E0", "K", "A_L_inv", "A_L_half_inv", "B1bar"):
         for norm in (NORM_Q, NORM_OMEGA):
             assert store.get(op_id, 1, norm) is store.base(op_id)

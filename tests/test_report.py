@@ -21,6 +21,7 @@ from qloop.report import (
     RunConfig,
     UnknownId,
     _collect,
+    _euler_phi,
     _Job,
     _run_job,
     explain,
@@ -68,10 +69,25 @@ def _stripped(doc, drop=()):
      "L must be an integer in 1..6, got 14"),
     ({"backend": "cyclic", "n_param": 2**14 + 1, "length": 1},
      "has more than 16384 states"),
+    ({"n_param": 10**6, "length": 2}, r"phi\(2N\) must be at most 322"),
+    ({"n_param": 10**5, "length": 2}, r"phi\(2N\) must be at most 322"),
+    ({"n_param": 331}, r"phi\(2N\) must be at most 322"),
+    ({"backend": "highest_weight", "n_param": 2**14, "length": 1},
+     r"phi\(2N\) must be at most 322"),
+    ({"backend": "cyclic", "n_param": 2**14, "length": 1},
+     r"phi\(2N\) must be at most 322"),
 ])
 def test_config_rejections(kwargs, fragment):
     with pytest.raises(ConfigError, match=fragment):
         RunConfig(**kwargs).validate()
+
+
+def test_ring_table_budget_accepts_every_n_whose_table_fits():
+    # phi(512) = 256 and phi(646) = 288 fit; phi(2N) = 330 at N = 331 does not
+    for n_param in (2, 12, 256, 323):
+        RunConfig(n_param=n_param, length=2).validate()
+    assert [_euler_phi(m) for m in (1, 2, 12, 512, 646, 662)] == [
+        1, 1, 4, 256, 288, 330]
 
 
 @pytest.mark.parametrize("kwargs,message", [

@@ -20,7 +20,10 @@ from qloop.rings import (
     PhiAdicElem,
     PhiAdicRing,
     TruncationOverflow,
+    _poly_add,
     _poly_divmod,
+    _poly_mul,
+    _poly_trim,
     cyclo_ring,
     cyclotomic_poly,
 )
@@ -191,7 +194,8 @@ def _fraction_solve(ring, a, b):
     """The rational x with x*b = a, by Gaussian elimination on b's
     multiplication matrix in exact fractions (the reference route)."""
     d = ring.degree
-    m = [[Fraction(v) for v in row] for row in ring.mult_matrix(b)]
+    cols = [(b * ring.q_power(j)).coords for j in range(d)]
+    m = [[Fraction(col[i]) for col in cols] for i in range(d)]
     rhs = [Fraction(v) for v in a.coords]
     for col in range(d):
         piv = next(r for r in range(col, d) if m[r][col] != 0)
@@ -239,14 +243,17 @@ def test_cyclo_divexact_matches_fraction_solve(n_param, b_coords, x_coords,
     assert ring.divexact(x * b, b) == x
 
 
-def test_cyclo_divexact_memo_stays_bounded(monkeypatch):
-    monkeypatch.setattr(rings, "_INVERSE_MEMO_LIMIT", 2)
-    ring = CycloRing(3)
+def test_cyclo_divexact_memo_stays_bounded():
+    memo = rings._division_inverse
+    bound = memo.cache_info().maxsize
+    assert bound is not None
+    memo.cache_clear()
+    ring = CycloRing(2)
     x = ring.from_laurent(LaurentPoly({0: 2, 1: -1}))
-    for k in range(2, 8):
+    for k in range(1, bound + 3):
         b = ring.from_laurent(LaurentPoly({0: k, 1: 1}))
         assert ring.divexact(x * b, b) == x
-        assert len(ring._inverses) <= 2
+    assert memo.cache_info().currsize == bound
 
 
 def test_cyclo_root_of_unity_facts():
@@ -380,6 +387,7 @@ def test_phi_adic_division_by_one_divisor_matches_fresh_rings(
         for _ in range(power):
             a = a * adic.phi_elem
         fresh = PhiAdicRing(n_param, trunc)
+        rings._division_inverse.cache_clear()
         try:
             want = fresh.divexact(PhiAdicElem(fresh, a.poly, a.prec),
                                   PhiAdicElem(fresh, divisor.poly, divisor.prec))
@@ -389,6 +397,65 @@ def test_phi_adic_division_by_one_divisor_matches_fresh_rings(
             continue
         got = adic.divexact(a, divisor)
         assert (got.poly, got.prec) == (want.poly, want.prec)
+
+
+def _digit_divexact(adic, a, b):
+    """a/b digit by digit in base Phi, each digit divided in Z[q]/Phi by
+    digit zero of b / Phi^val(b): the reference route for
+    PhiAdicRing.divexact, with its guards and messages."""
+    if b.is_zero():
+        raise ZeroDivisionError("division by (known-)zero phi-adic element")
+    v = b.valuation()
+    prec = min(a.prec, b.prec) - v
+    if prec < 1:
+        raise TruncationOverflow("no valid digits left after division; raise K")
+    if a.valuation() < v:
+        raise NotDivisible("dividend valuation below divisor valuation")
+    phi = list(adic.cyclo.phi)
+    bshift = adic._phi_shift(b.poly, v)
+    unit0 = PhiAdicElem(adic, tuple(bshift)).digit(0)
+    rem = adic._phi_shift(a.poly, v)
+    quot, phi_j = [], [1]
+    for j in range(prec):
+        # digit j of the remainder, whose lower digits are already zero
+        digit = PhiAdicElem(adic, adic._reduce(rem)).digit(j)
+        c = adic.cyclo.divexact(digit, unit0)
+        if c:
+            addend = _poly_mul(_poly_trim(list(c.coords)), phi_j)
+            quot = _poly_add(quot, addend)
+            rem = _poly_add(rem, _poly_mul([-x for x in addend], bshift))
+        phi_j = _poly_mul(phi_j, phi)
+    return PhiAdicElem(adic, adic._reduce(quot), prec)
+
+
+_nonzero_laurent = laurent_strategy.filter(lambda p: not p.is_zero())
+
+
+@given(st.integers(2, 6), st.integers(0, 4), st.integers(0, 4), _nonzero_laurent,
+       laurent_strategy, st.one_of(st.just(LaurentPoly(0)), _nonzero_laurent),
+       st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
+@settings(max_examples=300, deadline=None)
+def test_phi_adic_divexact_matches_the_digit_route(n_param, trunc, v, unit, cofactor,
+                                                   perturbation, w, a_drop, b_drop):
+    # a = cofactor * b + perturbation * Phi^w, a and b each known to a
+    # precision in 1..K+1: a multiple of b when the perturbation is zero,
+    # mostly not otherwise; both routes must give one (poly, prec) or one
+    # exception
+    adic = PhiAdicRing(n_param, trunc)
+    digits = trunc + 1
+    b = _phi_power(adic, adic.embed(unit), v % digits)
+    b = PhiAdicElem(adic, b.poly, digits - b_drop % digits)
+    a = adic.embed(cofactor) * b + _phi_power(adic, adic.embed(perturbation), w)
+    a = PhiAdicElem(adic, a.poly, min(a.prec, digits - a_drop % digits))
+    try:
+        want = _digit_divexact(adic, a, b)
+    except (ZeroDivisionError, TruncationOverflow, NotDivisible) as exc:
+        with pytest.raises(type(exc)) as info:
+            adic.divexact(a, b)
+        assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+        return
+    got = adic.divexact(a, b)
+    assert (got.poly, got.prec) == (want.poly, want.prec)
 
 
 def test_phi_adic_precision_tracks_division():
