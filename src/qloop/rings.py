@@ -16,10 +16,9 @@ takes a phi-adic element of the same N onto its digit zero, its image at
 the root.  The other modules ask the ring and never branch on which ring
 it is.
 
-Both quotient rings divide by one routine, _divide_mod: exact division in
-Z[q]/M for a monic modulus M (Phi_2N, or a power of it) multiplies the
-dividend's coordinates by the integer inverse of the divisor's
-multiplication matrix mod M, memoized per (divisor, modulus).
+Both quotient rings divide with _divide_mod, a solve in Z[q]/M for M =
+Phi_2N or a power of it: the dividend's coordinates times the integer
+inverse of the divisor's multiplication matrix, memoized per (divisor, M).
 
 q is never a float inside the exact rings.  omega means q^2 throughout.
 All integer coefficients are Python ints, so they never overflow.
@@ -280,7 +279,7 @@ LAURENT_ZERO = LaurentPoly(0)
 LAURENT_ONE = LaurentPoly(1)
 
 
-def phi_multiplicity(poly: list[int], phi, limit) -> int:
+def phi_multiplicity(poly: list[int], phi, limit):
     """The largest v <= limit with phi^v dividing the polynomial poly, so
     limit for the zero polynomial; phi is monic."""
     v = 0
