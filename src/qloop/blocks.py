@@ -3,13 +3,18 @@
 A graded operator is a collection of rectangular blocks, one per source
 sector.  Three engines cover the scalar rings:
 
-* DictBlock    -- column-major nested dicts of Laurent or Phi-adic entries,
-                  whose truth value is their zero test.  Used for symbolic
-                  construction, site matrices and Phi-adic audits.
-* CycloBlock   -- dense (rows, cols, D) coordinate arrays over Z[q]/Phi_2N,
+* DictBlock    -- column-major nested dicts of Laurent entries, whose truth
+                  value is their zero test.  Used for symbolic construction
+                  and site matrices.
+* CycloBlock   -- dense (rows, cols, D*p) coordinate arrays over
+                  Z[q]/Phi_2N^p, the one engine of both quotient rings.  p
+                  is the block's precision in base-Phi digits: 1 over the
+                  cyclotomic ring, K+1 over the phi-adic ring for embedded
+                  operators and their products, less after a division.
                   int64 with an exact object-dtype fallback; a product is
                   one integer matmul against the right operand's entries
-                  embedded as D x D multiplication matrices.
+                  embedded as multiplication matrices, and an exact
+                  division one shift and one solve by integer matrices.
 * ComplexBlock -- dense complex128, float smoke mode only.
 
 make_block picks the engine for a ring; the layout is private to this
@@ -24,7 +29,21 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rings import CycloElem, CycloRing, FloatRing
+from .rings import (
+    CycloElem,
+    CycloRing,
+    FloatRing,
+    NotDivisible,
+    PhiAdicElem,
+    PhiAdicRing,
+    TruncationOverflow,
+    _division_inverse,
+    _poly_divmod,
+    _poly_mul,
+    _poly_trim,
+    cyclo_ring,
+    phi_multiplicity,
+)
 
 INT64_SAFE = 2**62
 
@@ -130,8 +149,7 @@ class DictBlock:
                           for c, col in self.cols.items()})
 
     def map_values(self, fn) -> "DictBlock":
-        """Entry-wise transform within the ring, re-pruning zeros (used by
-        exact division)."""
+        """Entry-wise transform within the ring, re-pruning zeros."""
         out: dict = {}
         for c, col in self.cols.items():
             new = {}
@@ -143,6 +161,10 @@ class DictBlock:
                 out[c] = new
         return DictBlock(self.ring, self.nrows, self.ncols, out)
 
+    def divexact(self, divisor) -> "DictBlock":
+        """Every entry divided exactly by `divisor` (ring.divexact)."""
+        return self.map_values(lambda v: self.ring.divexact(v, divisor))
+
     def __repr__(self):
         return f"DictBlock({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
@@ -151,24 +173,84 @@ class DictBlock:
 # CycloBlock
 
 
+def _phi_degree(ring) -> int:
+    """D = deg Phi_2N, the coordinates per base-Phi digit."""
+    return cyclo_ring(ring.n_param).degree
+
+
+def _full_prec(ring) -> int:
+    """Digits of an exact entry: K+1 in the phi-adic ring, 1 at the root."""
+    return ring.trunc_order + 1 if isinstance(ring, PhiAdicRing) else 1
+
+
+def _poly_and_prec(value) -> tuple[tuple[int, ...], int]:
+    """An entry's coefficients on 1, q, q^2, .. and its precision."""
+    if isinstance(value, PhiAdicElem):
+        return value.poly, value.prec
+    return value.coords, 1
+
+
+def _elem(ring, coords: list[int], prec: int):
+    """The entry of `ring` with these coordinates, known to prec digits."""
+    if isinstance(ring, PhiAdicRing):
+        return PhiAdicElem(ring, tuple(_poly_trim(coords)), prec)
+    return CycloElem(ring, tuple(coords))
+
+
 @lru_cache(maxsize=None)
-def _mult_tensor(n_param: int) -> tuple[np.ndarray, int]:
-    """The multiplication tensor T of Z[q]/Phi_2N, q^i q^j = sum_o T[i,j,o] q^o,
-    as a read-only (D, D*D) int64 matrix with row i and column (j, o), and
-    its weight max_o sum_{i,j} |T[i,j,o]|.
+def _phi_power(n_param: int, k: int) -> tuple[int, ...]:
+    """Phi_2N^k, the monic modulus of a block known to k base-Phi digits."""
+    out = [1]
+    for _ in range(k):
+        out = _poly_mul(out, list(cyclo_ring(n_param).phi))
+    return tuple(out)
+
+
+def _int_matrix(rows) -> np.ndarray:
+    """A read-only integer table: int64 when every value fits, else object."""
+    fits = max((abs(x) for row in rows for x in row), default=0) < INT64_SAFE
+    out = np.array(rows, dtype=np.int64 if fits else object)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _mult_tensor(modulus: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    """The multiplication tensor T of Z[q]/M for a monic modulus M of degree
+    m, q^i q^j = sum_o T[i,j,o] q^o, as a read-only (m, m*m) matrix with row
+    i and column (j, o), and its weight max_o sum_{i,j} |T[i,j,o]|.
 
     T is symmetric in i and j, so a coordinate vector b times this matrix,
-    reshaped to (D, D), is the multiplication matrix of b: row j holds the
+    reshaped to (m, m), is the multiplication matrix of b: row j holds the
     coordinates of b q^j.
     """
-    ring = CycloRing(n_param)
-    d = ring.degree
-    t = np.array([[ring.powtab[i + j] for j in range(d)] for i in range(d)],
-                 dtype=np.int64)
-    weight = int(np.abs(t).sum(axis=(0, 1)).max(initial=1))
-    t = t.reshape(d, d * d)
-    t.setflags(write=False)
-    return t, weight
+    m = len(modulus) - 1
+    powers, cur = [], [1] + [0] * (m - 1)        # coordinates of q^k mod M
+    for _ in range(2 * m - 1):
+        powers.append(cur)
+        spill, cur = cur[-1], [0] + cur[:-1]
+        if spill:
+            cur = [x - spill * c for x, c in zip(cur, modulus)]
+    t = [[powers[i + j] for j in range(m)] for i in range(m)]
+    weight = max(sum(abs(t[i][j][o]) for i in range(m) for j in range(m))
+                 for o in range(m))
+    return _int_matrix([sum(row, []) for row in t]), max(weight, 1)
+
+
+@lru_cache(maxsize=None)
+def _divmod_table(n_param: int, prec: int, k: int) -> np.ndarray:
+    """The (D*prec, D*prec) integer matrix taking the coordinates of x in
+    Z[q]/Phi^prec to those of (x mod Phi^k, x div Phi^k), for k <= prec.
+    Its first D*k columns reduce x to k digits (with k = 1, digit zero: the
+    image at the root); the rest give x / Phi^k, exact when the first give
+    zeros."""
+    d = cyclo_ring(n_param).degree
+    rows = []
+    for i in range(d * prec):
+        quot, rem = _poly_divmod([0] * i + [1], list(_phi_power(n_param, k)))
+        rows.append(rem + [0] * (d * k - len(rem))
+                    + quot + [0] * (d * (prec - k) - len(quot)))
+    return _int_matrix(rows)
 
 
 def _exact_dtype(bound: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -198,12 +280,21 @@ def _max_abs(arr: np.ndarray) -> int:
     return int(np.abs(arr).max(initial=0))
 
 
-def _product(ring: CycloRing, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The (r, c, D) coordinates of the block product of a (r, k, D) and
-    b (k, c, D) over Z[q]/Phi_2N, as one integer matmul.
+def _transform(arr: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Coordinates (..., m) times an (m, m') integer table, exactly: every
+    partial sum is bounded by m * max|arr| * max|table| (_exact_dtype)."""
+    bound = table.shape[0] * max(_max_abs(arr), 1) * max(_max_abs(table), 1)
+    arr, table = _exact_dtype(bound, arr, table)
+    return arr @ table
 
-    Each entry of b is embedded as its D x D multiplication matrix, so b
-    becomes a (k*D, c*D) integer matrix and a is read as (r, k*D).  Every
+
+def _product(modulus: tuple[int, ...], a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (r, c, m) coordinates of the block product of a (r, k, m) and
+    b (k, c, m) over Z[q]/M, M the monic modulus of degree m, as one
+    integer matmul.
+
+    Each entry of b is embedded as its m x m multiplication matrix, so b
+    becomes a (k*m, c*m) integer matrix and a is read as (r, k*m).  Every
     partial sum, the embedding's included, is bounded by
     k * max|a| * max|b| * weight(T); the product runs in int64 while that
     bound stays below INT64_SAFE and in exact Python ints (object dtype)
@@ -211,7 +302,7 @@ def _product(ring: CycloRing, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     r, k, d = a.shape
     c = b.shape[1]
-    tensor, weight = _mult_tensor(ring.n_param)
+    tensor, weight = _mult_tensor(modulus)
     bound = max(k, 1) * max(_max_abs(a), 1) * max(_max_abs(b), 1) * weight
     a, b, tensor = _exact_dtype(bound, a, b, tensor)
     embedded = (b.reshape(k * c, d) @ tensor).reshape(k, c, d, d)
@@ -219,12 +310,29 @@ def _product(ring: CycloRing, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.reshape(r, k * d) @ embedded).reshape(r, c, d)
 
 
+def _entry_array(ring, nrows, ncols, triples) -> np.ndarray:
+    """The canonical coordinates of ring entries: over Z[q]/Phi^p with p the
+    lowest precision among them (full with none), D*p per entry."""
+    full = _full_prec(ring)
+    d = _phi_degree(ring)
+    prec, coords = full, []
+    for r, c, v in triples:
+        poly, p = _poly_and_prec(v)
+        prec = min(prec, p)
+        coords.append((r, c, poly))
+    arr = _as_coord_array(nrows, ncols, d * full, coords)
+    if prec == full:
+        return arr
+    return _transform(arr, _divmod_table(ring.n_param, full, prec)[:, :d * prec])
+
+
 class CycloBlock:
-    """Dense coordinate-array block over Z[q]/Phi_2N."""
+    """Dense coordinate-array block over Z[q]/Phi_2N^p, p its precision:
+    1 over the cyclotomic ring, at most K+1 over the phi-adic ring."""
 
     __slots__ = ("ring", "arr")
 
-    def __init__(self, ring: CycloRing, arr: np.ndarray):
+    def __init__(self, ring, arr: np.ndarray):
         self.ring = ring
         self.arr = arr
 
@@ -232,18 +340,27 @@ class CycloBlock:
     def shape(self):
         return (self.arr.shape[0], self.arr.shape[1])
 
+    @property
+    def prec(self) -> int:
+        return self.arr.shape[2] // _phi_degree(self.ring)
+
     @classmethod
     def from_entries(cls, ring, nrows, ncols, triples) -> "CycloBlock":
-        coords = [(r, c, v.coords) for r, c, v in triples]
-        return cls(ring, _as_coord_array(nrows, ncols, ring.degree, coords))
+        return cls(ring, _entry_array(ring, nrows, ncols, triples))
+
+    def _coords(self, prec: int) -> np.ndarray:
+        """The coordinates reduced to prec <= self.prec digits."""
+        if prec == self.prec:
+            return self.arr
+        table = _divmod_table(self.ring.n_param, self.prec, prec)
+        return _transform(self.arr, table[:, :_phi_degree(self.ring) * prec])
 
     def entries(self):
         mask = np.argwhere(np.any(self.arr != 0, axis=2))
-        out = []
-        for r, c in mask:
-            coords = tuple(int(x) for x in self.arr[r, c])
-            out.append((int(r), int(c), CycloElem(self.ring, coords)))
-        return out
+        prec = self.prec
+        return [(int(r), int(c),
+                 _elem(self.ring, [int(x) for x in self.arr[r, c]], prec))
+                for r, c in mask]
 
     def nnz(self) -> int:
         return int(np.count_nonzero(self.arr.any(axis=2)))
@@ -252,18 +369,28 @@ class CycloBlock:
         return not self.arr.any()
 
     def eq(self, other: "CycloBlock") -> bool:
-        return self.shape == other.shape and np.array_equal(self.arr, other.arr)
+        prec = min(self.prec, other.prec)
+        return self.shape == other.shape and \
+            np.array_equal(self._coords(prec), other._coords(prec))
+
+    def _times(self, other: "CycloBlock") -> "CycloBlock":
+        """The product at the lower of the two precisions."""
+        prec = min(self.prec, other.prec)
+        modulus = _phi_power(self.ring.n_param, prec)
+        return CycloBlock(self.ring, _product(modulus, self._coords(prec),
+                                              other._coords(prec)))
 
     def matmul(self, other: "CycloBlock") -> "CycloBlock":
         if self.arr.shape[1] != other.arr.shape[0]:
             raise ValueError("shape mismatch in block product")
-        return CycloBlock(self.ring, _product(self.ring, self.arr, other.arr))
+        return self._times(other)
 
     def add(self, other: "CycloBlock") -> "CycloBlock":
         if self.shape != other.shape:
             raise ValueError("shape mismatch in block sum")
-        a, b = _exact_dtype(_max_abs(self.arr) + _max_abs(other.arr),
-                            self.arr, other.arr)
+        prec = min(self.prec, other.prec)
+        a, b = self._coords(prec), other._coords(prec)
+        a, b = _exact_dtype(_max_abs(a) + _max_abs(b), a, b)
         return CycloBlock(self.ring, a + b)
 
     def neg(self) -> "CycloBlock":
@@ -273,20 +400,62 @@ class CycloBlock:
         return self.add(other.neg())
 
     def scale(self, scalar) -> "CycloBlock":
-        """Multiply by an integer or a CycloElem."""
+        """Multiply by an integer or an element of the block's ring."""
         if isinstance(scalar, int):
             arr, = _exact_dtype(abs(scalar) * max(_max_abs(self.arr), 1), self.arr)
             return CycloBlock(self.ring, arr * scalar)
-        if not isinstance(scalar, CycloElem):
-            raise TypeError(f"cannot scale CycloBlock by {type(scalar).__name__}")
+        if not isinstance(scalar, type(self.ring.one)):
+            raise TypeError(f"cannot scale {self!r} by {type(scalar).__name__}")
         # an (r*c, 1) column times the 1 x 1 block of the scalar
         rows, cols, d = self.arr.shape
-        coords = _as_coord_array(1, 1, d, [(0, 0, scalar.coords)])
-        out = _product(self.ring, self.arr.reshape(rows * cols, 1, d), coords)
-        return CycloBlock(self.ring, out.reshape(rows, cols, d))
+        column = CycloBlock(self.ring, self.arr.reshape(rows * cols, 1, d))
+        factor = CycloBlock(self.ring, _entry_array(self.ring, 1, 1, [(0, 0, scalar)]))
+        out = column._times(factor).arr
+        return CycloBlock(self.ring, out.reshape(rows, cols, out.shape[2]))
+
+    def map_values(self, fn) -> "CycloBlock":
+        """Entry-wise transform within the ring, through entries()."""
+        return CycloBlock.from_entries(self.ring, *self.shape,
+                                       [(r, c, fn(v)) for r, c, v in self.entries()])
+
+    def divexact(self, divisor) -> "CycloBlock":
+        """Every entry divided exactly by `divisor`, an element of the
+        block's ring of valuation v (Phi^v divides it, below its precision).
+
+        The quotient is known to min(precisions) - v digits; with none left,
+        TruncationOverflow.  Phi is monic, so one integer matrix divides
+        the coordinates by Phi^v, NotDivisible when a remainder is left,
+        and one more multiplies them by the integer inverse of the reduced
+        divisor (_division_inverse), NotDivisible when a quotient is not
+        integral.
+        """
+        n_param = self.ring.n_param
+        poly, dprec = _poly_and_prec(divisor)
+        v = phi_multiplicity(list(poly), list(cyclo_ring(n_param).phi), dprec)
+        if v >= dprec:
+            raise ZeroDivisionError("division by a (known-)zero element")
+        prec = min(self.prec, dprec) - v
+        if prec < 1:
+            raise TruncationOverflow("no valid digits left after division; raise K")
+        arr = self._coords(prec + v)
+        if v:
+            shifted = _transform(arr, _divmod_table(n_param, prec + v, v))
+            low = _phi_degree(self.ring) * v
+            if shifted[..., :low].any():
+                raise NotDivisible("dividend valuation below divisor valuation")
+            arr = shifted[..., low:]
+        modulus = _phi_power(n_param, prec)
+        unit = _poly_divmod(list(poly), list(_phi_power(n_param, v)))[0]
+        unit = _poly_divmod(unit, list(modulus))[1]
+        numer, denom = _division_inverse(tuple(unit), modulus)
+        quot = _transform(arr, _int_matrix(list(zip(*numer))))
+        if (quot % denom).any():
+            raise NotDivisible("quotient is not an algebraic integer combination")
+        return CycloBlock(self.ring, quot // denom)
 
     def __repr__(self):
-        return f"CycloBlock({self.shape[0]}x{self.shape[1]}, N={self.ring.n_param})"
+        return (f"CycloBlock({self.shape[0]}x{self.shape[1]}, "
+                f"N={self.ring.n_param}, prec={self.prec})")
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +520,20 @@ class ComplexBlock:
 Block = DictBlock | CycloBlock | ComplexBlock  # for annotations elsewhere
 
 
+def specialize_block(block: Block, ring) -> Block:
+    """The block with every entry coerced into `ring`.  A coordinate block
+    goes to the cyclotomic ring of its N by one integer matrix: its
+    coordinates mod Phi, digit zero."""
+    if isinstance(block, CycloBlock) and isinstance(ring, CycloRing) \
+            and ring.n_param == block.ring.n_param:
+        return CycloBlock(ring, block._coords(1))
+    triples = [(r, c, ring.coerce(v)) for r, c, v in block.entries()]
+    return make_block(ring, block.shape[0], block.shape[1], triples)
+
+
 def make_block(ring, nrows, ncols, triples) -> Block:
     """A block of `ring` entries, in the engine that ring uses."""
-    if isinstance(ring, CycloRing):
+    if isinstance(ring, (CycloRing, PhiAdicRing)):
         return CycloBlock.from_entries(ring, nrows, ncols, triples)
     if isinstance(ring, FloatRing):
         return ComplexBlock.from_entries(ring, nrows, ncols, triples)

@@ -73,8 +73,7 @@ def _divide_entries(op: GradedOperator, divisor: LaurentPoly) -> GradedOperator:
         raise TruncationOverflow(
             "divisor is below resolution at this truncation order; "
             "rebuild the ring with a larger K")
-    blocks = {g: b.map_values(lambda v: ring.divexact(v, d))
-              for g, b in op.blocks.items()}
+    blocks = {g: b.divexact(d) for g, b in op.blocks.items()}
     return GradedOperator(op.ctx, ring, op.shift, blocks)
 
 
@@ -89,9 +88,9 @@ def divided_power(op: GradedOperator, n: int, normalization: str) -> GradedOpera
 
     The route independent of a DividedPowerStore's order-by-order fill: the
     full power, with exact entries and no precision loss, divided once by
-    the whole factorial.  Over the phi-adic ring that one valuation-aware
-    division keeps the precision bookkeeping honest for every entry,
-    including structural zeros.
+    the whole factorial.  Over the phi-adic ring that is one valuation-aware
+    division of each block, whose one precision covers every entry,
+    structural zeros included.
     """
     if n < 0:
         raise ValueError("order must be nonnegative")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .blocks import Block, make_block
+from .blocks import Block, make_block, specialize_block
 from .identity import (
     EXACT_ZERO,
     APPROX_ZERO,
@@ -609,10 +609,7 @@ def specialize_operator(op: GradedOperator, ring) -> GradedOperator:
     returned as it is."""
     if ring is op.ring:
         return op
-    blocks = {}
-    for g, block in op.blocks.items():
-        triples = [(r, c, ring.coerce(v)) for r, c, v in block.entries()]
-        blocks[g] = make_block(ring, block.shape[0], block.shape[1], triples)
+    blocks = {g: specialize_block(b, ring) for g, b in op.blocks.items()}
     return GradedOperator(op.ctx, ring, op.shift, blocks)
 
 

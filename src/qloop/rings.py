@@ -19,6 +19,8 @@ it is.
 Both quotient rings divide with _divide_mod, a solve in Z[q]/M for M =
 Phi_2N or a power of it: the dividend's coordinates times the integer
 inverse of the divisor's multiplication matrix, memoized per (divisor, M).
+A block of either ring divides in blocks.py by the same inverse, applied
+to every entry of the block at once.
 
 q is never a float inside the exact rings.  omega means q^2 throughout.
 All integer coefficients are Python ints, so they never overflow.

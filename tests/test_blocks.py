@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qloop.blocks import INT64_SAFE, ComplexBlock, CycloBlock, DictBlock
+from qloop.blocks import INT64_SAFE, ComplexBlock, CycloBlock, DictBlock, make_block
 from qloop.rings import (
     LAURENT_RING,
     CycloElem,
     FloatRing,
     LaurentPoly,
+    PhiAdicElem,
+    PhiAdicRing,
     cyclo_ring,
 )
 
@@ -149,13 +151,14 @@ def test_cyclo_block_scale_by_huge_elem_falls_back():
 
 # coordinates small enough for int64, large enough that a product's bound
 # leaves it, and either side of INT64_SAFE on entry
-_COORD = st.one_of(
+_COORD_CLASSES = (
     st.just(0),
     st.integers(-9, 9),
     st.integers(-2**33, 2**33),
     st.integers(INT64_SAFE - 2, INT64_SAFE + 1).flatmap(
         lambda x: st.sampled_from([x, -x])),
 )
+_COORD = st.one_of(*_COORD_CLASSES)
 
 
 @st.composite
@@ -223,6 +226,83 @@ def test_cyclo_scale_matches_entrywise_ring_mul(blocks, coords):
     assert scaled.shape == a.shape
     if _coords_below(a, 2**20) and all(abs(x) < 2**20 for x in s.coords):
         assert scaled.arr.dtype == np.int64
+
+
+_PHI_ADIC_RINGS = st.sampled_from([(2, 1), (3, 1), (2, 2)]).map(
+    lambda nk: PhiAdicRing(*nk))
+
+
+@st.composite
+def _phi_adic_block(draw, ring, nrows, ncols):
+    """A full-precision block over Z[q]/Phi^(K+1) whose coordinates come
+    from one nonzero class of _COORD: small, large enough that a product's
+    bound passes INT64_SAFE, or either side of INT64_SAFE on entry."""
+    width = ring.cyclo.degree * (ring.trunc_order + 1)
+    coord = draw(st.sampled_from(_COORD_CLASSES[1:]))
+    triples = []
+    for r in range(nrows):
+        for c in range(ncols):
+            poly = [draw(coord) for _ in range(width)]
+            while poly and not poly[-1]:
+                poly.pop()
+            triples.append((r, c, PhiAdicElem(ring, tuple(poly))))
+    return make_block(ring, nrows, ncols, triples)
+
+
+def _max_coord(block):
+    return max((abs(int(x)) for x in block.arr.flat), default=0)
+
+
+def _polys(block):
+    return {(r, c): v.poly for r, c, v in block.entries()}
+
+
+def _cells(block):
+    return {(r, c): v for r, c, v in block.entries()}
+
+
+@given(st.data(), _PHI_ADIC_RINGS, st.tuples(*[st.integers(1, 3)] * 3))
+@settings(max_examples=150, deadline=None)
+def test_phi_adic_product_either_side_of_the_int64_bound(data, ring, dims):
+    nrows, inner, ncols = dims
+    a = data.draw(_phi_adic_block(ring, nrows, inner))
+    b = data.draw(_phi_adic_block(ring, inner, ncols))
+    a_cells, b_cells = _cells(a), _cells(b)
+    want = {}
+    for r in range(nrows):
+        for c in range(ncols):
+            acc = ring.zero
+            for k in range(inner):
+                if (r, k) in a_cells and (k, c) in b_cells:
+                    acc = acc + ring.mul(a_cells[(r, k)], b_cells[(k, c)])
+            if not ring.is_zero(acc):
+                want[(r, c)] = acc.poly
+    prod = a.matmul(b)
+    assert _polys(prod) == want
+    if _max_coord(a) * _max_coord(b) >= INT64_SAFE:
+        assert prod.arr.dtype == object
+    if _max_coord(a) < 2**20 and _max_coord(b) < 2**20:
+        assert prod.arr.dtype == np.int64
+
+
+@given(st.data(), _PHI_ADIC_RINGS, st.sampled_from([(1, 0), (2, 1), (-3, 1)]))
+@settings(max_examples=150, deadline=None)
+def test_phi_adic_division_either_side_of_the_int64_bound(data, ring, divisor):
+    """Exact multiples of (q + const) Phi^v, divided back."""
+    const, v = divisor
+    d = ring.embed(LaurentPoly({0: const, 1: 1}))
+    for _ in range(v):
+        d = d * ring.phi_elem
+    cofactors = data.draw(_phi_adic_block(ring, 2, 2))
+    dividend = make_block(ring, 2, 2, [(r, c, x * d) for r, c, x in cofactors.entries()])
+    quot = dividend.divexact(d)
+    want = {(r, c): ring.divexact(x, d) for r, c, x in dividend.entries()}
+    assert _polys(quot) == {k: x.poly for k, x in want.items() if not ring.is_zero(x)}
+    assert all(x.prec == ring.trunc_order + 1 - v for x in want.values())
+    if _max_coord(dividend) * dividend.arr.shape[2] >= INT64_SAFE:
+        assert quot.arr.dtype == object
+    if _max_coord(dividend) < 2**20:
+        assert quot.arr.dtype == np.int64
 
 
 def test_specialization_commutes_with_product():
