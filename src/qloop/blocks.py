@@ -39,10 +39,10 @@ from .rings import (
     TruncationOverflow,
     _division_inverse,
     _poly_divmod,
-    _poly_mul,
     _poly_trim,
     cyclo_ring,
     phi_multiplicity,
+    phi_power,
 )
 
 INT64_SAFE = 2**62
@@ -197,15 +197,6 @@ def _elem(ring, coords: list[int], prec: int):
     return CycloElem(ring, tuple(coords))
 
 
-@lru_cache(maxsize=None)
-def _phi_power(n_param: int, k: int) -> tuple[int, ...]:
-    """Phi_2N^k, the monic modulus of a block known to k base-Phi digits."""
-    out = [1]
-    for _ in range(k):
-        out = _poly_mul(out, list(cyclo_ring(n_param).phi))
-    return tuple(out)
-
-
 def _int_matrix(rows) -> np.ndarray:
     """A read-only integer table: int64 when every value fits, else object."""
     fits = max((abs(x) for row in rows for x in row), default=0) < INT64_SAFE
@@ -231,10 +222,14 @@ def _mult_tensor(modulus: tuple[int, ...]) -> tuple[np.ndarray, int]:
         spill, cur = cur[-1], [0] + cur[:-1]
         if spill:
             cur = [x - spill * c for x, c in zip(cur, modulus)]
-    t = [[powers[i + j] for j in range(m)] for i in range(m)]
-    weight = max(sum(abs(t[i][j][o]) for i in range(m) for j in range(m))
-                 for o in range(m))
-    return _int_matrix([sum(row, []) for row in t]), max(weight, 1)
+    powers = _int_matrix(powers)
+    t = powers[np.add.outer(np.arange(m), np.arange(m))]
+    # the weight sums m*m values, so it is taken exactly by the same rule
+    t_abs, = _exact_dtype(m * m * _max_abs(powers), np.abs(t))
+    weight = int(t_abs.sum(axis=(0, 1)).max(initial=1))
+    t = t.reshape(m, m * m)
+    t.setflags(write=False)
+    return t, weight
 
 
 @lru_cache(maxsize=None)
@@ -247,7 +242,7 @@ def _divmod_table(n_param: int, prec: int, k: int) -> np.ndarray:
     d = cyclo_ring(n_param).degree
     rows = []
     for i in range(d * prec):
-        quot, rem = _poly_divmod([0] * i + [1], list(_phi_power(n_param, k)))
+        quot, rem = _poly_divmod([0] * i + [1], list(phi_power(n_param, k)))
         rows.append(rem + [0] * (d * k - len(rem))
                     + quot + [0] * (d * (prec - k) - len(quot)))
     return _int_matrix(rows)
@@ -376,7 +371,7 @@ class CycloBlock:
     def _times(self, other: "CycloBlock") -> "CycloBlock":
         """The product at the lower of the two precisions."""
         prec = min(self.prec, other.prec)
-        modulus = _phi_power(self.ring.n_param, prec)
+        modulus = phi_power(self.ring.n_param, prec)
         return CycloBlock(self.ring, _product(modulus, self._coords(prec),
                                               other._coords(prec)))
 
@@ -444,11 +439,12 @@ class CycloBlock:
             if shifted[..., :low].any():
                 raise NotDivisible("dividend valuation below divisor valuation")
             arr = shifted[..., low:]
-        modulus = _phi_power(n_param, prec)
-        unit = _poly_divmod(list(poly), list(_phi_power(n_param, v)))[0]
+        modulus = phi_power(n_param, prec)
+        unit = _poly_divmod(list(poly), list(phi_power(n_param, v)))[0]
         unit = _poly_divmod(unit, list(modulus))[1]
         numer, denom = _division_inverse(tuple(unit), modulus)
         quot = _transform(arr, _int_matrix(list(zip(*numer))))
+        quot, = _exact_dtype(denom, quot)
         if (quot % denom).any():
             raise NotDivisible("quotient is not an algebraic integer combination")
         return CycloBlock(self.ring, quot // denom)

@@ -234,6 +234,12 @@ def check_normalization_bridge(store: DividedPowerStore, op_id: str,
         [via_q, -via_omega.scale(bridge)], LAURENT_RING)
 
 
+def adic_trunc_order(n_param: int, n: int) -> int:
+    """K for the phi-adic route at order n: enough digits to survive the
+    valuation of the order-n factorial."""
+    return n // n_param + 1
+
+
 def check_adic_agreement(store: DividedPowerStore, op_id: str, n: int,
                          normalization: str = NORM_OMEGA) -> IdentityCheck:
     """Dual-route audit: the store's symbolic division against truncated
@@ -242,8 +248,7 @@ def check_adic_agreement(store: DividedPowerStore, op_id: str, n: int,
     params = {"op": op_id, "n": n, "norm": normalization, **_base_params(store)}
     cring = cyclo_ring(n_param)
     via_laurent = store.get(op_id, n, normalization, cring)
-    trunc = n // n_param + 1  # enough digits to survive the factorial's valuation
-    adic = PhiAdicRing(n_param, trunc)
+    adic = PhiAdicRing(n_param, adic_trunc_order(n_param, n))
     # the phi-adic route stays independent of the store
     via_adic = divided_power(specialize_operator(store.base(op_id), adic),
                              n, normalization)

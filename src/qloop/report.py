@@ -39,6 +39,7 @@ from typing import Any, Callable
 
 from . import __version__
 from .divpow import (
+    adic_trunc_order,
     check_adic_agreement,
     check_chain_chevalley,
     check_cross_normalization,
@@ -108,8 +109,10 @@ RING_MODES = ("laurent", "cyclotomic", "phi-adic", "float")
 # the most chain states (d^L, site dimension d = 2 for spin_half and N
 # otherwise) a run accepts; the sector tables list every state in Python
 MAX_STATES = 2**14
-# the most bytes the Z[q]/Phi_2N multiplication table (8 * D^3 for int64
-# entries, D = phi(2N)) may take; it bounds memory, not time
+# the most bytes the largest multiplication table of a run may take: over
+# Z[q]/Phi_2N^p, 8 * (p*D)^3 for int64 entries, D = phi(2N), p the most
+# base-Phi digits a block carries (RunConfig.ring_digits); it bounds
+# memory, not time
 MAX_RING_TABLE_BYTES = 2**28
 SUITE_NAMES = (
     "qcomb",
@@ -177,6 +180,19 @@ def _euler_phi(m: int) -> int:
     return sum(math.gcd(k, m) == 1 for k in range(m))
 
 
+def _table_degree(digits: int) -> int:
+    """The largest phi(2N) whose Z[q]/Phi_2N^digits table fits the budget."""
+    degree = 0
+    while 8 * (digits * (degree + 1)) ** 3 <= MAX_RING_TABLE_BYTES:
+        degree += 1
+    return degree
+
+
+def _generic_trunc_order(n_param: int, max_order: int) -> int:
+    """K of the phi-adic ring that serves as generic ring up to max_order."""
+    return max(max_order, n_param) // n_param + 3
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a run needs, with conservative defaults.
@@ -214,9 +230,7 @@ class RunConfig:
             raise ConfigError(
                 f"L must be an integer in 1..{longest}, got {self.length!r}"
             )
-        degree = 0  # the largest phi(2N) whose table fits the budget
-        while 8 * (degree + 1) ** 3 <= MAX_RING_TABLE_BYTES:
-            degree += 1
+        degree = _table_degree(1)
         # phi(2N) >= sqrt(N), so a larger N is refused without factoring
         if self.n_param > degree**2 or _euler_phi(2 * self.n_param) > degree:
             raise ConfigError(
@@ -243,6 +257,36 @@ class RunConfig:
                 )
         if not _is_int(self.jobs) or self.jobs < 1:
             raise ConfigError(f"jobs must be a positive integer, got {self.jobs!r}")
+        digits = self.ring_digits()
+        degree = _table_degree(digits)
+        if digits > 1 and _euler_phi(2 * self.n_param) > degree:
+            raise ConfigError(
+                f"N={self.n_param} is too large for this run's phi-adic blocks: "
+                f"known to {digits} base-Phi digits, they multiply by a "
+                f"Z[q]/Phi_2N^{digits} table of 8*({digits}*phi(2N))^3 bytes, "
+                f"at most {MAX_RING_TABLE_BYTES}, so phi(2N) must be at most "
+                f"{degree} (the divpow suite and the phi-adic ring mode need "
+                "these digits; this bounds memory, not run time)")
+
+    def ring_digits(self) -> int:
+        """The most base-Phi digits p a block of this run carries, so its
+        largest multiplication table is over Z[q]/Phi_2N^p: 1 at the root,
+        K+1 in the divpow suite's phi-adic audit and in the jobs that take
+        the phi-adic ring as their generic ring."""
+        n = self.n_param
+        suites = self.selected_suites()
+        digits = 1
+        if "divpow" in suites:
+            digits = adic_trunc_order(n, n + 1) + 1
+        if self.ring == "phi-adic":
+            # the largest order each suite asks _RunEnv.generic_ring for
+            orders = {"barred": 2 * n + 1, "id1": 3}
+            if self.backend != "cyclic":
+                orders["rep-gate"] = 0
+            asked = [order for suite, order in orders.items() if suite in suites]
+            if asked:
+                digits = max(digits, _generic_trunc_order(n, max(asked)) + 1)
+        return digits
 
     def sectors(self) -> tuple[int, ...]:
         if self.q_sectors:
@@ -305,7 +349,7 @@ class _RunEnv:
             return cyclo_ring(n)
         if mode == "float":
             return FloatRing(n)
-        return PhiAdicRing(n, max(max_order, n) // n + 3)
+        return PhiAdicRing(n, _generic_trunc_order(n, max_order))
 
     def root_ring(self):
         """Ring for identities that hold only at the root of unity."""

@@ -118,6 +118,15 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+@lru_cache(maxsize=None)
+def phi_power(n_param: int, k: int) -> tuple[int, ...]:
+    """Phi_2N^k, ascending: the monic modulus of k base-Phi digits."""
+    if k == 0:
+        return (1,)
+    return tuple(_poly_mul(list(phi_power(n_param, k - 1)),
+                           list(cyclotomic_poly(2 * n_param))))
+
+
 # ---------------------------------------------------------------------------
 # LaurentPoly
 
@@ -628,12 +637,7 @@ class PhiAdicRing:
         self.trunc_order = trunc_order
         self.cyclo = cyclo_ring(n_param)
         phi = list(self.cyclo.phi)
-        # Phi^k for k in 0..K+1, all monic; Phi^(K+1) is the ring's modulus
-        powers = [(1,)]
-        for _ in range(trunc_order + 1):
-            powers.append(tuple(_poly_mul(powers[-1], phi)))
-        self._phi_powers = powers
-        self._modulus = mod = powers[-1]
+        self._modulus = mod = phi_power(n_param, trunc_order + 1)
         self.zero = self.from_int(0)
         self.one = self.from_int(1)
         self.q = PhiAdicElem(self, self._reduce([0, 1]))
@@ -707,7 +711,7 @@ class PhiAdicRing:
             raise TruncationOverflow("no valid digits left after division; raise K")
         if a.valuation() < v:
             raise NotDivisible("dividend valuation below divisor valuation")
-        modulus = self._phi_powers[prec]
+        modulus = phi_power(self.n_param, prec)
         _, num = _poly_divmod(self._phi_shift(a.poly, v), modulus)
         _, den = _poly_divmod(self._phi_shift(b.poly, v), modulus)
         quot = _divide_mod(tuple(num), tuple(den), modulus)

@@ -13,6 +13,7 @@ from qloop.rings import (
     CycloElem,
     FloatRing,
     LaurentPoly,
+    NotDivisible,
     PhiAdicElem,
     PhiAdicRing,
     cyclo_ring,
@@ -303,6 +304,12 @@ def test_phi_adic_division_either_side_of_the_int64_bound(data, ring, divisor):
         assert quot.arr.dtype == object
     if _max_coord(dividend) < 2**20:
         assert quot.arr.dtype == np.int64
+    # a divisor beyond int64 itself: exact on its multiples, else NotDivisible
+    huge = ring.from_int(2**64)
+    assert _polys(cofactors.scale(2**64).divexact(huge)) == _polys(cofactors)
+    if not cofactors.is_zero():
+        with pytest.raises(NotDivisible):
+            cofactors.divexact(huge)
 
 
 def test_specialization_commutes_with_product():

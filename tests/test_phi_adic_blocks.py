@@ -30,8 +30,7 @@ from qloop.rings import (
     PhiAdicRing,
     TruncationOverflow,
     _poly_divmod,
-    _poly_mul,
-    cyclotomic_poly,
+    phi_power,
 )
 
 _LAURENT = st.dictionaries(st.integers(-3, 3), st.integers(-4, 4),
@@ -43,10 +42,7 @@ _DIMS = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
 
 def _canon(ring, poly, prec):
     """The representative of poly mod Phi^prec of degree below D * prec."""
-    modulus = [1]
-    for _ in range(prec):
-        modulus = _poly_mul(modulus, list(cyclotomic_poly(2 * ring.n_param)))
-    return tuple(_poly_divmod(list(poly), modulus)[1])
+    return tuple(_poly_divmod(list(poly), list(phi_power(ring.n_param, prec)))[1])
 
 
 @st.composite

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from qloop import blocks
 from qloop.identity import (
     ERROR,
     EXACT_ZERO,
@@ -36,6 +37,7 @@ from qloop.rings import (
     LaurentPoly,
     NotDivisible,
     TruncationOverflow,
+    cyclo_ring,
 )
 from qloop.serre import InvalidRegime
 
@@ -83,11 +85,50 @@ def test_config_rejections(kwargs, fragment):
 
 
 def test_ring_table_budget_accepts_every_n_whose_table_fits():
-    # phi(512) = 256 and phi(646) = 288 fit; phi(2N) = 330 at N = 331 does not
+    # phi(512) = 256 and phi(646) = 288 fit; phi(2N) = 330 at N = 331 does not.
+    # qcomb runs at the root only, so its blocks carry one base-Phi digit
     for n_param in (2, 12, 256, 323):
-        RunConfig(n_param=n_param, length=2).validate()
+        RunConfig(n_param=n_param, length=2, suites=("qcomb",)).validate()
     assert [_euler_phi(m) for m in (1, 2, 12, 512, 646, 662)] == [
         1, 1, 4, 256, 288, 330]
+
+
+@pytest.mark.parametrize("kwargs,digits,degree", [
+    ({"suites": ("qcomb",), "ring": "phi-adic"}, 1, 322),
+    ({}, 3, 107),                                  # the divpow phi-adic audit
+    ({"ring": "phi-adic", "suites": ("id1",)}, 5, 64),
+    ({"ring": "phi-adic"}, 6, 53),                 # barred, up to order 2N+1
+])
+def test_ring_table_budget_counts_phi_adic_digits(kwargs, digits, degree):
+    # the largest table is over Z[q]/Phi_2N^p, 8*(p*phi(2N))^3 bytes
+    fits = max(n for n in range(2, 330) if _euler_phi(2 * n) <= degree)
+    too_large = min(n for n in range(2, 330) if _euler_phi(2 * n) > degree)
+    config = RunConfig(n_param=fits, length=2, **kwargs)
+    assert config.ring_digits() == digits
+    config.validate()
+    with pytest.raises(ConfigError, match=rf"phi\(2N\) must be at most {degree} "):
+        RunConfig(n_param=too_large, length=2, **kwargs).validate()
+
+
+@pytest.mark.parametrize("backend,n_param", [("spin_half", 2), ("highest_weight", 3)])
+@pytest.mark.parametrize("kwargs", [
+    {}, {"ring": "float"}, {"suites": ("divpow",)},
+    {"ring": "phi-adic"}, {"ring": "phi-adic", "suites": ("id1",)},
+    {"ring": "phi-adic", "suites": ("rep-gate",)},
+    {"ring": "phi-adic", "suites": ("qcomb", "site")},
+])
+def test_ring_digits_is_the_largest_table_a_run_builds(monkeypatch, backend,
+                                                       n_param, kwargs):
+    built = []
+    real = blocks._mult_tensor
+
+    def recording(modulus):
+        built.append(len(modulus) - 1)
+        return real(modulus)
+    monkeypatch.setattr(blocks, "_mult_tensor", recording)
+    config = RunConfig(backend=backend, n_param=n_param, length=2, **kwargs)
+    run(config)
+    assert max(built) == config.ring_digits() * cyclo_ring(n_param).degree
 
 
 @pytest.mark.parametrize("kwargs,message", [
