@@ -17,9 +17,10 @@ sector.  Three engines cover the scalar rings:
                   division one shift and one solve by integer matrices.
 * ComplexBlock -- dense complex128, float smoke mode only.
 
-make_block picks the engine for a ring; the layout is private to this
-module, read elsewhere only through shape, entries(), nnz() and the
-arithmetic methods.  _exact_dtype is the one int64-or-exact-ints rule.
+make_block picks the engine for a ring, and specialize_block maps a block
+into another ring; the layout is private to this module, read elsewhere
+only through shape, entries(), nnz() and the arithmetic methods.
+_exact_dtype is the one int64-or-exact-ints rule.
 Blocks are immutable by convention: every operation returns a new block.
 """
 
@@ -30,6 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .rings import (
+    INT64_SAFE,
     CycloElem,
     CycloRing,
     FloatRing,
@@ -38,14 +40,14 @@ from .rings import (
     PhiAdicRing,
     TruncationOverflow,
     _division_inverse,
+    _int_matrix,
     _poly_divmod,
     _poly_trim,
     cyclo_ring,
     phi_multiplicity,
     phi_power,
+    q_power_rows,
 )
-
-INT64_SAFE = 2**62
 
 
 # ---------------------------------------------------------------------------
@@ -88,11 +90,6 @@ class DictBlock:
 
     def is_zero(self) -> bool:
         return not self.cols
-
-    def eq(self, other: "DictBlock") -> bool:
-        if self.shape != other.shape:
-            return False
-        return self.sub(other).is_zero()
 
     def matmul(self, other: "DictBlock") -> "DictBlock":
         if self.ncols != other.nrows:
@@ -197,14 +194,6 @@ def _elem(ring, coords: list[int], prec: int):
     return CycloElem(ring, tuple(coords))
 
 
-def _int_matrix(rows) -> np.ndarray:
-    """A read-only integer table: int64 when every value fits, else object."""
-    fits = max((abs(x) for row in rows for x in row), default=0) < INT64_SAFE
-    out = np.array(rows, dtype=np.int64 if fits else object)
-    out.setflags(write=False)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _mult_tensor(modulus: tuple[int, ...]) -> tuple[np.ndarray, int]:
     """The multiplication tensor T of Z[q]/M for a monic modulus M of degree
@@ -216,13 +205,7 @@ def _mult_tensor(modulus: tuple[int, ...]) -> tuple[np.ndarray, int]:
     coordinates of b q^j.
     """
     m = len(modulus) - 1
-    powers, cur = [], [1] + [0] * (m - 1)        # coordinates of q^k mod M
-    for _ in range(2 * m - 1):
-        powers.append(cur)
-        spill, cur = cur[-1], [0] + cur[:-1]
-        if spill:
-            cur = [x - spill * c for x, c in zip(cur, modulus)]
-    powers = _int_matrix(powers)
+    powers = _int_matrix(q_power_rows(modulus, 2 * m - 1))
     t = powers[np.add.outer(np.arange(m), np.arange(m))]
     # the weight sums m*m values, so it is taken exactly by the same rule
     t_abs, = _exact_dtype(m * m * _max_abs(powers), np.abs(t))
@@ -255,16 +238,6 @@ def _exact_dtype(bound: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     if bound < INT64_SAFE and not any(a.dtype.hasobject for a in arrays):
         return arrays
     return tuple(a.astype(object) for a in arrays)
-
-
-def _as_coord_array(nrows, ncols, d, coords_entries):
-    """Dense (nrows, ncols, d) array; int64 when every value fits."""
-    bound = max((abs(x) for _, _, cs in coords_entries for x in cs), default=0)
-    arr, = _exact_dtype(bound, np.zeros((nrows, ncols, d), dtype=np.int64))
-    for r, c, cs in coords_entries:
-        for i, x in enumerate(cs):
-            arr[r, c, i] = x
-    return arr
 
 
 def _max_abs(arr: np.ndarray) -> int:
@@ -308,14 +281,13 @@ def _product(modulus: tuple[int, ...], a: np.ndarray, b: np.ndarray) -> np.ndarr
 def _entry_array(ring, nrows, ncols, triples) -> np.ndarray:
     """The canonical coordinates of ring entries: over Z[q]/Phi^p with p the
     lowest precision among them (full with none), D*p per entry."""
-    full = _full_prec(ring)
-    d = _phi_degree(ring)
-    prec, coords = full, []
-    for r, c, v in triples:
-        poly, p = _poly_and_prec(v)
-        prec = min(prec, p)
-        coords.append((r, c, poly))
-    arr = _as_coord_array(nrows, ncols, d * full, coords)
+    full, d = _full_prec(ring), _phi_degree(ring)
+    entries = [(r, c, *_poly_and_prec(v)) for r, c, v in triples]
+    bound = max((abs(x) for _, _, poly, _ in entries for x in poly), default=0)
+    arr, = _exact_dtype(bound, np.zeros((nrows, ncols, d * full), dtype=np.int64))
+    for r, c, poly, _ in entries:
+        arr[r, c, :len(poly)] = poly
+    prec = min((p for *_, p in entries), default=full)
     if prec == full:
         return arr
     return _transform(arr, _divmod_table(ring.n_param, full, prec)[:, :d * prec])
@@ -363,10 +335,11 @@ class CycloBlock:
     def is_zero(self) -> bool:
         return not self.arr.any()
 
-    def eq(self, other: "CycloBlock") -> bool:
-        prec = min(self.prec, other.prec)
-        return self.shape == other.shape and \
-            np.array_equal(self._coords(prec), other._coords(prec))
+    def _same_ring(self, ring) -> None:
+        # kind, N and digits: phi-adic rings are built per check, not shared
+        if (ring.kind, ring.n_param, _full_prec(ring)) != \
+                (self.ring.kind, self.ring.n_param, _full_prec(self.ring)):
+            raise ValueError(f"mixed rings: {self.ring!r} and {ring!r}")
 
     def _times(self, other: "CycloBlock") -> "CycloBlock":
         """The product at the lower of the two precisions."""
@@ -378,11 +351,13 @@ class CycloBlock:
     def matmul(self, other: "CycloBlock") -> "CycloBlock":
         if self.arr.shape[1] != other.arr.shape[0]:
             raise ValueError("shape mismatch in block product")
+        self._same_ring(other.ring)
         return self._times(other)
 
     def add(self, other: "CycloBlock") -> "CycloBlock":
         if self.shape != other.shape:
             raise ValueError("shape mismatch in block sum")
+        self._same_ring(other.ring)
         prec = min(self.prec, other.prec)
         a, b = self._coords(prec), other._coords(prec)
         a, b = _exact_dtype(_max_abs(a) + _max_abs(b), a, b)
@@ -399,19 +374,15 @@ class CycloBlock:
         if isinstance(scalar, int):
             arr, = _exact_dtype(abs(scalar) * max(_max_abs(self.arr), 1), self.arr)
             return CycloBlock(self.ring, arr * scalar)
-        if not isinstance(scalar, type(self.ring.one)):
+        if not isinstance(scalar, (CycloElem, PhiAdicElem)):
             raise TypeError(f"cannot scale {self!r} by {type(scalar).__name__}")
+        self._same_ring(scalar.ring)
         # an (r*c, 1) column times the 1 x 1 block of the scalar
         rows, cols, d = self.arr.shape
         column = CycloBlock(self.ring, self.arr.reshape(rows * cols, 1, d))
         factor = CycloBlock(self.ring, _entry_array(self.ring, 1, 1, [(0, 0, scalar)]))
         out = column._times(factor).arr
         return CycloBlock(self.ring, out.reshape(rows, cols, out.shape[2]))
-
-    def map_values(self, fn) -> "CycloBlock":
-        """Entry-wise transform within the ring, through entries()."""
-        return CycloBlock.from_entries(self.ring, *self.shape,
-                                       [(r, c, fn(v)) for r, c, v in self.entries()])
 
     def divexact(self, divisor) -> "CycloBlock":
         """Every entry divided exactly by `divisor`, an element of the
@@ -424,6 +395,7 @@ class CycloBlock:
         divisor (_division_inverse), NotDivisible when a quotient is not
         integral.
         """
+        self._same_ring(divisor.ring)
         n_param = self.ring.n_param
         poly, dprec = _poly_and_prec(divisor)
         v = phi_multiplicity(list(poly), list(cyclo_ring(n_param).phi), dprec)
@@ -488,12 +460,6 @@ class ComplexBlock:
     def is_zero(self) -> bool:
         return bool(np.all(np.abs(self.arr) < self.ring.tolerance))
 
-    def eq(self, other: "ComplexBlock") -> bool:
-        return self.shape == other.shape and self.sub(other).is_zero()
-
-    def max_abs(self) -> float:
-        return float(np.abs(self.arr).max(initial=0.0))
-
     def matmul(self, other: "ComplexBlock") -> "ComplexBlock":
         return ComplexBlock(self.ring, self.arr @ other.arr)
 
@@ -516,10 +482,37 @@ class ComplexBlock:
 Block = DictBlock | CycloBlock | ComplexBlock  # for annotations elsewhere
 
 
+def _laurent_coords(block: DictBlock, ring) -> np.ndarray:
+    """A Laurent block's coordinates in a quotient ring, by one gather of its
+    (row, col, exponent, coefficient) terms against the ring's q-power rows.
+    A partial sum is at most max|row| times a cell's sum of |coefficient|,
+    the bound _exact_dtype reads."""
+    cells, starts, exps, coeffs, weight = [], [], [], [], 0
+    for c, col in block.cols.items():
+        for r, v in col.items():
+            cells.append(r * block.ncols + c)
+            starts.append(len(exps))
+            exps += v.c
+            coeffs += v.c.values()
+            weight = max(weight, sum(map(abs, v.c.values())))
+    width = _phi_degree(ring) * _full_prec(ring)
+    out = np.zeros((block.nrows * block.ncols, width), dtype=np.int64)
+    if cells:
+        rows = ring.q_rows(np.array(exps))
+        bound = weight * max(_max_abs(rows), 1)
+        coeffs = np.array(coeffs, dtype=np.int64 if bound < INT64_SAFE else object)
+        out, rows, coeffs = _exact_dtype(bound, out, rows, coeffs)
+        out[cells] = np.add.reduceat(rows * coeffs[:, None], starts, axis=0)
+    return out.reshape(block.nrows, block.ncols, width)
+
+
 def specialize_block(block: Block, ring) -> Block:
-    """The block with every entry coerced into `ring`.  A coordinate block
-    goes to the cyclotomic ring of its N by one integer matrix: its
-    coordinates mod Phi, digit zero."""
+    """The block with every entry mapped into `ring`: a Laurent block into a
+    quotient ring by _laurent_coords, a coordinate block to the cyclotomic
+    ring of its N by one integer matrix (digit zero), the rest (the float
+    ring) by ring.coerce entry by entry."""
+    if isinstance(block, DictBlock) and isinstance(ring, (CycloRing, PhiAdicRing)):
+        return CycloBlock(ring, _laurent_coords(block, ring))
     if isinstance(block, CycloBlock) and isinstance(ring, CycloRing) \
             and ring.n_param == block.ring.n_param:
         return CycloBlock(ring, block._coords(1))

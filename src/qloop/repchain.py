@@ -603,8 +603,8 @@ def build_barred_ops(ctx: ChainContext, gens: dict) -> dict:
 
 
 def specialize_operator(op: GradedOperator, ring) -> GradedOperator:
-    """Map an operator into `ring`, converting each entry with ring.coerce:
-    a Laurent operator into any ring, a phi-adic one onto its digit zero in
+    """Map an operator into `ring` block by block (specialize_block): a
+    Laurent operator into any ring, a phi-adic one onto its digit zero in
     the cyclotomic ring of the same N.  An operator already in `ring` is
     returned as it is."""
     if ring is op.ring:

@@ -20,10 +20,12 @@ Both quotient rings divide with _divide_mod, a solve in Z[q]/M for M =
 Phi_2N or a power of it: the dividend's coordinates times the integer
 inverse of the divisor's multiplication matrix, memoized per (divisor, M).
 A block of either ring divides in blocks.py by the same inverse, applied
-to every entry of the block at once.
+to every entry of the block at once.  Both read q^e from q_power_rows:
+CycloRing keeps the 2N periodic rows, PhiAdicRing those of q^-s..q^s grown
+on demand, and q_rows gathers them for blocks.specialize_block.
 
 q is never a float inside the exact rings.  omega means q^2 throughout.
-All integer coefficients are Python ints, so they never overflow.
+Scalar coefficients are Python ints, so they never overflow.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+
+import numpy as np
+
+INT64_SAFE = 2**62
 
 
 class NotDivisible(ArithmeticError):
@@ -102,6 +108,32 @@ def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
             for j, dj in enumerate(den):
                 num[k + j] -= f * dj
     return _poly_trim(quot), _poly_trim(num[:d])
+
+
+def q_power_rows(modulus, count: int, step: int = 1) -> list[tuple[int, ...]]:
+    """The coordinates in Z[q]/M of q^0, q^step, .., q^((count-1) step), M
+    monic and step 1 or -1.  A step by q folds the top coordinate back with
+    M, one by q^-1 = -(M - 1)/q the constant one, so it needs M(0) = 1."""
+    if step == -1 and modulus[0] != 1:
+        raise ValueError("q^-1 = -(M - 1)/q needs M(0) = 1")
+    cur, out = [1] + [0] * (len(modulus) - 2), []
+    for _ in range(count):
+        out.append(tuple(cur))
+        if step == 1:
+            spill, cur, fold = cur[-1], [0] + cur[:-1], modulus
+        else:
+            spill, cur, fold = cur[0], cur[1:] + [0], modulus[1:]
+        if spill:
+            cur = [x - spill * c for x, c in zip(cur, fold)]
+    return out
+
+
+def _int_matrix(rows) -> np.ndarray:
+    """A read-only integer table: int64 when every value fits, else object."""
+    fits = max((abs(x) for row in rows for x in row), default=0) < INT64_SAFE
+    out = np.array(rows, dtype=np.int64 if fits else object)
+    out.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -440,19 +472,10 @@ class CycloRing:
         self.phi = phi
         self.degree = len(phi) - 1
         # power table: coords of q^k for k in 0..2N-1; q^2N wraps to 1
-        powtab: list[tuple[int, ...]] = []
-        cur = [1] + [0] * (self.degree - 1)
-        for _ in range(self.order):
-            powtab.append(tuple(cur))
-            nxt = [0] + cur[:-1]
-            spill = cur[-1]
-            if spill:
-                for i in range(self.degree):
-                    nxt[i] -= spill * phi[i]
-            cur = nxt
-        self.powtab = powtab
-        if tuple(cur) != powtab[0]:
+        powtab = q_power_rows(phi, self.order + 1)
+        if powtab.pop() != powtab[0]:
             raise InternalInconsistency("q^2N did not reduce to 1 mod Phi_2N")
+        self.powtab, self._table = powtab, _int_matrix(powtab)
         self.zero = CycloElem(self, (0,) * self.degree)
         self.one = CycloElem(self, powtab[0])
         self.q = CycloElem(self, powtab[1])
@@ -482,6 +505,10 @@ class CycloRing:
     def q_power(self, e: int) -> CycloElem:
         return CycloElem(self, self.powtab[e % self.order])
 
+    def q_rows(self, exps: np.ndarray) -> np.ndarray:
+        """The coordinates of q^e, one row for each exponent in exps."""
+        return self._table[exps % self.order]
+
     def from_laurent(self, p: LaurentPoly) -> CycloElem:
         acc = [0] * self.degree
         for e, v in p.c.items():
@@ -491,23 +518,8 @@ class CycloRing:
         return CycloElem(self, tuple(acc))
 
     def mul(self, a: CycloElem, b: CycloElem) -> CycloElem:
-        d = self.degree
-        raw = [0] * (2 * d - 1)
-        ca, cb = a.coords, b.coords
-        for i in range(d):
-            ai = ca[i]
-            if ai:
-                for j in range(d):
-                    if cb[j]:
-                        raw[i + j] += ai * cb[j]
-        acc = list(raw[:d])
-        for k in range(d, 2 * d - 1):
-            v = raw[k]
-            if v:
-                row = self.powtab[k]
-                for i in range(d):
-                    acc[i] += v * row[i]
-        return CycloElem(self, tuple(acc))
+        _, rem = _poly_divmod(_poly_mul(list(a.coords), list(b.coords)), self.phi)
+        return CycloElem(self, tuple(rem + [0] * (self.degree - len(rem))))
 
     def divexact(self, a: CycloElem, b: CycloElem) -> CycloElem:
         """Solve x*b = a exactly over Z by _divide_mod with modulus Phi_2N.
@@ -636,17 +648,15 @@ class PhiAdicRing:
         self.n_param = n_param
         self.trunc_order = trunc_order
         self.cyclo = cyclo_ring(n_param)
-        phi = list(self.cyclo.phi)
-        self._modulus = mod = phi_power(n_param, trunc_order + 1)
+        self._modulus = phi_power(n_param, trunc_order + 1)
         self.zero = self.from_int(0)
         self.one = self.from_int(1)
         self.q = PhiAdicElem(self, self._reduce([0, 1]))
-        self.phi_elem = PhiAdicElem(self, self._reduce(phi))
-        # Phi_2N(0) = 1, so the modulus M has M(0) = 1 and q * -(M - 1)/q = 1 - M
-        self.qinv = PhiAdicElem(self, tuple(-c for c in mod[1:]))
+        self.phi_elem = PhiAdicElem(self, self._reduce(list(self.cyclo.phi)))
+        self._span, self._table = -1, None        # q-power rows, grown on demand
+        self.qinv = self.embed(LaurentPoly.q_power(-1))
         if not (self.qinv * self.q == self.one):
             raise InternalInconsistency("q^-1 construction failed")
-        self._qinv_powers: dict[int, PhiAdicElem] = {}
 
     def _reduce(self, coeffs: list[int]) -> tuple[int, ...]:
         _, rem = _poly_divmod(coeffs, self._modulus)
@@ -669,28 +679,23 @@ class PhiAdicRing:
     def from_int(self, k: int) -> PhiAdicElem:
         return PhiAdicElem(self, (k,) if k else ())
 
+    def q_rows(self, exps: np.ndarray) -> np.ndarray:
+        """The coordinates of q^e, one row for each exponent in exps; the
+        ring keeps the rows of q^-span..q^span, doubling span on demand."""
+        span = int(np.abs(exps).max())
+        if span > self._span:
+            span, mod = max(span, 2 * self._span), self._modulus
+            rows = q_power_rows(mod, span + 1, -1)[:0:-1] + q_power_rows(mod, span + 1)
+            self._span, self._table = span, _int_matrix(rows)
+        return self._table[exps + self._span]
+
     def embed(self, p: LaurentPoly) -> PhiAdicElem:
         """Ring homomorphism Z[q,q^-1] -> Z[q]/Phi^(K+1), full precision."""
         if p.is_zero():
             return self.zero
-        lo, coeffs = p.dense()
-        out = PhiAdicElem(self, self._reduce([0] * max(lo, 0) + coeffs))
-        if lo < 0:
-            out = out * self.qinv_power(-lo)
-        return out
-
-    def qinv_power(self, k: int) -> PhiAdicElem:
-        # memoized on the instance, so the ring can be collected with it
-        out = self._qinv_powers.get(k)
-        if out is None:
-            out = self.one
-            for _ in range(k):
-                out = out * self.qinv
-            self._qinv_powers[k] = out
-        return out
-
-    def q_power(self, e: int) -> PhiAdicElem:
-        return self.embed(LaurentPoly.q_power(e))
+        coeffs = np.array(list(p.c.values()), dtype=object)
+        coords = coeffs @ self.q_rows(np.array(list(p.c)))
+        return PhiAdicElem(self, tuple(_poly_trim(coords.tolist())))
 
     def mul(self, a: PhiAdicElem, b: PhiAdicElem) -> PhiAdicElem:
         prec = min(a.prec + b.valuation(), b.prec + a.valuation(), self.trunc_order + 1)
