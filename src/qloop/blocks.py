@@ -14,7 +14,8 @@ sector.  Three engines cover the scalar rings:
                   int64 with an exact object-dtype fallback; a product is
                   one integer matmul against the right operand's entries
                   embedded as multiplication matrices, and an exact
-                  division one shift and one solve by integer matrices.
+                  division one shift and one solve by integer matrices;
+                  rings.quotient(N, p) holds those tables.
 * ComplexBlock -- dense complex128, float smoke mode only.
 
 make_block picks the engine for a ring, and specialize_block maps a block
@@ -26,8 +27,6 @@ Blocks are immutable by convention: every operation returns a new block.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .rings import (
@@ -38,15 +37,14 @@ from .rings import (
     NotDivisible,
     PhiAdicElem,
     PhiAdicRing,
+    Quotient,
     TruncationOverflow,
     _division_inverse,
     _int_matrix,
     _poly_divmod,
     _poly_trim,
-    cyclo_ring,
     phi_multiplicity,
-    phi_power,
-    q_power_rows,
+    quotient,
 )
 
 
@@ -170,16 +168,6 @@ class DictBlock:
 # CycloBlock
 
 
-def _phi_degree(ring) -> int:
-    """D = deg Phi_2N, the coordinates per base-Phi digit."""
-    return cyclo_ring(ring.n_param).degree
-
-
-def _full_prec(ring) -> int:
-    """Digits of an exact entry: K+1 in the phi-adic ring, 1 at the root."""
-    return ring.trunc_order + 1 if isinstance(ring, PhiAdicRing) else 1
-
-
 def _poly_and_prec(value) -> tuple[tuple[int, ...], int]:
     """An entry's coefficients on 1, q, q^2, .. and its precision."""
     if isinstance(value, PhiAdicElem):
@@ -192,43 +180,6 @@ def _elem(ring, coords: list[int], prec: int):
     if isinstance(ring, PhiAdicRing):
         return PhiAdicElem(ring, tuple(_poly_trim(coords)), prec)
     return CycloElem(ring, tuple(coords))
-
-
-@lru_cache(maxsize=None)
-def _mult_tensor(modulus: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    """The multiplication tensor T of Z[q]/M for a monic modulus M of degree
-    m, q^i q^j = sum_o T[i,j,o] q^o, as a read-only (m, m*m) matrix with row
-    i and column (j, o), and its weight max_o sum_{i,j} |T[i,j,o]|.
-
-    T is symmetric in i and j, so a coordinate vector b times this matrix,
-    reshaped to (m, m), is the multiplication matrix of b: row j holds the
-    coordinates of b q^j.
-    """
-    m = len(modulus) - 1
-    powers = _int_matrix(q_power_rows(modulus, 2 * m - 1))
-    t = powers[np.add.outer(np.arange(m), np.arange(m))]
-    # the weight sums m*m values, so it is taken exactly by the same rule
-    t_abs, = _exact_dtype(m * m * _max_abs(powers), np.abs(t))
-    weight = int(t_abs.sum(axis=(0, 1)).max(initial=1))
-    t = t.reshape(m, m * m)
-    t.setflags(write=False)
-    return t, weight
-
-
-@lru_cache(maxsize=None)
-def _divmod_table(n_param: int, prec: int, k: int) -> np.ndarray:
-    """The (D*prec, D*prec) integer matrix taking the coordinates of x in
-    Z[q]/Phi^prec to those of (x mod Phi^k, x div Phi^k), for k <= prec.
-    Its first D*k columns reduce x to k digits (with k = 1, digit zero: the
-    image at the root); the rest give x / Phi^k, exact when the first give
-    zeros."""
-    d = cyclo_ring(n_param).degree
-    rows = []
-    for i in range(d * prec):
-        quot, rem = _poly_divmod([0] * i + [1], list(phi_power(n_param, k)))
-        rows.append(rem + [0] * (d * k - len(rem))
-                    + quot + [0] * (d * (prec - k) - len(quot)))
-    return _int_matrix(rows)
 
 
 def _exact_dtype(bound: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -256,10 +207,9 @@ def _transform(arr: np.ndarray, table: np.ndarray) -> np.ndarray:
     return arr @ table
 
 
-def _product(modulus: tuple[int, ...], a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _product(quo: Quotient, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The (r, c, m) coordinates of the block product of a (r, k, m) and
-    b (k, c, m) over Z[q]/M, M the monic modulus of degree m, as one
-    integer matmul.
+    b (k, c, m) over the quotient quo of degree m, as one integer matmul.
 
     Each entry of b is embedded as its m x m multiplication matrix, so b
     becomes a (k*m, c*m) integer matrix and a is read as (r, k*m).  Every
@@ -270,7 +220,7 @@ def _product(modulus: tuple[int, ...], a: np.ndarray, b: np.ndarray) -> np.ndarr
     """
     r, k, d = a.shape
     c = b.shape[1]
-    tensor, weight = _mult_tensor(modulus)
+    tensor, weight = quo.mult_tensor()
     bound = max(k, 1) * max(_max_abs(a), 1) * max(_max_abs(b), 1) * weight
     a, b, tensor = _exact_dtype(bound, a, b, tensor)
     embedded = (b.reshape(k * c, d) @ tensor).reshape(k, c, d, d)
@@ -281,16 +231,14 @@ def _product(modulus: tuple[int, ...], a: np.ndarray, b: np.ndarray) -> np.ndarr
 def _entry_array(ring, nrows, ncols, triples) -> np.ndarray:
     """The canonical coordinates of ring entries: over Z[q]/Phi^p with p the
     lowest precision among them (full with none), D*p per entry."""
-    full, d = _full_prec(ring), _phi_degree(ring)
+    quo = ring.quo
     entries = [(r, c, *_poly_and_prec(v)) for r, c, v in triples]
     bound = max((abs(x) for _, _, poly, _ in entries for x in poly), default=0)
-    arr, = _exact_dtype(bound, np.zeros((nrows, ncols, d * full), dtype=np.int64))
+    arr, = _exact_dtype(bound, np.zeros((nrows, ncols, quo.degree), dtype=np.int64))
     for r, c, poly, _ in entries:
         arr[r, c, :len(poly)] = poly
-    prec = min((p for *_, p in entries), default=full)
-    if prec == full:
-        return arr
-    return _transform(arr, _divmod_table(ring.n_param, full, prec)[:, :d * prec])
+    prec = min((p for *_, p in entries), default=quo.prec)
+    return CycloBlock(ring, arr)._coords(prec)
 
 
 class CycloBlock:
@@ -309,7 +257,7 @@ class CycloBlock:
 
     @property
     def prec(self) -> int:
-        return self.arr.shape[2] // _phi_degree(self.ring)
+        return self.arr.shape[2] // self.ring.quo.phi_degree
 
     @classmethod
     def from_entries(cls, ring, nrows, ncols, triples) -> "CycloBlock":
@@ -319,8 +267,8 @@ class CycloBlock:
         """The coordinates reduced to prec <= self.prec digits."""
         if prec == self.prec:
             return self.arr
-        table = _divmod_table(self.ring.n_param, self.prec, prec)
-        return _transform(self.arr, table[:, :_phi_degree(self.ring) * prec])
+        table = quotient(self.ring.n_param, self.prec).divmod_table(prec)
+        return _transform(self.arr, table[:, :self.ring.quo.phi_degree * prec])
 
     def entries(self):
         mask = np.argwhere(np.any(self.arr != 0, axis=2))
@@ -336,17 +284,15 @@ class CycloBlock:
         return not self.arr.any()
 
     def _same_ring(self, ring) -> None:
-        # kind, N and digits: phi-adic rings are built per check, not shared
-        if (ring.kind, ring.n_param, _full_prec(ring)) != \
-                (self.ring.kind, self.ring.n_param, _full_prec(self.ring)):
+        # phi-adic rings are built per check; their quotients are interned
+        if (ring.kind, ring.quo) != (self.ring.kind, self.ring.quo):
             raise ValueError(f"mixed rings: {self.ring!r} and {ring!r}")
 
     def _times(self, other: "CycloBlock") -> "CycloBlock":
         """The product at the lower of the two precisions."""
         prec = min(self.prec, other.prec)
-        modulus = phi_power(self.ring.n_param, prec)
-        return CycloBlock(self.ring, _product(modulus, self._coords(prec),
-                                              other._coords(prec)))
+        return CycloBlock(self.ring, _product(quotient(self.ring.n_param, prec),
+                                              self._coords(prec), other._coords(prec)))
 
     def matmul(self, other: "CycloBlock") -> "CycloBlock":
         if self.arr.shape[1] != other.arr.shape[0]:
@@ -398,7 +344,7 @@ class CycloBlock:
         self._same_ring(divisor.ring)
         n_param = self.ring.n_param
         poly, dprec = _poly_and_prec(divisor)
-        v = phi_multiplicity(list(poly), list(cyclo_ring(n_param).phi), dprec)
+        v = phi_multiplicity(list(poly), list(quotient(n_param, 1).modulus), dprec)
         if v >= dprec:
             raise ZeroDivisionError("division by a (known-)zero element")
         prec = min(self.prec, dprec) - v
@@ -406,13 +352,13 @@ class CycloBlock:
             raise TruncationOverflow("no valid digits left after division; raise K")
         arr = self._coords(prec + v)
         if v:
-            shifted = _transform(arr, _divmod_table(n_param, prec + v, v))
-            low = _phi_degree(self.ring) * v
+            shifted = _transform(arr, quotient(n_param, prec + v).divmod_table(v))
+            low = self.ring.quo.phi_degree * v
             if shifted[..., :low].any():
                 raise NotDivisible("dividend valuation below divisor valuation")
             arr = shifted[..., low:]
-        modulus = phi_power(n_param, prec)
-        unit = _poly_divmod(list(poly), list(phi_power(n_param, v)))[0]
+        modulus = quotient(n_param, prec).modulus
+        unit = _poly_divmod(list(poly), list(quotient(n_param, v).modulus))[0]
         unit = _poly_divmod(unit, list(modulus))[1]
         numer, denom = _division_inverse(tuple(unit), modulus)
         quot = _transform(arr, _int_matrix(list(zip(*numer))))
@@ -495,10 +441,10 @@ def _laurent_coords(block: DictBlock, ring) -> np.ndarray:
             exps += v.c
             coeffs += v.c.values()
             weight = max(weight, sum(map(abs, v.c.values())))
-    width = _phi_degree(ring) * _full_prec(ring)
+    width = ring.quo.degree
     out = np.zeros((block.nrows * block.ncols, width), dtype=np.int64)
     if cells:
-        rows = ring.q_rows(np.array(exps))
+        rows = ring.quo.q_rows(np.array(exps))
         bound = weight * max(_max_abs(rows), 1)
         coeffs = np.array(coeffs, dtype=np.int64 if bound < INT64_SAFE else object)
         out, rows, coeffs = _exact_dtype(bound, out, rows, coeffs)

@@ -33,6 +33,7 @@ from .repchain import (
 from .rings import (
     LAURENT_RING,
     CycloRing,
+    FloatRing,
     LaurentPoly,
     LaurentRing,
     PhiAdicRing,
@@ -104,10 +105,9 @@ class DividedPowerStore:
     order from the memo, the disk cache, or one _divided_step; order 1 is
     the base operator itself, so get(op_id, 1, norm, ring) is how a
     check reads a plain operator (K, A_L_inv, ...) in its ring.  With a
-    cyclotomic ring it returns that power's root-of-unity specialization,
-    memoized per (op_id, norm, n, ring); cyclo_ring(N) interns that ring.
-    Phi-adic and float rings are built per call, so their specializations
-    are recomputed rather than kept, and the memo cannot grow with them.
+    cyclotomic or float ring it returns that power's specialization,
+    memoized per (op_id, norm, n, ring), so a run passes one ring object;
+    phi-adic images, K+1 digits wide and read once or twice, are recomputed.
 
     Checks take the store explicitly and never mutate what it returns.
     The fill is idempotent, so one coarse lock around it keeps a library
@@ -125,7 +125,7 @@ class DividedPowerStore:
         if ctx.rep.wrap_free:
             self._base.update(build_barred_ops(ctx, self._base))
         self._memo: dict[tuple[str, str], list[GradedOperator]] = {}
-        self._specialized: dict[tuple[str, str, int, CycloRing], GradedOperator] = {}
+        self._specialized: dict[tuple[str, str, int, object], GradedOperator] = {}
         self._lock = threading.Lock()
 
     def base(self, op_id: str) -> GradedOperator:
@@ -134,9 +134,11 @@ class DividedPowerStore:
     def get(self, op_id: str, n: int, normalization: str,
             ring=LAURENT_RING) -> GradedOperator:
         _divisors(normalization)  # rejects an unknown name before any fill
+        if n < 0:
+            raise ValueError("order must be nonnegative")
         with self._lock:
             laurent = self._fill(op_id, n, normalization)
-            if isinstance(ring, CycloRing):
+            if isinstance(ring, (CycloRing, FloatRing)):
                 key = (op_id, normalization, n, ring)
                 out = self._specialized.get(key)
                 if out is None:

@@ -330,6 +330,7 @@ class _RunEnv:
         except (UnsupportedKind, InvalidParams) as exc:
             raise ConfigError(str(exc)) from None
         self.store = make_store(ChainContext(rep, config.length), cache)
+        self._float_ring = FloatRing(config.n_param)
 
     def site_rep(self, kind: str):
         """The run's site representation of `kind`, rescaled when the env is."""
@@ -348,13 +349,13 @@ class _RunEnv:
         if mode == "cyclotomic":
             return cyclo_ring(n)
         if mode == "float":
-            return FloatRing(n)
+            return self._float_ring
         return PhiAdicRing(n, _generic_trunc_order(n, max_order))
 
     def root_ring(self):
         """Ring for identities that hold only at the root of unity."""
         if self.config.ring == "float":
-            return FloatRing(self.config.n_param)
+            return self._float_ring
         return cyclo_ring(self.config.n_param)
 
 

@@ -10,19 +10,19 @@ Four rings share one deformation parameter q:
 * FloatRing        -- complex evaluation at q = exp(i*pi/N), smoke tests only.
 
 Each ring object (LAURENT_RING, a CycloRing, a PhiAdicRing, a FloatRing)
-owns its entries: coerce maps a LaurentPoly into the ring, is_zero tests an
-entry, and the exact rings divide with divexact.  CycloRing.coerce also
-takes a phi-adic element of the same N onto its digit zero, its image at
-the root.  The other modules ask the ring and never branch on which ring
-it is.
+owns its entries: coerce maps a LaurentPoly into the ring (CycloRing also
+takes a phi-adic element onto its digit zero, its image at the root),
+is_zero tests an entry, and the exact rings divide with divexact.  Other
+modules branch on the ring only to pick a block engine or route
+(make_block, specialize_block, divpow._divide_entries) or the float
+tolerance (evaluate_zero_identity).
 
-Both quotient rings divide with _divide_mod, a solve in Z[q]/M for M =
-Phi_2N or a power of it: the dividend's coordinates times the integer
-inverse of the divisor's multiplication matrix, memoized per (divisor, M).
-A block of either ring divides in blocks.py by the same inverse, applied
-to every entry of the block at once.  Both read q^e from q_power_rows:
-CycloRing keeps the 2N periodic rows, PhiAdicRing those of q^-s..q^s grown
-on demand, and q_rows gathers them for blocks.specialize_block.
+The quotient rings are Z[q]/Phi_2N^p, p = 1 and p = K+1.  quotient(N, p)
+owns every integer table of one (N, p): the q-power rows, the Laurent
+gather (coords, for from_laurent and embed), the multiplication tensor and
+the reduce/divide-by-Phi^k matrices that blocks.py reads.  Both rings
+divide with _divide_mod, a solve in Z[q]/M by the integer inverse of the
+divisor's multiplication matrix, memoized per (divisor, M).
 
 q is never a float inside the exact rings.  omega means q^2 throughout.
 Scalar coefficients are Python ints, so they never overflow.
@@ -148,15 +148,6 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
             if rem:
                 raise InternalInconsistency("cyclotomic division left a remainder")
     return tuple(poly)
-
-
-@lru_cache(maxsize=None)
-def phi_power(n_param: int, k: int) -> tuple[int, ...]:
-    """Phi_2N^k, ascending: the monic modulus of k base-Phi digits."""
-    if k == 0:
-        return (1,)
-    return tuple(_poly_mul(list(phi_power(n_param, k - 1)),
-                           list(cyclotomic_poly(2 * n_param))))
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +381,95 @@ def _divide_mod(a: tuple[int, ...], b: tuple[int, ...],
 
 
 # ---------------------------------------------------------------------------
+# Quotient: the integer tables of Z[q]/Phi_2N^p
+
+
+class Quotient:
+    """Z[q]/Phi_2N^p: the monic modulus Phi_2N^p (1 at p = 0) and the
+    integer tables of the quotient, each built on first use and shared by
+    every ring and block of this (N, p); quotient(N, p) interns it.  Its
+    coordinates are on 1, q, .., q^(degree-1), phi_degree per Phi digit."""
+
+    def __init__(self, n_param: int, prec: int):
+        phi = cyclotomic_poly(2 * n_param)
+        modulus = [1]
+        for _ in range(prec):
+            modulus = _poly_mul(modulus, list(phi))
+        self.n_param, self.prec, self.modulus = n_param, prec, tuple(modulus)
+        self.phi_degree, self.degree = len(phi) - 1, len(modulus) - 1
+        self._rows = (-1, None)               # (span, q-power rows)
+        self._tensor, self._divmod = None, {}
+
+    def q_rows(self, exps: np.ndarray) -> np.ndarray:
+        """The coordinates of q^e, one row for each exponent in exps.  At
+        p = 1, where q has order 2N, the table is the 2N periodic rows;
+        beyond, it holds q^-s..q^s, s doubling on demand.  Span and table
+        are published as one tuple, so threads sharing them read a pair."""
+        span, table = self._rows
+        if self.prec == 1:
+            if table is None:
+                rows = q_power_rows(self.modulus, 2 * self.n_param + 1)
+                if rows.pop() != rows[0]:
+                    raise InternalInconsistency("q^2N did not reduce to 1 mod Phi_2N")
+                self._rows = span, table = 0, _int_matrix(rows)
+            return table[exps % (2 * self.n_param)]
+        need = int(np.abs(exps).max(initial=0))
+        if need > span:
+            span = max(need, 2 * span)
+            rows = (q_power_rows(self.modulus, span + 1, -1)[:0:-1]
+                    + q_power_rows(self.modulus, span + 1))
+            self._rows = span, table = span, _int_matrix(rows)
+        return table[exps + span]
+
+    def coords(self, p: LaurentPoly) -> tuple[int, ...]:
+        """The coordinates of a Laurent polynomial, in Python ints."""
+        if not p.c:
+            return (0,) * self.degree
+        coeffs = np.array(list(p.c.values()), dtype=object)
+        return tuple((coeffs @ self.q_rows(np.array(list(p.c)))).tolist())
+
+    def mult_tensor(self) -> tuple[np.ndarray, int]:
+        """The multiplication tensor T, q^i q^j = sum_o T[i,j,o] q^o, as a
+        read-only (m, m*m) matrix with row i and column (j, o), m = degree,
+        and its weight max_o sum_{i,j} |T[i,j,o]|, summed exactly: T[i, j]
+        is the row of q^(i+j), and min(k+1, 2m-1-k) pairs have i + j = k.
+        T is symmetric, so a coordinate vector b times it, reshaped to
+        (m, m), is the multiplication matrix of b: row j is b q^j."""
+        if self._tensor is None:
+            m = self.degree
+            rows = self.q_rows(np.arange(2 * m - 1)).tolist()
+            weight = max(sum(min(k + 1, 2 * m - 1 - k) * abs(row[o])
+                             for k, row in enumerate(rows)) for o in range(m))
+            t = _int_matrix(rows)[np.add.outer(np.arange(m), np.arange(m))]
+            t = t.reshape(m, m * m)
+            t.setflags(write=False)
+            self._tensor = t, weight
+        return self._tensor
+
+    def divmod_table(self, k: int) -> np.ndarray:
+        """The (degree, degree) integer matrix taking the coordinates of x to
+        those of (x mod Phi^k, x div Phi^k), for k <= p.  Its first D*k
+        columns reduce x to k digits (with k = 1, digit zero: the image at
+        the root); the rest give x / Phi^k, exact when the first give zeros."""
+        table = self._divmod.get(k)
+        if table is None:
+            divisor, d = list(quotient(self.n_param, k).modulus), self.phi_degree
+            rows = []
+            for i in range(self.degree):
+                quot, rem = _poly_divmod([0] * i + [1], divisor)
+                rows.append(rem + [0] * (d * k - len(rem))
+                            + quot + [0] * (d * (self.prec - k) - len(quot)))
+            table = self._divmod[k] = _int_matrix(rows)
+        return table
+
+
+@lru_cache(maxsize=None)
+def quotient(n_param: int, prec: int, /) -> Quotient:
+    # positional only: lru_cache would key quotient(N, p=1) apart from (N, 1)
+    return Quotient(n_param, prec)
+
+
+# ---------------------------------------------------------------------------
 # CycloRing / CycloElem
 
 
@@ -467,19 +547,11 @@ class CycloRing:
         if n_param < 2:
             raise ValueError("need N >= 2")
         self.n_param = n_param
-        self.order = 2 * n_param                      # q has this multiplicative order
-        phi = cyclotomic_poly(self.order)
-        self.phi = phi
-        self.degree = len(phi) - 1
-        # power table: coords of q^k for k in 0..2N-1; q^2N wraps to 1
-        powtab = q_power_rows(phi, self.order + 1)
-        if powtab.pop() != powtab[0]:
-            raise InternalInconsistency("q^2N did not reduce to 1 mod Phi_2N")
-        self.powtab, self._table = powtab, _int_matrix(powtab)
+        self.quo = quotient(n_param, 1)
+        self.phi = self.quo.modulus
+        self.degree = self.quo.degree
         self.zero = CycloElem(self, (0,) * self.degree)
-        self.one = CycloElem(self, powtab[0])
-        self.q = CycloElem(self, powtab[1])
-        self.omega = CycloElem(self, powtab[2 % self.order])
+        self.one, self.q, self.omega = (self.q_power(e) for e in range(3))
 
     def coerce(self, x) -> CycloElem:
         if isinstance(x, CycloElem):
@@ -500,22 +572,13 @@ class CycloRing:
         return x.is_zero()
 
     def from_int(self, k: int) -> CycloElem:
-        return CycloElem(self, tuple(k * c for c in self.powtab[0]))
+        return CycloElem(self, tuple(k * c for c in self.one.coords))
 
     def q_power(self, e: int) -> CycloElem:
-        return CycloElem(self, self.powtab[e % self.order])
-
-    def q_rows(self, exps: np.ndarray) -> np.ndarray:
-        """The coordinates of q^e, one row for each exponent in exps."""
-        return self._table[exps % self.order]
+        return self.from_laurent(LaurentPoly.q_power(e))
 
     def from_laurent(self, p: LaurentPoly) -> CycloElem:
-        acc = [0] * self.degree
-        for e, v in p.c.items():
-            row = self.powtab[e % self.order]
-            for i in range(self.degree):
-                acc[i] += v * row[i]
-        return CycloElem(self, tuple(acc))
+        return CycloElem(self, self.quo.coords(p))
 
     def mul(self, a: CycloElem, b: CycloElem) -> CycloElem:
         _, rem = _poly_divmod(_poly_mul(list(a.coords), list(b.coords)), self.phi)
@@ -648,18 +711,17 @@ class PhiAdicRing:
         self.n_param = n_param
         self.trunc_order = trunc_order
         self.cyclo = cyclo_ring(n_param)
-        self._modulus = phi_power(n_param, trunc_order + 1)
+        self.quo = quotient(n_param, trunc_order + 1)
         self.zero = self.from_int(0)
         self.one = self.from_int(1)
         self.q = PhiAdicElem(self, self._reduce([0, 1]))
         self.phi_elem = PhiAdicElem(self, self._reduce(list(self.cyclo.phi)))
-        self._span, self._table = -1, None        # q-power rows, grown on demand
         self.qinv = self.embed(LaurentPoly.q_power(-1))
         if not (self.qinv * self.q == self.one):
             raise InternalInconsistency("q^-1 construction failed")
 
     def _reduce(self, coeffs: list[int]) -> tuple[int, ...]:
-        _, rem = _poly_divmod(coeffs, self._modulus)
+        _, rem = _poly_divmod(coeffs, self.quo.modulus)
         return tuple(rem)
 
     def coerce(self, x) -> PhiAdicElem:
@@ -679,23 +741,9 @@ class PhiAdicRing:
     def from_int(self, k: int) -> PhiAdicElem:
         return PhiAdicElem(self, (k,) if k else ())
 
-    def q_rows(self, exps: np.ndarray) -> np.ndarray:
-        """The coordinates of q^e, one row for each exponent in exps; the
-        ring keeps the rows of q^-span..q^span, doubling span on demand."""
-        span = int(np.abs(exps).max())
-        if span > self._span:
-            span, mod = max(span, 2 * self._span), self._modulus
-            rows = q_power_rows(mod, span + 1, -1)[:0:-1] + q_power_rows(mod, span + 1)
-            self._span, self._table = span, _int_matrix(rows)
-        return self._table[exps + self._span]
-
     def embed(self, p: LaurentPoly) -> PhiAdicElem:
         """Ring homomorphism Z[q,q^-1] -> Z[q]/Phi^(K+1), full precision."""
-        if p.is_zero():
-            return self.zero
-        coeffs = np.array(list(p.c.values()), dtype=object)
-        coords = coeffs @ self.q_rows(np.array(list(p.c)))
-        return PhiAdicElem(self, tuple(_poly_trim(coords.tolist())))
+        return PhiAdicElem(self, tuple(_poly_trim(list(self.quo.coords(p)))))
 
     def mul(self, a: PhiAdicElem, b: PhiAdicElem) -> PhiAdicElem:
         prec = min(a.prec + b.valuation(), b.prec + a.valuation(), self.trunc_order + 1)
@@ -716,7 +764,7 @@ class PhiAdicRing:
             raise TruncationOverflow("no valid digits left after division; raise K")
         if a.valuation() < v:
             raise NotDivisible("dividend valuation below divisor valuation")
-        modulus = phi_power(self.n_param, prec)
+        modulus = quotient(self.n_param, prec).modulus
         _, num = _poly_divmod(self._phi_shift(a.poly, v), modulus)
         _, den = _poly_divmod(self._phi_shift(b.poly, v), modulus)
         quot = _divide_mod(tuple(num), tuple(den), modulus)

@@ -35,6 +35,7 @@ from qloop.repchain import (
 )
 from qloop.rings import (
     LAURENT_RING,
+    FloatRing,
     LaurentPoly,
     NotDivisible,
     PhiAdicRing,
@@ -267,6 +268,31 @@ def test_store_specializes_phi_adic_without_memoizing():
     assert not got.is_zero()
     assert got.entries() == want.entries()
     assert len(store._specialized) == memo_size
+
+
+def test_store_specializes_a_float_ring_once(monkeypatch):
+    import qloop.divpow as divpow
+    store = _store(_ctx(length=4))
+    flt = FloatRing(2)
+    calls = []
+    real = divpow.specialize_operator
+
+    def counting(op, ring):
+        calls.append(ring)
+        return real(op, ring)
+    monkeypatch.setattr(divpow, "specialize_operator", counting)
+    first = store.get("E1", 2, NORM_Q, flt)
+    assert store.get("E1", 2, NORM_Q, flt) is first
+    assert calls == [flt]
+    assert first.entries() == real(store.get("E1", 2, NORM_Q), flt).entries()
+
+
+def test_store_refuses_a_negative_order():
+    store = _store(_ctx(length=4))
+    store.get("E1", 3, NORM_Q)
+    for ring in (LAURENT_RING, cyclo_ring(2)):
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            store.get("E1", -1, NORM_Q, ring)
 
 
 def test_lemma_chain_leaves_memoized_specializations_intact():

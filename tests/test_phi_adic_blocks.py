@@ -30,7 +30,7 @@ from qloop.rings import (
     PhiAdicRing,
     TruncationOverflow,
     _poly_divmod,
-    phi_power,
+    quotient,
 )
 
 _LAURENT = st.dictionaries(st.integers(-3, 3), st.integers(-4, 4),
@@ -42,7 +42,7 @@ _DIMS = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
 
 def _canon(ring, poly, prec):
     """The representative of poly mod Phi^prec of degree below D * prec."""
-    return tuple(_poly_divmod(list(poly), list(phi_power(ring.n_param, prec)))[1])
+    return tuple(_poly_divmod(list(poly), list(quotient(ring.n_param, prec).modulus))[1])
 
 
 @st.composite

@@ -3,24 +3,32 @@
 q_power_rows derives the coordinates of q^e in Z[q]/M for both signs of e;
 sympy's polynomial remainder is the independent oracle for them.  Laurent
 blocks go into a quotient ring by one gather of their terms against the
-ring's rows, which must equal coercing entry by entry.
+ring's rows, which must equal coercing entry by entry.  Rings of one
+(N, p) share one Quotient, so a process derives each table once.
 """
+
+import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 from sympy import Poly, ZZ, invert, symbols
 
 from qloop.blocks import INT64_SAFE, DictBlock, make_block, specialize_block
+from qloop import rings
 from qloop.divpow import NORM_OMEGA, NORM_Q
 from qloop.repchain import ChainContext, build_site_rep, specialize_operator
+from qloop.report import RunConfig, run
 from qloop.rings import (
     LAURENT_RING,
     CycloRing,
     LaurentPoly,
     PhiAdicRing,
+    Quotient,
     cyclo_ring,
-    phi_power,
     q_power_rows,
+    quotient,
 )
 from qloop.serre import make_store
 
@@ -50,7 +58,7 @@ def _sympy_rows(modulus, span):
 @pytest.mark.parametrize("n_param", range(2, 9))
 @pytest.mark.parametrize("k", range(1, 5))
 def test_q_power_rows_match_sympy_remainders(n_param, k):
-    modulus = phi_power(n_param, k)
+    modulus = quotient(n_param, k).modulus
     m = len(modulus) - 1
     want = _sympy_rows(modulus, 3 * m)
     up = q_power_rows(modulus, 3 * m + 1)
@@ -60,13 +68,13 @@ def test_q_power_rows_match_sympy_remainders(n_param, k):
 
     exps = np.arange(-3 * m, 3 * m + 1)
     adic = PhiAdicRing(n_param, k - 1)
-    assert adic.q_rows(exps).tolist() == [list(want[e]) for e in exps]
+    assert adic.quo.q_rows(exps).tolist() == [list(want[e]) for e in exps]
     for e in exps:
         poly = adic.embed(LaurentPoly.q_power(int(e))).poly
         assert poly + (0,) * (m - len(poly)) == want[e]
     if k == 1:
         cyclo = cyclo_ring(n_param)
-        assert cyclo.q_rows(exps).tolist() == [list(want[e]) for e in exps]
+        assert cyclo.quo.q_rows(exps).tolist() == [list(want[e]) for e in exps]
         assert [cyclo.q_power(int(e)).coords for e in exps] == [want[e] for e in exps]
 
 
@@ -127,3 +135,56 @@ def test_specialization_makes_no_scalar_conversion(monkeypatch):
     for ring in rings:
         for op in ops:
             specialize_operator(op, ring)
+
+
+def test_each_table_is_built_once_per_quotient(monkeypatch):
+    """Rings of one (N, p) share one Quotient, so a second run in the same
+    process derives no q-power row: its phi-adic audits build fresh rings,
+    but those read the rows the first run left."""
+    assert PhiAdicRing(3, 2).quo is PhiAdicRing(3, 2).quo is quotient(3, 3)
+    assert CycloRing(3).quo is cyclo_ring(3).quo is quotient(3, 1)
+    config = RunConfig(backend="highest_weight", n_param=3, length=3)
+    run(config)
+    calls = []
+    real = rings.q_power_rows
+
+    def counting(*args):
+        calls.append(args[1:])
+        return real(*args)
+    monkeypatch.setattr(rings, "q_power_rows", counting)
+    run(config)
+    assert calls == []
+
+
+def test_threads_sharing_a_quotient_read_rows_that_match_their_span():
+    """Threads that grow one row table at once each read the rows of their
+    own exponents: span and table are published together."""
+    top = 64
+    modulus = quotient(2, 2).modulus
+    want = q_power_rows(modulus, top + 1, -1)[:0:-1] + q_power_rows(modulus, top + 1)
+    errors = []
+
+    def reader(quo, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            e = rng.randint(-top, top)
+            try:
+                if quo.q_rows(np.array([e, -e]))[0].tolist() != list(want[e + top]):
+                    errors.append(e)
+            except IndexError as exc:       # a span read with a shorter table
+                errors.append(exc)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(20):
+            quo = Quotient(2, 2)             # a fresh table, not the interned one
+            threads = [threading.Thread(target=reader, args=(quo, 8 * trial + i))
+                       for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert errors == []

@@ -5,7 +5,6 @@ import os
 
 import pytest
 
-from qloop import blocks
 from qloop.identity import (
     ERROR,
     EXACT_ZERO,
@@ -24,18 +23,21 @@ from qloop.report import (
     _collect,
     _euler_phi,
     _Job,
+    _RunEnv,
     _run_job,
     explain,
     list_families,
     run,
     strip_timing,
 )
-from qloop.opcache import MAGIC, OperatorCache
+from qloop.opcache import DISABLED_CACHE, MAGIC, OperatorCache
 from qloop.repchain import ChainContext, WrapInconsistency, build_site_rep, rescaled_rep
 from qloop.rings import (
     InternalInconsistency,
     LaurentPoly,
+    FloatRing,
     NotDivisible,
+    Quotient,
     TruncationOverflow,
     cyclo_ring,
 )
@@ -120,15 +122,24 @@ def test_ring_table_budget_counts_phi_adic_digits(kwargs, digits, degree):
 def test_ring_digits_is_the_largest_table_a_run_builds(monkeypatch, backend,
                                                        n_param, kwargs):
     built = []
-    real = blocks._mult_tensor
+    real = Quotient.mult_tensor
 
-    def recording(modulus):
-        built.append(len(modulus) - 1)
-        return real(modulus)
-    monkeypatch.setattr(blocks, "_mult_tensor", recording)
+    def recording(quo):
+        built.append(quo.degree)
+        return real(quo)
+    monkeypatch.setattr(Quotient, "mult_tensor", recording)
     config = RunConfig(backend=backend, n_param=n_param, length=2, **kwargs)
     run(config)
     assert max(built) == config.ring_digits() * cyclo_ring(n_param).degree
+
+
+def test_a_float_run_builds_one_float_ring():
+    # the store memoizes float images per ring object, so every job of a
+    # run must read the same one
+    env = _RunEnv(RunConfig(n_param=2, length=2, ring="float"), DISABLED_CACHE)
+    ring = env.root_ring()
+    assert isinstance(ring, FloatRing)
+    assert env.generic_ring() is ring and env.generic_ring(max_order=3) is ring
 
 
 @pytest.mark.parametrize("kwargs,message", [

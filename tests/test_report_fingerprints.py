@@ -32,6 +32,14 @@ GOLDEN = [
      "66aabef8282821d6bbb850a5659b54b52010f5a62da669fd3e91a6aef52940b4"),
     ({"backend": "spin_half", "n_param": 3, "length": 3, "q_sectors": (1,)},
      "8bf7c847e1fa53be2e6c9120a89b0c24d4a7564dffc1815d0e63881dd05db99c"),
+    ({"backend": "highest_weight", "n_param": 3, "length": 3, "ring": "phi-adic"},
+     "887b34f6cebacb102e2d12b1762f7c6629985d87bdfd92c4dc6a2c2a41df2582"),
+    ({"backend": "spin_half", "n_param": 2, "length": 5, "ring": "phi-adic"},
+     "9f9bbc4ae9ad348fed78361614e9219f4ca08548cba1af9227788a4b55e362ce"),
+    ({"backend": "highest_weight", "n_param": 3, "length": 3, "ring": "float"},
+     "22b1c7e90b5963416b75c36ab95eebe56c044a9db1e98dfae991f46cf6b87d44"),
+    ({"backend": "spin_half", "n_param": 2, "length": 5, "ring": "float"},
+     "b40762e1c85ecff2cc5aa822c7a050062dd357c7c86cc91c14ae6408b42781c5"),
 ]
 
 
