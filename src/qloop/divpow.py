@@ -107,7 +107,8 @@ class DividedPowerStore:
     check reads a plain operator (K, A_L_inv, ...) in its ring.  With a
     cyclotomic or float ring it returns that power's specialization,
     memoized per (op_id, norm, n, ring), so a run passes one ring object;
-    phi-adic images, K+1 digits wide and read once or twice, are recomputed.
+    orders 0 and 1 need no division, so one image serves both norms.
+    Phi-adic images, K+1 digits wide and read once or twice, are recomputed.
 
     Checks take the store explicitly and never mutate what it returns.
     The fill is idempotent, so one coarse lock around it keeps a library
@@ -124,6 +125,8 @@ class DividedPowerStore:
         self._base: dict[str, GradedOperator] = build_chain_generators(ctx)
         if ctx.rep.wrap_free:
             self._base.update(build_barred_ops(ctx, self._base))
+        # orders 0 and 1 need no division: the identity and the operator
+        self._identity = identity_operator(ctx, LAURENT_RING)
         self._memo: dict[tuple[str, str], list[GradedOperator]] = {}
         self._specialized: dict[tuple[str, str, int, object], GradedOperator] = {}
         self._lock = threading.Lock()
@@ -139,7 +142,7 @@ class DividedPowerStore:
         with self._lock:
             laurent = self._fill(op_id, n, normalization)
             if isinstance(ring, (CycloRing, FloatRing)):
-                key = (op_id, normalization, n, ring)
+                key = (op_id, normalization if n > 1 else NORM_Q, n, ring)
                 out = self._specialized.get(key)
                 if out is None:
                     out = self._specialized[key] = specialize_operator(laurent, ring)
@@ -151,9 +154,7 @@ class DividedPowerStore:
         base = self._base[op_id]
         seq = self._memo.get((op_id, normalization))
         if seq is None:
-            # orders 0 and 1 need no division: the identity and the operator
-            seq = self._memo[(op_id, normalization)] = [
-                identity_operator(self.ctx, LAURENT_RING), base]
+            seq = self._memo[(op_id, normalization)] = [self._identity, base]
         while len(seq) <= n:
             k = len(seq)
             key = make_key(self._rep_digest, self.ctx.length, op_id,

@@ -362,9 +362,7 @@ class GradedOperator:
             left = self.blocks.get(mid)
             if left is None:
                 continue
-            prod = left.matmul(right)
-            if not prod.is_zero():
-                out[g] = prod
+            out[g] = left.matmul(right)
         return GradedOperator(ctx, self.ring, self.shift + other.shift, out)
 
     def __add__(self, other: "GradedOperator") -> "GradedOperator":

@@ -7,11 +7,16 @@ order, executed (with jobs > 1, on forked worker processes, which only
 changes scheduling), deduplicated by check id, and sorted, so cold/warm
 caches and any worker count produce the same document modulo milliseconds.
 
+validate() builds the run's one job list from the config, before any chain
+or ring table.  A job declares the base-Phi digits its rings make, which
+the memory budget reads, and runs against the env (chain and store) it is
+given: the rescale audit reruns the same jobs on a rescaled env.
+
 Worker processes.  The jobs are pure-Python exact arithmetic, so threads
 would queue on the interpreter lock; workers are processes forked after the
-jobs are built.  Each inherits the job list and the run's store through the
-fork, fills its own copy of the store, and sends back only IdentityCheck
-lists, in job order.  Contiguous chunks of jobs go to one worker, so jobs
+envs are built.  Each inherits the run's (job, env) pairs through the fork,
+fills its own copy of the stores, and sends back only IdentityCheck lists,
+in job order.  Contiguous chunks of jobs go to one worker, so jobs
 that read the same divided powers mostly share one copy.  A worker that
 dies ends the run with ResourceError.  Where the platform cannot fork, or
 the calling process runs other threads, the jobs run in the calling process.
@@ -111,7 +116,7 @@ RING_MODES = ("laurent", "cyclotomic", "phi-adic", "float")
 MAX_STATES = 2**14
 # the most bytes the largest multiplication table of a run may take: over
 # Z[q]/Phi_2N^p, 8 * (p*D)^3 for int64 entries, D = phi(2N), p the most
-# base-Phi digits a block carries (RunConfig.ring_digits); it bounds
+# base-Phi digits any job's blocks carry (RunConfig.ring_digits); it bounds
 # memory, not time
 MAX_RING_TABLE_BYTES = 2**28
 SUITE_NAMES = (
@@ -213,7 +218,9 @@ class RunConfig:
     report_path: str | None = None
     rescale_audit: bool = False
 
-    def validate(self) -> None:
+    def validate(self) -> list[_Job]:
+        """Raise ConfigError for a run that cannot be done, having built
+        nothing but the run's job list, which it returns."""
         if self.backend not in BACKENDS:
             raise ConfigError(f"unknown backend {self.backend!r}; choose from {BACKENDS}")
         if not _is_int(self.n_param) or self.n_param < 2:
@@ -257,7 +264,8 @@ class RunConfig:
                 )
         if not _is_int(self.jobs) or self.jobs < 1:
             raise ConfigError(f"jobs must be a positive integer, got {self.jobs!r}")
-        digits = self.ring_digits()
+        jobs = _job_list(self)
+        digits = max((job.digits for job in jobs), default=1)
         degree = _table_degree(digits)
         if digits > 1 and _euler_phi(2 * self.n_param) > degree:
             raise ConfigError(
@@ -267,26 +275,13 @@ class RunConfig:
                 f"at most {MAX_RING_TABLE_BYTES}, so phi(2N) must be at most "
                 f"{degree} (the divpow suite and the phi-adic ring mode need "
                 "these digits; this bounds memory, not run time)")
+        return jobs
 
     def ring_digits(self) -> int:
         """The most base-Phi digits p a block of this run carries, so its
-        largest multiplication table is over Z[q]/Phi_2N^p: 1 at the root,
-        K+1 in the divpow suite's phi-adic audit and in the jobs that take
-        the phi-adic ring as their generic ring."""
-        n = self.n_param
-        suites = self.selected_suites()
-        digits = 1
-        if "divpow" in suites:
-            digits = adic_trunc_order(n, n + 1) + 1
-        if self.ring == "phi-adic":
-            # the largest order each suite asks _RunEnv.generic_ring for
-            orders = {"barred": 2 * n + 1, "id1": 3}
-            if self.backend != "cyclic":
-                orders["rep-gate"] = 0
-            asked = [order for suite, order in orders.items() if suite in suites]
-            if asked:
-                digits = max(digits, _generic_trunc_order(n, max(asked)) + 1)
-        return digits
+        largest multiplication table is over Z[q]/Phi_2N^p: the most any
+        of the run's jobs declares."""
+        return max((job.digits for job in _job_list(self)), default=1)
 
     def sectors(self) -> tuple[int, ...]:
         if self.q_sectors:
@@ -363,7 +358,10 @@ class _RunEnv:
 class _Job:
     job_id: str
     suite: str
-    thunk: Callable[[], Any]
+    thunk: Callable[[_RunEnv], Any]
+    # the most base-Phi digits of any block its rings make: K+1 over a
+    # phi-adic ring of truncation order K, 1 over any other ring
+    digits: int = 1
 
 
 # the faults a job may raise; its Error record's kind is the name of the
@@ -377,9 +375,9 @@ _GUARDED = (
 )
 
 
-def _run_job(job: _Job) -> list[IdentityCheck]:
+def _run_job(job: _Job, env: _RunEnv) -> list[IdentityCheck]:
     try:
-        out = job.thunk()
+        out = job.thunk(env)
     except MemoryError as exc:
         raise ResourceError(f"job {job.job_id} exhausted memory") from exc
     except _GUARDED as exc:
@@ -390,30 +388,40 @@ def _run_job(job: _Job) -> list[IdentityCheck]:
 
 
 # ---------------------------------------------------------------------------
-# Suite builders.  Each returns a deterministic list of jobs; a job returns
-# one check or a list of checks.
+# Suite builders.  Each makes a deterministic list of jobs from the config;
+# a job takes the env it runs on and returns one check or a list of checks.
 
 
-def _jobs_qcomb(env: _RunEnv) -> list[_Job]:
-    n = env.config.n_param
+def _generic_job(config: RunConfig, job_id: str, suite: str, max_order: int,
+                 check: Callable[[Any, Any], Any]) -> _Job:
+    """A job running check(store, ring) over the run's generic ring up to
+    max_order, declaring the digits of that ring's blocks."""
+    phi_adic = config.ring == "phi-adic"
+    digits = _generic_trunc_order(config.n_param, max_order) + 1 if phi_adic else 1
+    return _Job(job_id, suite,
+                lambda env: check(env.store, env.generic_ring(max_order)), digits)
+
+
+def _jobs_qcomb(config: RunConfig) -> list[_Job]:
+    n = config.n_param
     jobs = []
 
     def add(name, thunk):
         jobs.append(_Job(f"qcomb/{name}", "qcomb", thunk))
 
-    add("factorial", lambda: [
+    add("factorial", lambda env: [
         check_q_omega_factorial_relation(k, n) for k in range(2 * n + 3)
     ])
-    add("bridge", lambda: [
+    add("bridge", lambda env: [
         check_binomial_bridge(s, l, n) for s in range(4 * n + 1) for l in range(s + 1)
     ])
-    add("periodicity", lambda: [
+    add("periodicity", lambda env: [
         check_gauss_periodicity(k, p, l, n)
         for k in range(5) for p in range(n) for l in range(n)
     ])
-    add("delta-sum", lambda: [check_alternating_sum(p, n) for p in range(4 * n + 1)])
+    add("delta-sum", lambda env: [check_alternating_sum(p, n) for p in range(4 * n + 1)])
 
-    def wrap_thunk():
+    def wrap_thunk(env):
         out = []
         for half in range(3):
             for a in range(1, n):
@@ -424,7 +432,7 @@ def _jobs_qcomb(env: _RunEnv) -> list[_Job]:
 
     add("wrap-vanishing", wrap_thunk)
 
-    def lucas_thunk():
+    def lucas_thunk(env):
         out = []
         for q in range(n):
             for k in range(3):
@@ -436,109 +444,103 @@ def _jobs_qcomb(env: _RunEnv) -> list[_Job]:
     return jobs
 
 
-def _jobs_rep_gate(env: _RunEnv) -> list[_Job]:
-    n = env.config.n_param
+def _jobs_rep_gate(config: RunConfig) -> list[_Job]:
+    n = config.n_param
     # site gates run at the root: the clock relations have no generic form.
     # The chain-level Chevalley checks below stay in the configured ring.
     jobs = [
         _Job(f"rep-gate/site-{kind}", "rep-gate",
-             lambda kind=kind, params=params: rep_self_check(
+             lambda env, kind=kind, params=params: rep_self_check(
                  build_site_rep(kind, n, params), "root_of_unity"))
         for kind, params in (("spin_half", None), ("highest_weight", None),
                              ("cyclic", {"c": 0}))
     ]
-    if env.config.backend == "cyclic":
-        ring = env.root_ring()
+    if config.backend == "cyclic":
+        jobs.append(_Job("rep-gate/chain-chevalley", "rep-gate",
+                         lambda env: check_chain_chevalley(env.store, env.root_ring())))
     else:
-        ring = env.generic_ring()
-    jobs.append(_Job("rep-gate/chain-chevalley", "rep-gate",
-                     lambda: check_chain_chevalley(env.store, ring)))
+        jobs.append(_generic_job(config, "rep-gate/chain-chevalley", "rep-gate", 0,
+                                 check_chain_chevalley))
     return jobs
 
 
-def _jobs_barred(env: _RunEnv) -> list[_Job]:
-    n = env.config.n_param
-    jobs = [
-        _Job("barred/half-clock", "barred",
-             lambda: check_half_clock_commutation(env.store, env.generic_ring())),
-    ]
+def _jobs_barred(config: RunConfig) -> list[_Job]:
+    n = config.n_param
+    jobs = [_generic_job(config, "barred/half-clock", "barred", 0,
+                         check_half_clock_commutation)]
     for order in range(1, 2 * n + 2):
-        jobs.append(_Job(
-            f"barred/cross-norm-{order:02d}", "barred",
-            lambda order=order: check_cross_normalization(
-                env.store, order, env.generic_ring(max_order=order)),
-        ))
+        jobs.append(_generic_job(
+            config, f"barred/cross-norm-{order:02d}", "barred", order,
+            lambda store, ring, order=order: check_cross_normalization(
+                store, order, ring)))
     return jobs
 
 
-def _jobs_divpow(env: _RunEnv) -> list[_Job]:
-    n = env.config.n_param
-    length = env.config.length
-    store = env.store
-    rep = store.ctx.rep
-    op_ids = ["E0", "E1", "F0", "F1"]
-    if rep.wrap_free:
-        op_ids += ["B1bar", "C0bar", "BLbar", "CL1bar"]
+def _jobs_divpow(config: RunConfig) -> list[_Job]:
+    n = config.n_param
+    # validate refuses divpow on the cyclic chain, so the barred ops exist
+    op_ids = ["E0", "E1", "F0", "F1", "B1bar", "C0bar", "BLbar", "CL1bar"]
     orders = sorted({2, 3, n, n + 1})
+    adic_orders = (n, n + 1)
     jobs = []
     for op_id in op_ids:
         jobs.append(_Job(
             f"divpow/{op_id}-factorial", "divpow",
-            lambda op_id=op_id: [
-                check_power_factorial(store, op_id, k) for k in orders],
+            lambda env, op_id=op_id: [
+                check_power_factorial(env.store, op_id, k) for k in orders],
         ))
         jobs.append(_Job(
             f"divpow/{op_id}-bridge", "divpow",
-            lambda op_id=op_id: [
-                check_normalization_bridge(store, op_id, k) for k in orders],
+            lambda env, op_id=op_id: [
+                check_normalization_bridge(env.store, op_id, k) for k in orders],
         ))
         jobs.append(_Job(
             f"divpow/{op_id}-adic", "divpow",
-            lambda op_id=op_id: [
-                check_adic_agreement(store, op_id, k) for k in (n, n + 1)],
+            lambda env, op_id=op_id: [
+                check_adic_agreement(env.store, op_id, k) for k in adic_orders],
+            digits=adic_trunc_order(n, max(adic_orders)) + 1,
         ))
-        if rep.kind == "spin_half":
+        if config.backend == "spin_half":
             # each site operator squares to zero, so order L+1 must vanish
             jobs.append(_Job(
                 f"divpow/{op_id}-nilpotency", "divpow",
-                lambda op_id=op_id: check_nilpotency(store, op_id, length + 1),
+                lambda env, op_id=op_id: check_nilpotency(
+                    env.store, op_id, config.length + 1),
             ))
-    if rep.wrap_free:
-        def mulo_thunk():
-            out = []
-            for q in env.config.sectors():
-                for k, j in ((1, 1), (2, 1), (0, 2), (1, 2)):
-                    for op_id in ("B1bar", "C0bar"):
-                        out.append(check_mulo(store, q, k, j, op_id=op_id))
-            return out
 
-        jobs.append(_Job("divpow/merge-binomial", "divpow", mulo_thunk))
+    def mulo_thunk(env):
+        out = []
+        for q in config.sectors():
+            for k, j in ((1, 1), (2, 1), (0, 2), (1, 2)):
+                for op_id in ("B1bar", "C0bar"):
+                    out.append(check_mulo(env.store, q, k, j, op_id=op_id))
+        return out
+
+    jobs.append(_Job("divpow/merge-binomial", "divpow", mulo_thunk))
     return jobs
 
 
-def _jobs_id1(env: _RunEnv) -> list[_Job]:
-    n = env.config.n_param
-    store = env.store
+def _jobs_id1(config: RunConfig) -> list[_Job]:
+    n = config.n_param
     jobs = [
-        _Job("id1/higher-generic", "id1", lambda: [
-            check_higher_serre(store, 1, 3, pair, env.generic_ring(max_order=3))
-            for pair in (_E_PAIR, _F_PAIR)
+        _generic_job(config, "id1/higher-generic", "id1", 3, lambda store, ring: [
+            check_higher_serre(store, 1, 3, pair, ring) for pair in (_E_PAIR, _F_PAIR)
         ]),
-        _Job("id1/higher-root", "id1", lambda: [
-            check_higher_serre(store, k, m, pair, env.root_ring())
+        _Job("id1/higher-root", "id1", lambda env: [
+            check_higher_serre(env.store, k, m, pair, env.root_ring())
             for (k, m) in ((1, 4), (2, 5), (2, 6))
             for pair in (_E_PAIR, _F_PAIR)
         ]),
-        _Job("id1/ladder-base", "id1", lambda: [
-            check_id1(store, 0, n, pair, ring=env.root_ring())
+        _Job("id1/ladder-base", "id1", lambda env: [
+            check_id1(env.store, 0, n, pair, ring=env.root_ring())
             for pair in (_E_PAIR, _F_PAIR)
         ]),
     ]
-    for q in env.config.sectors():
+    for q in config.sectors():
         jobs.append(_Job(
             f"id1/three-term-Q{q}", "id1",
-            lambda q=q: [
-                fn(store, q, branch, ring=env.root_ring())
+            lambda env, q=q: [
+                fn(env.store, q, branch, ring=env.root_ring())
                 for fn in (check_BCN, check_CBN)
                 for branch in ("plus", "minus")
             ],
@@ -555,64 +557,63 @@ def _g_forms_thunk(env: _RunEnv) -> list[IdentityCheck]:
     return [check_g_forms(store, 1, 3, branch) for branch in ("full", "truncated")]
 
 
-def _jobs_id2(env: _RunEnv) -> list[_Job]:
-    n = env.config.n_param
-    store = env.store
+def _jobs_id2(config: RunConfig) -> list[_Job]:
+    n = config.n_param
     jobs = []
-    for q in env.config.sectors():
+    for q in config.sectors():
         # at Q = 0 both entries have gap N and route to the wide ladder
         jobs.append(_Job(
             f"id2/swap-Q{q}", "id2",
-            lambda q=q: [
-                dispatch_root_serre(store, q, n + q, pair, ring=env.root_ring())
+            lambda env, q=q: [
+                dispatch_root_serre(env.store, q, n + q, pair, ring=env.root_ring())
                 for pair in (_E_PAIR, _F_PAIR)
             ],
         ))
         jobs.append(_Job(
             f"id2/four-term-Q{q}", "id2",
-            lambda q=q: [
-                dispatch_root_serre(store, n + q, 3 * n + q, pair,
+            lambda env, q=q: [
+                dispatch_root_serre(env.store, n + q, 3 * n + q, pair,
                                     ring=env.root_ring())
                 for pair in (_E_PAIR, _F_PAIR)
             ],
         ))
-    jobs.append(_Job("id2/g-forms", "id2", lambda: _g_forms_thunk(env)))
+    jobs.append(_Job("id2/g-forms", "id2", _g_forms_thunk))
     return jobs
 
 
-def _jobs_site(env: _RunEnv) -> list[_Job]:
+def _jobs_site(config: RunConfig) -> list[_Job]:
     jobs = []
-    for q in env.config.sectors():
+    for q in config.sectors():
         for side in ("one_zero", "L_Lm1"):
             jobs.append(_Job(
                 f"site/Q{q}-{side}", "site",
-                lambda q=q, side=side: check_site_suite(
+                lambda env, q=q, side=side: check_site_suite(
                     env.store, q, side, ring=env.root_ring()),
             ))
     return jobs
 
 
-def _jobs_lemmas(env: _RunEnv) -> list[_Job]:
+def _jobs_lemmas(config: RunConfig) -> list[_Job]:
     return [
         _Job(f"lemmas/Q{q}", "lemmas",
-             lambda q=q: check_lemma_chain(env.store, q, ring=env.root_ring()))
-        for q in env.config.sectors()
+             lambda env, q=q: check_lemma_chain(env.store, q, ring=env.root_ring()))
+        for q in config.sectors()
     ]
 
 
-def _jobs_serre_nested(env: _RunEnv) -> list[_Job]:
+def _jobs_serre_nested(config: RunConfig) -> list[_Job]:
     jobs = []
-    for q in env.config.sectors():
+    for q in config.sectors():
         for family in ("x", "xbar"):
             jobs.append(_Job(
                 f"serre-nested/Q{q}-{family}", "serre-nested",
-                lambda q=q, family=family: check_serre_nested(
+                lambda env, q=q, family=family: check_serre_nested(
                     env.store, q, family, ring=env.root_ring()),
             ))
     return jobs
 
 
-_SUITE_BUILDERS: dict[str, Callable[[_RunEnv], list[_Job]]] = {
+_SUITE_BUILDERS: dict[str, Callable[[RunConfig], list[_Job]]] = {
     "qcomb": _jobs_qcomb,
     "rep-gate": _jobs_rep_gate,
     "barred": _jobs_barred,
@@ -625,6 +626,12 @@ _SUITE_BUILDERS: dict[str, Callable[[_RunEnv], list[_Job]]] = {
 }
 
 
+def _job_list(config: RunConfig) -> list[_Job]:
+    """The run's jobs, suite by suite, from the config alone."""
+    return [job for suite in config.selected_suites()
+            for job in _SUITE_BUILDERS[suite](config)]
+
+
 def _core_count() -> int:
     """Cores this process may run on."""
     try:
@@ -633,14 +640,14 @@ def _core_count() -> int:
         return os.cpu_count() or 1
 
 
-# The job list of the pool a worker process belongs to; set in the worker
-# right after the fork, never in the process that runs the pool.
-_WORKER_JOBS: list[_Job] = []
+# The (job, env) pairs of the pool a worker process belongs to; set in the
+# worker right after the fork, never in the process that runs the pool.
+_WORKER_JOBS: list[tuple[_Job, _RunEnv]] = []
 
 
-def _adopt_jobs(jobs: list[_Job]) -> None:
+def _adopt_jobs(pairs: list[tuple[_Job, _RunEnv]]) -> None:
     global _WORKER_JOBS
-    _WORKER_JOBS = jobs
+    _WORKER_JOBS = pairs
     threading.Thread(target=_exit_with_parent, daemon=True).start()
 
 
@@ -655,11 +662,11 @@ def _exit_with_parent() -> None:
 
 
 def _run_worker_job(index: int) -> list[IdentityCheck]:
-    return _run_job(_WORKER_JOBS[index])
+    return _run_job(*_WORKER_JOBS[index])
 
 
-def _fork_pool(workers: int, jobs: list[_Job]):
-    """A pool of `workers` forked processes that inherit `jobs`, or None
+def _fork_pool(workers: int, pairs: list[tuple[_Job, _RunEnv]]):
+    """A pool of `workers` forked processes that inherit `pairs`, or None
     where the platform cannot fork or other threads run in this process (a
     child would inherit any lock they hold, held forever).  The pool is
     imported here, so a one-worker run never pays for it."""
@@ -670,27 +677,28 @@ def _fork_pool(workers: int, jobs: list[_Job]):
 
     if "fork" not in multiprocessing.get_all_start_methods():
         return None
-    # fork, not spawn: jobs are closures over the run's store, which cannot
-    # be pickled, and a spawned worker would rebuild the chain from scratch.
+    # fork, not spawn: the envs hold the run's stores, which cannot be
+    # pickled, and a spawned worker would rebuild the chain from scratch.
     # The initargs reach the workers through the fork, unpickled.
     return ProcessPoolExecutor(
         max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_adopt_jobs, initargs=(jobs,))
+        initializer=_adopt_jobs, initargs=(pairs,))
 
 
-def _execute(jobs: list[_Job], workers: int) -> list[list[IdentityCheck]]:
+def _execute(pairs: list[tuple[_Job, _RunEnv]],
+             workers: int) -> list[list[IdentityCheck]]:
     pool = None
-    if workers > 1 and len(jobs) > 1:
-        workers = min(workers, len(jobs), _core_count())
-        pool = _fork_pool(workers, jobs) if workers > 1 else None
+    if workers > 1 and len(pairs) > 1:
+        workers = min(workers, len(pairs), _core_count())
+        pool = _fork_pool(workers, pairs) if workers > 1 else None
     if pool is None:
-        return [_run_job(job) for job in jobs]
+        return [_run_job(job, env) for job, env in pairs]
     from concurrent.futures.process import BrokenProcessPool
 
-    chunksize = math.ceil(len(jobs) / (4 * workers))
+    chunksize = math.ceil(len(pairs) / (4 * workers))
     try:
         with pool:
-            return list(pool.map(_run_worker_job, range(len(jobs)),
+            return list(pool.map(_run_worker_job, range(len(pairs)),
                                  chunksize=chunksize))
     except BrokenProcessPool as exc:
         raise ResourceError("a job worker process died (killed, or out of "
@@ -855,23 +863,22 @@ def run(config: RunConfig) -> ReportDocument:
     job, exhausts memory.
     """
     t0 = time.perf_counter()
-    config.validate()
+    jobs = config.validate()
     cache = _prepare_outputs(config)
-    selected = config.selected_suites()
-    audited = [s for s in selected if config.rescale_audit and s in _AUDIT_SUITES]
+    audited = [s for s in config.selected_suites()
+               if config.rescale_audit and s in _AUDIT_SUITES]
+    rescaled_jobs = [job for job in jobs if job.suite in audited]
     try:
         env = _RunEnv(config, cache)
         # both chains are built before the run's one pool forks, so every
         # worker inherits both stores
         rescaled_env = _RunEnv(config, cache, rescale=True) if audited else None
-        jobs = [job for suite in selected for job in _SUITE_BUILDERS[suite](env)]
-        plain_count = len(jobs)
-        jobs += [job for suite in audited
-                 for job in _SUITE_BUILDERS[suite](rescaled_env)]
-        results = _execute(jobs, config.jobs)
-        checks, per_suite = _collect(zip(jobs[:plain_count], results[:plain_count]))
+        results = _execute([(job, env) for job in jobs]
+                           + [(job, rescaled_env) for job in rescaled_jobs],
+                           config.jobs)
+        checks, per_suite = _collect(zip(jobs, results))
         checks += _audit_checks(audited, per_suite,
-                                zip(jobs[plain_count:], results[plain_count:]))
+                                zip(rescaled_jobs, results[len(jobs):]))
     except MemoryError as exc:
         raise ResourceError("run exhausted memory") from exc
     summary = {key: 0 for key in _STATUS_KEYS.values()}

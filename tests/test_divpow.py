@@ -321,11 +321,33 @@ def test_store_repeated_get_builds_no_identity(monkeypatch, tmp_path):
     for n in (0, 1, 2, 3):
         store.get("E1", n, NORM_Q)
         store.get("E1", n, NORM_Q, cyclo_ring(2))
+    # a new sequence starts from the store's one identity
+    store.get("F1", 2, NORM_OMEGA)
     assert built == []
-    # a new key builds its order-0 seed once
-    store.get("F1", 2, NORM_Q)
-    store.get("F1", 2, NORM_Q)
-    assert len(built) == 1
+    assert store.get("F1", 0, NORM_OMEGA) is store.get("E1", 0, NORM_Q)
+
+
+@pytest.mark.parametrize("ring", [cyclo_ring(2), FloatRing(2)],
+                         ids=["cyclotomic", "float"])
+def test_store_specializes_orders_zero_and_one_once_for_both_norms(monkeypatch,
+                                                                  ring):
+    import qloop.divpow as divpow
+    store = _store(_ctx(length=4))
+    laurent = [store.get("B1bar", n, NORM_Q) for n in (0, 1)]
+    calls = []
+    real = divpow.specialize_operator
+
+    def counting(op, ring):
+        calls.append(op)
+        return real(op, ring)
+    monkeypatch.setattr(divpow, "specialize_operator", counting)
+    for n in (0, 1):
+        assert store.get("B1bar", n, NORM_Q, ring) is \
+            store.get("B1bar", n, NORM_OMEGA, ring)
+    assert calls == laurent
+    # from order 2 on the two norms divide differently
+    assert store.get("B1bar", 2, NORM_Q, ring) is not \
+        store.get("B1bar", 2, NORM_OMEGA, ring)
 
 
 def test_store_order_one_is_the_registered_operator(tmp_path):

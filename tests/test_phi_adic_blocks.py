@@ -11,7 +11,7 @@ scalar ring, whose precision per entry is never below the block's.
 """
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qloop.blocks import make_block
@@ -55,9 +55,29 @@ def _elems(draw, ring, prec):
 
 
 @st.composite
+def _nonzero_elems(draw, ring, prec, max_valuation=None):
+    """An element of valuation v below `prec`, so nonzero to `prec` digits:
+    Phi^v times a residue of degree below D with one nonzero coefficient,
+    plus any multiple of Phi."""
+    degree = ring.quo.phi_degree
+    coeffs = draw(st.lists(st.integers(-4, 4), min_size=degree, max_size=degree))
+    coeffs[draw(st.integers(0, degree - 1))] = draw(
+        st.integers(1, 4)) * draw(st.sampled_from([1, -1]))
+    x = ring.embed(LaurentPoly(dict(enumerate(coeffs))))
+    x = x + ring.embed(draw(_LAURENT)) * ring.phi_elem
+    top = prec - 1 if max_valuation is None else max_valuation
+    for _ in range(draw(st.integers(0, top))):
+        x = x * ring.phi_elem
+    return PhiAdicElem(ring, x.poly, prec)
+
+
+def _keys(nrows, ncols):
+    return st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
+
+
+@st.composite
 def _cells(draw, ring, nrows, ncols, prec):
-    keys = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
-    keys = draw(st.lists(keys, unique=True, max_size=nrows * ncols))
+    keys = draw(st.lists(_keys(nrows, ncols), unique=True, max_size=nrows * ncols))
     return {k: draw(_elems(ring, prec)) for k in keys}
 
 
@@ -153,14 +173,20 @@ def test_divexact_matches_per_entry_divexact(data, ring, dims, exact):
     on the block exactly when they do entry by entry."""
     nrows, ncols, _ = dims
     prec, dprec = data.draw(_precs(ring)), data.draw(_precs(ring))
-    divisor = data.draw(_elems(ring, dprec))
-    assume(not ring.is_zero(divisor))
+    divisor = data.draw(_nonzero_elems(ring, dprec))
     cofactors = data.draw(_cells(ring, nrows, ncols, prec))
+    # one cell is nonzero at the block's precision, so the block is not
+    # zero: a valuation-0 cofactor times the divisor, or, perturbed, any
+    # element of valuation below both precisions
+    key = data.draw(_keys(nrows, ncols))
+    if exact:
+        cofactors[key] = data.draw(_nonzero_elems(ring, prec, max_valuation=0))
     cells = {k: v * divisor for k, v in cofactors.items()}
     if not exact:
         cells = {k: v + data.draw(_elems(ring, prec)) for k, v in cells.items()}
+        cells[key] = data.draw(_nonzero_elems(ring, min(prec, dprec)))
     block = _block(ring, nrows, ncols, cells)
-    assume(not block.is_zero())
+    assert not ring.is_zero(divisor) and not block.is_zero()
 
     want = _outcome(lambda: {(r, c): ring.divexact(v, divisor)
                              for r, c, v in block.entries()})

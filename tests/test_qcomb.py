@@ -23,7 +23,7 @@ from qloop.qcomb import (
     q_factorial,
     q_int,
 )
-from qloop.rings import LaurentPoly, cyclo_ring
+from qloop.rings import InternalInconsistency, LaurentPoly, cyclo_ring
 
 
 def test_q_int_values():
@@ -231,3 +231,20 @@ def test_table_concurrent_fill_deterministic():
             s = rng.randint(0, 18)
             l = rng.randint(0, s)
             assert val == fresh.gauss_checked(s, l, "q")
+
+
+@pytest.mark.parametrize("flavor", ["q", "omega"])
+@pytest.mark.parametrize("planted", [
+    LaurentPoly(0),
+    LaurentPoly({0: 1, 2: 1}),           # a multiple of no factorial ratio
+    LaurentPoly({0: 2, 2: 2, 4: 2}),     # [3]_w doubled: the ratio times 2
+])
+def test_gauss_checked_rejects_a_wrong_pascal_value(flavor, planted):
+    table = QFactorialTable()
+    table._gauss[(3, 1, flavor)] = planted
+    with pytest.raises(InternalInconsistency, match=r"\(3,1,%s\)" % flavor):
+        table.gauss_checked(3, 1, flavor)
+    # Pascal carries the planted value upward, and the audit still sees it
+    with pytest.raises(InternalInconsistency):
+        table.gauss_checked(4, 2, flavor)
+    assert table.gauss_checked(2, 1, flavor) == QFactorialTable().gauss(2, 1, flavor)

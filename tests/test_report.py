@@ -14,6 +14,8 @@ from qloop.identity import (
     make_check,
 )
 from qloop.report import (
+    BACKENDS,
+    RING_MODES,
     SUITE_NAMES,
     ConfigError,
     ReportDocument,
@@ -131,6 +133,89 @@ def test_ring_digits_is_the_largest_table_a_run_builds(monkeypatch, backend,
     config = RunConfig(backend=backend, n_param=n_param, length=2, **kwargs)
     run(config)
     assert max(built) == config.ring_digits() * cyclo_ring(n_param).degree
+
+
+def _recording_builders(monkeypatch):
+    """Wrap every suite builder so it appends its suite to the list returned."""
+    import qloop.report as report
+
+    built = []
+    for suite, real in list(report._SUITE_BUILDERS.items()):
+        def builder(config, suite=suite, real=real):
+            built.append(suite)
+            return real(config)
+        monkeypatch.setitem(report._SUITE_BUILDERS, suite, builder)
+    return built
+
+
+def test_ring_digits_reads_each_jobs_declared_digits(monkeypatch):
+    import qloop.report as report
+
+    real = report._SUITE_BUILDERS["qcomb"]
+    config = RunConfig(n_param=100, length=2, suites=("qcomb",))
+    assert config.ring_digits() == 1
+    config.validate()
+    monkeypatch.setitem(report._SUITE_BUILDERS, "qcomb", lambda config: real(config) + [
+        _Job("qcomb/planted", "qcomb", lambda env: [], digits=7)])
+    assert config.ring_digits() == 7
+    # phi(200) = 80, and a table of 7 digits fits phi(2N) <= 46 only
+    with pytest.raises(ConfigError, match=r"Z\[q\]/Phi_2N\^7 table"):
+        config.validate()
+
+
+@pytest.mark.parametrize("ring", RING_MODES)
+def test_validate_builds_the_job_list_and_no_chain_or_table(monkeypatch, ring):
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate built a chain or a ring table")
+
+    monkeypatch.setattr(ChainContext, "__init__", refuse)
+    monkeypatch.setattr(Quotient, "mult_tensor", refuse)
+    built = _recording_builders(monkeypatch)
+    for backend in BACKENDS:
+        config = RunConfig(backend=backend, n_param=3, length=2, ring=ring,
+                           rescale_audit=True)
+        jobs = config.validate()
+        assert built == list(config.selected_suites())
+        assert {job.suite for job in jobs} == set(built)
+        assert max(job.digits for job in jobs) == config.ring_digits()
+        built.clear()
+
+
+def test_rescale_audit_builds_each_suite_once(monkeypatch):
+    built = _recording_builders(monkeypatch)
+    doc = run(RunConfig(n_param=2, length=3, suites=("id1", "site"),
+                        rescale_audit=True))
+    # one builder pass: the audit reruns the same jobs on the rescaled chain
+    assert built == ["id1", "site"]
+    audits = [c for c in doc.checks if c.family == "audit.rescale"]
+    assert [c.status for c in audits] == [EXACT_ZERO, EXACT_ZERO]
+    assert all(c.nontrivial["checks_compared"] > 0 for c in audits)
+
+
+def test_every_job_stays_within_its_declared_digits(monkeypatch):
+    import qloop.report as report
+
+    running, seen = [], []
+    real_tensor, real_run_job = Quotient.mult_tensor, report._run_job
+
+    def recording(quo):
+        seen.append((running[-1], quo.degree))
+        return real_tensor(quo)
+
+    def tracking(job, env):
+        running.append(job)
+        try:
+            return real_run_job(job, env)
+        finally:
+            running.pop()
+    monkeypatch.setattr(Quotient, "mult_tensor", recording)
+    monkeypatch.setattr(report, "_run_job", tracking)
+    run(RunConfig(n_param=2, length=2, ring="phi-adic"))
+    degree = cyclo_ring(2).degree
+    assert all(d <= job.digits * degree for job, d in seen), [
+        (job.job_id, job.digits, d) for job, d in seen if d > job.digits * degree]
+    # the declarations are tight: some job builds the table it declares
+    assert any(job.digits > 1 and d == job.digits * degree for job, d in seen)
 
 
 def test_a_float_run_builds_one_float_ring():
@@ -313,9 +398,9 @@ class _InlinePool:
 
     sizes = []
 
-    def __init__(self, workers, jobs):
+    def __init__(self, workers, pairs):
         self.sizes.append(workers)
-        self.jobs = jobs
+        self.pairs = pairs
 
     def __enter__(self):
         return self
@@ -325,7 +410,7 @@ class _InlinePool:
 
     def map(self, fn, indices, chunksize=1):
         assert chunksize >= 1
-        return [_run_job(self.jobs[i]) for i in indices]
+        return [_run_job(*self.pairs[i]) for i in indices]
 
 
 def test_worker_count_is_capped_without_starting_processes(monkeypatch, small_doc):
@@ -384,8 +469,8 @@ def _builder_with(job_fn):
 
     real = report._SUITE_BUILDERS["qcomb"]
 
-    def builder(env):
-        return real(env) + [_Job("qcomb/planted", "qcomb", job_fn)]
+    def builder(config):
+        return real(config) + [_Job("qcomb/planted", "qcomb", lambda env: job_fn())]
 
     return builder
 
@@ -415,12 +500,12 @@ import qloop.report as report
 parent = os.getpid()
 real = report._SUITE_BUILDERS["qcomb"]
 
-def planted():
+def planted(env):
     if os.getpid() != parent:
         {body}
     return []
 
-report._SUITE_BUILDERS["qcomb"] = lambda env: real(env) + [
+report._SUITE_BUILDERS["qcomb"] = lambda config: real(config) + [
     report._Job("qcomb/planted", "qcomb", planted)]
 report._core_count = lambda: 2
 from qloop.cli import main
@@ -636,10 +721,10 @@ def test_guard_converts_faults_to_error_records():
         # the kind names the guarded class that matches, not the subclass
         (SubclassedDivision("remainder left"), "NotDivisible"),
     ):
-        def boom():
+        def boom(env):
             raise exc
 
-        out = _run_job(_Job("t/x", "id1", boom))
+        out = _run_job(_Job("t/x", "id1", boom), None)
         assert len(out) == 1 and out[0].status == ERROR
         assert out[0].family == "run.guard"
         assert out[0].error_kind == kind
@@ -648,11 +733,11 @@ def test_guard_converts_faults_to_error_records():
 
 
 def test_guard_escalates_memory_errors():
-    def boom():
+    def boom(env):
         raise MemoryError("chain too large")
 
     with pytest.raises(ResourceError):
-        _run_job(_Job("t/big", "site", boom))
+        _run_job(_Job("t/big", "site", boom), None)
 
 
 def test_collect_rejects_conflicting_duplicate_ids():
