@@ -31,8 +31,6 @@ import numpy as np
 
 from .rings import (
     INT64_SAFE,
-    CycloElem,
-    CycloRing,
     FloatRing,
     NotDivisible,
     PhiAdicElem,
@@ -168,20 +166,6 @@ class DictBlock:
 # CycloBlock
 
 
-def _poly_and_prec(value) -> tuple[tuple[int, ...], int]:
-    """An entry's coefficients on 1, q, q^2, .. and its precision."""
-    if isinstance(value, PhiAdicElem):
-        return value.poly, value.prec
-    return value.coords, 1
-
-
-def _elem(ring, coords: list[int], prec: int):
-    """The entry of `ring` with these coordinates, known to prec digits."""
-    if isinstance(ring, PhiAdicRing):
-        return PhiAdicElem(ring, tuple(_poly_trim(coords)), prec)
-    return CycloElem(ring, tuple(coords))
-
-
 def _exact_dtype(bound: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """The operands of an exact operation whose every value, partial sums
     included, is at most `bound` in size: as they are (int64) while the
@@ -232,7 +216,7 @@ def _entry_array(ring, nrows, ncols, triples) -> np.ndarray:
     """The canonical coordinates of ring entries: over Z[q]/Phi^p with p the
     lowest precision among them (full with none), D*p per entry."""
     quo = ring.quo
-    entries = [(r, c, *_poly_and_prec(v)) for r, c, v in triples]
+    entries = [(r, c, v.poly, v.prec) for r, c, v in triples]
     bound = max((abs(x) for _, _, poly, _ in entries for x in poly), default=0)
     arr, = _exact_dtype(bound, np.zeros((nrows, ncols, quo.degree), dtype=np.int64))
     for r, c, poly, _ in entries:
@@ -274,7 +258,8 @@ class CycloBlock:
         mask = np.argwhere(np.any(self.arr != 0, axis=2))
         prec = self.prec
         return [(int(r), int(c),
-                 _elem(self.ring, [int(x) for x in self.arr[r, c]], prec))
+                 PhiAdicElem(self.ring, tuple(_poly_trim([int(x) for x in self.arr[r, c]])),
+                             prec))
                 for r, c in mask]
 
     def nnz(self) -> int:
@@ -320,7 +305,7 @@ class CycloBlock:
         if isinstance(scalar, int):
             arr, = _exact_dtype(abs(scalar) * max(_max_abs(self.arr), 1), self.arr)
             return CycloBlock(self.ring, arr * scalar)
-        if not isinstance(scalar, (CycloElem, PhiAdicElem)):
+        if not isinstance(scalar, PhiAdicElem):
             raise TypeError(f"cannot scale {self!r} by {type(scalar).__name__}")
         self._same_ring(scalar.ring)
         # an (r*c, 1) column times the 1 x 1 block of the scalar
@@ -343,8 +328,8 @@ class CycloBlock:
         """
         self._same_ring(divisor.ring)
         n_param = self.ring.n_param
-        poly, dprec = _poly_and_prec(divisor)
-        v = phi_multiplicity(list(poly), list(quotient(n_param, 1).modulus), dprec)
+        poly, dprec = divisor.poly, divisor.prec
+        v = phi_multiplicity(list(poly), self.ring.phi, dprec)
         if v >= dprec:
             raise ZeroDivisionError("division by a (known-)zero element")
         prec = min(self.prec, dprec) - v
@@ -454,21 +439,23 @@ def _laurent_coords(block: DictBlock, ring) -> np.ndarray:
 
 def specialize_block(block: Block, ring) -> Block:
     """The block with every entry mapped into `ring`: a Laurent block into a
-    quotient ring by _laurent_coords, a coordinate block to the cyclotomic
-    ring of its N by one integer matrix (digit zero), the rest (the float
-    ring) by ring.coerce entry by entry."""
-    if isinstance(block, DictBlock) and isinstance(ring, (CycloRing, PhiAdicRing)):
-        return CycloBlock(ring, _laurent_coords(block, ring))
-    if isinstance(block, CycloBlock) and isinstance(ring, CycloRing) \
-            and ring.n_param == block.ring.n_param:
-        return CycloBlock(ring, block._coords(1))
+    quotient ring by _laurent_coords, a coordinate block into a quotient
+    ring of its N with no more digits by one integer matrix (reduction, so
+    digit zero in the cyclotomic ring), the rest entry by entry with
+    ring.coerce (into the float ring; any other pair makes coerce raise)."""
+    if isinstance(ring, PhiAdicRing):
+        if isinstance(block, DictBlock):
+            return CycloBlock(ring, _laurent_coords(block, ring))
+        if isinstance(block, CycloBlock) and block.ring.n_param == ring.n_param \
+                and block.ring.trunc_order >= ring.trunc_order:
+            return CycloBlock(ring, block._coords(min(block.prec, ring.quo.prec)))
     triples = [(r, c, ring.coerce(v)) for r, c, v in block.entries()]
     return make_block(ring, block.shape[0], block.shape[1], triples)
 
 
 def make_block(ring, nrows, ncols, triples) -> Block:
     """A block of `ring` entries, in the engine that ring uses."""
-    if isinstance(ring, (CycloRing, PhiAdicRing)):
+    if isinstance(ring, PhiAdicRing):
         return CycloBlock.from_entries(ring, nrows, ncols, triples)
     if isinstance(ring, FloatRing):
         return ComplexBlock.from_entries(ring, nrows, ncols, triples)

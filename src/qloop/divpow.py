@@ -32,10 +32,7 @@ from .repchain import (
 )
 from .rings import (
     LAURENT_RING,
-    CycloRing,
-    FloatRing,
     LaurentPoly,
-    LaurentRing,
     PhiAdicRing,
     TruncationOverflow,
     cyclo_ring,
@@ -65,7 +62,9 @@ def factorial_poly(n: int, normalization: str) -> LaurentPoly:
 
 def _divide_entries(op: GradedOperator, divisor: LaurentPoly) -> GradedOperator:
     ring = op.ring
-    if not isinstance(ring, (LaurentRing, PhiAdicRing)):
+    # a cyclotomic ring is a PhiAdicRing at K = 0: no digit beyond the root
+    # is left to absorb a divisor that vanishes there
+    if ring.kind not in ("laurent", "phi-adic"):
         raise TypeError("divided powers need a symbolic-capable ring")
     d = ring.coerce(divisor)
     if ring.is_zero(d):
@@ -107,7 +106,8 @@ class DividedPowerStore:
     check reads a plain operator (K, A_L_inv, ...) in its ring.  With a
     cyclotomic or float ring it returns that power's specialization,
     memoized per (op_id, norm, n, ring), so a run passes one ring object;
-    orders 0 and 1 need no division, so one image serves both norms.
+    orders 0 and 1 need no division, so one image serves both norms, and
+    order 0 is the store's one identity, so one image serves every op_id.
     Phi-adic images, K+1 digits wide and read once or twice, are recomputed.
 
     Checks take the store explicitly and never mutate what it returns.
@@ -141,8 +141,8 @@ class DividedPowerStore:
             raise ValueError("order must be nonnegative")
         with self._lock:
             laurent = self._fill(op_id, n, normalization)
-            if isinstance(ring, (CycloRing, FloatRing)):
-                key = (op_id, normalization if n > 1 else NORM_Q, n, ring)
+            if ring.kind in ("cyclotomic", "float"):
+                key = (op_id if n else "", normalization if n > 1 else NORM_Q, n, ring)
                 out = self._specialized.get(key)
                 if out is None:
                     out = self._specialized[key] = specialize_operator(laurent, ring)

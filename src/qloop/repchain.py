@@ -602,9 +602,9 @@ def build_barred_ops(ctx: ChainContext, gens: dict) -> dict:
 
 def specialize_operator(op: GradedOperator, ring) -> GradedOperator:
     """Map an operator into `ring` block by block (specialize_block): a
-    Laurent operator into any ring, a phi-adic one onto its digit zero in
-    the cyclotomic ring of the same N.  An operator already in `ring` is
-    returned as it is."""
+    Laurent operator into any ring, a phi-adic one into a quotient ring of
+    the same N with no more digits (the cyclotomic ring takes digit zero).
+    An operator already in `ring` is returned as it is."""
     if ring is op.ring:
         return op
     blocks = {g: specialize_block(b, ring) for g, b in op.blocks.items()}

@@ -28,7 +28,9 @@ under the float mode which downgrades them to a numerical smoke test.  The
 phi-adic ring is deliberately never used for root-only checks: its zero test
 demands that every known digit vanish, which is strictly stronger than
 vanishing in the quotient, so it would reject residuals that are genuinely
-zero mod the cyclotomic factor.
+zero mod the cyclotomic factor.  The cyclotomic quotient is the phi-adic
+ring at K = 0, whose one digit is the image at the root, so there the two
+zero tests coincide.
 """
 
 from __future__ import annotations

@@ -1,27 +1,32 @@
 """Exact scalar rings for root-of-unity computations.
 
-Four rings share one deformation parameter q:
+Three ring classes share one deformation parameter q:
 
-* LaurentPoly      -- Z[q, q^-1], the generic symbolic ring.
-* CycloRing        -- Z[q]/Phi_2N(q), q a primitive 2N-th root of unity.
+* LaurentRing      -- Z[q, q^-1], the generic symbolic ring, whose scalars
+                      are LaurentPoly.
 * PhiAdicRing      -- Z[q]/Phi_2N(q)^(K+1) with a tracked adic precision,
                       for divisions whose denominators vanish at the root
-                      of unity.
+                      of unity.  Its subclass CycloRing is the cyclotomic
+                      ring Z[q]/Phi_2N(q), q a primitive 2N-th root of
+                      unity: the same ring at K = 0, with no digit beyond
+                      the root, so every quotient-ring scalar is a
+                      PhiAdicElem.
 * FloatRing        -- complex evaluation at q = exp(i*pi/N), smoke tests only.
 
 Each ring object (LAURENT_RING, a CycloRing, a PhiAdicRing, a FloatRing)
-owns its entries: coerce maps a LaurentPoly into the ring (CycloRing also
-takes a phi-adic element onto its digit zero, its image at the root),
-is_zero tests an entry, and the exact rings divide with divexact.  Other
-modules branch on the ring only to pick a block engine or route
+owns its entries: coerce maps a LaurentPoly into the ring (a quotient ring
+also takes an element of the same N with at least as many digits, by
+reduction: the cyclotomic ring takes its digit zero, its image at the
+root), is_zero tests an entry, and the exact rings divide with divexact.
+Other modules branch on the ring only to pick a block engine or route
 (make_block, specialize_block, divpow._divide_entries) or the float
 tolerance (evaluate_zero_identity).
 
 The quotient rings are Z[q]/Phi_2N^p, p = 1 and p = K+1.  quotient(N, p)
 owns every integer table of one (N, p): the q-power rows, the Laurent
-gather (coords, for from_laurent and embed), the multiplication tensor and
-the reduce/divide-by-Phi^k matrices that blocks.py reads.  Both rings
-divide with _divide_mod, a solve in Z[q]/M by the integer inverse of the
+gather (coords, for from_laurent), the multiplication tensor and the
+reduce/divide-by-Phi^k matrices that blocks.py reads.  Every division
+solves with _divide_mod, in Z[q]/M by the integer inverse of the
 divisor's multiplication matrix, memoized per (divisor, M).
 
 q is never a float inside the exact rings.  omega means q^2 throughout.
@@ -470,139 +475,7 @@ def quotient(n_param: int, prec: int, /) -> Quotient:
 
 
 # ---------------------------------------------------------------------------
-# CycloRing / CycloElem
-
-
-class CycloElem:
-    """Residue in Z[q]/Phi_2N(q), held as coordinates on 1, q, .., q^(D-1)."""
-
-    __slots__ = ("ring", "coords")
-
-    def __init__(self, ring: "CycloRing", coords: tuple[int, ...]):
-        self.ring = ring
-        self.coords = coords
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def __bool__(self) -> bool:
-        return any(self.coords)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, CycloElem):
-            return self.ring.n_param == other.ring.n_param and self.coords == other.coords
-        if isinstance(other, int):
-            return self == self.ring.from_int(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ring.n_param, self.coords))
-
-    def __neg__(self):
-        return CycloElem(self.ring, tuple(-x for x in self.coords))
-
-    def __add__(self, other):
-        other = self.ring.coerce(other)
-        return CycloElem(self.ring, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self.ring.coerce(other)
-        return CycloElem(self.ring, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return CycloElem(self.ring, tuple(x * other for x in self.coords))
-        other = self.ring.coerce(other)
-        return self.ring.mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        out = self.ring.one
-        base = self
-        if n < 0:
-            raise ValueError("use ring.q_power for negative q exponents")
-        for _ in range(n):
-            out = out * base
-        return out
-
-    def render(self) -> str:
-        return LaurentPoly({i: v for i, v in enumerate(self.coords)}).render()
-
-    def __repr__(self):
-        return f"CycloElem(N={self.ring.n_param}, {self.render()})"
-
-
-class CycloRing:
-    """Arithmetic of Z[q]/Phi_2N(q) for a fixed N >= 2."""
-
-    kind = "cyclotomic"
-
-    def __init__(self, n_param: int):
-        if n_param < 2:
-            raise ValueError("need N >= 2")
-        self.n_param = n_param
-        self.quo = quotient(n_param, 1)
-        self.phi = self.quo.modulus
-        self.degree = self.quo.degree
-        self.zero = CycloElem(self, (0,) * self.degree)
-        self.one, self.q, self.omega = (self.q_power(e) for e in range(3))
-
-    def coerce(self, x) -> CycloElem:
-        if isinstance(x, CycloElem):
-            if x.ring.n_param != self.n_param:
-                raise ValueError("mixed cyclotomic rings")
-            return x
-        if isinstance(x, int):
-            return self.from_int(x)
-        if isinstance(x, LaurentPoly):
-            return self.from_laurent(x)
-        if isinstance(x, PhiAdicElem):
-            if x.ring.n_param != self.n_param:
-                raise ValueError("mixed cyclotomic and phi-adic rings")
-            return x.digit(0)
-        raise TypeError(f"cannot coerce {type(x).__name__} into CycloRing")
-
-    def is_zero(self, x: CycloElem) -> bool:
-        return x.is_zero()
-
-    def from_int(self, k: int) -> CycloElem:
-        return CycloElem(self, tuple(k * c for c in self.one.coords))
-
-    def q_power(self, e: int) -> CycloElem:
-        return self.from_laurent(LaurentPoly.q_power(e))
-
-    def from_laurent(self, p: LaurentPoly) -> CycloElem:
-        return CycloElem(self, self.quo.coords(p))
-
-    def mul(self, a: CycloElem, b: CycloElem) -> CycloElem:
-        _, rem = _poly_divmod(_poly_mul(list(a.coords), list(b.coords)), self.phi)
-        return CycloElem(self, tuple(rem + [0] * (self.degree - len(rem))))
-
-    def divexact(self, a: CycloElem, b: CycloElem) -> CycloElem:
-        """Solve x*b = a exactly over Z by _divide_mod with modulus Phi_2N.
-        Phi_2N is irreducible, so b != 0 makes x unique, and NotDivisible is
-        raised when x is not integral."""
-        if b.is_zero():
-            raise ZeroDivisionError("division by zero in cyclotomic ring")
-        return CycloElem(self, _divide_mod(a.coords, b.coords, self.phi))
-
-    def __repr__(self):
-        return f"CycloRing(N={self.n_param})"
-
-
-@lru_cache(maxsize=None)
-def cyclo_ring(n_param: int) -> CycloRing:
-    return CycloRing(n_param)
-
-
-# ---------------------------------------------------------------------------
-# PhiAdicRing / PhiAdicElem
+# PhiAdicRing / PhiAdicElem, and CycloRing, the phi-adic ring at K = 0
 
 
 class PhiAdicElem:
@@ -612,7 +485,8 @@ class PhiAdicElem:
     (K+1)*deg(Phi), trimmed).  Digits in base Phi are derived on demand; they
     cannot be stored as residues because digit products carry into the next
     digit.  prec counts how many leading base-Phi digits are meaningful:
-    the element is only known modulo Phi^prec.
+    the element is only known modulo Phi^prec.  At K = 0 (CycloRing) the one
+    digit is the residue in Z[q]/Phi_2N itself.
     """
 
     __slots__ = ("ring", "poly", "prec", "_valuation")
@@ -627,7 +501,7 @@ class PhiAdicElem:
     def valuation(self) -> int:
         """Largest v <= prec with Phi^v dividing this element exactly."""
         if self._valuation is None:
-            self._valuation = phi_multiplicity(self.poly, self.ring.cyclo.phi, self.prec)
+            self._valuation = phi_multiplicity(self.poly, self.ring.phi, self.prec)
         return self._valuation
 
     def is_zero(self) -> bool:
@@ -636,16 +510,15 @@ class PhiAdicElem:
     def __bool__(self):
         return not self.is_zero()
 
-    def digit(self, i: int) -> CycloElem:
-        """Base-Phi digit i as a cyclotomic residue (0 <= i < prec)."""
+    def digit(self, i: int) -> "PhiAdicElem":
+        """Base-Phi digit i as an element of the cyclotomic ring (0 <= i < prec)."""
         if not 0 <= i < self.prec:
             raise TruncationOverflow(f"digit {i} is not known at precision {self.prec}")
         cur = self.poly
         rem: list[int] = []
         for _ in range(i + 1):
-            cur, rem = _poly_divmod(cur, self.ring.cyclo.phi)
-        pad = list(rem) + [0] * (self.ring.cyclo.degree - len(rem))
-        return CycloElem(self.ring.cyclo, tuple(pad))
+            cur, rem = _poly_divmod(cur, self.ring.phi)
+        return PhiAdicElem(cyclo_ring(self.ring.n_param), tuple(rem))
 
     def __eq__(self, other):
         if not isinstance(other, PhiAdicElem):
@@ -687,6 +560,10 @@ class PhiAdicElem:
     __rmul__ = __mul__
 
     def render(self) -> str:
+        """The value alone in the cyclotomic ring, else its known digits
+        followed by O(PHI^prec)."""
+        if self.ring.kind == "cyclotomic":
+            return LaurentPoly(dict(enumerate(self.poly))).render()
         parts = []
         for i in range(self.prec):
             d = self.digit(i)
@@ -701,22 +578,25 @@ class PhiAdicElem:
 
 
 class PhiAdicRing:
-    """Truncated Phi_2N-adic arithmetic: Z[q]/Phi^(K+1) plus precision flow."""
+    """Truncated Phi_2N-adic arithmetic: Z[q]/Phi^(K+1) plus precision flow,
+    for a fixed N >= 2 and K >= 0."""
 
     kind = "phi-adic"
 
     def __init__(self, n_param: int, trunc_order: int):
+        if n_param < 2:
+            raise ValueError("need N >= 2")
         if trunc_order < 0:
             raise ValueError("truncation order must be >= 0")
         self.n_param = n_param
         self.trunc_order = trunc_order
-        self.cyclo = cyclo_ring(n_param)
+        self.phi = quotient(n_param, 1).modulus
         self.quo = quotient(n_param, trunc_order + 1)
         self.zero = self.from_int(0)
         self.one = self.from_int(1)
         self.q = PhiAdicElem(self, self._reduce([0, 1]))
-        self.phi_elem = PhiAdicElem(self, self._reduce(list(self.cyclo.phi)))
-        self.qinv = self.embed(LaurentPoly.q_power(-1))
+        self.phi_elem = PhiAdicElem(self, self._reduce(list(self.phi)))
+        self.qinv = self.from_laurent(LaurentPoly.q_power(-1))
         if not (self.qinv * self.q == self.one):
             raise InternalInconsistency("q^-1 construction failed")
 
@@ -725,15 +605,22 @@ class PhiAdicRing:
         return tuple(rem)
 
     def coerce(self, x) -> PhiAdicElem:
+        """x in this ring: an int or a Laurent polynomial by from_int or
+        from_laurent, an element of the same N with at least as many digits
+        by reduction to this ring's digits (the cyclotomic ring takes digit
+        zero, the image at the root).  Another N or fewer digits raise
+        ValueError."""
         if isinstance(x, PhiAdicElem):
-            if x.ring.n_param != self.n_param or x.ring.trunc_order != self.trunc_order:
-                raise ValueError("mixed phi-adic rings")
-            return x
+            if x.ring is self:
+                return x
+            if x.ring.n_param != self.n_param or x.ring.trunc_order < self.trunc_order:
+                raise ValueError(f"cannot coerce an element of {x.ring!r} into {self!r}")
+            return PhiAdicElem(self, self._reduce(list(x.poly)), x.prec)
         if isinstance(x, int):
             return self.from_int(x)
         if isinstance(x, LaurentPoly):
-            return self.embed(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} into PhiAdicRing")
+            return self.from_laurent(x)
+        raise TypeError(f"cannot coerce {type(x).__name__} into {type(self).__name__}")
 
     def is_zero(self, x: PhiAdicElem) -> bool:
         return x.is_zero()
@@ -741,7 +628,7 @@ class PhiAdicRing:
     def from_int(self, k: int) -> PhiAdicElem:
         return PhiAdicElem(self, (k,) if k else ())
 
-    def embed(self, p: LaurentPoly) -> PhiAdicElem:
+    def from_laurent(self, p: LaurentPoly) -> PhiAdicElem:
         """Ring homomorphism Z[q,q^-1] -> Z[q]/Phi^(K+1), full precision."""
         return PhiAdicElem(self, tuple(_poly_trim(list(self.quo.coords(p)))))
 
@@ -755,7 +642,9 @@ class PhiAdicRing:
         divided by Phi^val(b) and reduced mod Phi^prec, then _divide_mod
         solves there.  Phi is monic, so base-Phi digits and coordinates are
         related by a unimodular map: the quotient is integral exactly when
-        every digit is, and a non-multiple raises NotDivisible."""
+        every digit is, and a non-multiple raises NotDivisible.  At K = 0
+        this is the solve in Z[q]/Phi_2N, where Phi_2N is irreducible, so
+        b != 0 makes the quotient unique."""
         if b.is_zero():
             raise ZeroDivisionError("division by (known-)zero phi-adic element")
         v = b.valuation()
@@ -774,13 +663,35 @@ class PhiAdicRing:
         """poly / Phi^v, for a poly whose valuation is at least v."""
         out = list(poly)
         for _ in range(v):
-            out, rem = _poly_divmod(out, self.cyclo.phi)
+            out, rem = _poly_divmod(out, self.phi)
             if rem:
                 raise InternalInconsistency("valuation bookkeeping out of step")
         return out
 
     def __repr__(self):
         return f"PhiAdicRing(N={self.n_param}, K={self.trunc_order})"
+
+
+class CycloRing(PhiAdicRing):
+    """Z[q]/Phi_2N(q), q a primitive 2N-th root of unity: the phi-adic ring
+    with no digit beyond the root (K = 0), whose elements print their value
+    alone."""
+
+    kind = "cyclotomic"
+    # perfbench/tracer.py probes these two in the class __dict__
+    from_laurent = PhiAdicRing.from_laurent
+    divexact = PhiAdicRing.divexact
+
+    def __init__(self, n_param: int):
+        super().__init__(n_param, 0)
+
+    def __repr__(self):
+        return f"CycloRing(N={self.n_param})"
+
+
+@lru_cache(maxsize=None)
+def cyclo_ring(n_param: int) -> CycloRing:
+    return CycloRing(n_param)
 
 
 # ---------------------------------------------------------------------------

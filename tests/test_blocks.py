@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from qloop.blocks import INT64_SAFE, ComplexBlock, CycloBlock, DictBlock, make_block
 from qloop.rings import (
     LAURENT_RING,
-    CycloElem,
     FloatRing,
     LaurentPoly,
     NotDivisible,
@@ -75,8 +74,8 @@ def _random_cyclo_block(rng, ring, nrows, ncols, span=9):
     for r in range(nrows):
         for c in range(ncols):
             if rng.random() < 0.5:
-                coords = tuple(rng.randint(-span, span) for _ in range(ring.degree))
-                triples.append((r, c, type(ring.one)(ring, coords)))
+                coords = tuple(rng.randint(-span, span) for _ in range(ring.quo.degree))
+                triples.append((r, c, PhiAdicElem(ring, coords)))
     return CycloBlock.from_entries(ring, nrows, ncols, triples)
 
 
@@ -115,18 +114,18 @@ def test_cyclo_block_int64_and_object_paths_agree():
 def test_cyclo_block_huge_coefficients_fall_back():
     ring = cyclo_ring(2)
     big = int(INT64_SAFE)  # forces the object path on entry
-    a = CycloBlock.from_entries(ring, 1, 1, [(0, 0, type(ring.one)(ring, (big, 1)))])
+    a = CycloBlock.from_entries(ring, 1, 1, [(0, 0, PhiAdicElem(ring, (big, 1)))])
     sq = a.matmul(a)
     # (big + q)^2 = big^2 + 2 big q + q^2 -> q^2 = -1 mod Phi_4
     entry = sq.entries()[0][2]
-    assert entry.coords == (big * big - 1, 2 * big)
+    assert entry.poly == (big * big - 1, 2 * big)
 
 
 def test_cyclo_block_scale_matches_matmul():
     rng = random.Random(9)
     ring = cyclo_ring(4)
     a = _random_cyclo_block(rng, ring, 3, 3)
-    s = type(ring.one)(ring, tuple(rng.randint(-5, 5) for _ in range(ring.degree)))
+    s = PhiAdicElem(ring, tuple(rng.randint(-5, 5) for _ in range(ring.quo.degree)))
     one_by_one = CycloBlock.from_entries(ring, 1, 1, [(0, 0, s)])
     want = {(r, c): v * s for r, c, v in a.entries()}
     got = {(r, c): v for r, c, v in a.scale(s).entries()}
@@ -140,14 +139,14 @@ def test_cyclo_block_scale_by_huge_elem_falls_back():
     ring = cyclo_ring(3)
     a = _random_cyclo_block(rng, ring, 3, 2)
     big = int(INT64_SAFE)
-    s = type(ring.one)(ring, (big, -3 * big))
+    s = PhiAdicElem(ring, (big, -3 * big))
     scaled = a.scale(s)
     assert a.arr.dtype == np.int64
     assert scaled.arr.dtype == object
     want = {(r, c): v * s for r, c, v in a.entries()}
     got = {(r, c): v for r, c, v in scaled.entries()}
     assert got == {k: v for k, v in want.items() if v}
-    assert any(abs(x) >= big for v in got.values() for x in v.coords)
+    assert any(abs(x) >= big for v in got.values() for x in v.poly)
 
 
 # coordinates small enough for int64, large enough that a product's bound
@@ -167,8 +166,8 @@ def _cyclo_blocks(draw, shapes):
     ring = cyclo_ring(draw(st.sampled_from([2, 3, 4, 5, 6])))
 
     def block(nrows, ncols):
-        triples = [(r, c, CycloElem(ring, tuple(draw(_COORD)
-                                                for _ in range(ring.degree))))
+        triples = [(r, c, PhiAdicElem(ring, tuple(draw(_COORD)
+                                                  for _ in range(ring.quo.degree))))
                    for r in range(nrows) for c in range(ncols)]
         return CycloBlock.from_entries(ring, nrows, ncols, triples)
 
@@ -177,11 +176,11 @@ def _cyclo_blocks(draw, shapes):
 
 
 def _elem(block, r, c):
-    return CycloElem(block.ring, tuple(int(x) for x in block.arr[r, c]))
+    return PhiAdicElem(block.ring, tuple(int(x) for x in block.arr[r, c]))
 
 
 def _as_dict(block):
-    return {(r, c): v.coords for r, c, v in block.entries()}
+    return {(r, c): v.poly for r, c, v in block.entries()}
 
 
 def _coords_below(block, bound):
@@ -200,7 +199,7 @@ def test_cyclo_matmul_matches_entrywise_ring_mul(blocks):
             for k in range(a.shape[1]):
                 acc = acc + ring.mul(_elem(a, r, k), _elem(b, k, c))
             if acc:
-                want[(r, c)] = acc.coords
+                want[(r, c)] = acc.poly
     prod = a.matmul(b)
     assert _as_dict(prod) == want
     assert prod.shape == (a.shape[0], b.shape[1])
@@ -215,17 +214,17 @@ def test_cyclo_matmul_matches_entrywise_ring_mul(blocks):
 def test_cyclo_scale_matches_entrywise_ring_mul(blocks, coords):
     a, = blocks
     ring = a.ring
-    s = CycloElem(ring, tuple(coords[:ring.degree]))
+    s = PhiAdicElem(ring, tuple(coords[:ring.quo.degree]))
     want = {}
     for r in range(a.shape[0]):
         for c in range(a.shape[1]):
             v = ring.mul(_elem(a, r, c), s)
             if v:
-                want[(r, c)] = v.coords
+                want[(r, c)] = v.poly
     scaled = a.scale(s)
     assert _as_dict(scaled) == want
     assert scaled.shape == a.shape
-    if _coords_below(a, 2**20) and all(abs(x) < 2**20 for x in s.coords):
+    if _coords_below(a, 2**20) and all(abs(x) < 2**20 for x in s.poly):
         assert scaled.arr.dtype == np.int64
 
 
@@ -238,7 +237,7 @@ def _phi_adic_block(draw, ring, nrows, ncols):
     """A full-precision block over Z[q]/Phi^(K+1) whose coordinates come
     from one nonzero class of _COORD: small, large enough that a product's
     bound passes INT64_SAFE, or either side of INT64_SAFE on entry."""
-    width = ring.cyclo.degree * (ring.trunc_order + 1)
+    width = ring.quo.degree
     coord = draw(st.sampled_from(_COORD_CLASSES[1:]))
     triples = []
     for r in range(nrows):
@@ -291,7 +290,7 @@ def test_phi_adic_product_either_side_of_the_int64_bound(data, ring, dims):
 def test_phi_adic_division_either_side_of_the_int64_bound(data, ring, divisor):
     """Exact multiples of (q + const) Phi^v, divided back."""
     const, v = divisor
-    d = ring.embed(LaurentPoly({0: const, 1: 1}))
+    d = ring.from_laurent(LaurentPoly({0: const, 1: 1}))
     for _ in range(v):
         d = d * ring.phi_elem
     cofactors = data.draw(_phi_adic_block(ring, 2, 2))

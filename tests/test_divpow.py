@@ -26,6 +26,7 @@ from qloop.divpow import (
 from qloop.identity import EXACT_ZERO, NONZERO, VACUOUS_ZERO
 from qloop.opcache import OperatorCache
 from qloop.qcomb import omega_int, q_int
+from qloop.report import RunConfig, run
 from qloop.repchain import (
     ChainContext,
     build_chain_generators,
@@ -348,6 +349,37 @@ def test_store_specializes_orders_zero_and_one_once_for_both_norms(monkeypatch,
     # from order 2 on the two norms divide differently
     assert store.get("B1bar", 2, NORM_Q, ring) is not \
         store.get("B1bar", 2, NORM_OMEGA, ring)
+
+
+@pytest.mark.parametrize("ring", [cyclo_ring(2), FloatRing(2)],
+                         ids=["cyclotomic", "float"])
+def test_store_specializes_order_zero_once_for_every_operator(monkeypatch, ring):
+    import qloop.divpow as divpow
+    store = _store(_ctx(length=4))
+    identity = store.get("B1bar", 0, NORM_Q)
+    calls = []
+    real = divpow.specialize_operator
+
+    def counting(op, ring):
+        calls.append(op)
+        return real(op, ring)
+    monkeypatch.setattr(divpow, "specialize_operator", counting)
+    assert store.get("B1bar", 0, NORM_OMEGA, ring) is store.get("C0bar", 0, NORM_Q, ring)
+    assert calls == [identity]
+
+
+def test_store_specializes_each_operator_of_a_run_once(monkeypatch):
+    import qloop.divpow as divpow
+    calls = []
+    real = divpow.specialize_operator
+
+    def counting(op, ring):
+        if ring.kind == "cyclotomic":
+            calls.append(op)
+        return real(op, ring)
+    monkeypatch.setattr(divpow, "specialize_operator", counting)
+    run(RunConfig(n_param=2, length=3))
+    assert len(calls) == len({id(op) for op in calls}) == 82
 
 
 def test_store_order_one_is_the_registered_operator(tmp_path):

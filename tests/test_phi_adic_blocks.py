@@ -48,7 +48,7 @@ def _canon(ring, poly, prec):
 @st.composite
 def _elems(draw, ring, prec):
     """An element known to `prec` digits, of any valuation up to K."""
-    x = ring.embed(draw(_LAURENT))
+    x = ring.from_laurent(draw(_LAURENT))
     for _ in range(draw(st.integers(0, ring.trunc_order))):
         x = x * ring.phi_elem
     return PhiAdicElem(ring, x.poly, prec)
@@ -63,8 +63,8 @@ def _nonzero_elems(draw, ring, prec, max_valuation=None):
     coeffs = draw(st.lists(st.integers(-4, 4), min_size=degree, max_size=degree))
     coeffs[draw(st.integers(0, degree - 1))] = draw(
         st.integers(1, 4)) * draw(st.sampled_from([1, -1]))
-    x = ring.embed(LaurentPoly(dict(enumerate(coeffs))))
-    x = x + ring.embed(draw(_LAURENT)) * ring.phi_elem
+    x = ring.from_laurent(LaurentPoly(dict(enumerate(coeffs))))
+    x = x + ring.from_laurent(draw(_LAURENT)) * ring.phi_elem
     top = prec - 1 if max_valuation is None else max_valuation
     for _ in range(draw(st.integers(0, top))):
         x = x * ring.phi_elem

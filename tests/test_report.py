@@ -132,7 +132,7 @@ def test_ring_digits_is_the_largest_table_a_run_builds(monkeypatch, backend,
     monkeypatch.setattr(Quotient, "mult_tensor", recording)
     config = RunConfig(backend=backend, n_param=n_param, length=2, **kwargs)
     run(config)
-    assert max(built) == config.ring_digits() * cyclo_ring(n_param).degree
+    assert max(built) == config.ring_digits() * cyclo_ring(n_param).quo.degree
 
 
 def _recording_builders(monkeypatch):
@@ -211,7 +211,7 @@ def test_every_job_stays_within_its_declared_digits(monkeypatch):
     monkeypatch.setattr(Quotient, "mult_tensor", recording)
     monkeypatch.setattr(report, "_run_job", tracking)
     run(RunConfig(n_param=2, length=2, ring="phi-adic"))
-    degree = cyclo_ring(2).degree
+    degree = cyclo_ring(2).quo.degree
     assert all(d <= job.digits * degree for job, d in seen), [
         (job.job_id, job.digits, d) for job, d in seen if d > job.digits * degree]
     # the declarations are tight: some job builds the table it declares
