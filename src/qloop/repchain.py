@@ -203,25 +203,19 @@ REGISTRY.register(
 )
 
 
-def _vanishes_at_root(block: Block, n_param: int) -> bool:
-    ring = cyclo_ring(n_param)
-    return all(ring.is_zero(ring.coerce(v)) for _, _, v in block.entries())
-
-
 def _site_status(diff: Block, n_param: int, mode: str):
     """Classify a site-matrix residual in the requested mode."""
     if diff.is_zero():
         return EXACT_ZERO, None, {"holds_generically": True}
+    at_root = specialize_block(diff, cyclo_ring(n_param))
     if mode == "generic":
         r, c, v = diff.entries()[0]
         return (NONZERO, {"row": r, "col": c, "value": v.render()},
-                {"holds_at_root": _vanishes_at_root(diff, n_param)})
-    ring = cyclo_ring(n_param)
-    for r, c, v in diff.entries():
-        red = ring.coerce(v)
-        if not ring.is_zero(red):
-            return NONZERO, {"row": r, "col": c, "value": red.render()}, {}
-    return EXACT_ZERO, None, {"holds_generically": False}
+                {"holds_at_root": at_root.is_zero()})
+    if at_root.is_zero():
+        return EXACT_ZERO, None, {"holds_generically": False}
+    r, c, v = at_root.entries()[0]
+    return NONZERO, {"row": r, "col": c, "value": v.render()}, {}
 
 
 def rep_self_check(rep: SiteRep, mode: str = "generic") -> list[IdentityCheck]:
@@ -271,7 +265,7 @@ def rep_self_check(rep: SiteRep, mode: str = "generic") -> list[IdentityCheck]:
         if diff.is_zero():
             sign, where = name, "generic"
             break
-        if _vanishes_at_root(diff, n_param):
+        if specialize_block(diff, cyclo_ring(n_param)).is_zero():
             sign, where = name, "root_of_unity"
             break
     target = ident if sign != "-" else ident.neg()
@@ -391,12 +385,7 @@ class GradedOperator:
                               {g: b.scale(scalar) for g, b in self.blocks.items()})
 
     def power(self, n: int) -> "GradedOperator":
-        if n < 1:
-            return identity_operator(self.ctx, self.ring)
-        out = self
-        for _ in range(n - 1):
-            out = self @ out
-        return out
+        return operator_product(self.ctx, self.ring, [self] * n)
 
     def nnz(self) -> int:
         return sum(b.nnz() for b in self.blocks.values())
@@ -454,6 +443,15 @@ def identity_operator(ctx: ChainContext, ring) -> GradedOperator:
         blocks[g] = make_block(ring, n, n,
                                [(i, i, ring.one) for i in range(n)])
     return GradedOperator(ctx, ring, 0, blocks)
+
+
+def operator_product(ctx: ChainContext, ring, factors) -> GradedOperator:
+    """The left-to-right product of operators over `ring` on `ctx`; the
+    identity when there are no factors."""
+    out = None
+    for factor in factors:
+        out = factor if out is None else out @ factor
+    return identity_operator(ctx, ring) if out is None else out
 
 
 def diagonal_operator(ctx: ChainContext, ring, value_of_state) -> GradedOperator:

@@ -118,30 +118,17 @@ RING_MODES = ("laurent", "cyclotomic", "phi-adic", "float")
 MAX_STATES = 2**14
 # the most bytes the largest multiplication table of a run may take: over
 # Z[q]/Phi_2N^p, 8 * (p*D)^3 for int64 entries, D = phi(2N), p the most
-# base-Phi digits any job's blocks carry (RunConfig.ring_digits); it bounds
-# memory, not time
+# base-Phi digits any job's blocks carry (the most any job of the list
+# RunConfig.validate builds declares); it bounds memory, not time
 MAX_RING_TABLE_BYTES = 2**28
-SUITE_NAMES = (
-    "qcomb",
-    "rep-gate",
-    "barred",
-    "divpow",
-    "id1",
-    "id2",
-    "site",
-    "lemmas",
-    "serre-nested",
-)
-
-# Suites whose checks involve the edge-modified generators; those only make
-# sense on a chain without the wrap term.
-_WRAP_FREE_SUITES = frozenset({"barred", "site", "lemmas", "serre-nested"})
-
-# Suites built on divided powers, which divide by q-factorials in the
-# Laurent ring.  The cyclic family exists only at the root of unity; its
-# generator powers are not exactly divisible there, so these suites need a
-# generic-q backend.
-_GENERIC_Q_SUITES = frozenset({"divpow", "id1", "id2"})
+# Suites the cyclic backend cannot run.  The barred, site, lemmas and
+# serre-nested checks involve the edge-modified generators, which only make
+# sense on a chain without the wrap term.  The divpow, id1 and id2 checks are
+# built on divided powers, which divide by q-factorials in the Laurent ring;
+# the cyclic family exists only at the root of unity, where its generator
+# powers are not exactly divisible, so these need a generic-q backend.
+_NOT_CYCLIC_SUITES = frozenset(
+    {"barred", "site", "lemmas", "serre-nested", "divpow", "id1", "id2"})
 
 # Suites rerun under the rescale audit.  The rep-gate and barred suites are
 # excluded on purpose: the level-zero commutator is not rescale invariant.
@@ -256,8 +243,7 @@ class RunConfig:
         if bad:
             raise ConfigError(f"unknown suite name(s) {bad}; choose from {SUITE_NAMES}")
         if self.backend == "cyclic":
-            blocked = [s for s in self.suites
-                       if s in _WRAP_FREE_SUITES or s in _GENERIC_Q_SUITES]
+            blocked = [s for s in self.suites if s in _NOT_CYCLIC_SUITES]
             if blocked:
                 raise ConfigError(
                     f"suite(s) {blocked} need a generic-q backend with "
@@ -279,12 +265,6 @@ class RunConfig:
                 "these digits; this bounds memory, not run time)")
         return jobs
 
-    def ring_digits(self) -> int:
-        """The most base-Phi digits p a block of this run carries, so its
-        largest multiplication table is over Z[q]/Phi_2N^p: the most any
-        of the run's jobs declares."""
-        return max((job.digits for job in _job_list(self)), default=1)
-
     def sectors(self) -> tuple[int, ...]:
         if self.q_sectors:
             return tuple(dict.fromkeys(self.q_sectors))
@@ -296,7 +276,7 @@ class RunConfig:
             chosen.update(SUITE_NAMES)
             chosen.discard("all")
             if self.backend == "cyclic":
-                chosen -= _WRAP_FREE_SUITES | _GENERIC_Q_SUITES
+                chosen -= _NOT_CYCLIC_SUITES
         return tuple(s for s in SUITE_NAMES if s in chosen)
 
     def echo(self) -> dict[str, Any]:
@@ -626,6 +606,7 @@ _SUITE_BUILDERS: dict[str, Callable[[RunConfig], list[_Job]]] = {
     "lemmas": _jobs_lemmas,
     "serre-nested": _jobs_serre_nested,
 }
+SUITE_NAMES = tuple(_SUITE_BUILDERS)
 
 
 def _job_list(config: RunConfig) -> list[_Job]:

@@ -2,10 +2,13 @@
 loop-generator lemma chain built from them.
 
 Everything here is an operator identity on a finite chain, verified in
-exact arithmetic: each term is a left-to-right product of divided powers
-read from a DividedPowerStore, and the sum of terms is classified by
-evaluate_zero_identity.  Every public check takes that store as its first
-argument and reads the chain from store.ctx.
+exact arithmetic: each term is a product of divided powers read from a
+DividedPowerStore, or of operators built from them, and the sum of terms
+is classified by evaluate_zero_identity.  One left-to-right fold
+(repchain.operator_product) builds every product, and the four sector-Q
+loop generators are defined once, as words in _GENERATOR_WORDS.  Every
+public check takes that store as its first argument and reads the chain
+from store.ctx.
 Identities between the plus/minus generators use q-normalized powers;
 the clock-dressed (site-labeled) identities use w-normalized powers.
 
@@ -33,7 +36,7 @@ from .repchain import (
     GradedOperator,
     evaluate_zero_identity,
     first_entry_witness,
-    identity_operator,
+    operator_product,
 )
 from .rings import (
     LAURENT_RING,
@@ -104,48 +107,31 @@ def _proper_pair(pair) -> tuple[str, str]:
 
 def _word_operator(store: DividedPowerStore, word, normalization: str,
                    ring) -> GradedOperator:
-    """Left-to-right product of divided powers; order-0 factors drop out."""
-    op = None
-    for op_id, order in word:
-        if order == 0:
-            continue
-        factor = store.get(op_id, order, normalization, ring)
-        op = factor if op is None else op @ factor
-    if op is None:
-        op = identity_operator(store.ctx, ring)
-    return op
+    """Left-to-right product of a word's factors: an operator as it is, an
+    (op_id, order) pair as that divided power, order-0 pairs dropping out."""
+    return operator_product(store.ctx, ring, [
+        f if isinstance(f, GradedOperator) else store.get(*f, normalization, ring)
+        for f in word if isinstance(f, GradedOperator) or f[1]])
 
 
-def _scaled(op: GradedOperator, coeff, ring) -> GradedOperator:
-    if isinstance(coeff, int):
-        if coeff == 1:
-            return op
+def _terms(specs, store: DividedPowerStore, normalization: str,
+           ring) -> list[GradedOperator]:
+    """coeff * word of each (coeff, word) spec, coeff an int or a LaurentPoly."""
+    terms = []
+    for coeff, word in specs:
+        op = _word_operator(store, word, normalization, ring)
         if coeff == -1:
-            return -op
-        coeff = LaurentPoly(coeff)
-    return op.scale(ring.coerce(coeff))
-
-
-def _spec_terms(specs, store: DividedPowerStore, normalization: str,
-                ring) -> list[GradedOperator]:
-    """The scaled word operators of (coeff, word) specs."""
-    return [_scaled(_word_operator(store, word, normalization, ring), coeff, ring)
-            for coeff, word in specs]
-
-
-def _total(terms) -> GradedOperator:
-    return sum(terms[1:], terms[0])
+            op = -op
+        elif coeff != 1:
+            op = op.scale(ring.coerce(coeff))
+        terms.append(op)
+    return terms
 
 
 def _evaluate_specs(family: str, params: dict, specs, store: DividedPowerStore,
                     normalization: str, ring) -> IdentityCheck:
     return evaluate_zero_identity(
-        family, params, _spec_terms(specs, store, normalization, ring), ring)
-
-
-def _sum_specs(specs, store: DividedPowerStore, normalization: str,
-               ring) -> GradedOperator:
-    return _total(_spec_terms(specs, store, normalization, ring))
+        family, params, _terms(specs, store, normalization, ring), ring)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +168,8 @@ def lusztig_f(store: DividedPowerStore, theta_i: str, theta_j: str, n: int,
     if theta_i == theta_j:
         raise ValueError("the two generators must differ")
     ring = LAURENT_RING if ring is None else ring
-    return _sum_specs(_f_specs(theta_i, theta_j, n, m), store, normalization, ring)
+    terms = _terms(_f_specs(theta_i, theta_j, n, m), store, normalization, ring)
+    return sum(terms[1:], terms[0])
 
 
 def check_higher_serre(store: DividedPowerStore, n: int, m: int, pair,
@@ -395,25 +382,19 @@ def check_g_forms(store: DividedPowerStore, n: int, m: int, branch: str = "full"
         top = m - 2 * n - 1
     else:
         raise ValueError(f"unknown branch {branch!r}")
-    ring = LAURENT_RING
-    terms = []
-    for l in range(0, top + 1):
-        if m - l < 0:
-            continue
-        f_op = _sum_specs(_f_specs(i_id, j_id, n, m - l), store, NORM_Q, ring)
-        piece = f_op @ store.get(i_id, l, NORM_Q) if l else f_op
-        sign = -1 if l % 2 else 1
-        terms.append(_scaled(piece, LaurentPoly.q_power(l * (1 - m), sign), ring))
+    specs = []
+    for l in range(0, min(top, m) + 1):
+        f_op = lusztig_f(store, i_id, j_id, n, m - l)
+        specs.append((LaurentPoly.q_power(l * (1 - m), -1 if l % 2 else 1),
+                      (f_op, (i_id, l))))
     for s in range(0, m + 1):
         coeff = c_coefficient_poly(s, n, m, n_param, branch)
-        if coeff.is_zero():
-            continue
-        op = _word_operator(store, ((i_id, m - s), (j_id, n), (i_id, s)),
-                            NORM_Q, ring)
-        terms.append(_scaled(op, -coeff, ring))
+        if not coeff.is_zero():
+            specs.append((-coeff, ((i_id, m - s), (j_id, n), (i_id, s))))
     params = {"theta_i": i_id, "theta_j": j_id, "n": n, "m": m,
               "branch": branch, **_base_params(store)}
-    return evaluate_zero_identity("serre.g-resummation", params, terms, ring)
+    return _evaluate_specs("serre.g-resummation", params, specs, store, NORM_Q,
+                           LAURENT_RING)
 
 
 # ---------------------------------------------------------------------------
@@ -502,23 +483,34 @@ class LoopGenerators:
     charges: dict = field(default_factory=dict)
 
 
+# the loop generators as words in the clock-dressed operators: (op_id, k)
+# is the w-normalized divided power of order k*N + Q; a generator's family
+# ("x" or "xbar") is the first part of its name
+_GENERATOR_WORDS = {
+    "x_minus_1Q": (("C0bar", 0), ("B1bar", 1)),
+    "x_plus_0Q": (("C0bar", 1), ("B1bar", 0)),
+    "xbar_minus_0Q": (("BLbar", 1), ("CL1bar", 0)),
+    "xbar_plus_m1Q": (("BLbar", 0), ("CL1bar", 1)),
+}
+
+
+def _loop_generators(store: DividedPowerStore, q_sector: int, names,
+                     ring) -> dict[str, GradedOperator]:
+    """The named sector-Q generators, each the product of its word."""
+    n_param = store.ctx.n_param
+    return {name: _word_operator(store, [(op_id, k * n_param + q_sector)
+                                         for op_id, k in _GENERATOR_WORDS[name]],
+                                 NORM_OMEGA, ring)
+            for name in names}
+
+
 def build_loop_generators(store: DividedPowerStore, q_sector: int, *,
                           ring=None) -> LoopGenerators:
-    n_param = store.ctx.n_param
     _check_sector(store, q_sector)
-    ring = _root_ring(store, ring)
-    q = q_sector
-    words = {
-        "x_minus_1Q": (("C0bar", q), ("B1bar", n_param + q)),
-        "x_plus_0Q": (("C0bar", n_param + q), ("B1bar", q)),
-        "xbar_minus_0Q": (("BLbar", n_param + q), ("CL1bar", q)),
-        "xbar_plus_m1Q": (("BLbar", q), ("CL1bar", n_param + q)),
-    }
-    ops = {name: _word_operator(store, word, NORM_OMEGA, ring)
-           for name, word in words.items()}
+    ops = _loop_generators(store, q_sector, _GENERATOR_WORDS, _root_ring(store, ring))
     charges = {name: (op.charge if not op.is_zero() else None)
                for name, op in ops.items()}
-    return LoopGenerators(Q=q, charges=charges, **ops)
+    return LoopGenerators(Q=q_sector, charges=charges, **ops)
 
 
 REGISTRY.register(
@@ -553,8 +545,6 @@ def check_lemma_chain(store: DividedPowerStore, q_sector: int, *,
     q = q_sector
     n1, n2, n3 = n_param + q, 2 * n_param + q, 3 * n_param + q
     B, C = "B1bar", "C0bar"
-    xm = ((C, q), (B, n1))
-    xp = ((C, n1), (B, q))
     out = []
 
     # order merges actually used by the chain, on both operators
@@ -562,10 +552,15 @@ def check_lemma_chain(store: DividedPowerStore, q_sector: int, *,
         for k, j in ((1, 1), (2, 1), (0, 2)):
             out.append(check_mulo(store, q, k, j, op_id=op_id))
 
-    def run(lemma, lhs_word, coeff, rhs_word):
+    # one-factor words of the minus and plus generators, built once
+    gens = _loop_generators(store, q, ("x_minus_1Q", "x_plus_0Q"), ring)
+    xm, xp = (gens["x_minus_1Q"],), (gens["x_plus_0Q"],)
+
+    # lhs: a product of generators, or (reorder) a monomial word
+    def run(lemma, lhs, coeff, rhs_word):
         params = {"lemma": lemma, "Q": q, **_base_params(store)}
         check = _evaluate_specs("loop.normal-form", params,
-                                [(1, lhs_word), (-coeff, rhs_word)],
+                                [(1, lhs), (-coeff, rhs_word)],
                                 store, NORM_OMEGA, ring)
         check.extra["coefficient"] = coeff
         out.append(check)
@@ -636,29 +631,25 @@ def check_serre_nested(store: DividedPowerStore, q_sector: int,
     minus generator, then with b the plus generator. Each check records
     the individual nonzero status of its monomial terms.
     """
-    ring = _root_ring(store, ring)
-    gens = build_loop_generators(store, q_sector, ring=ring)
-    if family == "x":
-        plus, minus = gens.x_plus_0Q, gens.x_minus_1Q
-    elif family == "xbar":
-        plus, minus = gens.xbar_plus_m1Q, gens.xbar_minus_0Q
-    else:
+    _check_sector(store, q_sector)
+    names = [name for name in _GENERATOR_WORDS if name.split("_")[0] == family]
+    if not names:
         raise ValueError(f"unknown generator family {family!r}")
+    ring = _root_ring(store, ring)
+    minus, plus = _loop_generators(store, q_sector, names, ring).values()
     expansion = nested_commutator_words(3)
     out = []
     for dominant in ("minus", "plus"):
         a, b = (plus, minus) if dominant == "minus" else (minus, plus)
         sign_of = {"a": "+" if dominant == "minus" else "-",
                    "b": "-" if dominant == "minus" else "+"}
-        terms = []
+        specs = []
         monomials = []
         for word in sorted(expansion):
             coeff = expansion[word]
-            op = None
-            for letter in word:
-                factor = a if letter == "a" else b
-                op = factor if op is None else op @ factor
-            terms.append(_scaled(op, coeff, ring))
+            op = operator_product(store.ctx, ring,
+                                  [a if letter == "a" else b for letter in word])
+            specs.append((coeff, (op,)))
             monomials.append({
                 "word": "".join(sign_of[letter] for letter in word),
                 "coefficient": coeff,
@@ -666,7 +657,8 @@ def check_serre_nested(store: DividedPowerStore, q_sector: int,
             })
         params = {"family": family, "dominant": dominant, "Q": q_sector,
                   **_base_params(store)}
-        check = evaluate_zero_identity("loop.serre-nested", params, terms, ring)
+        check = _evaluate_specs("loop.serre-nested", params, specs, store,
+                                NORM_OMEGA, ring)
         check.extra["monomials"] = monomials
         out.append(check)
     return out

@@ -41,6 +41,7 @@ from qloop.repchain import (
 )
 from qloop.rings import (
     LAURENT_RING,
+    CycloRing,
     FloatRing,
     LaurentPoly,
     PhiAdicRing,
@@ -235,6 +236,83 @@ def test_site_gate_cyclic():
     for fam in ("rep.k-e-exchange", "rep.k-f-exchange", "rep.ef-commutator",
                 "rep.clock-order", "rep.clock-shift-exchange"):
         assert root[fam].status == EXACT_ZERO, fam
+
+
+# (family, status, witness value, extra) of every gate record; generic-mode
+# witnesses render Laurent values, root-mode ones their image at the root
+_GENERIC = {"holds_generically": True}
+_ROOT_ONLY = {"holds_generically": False}
+_PLUS = {"holds_generically": True, "sign": "+", "valid_in": "generic"}
+_MINUS_AT_ROOT = {"holds_generically": False, "sign": "-", "valid_in": "root_of_unity"}
+_GATE_RECORDS = [
+    ("spin_half", 2, "root_of_unity", False, [
+        ("k-e-exchange", EXACT_ZERO, None, _GENERIC),
+        ("k-f-exchange", EXACT_ZERO, None, _GENERIC),
+        ("ef-commutator", EXACT_ZERO, None, _GENERIC),
+        ("clock-order", EXACT_ZERO, None, _ROOT_ONLY),
+        ("k-clock-sign", EXACT_ZERO, None, _PLUS)]),
+    ("highest_weight", 3, "root_of_unity", False, [
+        ("k-e-exchange", EXACT_ZERO, None, _GENERIC),
+        ("k-f-exchange", EXACT_ZERO, None, _GENERIC),
+        ("ef-commutator", EXACT_ZERO, None, _GENERIC),
+        ("clock-order", EXACT_ZERO, None, _ROOT_ONLY),
+        ("k-clock-sign", EXACT_ZERO, None, _MINUS_AT_ROOT)]),
+    ("cyclic", 3, "root_of_unity", False, [
+        ("k-e-exchange", EXACT_ZERO, None, _GENERIC),
+        ("k-f-exchange", EXACT_ZERO, None, _ROOT_ONLY),
+        ("ef-commutator", EXACT_ZERO, None, _ROOT_ONLY),
+        ("clock-order", EXACT_ZERO, None, _ROOT_ONLY),
+        ("clock-shift-exchange", EXACT_ZERO, None, _ROOT_ONLY),
+        ("k-clock-sign", EXACT_ZERO, None, _PLUS)]),
+    ("cyclic", 3, "generic", False, [
+        ("k-e-exchange", EXACT_ZERO, None, _GENERIC),
+        ("k-f-exchange", NONZERO, (0, 2, "-q^-7 + q^-1"), {"holds_at_root": True}),
+        ("ef-commutator", NONZERO, (2, 2, "-q^-5 - q^-3 - q^-1 + q + q^3 + q^5"),
+         {"holds_at_root": True}),
+        ("clock-order", NONZERO, (1, 1, "-1 + q^6"), {"holds_at_root": True}),
+        ("clock-shift-exchange", NONZERO, (0, 2, "1 - q^6"), {"holds_at_root": True}),
+        ("k-clock-sign", EXACT_ZERO, None, _PLUS)]),
+    # rescaled shift operators break the ef-commutator at the root too
+    ("spin_half", 2, "root_of_unity", True, [
+        ("k-e-exchange", EXACT_ZERO, None, _GENERIC),
+        ("k-f-exchange", EXACT_ZERO, None, _GENERIC),
+        ("ef-commutator", NONZERO, (0, 0, "-4*q"), {}),
+        ("clock-order", EXACT_ZERO, None, _ROOT_ONLY),
+        ("k-clock-sign", EXACT_ZERO, None, _PLUS)]),
+    ("cyclic", 3, "generic", True, [
+        ("k-e-exchange", EXACT_ZERO, None, _GENERIC),
+        ("k-f-exchange", NONZERO, (0, 2, "q^-6 - 1"), {"holds_at_root": True}),
+        ("ef-commutator", NONZERO, (0, 0, "-q^-1 + q - q^3 + q^5"),
+         {"holds_at_root": False}),
+        ("clock-order", NONZERO, (1, 1, "-1 + q^6"), {"holds_at_root": True}),
+        ("clock-shift-exchange", NONZERO, (0, 2, "-q + q^7"), {"holds_at_root": True}),
+        ("k-clock-sign", EXACT_ZERO, None, _PLUS)]),
+    ("cyclic", 3, "root_of_unity", True, [
+        ("k-e-exchange", EXACT_ZERO, None, _GENERIC),
+        ("k-f-exchange", EXACT_ZERO, None, _ROOT_ONLY),
+        ("ef-commutator", NONZERO, (0, 0, "1 + q"), {}),
+        ("clock-order", EXACT_ZERO, None, _ROOT_ONLY),
+        ("clock-shift-exchange", EXACT_ZERO, None, _ROOT_ONLY),
+        ("k-clock-sign", EXACT_ZERO, None, _PLUS)]),
+]
+
+
+def test_site_gate_reaches_the_root_by_block_specialization(monkeypatch):
+    # the residuals reach Z[q]/Phi_2N by specialize_block alone: no entry
+    # goes through a scalar conversion, and the records stay as pinned
+    def refuse(*args):
+        raise AssertionError("per-entry conversion in the site gate")
+    for cls, name in ((CycloRing, "from_laurent"), (PhiAdicRing, "from_laurent"),
+                      (PhiAdicRing, "coerce")):
+        monkeypatch.setattr(cls, name, refuse)
+    for kind, n_param, mode, rescaled, want in _GATE_RECORDS:
+        rep = build_site_rep(kind, n_param, {"c": 0} if kind == "cyclic" else None)
+        if rescaled:
+            rep = rescaled_rep(rep, LaurentPoly.q_power(3), LaurentPoly({1: -1}))
+        got = [(c.family.removeprefix("rep."), c.status,
+                c.witness and (c.witness["row"], c.witness["col"], c.witness["value"]),
+                c.extra) for c in rep_self_check(rep, mode)]
+        assert got == want, (kind, mode, rescaled)
 
 
 def test_site_rep_errors():

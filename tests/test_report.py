@@ -108,8 +108,7 @@ def test_ring_table_budget_counts_phi_adic_digits(kwargs, digits, degree):
     fits = max(n for n in range(2, 330) if _euler_phi(2 * n) <= degree)
     too_large = min(n for n in range(2, 330) if _euler_phi(2 * n) > degree)
     config = RunConfig(n_param=fits, length=2, **kwargs)
-    assert config.ring_digits() == digits
-    config.validate()
+    assert max(job.digits for job in config.validate()) == digits
     with pytest.raises(ConfigError, match=rf"phi\(2N\) must be at most {degree} "):
         RunConfig(n_param=too_large, length=2, **kwargs).validate()
 
@@ -131,8 +130,9 @@ def test_ring_digits_is_the_largest_table_a_run_builds(monkeypatch, backend,
         return real(quo)
     monkeypatch.setattr(Quotient, "mult_tensor", recording)
     config = RunConfig(backend=backend, n_param=n_param, length=2, **kwargs)
+    digits = max(job.digits for job in config.validate())
     run(config)
-    assert max(built) == config.ring_digits() * cyclo_ring(n_param).quo.degree
+    assert max(built) == digits * cyclo_ring(n_param).quo.degree
 
 
 def _recording_builders(monkeypatch):
@@ -153,11 +153,9 @@ def test_ring_digits_reads_each_jobs_declared_digits(monkeypatch):
 
     real = report._SUITE_BUILDERS["qcomb"]
     config = RunConfig(n_param=100, length=2, suites=("qcomb",))
-    assert config.ring_digits() == 1
-    config.validate()
+    assert max(job.digits for job in config.validate()) == 1
     monkeypatch.setitem(report._SUITE_BUILDERS, "qcomb", lambda config: real(config) + [
         _Job("qcomb/planted", "qcomb", lambda env: [], digits=7)])
-    assert config.ring_digits() == 7
     # phi(200) = 80, and a table of 7 digits fits phi(2N) <= 46 only
     with pytest.raises(ConfigError, match=r"Z\[q\]/Phi_2N\^7 table"):
         config.validate()
@@ -177,7 +175,6 @@ def test_validate_builds_the_job_list_and_no_chain_or_table(monkeypatch, ring):
         jobs = config.validate()
         assert built == list(config.selected_suites())
         assert {job.suite for job in jobs} == set(built)
-        assert max(job.digits for job in jobs) == config.ring_digits()
         built.clear()
 
 

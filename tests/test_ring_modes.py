@@ -1,11 +1,21 @@
 """Ring modes as each other's oracle, and how quotient-ring values print.
 
+Two oracles: the statuses of every check shared by the four ring modes of
+a run, and, operator by operator, products of random words computed in
+each ring against the specialized Laurent product (specialization to the
+root is a ring homomorphism, and so is digit 0 of the phi-adic ring).
+
 Every golden run passes every check, so no witness appears in a pinned
 report; the strings below pin the renders a witness would carry: the
 cyclotomic value alone, the phi-adic digits with their O(PHI^p) tail, and
 a root identity's residual over generic q.
 """
 
+import random
+from functools import reduce
+from operator import matmul
+
+import numpy as np
 import pytest
 
 from qloop import (
@@ -17,11 +27,11 @@ from qloop import (
     make_store,
     specialize_operator,
 )
-from qloop.divpow import NORM_Q
+from qloop.divpow import NORM_OMEGA, NORM_Q
 from qloop.identity import APPROX_ZERO, EXACT_ZERO
 from qloop.report import RunConfig, run
 from qloop.repchain import first_entry_witness
-from qloop.rings import LAURENT_RING, LaurentPoly
+from qloop.rings import LAURENT_RING, FloatRing, LaurentPoly
 
 RING_MODES = ("laurent", "cyclotomic", "phi-adic", "float")
 
@@ -41,6 +51,47 @@ def test_ring_modes_agree_on_every_shared_check(kwargs, shared):
     split = {cid: by_mode for cid, by_mode in statuses.items()
              if len(by_mode) > 1 and len(set(by_mode.values())) > 1}
     assert split == {}
+
+
+# the chain generators and the clock-dressed operators
+_WORD_OPS = ("E0", "E1", "F0", "F1", "B1bar", "C0bar", "BLbar", "CL1bar")
+
+
+def _dense(op):
+    """A float operator as one dense matrix over the chain's states."""
+    out = np.zeros((op.ctx.dim_total, op.ctx.dim_total), dtype=complex)
+    for _, row, col, value in op.entries():
+        out[row, col] = value
+    return out
+
+
+@pytest.mark.parametrize("kind,n_param,length", [
+    ("spin_half", 2, 4), ("highest_weight", 3, 3),
+])
+def test_ring_modes_agree_operator_by_operator(kind, n_param, length):
+    store = make_store(ChainContext(build_site_rep(kind, n_param), length))
+    cyclo, adic, flt = cyclo_ring(n_param), PhiAdicRing(n_param, 1), FloatRing(n_param)
+    rnd = random.Random(12)
+    nonzero = 0
+    for _ in range(30):
+        normalization = rnd.choice((NORM_Q, NORM_OMEGA))
+        word = [(rnd.choice(_WORD_OPS), rnd.randint(0, n_param + 1))
+                for _ in range(rnd.randint(1, 4))]
+
+        def product(ring):
+            return reduce(matmul, [store.get(op_id, order, normalization, ring)
+                                   for op_id, order in word])
+
+        laurent = product(LAURENT_RING)
+        image = specialize_operator(laurent, cyclo)
+        assert product(cyclo) == image, word
+        assert specialize_operator(product(adic), cyclo) == image, word
+        want = _dense(specialize_operator(laurent, flt))
+        got = _dense(product(flt))
+        assert (np.abs(got - want) <= 1e-9 * (1 + np.abs(want))).all(), word
+        nonzero += not image.is_zero()
+    # the words are mostly nonzero at the root, so the equalities have teeth
+    assert nonzero >= 20
 
 
 def test_cyclotomic_values_print_alone():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import qloop.serre
 from qloop.blocks import CycloBlock
 from qloop.identity import EXACT_ZERO, NONZERO, VACUOUS_ZERO
-from qloop.repchain import ChainContext, build_site_rep, rescaled_rep
+from qloop.repchain import ChainContext, GradedOperator, build_site_rep, rescaled_rep
 from qloop.rings import LAURENT_RING, InternalInconsistency, LaurentPoly, cyclo_ring
 from qloop.serre import (
     InvalidRegime,
@@ -492,3 +492,27 @@ def test_nested_serre_q0_regression():
 def test_nested_serre_rejects_unknown_family():
     with pytest.raises(ValueError):
         check_serre_nested(_store(2, 5), 1, "y")
+
+
+def test_battery_operator_products_are_pinned(monkeypatch):
+    # the lemma chain multiplies the two generator operators it builds once
+    # per call, and the nested check builds only its family's two; counted
+    # on a store that already holds every power these checks read
+    store = _store(2, 5)
+    check_lemma_chain(store, 1)
+    for family in ("x", "xbar"):
+        check_serre_nested(store, 1, family)
+    calls = []
+    real = GradedOperator.__matmul__
+
+    def counting(self, other):
+        calls.append(None)
+        return real(self, other)
+
+    monkeypatch.setattr(GradedOperator, "__matmul__", counting)
+    check_lemma_chain(store, 1)
+    assert len(calls) == 136
+    for family in ("x", "xbar"):
+        calls.clear()
+        check_serre_nested(store, 1, family)
+        assert len(calls) == 26, family
