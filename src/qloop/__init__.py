@@ -2,6 +2,30 @@
 
 __version__ = "0.1.0"
 
+import os
+import sys
+
+
+def _is_command() -> bool:
+    """Whether this process is the qloop command: the console script, or
+    `python -m qloop`, whose package runpy imports while sys.argv[0] is
+    "-m"; sys.orig_argv then holds the module name before the arguments.
+    A process that imports qloop as a library is neither."""
+    argv = sys.argv
+    if not argv:
+        return False
+    if argv[0] == "-m":
+        return sys.orig_argv[-len(argv)].removeprefix("-m") == "qloop"
+    return os.path.splitext(os.path.basename(argv[0]))[0] == "qloop"
+
+
+# One BLAS thread for the command, set before numpy first loads: its
+# parallelism is --jobs, and OpenBLAS workers would only spin beside the
+# forked jobs.  A caller's own value wins; a library caller's environment
+# is left as it is.
+if _is_command():
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .divpow import (
     NORM_OMEGA,
     NORM_Q,

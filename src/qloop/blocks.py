@@ -21,8 +21,16 @@ sector.  Three engines cover the scalar rings:
 make_block picks the engine for a ring, and specialize_block maps a block
 into another ring; the layout is private to this module, read elsewhere
 only through shape, entries(), nnz() and the arithmetic methods.
-_exact_dtype is the one int64-or-exact-ints rule.
 Blocks are immutable by convention: every operation returns a new block.
+
+_exact_dtype is the one dtype rule for exact arithmetic.  It reads a bound
+on every value and partial sum of an operation and picks one of three
+tiers: float64 for a matmul while the bound is below 2^53, int64 below
+INT64_SAFE, and exact Python ints (object dtype) beyond.  Under 2^53 every
+partial sum is an integer that float64 holds exactly, so BLAS returns the
+exact product in whatever order it adds (the technique of FFLAS-FFPACK,
+Dumas, Giorgi and Pernet, arXiv:cs/0601133); the result is cast back to
+int64, so a block's array never holds floats.
 """
 
 from __future__ import annotations
@@ -166,13 +174,30 @@ class DictBlock:
 # CycloBlock
 
 
-def _exact_dtype(bound: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+# float64 holds every integer below this exactly
+FLOAT64_SAFE = 2**53
+
+
+def _exact_dtype(bound: int, *arrays: np.ndarray,
+                 matmul: bool = False) -> tuple[np.ndarray, ...]:
     """The operands of an exact operation whose every value, partial sums
-    included, is at most `bound` in size: as they are (int64) while the
-    bound is below INT64_SAFE and none is object dtype, else in object dtype."""
-    if bound < INT64_SAFE and not any(a.dtype.hasobject for a in arrays):
-        return arrays
-    return tuple(a.astype(object) for a in arrays)
+    included, is at most `bound` in size, in the first tier that holds it:
+    float64 for a matmul while the bound is below 2^53 (every partial sum
+    is then an exact float64 integer, so any summation order gives the
+    exact result; _integral casts it back), int64 while the bound is below
+    INT64_SAFE, and object dtype beyond that or when any operand is object
+    dtype already."""
+    if bound >= INT64_SAFE or any(a.dtype.hasobject for a in arrays):
+        return tuple(a.astype(object) for a in arrays)
+    if matmul and bound < FLOAT64_SAFE:
+        return tuple(a.astype(np.float64) for a in arrays)
+    return arrays
+
+
+def _integral(arr: np.ndarray) -> np.ndarray:
+    """A matmul result in a block's dtypes: the float64 tier's exact
+    integers as int64, the other tiers as they are."""
+    return arr.astype(np.int64) if arr.dtype == np.float64 else arr
 
 
 def _max_abs(arr: np.ndarray) -> int:
@@ -185,10 +210,12 @@ def _max_abs(arr: np.ndarray) -> int:
 
 def _transform(arr: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Coordinates (..., m) times an (m, m') integer table, exactly: every
-    partial sum is bounded by m * max|arr| * max|table| (_exact_dtype)."""
+    partial sum is bounded by m * max|arr| * max|table|, and _exact_dtype
+    runs the matmul in float64 below 2^53, int64 below INT64_SAFE and
+    exact Python ints beyond."""
     bound = table.shape[0] * max(_max_abs(arr), 1) * max(_max_abs(table), 1)
-    arr, table = _exact_dtype(bound, arr, table)
-    return arr @ table
+    arr, table = _exact_dtype(bound, arr, table, matmul=True)
+    return _integral(arr @ table)
 
 
 def _product(quo: Quotient, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -198,18 +225,19 @@ def _product(quo: Quotient, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Each entry of b is embedded as its m x m multiplication matrix, so b
     becomes a (k*m, c*m) integer matrix and a is read as (r, k*m).  Every
     partial sum, the embedding's included, is bounded by
-    k * max|a| * max|b| * weight(T); the product runs in int64 while that
-    bound stays below INT64_SAFE and in exact Python ints (object dtype)
-    otherwise (_exact_dtype).
+    k * max|a| * max|b| * weight(T).  _exact_dtype runs both matmuls in
+    float64 while that bound is below 2^53 (on BLAS, exact in any
+    summation order, cast back to int64), in int64 while it is below
+    INT64_SAFE, and in exact Python ints (object dtype) beyond.
     """
     r, k, d = a.shape
     c = b.shape[1]
     tensor, weight = quo.mult_tensor()
     bound = max(k, 1) * max(_max_abs(a), 1) * max(_max_abs(b), 1) * weight
-    a, b, tensor = _exact_dtype(bound, a, b, tensor)
+    a, b, tensor = _exact_dtype(bound, a, b, tensor, matmul=True)
     embedded = (b.reshape(k * c, d) @ tensor).reshape(k, c, d, d)
     embedded = embedded.transpose(0, 2, 1, 3).reshape(k * d, c * d)
-    return (a.reshape(r, k * d) @ embedded).reshape(r, c, d)
+    return _integral((a.reshape(r, k * d) @ embedded).reshape(r, c, d))
 
 
 def _entry_array(ring, nrows, ncols, triples) -> np.ndarray:

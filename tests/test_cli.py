@@ -1,6 +1,10 @@
 """Command line surface: flags, config files, exit codes, output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -232,3 +236,71 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "qloop" in capsys.readouterr().out
+
+
+# A sitecustomize that reports, as the process exits, the BLAS thread setting
+# its own environment ended with.
+_REPORT_BLAS_THREADS = """\
+import atexit, os, sys
+atexit.register(lambda: sys.stderr.write(
+    "OPENBLAS_NUM_THREADS=%s\\n" % os.environ.get("OPENBLAS_NUM_THREADS")))
+"""
+
+
+def _fresh_env(tmp_path, blas_threads):
+    """The environment of a fresh interpreter that imports qloop from src and
+    reports its BLAS thread setting at exit; blas_threads None leaves it unset."""
+    (tmp_path / "sitecustomize.py").write_text(_REPORT_BLAS_THREADS)
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, str(tmp_path), os.environ.get("PYTHONPATH")) if p)
+    return env
+
+
+def _blas_threads_at_exit(argv, env, cwd):
+    proc = subprocess.run([sys.executable, *argv], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr.splitlines()[-1].split("=", 1)[1]
+
+
+@pytest.mark.parametrize("launch", ["-m", "console script"])
+@pytest.mark.parametrize("caller, expected", [(None, "1"), ("2", "2")])
+def test_command_runs_on_one_blas_thread_unless_the_caller_sets_it(
+        tmp_path, launch, caller, expected):
+    if launch == "-m":
+        argv = ["-m", "qloop", "--version"]
+    else:
+        # what the installed `qloop` entry point runs
+        (tmp_path / "qloop").write_text(
+            "import sys\nfrom qloop.cli import main\nsys.exit(main())\n")
+        argv = [str(tmp_path / "qloop"), "--version"]
+    env = _fresh_env(tmp_path, caller)
+    assert _blas_threads_at_exit(argv, env, tmp_path) == expected
+
+
+@pytest.mark.parametrize("launch", ["-c", "script", "-m"])
+def test_importing_qloop_leaves_the_environment_unchanged(tmp_path, launch):
+    """The benchmark's own import (qloop.report from a script) and a
+    `python -m` of another package that imports qloop are library uses."""
+    body = ("import os\n"
+            "before = dict(os.environ)\n"
+            "import qloop\n"
+            "from qloop.report import strip_timing\n"
+            "assert dict(os.environ) == before, 'qloop changed os.environ'\n")
+    if launch == "-c":
+        argv = ["-c", body]
+    elif launch == "script":
+        (tmp_path / "bench.py").write_text(body)
+        argv = [str(tmp_path / "bench.py")]
+    else:
+        (tmp_path / "tool").mkdir()
+        (tmp_path / "tool" / "__init__.py").write_text(body)
+        (tmp_path / "tool" / "__main__.py").write_text("")
+        argv = ["-m", "tool"]
+    env = _fresh_env(tmp_path, None)
+    assert _blas_threads_at_exit(argv, env, tmp_path) == "None"
