@@ -8,14 +8,15 @@ import sys
 
 def _is_command() -> bool:
     """Whether this process is the qloop command: the console script, or
-    `python -m qloop`, whose package runpy imports while sys.argv[0] is
-    "-m"; sys.orig_argv then holds the module name before the arguments.
-    A process that imports qloop as a library is neither."""
+    `python -m qloop` or `python -m qloop.cli`, whose package runpy imports
+    while sys.argv[0] is "-m"; sys.orig_argv then holds the module name
+    before the arguments.  A process that imports qloop as a library is
+    neither."""
     argv = sys.argv
     if not argv:
         return False
     if argv[0] == "-m":
-        return sys.orig_argv[-len(argv)].removeprefix("-m") == "qloop"
+        return sys.orig_argv[-len(argv)].removeprefix("-m") in ("qloop", "qloop.cli")
     return os.path.splitext(os.path.basename(argv[0]))[0] == "qloop"
 
 

@@ -5,7 +5,9 @@ sector.  Three engines cover the scalar rings:
 
 * DictBlock    -- column-major nested dicts of Laurent entries, whose truth
                   value is their zero test.  Used for symbolic construction
-                  and site matrices.
+                  and site matrices.  A product sums each output entry
+                  term by term into one {exponent: coefficient} dict, with
+                  no LaurentPoly per term product or partial sum.
 * CycloBlock   -- dense (rows, cols, D*p) coordinate arrays over
                   Z[q]/Phi_2N^p, the one engine of both quotient rings.  p
                   is the block's precision in base-Phi digits: 1 over the
@@ -15,7 +17,8 @@ sector.  Three engines cover the scalar rings:
                   one integer matmul against the right operand's entries
                   embedded as multiplication matrices, and an exact
                   division one shift and one solve by integer matrices;
-                  rings.quotient(N, p) holds those tables.
+                  rings.quotient(N, p) holds those tables.  A block scans
+                  its max |coordinate| once, on first use, and keeps it.
 * ComplexBlock -- dense complex128, float smoke mode only.
 
 make_block picks the engine for a ring, and specialize_block maps a block
@@ -30,7 +33,10 @@ INT64_SAFE, and exact Python ints (object dtype) beyond.  Under 2^53 every
 partial sum is an integer that float64 holds exactly, so BLAS returns the
 exact product in whatever order it adds (the technique of FFLAS-FFPACK,
 Dumas, Giorgi and Pernet, arXiv:cs/0601133); the result is cast back to
-int64, so a block's array never holds floats.
+int64, so a block's array never holds floats.  The bound of a block
+operation comes from its operands' kept maxima (CycloBlock.max_abs), so
+no product, sum or scaling rescans an operand, and is_zero reads the same
+value.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ import numpy as np
 from .rings import (
     INT64_SAFE,
     FloatRing,
+    LaurentPoly,
     NotDivisible,
     PhiAdicElem,
     PhiAdicRing,
@@ -59,7 +66,8 @@ from .rings import (
 
 
 class DictBlock:
-    """Sparse block as {col: {row: scalar}} with no stored zeros."""
+    """Sparse block as {col: {row: LaurentPoly}} with no stored zeros;
+    make_block puts the entries of every other ring in another engine."""
 
     __slots__ = ("ring", "nrows", "ncols", "cols")
 
@@ -96,26 +104,41 @@ class DictBlock:
         return not self.cols
 
     def matmul(self, other: "DictBlock") -> "DictBlock":
+        """The product, each output entry summed term by term into one
+        {exponent: coefficient} dict (the entries are LaurentPolys, the
+        only scalars make_block puts here), its zeros dropped once at the
+        end.  Every term product runs over the shorter operand first, as
+        LaurentPoly.__mul__ does, so an exponent sits where that product
+        and the sums after it first put it."""
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        ring = self.ring
         out: dict = {}
         for c, bcol in other.cols.items():
-            acc: dict = {}
+            sums: dict = {}
             for k, bv in bcol.items():
                 acol = self.cols.get(k)
                 if acol is None:
                     continue
+                bterms = bv.c
                 for r, av in acol.items():
-                    prod = av * bv
-                    if r in acc:
-                        acc[r] = acc[r] + prod
-                    else:
-                        acc[r] = prod
-            acc = {r: v for r, v in acc.items() if v}
-            if acc:
-                out[c] = acc
-        return DictBlock(ring, self.nrows, other.ncols, out)
+                    acc = sums.get(r)
+                    if acc is None:
+                        acc = sums[r] = {}
+                    outer, inner = av.c, bterms
+                    if len(outer) > len(inner):
+                        outer, inner = inner, outer
+                    for ea, va in outer.items():
+                        for eb, vb in inner.items():
+                            e = ea + eb
+                            acc[e] = acc.get(e, 0) + va * vb
+            col = {}
+            for r, acc in sums.items():
+                terms = {e: v for e, v in acc.items() if v}
+                if terms:
+                    col[r] = LaurentPoly._raw(terms)
+            if col:
+                out[c] = col
+        return DictBlock(self.ring, self.nrows, other.ncols, out)
 
     def add(self, other: "DictBlock") -> "DictBlock":
         if self.shape != other.shape:
@@ -186,7 +209,8 @@ def _exact_dtype(bound: int, *arrays: np.ndarray,
     is then an exact float64 integer, so any summation order gives the
     exact result; _integral casts it back), int64 while the bound is below
     INT64_SAFE, and object dtype beyond that or when any operand is object
-    dtype already."""
+    dtype already.  The callers build the bound from their operands'
+    max |coordinate|, which a CycloBlock scans once and keeps (max_abs)."""
     if bound >= INT64_SAFE or any(a.dtype.hasobject for a in arrays):
         return tuple(a.astype(object) for a in arrays)
     if matmul and bound < FLOAT64_SAFE:
@@ -208,41 +232,47 @@ def _max_abs(arr: np.ndarray) -> int:
     return int(np.abs(arr).max(initial=0))
 
 
-def _transform(arr: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Coordinates (..., m) times an (m, m') integer table, exactly: every
-    partial sum is bounded by m * max|arr| * max|table|, and _exact_dtype
-    runs the matmul in float64 below 2^53, int64 below INT64_SAFE and
-    exact Python ints beyond."""
-    bound = table.shape[0] * max(_max_abs(arr), 1) * max(_max_abs(table), 1)
+def _transform(arr: np.ndarray, arr_max: int, table: np.ndarray) -> np.ndarray:
+    """Coordinates (..., m), at most arr_max in size, times an (m, m')
+    integer table, exactly: every partial sum is bounded by
+    m * arr_max * max|table|, and _exact_dtype runs the matmul in float64
+    below 2^53, int64 below INT64_SAFE and exact Python ints beyond."""
+    bound = table.shape[0] * max(arr_max, 1) * max(_max_abs(table), 1)
     arr, table = _exact_dtype(bound, arr, table, matmul=True)
     return _integral(arr @ table)
 
 
-def _product(quo: Quotient, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _product(quo: Quotient, a: "CycloBlock", b: "CycloBlock") -> np.ndarray:
     """The (r, c, m) coordinates of the block product of a (r, k, m) and
     b (k, c, m) over the quotient quo of degree m, as one integer matmul.
 
     Each entry of b is embedded as its m x m multiplication matrix, so b
     becomes a (k*m, c*m) integer matrix and a is read as (r, k*m).  Every
     partial sum, the embedding's included, is bounded by
-    k * max|a| * max|b| * weight(T).  _exact_dtype runs both matmuls in
-    float64 while that bound is below 2^53 (on BLAS, exact in any
-    summation order, cast back to int64), in int64 while it is below
-    INT64_SAFE, and in exact Python ints (object dtype) beyond.
+    k * max|a| * max|b| * weight(T), read from the blocks' kept maxima.
+    _exact_dtype runs both matmuls in float64 while that bound is below
+    2^53 (on BLAS, exact in any summation order, cast back to int64),
+    against the quotient's interned float64 copy of T; in int64 while it
+    is below INT64_SAFE; and in exact Python ints (object dtype) beyond.
     """
-    r, k, d = a.shape
-    c = b.shape[1]
+    r, k, d = a.arr.shape
+    c = b.arr.shape[1]
     tensor, weight = quo.mult_tensor()
-    bound = max(k, 1) * max(_max_abs(a), 1) * max(_max_abs(b), 1) * weight
-    a, b, tensor = _exact_dtype(bound, a, b, tensor, matmul=True)
-    embedded = (b.reshape(k * c, d) @ tensor).reshape(k, c, d, d)
+    bound = max(k, 1) * max(a.max_abs(), 1) * max(b.max_abs(), 1) * weight
+    x, y = _exact_dtype(bound, a.arr, b.arr, matmul=True)
+    if x.dtype == np.float64:
+        tensor = quo.float_tensor()
+    else:
+        tensor = tensor.astype(x.dtype, copy=False)
+    embedded = (y.reshape(k * c, d) @ tensor).reshape(k, c, d, d)
     embedded = embedded.transpose(0, 2, 1, 3).reshape(k * d, c * d)
-    return _integral((a.reshape(r, k * d) @ embedded).reshape(r, c, d))
+    return _integral((x.reshape(r, k * d) @ embedded).reshape(r, c, d))
 
 
-def _entry_array(ring, nrows, ncols, triples) -> np.ndarray:
-    """The canonical coordinates of ring entries: over Z[q]/Phi^p with p the
-    lowest precision among them (full with none), D*p per entry."""
+def _entry_block(ring, nrows, ncols, triples) -> "CycloBlock":
+    """The block of ring entries in canonical coordinates: over Z[q]/Phi^p
+    with p the lowest precision among them (full with none), D*p per
+    entry.  At full precision its max |coordinate| is the entries' own."""
     quo = ring.quo
     entries = [(r, c, v.poly, v.prec) for r, c, v in triples]
     bound = max((abs(x) for _, _, poly, _ in entries for x in poly), default=0)
@@ -250,18 +280,24 @@ def _entry_array(ring, nrows, ncols, triples) -> np.ndarray:
     for r, c, poly, _ in entries:
         arr[r, c, :len(poly)] = poly
     prec = min((p for *_, p in entries), default=quo.prec)
-    return CycloBlock(ring, arr)._coords(prec)
+    return CycloBlock(ring, arr, bound)._at(prec)
 
 
 class CycloBlock:
     """Dense coordinate-array block over Z[q]/Phi_2N^p, p its precision:
-    1 over the cyclotomic ring, at most K+1 over the phi-adic ring."""
+    1 over the cyclotomic ring, at most K+1 over the phi-adic ring.
 
-    __slots__ = ("ring", "arr")
+    Blocks are immutable, so the largest |coordinate| is scanned at most
+    once, on first use, and kept; an operation that knows it (from_entries,
+    neg, scale by an integer) passes it on.  Products, sums and scalings
+    read it for their dtype tier, and is_zero tests it."""
 
-    def __init__(self, ring, arr: np.ndarray):
+    __slots__ = ("ring", "arr", "_max")
+
+    def __init__(self, ring, arr: np.ndarray, max_abs: int | None = None):
         self.ring = ring
         self.arr = arr
+        self._max = max_abs
 
     @property
     def shape(self):
@@ -271,16 +307,23 @@ class CycloBlock:
     def prec(self) -> int:
         return self.arr.shape[2] // self.ring.quo.phi_degree
 
+    def max_abs(self) -> int:
+        """The largest |coordinate|, 0 for a zero block."""
+        if self._max is None:
+            self._max = _max_abs(self.arr)
+        return self._max
+
     @classmethod
     def from_entries(cls, ring, nrows, ncols, triples) -> "CycloBlock":
-        return cls(ring, _entry_array(ring, nrows, ncols, triples))
+        return _entry_block(ring, nrows, ncols, triples)
 
-    def _coords(self, prec: int) -> np.ndarray:
-        """The coordinates reduced to prec <= self.prec digits."""
+    def _at(self, prec: int) -> "CycloBlock":
+        """The block reduced to prec <= self.prec digits."""
         if prec == self.prec:
-            return self.arr
+            return self
         table = quotient(self.ring.n_param, self.prec).divmod_table(prec)
-        return _transform(self.arr, table[:, :self.ring.quo.phi_degree * prec])
+        return CycloBlock(self.ring, _transform(
+            self.arr, self.max_abs(), table[:, :self.ring.quo.phi_degree * prec]))
 
     def entries(self):
         mask = np.argwhere(np.any(self.arr != 0, axis=2))
@@ -294,7 +337,7 @@ class CycloBlock:
         return int(np.count_nonzero(self.arr.any(axis=2)))
 
     def is_zero(self) -> bool:
-        return not self.arr.any()
+        return self.max_abs() == 0
 
     def _same_ring(self, ring) -> None:
         # phi-adic rings are built per check; their quotients are interned
@@ -305,7 +348,7 @@ class CycloBlock:
         """The product at the lower of the two precisions."""
         prec = min(self.prec, other.prec)
         return CycloBlock(self.ring, _product(quotient(self.ring.n_param, prec),
-                                              self._coords(prec), other._coords(prec)))
+                                              self._at(prec), other._at(prec)))
 
     def matmul(self, other: "CycloBlock") -> "CycloBlock":
         if self.arr.shape[1] != other.arr.shape[0]:
@@ -318,12 +361,12 @@ class CycloBlock:
             raise ValueError("shape mismatch in block sum")
         self._same_ring(other.ring)
         prec = min(self.prec, other.prec)
-        a, b = self._coords(prec), other._coords(prec)
-        a, b = _exact_dtype(_max_abs(a) + _max_abs(b), a, b)
-        return CycloBlock(self.ring, a + b)
+        a, b = self._at(prec), other._at(prec)
+        x, y = _exact_dtype(a.max_abs() + b.max_abs(), a.arr, b.arr)
+        return CycloBlock(self.ring, x + y)
 
     def neg(self) -> "CycloBlock":
-        return CycloBlock(self.ring, -self.arr)
+        return CycloBlock(self.ring, -self.arr, self._max)
 
     def sub(self, other: "CycloBlock") -> "CycloBlock":
         return self.add(other.neg())
@@ -331,16 +374,15 @@ class CycloBlock:
     def scale(self, scalar) -> "CycloBlock":
         """Multiply by an integer or an element of the block's ring."""
         if isinstance(scalar, int):
-            arr, = _exact_dtype(abs(scalar) * max(_max_abs(self.arr), 1), self.arr)
-            return CycloBlock(self.ring, arr * scalar)
+            arr, = _exact_dtype(abs(scalar) * max(self.max_abs(), 1), self.arr)
+            return CycloBlock(self.ring, arr * scalar, abs(scalar) * self.max_abs())
         if not isinstance(scalar, PhiAdicElem):
             raise TypeError(f"cannot scale {self!r} by {type(scalar).__name__}")
         self._same_ring(scalar.ring)
         # an (r*c, 1) column times the 1 x 1 block of the scalar
         rows, cols, d = self.arr.shape
-        column = CycloBlock(self.ring, self.arr.reshape(rows * cols, 1, d))
-        factor = CycloBlock(self.ring, _entry_array(self.ring, 1, 1, [(0, 0, scalar)]))
-        out = column._times(factor).arr
+        column = CycloBlock(self.ring, self.arr.reshape(rows * cols, 1, d), self._max)
+        out = column._times(_entry_block(self.ring, 1, 1, [(0, 0, scalar)])).arr
         return CycloBlock(self.ring, out.reshape(rows, cols, out.shape[2]))
 
     def divexact(self, divisor) -> "CycloBlock":
@@ -363,18 +405,19 @@ class CycloBlock:
         prec = min(self.prec, dprec) - v
         if prec < 1:
             raise TruncationOverflow("no valid digits left after division; raise K")
-        arr = self._coords(prec + v)
+        block = self._at(prec + v)
         if v:
-            shifted = _transform(arr, quotient(n_param, prec + v).divmod_table(v))
+            shifted = _transform(block.arr, block.max_abs(),
+                                 quotient(n_param, prec + v).divmod_table(v))
             low = self.ring.quo.phi_degree * v
             if shifted[..., :low].any():
                 raise NotDivisible("dividend valuation below divisor valuation")
-            arr = shifted[..., low:]
+            block = CycloBlock(self.ring, shifted[..., low:])
         modulus = quotient(n_param, prec).modulus
         unit = _poly_divmod(list(poly), list(quotient(n_param, v).modulus))[0]
         unit = _poly_divmod(unit, list(modulus))[1]
         numer, denom = _division_inverse(tuple(unit), modulus)
-        quot = _transform(arr, _int_matrix(list(zip(*numer))))
+        quot = _transform(block.arr, block.max_abs(), _int_matrix(list(zip(*numer))))
         quot, = _exact_dtype(denom, quot)
         if (quot % denom).any():
             raise NotDivisible("quotient is not an algebraic integer combination")
@@ -476,7 +519,8 @@ def specialize_block(block: Block, ring) -> Block:
             return CycloBlock(ring, _laurent_coords(block, ring))
         if isinstance(block, CycloBlock) and block.ring.n_param == ring.n_param \
                 and block.ring.trunc_order >= ring.trunc_order:
-            return CycloBlock(ring, block._coords(min(block.prec, ring.quo.prec)))
+            reduced = block._at(min(block.prec, ring.quo.prec))
+            return CycloBlock(ring, reduced.arr, reduced._max)
     triples = [(r, c, ring.coerce(v)) for r, c, v in block.entries()]
     return make_block(ring, block.shape[0], block.shape[1], triples)
 

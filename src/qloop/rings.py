@@ -403,7 +403,7 @@ class Quotient:
         self.n_param, self.prec, self.modulus = n_param, prec, tuple(modulus)
         self.phi_degree, self.degree = len(phi) - 1, len(modulus) - 1
         self._rows = (-1, None)               # (span, q-power rows)
-        self._tensor, self._divmod = None, {}
+        self._tensor, self._float_tensor, self._divmod = None, None, {}
 
     def q_rows(self, exps: np.ndarray) -> np.ndarray:
         """The coordinates of q^e, one row for each exponent in exps.  At
@@ -439,7 +439,9 @@ class Quotient:
         and its weight max_o sum_{i,j} |T[i,j,o]|, summed exactly: T[i, j]
         is the row of q^(i+j), and min(k+1, 2m-1-k) pairs have i + j = k.
         T is symmetric, so a coordinate vector b times it, reshaped to
-        (m, m), is the multiplication matrix of b: row j is b q^j."""
+        (m, m), is the multiplication matrix of b: row j is b q^j.  T is
+        int64 (object beyond INT64_SAFE); float_tensor keeps its float64
+        copy next to it."""
         if self._tensor is None:
             m = self.degree
             rows = self.q_rows(np.arange(2 * m - 1)).tolist()
@@ -450,6 +452,17 @@ class Quotient:
             t.setflags(write=False)
             self._tensor = t, weight
         return self._tensor
+
+    def float_tensor(self) -> np.ndarray:
+        """mult_tensor's T as float64, made once, for the float64 tier of
+        blocks._product, which converts then only its operands.  Exact
+        there: that tier runs only while a bound of at least the weight,
+        so of every |T[i,j,o]|, is below 2^53."""
+        if self._float_tensor is None:
+            t = self.mult_tensor()[0].astype(np.float64)
+            t.setflags(write=False)
+            self._float_tensor = t
+        return self._float_tensor
 
     def divmod_table(self, k: int) -> np.ndarray:
         """The (degree, degree) integer matrix taking the coordinates of x to

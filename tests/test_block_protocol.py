@@ -23,11 +23,17 @@ _LAURENT = st.dictionaries(st.integers(-4, 4), st.integers(-5, 5),
                            max_size=3).map(LaurentPoly)
 
 
+# coefficients either side of 2^63, mixed with small ones
+_HUGE = st.integers(2**63 - 2, 2**66).flatmap(lambda x: st.sampled_from([x, -x]))
+_HUGE_LAURENT = st.dictionaries(st.integers(-4, 4), st.one_of(st.integers(-5, 5), _HUGE),
+                                max_size=3).map(LaurentPoly)
+
+
 @st.composite
-def _cells(draw, nrows, ncols):
+def _cells(draw, nrows, ncols, values=_LAURENT):
     """{(row, col): value} with explicit zeros mixed in."""
     keys = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
-    return draw(st.dictionaries(keys, _LAURENT, max_size=nrows * ncols))
+    return draw(st.dictionaries(keys, values, max_size=nrows * ncols))
 
 
 def _nonzero(cells):
@@ -102,6 +108,50 @@ def test_arithmetic_matches_the_reference(data, dims, scalar):
     assert a.add(c).sub(c.add(a)).is_zero()
     with pytest.raises(ValueError):
         a.add(_block(nrows + 1, inner, {}))
+
+
+@given(st.data(), _DIMS, _HUGE_LAURENT.filter(lambda p: not p.is_zero()),
+       st.integers(-4, 4))
+@settings(max_examples=100, deadline=None)
+def test_product_through_cancellation_matches_the_reference(data, dims, p, e):
+    """Huge coefficients and sums that cancel.  Inner column `near` repeats
+    column 0 of a except in row 0, where it adds q^e, and its row of b is
+    the negated row 0: every k = 0 term cancels, whole entries with it,
+    and row 0 keeps a remainder whose terms cancel only in part.  Inner
+    column `twin` repeats column 0 exactly and meets it in one more output
+    column only, with p and -p: that column is zero."""
+    nrows, inner, ncols = dims
+    a_cells = _nonzero(data.draw(_cells(nrows, inner, _HUGE_LAURENT)))
+    b_cells = _nonzero(data.draw(_cells(inner, ncols, _HUGE_LAURENT)))
+    near, twin, zero_col = inner, inner + 1, ncols
+    for (r, k), v in list(a_cells.items()):
+        if k == 0:
+            a_cells[(r, near)] = a_cells[(r, twin)] = v
+    a_cells[(0, near)] = a_cells.get((0, 0), LaurentPoly(0)) + LaurentPoly.q_power(e)
+    for (k, c), v in list(b_cells.items()):
+        if k == 0:
+            b_cells[(near, c)] = -v
+    b_cells[(0, zero_col)], b_cells[(twin, zero_col)] = p, -p
+    a_cells, b_cells = _nonzero(a_cells), _nonzero(b_cells)
+
+    prod = _block(nrows, inner + 2, a_cells).matmul(_block(inner + 2, ncols + 1, b_cells))
+    assert _as_dict(prod) == _ref_matmul(a_cells, b_cells, nrows, inner + 2, ncols + 1)
+    assert all(0 not in v.c.values() for _, _, v in prod.entries())
+    assert all(c != zero_col for _, c, _ in prod.entries())
+
+
+def test_product_cancels_entries_terms_and_columns():
+    q = LaurentPoly.q_power
+    big = 2**64 + 1
+    x = LaurentPoly({0: big, 2: -3})
+    # column 1 of a is column 0 plus q in row 1, column 2 is column 0
+    a = {(0, 0): x, (0, 1): x, (0, 2): x, (1, 0): x, (1, 1): x + q(1), (1, 2): x}
+    b = {(0, 0): q(1), (1, 0): -q(1), (0, 1): q(0) * big, (2, 1): -q(0) * big}
+    prod = _block(2, 3, a).matmul(_block(3, 2, b))
+    # entry (0, 0) cancels whole, (1, 0) keeps -q^2 of x q - (x + q) q,
+    # and column 1 cancels whole
+    assert prod.entries() == [(1, 0, -q(2))]
+    assert _as_dict(prod) == _ref_matmul(a, b, 2, 3, 2)
 
 
 @given(st.data(), _DIMS, _LAURENT.filter(lambda p: not p.is_zero()))

@@ -1,13 +1,16 @@
 """Block engines agree with each other and with naive arithmetic."""
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qloop.blocks as blocks_module
 from qloop.blocks import INT64_SAFE, ComplexBlock, CycloBlock, DictBlock, make_block
+from qloop.report import RunConfig, run, strip_timing
 from qloop.rings import (
     LAURENT_RING,
     FloatRing,
@@ -79,9 +82,17 @@ def _random_cyclo_block(rng, ring, nrows, ncols, span=9):
     return CycloBlock.from_entries(ring, nrows, ncols, triples)
 
 
-def _cyclo_to_dict(block: CycloBlock) -> DictBlock:
-    return DictBlock.from_entries(block.ring, block.shape[0], block.shape[1],
-                                  block.entries())
+def _entrywise_matmul(a: CycloBlock, b: CycloBlock):
+    """The product by ring arithmetic on the entries, without zeros (a
+    DictBlock holds Laurent entries only, so it is no route for these)."""
+    b_rows: dict = {}
+    for k, c, v in b.entries():
+        b_rows.setdefault(k, []).append((c, v))
+    out: dict = {}
+    for r, k, va in a.entries():
+        for c, vb in b_rows.get(k, ()):
+            out[(r, c)] = out.get((r, c), a.ring.zero) + va * vb
+    return {key: v for key, v in out.items() if v}
 
 
 @pytest.mark.parametrize("n_param", [2, 3, 4, 5])
@@ -92,9 +103,7 @@ def test_cyclo_block_matmul_matches_dict_route(n_param):
         a = _random_cyclo_block(rng, ring, 5, 4)
         b = _random_cyclo_block(rng, ring, 4, 6)
         fast = a.matmul(b)
-        slow = _cyclo_to_dict(a).matmul(_cyclo_to_dict(b))
-        assert {(r, c): v for r, c, v in fast.entries()} == \
-               {(r, c): v for r, c, v in slow.entries()}
+        assert {(r, c): v for r, c, v in fast.entries()} == _entrywise_matmul(a, b)
 
 
 def test_cyclo_block_int64_and_object_paths_agree():
@@ -243,6 +252,87 @@ def test_cyclo_scale_matches_entrywise_ring_mul(blocks):
     assert _integer_dtype(scaled)
     if _coords_below(a, 2**20) and all(abs(x) < 2**20 for x in s.poly):
         assert scaled.arr.dtype == np.int64
+
+
+def _fresh_tier(a, b):
+    """The dtype tier of a.matmul(b) from a fresh scan of both arrays: the
+    bound k * max|a| * max|b| * weight(T) against 2^53 and INT64_SAFE."""
+    _, weight = a.ring.quo.mult_tensor()
+    bound = max(a.shape[1], 1) * max(_max_coord(a), 1) * max(_max_coord(b), 1) * weight
+    if bound >= INT64_SAFE or object in (a.arr.dtype, b.arr.dtype):
+        return np.dtype(object)
+    return np.dtype(np.float64 if bound < 2**53 else np.int64)
+
+
+def _product_tiers(a, b):
+    """The dtypes of the matmuls in a.matmul(b)."""
+    seen = []
+    real = blocks_module._exact_dtype
+
+    def spy(bound, *arrays, matmul=False):
+        out = real(bound, *arrays, matmul=matmul)
+        if matmul:
+            seen.append(out[0].dtype)
+        return out
+    with mock.patch.object(blocks_module, "_exact_dtype", spy):
+        a.matmul(b)
+    return seen
+
+
+def _assert_kept_bound_picks_the_fresh_tier(a, b):
+    """a @ b, and -a @ 3b whose operands carry a max passed on by neg and
+    scale, each in the tier of a fresh scan; returns the tier of a @ b."""
+    a.is_zero(), b.is_zero()  # each block scans and keeps its max here
+    tiers = []
+    for x, y in ((a, b), (a.neg(), b.scale(3))):
+        want = _fresh_tier(x, y)
+        assert _product_tiers(CycloBlock(x.ring, x.arr), CycloBlock(y.ring, y.arr)) == [want]
+        assert _product_tiers(x, y) == [want]
+        tiers.append(want)
+    return tiers[0]
+
+
+@given(_cyclo_blocks(2))
+@settings(max_examples=150, deadline=None)
+def test_a_kept_bound_picks_the_tier_of_a_fresh_scan(blocks):
+    _assert_kept_bound_picks_the_fresh_tier(*blocks)
+
+
+@pytest.mark.parametrize("limit", [2**53, INT64_SAFE])
+def test_a_kept_bound_picks_the_fresh_tier_either_side_of_each_limit(limit):
+    """1 x 1 blocks whose bound s * t * weight lands just below and at or
+    above 2^53 and INT64_SAFE, s odd near 2^26."""
+    ring = cyclo_ring(2)
+    _, weight = ring.quo.mult_tensor()
+    s = 2**26 + 1
+    t = -(-limit // (s * weight))
+    tiers = []
+    for size in (t - 1, t):
+        a = CycloBlock.from_entries(ring, 1, 1, [(0, 0, PhiAdicElem(ring, (s, -3)))])
+        b = CycloBlock.from_entries(ring, 1, 1, [(0, 0, PhiAdicElem(ring, (5, size)))])
+        assert (s * size * weight < limit) == (size == t - 1)
+        tiers.append(_assert_kept_bound_picks_the_fresh_tier(a, b))
+    below, above = ((np.float64, np.int64) if limit == 2**53 else (np.int64, object))
+    assert tiers == [np.dtype(below), np.dtype(above)]
+
+
+@pytest.mark.parametrize("ring", ["cyclotomic", "phi-adic"])
+def test_no_operation_writes_a_block_after_its_max_is_read(monkeypatch, ring):
+    """The kept max is sound only while no array changes after it: a run
+    whose every CycloBlock array is read-only from construction on gives
+    the same report (a failed write would turn a check into an Error)."""
+    config = RunConfig(backend="spin_half", n_param=2, length=3, ring=ring)
+    want = strip_timing(run(config).to_json_dict())
+    real_init = CycloBlock.__init__
+    made = []
+
+    def read_only(self, ring, arr, max_abs=None):
+        arr.setflags(write=False)
+        made.append(arr)
+        real_init(self, ring, arr, max_abs)
+    monkeypatch.setattr(CycloBlock, "__init__", read_only)
+    assert strip_timing(run(config).to_json_dict()) == want
+    assert made
 
 
 _PHI_ADIC_RINGS = st.sampled_from([(2, 1), (3, 1), (2, 2)]).map(

@@ -268,12 +268,14 @@ def _blas_threads_at_exit(argv, env, cwd):
     return proc.stderr.splitlines()[-1].split("=", 1)[1]
 
 
-@pytest.mark.parametrize("launch", ["-m", "console script"])
+@pytest.mark.parametrize("launch", ["-m", "-m qloop.cli", "console script"])
 @pytest.mark.parametrize("caller, expected", [(None, "1"), ("2", "2")])
 def test_command_runs_on_one_blas_thread_unless_the_caller_sets_it(
         tmp_path, launch, caller, expected):
     if launch == "-m":
         argv = ["-m", "qloop", "--version"]
+    elif launch == "-m qloop.cli":
+        argv = ["-m", "qloop.cli", "--version"]
     else:
         # what the installed `qloop` entry point runs
         (tmp_path / "qloop").write_text(
