@@ -23,7 +23,8 @@ sector.  Three engines cover the scalar rings:
 
 make_block picks the engine for a ring, and specialize_block maps a block
 into another ring; the layout is private to this module, read elsewhere
-only through shape, entries(), nnz() and the arithmetic methods.
+only through shape, entries(), nnz() and the arithmetic methods, and,
+for the disk cache, nonzero_cells and block_from_cells.
 Blocks are immutable by convention: every operation returns a new block.
 
 _exact_dtype is the one dtype rule for exact arithmetic.  It reads a bound
@@ -53,7 +54,6 @@ from .rings import (
     Quotient,
     TruncationOverflow,
     _division_inverse,
-    _int_matrix,
     _poly_divmod,
     _poly_trim,
     phi_multiplicity,
@@ -232,12 +232,16 @@ def _max_abs(arr: np.ndarray) -> int:
     return int(np.abs(arr).max(initial=0))
 
 
-def _transform(arr: np.ndarray, arr_max: int, table: np.ndarray) -> np.ndarray:
+def _transform(arr: np.ndarray, arr_max: int, table: np.ndarray,
+               table_max: int) -> np.ndarray:
     """Coordinates (..., m), at most arr_max in size, times an (m, m')
-    integer table, exactly: every partial sum is bounded by
-    m * arr_max * max|table|, and _exact_dtype runs the matmul in float64
-    below 2^53, int64 below INT64_SAFE and exact Python ints beyond."""
-    bound = table.shape[0] * max(arr_max, 1) * max(_max_abs(table), 1)
+    integer table whose entries are at most table_max in size, exactly:
+    every partial sum is bounded by m * arr_max * table_max, and
+    _exact_dtype runs the matmul in float64 below 2^53, int64 below
+    INT64_SAFE and exact Python ints beyond.  The tables are interned
+    (Quotient.divmod_table, _division_inverse) with their maxima, so no
+    call scans one."""
+    bound = table.shape[0] * max(arr_max, 1) * max(table_max, 1)
     arr, table = _exact_dtype(bound, arr, table, matmul=True)
     return _integral(arr @ table)
 
@@ -321,9 +325,10 @@ class CycloBlock:
         """The block reduced to prec <= self.prec digits."""
         if prec == self.prec:
             return self
-        table = quotient(self.ring.n_param, self.prec).divmod_table(prec)
+        table, table_max = quotient(self.ring.n_param, self.prec).divmod_table(prec)
         return CycloBlock(self.ring, _transform(
-            self.arr, self.max_abs(), table[:, :self.ring.quo.phi_degree * prec]))
+            self.arr, self.max_abs(), table[:, :self.ring.quo.phi_degree * prec],
+            table_max))
 
     def entries(self):
         mask = np.argwhere(np.any(self.arr != 0, axis=2))
@@ -408,7 +413,7 @@ class CycloBlock:
         block = self._at(prec + v)
         if v:
             shifted = _transform(block.arr, block.max_abs(),
-                                 quotient(n_param, prec + v).divmod_table(v))
+                                 *quotient(n_param, prec + v).divmod_table(v))
             low = self.ring.quo.phi_degree * v
             if shifted[..., :low].any():
                 raise NotDivisible("dividend valuation below divisor valuation")
@@ -416,8 +421,8 @@ class CycloBlock:
         modulus = quotient(n_param, prec).modulus
         unit = _poly_divmod(list(poly), list(quotient(n_param, v).modulus))[0]
         unit = _poly_divmod(unit, list(modulus))[1]
-        numer, denom = _division_inverse(tuple(unit), modulus)
-        quot = _transform(block.arr, block.max_abs(), _int_matrix(list(zip(*numer))))
+        _, denom, table, table_max = _division_inverse(tuple(unit), modulus)
+        quot = _transform(block.arr, block.max_abs(), table, table_max)
         quot, = _exact_dtype(denom, quot)
         if (quot % denom).any():
             raise NotDivisible("quotient is not an algebraic integer combination")
@@ -523,6 +528,29 @@ def specialize_block(block: Block, ring) -> Block:
             return CycloBlock(ring, reduced.arr, reduced._max)
     triples = [(r, c, ring.coerce(v)) for r, c, v in block.entries()]
     return make_block(ring, block.shape[0], block.shape[1], triples)
+
+
+def nonzero_cells(block: Block) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """A quotient-ring block as (width, cells, coords): the ascending
+    row-major indices of its cells with a nonzero coordinate, and their
+    (cells, width) int64 coordinates, the rest being zeros; None when its
+    coordinates are exact Python ints, beyond the int64 tier."""
+    arr = block.arr
+    if arr.dtype != np.int64:
+        return None
+    rows, cols, width = arr.shape
+    flat = arr.reshape(rows * cols, width)
+    cells = np.flatnonzero(flat.any(axis=1))
+    return width, cells, flat[cells]
+
+
+def block_from_cells(ring, nrows: int, ncols: int, cells: np.ndarray,
+                     coords: np.ndarray, max_abs: int) -> Block:
+    """The block of `ring` whose cells hold coords and are zero elsewhere,
+    inverse to nonzero_cells; max_abs is the largest |coordinate|."""
+    arr = np.zeros((nrows * ncols, ring.quo.degree), dtype=np.int64)
+    arr[cells] = coords
+    return CycloBlock(ring, arr.reshape(nrows, ncols, ring.quo.degree), max_abs)
 
 
 def make_block(ring, nrows, ncols, triples) -> Block:

@@ -18,7 +18,7 @@ import threading
 from math import comb
 
 from .identity import EXACT_ZERO, VACUOUS_ZERO, IdentityCheck, REGISTRY
-from .opcache import DISABLED_CACHE, OperatorCache, make_key, rep_digest
+from .opcache import DISABLED_CACHE, OperatorCache, image_fits, make_key, rep_digest
 from .qcomb import omega_factorial, omega_int, q_factorial, q_int
 from .repchain import (
     ChainContext,
@@ -104,17 +104,26 @@ class DividedPowerStore:
     order from the memo, the disk cache, or one _divided_step; order 1 is
     the base operator itself, so get(op_id, 1, norm, ring) is how a
     check reads a plain operator (K, A_L_inv, ...) in its ring.  With a
-    cyclotomic or float ring it returns that power's specialization,
-    memoized per (op_id, norm, n, ring), so a run passes one ring object;
-    orders 0 and 1 need no division, so one image serves both norms, and
-    order 0 is the store's one identity, so one image serves every op_id.
-    Phi-adic images, K+1 digits wide and read once or twice, are recomputed.
+    cyclotomic or float ring it returns that power's image, memoized per
+    (op_id, norm, n, ring), so a run passes one ring object; orders 0 and
+    1 need no division, so one image serves both norms, and order 0 is the
+    store's one identity, so one image serves every op_id.  Phi-adic
+    images, K+1 digits wide and read once or twice, are recomputed.
+
+    With a disk cache, every order the fill computes is also specialized
+    to the chain's cyclotomic ring cyclo_ring(N), memoized, and written to
+    the order's file next to the Laurent power.  So get(op_id, n >= 2,
+    norm, cyclo_ring(N)) tries the memo, then the file's image, and only
+    then fills and specializes: a warm run reads its root images with no
+    Laurent decode and no specialization.  A file whose Laurent section
+    reads but whose image does not is rewritten.
 
     Checks take the store explicitly and never mutate what it returns.
     The fill is idempotent, so one coarse lock around it keeps a library
     caller's threads that share a store correct without cleverness.  A
     run's worker processes do not share it: each fills its own forked copy,
-    and they meet only in the disk cache.
+    and they meet only in the disk cache, through Laurent powers and root
+    images alike.
     """
 
     def __init__(self, ctx: ChainContext, cache: OperatorCache = DISABLED_CACHE):
@@ -140,29 +149,58 @@ class DividedPowerStore:
         if n < 0:
             raise ValueError("order must be nonnegative")
         with self._lock:
-            laurent = self._fill(op_id, n, normalization)
             if ring.kind in ("cyclotomic", "float"):
                 key = (op_id if n else "", normalization if n > 1 else NORM_Q, n, ring)
                 out = self._specialized.get(key)
                 if out is None:
-                    out = self._specialized[key] = specialize_operator(laurent, ring)
+                    out = self._specialized[key] = self._image(op_id, n, normalization, ring)
                 return out
+            laurent = self._fill(op_id, n, normalization)
         return specialize_operator(laurent, ring)
 
+    def _key(self, op_id: str, normalization: str, n: int) -> str:
+        return make_key(self._rep_digest, self.ctx.length, op_id, normalization, n)
+
+    def _image(self, op_id: str, n: int, normalization: str, ring) -> GradedOperator:
+        """theta^(n) in a cyclotomic or float ring, not yet memoized: over
+        the chain's cyclotomic ring from the disk cache when the order's
+        file holds its image, else specialized from the Laurent power.
+        Caller holds the lock."""
+        on_disk = n > 1 and self.cache.enabled and ring is cyclo_ring(self.ctx.n_param)
+        if on_disk:
+            image = self.cache.load(self._key(op_id, normalization, n), self.ctx, ring)
+            if image is not None:
+                return image
+        laurent = self._fill(op_id, n, normalization)
+        image = self._specialized.get((op_id, normalization, n, ring))
+        if image is None:
+            image = specialize_operator(laurent, ring)
+            if on_disk and image_fits(image):
+                # the Laurent section was read, so the image section was
+                # corrupt: mend the file
+                self.cache.store(self._key(op_id, normalization, n), laurent, image)
+        return image
+
     def _fill(self, op_id: str, n: int, normalization: str) -> GradedOperator:
-        """Laurent theta^(n), filling missing orders; caller holds the lock."""
+        """Laurent theta^(n), filling missing orders; caller holds the lock.
+        An order computed here goes to the disk cache with its image over
+        cyclo_ring(N), which is memoized too."""
         base = self._base[op_id]
         seq = self._memo.get((op_id, normalization))
         if seq is None:
             seq = self._memo[(op_id, normalization)] = [self._identity, base]
         while len(seq) <= n:
             k = len(seq)
-            key = make_key(self._rep_digest, self.ctx.length, op_id,
-                           normalization, k)
+            key = self._key(op_id, normalization, k)
             cached = self.cache.load(key, self.ctx)
             if cached is None:
                 cached = _divided_step(base, seq[k - 1], k, normalization)
-                self.cache.store(key, cached)
+                image = None
+                if self.cache.enabled:
+                    ring = cyclo_ring(self.ctx.n_param)
+                    image = self._specialized[(op_id, normalization, k, ring)] = \
+                        specialize_operator(cached, ring)
+                self.cache.store(key, cached, image)
             seq.append(cached)
         return seq[n]
 

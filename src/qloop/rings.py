@@ -133,9 +133,14 @@ def q_power_rows(modulus, count: int, step: int = 1) -> list[tuple[int, ...]]:
     return out
 
 
+def _table_max(rows) -> int:
+    """The max |entry| of an integer table given as rows, at least 1."""
+    return max((abs(x) for row in rows for x in row), default=1) or 1
+
+
 def _int_matrix(rows) -> np.ndarray:
     """A read-only integer table: int64 when every value fits, else object."""
-    fits = max((abs(x) for row in rows for x in row), default=0) < INT64_SAFE
+    fits = _table_max(rows) < INT64_SAFE
     out = np.array(rows, dtype=np.int64 if fits else object)
     out.setflags(write=False)
     return out
@@ -357,14 +362,18 @@ def _integer_inverse(m: list[list[int]]) -> tuple[list[list[int]], int]:
 
 # an operator's entries share a few divisors, so a bounded memo serves a run
 @lru_cache(maxsize=4096)
-def _division_inverse(divisor: tuple[int, ...],
-                      modulus: tuple[int, ...]) -> tuple[list[list[int]], int]:
-    """_integer_inverse of the matrix of multiplication by divisor in
-    Z[q]/modulus, whose column j holds the coordinates of divisor * q^j."""
+def _division_inverse(divisor: tuple[int, ...], modulus: tuple[int, ...]
+                      ) -> tuple[list[list[int]], int, np.ndarray, int]:
+    """_integer_inverse (P, den) of the matrix of multiplication by divisor
+    in Z[q]/modulus, whose column j holds the coordinates of divisor * q^j,
+    then P transposed as an integer table that right-multiplies coordinate
+    rows, and that table's max |entry|."""
     d = len(modulus) - 1
     cols = [(_poly_divmod([0] * j + list(divisor), modulus)[1] + [0] * d)[:d]
             for j in range(d)]
-    return _integer_inverse(list(zip(*cols)))
+    numer, denom = _integer_inverse(list(zip(*cols)))
+    table = _int_matrix(list(zip(*numer)))
+    return numer, denom, table, _table_max(numer)
 
 
 def _divide_mod(a: tuple[int, ...], b: tuple[int, ...],
@@ -375,7 +384,7 @@ def _divide_mod(a: tuple[int, ...], b: tuple[int, ...],
     singular."""
     if not any(a):
         return (0,) * (len(modulus) - 1)
-    numer, denom = _division_inverse(b, modulus)
+    numer, denom, _, _ = _division_inverse(b, modulus)
     coords = []
     for row in numer:
         y = sum(m * v for m, v in zip(row, a))
@@ -464,21 +473,22 @@ class Quotient:
             self._float_tensor = t
         return self._float_tensor
 
-    def divmod_table(self, k: int) -> np.ndarray:
+    def divmod_table(self, k: int) -> tuple[np.ndarray, int]:
         """The (degree, degree) integer matrix taking the coordinates of x to
-        those of (x mod Phi^k, x div Phi^k), for k <= p.  Its first D*k
-        columns reduce x to k digits (with k = 1, digit zero: the image at
-        the root); the rest give x / Phi^k, exact when the first give zeros."""
-        table = self._divmod.get(k)
-        if table is None:
+        those of (x mod Phi^k, x div Phi^k), for k <= p, and its max |entry|.
+        Its first D*k columns reduce x to k digits (with k = 1, digit zero:
+        the image at the root); the rest give x / Phi^k, exact when the
+        first give zeros."""
+        out = self._divmod.get(k)
+        if out is None:
             divisor, d = list(quotient(self.n_param, k).modulus), self.phi_degree
             rows = []
             for i in range(self.degree):
                 quot, rem = _poly_divmod([0] * i + [1], divisor)
                 rows.append(rem + [0] * (d * k - len(rem))
                             + quot + [0] * (d * (self.prec - k) - len(quot)))
-            table = self._divmod[k] = _int_matrix(rows)
-        return table
+            out = self._divmod[k] = _int_matrix(rows), _table_max(rows)
+        return out
 
 
 @lru_cache(maxsize=None)
