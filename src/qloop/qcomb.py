@@ -95,21 +95,28 @@ class QFactorialTable:
             return self._gauss_locked(s, l, flavor)
 
     def _gauss_locked(self, s, l, flavor):
-        key = (s, l, flavor)
-        hit = self._gauss.get(key)
+        """[s,l], after the values [m + k, m] (m <= l, k <= s - l) that it
+        reads and the memo lacks, in rows of equal m: no recursion."""
+        memo = self._gauss
+        hit = memo.get((s, l, flavor))
         if hit is not None:
             return hit
-        if l == 0 or l == s:
-            val = LaurentPoly(1)
-        else:
-            left = self._gauss_locked(s - 1, l - 1, flavor)
-            right = self._gauss_locked(s - 1, l, flavor)
-            if flavor == "q":
-                val = LaurentPoly.q_power(s - l) * left + LaurentPoly.q_power(-l) * right
-            else:
-                val = left + LaurentPoly.q_power(2 * l) * right
-        self._gauss[key] = val
-        return val
+        for m in range(l + 1):
+            for k in range(s - l + 1):
+                key = (m + k, m, flavor)
+                if key in memo:
+                    continue
+                if m == 0 or k == 0:
+                    val = LaurentPoly(1)
+                else:
+                    left = memo[(m + k - 1, m - 1, flavor)]
+                    right = memo[(m + k - 1, m, flavor)]
+                    if flavor == "q":
+                        val = LaurentPoly.q_power(k) * left + LaurentPoly.q_power(-m) * right
+                    else:
+                        val = left + LaurentPoly.q_power(2 * m) * right
+                memo[key] = val
+        return memo[(s, l, flavor)]
 
     def gauss_checked(self, s: int, l: int, flavor: str) -> LaurentPoly:
         """Pascal value audited once by val * [l]! [s-l]! == [s]!, which over

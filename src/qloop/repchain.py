@@ -18,6 +18,8 @@ on the integer-exponent square root of the clock product refuse it.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 from .blocks import Block, make_block, specialize_block
@@ -71,11 +73,11 @@ def _site_identity(dim: int) -> Block:
     return _site_block(dim, {(i, i): LAURENT_ONE for i in range(dim)})
 
 
-def invert_diag(a: Block) -> Block:
-    """Invert a diagonal block of +-monomials exactly."""
+def _diagonal_monomials(a: Block) -> list[tuple[int, int]]:
+    """(exponent, sign) of each entry of a diagonal block of +-q-monomials."""
     entries = a.entries()
     diagonal = {r: v for r, c, v in entries if r == c}
-    out = {}
+    out = []
     for i in range(a.shape[0]):
         v = diagonal.get(i)
         if v is None or len(v.c) != 1:
@@ -83,10 +85,17 @@ def invert_diag(a: Block) -> Block:
         (e, coeff), = v.c.items()
         if coeff not in (1, -1):
             raise InvalidParams("diagonal inverse needs unit coefficients")
-        out[(i, i)] = LaurentPoly.q_power(-e, coeff)
+        out.append((e, coeff))
     if len(entries) != len(out):
         raise InvalidParams("matrix is not diagonal")
-    return _site_block(a.shape[0], out)
+    return out
+
+
+def invert_diag(a: Block) -> Block:
+    """Invert a diagonal block of +-monomials exactly."""
+    return _site_block(a.shape[0], {
+        (i, i): LaurentPoly.q_power(-e, sign)
+        for i, (e, sign) in enumerate(_diagonal_monomials(a))})
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +298,9 @@ class ChainContext:
         self.n_param = rep.n_param
         d = rep.dim
         self.dim_total = d**length
-        grade_of: list[int] = []
+        self.grade_of: list[int] = []
+        self.position: list[int] = []  # a state's index in its sector
+        sectors: dict[int, list[int]] = {}
         for state in range(self.dim_total):
             g = 0
             s = state
@@ -298,14 +309,11 @@ class ChainContext:
                 s //= d
             if not rep.wrap_free:
                 g %= rep.n_param
-            grade_of.append(g)
-        self.grade_of = grade_of
-        sectors: dict[int, list[int]] = {}
-        for state, g in enumerate(grade_of):
-            sectors.setdefault(g, []).append(state)
+            self.grade_of.append(g)
+            states = sectors.setdefault(g, [])
+            self.position.append(len(states))
+            states.append(state)
         self.sectors = {g: tuple(states) for g, states in sorted(sectors.items())}
-        self.sector_pos = {g: {s: i for i, s in enumerate(states)}
-                           for g, states in self.sectors.items()}
 
     def wrap_grade(self, g: int) -> int:
         return g % self.n_param if not self.rep.wrap_free else g
@@ -427,12 +435,10 @@ def operator_from_entries(ctx: ChainContext, ring, entries) -> GradedOperator:
         per_sector.setdefault(g_src, []).append((row, col, val))
     if seen_shift is None:
         seen_shift = 0
-    blocks = {}
-    for g, triples in per_sector.items():
-        dst = ctx.sector_pos[ctx.wrap_grade(g + seen_shift)]
-        src = ctx.sector_pos[g]
-        local = [(dst[r], src[c], v) for r, c, v in triples]
-        blocks[g] = make_block(ring, len(dst), len(src), local)
+    pos, sectors = ctx.position, ctx.sectors
+    blocks = {g: make_block(ring, len(sectors[ctx.wrap_grade(g + seen_shift)]),
+                            len(sectors[g]), [(pos[r], pos[c], v) for r, c, v in triples])
+              for g, triples in per_sector.items()}
     return GradedOperator(ctx, ring, seen_shift, blocks)
 
 
@@ -485,86 +491,69 @@ def sector_project(op: GradedOperator, charge_q: int) -> GradedOperator:
 # chain generators
 
 
-def _coproduct_step(terms, d: int) -> dict:
-    """Entries of sum_i left_i x site_i, the new site the last and
-    fastest-varying digit: global index prev * d + digit.
-
-    `terms` pairs {(row, col): LaurentPoly} dicts with site blocks; entries
-    where two terms collide are summed, and sums that cancel are dropped.
-    A factor that is LAURENT_ONE (the identity's entries) is not multiplied:
-    the entry shares the other factor's value, which keeps the dicts small.
-    """
-    out: dict = {}
-    for left, site in terms:
-        site_entries = site.entries()
-        for (r, c), v in left.items():
-            r, c = r * d, c * d
-            for sr, sc, sv in site_entries:
-                key = (r + sr, c + sc)
-                prev = out.get(key)
-                val = sv if v is LAURENT_ONE else v if sv is LAURENT_ONE else v * sv
-                val = val if prev is None else prev + val
-                if val:
-                    out[key] = val
-                else:
-                    del out[key]
-    return out
-
-
 def build_chain_generators(ctx: ChainContext) -> dict:
-    """Global generators via the iterated coproduct, plus the clock product.
+    """Global generators from their closed forms, plus the clock product.
 
     E1 = sum_j k' .. k' e'_j 1 .. 1        F1 = sum_j 1 .. 1 f'_j k'^-1 .. k'^-1
     E0 = sum_j k'^-1 .. k'^-1 f'_j 1 .. 1  F0 = sum_j 1 .. 1 e'_j k' .. k'
     K  = prod_j k'_j;  A_L = prod_j Z_j;  A_L_half = diagonal q^(sum of labels)
 
-    plus the inverses K_inv, A_L_inv and A_L_half_inv.  The sums are built
-    one site at a time by the recursion of the coproduct, from m to m + 1
-    sites:
-
-    E1 <- E1 x 1 + K x e'        F1 <- F1 x k'^-1 + 1 x f'
-    E0 <- E0 x 1 + K_inv x f'    F0 <- F0 x k' + 1 x e'
-
-    and K, K_inv, A_L, A_L_inv are tensor powers of their site diagonals.
+    plus the inverses K_inv, A_L_inv and A_L_half_inv.  Site j is digit j
+    of a state in base d, the first the most significant.  k' and Z are
+    diagonals of +-q-monomials, so one pass over the states writes every
+    entry: a site entry times the signed q-power of k' on the digits to
+    one side of j (entries two terms share are summed), or a product of
+    site monomials.
 
     All operators are symbolic (LaurentPoly entries); specialize afterwards.
     """
     rep = ctx.rep
-    d = rep.dim
-    ring = LAURENT_RING
-    ident = _site_identity(d)
-    k_inv = invert_diag(rep.k_pr)
-    z_inv = invert_diag(rep.z)
-    e1 = f1 = e0 = f0 = {}
-    one = k = ki = a = ai = {(0, 0): LAURENT_ONE}
-    for _ in range(ctx.length):
-        e1 = _coproduct_step([(e1, ident), (k, rep.e_pr)], d)
-        f1 = _coproduct_step([(f1, k_inv), (one, rep.f_pr)], d)
-        e0 = _coproduct_step([(e0, ident), (ki, rep.f_pr)], d)
-        f0 = _coproduct_step([(f0, rep.k_pr), (one, rep.e_pr)], d)
-        one = _coproduct_step([(one, ident)], d)
-        k = _coproduct_step([(k, rep.k_pr)], d)
-        ki = _coproduct_step([(ki, k_inv)], d)
-        a = _coproduct_step([(a, rep.z)], d)
-        ai = _coproduct_step([(ai, z_inv)], d)
+    d, length = rep.dim, ctx.length
+    k_site, z_site = _diagonal_monomials(rep.k_pr), _diagonal_monomials(rep.z)
 
-    def operator(entries):
-        op = operator_from_entries(
-            ctx, ring, [(r, c, v) for (r, c), v in entries.items()])
-        entries.clear()  # free each level-L dict once its operator is built
-        return op
+    @functools.cache
+    def dressed(site, x, e, sign):
+        """Column x of a site matrix as (row - col, entry times sign q^e)."""
+        dress = LaurentPoly.q_power(e, sign)
+        return [(r - c, v if (e, sign) == (0, 1) else v * dress)
+                for r, c, v in site.entries() if c == x]
 
-    def half_clock(sign):
-        return diagonal_operator(
-            ctx, ring, lambda s: LaurentPoly.q_power(sign * ctx.grade_of[s]))
+    weight = [d ** (length - 1 - j) for j in range(length)]
+    sums: dict = {"E1": {}, "F1": {}, "E0": {}, "F0": {}}
+    k_of, z_of = [], []  # (exponent, sign) of K and of A_L, per state
+    for col in range(ctx.dim_total):
+        digits = [col // w % d for w in weight]
+        for of, site in ((k_of, k_site), (z_of, z_site)):
+            of.append((sum(site[x][0] for x in digits),
+                       math.prod(site[x][1] for x in digits)))
+        k_e, k_s = k_of[-1]
+        left_e, left_s = 0, 1  # k' on the sites before site j
+        for j, x in enumerate(digits):
+            e, sign = k_site[x]
+            right_e, right_s = k_e - left_e - e, k_s * left_s * sign
+            for name, key in (("E1", (rep.e_pr, x, left_e, left_s)),
+                              ("E0", (rep.f_pr, x, -left_e, left_s)),
+                              ("F1", (rep.f_pr, x, -right_e, right_s)),
+                              ("F0", (rep.e_pr, x, right_e, right_s))):
+                out = sums[name]
+                for step, v in dressed(*key):
+                    entry = (col + step * weight[j], col)
+                    prev = out.get(entry)
+                    out[entry] = v if prev is None else prev + v
+            left_e, left_s = left_e + e, left_s * sign
 
-    return {
-        "E1": operator(e1), "F1": operator(f1),
-        "E0": operator(e0), "F0": operator(f0),
-        "K": operator(k), "K_inv": operator(ki),
-        "A_L": operator(a), "A_L_inv": operator(ai),
-        "A_L_half": half_clock(1), "A_L_half_inv": half_clock(-1),
-    }
+    def diagonal(of, flip):
+        return diagonal_operator(ctx, LAURENT_RING, lambda state: LaurentPoly.q_power(
+            flip * of[state][0], of[state][1]))
+
+    ops = {name: operator_from_entries(
+               ctx, LAURENT_RING, [(r, c, v) for (r, c), v in sums.pop(name).items()])
+           for name in ("E1", "F1", "E0", "F0")}
+    half_of = [(g, 1) for g in ctx.grade_of]
+    ops.update(K=diagonal(k_of, 1), K_inv=diagonal(k_of, -1),
+               A_L=diagonal(z_of, 1), A_L_inv=diagonal(z_of, -1),
+               A_L_half=diagonal(half_of, 1), A_L_half_inv=diagonal(half_of, -1))
+    return ops
 
 
 def build_barred_ops(ctx: ChainContext, gens: dict) -> dict:

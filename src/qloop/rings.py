@@ -292,7 +292,8 @@ class LaurentPoly:
         return LaurentPoly._raw({i + shift: v for i, v in enumerate(quot) if v})
 
     def evaluate(self, z: complex) -> complex:
-        return sum(v * z**e for e, v in self.c.items()) if self.c else 0j
+        """The value at z, summed in exponent order: equal values, equal floats."""
+        return sum(self.c[e] * z**e for e in sorted(self.c)) if self.c else 0j
 
     def render(self) -> str:
         """Canonical text form: ascending exponents, explicit signs."""

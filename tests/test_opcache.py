@@ -165,7 +165,7 @@ def _parse(blob):
     """A cache file as a dict: "head" (magic and key), "shift" and
     "sectors" of the Laurent section, [[grade, nrows, ncols,
     [[row, col, [[exponent, sign, magnitude bytes], ...]], ...]], ...],
-    "image", None when absent or [shift, [[grade, nrows, ncols, width,
+    "laurent_tail", the bytes after its sectors (none), "image", None when absent or [shift, [[grade, nrows, ncols, width,
     [[cell, [coordinate, ...]], ...]], ...]], and "tail", the bytes after
     it.  The checksum must hold."""
     pos = len(MAGIC)
@@ -211,8 +211,8 @@ def _parse(blob):
                 [cell, list(coords[i * width:(i + 1) * width])]
                 for i, cell in enumerate(cells)]])
         image = [image_shift, image_sectors]
-    return {"head": head, "shift": shift, "sectors": sectors, "image": image,
-            "tail": body[pos:]}
+    return {"head": head, "shift": shift, "sectors": sectors, "laurent_tail": b"",
+            "image": image, "tail": body[pos:]}
 
 
 def _emit(parsed):
@@ -224,7 +224,7 @@ def _emit(parsed):
             laurent.append(struct.pack("<III", row, col, len(terms)))
             for e, sign, mag in terms:
                 laurent.append(struct.pack("<qbI", e, sign, len(mag)) + mag)
-    laurent = b"".join(laurent)
+    laurent = b"".join(laurent) + parsed["laurent_tail"]
     image = [struct.pack("<B", parsed["image"] is not None)]
     if parsed["image"] is not None:
         image_shift, sectors = parsed["image"]
@@ -238,9 +238,11 @@ def _emit(parsed):
 
 
 CORRUPTIONS = ("row-out-of-range", "col-out-of-range", "repeated-entry",
-               "zero-terms", "repeated-exponent", "zero-magnitude", "bad-sign")
+               "zero-terms", "repeated-exponent", "zero-magnitude", "bad-sign",
+               "laurent-length-mismatch")
 IMAGE_CORRUPTIONS = ("cell-out-of-range", "cells-not-ascending", "zero-cell",
-                     "wrong-width", "trailing-bytes")
+                     "wrong-width", "trailing-bytes", "repeated-sector",
+                     "coordinate-beyond-int64")
 
 
 def _corrupt(blob, kind):
@@ -252,6 +254,10 @@ def _corrupt(blob, kind):
     assert _emit(parsed) == blob
     if kind in IMAGE_CORRUPTIONS:
         return _corrupt_image(parsed, kind)
+    if kind == "laurent-length-mismatch":
+        # a byte inside the section's length that no sector accounts for
+        parsed["laurent_tail"] = b"\x00"
+        return _emit(parsed)
     sector = next((s for s in parsed["sectors"] if s[3]), None)
     if sector is None:
         return None
@@ -283,6 +289,12 @@ def _corrupt_image(parsed, kind):
     if kind == "trailing-bytes":
         parsed["tail"] += b"\x00"
         return _emit(parsed)
+    if kind == "repeated-sector":
+        sectors = parsed["image"][1]
+        if not sectors:
+            return None
+        sectors.insert(1, copy.deepcopy(sectors[0]))
+        return _emit(parsed)
     fewest = 2 if kind == "cells-not-ascending" else 1
     sector = next((s for s in parsed["image"][1] if len(s[4]) >= fewest), None)
     if sector is None:
@@ -298,6 +310,8 @@ def _corrupt_image(parsed, kind):
         sector[3] += 1
         for cell in cells:
             cell[1].append(0)
+    elif kind == "coordinate-beyond-int64":
+        cells[0][1][0] = opcache.INT64_SAFE
     else:
         raise ValueError(kind)
     return _emit(parsed)

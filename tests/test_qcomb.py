@@ -233,6 +233,30 @@ def test_table_concurrent_fill_deterministic():
             assert val == fresh.gauss_checked(s, l, "q")
 
 
+def _pascal(s, l, flavor):
+    """The Pascal recursion of QFactorialTable.gauss, written out."""
+    if l == 0 or l == s:
+        return LaurentPoly(1)
+    left, right = _pascal(s - 1, l - 1, flavor), _pascal(s - 1, l, flavor)
+    if flavor == "q":
+        return LaurentPoly.q_power(s - l) * left + LaurentPoly.q_power(-l) * right
+    return left + LaurentPoly.q_power(2 * l) * right
+
+
+@pytest.mark.parametrize("flavor", ["q", "omega"])
+def test_pascal_fill_is_the_recursion(flavor):
+    table = QFactorialTable()
+    for s in range(10, -1, -1):
+        for l in range(s + 1):
+            assert table.gauss(s, l, flavor).c == _pascal(s, l, flavor).c
+
+
+def test_a_deep_pascal_fill_uses_no_stack():
+    # a fresh table fills all 1200 rows below [1200, 1] in one request
+    assert QFactorialTable().gauss(1200, 1, "q") == q_int(1200)
+    assert QFactorialTable().gauss(1200, 1199, "omega") == omega_int(1200)
+
+
 @pytest.mark.parametrize("flavor", ["q", "omega"])
 @pytest.mark.parametrize("planted", [
     LaurentPoly(0),

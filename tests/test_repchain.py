@@ -7,6 +7,7 @@ the sector-block operators after float specialization.
 """
 
 import dataclasses
+import hashlib
 from functools import reduce
 
 import numpy as np
@@ -92,8 +93,9 @@ def _oracle_site(kind, n_param, c=0.0):
     return e, f, k, z, labels, q
 
 
-def _oracle_chain(kind, n_param, length, c=0.0):
+def _oracle_chain(kind, n_param, length, c=0.0, diagonal_sign=1):
     e, f, k, z, labels, q = _oracle_site(kind, n_param, c)
+    k, z = diagonal_sign * k, diagonal_sign * z
     d = e.shape[0]
     ident = np.eye(d, dtype=complex)
     k_inv = np.linalg.inv(k)
@@ -166,6 +168,19 @@ def test_cyclic_generators_match_dense_oracle(n_param, length):
         assert np.allclose(got, oracle[name], atol=1e-9), (n_param, length, name)
 
 
+@pytest.mark.parametrize("length", [2, 3])
+def test_negative_site_diagonals_dress_with_their_signs(length):
+    rep = build_site_rep("spin_half", 2)
+    signed = dataclasses.replace(rep, k_pr=rep.k_pr.neg(), z=rep.z.neg())
+    ctx = ChainContext(signed, length)
+    gens = build_chain_generators(ctx)
+    oracle, _ = _oracle_chain("spin_half", 2, length, diagonal_sign=-1)
+    fl = FloatRing(2)
+    for name in ("E0", "E1", "F0", "F1", "K", "K_inv", "A_L"):
+        got = _dense_of(specialize_operator(gens[name], fl), ctx)
+        assert np.allclose(got, oracle[name], atol=1e-9), (length, name)
+
+
 def test_length_one_chain_is_the_site_rep():
     rep = build_site_rep("spin_half", 2)
     ctx = ChainContext(rep, 1)
@@ -174,6 +189,27 @@ def test_length_one_chain_is_the_site_rep():
         [(0, 1, "1")]
     assert [(r, c, v.render()) for _, r, c, v in gens["K"].entries()] == \
         [(0, 0, "q"), (1, 1, "q^-1")]
+
+
+@pytest.mark.parametrize("kind,n_param,length,params,digest", [
+    ("spin_half", 2, 5, None,
+     "4b63290d082210f74c29241c0fa676a18b1df93d64a605ee84aa0fa5ae3932bd"),
+    ("highest_weight", 3, 3, None,
+     "07c338c8ac4b7433ff52b9787b31b4918069bd6e9a4c89f0661bd7af32b6dfb2"),
+    ("cyclic", 3, 3, {"c": 0},
+     "dac0ead0258ea13e80ceb4e5a63585b18d793f5652d8be335bba6f5d39a4d3a4"),
+])
+def test_generator_entries_are_pinned(kind, n_param, length, params, digest):
+    # the SHA-256 of every rendered entry of the ten generators, recorded
+    # from the one-site-at-a-time coproduct builder
+    ctx = ChainContext(build_site_rep(kind, n_param, params), length)
+    gens = build_chain_generators(ctx)
+    assert len(gens) == 10
+    h = hashlib.sha256()
+    for name in sorted(gens):
+        for g, row, col, v in gens[name].entries():
+            h.update(f"{name} {g} {row} {col} {v.render()}\n".encode())
+    assert h.hexdigest() == digest
 
 
 def test_frozen_entries_spin_l3():

@@ -661,6 +661,26 @@ def test_rescale_audit_statuses_unchanged():
     assert doc.ok
 
 
+def test_a_status_changed_by_the_rescale_fails_the_audit(monkeypatch):
+    import qloop.report
+    real = qloop.report.rescaled_rep
+
+    def raising_scaled_to_zero(rep, alpha, beta):
+        return real(rep, LaurentPoly(0), beta)
+
+    monkeypatch.setattr(qloop.report, "rescaled_rep", raising_scaled_to_zero)
+    doc = run(RunConfig(n_param=2, length=3, suites=("id1",), rescale_audit=True))
+    audit, = [c for c in doc.checks if c.family == "audit.rescale"]
+    assert all(c.ok for c in doc.checks if c is not audit)
+    assert audit.status == NONZERO
+    mismatches = audit.extra["mismatches"]
+    assert mismatches and audit.witness == mismatches[0]
+    # a zero raising operator leaves the Serre words vacuous
+    assert {(m["plain"], m["rescaled"]) for m in mismatches} == \
+        {("ExactZero", "VacuousZero")}
+    assert not doc.ok
+
+
 def test_rescale_audit_runs_g_forms_on_a_rescaled_chain(monkeypatch):
     import qloop.report
     real = qloop.report.check_g_forms

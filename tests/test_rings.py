@@ -135,6 +135,17 @@ def test_laurent_pow_and_eval():
     assert abs((p**3).evaluate(z) - p.evaluate(z) ** 3) < 1e-12
 
 
+def test_equal_polynomials_evaluate_to_the_same_float():
+    # 2^53 + 1 + 1 and 1 + 1 + 2^53 round apart: the value must not depend
+    # on the order the terms were inserted in
+    q = FloatRing(2).q
+    first = LaurentPoly({0: 2**53, 4: 1, 8: 1})
+    second = LaurentPoly({4: 1, 8: 1, 0: 2**53})
+    assert first == second
+    a, b = first.evaluate(q), second.evaluate(q)
+    assert (a.real.hex(), a.imag.hex()) == (b.real.hex(), b.imag.hex())
+
+
 # ---------------------------------------------------------------------------
 # cross-ring homomorphisms on seeded random pairs
 

@@ -16,7 +16,9 @@ from qloop.rings import LaurentPoly
 # Laurent products and kept block maxima: 1060 products, 2881 _max_abs
 # scans (and 1667 is_zero scans besides), 4214 __mul__, 2119 __add__.
 # Before the reduction and division tables kept their maxima: 1805 scans.
-PINNED = {"_product": 1060, "_max_abs": 1733, "__mul__": 1222, "__add__": 1048}
+# Before the generators were written from their closed forms, each dressed
+# site entry made once per chain: 1222 __mul__.
+PINNED = {"_product": 1060, "_max_abs": 1733, "__mul__": 974, "__add__": 1048}
 
 
 def _counting(counts, name, real):
