@@ -69,10 +69,6 @@ def _site_block(dim: int, entries: dict) -> Block:
         LAURENT_RING, dim, dim, [(r, c, v) for (r, c), v in entries.items()])
 
 
-def _site_identity(dim: int) -> Block:
-    return _site_block(dim, {(i, i): LAURENT_ONE for i in range(dim)})
-
-
 def _diagonal_monomials(a: Block) -> list[tuple[int, int]]:
     """(exponent, sign) of each entry of a diagonal block of +-q-monomials."""
     entries = a.entries()
@@ -258,7 +254,7 @@ def rep_self_check(rep: SiteRep, mode: str = "generic") -> list[IdentityCheck]:
     comm = e.matmul(f).sub(f.matmul(e))
     bracket = LaurentPoly.q_power(1) - LaurentPoly.q_power(-1)
     emit("rep.ef-commutator", comm.scale(bracket).sub(k.sub(invert_diag(k))))
-    ident = _site_identity(rep.dim)
+    ident = _site_block(rep.dim, {(i, i): LAURENT_ONE for i in range(rep.dim)})
     z_power = ident
     for _ in range(n_param):
         z_power = z_power.matmul(z)
@@ -288,7 +284,12 @@ def rep_self_check(rep: SiteRep, mode: str = "generic") -> list[IdentityCheck]:
 
 
 class ChainContext:
-    """L sites of one representation, with the sector tables precomputed."""
+    """L sites of one representation, with the sector tables precomputed.
+
+    A state's base-d digits are its sites, the first the most significant;
+    `grade_of[state]` is its clock grade (mod N when labels wrap),
+    `sectors[g]` the ascending states of grade g, and `position[state]` a
+    state's index in its sector."""
 
     def __init__(self, rep: SiteRep, length: int):
         if length < 1:
@@ -299,7 +300,7 @@ class ChainContext:
         d = rep.dim
         self.dim_total = d**length
         self.grade_of: list[int] = []
-        self.position: list[int] = []  # a state's index in its sector
+        self.position: list[int] = []
         sectors: dict[int, list[int]] = {}
         for state in range(self.dim_total):
             g = 0
