@@ -2,6 +2,7 @@
 
 __version__ = "0.1.0"
 
+import gc
 import os
 import sys
 
@@ -20,12 +21,24 @@ def _is_command() -> bool:
     return os.path.splitext(os.path.basename(argv[0]))[0] == "qloop"
 
 
+_COMMAND = _is_command()
+
 # One BLAS thread for the command, set before numpy first loads: its
 # parallelism is --jobs, and OpenBLAS workers would only spin beside the
 # forked jobs.  A caller's own value wins; a library caller's environment
 # is left as it is.
-if _is_command():
+#
+# The command also runs without the cyclic garbage collector.  A run's data
+# (LaurentPoly dicts, blocks, operators, check records) holds no reference
+# cycle, so reference counting frees all of it, and tests/test_acyclic_runs.py
+# requires every run to leave nothing unreachable.  The collector would only
+# walk the import heap and the run's live objects, find nothing, and walk
+# the import heap once more at exit; so it is disabled before numpy loads,
+# and the heap the imports leave is frozen out of its reach below.  Forked
+# --jobs workers inherit both.  A library caller's collector is left on.
+if _COMMAND:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    gc.disable()
 
 from .divpow import (
     NORM_OMEGA,
@@ -95,6 +108,9 @@ from .report import (
     run,
     strip_timing,
 )
+
+if _COMMAND:
+    gc.freeze()
 
 __all__ = [
     "ChainContext",

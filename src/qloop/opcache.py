@@ -47,9 +47,10 @@ order, a sign other than +-1, an image width other than the ring's, a
 coordinate beyond the int64 tier, or trailing bytes.  Writes go through a
 temp file and an atomic rename, so concurrent readers never see partial
 files and concurrent writers of the same key (two worker processes
-filling the same power) leave one whole file.  A store replaces whatever
-file the key had, so a corrupt file is mended by the first run that
-misses on it.
+filling the same power) leave one whole file.  A write that fails (a full
+disk) removes its temp file and raises CacheWriteError, which a run turns
+into a resource error.  A store replaces whatever file the key had, so a
+corrupt file is mended by the first run that misses on it.
 
 Only operators with LaurentPoly entries are keyed (keys say ring=laurent);
 the image is that operator specialized, so every consumer still builds
@@ -59,6 +60,7 @@ nonzero_cells and block_from_cells only.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import struct
@@ -312,6 +314,11 @@ def deserialize_image(blob: bytes, expected_key: str, ctx: ChainContext,
         raise ValueError("truncated cache file") from exc
 
 
+class CacheWriteError(OSError):
+    """A cache file could not be written (a full disk, a directory made
+    read-only); no partial or temporary file is left."""
+
+
 class OperatorCache:
     """Optional directory of content-addressed operator files."""
 
@@ -356,17 +363,19 @@ class OperatorCache:
         # is stale or corrupt and must be replaced
         path = self.path_for(key)
         blob = serialize_operator(key, op, image)
-        fd, tmp = tempfile.mkstemp(dir=self.dir, suffix=".tmp")
         try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
-            os.replace(tmp, path)
-        except BaseException:
+            fd, tmp = tempfile.mkstemp(dir=self.dir, suffix=".tmp")
             try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+                with os.fdopen(fd, "wb") as fh:
+                    fh.write(blob)
+                os.replace(tmp, path)
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
+                raise
+        except OSError as exc:
+            raise CacheWriteError(
+                f"cannot write cache file {path}: {exc.strerror or exc}") from exc
 
 
 DISABLED_CACHE = OperatorCache(None)

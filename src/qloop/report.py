@@ -68,7 +68,7 @@ from .identity import (
     format_check_id,
     make_check,
 )
-from .opcache import DISABLED_CACHE, OperatorCache
+from .opcache import DISABLED_CACHE, CacheWriteError, OperatorCache
 from .qcomb import (
     check_alternating_sum,
     check_binomial_bridge,
@@ -143,7 +143,8 @@ class ConfigError(ValueError):
 
 
 class ResourceError(RuntimeError):
-    """The run exceeded a resource limit (memory), or a job worker died."""
+    """The run exceeded a resource limit (memory, or disk for a cache file
+    it could not write), or a job worker died."""
 
 
 class UnknownId(KeyError):
@@ -362,6 +363,8 @@ def _run_job(job: _Job, env: _RunEnv) -> list[IdentityCheck]:
         out = job.thunk(env)
     except MemoryError as exc:
         raise ResourceError(f"job {job.job_id} exhausted memory") from exc
+    except CacheWriteError as exc:
+        raise ResourceError(str(exc)) from exc
     except _GUARDED as exc:
         kind = next(e.__name__ for e in _GUARDED if isinstance(exc, e))
         return [make_check("run.guard", {"job": job.job_id}, ERROR, error_kind=kind,
@@ -652,7 +655,10 @@ def _fork_pool(workers: int, pairs: list[tuple[_Job, _RunEnv]]):
     """A pool of `workers` forked processes that inherit `pairs`, or None
     where the platform cannot fork or other threads run in this process (a
     child would inherit any lock they hold, held forever).  The pool is
-    imported here, so a one-worker run never pays for it."""
+    imported here, so a one-worker run never pays for it.  A worker also
+    inherits the caller's garbage collector state: in the qloop command the
+    collector is off and the import heap frozen, so no worker spends a
+    collector pass on the objects it inherited."""
     if threading.active_count() > 1:
         return None
     import multiprocessing

@@ -616,13 +616,32 @@ class PhiAdicRing:
         self.trunc_order = trunc_order
         self.phi = quotient(n_param, 1).modulus
         self.quo = quotient(n_param, trunc_order + 1)
-        self.zero = self.from_int(0)
-        self.one = self.from_int(1)
-        self.q = PhiAdicElem(self, self._reduce([0, 1]))
-        self.phi_elem = PhiAdicElem(self, self._reduce(list(self.phi)))
-        self.qinv = self.from_laurent(LaurentPoly.q_power(-1))
         if not (self.qinv * self.q == self.one):
             raise InternalInconsistency("q^-1 construction failed")
+
+    # Each constant is a fresh element per read: an element refers to its
+    # ring, so a ring that kept its own elements would be a reference cycle,
+    # left for the cyclic collector, which the qloop command turns off.
+
+    @property
+    def zero(self) -> PhiAdicElem:
+        return self.from_int(0)
+
+    @property
+    def one(self) -> PhiAdicElem:
+        return self.from_int(1)
+
+    @property
+    def q(self) -> PhiAdicElem:
+        return PhiAdicElem(self, self._reduce([0, 1]))
+
+    @property
+    def phi_elem(self) -> PhiAdicElem:
+        return PhiAdicElem(self, self._reduce(list(self.phi)))
+
+    @property
+    def qinv(self) -> PhiAdicElem:
+        return self.from_laurent(LaurentPoly.q_power(-1))
 
     def _reduce(self, coeffs: list[int]) -> tuple[int, ...]:
         _, rem = _poly_divmod(coeffs, self.quo.modulus)

@@ -65,6 +65,28 @@ def test_memory_error_while_building_the_run_exits_three(monkeypatch, capsys):
         report.run(RunConfig(n_param=2, length=2, suites=("qcomb",)))
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_failed_cache_write_exits_three(monkeypatch, capfd, tmp_path, jobs):
+    import errno
+
+    import qloop.opcache as opcache
+
+    def disk_full(src, dst):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    # forked workers inherit the patched module, so every process fails
+    monkeypatch.setattr(opcache.os, "replace", disk_full)
+    monkeypatch.setattr(report, "_core_count", lambda: 2)
+    cache = tmp_path / "opcache"
+    assert main(["run", "--N", "2", "--L", "3", "--suite", "divpow",
+                 "--cache-dir", str(cache), "--jobs", jobs]) == 3
+    err = capfd.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"resource error: cannot write cache file {cache}")
+    assert err[0].endswith(".qop: No space left on device")
+    assert list(cache.iterdir()) == []
+
+
 def test_failing_checks_exit_one(monkeypatch, capsys):
     class FakeDoc:
         ok = False
@@ -239,18 +261,21 @@ def test_version_flag(capsys):
 
 
 # A sitecustomize that reports, as the process exits, the BLAS thread setting
-# its own environment ended with.
-_REPORT_BLAS_THREADS = """\
-import atexit, os, sys
+# its own environment ended with and the state of its garbage collector.
+_REPORT_PROCESS_STATE = """\
+import atexit, gc, os, sys
 atexit.register(lambda: sys.stderr.write(
-    "OPENBLAS_NUM_THREADS=%s\\n" % os.environ.get("OPENBLAS_NUM_THREADS")))
+    "OPENBLAS_NUM_THREADS=%s gc_enabled=%s gc_frozen=%d\\n"
+    % (os.environ.get("OPENBLAS_NUM_THREADS"), gc.isenabled(),
+       gc.get_freeze_count())))
 """
 
 
 def _fresh_env(tmp_path, blas_threads):
     """The environment of a fresh interpreter that imports qloop from src and
-    reports its BLAS thread setting at exit; blas_threads None leaves it unset."""
-    (tmp_path / "sitecustomize.py").write_text(_REPORT_BLAS_THREADS)
+    reports its BLAS thread setting and collector state at exit;
+    blas_threads None leaves the setting unset."""
+    (tmp_path / "sitecustomize.py").write_text(_REPORT_PROCESS_STATE)
     env = dict(os.environ)
     env.pop("OPENBLAS_NUM_THREADS", None)
     if blas_threads is not None:
@@ -261,11 +286,12 @@ def _fresh_env(tmp_path, blas_threads):
     return env
 
 
-def _blas_threads_at_exit(argv, env, cwd):
+def _state_at_exit(argv, env, cwd) -> dict[str, str]:
+    """What the sitecustomize of _fresh_env reported, by name."""
     proc = subprocess.run([sys.executable, *argv], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return proc.stderr.splitlines()[-1].split("=", 1)[1]
+    return dict(item.split("=", 1) for item in proc.stderr.splitlines()[-1].split())
 
 
 @pytest.mark.parametrize("launch", ["-m", "-m qloop.cli", "console script"])
@@ -282,7 +308,11 @@ def test_command_runs_on_one_blas_thread_unless_the_caller_sets_it(
             "import sys\nfrom qloop.cli import main\nsys.exit(main())\n")
         argv = [str(tmp_path / "qloop"), "--version"]
     env = _fresh_env(tmp_path, caller)
-    assert _blas_threads_at_exit(argv, env, tmp_path) == expected
+    state = _state_at_exit(argv, env, tmp_path)
+    assert state["OPENBLAS_NUM_THREADS"] == expected
+    # the command runs with the cyclic collector off and its imports frozen
+    assert state["gc_enabled"] == "False"
+    assert int(state["gc_frozen"]) > 0
 
 
 @pytest.mark.parametrize("launch", ["-c", "script", "-m"])
@@ -305,4 +335,5 @@ def test_importing_qloop_leaves_the_environment_unchanged(tmp_path, launch):
         (tmp_path / "tool" / "__main__.py").write_text("")
         argv = ["-m", "tool"]
     env = _fresh_env(tmp_path, None)
-    assert _blas_threads_at_exit(argv, env, tmp_path) == "None"
+    assert _state_at_exit(argv, env, tmp_path) == {
+        "OPENBLAS_NUM_THREADS": "None", "gc_enabled": "True", "gc_frozen": "0"}

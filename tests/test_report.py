@@ -488,6 +488,23 @@ def test_worker_memory_error_is_a_resource_error(monkeypatch):
         run(RunConfig(n_param=2, length=2, suites=("qcomb",), jobs=2))
 
 
+def test_a_worker_that_dies_is_a_resource_error(monkeypatch):
+    import qloop.report as report
+
+    parent = os.getpid()
+
+    def die(env):
+        if os.getpid() == parent:
+            pytest.fail("the job ran in the test's process, not in a forked worker")
+        os._exit(1)
+
+    monkeypatch.setattr(report, "_core_count", lambda: 2)
+    pairs = [(_Job("qcomb/fine", "qcomb", lambda env: []), None),
+             (_Job("qcomb/dies", "qcomb", die), None)]
+    with pytest.raises(ResourceError, match="a job worker process died"):
+        report._execute(pairs, 2)
+
+
 # `qloop run` on two workers, with one more qcomb job whose {body} runs only
 # in a worker process; sys.argv[1] is left for the body to use
 _PLANTED_RUN = """

@@ -1,6 +1,5 @@
 """Ring-level correctness: Laurent, cyclotomic, Phi-adic, float."""
 
-import gc
 import random
 import weakref
 from fractions import Fraction
@@ -380,13 +379,21 @@ def test_phi_adic_divexact_rejects_non_multiples(n_param, trunc, v, unit,
         adic.divexact(c * b + adic.one, b)
 
 
-def test_phi_adic_ring_is_collected_after_use():
-    adic = PhiAdicRing(2, 3)
-    adic.from_laurent(LaurentPoly({-3: 1}))  # memoizes q^-3 on the ring
-    ref = weakref.ref(adic)
-    del adic
-    gc.collect()
-    assert ref() is None
+def test_phi_adic_ring_is_collected_after_use(unreachable_after):
+    # a ring keeps none of its own elements, so reference counting alone
+    # frees it: the qloop command runs with the cyclic collector off
+    freed = []
+
+    def use_ring():
+        adic = PhiAdicRing(2, 3)
+        x = adic.from_laurent(LaurentPoly({-3: 1})) * adic.q + adic.phi_elem
+        assert adic.qinv * adic.q == adic.one and x - x == adic.zero
+        ref = weakref.ref(adic)
+        del adic, x
+        freed.append(ref() is None)
+
+    assert not unreachable_after(use_ring)
+    assert freed == [True]
 
 
 @given(st.sampled_from([2, 3, 4]), st.integers(0, 2), st.integers(1, 2),
