@@ -28,8 +28,8 @@ from .rings import (
     InternalInconsistency,
     LaurentPoly,
     cyclo_ring,
-    cyclotomic_poly,
     phi_multiplicity,
+    quotient,
 )
 
 
@@ -155,7 +155,7 @@ def gauss_binomial(s: int, l: int, flavor: str = "q") -> LaurentPoly:
 
 def phi_valuation(p: LaurentPoly, n_param: int):
     """Multiplicity of Phi_2N(q) in p; inf for the zero polynomial."""
-    return phi_multiplicity(p.dense()[1], cyclotomic_poly(2 * n_param), float("inf"))
+    return phi_multiplicity(p.dense()[1], quotient(n_param, 1).modulus, float("inf"))
 
 
 # ---------------------------------------------------------------------------

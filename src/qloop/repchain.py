@@ -284,12 +284,12 @@ def rep_self_check(rep: SiteRep, mode: str = "generic") -> list[IdentityCheck]:
 
 
 class ChainContext:
-    """L sites of one representation, with the sector tables precomputed.
+    """L sites of one representation, with its sector table precomputed.
 
     A state's base-d digits are its sites, the first the most significant;
-    `grade_of[state]` is its clock grade (mod N when labels wrap),
-    `sectors[g]` the ascending states of grade g, and `position[state]` a
-    state's index in its sector."""
+    its clock grade is the sum of their labels (mod N when labels wrap).
+    `sectors` maps each grade g, ascending, to the ascending states of
+    grade g; an operator block's indices are positions in these tuples."""
 
     def __init__(self, rep: SiteRep, length: int):
         if length < 1:
@@ -299,8 +299,6 @@ class ChainContext:
         self.n_param = rep.n_param
         d = rep.dim
         self.dim_total = d**length
-        self.grade_of: list[int] = []
-        self.position: list[int] = []
         sectors: dict[int, list[int]] = {}
         for state in range(self.dim_total):
             g = 0
@@ -308,12 +306,7 @@ class ChainContext:
             for _ in range(length):
                 g += rep.labels[s % d]
                 s //= d
-            if not rep.wrap_free:
-                g %= rep.n_param
-            self.grade_of.append(g)
-            states = sectors.setdefault(g, [])
-            self.position.append(len(states))
-            states.append(state)
+            sectors.setdefault(self.wrap_grade(g), []).append(state)
         self.sectors = {g: tuple(states) for g, states in sorted(sectors.items())}
 
     def wrap_grade(self, g: int) -> int:
@@ -326,6 +319,12 @@ class ChainContext:
 
 # ---------------------------------------------------------------------------
 # graded operators
+
+
+def _ring_key(ring):
+    """What makes two rings' entries comparable: the kind of ring and, for
+    a quotient ring, its interned quotient."""
+    return ring.kind, getattr(ring, "quo", None)
 
 
 class GradedOperator:
@@ -351,8 +350,15 @@ class GradedOperator:
         return not self.blocks
 
     def __eq__(self, other):
+        """Equal entries; a nonzero operator never equals one of another
+        (wrapped) shift, nor one over a ring of another kind or quotient."""
         if not isinstance(other, GradedOperator):
             return NotImplemented
+        if self.is_zero() and other.is_zero():
+            return True
+        if (self.ctx.wrap_grade(self.shift) != self.ctx.wrap_grade(other.shift)
+                or _ring_key(self.ring) != _ring_key(other.ring)):
+            return False
         return (self - other).is_zero()
 
     def __matmul__(self, other: "GradedOperator") -> "GradedOperator":
@@ -415,34 +421,6 @@ class GradedOperator:
                 f"nnz={self.nnz()})")
 
 
-def operator_from_entries(ctx: ChainContext, ring, entries) -> GradedOperator:
-    """Group global-matrix entries (row_state, col_state, value) into sector
-    blocks, inferring and enforcing a single grading shift (0 when every
-    entry is zero)."""
-    per_sector: dict[int, list] = {}
-    seen_shift = None
-    for row, col, val in entries:
-        if ring.is_zero(val):
-            continue
-        g_src = ctx.grade_of[col]
-        g_dst = ctx.grade_of[row]
-        s = g_dst - g_src
-        if not ctx.rep.wrap_free:
-            s %= ctx.n_param
-        if seen_shift is None:
-            seen_shift = s
-        elif seen_shift != s:
-            raise NotGraded(f"mixed sector shifts {seen_shift} and {s}")
-        per_sector.setdefault(g_src, []).append((row, col, val))
-    if seen_shift is None:
-        seen_shift = 0
-    pos, sectors = ctx.position, ctx.sectors
-    blocks = {g: make_block(ring, len(sectors[ctx.wrap_grade(g + seen_shift)]),
-                            len(sectors[g]), [(pos[r], pos[c], v) for r, c, v in triples])
-              for g, triples in per_sector.items()}
-    return GradedOperator(ctx, ring, seen_shift, blocks)
-
-
 def identity_operator(ctx: ChainContext, ring) -> GradedOperator:
     blocks = {}
     for g, states in ctx.sectors.items():
@@ -459,15 +437,6 @@ def operator_product(ctx: ChainContext, ring, factors) -> GradedOperator:
     for factor in factors:
         out = factor if out is None else out @ factor
     return identity_operator(ctx, ring) if out is None else out
-
-
-def diagonal_operator(ctx: ChainContext, ring, value_of_state) -> GradedOperator:
-    """Diagonal operator from a state -> scalar function (shift 0)."""
-    blocks = {}
-    for g, states in ctx.sectors.items():
-        triples = [(i, i, value_of_state(s)) for i, s in enumerate(states)]
-        blocks[g] = make_block(ring, len(states), len(states), triples)
-    return GradedOperator(ctx, ring, 0, blocks)
 
 
 def charge_of(op: GradedOperator) -> int:
@@ -492,25 +461,41 @@ def sector_project(op: GradedOperator, charge_q: int) -> GradedOperator:
 # chain generators
 
 
+def _site_shift(rep: SiteRep, site: Block) -> int:
+    """The grade shift of a site matrix: entry (r, c) moves a state's grade
+    by labels[r] - labels[c], mod N when labels wrap; 0 with no entries.
+    NotGraded when its entries shift the grade by different amounts."""
+    shifts = {rep.labels[r] - rep.labels[c] for r, c, _ in site.entries()}
+    if not rep.wrap_free:
+        shifts = {s % rep.n_param for s in shifts}
+    if len(shifts) > 1:
+        raise NotGraded(f"site matrix entries shift the grade by {sorted(shifts)}")
+    return shifts.pop() if shifts else 0
+
+
 def build_chain_generators(ctx: ChainContext) -> dict:
     """Global generators from their closed forms, plus the clock product.
 
     E1 = sum_j k' .. k' e'_j 1 .. 1        F1 = sum_j 1 .. 1 f'_j k'^-1 .. k'^-1
     E0 = sum_j k'^-1 .. k'^-1 f'_j 1 .. 1  F0 = sum_j 1 .. 1 e'_j k' .. k'
-    K  = prod_j k'_j;  A_L = prod_j Z_j;  A_L_half = diagonal q^(sum of labels)
+    K  = prod_j k'_j;  A_L = prod_j Z_j;  A_L_half = q^g on sector g
 
     plus the inverses K_inv, A_L_inv and A_L_half_inv.  Site j is digit j
     of a state in base d, the first the most significant.  k' and Z are
-    diagonals of +-q-monomials, so one pass over the states writes every
-    entry: a site entry times the signed q-power of k' on the digits to
-    one side of j (entries two terms share are summed), or a product of
-    site monomials.
+    diagonals of +-q-monomials, so one pass over the sectors, column by
+    column, writes every entry of every block at its sector-local indices:
+    a site entry times the signed q-power of k' on the digits to one side
+    of j (entries two terms share are summed), or a product of site
+    monomials.  The grading is read from the site matrices: E1 and F0
+    shift a sector as e' does, F1 and E0 as f' does (NotGraded when a site
+    matrix has no single shift).
 
     All operators are symbolic (LaurentPoly entries); specialize afterwards.
     """
     rep = ctx.rep
     d, length = rep.dim, ctx.length
     k_site, z_site = _diagonal_monomials(rep.k_pr), _diagonal_monomials(rep.z)
+    e_shift, f_shift = _site_shift(rep, rep.e_pr), _site_shift(rep, rep.f_pr)
 
     @functools.cache
     def dressed(site, x, e, sign):
@@ -519,42 +504,49 @@ def build_chain_generators(ctx: ChainContext) -> dict:
         return [(r - c, v if (e, sign) == (0, 1) else v * dress)
                 for r, c, v in site.entries() if c == x]
 
+    position = [0] * ctx.dim_total  # a state's index in its sector
+    for states in ctx.sectors.values():
+        for c, state in enumerate(states):
+            position[state] = c
     weight = [d ** (length - 1 - j) for j in range(length)]
-    sums: dict = {"E1": {}, "F1": {}, "E0": {}, "F0": {}}
-    k_of, z_of = [], []  # (exponent, sign) of K and of A_L, per state
-    for col in range(ctx.dim_total):
-        digits = [col // w % d for w in weight]
-        for of, site in ((k_of, k_site), (z_of, z_site)):
-            of.append((sum(site[x][0] for x in digits),
-                       math.prod(site[x][1] for x in digits)))
-        k_e, k_s = k_of[-1]
-        left_e, left_s = 0, 1  # k' on the sites before site j
-        for j, x in enumerate(digits):
-            e, sign = k_site[x]
-            right_e, right_s = k_e - left_e - e, k_s * left_s * sign
-            for name, key in (("E1", (rep.e_pr, x, left_e, left_s)),
-                              ("E0", (rep.f_pr, x, -left_e, left_s)),
-                              ("F1", (rep.f_pr, x, -right_e, right_s)),
-                              ("F0", (rep.e_pr, x, right_e, right_s))):
-                out = sums[name]
-                for step, v in dressed(*key):
-                    entry = (col + step * weight[j], col)
-                    prev = out.get(entry)
-                    out[entry] = v if prev is None else prev + v
-            left_e, left_s = left_e + e, left_s * sign
+    shifts = {"E1": e_shift, "F1": f_shift, "E0": f_shift, "F0": e_shift,
+              "K": 0, "K_inv": 0, "A_L": 0, "A_L_inv": 0,
+              "A_L_half": 0, "A_L_half_inv": 0}
+    sums: dict = {name: {} for name in shifts}  # {sector: {(row, col): value}}
+    for g, states in ctx.sectors.items():
+        here = {name: of.setdefault(g, {}) for name, of in sums.items()}
+        for c, col in enumerate(states):
+            digits = [col // w % d for w in weight]
+            (k_e, k_s), z_mono = ((sum(site[x][0] for x in digits),
+                                   math.prod(site[x][1] for x in digits))
+                                  for site in (k_site, z_site))
+            for name, (e, sign) in (("K", (k_e, k_s)), ("A_L", z_mono),
+                                    ("A_L_half", (g, 1))):
+                here[name][c, c] = LaurentPoly.q_power(e, sign)
+                here[name + "_inv"][c, c] = LaurentPoly.q_power(-e, sign)
+            left_e, left_s = 0, 1  # k' on the sites before site j
+            for j, x in enumerate(digits):
+                e, sign = k_site[x]
+                right_e, right_s = k_e - left_e - e, k_s * left_s * sign
+                for name, key in (("E1", (rep.e_pr, x, left_e, left_s)),
+                                  ("E0", (rep.f_pr, x, -left_e, left_s)),
+                                  ("F1", (rep.f_pr, x, -right_e, right_s)),
+                                  ("F0", (rep.e_pr, x, right_e, right_s))):
+                    out = here[name]
+                    for step, v in dressed(*key):
+                        entry = (position[col + step * weight[j]], c)
+                        prev = out.get(entry)
+                        out[entry] = v if prev is None else prev + v
+                left_e, left_s = left_e + e, left_s * sign
 
-    def diagonal(of, flip):
-        return diagonal_operator(ctx, LAURENT_RING, lambda state: LaurentPoly.q_power(
-            flip * of[state][0], of[state][1]))
+    def operator(shift, of):
+        sectors = ctx.sectors
+        return GradedOperator(ctx, LAURENT_RING, shift, {
+            g: make_block(LAURENT_RING, len(sectors[ctx.wrap_grade(g + shift)]),
+                          len(sectors[g]), [(r, c, v) for (r, c), v in entries.items()])
+            for g, entries in of.items() if entries})
 
-    ops = {name: operator_from_entries(
-               ctx, LAURENT_RING, [(r, c, v) for (r, c), v in sums.pop(name).items()])
-           for name in ("E1", "F1", "E0", "F0")}
-    half_of = [(g, 1) for g in ctx.grade_of]
-    ops.update(K=diagonal(k_of, 1), K_inv=diagonal(k_of, -1),
-               A_L=diagonal(z_of, 1), A_L_inv=diagonal(z_of, -1),
-               A_L_half=diagonal(half_of, 1), A_L_half_inv=diagonal(half_of, -1))
-    return ops
+    return {name: operator(shift, sums.pop(name)) for name, shift in shifts.items()}
 
 
 def build_barred_ops(ctx: ChainContext, gens: dict) -> dict:

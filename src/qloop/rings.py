@@ -146,18 +146,24 @@ def _int_matrix(rows) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
 def cyclotomic_poly(m: int) -> tuple[int, ...]:
-    """Coefficients of Phi_m(x), ascending.  Phi_m is monic over Z."""
+    """Coefficients of Phi_m(x), ascending.  Phi_m is monic over Z.  Each
+    Phi_d of a divisor d of m, ascending, is x^d - 1 divided by the Phi_e
+    of d's smaller divisors; quotient(N, 1) keeps Phi_2N."""
     if m < 1:
         raise ValueError("m must be positive")
-    poly = [-1] + [0] * (m - 1) + [1]          # x^m - 1
-    for d in range(1, m):
-        if m % d == 0:
-            poly, rem = _poly_divmod(poly, list(cyclotomic_poly(d)))
-            if rem:
-                raise InternalInconsistency("cyclotomic division left a remainder")
-    return tuple(poly)
+    phis: dict[int, list[int]] = {}
+    for d in range(1, m + 1):
+        if m % d:
+            continue
+        poly = [-1] + [0] * (d - 1) + [1]          # x^d - 1
+        for e, phi in phis.items():
+            if d % e == 0:
+                poly, rem = _poly_divmod(poly, phi)
+                if rem:
+                    raise InternalInconsistency("cyclotomic division left a remainder")
+        phis[d] = poly
+    return tuple(phis[m])
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +412,8 @@ class Quotient:
     coordinates are on 1, q, .., q^(degree-1), phi_degree per Phi digit."""
 
     def __init__(self, n_param: int, prec: int):
-        phi = cyclotomic_poly(2 * n_param)
+        phi = (cyclotomic_poly(2 * n_param) if prec == 1
+               else quotient(n_param, 1).modulus)
         modulus = [1]
         for _ in range(prec):
             modulus = _poly_mul(modulus, list(phi))

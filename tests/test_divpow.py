@@ -8,6 +8,7 @@ import threading
 
 import pytest
 
+from qloop.blocks import make_block
 from qloop.divpow import (
     NORM_OMEGA,
     NORM_Q,
@@ -29,9 +30,9 @@ from qloop.qcomb import omega_int, q_int
 from qloop.report import RunConfig, run
 from qloop.repchain import (
     ChainContext,
+    GradedOperator,
     build_chain_generators,
     build_site_rep,
-    diagonal_operator,
     specialize_operator,
 )
 from qloop.rings import (
@@ -176,8 +177,11 @@ def test_cross_normalization_reads_the_half_clock_from_the_store(monkeypatch):
     store = _store(_ctx("highest_weight", 3, 3))
     ctx = store.ctx
     for n in range(5):
-        want = diagonal_operator(
-            ctx, LAURENT_RING, lambda s: LaurentPoly.q_power(-n * ctx.grade_of[s]))
+        # A^(-1/2) is q^-g on sector g
+        want = GradedOperator(ctx, LAURENT_RING, 0, {
+            g: make_block(LAURENT_RING, len(states), len(states),
+                          [(i, i, LaurentPoly.q_power(-n * g)) for i in range(len(states))])
+            for g, states in ctx.sectors.items()})
         assert store.get("A_L_half_inv", 1, NORM_Q).power(n) == want
     asked = []
     real = store.get

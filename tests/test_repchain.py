@@ -34,7 +34,6 @@ from qloop.repchain import (
     build_site_rep,
     charge_of,
     invert_diag,
-    operator_from_entries,
     rep_self_check,
     rescaled_rep,
     sector_project,
@@ -398,10 +397,11 @@ def test_grading_example_l2():
     ctx = ChainContext(build_site_rep("spin_half", 2), 2)
     gens = build_chain_generators(ctx)
     a, e1 = gens["A_L"], gens["E1"]
-    a_inv = operator_from_entries(
-        ctx, LAURENT_RING,
-        [(r, c, LaurentPoly.q_power(-2 * ctx.grade_of[r]))
-         for r, c in [(s, s) for s in range(ctx.dim_total)]])
+    # A = prod_j Z_j is q^(2g) on sector g, as Z_j = q^(2 label)
+    a_inv = GradedOperator(ctx, LAURENT_RING, 0, {
+        g: make_block(LAURENT_RING, len(states), len(states),
+                      [(i, i, LaurentPoly.q_power(-2 * g)) for i in range(len(states))])
+        for g, states in ctx.sectors.items()})
     conj = a @ e1 @ a_inv
     assert conj == e1.scale(LaurentPoly.q_power(-2))
     assert charge_of(e1) == (-1) % 2
@@ -476,12 +476,28 @@ def test_sector_project_keeps_charge_class():
         e1.blocks.keys()
 
 
-def test_not_graded_on_mixed_entries():
-    ctx = ChainContext(build_site_rep("spin_half", 2), 1)
-    with pytest.raises(NotGraded):
-        operator_from_entries(
-            ctx, LAURENT_RING,
-            [(0, 1, LaurentPoly(1)), (1, 1, LaurentPoly(1))])
+def test_equality_across_shifts_and_rings_is_false():
+    ctx = ChainContext(build_site_rep("spin_half", 2), 3)
+    gens = build_chain_generators(ctx)
+    e1, f1 = gens["E1"], gens["F1"]
+    assert (e1 == f1) is False
+    assert (e1 == specialize_operator(e1, cyclo_ring(2))) is False
+    assert (specialize_operator(e1, PhiAdicRing(2, 1))
+            == specialize_operator(e1, PhiAdicRing(2, 2))) is False
+    assert specialize_operator(e1, PhiAdicRing(2, 1)) == \
+        specialize_operator(e1, PhiAdicRing(2, 1))
+    assert e1 != f1 and e1 != e1.scale(LaurentPoly(2))
+
+
+def test_zero_operators_are_equal_across_shifts_and_rings():
+    ctx = ChainContext(build_site_rep("spin_half", 2), 3)
+    gens = build_chain_generators(ctx)
+    zero_e1 = gens["E1"] - gens["E1"]
+    zero_f1 = gens["F1"].scale(LaurentPoly(0))
+    assert zero_e1.shift != zero_f1.shift
+    assert zero_e1 == zero_f1
+    assert zero_e1 == specialize_operator(zero_f1, cyclo_ring(2))
+    assert (zero_e1 == gens["E1"]) is False
 
 
 def test_charge_of_validates_block_shapes():
@@ -576,3 +592,22 @@ def test_chain_factor_with_two_entries_in_a_column_is_not_graded():
     bad = dataclasses.replace(rep, e_pr=two_in_column_one)
     with pytest.raises(NotGraded):
         build_chain_generators(ChainContext(bad, 2))
+
+
+def test_site_matrix_shifting_columns_apart_is_not_graded():
+    # column 1 steps the grade by -1, column 2 by -2: no single shift
+    rep = build_site_rep("highest_weight", 3)
+    two_shifts = _site({(0, 1): LaurentPoly(1), (0, 2): LaurentPoly(1)}, dim=3)
+    for field in ("e_pr", "f_pr"):
+        bad = dataclasses.replace(rep, **{field: two_shifts})
+        with pytest.raises(NotGraded):
+            build_chain_generators(ChainContext(bad, 2))
+
+
+def test_site_matrix_with_no_entries_gives_zero_operators_of_shift_zero():
+    rep = build_site_rep("spin_half", 2)
+    gens = build_chain_generators(
+        ChainContext(dataclasses.replace(rep, e_pr=_site({})), 3))
+    for name in ("E1", "F0"):
+        assert gens[name].is_zero() and gens[name].shift == 0
+    assert gens["F1"].shift == 1 and not gens["F1"].is_zero()
