@@ -254,20 +254,16 @@ def _product(quo: Quotient, a: "CycloBlock", b: "CycloBlock") -> np.ndarray:
     becomes a (k*m, c*m) integer matrix and a is read as (r, k*m).  Every
     partial sum, the embedding's included, is bounded by
     k * max|a| * max|b| * weight(T), read from the blocks' kept maxima.
-    _exact_dtype runs both matmuls in float64 while that bound is below
-    2^53 (on BLAS, exact in any summation order, cast back to int64),
-    against the quotient's interned float64 copy of T; in int64 while it
-    is below INT64_SAFE; and in exact Python ints (object dtype) beyond.
+    _exact_dtype types T with the operands, so both matmuls run in
+    float64 while that bound is below 2^53 (on BLAS, exact in any
+    summation order, cast back to int64); in int64 while it is below
+    INT64_SAFE; and in exact Python ints (object dtype) beyond.
     """
     r, k, d = a.arr.shape
     c = b.arr.shape[1]
     tensor, weight = quo.mult_tensor()
     bound = max(k, 1) * max(a.max_abs(), 1) * max(b.max_abs(), 1) * weight
-    x, y = _exact_dtype(bound, a.arr, b.arr, matmul=True)
-    if x.dtype == np.float64:
-        tensor = quo.float_tensor()
-    else:
-        tensor = tensor.astype(x.dtype, copy=False)
+    x, y, tensor = _exact_dtype(bound, a.arr, b.arr, tensor, matmul=True)
     embedded = (y.reshape(k * c, d) @ tensor).reshape(k, c, d, d)
     embedded = embedded.transpose(0, 2, 1, 3).reshape(k * d, c * d)
     return _integral((x.reshape(r, k * d) @ embedded).reshape(r, c, d))

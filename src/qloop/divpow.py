@@ -146,6 +146,8 @@ class DividedPowerStore:
     def get(self, op_id: str, n: int, normalization: str,
             ring=LAURENT_RING) -> GradedOperator:
         _divisors(normalization)  # rejects an unknown name before any fill
+        if op_id not in self._base:  # before the order-0 key, which omits it
+            raise KeyError(f"unknown operator {op_id!r}")
         if n < 0:
             raise ValueError("order must be nonnegative")
         with self._lock:

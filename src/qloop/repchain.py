@@ -321,12 +321,6 @@ class ChainContext:
 # graded operators
 
 
-def _ring_key(ring):
-    """What makes two rings' entries comparable: the kind of ring and, for
-    a quotient ring, its interned quotient."""
-    return ring.kind, getattr(ring, "quo", None)
-
-
 class GradedOperator:
     """Homogeneous operator stored as one block per source sector.
 
@@ -350,14 +344,17 @@ class GradedOperator:
         return not self.blocks
 
     def __eq__(self, other):
-        """Equal entries; a nonzero operator never equals one of another
-        (wrapped) shift, nor one over a ring of another kind or quotient."""
+        """Equal entries on one chain; a nonzero operator never equals one
+        of another (wrapped) shift, nor one over a ring of another kind or
+        quotient, and operators on different chains are never equal."""
         if not isinstance(other, GradedOperator):
             return NotImplemented
+        if other.ctx is not self.ctx:
+            return False
         if self.is_zero() and other.is_zero():
             return True
         if (self.ctx.wrap_grade(self.shift) != self.ctx.wrap_grade(other.shift)
-                or _ring_key(self.ring) != _ring_key(other.ring)):
+                or (self.ring.kind, self.ring.quo) != (other.ring.kind, other.ring.quo)):
             return False
         return (self - other).is_zero()
 
@@ -375,6 +372,8 @@ class GradedOperator:
         return GradedOperator(ctx, self.ring, self.shift + other.shift, out)
 
     def __add__(self, other: "GradedOperator") -> "GradedOperator":
+        if other.ctx is not self.ctx:
+            raise ValueError("operators live on different chains")
         if other.is_zero():
             return self
         if self.is_zero():

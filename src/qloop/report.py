@@ -10,7 +10,10 @@ caches and any worker count produce the same document modulo milliseconds.
 validate() builds the run's one job list from the config, before any chain
 or ring table.  A job declares the base-Phi digits its rings make, which
 the memory budget reads, and runs against the env (chain and store) it is
-given: the rescale audit reruns the same jobs on a rescaled env.
+given: the rescale audit reruns the same jobs on a rescaled env.  A
+store-backed job is its list of (check, *args) calls, run by _job, which
+hands each check the env's store and, where the job names a ring
+selector, the ring it picks from the env.
 
 Worker processes.  The jobs are pure-Python exact arithmetic, so threads
 would queue on the interpreter lock; workers are processes forked after the
@@ -373,18 +376,33 @@ def _run_job(job: _Job, env: _RunEnv) -> list[IdentityCheck]:
 
 
 # ---------------------------------------------------------------------------
-# Suite builders.  Each makes a deterministic list of jobs from the config;
-# a job takes the env it runs on and returns one check or a list of checks.
+# Suite builders.  Each makes a deterministic list of jobs from the config:
+# _job builds those that run store checks, and the rest keep a thunk.
+
+
+def _job(job_id: str, suite: str, calls: list[tuple],
+         ring: Callable[[_RunEnv], Any] | None = None, digits: int = 1) -> _Job:
+    """A job running check(env.store, *args) for each (check, *args) of
+    calls, with ring=ring(env) when a ring selector is given, and returning
+    all their checks as one list, in call order."""
+    def thunk(env: _RunEnv) -> list[IdentityCheck]:
+        kw = {} if ring is None else {"ring": ring(env)}
+        out = []
+        for check, *args in calls:
+            result = check(env.store, *args, **kw)
+            out += result if isinstance(result, list) else [result]
+        return out
+    return _Job(job_id, suite, thunk, digits)
 
 
 def _generic_job(config: RunConfig, job_id: str, suite: str, max_order: int,
-                 check: Callable[[Any, Any], Any]) -> _Job:
-    """A job running check(store, ring) over the run's generic ring up to
-    max_order, declaring the digits of that ring's blocks."""
+                 calls: list[tuple]) -> _Job:
+    """A job of calls over the run's generic ring up to max_order,
+    declaring the digits of that ring's blocks."""
     phi_adic = config.ring == "phi-adic"
     digits = _generic_trunc_order(config.n_param, max_order) + 1 if phi_adic else 1
-    return _Job(job_id, suite,
-                lambda env: check(env.store, env.generic_ring(max_order)), digits)
+    return _job(job_id, suite, calls,
+                lambda env: env.generic_ring(max_order), digits)
 
 
 def _jobs_qcomb(config: RunConfig) -> list[_Job]:
@@ -440,24 +458,23 @@ def _jobs_rep_gate(config: RunConfig) -> list[_Job]:
         for kind, params in (("spin_half", None), ("highest_weight", None),
                              ("cyclic", {"c": 0}))
     ]
+    calls = [(check_chain_chevalley,)]
     if config.backend == "cyclic":
-        jobs.append(_Job("rep-gate/chain-chevalley", "rep-gate",
-                         lambda env: check_chain_chevalley(env.store, env.root_ring())))
+        jobs.append(_job("rep-gate/chain-chevalley", "rep-gate", calls,
+                         _RunEnv.root_ring))
     else:
         jobs.append(_generic_job(config, "rep-gate/chain-chevalley", "rep-gate", 0,
-                                 check_chain_chevalley))
+                                 calls))
     return jobs
 
 
 def _jobs_barred(config: RunConfig) -> list[_Job]:
     n = config.n_param
     jobs = [_generic_job(config, "barred/half-clock", "barred", 0,
-                         check_half_clock_commutation)]
+                         [(check_half_clock_commutation,)])]
     for order in range(1, 2 * n + 2):
-        jobs.append(_generic_job(
-            config, f"barred/cross-norm-{order:02d}", "barred", order,
-            lambda store, ring, order=order: check_cross_normalization(
-                store, order, ring)))
+        jobs.append(_generic_job(config, f"barred/cross-norm-{order:02d}", "barred",
+                                 order, [(check_cross_normalization, order)]))
     return jobs
 
 
@@ -469,67 +486,44 @@ def _jobs_divpow(config: RunConfig) -> list[_Job]:
     adic_orders = (n, n + 1)
     jobs = []
     for op_id in op_ids:
-        jobs.append(_Job(
-            f"divpow/{op_id}-factorial", "divpow",
-            lambda env, op_id=op_id: [
-                check_power_factorial(env.store, op_id, k) for k in orders],
-        ))
-        jobs.append(_Job(
-            f"divpow/{op_id}-bridge", "divpow",
-            lambda env, op_id=op_id: [
-                check_normalization_bridge(env.store, op_id, k) for k in orders],
-        ))
-        jobs.append(_Job(
-            f"divpow/{op_id}-adic", "divpow",
-            lambda env, op_id=op_id: [
-                check_adic_agreement(env.store, op_id, k) for k in adic_orders],
-            digits=adic_trunc_order(n, max(adic_orders)) + 1,
-        ))
+        jobs.append(_job(f"divpow/{op_id}-factorial", "divpow",
+                         [(check_power_factorial, op_id, k) for k in orders]))
+        jobs.append(_job(f"divpow/{op_id}-bridge", "divpow",
+                         [(check_normalization_bridge, op_id, k) for k in orders]))
+        jobs.append(_job(f"divpow/{op_id}-adic", "divpow",
+                         [(check_adic_agreement, op_id, k) for k in adic_orders],
+                         digits=adic_trunc_order(n, max(adic_orders)) + 1))
         if config.backend == "spin_half":
             # each site operator squares to zero, so order L+1 must vanish
-            jobs.append(_Job(
-                f"divpow/{op_id}-nilpotency", "divpow",
-                lambda env, op_id=op_id: check_nilpotency(
-                    env.store, op_id, config.length + 1),
-            ))
-
-    def mulo_thunk(env):
-        out = []
-        for q in config.sectors():
-            for k, j in ((1, 1), (2, 1), (0, 2), (1, 2)):
-                for op_id in ("B1bar", "C0bar"):
-                    out.append(check_mulo(env.store, q, k, j, op_id=op_id))
-        return out
-
-    jobs.append(_Job("divpow/merge-binomial", "divpow", mulo_thunk))
+            jobs.append(_job(f"divpow/{op_id}-nilpotency", "divpow",
+                             [(check_nilpotency, op_id, config.length + 1)]))
+    jobs.append(_job("divpow/merge-binomial", "divpow", [
+        (check_mulo, q, k, j, op_id)
+        for q in config.sectors()
+        for k, j in ((1, 1), (2, 1), (0, 2), (1, 2))
+        for op_id in ("B1bar", "C0bar")
+    ]))
     return jobs
 
 
 def _jobs_id1(config: RunConfig) -> list[_Job]:
     n = config.n_param
+    pairs = (_E_PAIR, _F_PAIR)
     jobs = [
-        _generic_job(config, "id1/higher-generic", "id1", 3, lambda store, ring: [
-            check_higher_serre(store, 1, 3, pair, ring) for pair in (_E_PAIR, _F_PAIR)
-        ]),
-        _Job("id1/higher-root", "id1", lambda env: [
-            check_higher_serre(env.store, k, m, pair, env.root_ring())
-            for (k, m) in ((1, 4), (2, 5), (2, 6))
-            for pair in (_E_PAIR, _F_PAIR)
-        ]),
-        _Job("id1/ladder-base", "id1", lambda env: [
-            check_id1(env.store, 0, n, pair, ring=env.root_ring())
-            for pair in (_E_PAIR, _F_PAIR)
-        ]),
+        _generic_job(config, "id1/higher-generic", "id1", 3,
+                     [(check_higher_serre, 1, 3, pair) for pair in pairs]),
+        _job("id1/higher-root", "id1", [
+            (check_higher_serre, k, m, pair)
+            for (k, m) in ((1, 4), (2, 5), (2, 6)) for pair in pairs
+        ], _RunEnv.root_ring),
+        _job("id1/ladder-base", "id1", [(check_id1, 0, n, pair) for pair in pairs],
+             _RunEnv.root_ring),
     ]
     for q in config.sectors():
-        jobs.append(_Job(
-            f"id1/three-term-Q{q}", "id1",
-            lambda env, q=q: [
-                fn(env.store, q, branch, ring=env.root_ring())
-                for fn in (check_BCN, check_CBN)
-                for branch in ("plus", "minus")
-            ],
-        ))
+        jobs.append(_job(f"id1/three-term-Q{q}", "id1", [
+            (fn, q, branch) for fn in (check_BCN, check_CBN)
+            for branch in ("plus", "minus")
+        ], _RunEnv.root_ring))
     return jobs
 
 
@@ -547,55 +541,29 @@ def _jobs_id2(config: RunConfig) -> list[_Job]:
     jobs = []
     for q in config.sectors():
         # at Q = 0 both entries have gap N and route to the wide ladder
-        jobs.append(_Job(
-            f"id2/swap-Q{q}", "id2",
-            lambda env, q=q: [
-                dispatch_root_serre(env.store, q, n + q, pair, ring=env.root_ring())
-                for pair in (_E_PAIR, _F_PAIR)
-            ],
-        ))
-        jobs.append(_Job(
-            f"id2/four-term-Q{q}", "id2",
-            lambda env, q=q: [
-                dispatch_root_serre(env.store, n + q, 3 * n + q, pair,
-                                    ring=env.root_ring())
-                for pair in (_E_PAIR, _F_PAIR)
-            ],
-        ))
+        for name, (k, m) in (("swap", (q, n + q)), ("four-term", (n + q, 3 * n + q))):
+            jobs.append(_job(f"id2/{name}-Q{q}", "id2", [
+                (dispatch_root_serre, k, m, pair) for pair in (_E_PAIR, _F_PAIR)
+            ], _RunEnv.root_ring))
     jobs.append(_Job("id2/g-forms", "id2", _g_forms_thunk))
     return jobs
 
 
 def _jobs_site(config: RunConfig) -> list[_Job]:
-    jobs = []
-    for q in config.sectors():
-        for side in ("one_zero", "L_Lm1"):
-            jobs.append(_Job(
-                f"site/Q{q}-{side}", "site",
-                lambda env, q=q, side=side: check_site_suite(
-                    env.store, q, side, ring=env.root_ring()),
-            ))
-    return jobs
+    return [_job(f"site/Q{q}-{side}", "site", [(check_site_suite, q, side)],
+                 _RunEnv.root_ring)
+            for q in config.sectors() for side in ("one_zero", "L_Lm1")]
 
 
 def _jobs_lemmas(config: RunConfig) -> list[_Job]:
-    return [
-        _Job(f"lemmas/Q{q}", "lemmas",
-             lambda env, q=q: check_lemma_chain(env.store, q, ring=env.root_ring()))
-        for q in config.sectors()
-    ]
+    return [_job(f"lemmas/Q{q}", "lemmas", [(check_lemma_chain, q)], _RunEnv.root_ring)
+            for q in config.sectors()]
 
 
 def _jobs_serre_nested(config: RunConfig) -> list[_Job]:
-    jobs = []
-    for q in config.sectors():
-        for family in ("x", "xbar"):
-            jobs.append(_Job(
-                f"serre-nested/Q{q}-{family}", "serre-nested",
-                lambda env, q=q, family=family: check_serre_nested(
-                    env.store, q, family, ring=env.root_ring()),
-            ))
-    return jobs
+    return [_job(f"serre-nested/Q{q}-{family}", "serre-nested",
+                 [(check_serre_nested, q, family)], _RunEnv.root_ring)
+            for q in config.sectors() for family in ("x", "xbar")]
 
 
 _SUITE_BUILDERS: dict[str, Callable[[RunConfig], list[_Job]]] = {

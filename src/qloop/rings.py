@@ -420,7 +420,7 @@ class Quotient:
         self.n_param, self.prec, self.modulus = n_param, prec, tuple(modulus)
         self.phi_degree, self.degree = len(phi) - 1, len(modulus) - 1
         self._rows = (-1, None)               # (span, q-power rows)
-        self._tensor, self._float_tensor, self._divmod = None, None, {}
+        self._tensor, self._divmod = None, {}
 
     def q_rows(self, exps: np.ndarray) -> np.ndarray:
         """The coordinates of q^e, one row for each exponent in exps.  At
@@ -457,8 +457,9 @@ class Quotient:
         is the row of q^(i+j), and min(k+1, 2m-1-k) pairs have i + j = k.
         T is symmetric, so a coordinate vector b times it, reshaped to
         (m, m), is the multiplication matrix of b: row j is b q^j.  T is
-        int64 (object beyond INT64_SAFE); float_tensor keeps its float64
-        copy next to it."""
+        int64 (object beyond INT64_SAFE); blocks._product runs it through
+        the dtype rule with the operands, so its weight, a bound on every
+        |T[i,j,o]|, enters the bound that picks their common tier."""
         if self._tensor is None:
             m = self.degree
             rows = self.q_rows(np.arange(2 * m - 1)).tolist()
@@ -469,17 +470,6 @@ class Quotient:
             t.setflags(write=False)
             self._tensor = t, weight
         return self._tensor
-
-    def float_tensor(self) -> np.ndarray:
-        """mult_tensor's T as float64, made once, for the float64 tier of
-        blocks._product, which converts then only its operands.  Exact
-        there: that tier runs only while a bound of at least the weight,
-        so of every |T[i,j,o]|, is below 2^53."""
-        if self._float_tensor is None:
-            t = self.mult_tensor()[0].astype(np.float64)
-            t.setflags(write=False)
-            self._float_tensor = t
-        return self._float_tensor
 
     def divmod_table(self, k: int) -> tuple[np.ndarray, int]:
         """The (degree, degree) integer matrix taking the coordinates of x to
@@ -753,6 +743,7 @@ class FloatRing:
     ApproxZero at best, never ExactZero."""
 
     kind = "float"
+    quo = None  # no quotient: (kind, quo) identifies every ring
     tolerance = 1e-9
 
     def __init__(self, n_param: int):
@@ -783,6 +774,7 @@ class LaurentRing:
     """Ring-protocol wrapper over LaurentPoly scalars."""
 
     kind = "laurent"
+    quo = None  # no quotient: (kind, quo) identifies every ring
 
     def __init__(self):
         self.zero = LAURENT_ZERO

@@ -56,6 +56,21 @@ def _store(ctx):
     return store
 
 
+@pytest.mark.parametrize("ring", [LAURENT_RING, cyclo_ring(2)],
+                         ids=["laurent", "cyclotomic"])
+def test_get_rejects_an_unknown_operator_at_every_order(ring):
+    # the order-0 image key leaves out the operator id, so after an order-0
+    # read the memo alone would hand an unknown id the identity
+    store = _store(_ctx(length=3))
+    for n in (0, 1, 2):
+        with pytest.raises(KeyError):
+            store.get("bogus", n, NORM_Q, ring)
+    store.get("E1", 0, NORM_Q, ring)
+    for n in (0, 1, 2):
+        with pytest.raises(KeyError):
+            store.get("bogus", n, NORM_Q, ring)
+
+
 def test_increment_and_factorial_polys():
     assert increment_poly(3, NORM_Q) == q_int(3)
     assert increment_poly(3, NORM_OMEGA) == omega_int(3)

@@ -31,7 +31,7 @@ from qloop.repchain import (
     rescaled_rep,
     specialize_operator,
 )
-from qloop.rings import LaurentPoly, NotDivisible, cyclo_ring
+from qloop.rings import FloatRing, LaurentPoly, NotDivisible, PhiAdicRing, cyclo_ring
 
 
 def _ctx(length=3):
@@ -87,6 +87,21 @@ def test_wrong_chain_shape_rejected(tmp_path):
     key = _key(ctx3)
     cache.store(key, build_chain_generators(ctx3)["E1"])
     assert cache.load(key, ctx2) is None
+
+
+def test_images_load_only_over_the_chains_cyclotomic_ring(tmp_path):
+    ctx = _ctx()
+    cache = OperatorCache(tmp_path)
+    key = _key(ctx)
+    e1 = build_chain_generators(ctx)["E1"]
+    ring = cyclo_ring(2)
+    cache.store(key, e1, specialize_operator(e1, ring))
+    assert cache.load(key, ctx, ring) == specialize_operator(e1, ring)
+    blob = cache.path_for(key).read_bytes()
+    for other in (cyclo_ring(3), PhiAdicRing(2, 1), FloatRing(2)):
+        assert cache.load(key, ctx, other) is None
+        with pytest.raises(ValueError, match="chain's cyclotomic ring"):
+            opcache.deserialize_image(blob, key, ctx, other)
 
 
 def test_store_is_idempotent(tmp_path):

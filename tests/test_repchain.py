@@ -487,6 +487,26 @@ def test_equality_across_shifts_and_rings_is_false():
     assert specialize_operator(e1, PhiAdicRing(2, 1)) == \
         specialize_operator(e1, PhiAdicRing(2, 1))
     assert e1 != f1 and e1 != e1.scale(LaurentPoly(2))
+    assert (specialize_operator(e1, FloatRing(2)) == e1) is False
+
+
+@pytest.mark.parametrize("other_length", [2, 3])
+def test_operators_on_different_chains_neither_add_nor_compare_equal(other_length):
+    # L=2 and L=3 blocks differ in shape; two L=3 chains built apart have
+    # blocks of equal shapes, which the block layer alone would add
+    ctx = ChainContext(build_site_rep("spin_half", 2), 3)
+    e1 = build_chain_generators(ctx)["E1"]
+    other = build_chain_generators(
+        ChainContext(build_site_rep("spin_half", 2), other_length))["E1"]
+    zero_other = other - other
+    for right in (other, zero_other):
+        assert (e1 == right) is False and (right == e1) is False
+        for a, b in ((e1, right), (right, e1)):
+            with pytest.raises(ValueError, match="different chains"):
+                a + b
+            with pytest.raises(ValueError, match="different chains"):
+                a - b
+    assert (e1 - e1 == zero_other) is False
 
 
 def test_zero_operators_are_equal_across_shifts_and_rings():

@@ -514,6 +514,21 @@ def test_ring_is_zero_across_rings():
     assert not flt.is_zero(1e-3 + 0j)
 
 
+def test_laurent_ring_coerce_takes_ints_and_refuses_other_types():
+    ring = LaurentRing()
+    assert ring.coerce(-3) == LaurentPoly(-3)
+    with pytest.raises(TypeError):
+        ring.coerce(1.5)
+
+
+def test_float_ring_coerce_keeps_complex_and_refuses_other_types():
+    ring = FloatRing(3)
+    z = 0.5 - 2j
+    assert ring.coerce(z) is z
+    with pytest.raises(TypeError):
+        ring.coerce("q")
+
+
 def test_cyclo_coerce_takes_phi_adic_digit_zero_of_the_same_n_only():
     adic = PhiAdicRing(3, 2)
     x = adic.from_laurent(LaurentPoly({-1: 2, 4: 1}))
