@@ -8,8 +8,10 @@ specialization.  NotDivisible from an entry is a mathematical finding, not
 a bug, and is surfaced as such.
 
 The DividedPowerStore also holds the chain's plain operators (order 1 is
-the operator itself), so the chain-level relation checks at the end of
-this module read their generators from it as well.
+the operator itself).  Every chain-level check, here and in serre, is a
+residual sum of (coeff, word) specs that evaluate_specs alone reads and
+classifies; a word's factor is an operator as it is, an (op_id, order)
+read in the call's normalization, or an (op_id, order, normalization) read.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .repchain import (
     build_chain_generators,
     evaluate_zero_identity,
     identity_operator,
+    operator_product,
     specialize_operator,
 )
 from .rings import (
@@ -103,12 +106,12 @@ class DividedPowerStore:
     get(op_id, n, norm) returns the Laurent power theta^(n), filled order by
     order from the memo, the disk cache, or one _divided_step; order 1 is
     the base operator itself, so get(op_id, 1, norm, ring) is how a
-    check reads a plain operator (K, A_L_inv, ...) in its ring.  With a
-    cyclotomic or float ring it returns that power's image, memoized per
-    (op_id, norm, n, ring), so a run passes one ring object; orders 0 and
-    1 need no division, so one image serves both norms, and order 0 is the
-    store's one identity, so one image serves every op_id.  Phi-adic
-    images, K+1 digits wide and read once or twice, are recomputed.
+    check reads a plain operator (K, A_L_inv, ...) in its ring.  In any
+    other ring it returns that power's image, memoized per (op_id, norm,
+    n, ring), so a run passes one ring object; orders 0 and 1 need no
+    division, so one image serves both norms, and order 0 is the store's
+    one identity, so one image serves every op_id.  Phi-adic images of
+    orders 2 and up, K+1 digits wide and read once or twice, are recomputed.
 
     With a disk cache, every order the fill computes is also specialized
     to the chain's cyclotomic ring cyclo_ring(N), memoized, and written to
@@ -143,15 +146,19 @@ class DividedPowerStore:
     def base(self, op_id: str) -> GradedOperator:
         return self._base[op_id]
 
-    def get(self, op_id: str, n: int, normalization: str,
-            ring=LAURENT_RING) -> GradedOperator:
-        _divisors(normalization)  # rejects an unknown name before any fill
+    def _check_read(self, op_id: str, n: int, normalization: str) -> None:
+        """Refuse a read the store cannot serve, before any fill."""
+        _divisors(normalization)
         if op_id not in self._base:  # before the order-0 key, which omits it
             raise KeyError(f"unknown operator {op_id!r}")
         if n < 0:
             raise ValueError("order must be nonnegative")
+
+    def get(self, op_id: str, n: int, normalization: str,
+            ring=LAURENT_RING) -> GradedOperator:
+        self._check_read(op_id, n, normalization)
         with self._lock:
-            if ring.kind in ("cyclotomic", "float"):
+            if ring.kind != "laurent" and (n <= 1 or ring.kind != "phi-adic"):
                 key = (op_id if n else "", normalization if n > 1 else NORM_Q, n, ring)
                 out = self._specialized.get(key)
                 if out is None:
@@ -208,6 +215,50 @@ class DividedPowerStore:
 
 
 # ---------------------------------------------------------------------------
+# residual specs: the one evaluator of every chain-level check
+
+
+def word_operator(store: DividedPowerStore, word, ring,
+                  normalization: str = NORM_Q) -> GradedOperator:
+    """Left-to-right product over `ring` of a word's factors: an operator
+    as it is, an (op_id, order) read in `normalization`, or an (op_id,
+    order, normalization) read.  An order-0 read is the identity and drops
+    out, once the store has checked it like any other read."""
+    factors = []
+    for f in word:
+        if not isinstance(f, GradedOperator):
+            op_id, n, norm = f if len(f) == 3 else (*f, normalization)
+            if not n:
+                store._check_read(op_id, n, norm)
+                continue
+            f = store.get(op_id, n, norm, ring)
+        factors.append(f)
+    return operator_product(store.ctx, ring, factors)
+
+
+def spec_terms(store: DividedPowerStore, specs, ring,
+               normalization: str = NORM_Q) -> list[GradedOperator]:
+    """coeff * word of each (coeff, word) spec: no scaling for 1 or -1, an
+    int scales as an int, and only a LaurentPoly is coerced into the ring."""
+    terms = []
+    for coeff, word in specs:
+        op = word_operator(store, word, ring, normalization)
+        if coeff == -1:
+            op = -op
+        elif coeff != 1:
+            op = op.scale(coeff if isinstance(coeff, int) else ring.coerce(coeff))
+        terms.append(op)
+    return terms
+
+
+def evaluate_specs(store: DividedPowerStore, family: str, params: dict, specs,
+                   ring, normalization: str = NORM_Q) -> IdentityCheck:
+    """The check record of the residual sum of coeff * word over specs."""
+    return evaluate_zero_identity(
+        family, params, spec_terms(store, specs, ring, normalization), ring)
+
+
+# ---------------------------------------------------------------------------
 # audit checks
 
 
@@ -254,27 +305,29 @@ def _base_params(store: DividedPowerStore) -> dict:
     return {"kind": ctx.rep.kind, "N": ctx.n_param, "L": ctx.length}
 
 
+def _check_sector(store: DividedPowerStore, q_sector: int) -> None:
+    if not 0 <= q_sector <= store.ctx.n_param - 1:
+        raise ValueError(f"Q must lie in 0..N-1 (got {q_sector})")
+
+
 def check_power_factorial(store: DividedPowerStore, op_id: str, n: int,
                           normalization: str = NORM_Q) -> IdentityCheck:
     """The store's iterative theta^(n), times the factorial, against the
     plain power theta^n of the base operator."""
     params = {"op": op_id, "n": n, "norm": normalization, **_base_params(store)}
-    divided = store.get(op_id, n, normalization)
-    fact = factorial_poly(n, normalization)
-    return evaluate_zero_identity(
-        "divpow.power-factorial", params,
-        [divided.scale(fact), -store.base(op_id).power(n)], LAURENT_RING)
+    return evaluate_specs(store, "divpow.power-factorial", params, [
+        (factorial_poly(n, normalization), ((op_id, n),)),
+        (-1, ((op_id, 1),) * n),
+    ], LAURENT_RING, normalization)
 
 
 def check_normalization_bridge(store: DividedPowerStore, op_id: str,
                                n: int) -> IdentityCheck:
     params = {"op": op_id, "n": n, **_base_params(store)}
-    via_q = store.get(op_id, n, NORM_Q)
-    via_omega = store.get(op_id, n, NORM_OMEGA)
-    bridge = LaurentPoly.q_power(n * (n - 1) // 2)
-    return evaluate_zero_identity(
-        "divpow.normalization-bridge", params,
-        [via_q, -via_omega.scale(bridge)], LAURENT_RING)
+    return evaluate_specs(store, "divpow.normalization-bridge", params, [
+        (1, ((op_id, n, NORM_Q),)),
+        (-LaurentPoly.q_power(n * (n - 1) // 2), ((op_id, n, NORM_OMEGA),)),
+    ], LAURENT_RING)
 
 
 def adic_trunc_order(n_param: int, n: int) -> int:
@@ -290,20 +343,20 @@ def check_adic_agreement(store: DividedPowerStore, op_id: str, n: int,
     n_param = store.ctx.n_param
     params = {"op": op_id, "n": n, "norm": normalization, **_base_params(store)}
     cring = cyclo_ring(n_param)
-    via_laurent = store.get(op_id, n, normalization, cring)
     adic = PhiAdicRing(n_param, adic_trunc_order(n_param, n))
-    # the phi-adic route stays independent of the store
+    # the phi-adic route stays independent of the store's powers
     via_adic = divided_power(specialize_operator(store.base(op_id), adic),
                              n, normalization)
-    at_root = specialize_operator(via_adic, cring)
-    return evaluate_zero_identity("divpow.adic-agreement", params,
-                                  [via_laurent, -at_root], cring)
+    return evaluate_specs(store, "divpow.adic-agreement", params, [
+        (1, ((op_id, n),)),
+        (-1, (specialize_operator(via_adic, cring),)),
+    ], cring, normalization)
 
 
 def check_nilpotency(store: DividedPowerStore, op_id: str, n: int) -> IdentityCheck:
     params = {"op": op_id, "n": n, **_base_params(store)}
-    check = evaluate_zero_identity("divpow.nilpotency", params,
-                                   [store.get(op_id, n, NORM_Q)], LAURENT_RING)
+    check = evaluate_specs(store, "divpow.nilpotency", params,
+                           [(1, ((op_id, n),))], LAURENT_RING)
     if check.status == VACUOUS_ZERO:
         # a one-term vanishing claim is the content, not an empty statement
         check.status = EXACT_ZERO
@@ -314,16 +367,14 @@ def check_mulo(store: DividedPowerStore, q_sector: int, k: int, j: int,
                op_id: str = "B1bar") -> IdentityCheck:
     """Order-merging of clock-dressed divided powers across multiples of N,
     with an ordinary (integer) binomial coefficient, at the root."""
-    ctx = store.ctx
-    n_param = ctx.n_param
+    _check_sector(store, q_sector)
+    n_param = store.ctx.n_param
     params = {"op": op_id, "Q": q_sector, "k": k, "j": j, **_base_params(store)}
-    cring = cyclo_ring(n_param)
-    lhs = store.get(op_id, k * n_param + q_sector, NORM_OMEGA, cring) \
-        @ store.get(op_id, j * n_param, NORM_OMEGA, cring)
-    rhs = store.get(op_id, (k + j) * n_param + q_sector, NORM_OMEGA, cring)
     coeff = comb(k + j, k)
-    check = evaluate_zero_identity(
-        "divpow.merge-binomial", params, [lhs, rhs.scale(-coeff)], cring)
+    check = evaluate_specs(store, "divpow.merge-binomial", params, [
+        (1, ((op_id, k * n_param + q_sector), (op_id, j * n_param))),
+        (-coeff, ((op_id, (k + j) * n_param + q_sector),)),
+    ], cyclo_ring(n_param), NORM_OMEGA)
     check.extra["coefficient"] = coeff
     return check
 
@@ -343,22 +394,19 @@ def check_cross_normalization(store: DividedPowerStore, n: int,
     w-normalized clock-dressed powers (with the half-clock factor A^(-n/2))."""
     ctx = store.ctx
     ring = ring if ring is not None else cyclo_ring(ctx.n_param)
-    length = ctx.length
-    a_minus_half_n = store.get("A_L_half_inv", 1, NORM_Q, ring).power(n)
+    # one power of the half clock, shared by the four words
+    a_minus_half_n = word_operator(store, (("A_L_half_inv", 1),) * n, ring)
     out = []
     for pm_id, bar_id, side, signed, edge in _CROSS_RELATIONS:
         params = {"pm": pm_id, "bar": bar_id, "n": n, **_base_params(store),
                   "ring": ring.kind}
-        pm = store.get(pm_id, n, NORM_Q, ring)
-        bar = store.get(bar_id, n, NORM_OMEGA, ring)
-        dressed = bar @ a_minus_half_n if side == "right" \
-            else a_minus_half_n @ bar
-        scalar = LaurentPoly.q_power(n * (1 - length)) if edge else LaurentPoly(1)
+        bar = (bar_id, n, NORM_OMEGA)
+        dressed = (bar, a_minus_half_n) if side == "right" else (a_minus_half_n, bar)
+        scalar = LaurentPoly.q_power(n * (1 - ctx.length)) if edge else LaurentPoly(1)
         if signed and n % 2 == 1:
             scalar = -scalar
-        out.append(evaluate_zero_identity(
-            "divpow.cross-normalization", params,
-            [pm, -dressed.scale(ring.coerce(scalar))], ring))
+        out.append(evaluate_specs(store, "divpow.cross-normalization", params,
+                                  [(1, ((pm_id, n),)), (-scalar, dressed)], ring))
     return out
 
 
@@ -399,41 +447,35 @@ REGISTRY.register(
 def check_chain_chevalley(store: DividedPowerStore,
                           ring=LAURENT_RING) -> list[IdentityCheck]:
     """Level-zero relations of the global generators, reported one by one."""
-    ctx = store.ctx
-    op = {name: store.get(name, 1, NORM_Q, ring)
-          for name in ("E0", "E1", "F0", "F1", "K", "K_inv", "A_L", "A_L_inv")}
     base = dict(_base_params(store), ring=ring.kind)
     out = []
-    q2 = LaurentPoly.q_power(2)
-    qm2 = LaurentPoly.q_power(-2)
-    bracket = LaurentPoly.q_power(1) - LaurentPoly.q_power(-1)
-    coerced = ring.coerce
 
-    for name, sign in (("E1", q2), ("E0", qm2), ("F1", qm2), ("F0", q2)):
-        params = dict(base, generator=name)
-        out.append(evaluate_zero_identity(
-            "chain.k-exchange", params,
-            [op["K"] @ op[name], (op[name] @ op["K"]).scale(coerced(-sign))],
-            ring))
-    for pair, inv_first in ((("E1", "F1"), False), (("E0", "F0"), True)):
-        a, b = op[pair[0]], op[pair[1]]
-        lhs = ((a @ b) - (b @ a)).scale(coerced(bracket))
-        rhs = (op["K_inv"] - op["K"]) if inv_first else (op["K"] - op["K_inv"])
-        params = dict(base, pair="".join(pair))
-        out.append(evaluate_zero_identity("chain.ef-commutator", params,
-                                          [lhs, -rhs], ring))
-    for pair in (("E1", "F0"), ("E0", "F1")):
-        a, b = op[pair[0]], op[pair[1]]
-        params = dict(base, pair="".join(pair))
-        out.append(evaluate_zero_identity("chain.mixed-commutator", params,
-                                          [a @ b, -(b @ a)], ring))
+    def run(family, params, specs):
+        out.append(evaluate_specs(store, family, dict(base, **params), specs, ring))
+
+    def word(*names):
+        return word_operator(store, [(name, 1) for name in names], ring)
+
+    for name, e in (("E1", 2), ("E0", -2), ("F1", -2), ("F0", 2)):
+        run("chain.k-exchange", {"generator": name}, [
+            (1, (("K", 1), (name, 1))),
+            (-LaurentPoly.q_power(e), ((name, 1), ("K", 1))),
+        ])
+    bracket = LaurentPoly.q_power(1) - LaurentPoly.q_power(-1)
+    for a, b, inv_first in (("E1", "F1", False), ("E0", "F0", True)):
+        # each side stays one term of the record: (ab - ba)[1] and K - K^-1
+        rhs = word("K_inv") - word("K") if inv_first else word("K") - word("K_inv")
+        run("chain.ef-commutator", {"pair": a + b},
+            [(bracket, (word(a, b) - word(b, a),)), (-1, (rhs,))])
+    for a, b in (("E1", "F0"), ("E0", "F1")):
+        run("chain.mixed-commutator", {"pair": a + b},
+            [(1, ((a, 1), (b, 1))), (-1, ((b, 1), (a, 1)))])
     for name in ("E0", "E1", "F0", "F1"):
-        gen = op[name]
-        omega_s = LaurentPoly.q_power(2 * gen.shift)
-        params = dict(base, generator=name, charge=gen.shift % ctx.n_param)
-        conj = op["A_L"] @ gen @ op["A_L_inv"]
-        out.append(evaluate_zero_identity(
-            "chain.grading", params, [conj, gen.scale(coerced(-omega_s))], ring))
+        shift = store.base(name).shift
+        run("chain.grading", {"generator": name, "charge": shift % store.ctx.n_param}, [
+            (1, (("A_L", 1), (name, 1), ("A_L_inv", 1))),
+            (-LaurentPoly.q_power(2 * shift), ((name, 1),)),
+        ])
     return out
 
 
@@ -445,14 +487,12 @@ def check_half_clock_commutation(store: DividedPowerStore,
         raise WrapInconsistency(
             f"backend {ctx.rep.kind!r} wraps clock labels; it has no barred "
             "operators")
-    a_inv_half = store.get("A_L_half_inv", 1, NORM_Q, ring)
     base = dict(_base_params(store), ring=ring.kind)
-    minus_q = ring.coerce(-LaurentPoly.q_power(1))
     out = []
     for name in ("C0bar", "CL1bar", "B1bar", "BLbar"):
-        op = store.get(name, 1, NORM_Q, ring)
-        left, right = (a_inv_half, op) if name.startswith("C") else (op, a_inv_half)
-        out.append(evaluate_zero_identity(
-            "chain.half-clock-commutation", dict(base, op=name),
-            [left @ right, (right @ left).scale(minus_q)], ring))
+        pair = (("A_L_half_inv", 1), (name, 1))
+        left, right = pair if name.startswith("C") else pair[::-1]
+        out.append(evaluate_specs(
+            store, "chain.half-clock-commutation", dict(base, op=name),
+            [(1, (left, right)), (-LaurentPoly.q_power(1), (right, left))], ring))
     return out

@@ -2,13 +2,12 @@
 loop-generator lemma chain built from them.
 
 Everything here is an operator identity on a finite chain, verified in
-exact arithmetic: each term is a product of divided powers read from a
-DividedPowerStore, or of operators built from them, and the sum of terms
-is classified by evaluate_zero_identity.  One left-to-right fold
-(repchain.operator_product) builds every product, and the four sector-Q
-loop generators are defined once, as words in _GENERATOR_WORDS.  Every
-public check takes that store as its first argument and reads the chain
-from store.ctx.
+exact arithmetic and stated as residual specs for divpow.evaluate_specs:
+(coeff, word) pairs whose words multiply, left to right, operators as
+they are and (op_id, order) or (op_id, order, normalization) reads of a
+DividedPowerStore.  The four sector-Q loop generators are defined once,
+as words in _GENERATOR_WORDS.  Every public check takes that store as its
+first argument and reads the chain from store.ctx.
 Identities between the plus/minus generators use q-normalized powers;
 the clock-dressed (site-labeled) identities use w-normalized powers.
 
@@ -28,16 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .divpow import NORM_OMEGA, NORM_Q, DividedPowerStore, _base_params, check_mulo
+from .divpow import (NORM_OMEGA, NORM_Q, DividedPowerStore, _base_params, _check_sector,
+                     check_mulo, evaluate_specs, spec_terms, word_operator)
 from .identity import REGISTRY, NONZERO, IdentityCheck, InvalidRegime, make_check
 from .qcomb import c_coefficient_poly
-from .repchain import (
-    ChainContext,
-    GradedOperator,
-    evaluate_zero_identity,
-    first_entry_witness,
-    operator_product,
-)
+from .repchain import ChainContext, GradedOperator, first_entry_witness
 from .rings import (
     LAURENT_RING,
     InternalInconsistency,
@@ -89,11 +83,6 @@ def _root_ring(store: DividedPowerStore, ring):
     return cyclo_ring(store.ctx.n_param) if ring is None else ring
 
 
-def _check_sector(store: DividedPowerStore, q_sector: int) -> None:
-    if not 0 <= q_sector <= store.ctx.n_param - 1:
-        raise ValueError(f"Q must lie in 0..N-1 (got {q_sector})")
-
-
 def _proper_pair(pair) -> tuple[str, str]:
     i_id, j_id = pair
     if i_id not in _PM_CLASS or j_id not in _PM_CLASS:
@@ -103,35 +92,6 @@ def _proper_pair(pair) -> tuple[str, str]:
             f"pair {pair!r} mixes letter classes; the vanishing claims pair "
             "E0 with E1 or F0 with F1")
     return i_id, j_id
-
-
-def _word_operator(store: DividedPowerStore, word, normalization: str,
-                   ring) -> GradedOperator:
-    """Left-to-right product of a word's factors: an operator as it is, an
-    (op_id, order) pair as that divided power, order-0 pairs dropping out."""
-    return operator_product(store.ctx, ring, [
-        f if isinstance(f, GradedOperator) else store.get(*f, normalization, ring)
-        for f in word if isinstance(f, GradedOperator) or f[1]])
-
-
-def _terms(specs, store: DividedPowerStore, normalization: str,
-           ring) -> list[GradedOperator]:
-    """coeff * word of each (coeff, word) spec, coeff an int or a LaurentPoly."""
-    terms = []
-    for coeff, word in specs:
-        op = _word_operator(store, word, normalization, ring)
-        if coeff == -1:
-            op = -op
-        elif coeff != 1:
-            op = op.scale(ring.coerce(coeff))
-        terms.append(op)
-    return terms
-
-
-def _evaluate_specs(family: str, params: dict, specs, store: DividedPowerStore,
-                    normalization: str, ring) -> IdentityCheck:
-    return evaluate_zero_identity(
-        family, params, _terms(specs, store, normalization, ring), ring)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +128,7 @@ def lusztig_f(store: DividedPowerStore, theta_i: str, theta_j: str, n: int,
     if theta_i == theta_j:
         raise ValueError("the two generators must differ")
     ring = LAURENT_RING if ring is None else ring
-    terms = _terms(_f_specs(theta_i, theta_j, n, m), store, normalization, ring)
+    terms = spec_terms(store, _f_specs(theta_i, theta_j, n, m), ring, normalization)
     return sum(terms[1:], terms[0])
 
 
@@ -185,8 +145,8 @@ def check_higher_serre(store: DividedPowerStore, n: int, m: int, pair,
     ring = LAURENT_RING if ring is None else ring
     params = {"theta_i": i_id, "theta_j": j_id, "n": n, "m": m,
               "ring": ring.kind, **_base_params(store)}
-    return _evaluate_specs("serre.f-vanishing", params,
-                           _f_specs(i_id, j_id, n, m), store, NORM_Q, ring)
+    return evaluate_specs(store, "serre.f-vanishing", params,
+                          _f_specs(i_id, j_id, n, m), ring)
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +197,8 @@ def check_id1(store: DividedPowerStore, n: int, m: int, pair, *,
     ring = _root_ring(store, ring)
     params = {"theta_i": i_id, "theta_j": j_id, "n": n, "m": m,
               **_base_params(store)}
-    return _evaluate_specs("serre.ladder-wide", params,
-                           _ladder_wide_specs(i_id, j_id, n, m, n_param),
-                           store, NORM_Q, ring)
+    return evaluate_specs(store, "serre.ladder-wide", params,
+                          _ladder_wide_specs(i_id, j_id, n, m, n_param), ring)
 
 
 def check_id2(store: DividedPowerStore, n: int, m: int, pair, *,
@@ -265,17 +224,15 @@ def check_id2(store: DividedPowerStore, n: int, m: int, pair, *,
     for s in range(m + 1):
         if s % n_param < gap:
             continue
-        prod = _word_operator(store, ((i_id, s), (i_id, n_param - gap)),
-                              NORM_Q, ring)
+        prod = word_operator(store, ((i_id, s), (i_id, n_param - gap)), ring)
         if not prod.is_zero():
             witness = dict(first_entry_witness(prod), support_order=s)
             return make_check(
                 family, params, NONZERO, witness=witness,
                 detail=f"supporting wrap product at order s={s} is nonzero")
         support += 1
-    check = _evaluate_specs(family, params,
-                            _ladder_narrow_specs(i_id, j_id, n, m, n_param),
-                            store, NORM_Q, ring)
+    check = evaluate_specs(store, family, params,
+                           _ladder_narrow_specs(i_id, j_id, n, m, n_param), ring)
     check.extra["support_products_zero"] = support
     return check
 
@@ -337,7 +294,7 @@ def _three_term(store: DividedPowerStore, q_sector: int, branch: str,
             "three-term instance differs from its wide-ladder specs")
     params = {"roles": roles, "branch": branch, "Q": q_sector,
               **_base_params(store)}
-    check = _evaluate_specs("serre.three-term", params, hand, store, NORM_Q, ring)
+    check = evaluate_specs(store, "serre.three-term", params, hand, ring)
     check.extra["matches_wide_ladder"] = True
     return check
 
@@ -393,8 +350,7 @@ def check_g_forms(store: DividedPowerStore, n: int, m: int, branch: str = "full"
             specs.append((-coeff, ((i_id, m - s), (j_id, n), (i_id, s))))
     params = {"theta_i": i_id, "theta_j": j_id, "n": n, "m": m,
               "branch": branch, **_base_params(store)}
-    return _evaluate_specs("serre.g-resummation", params, specs, store, NORM_Q,
-                           LAURENT_RING)
+    return evaluate_specs(store, "serre.g-resummation", params, specs, LAURENT_RING)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +397,7 @@ def check_site_suite(store: DividedPowerStore, q_sector: int,
     def run(family, outer, inner, specs):
         params = {"side": side, "outer": outer, "inner": inner, "Q": q,
                   **_base_params(store)}
-        out.append(_evaluate_specs(family, params, specs, store, NORM_OMEGA, ring))
+        out.append(evaluate_specs(store, family, params, specs, ring, NORM_OMEGA))
 
     for outer, inner in ((b_id, c_id), (c_id, b_id)):
         run("site.three-term", outer, inner, [
@@ -498,9 +454,9 @@ def _loop_generators(store: DividedPowerStore, q_sector: int, names,
                      ring) -> dict[str, GradedOperator]:
     """The named sector-Q generators, each the product of its word."""
     n_param = store.ctx.n_param
-    return {name: _word_operator(store, [(op_id, k * n_param + q_sector)
-                                         for op_id, k in _GENERATOR_WORDS[name]],
-                                 NORM_OMEGA, ring)
+    return {name: word_operator(store, [(op_id, k * n_param + q_sector)
+                                        for op_id, k in _GENERATOR_WORDS[name]],
+                                ring, NORM_OMEGA)
             for name in names}
 
 
@@ -559,9 +515,8 @@ def check_lemma_chain(store: DividedPowerStore, q_sector: int, *,
     # lhs: a product of generators, or (reorder) a monomial word
     def run(lemma, lhs, coeff, rhs_word):
         params = {"lemma": lemma, "Q": q, **_base_params(store)}
-        check = _evaluate_specs("loop.normal-form", params,
-                                [(1, lhs), (-coeff, rhs_word)],
-                                store, NORM_OMEGA, ring)
+        check = evaluate_specs(store, "loop.normal-form", params,
+                               [(1, lhs), (-coeff, rhs_word)], ring, NORM_OMEGA)
         check.extra["coefficient"] = coeff
         out.append(check)
 
@@ -569,11 +524,11 @@ def check_lemma_chain(store: DividedPowerStore, q_sector: int, *,
     run("xp_xm.b", xp + xm, 1, ((C, n1), (B, n1), (C, q), (B, q)))
 
     params = {"Q": q, **_base_params(store)}
-    out.append(_evaluate_specs(
-        "loop.block-commutator", params,
+    out.append(evaluate_specs(
+        store, "loop.block-commutator", params,
         [(1, ((C, q), (B, q), (C, n1), (B, n1))),
          (-1, ((C, n1), (B, n1), (C, q), (B, q)))],
-        store, NORM_OMEGA, ring))
+        ring, NORM_OMEGA))
 
     run("xm2.a", xm + xm, 2, ((C, q), (B, q), (C, q), (B, n2)))
     run("xm2.b", xm + xm, 2, ((C, q), (B, n2), (C, q), (B, q)))
@@ -647,8 +602,7 @@ def check_serre_nested(store: DividedPowerStore, q_sector: int,
         monomials = []
         for word in sorted(expansion):
             coeff = expansion[word]
-            op = operator_product(store.ctx, ring,
-                                  [a if letter == "a" else b for letter in word])
+            op = word_operator(store, [a if letter == "a" else b for letter in word], ring)
             specs.append((coeff, (op,)))
             monomials.append({
                 "word": "".join(sign_of[letter] for letter in word),
@@ -657,8 +611,8 @@ def check_serre_nested(store: DividedPowerStore, q_sector: int,
             })
         params = {"family": family, "dominant": dominant, "Q": q_sector,
                   **_base_params(store)}
-        check = _evaluate_specs("loop.serre-nested", params, specs, store,
-                                NORM_OMEGA, ring)
+        check = evaluate_specs(store, "loop.serre-nested", params, specs, ring,
+                               NORM_OMEGA)
         check.extra["monomials"] = monomials
         out.append(check)
     return out

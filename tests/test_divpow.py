@@ -23,6 +23,7 @@ from qloop.divpow import (
     divided_power,
     factorial_poly,
     increment_poly,
+    word_operator,
 )
 from qloop.identity import EXACT_ZERO, NONZERO, VACUOUS_ZERO
 from qloop.opcache import OperatorCache
@@ -44,7 +45,7 @@ from qloop.rings import (
     TruncationOverflow,
     cyclo_ring,
 )
-from qloop.serre import check_lemma_chain
+from qloop.serre import check_lemma_chain, lusztig_f
 
 
 def _ctx(kind="spin_half", n_param=2, length=4):
@@ -69,6 +70,28 @@ def test_get_rejects_an_unknown_operator_at_every_order(ring):
     for n in (0, 1, 2):
         with pytest.raises(KeyError):
             store.get("bogus", n, NORM_Q, ring)
+
+
+# an order-0 read drops out of its word's product, but only after the store
+# has checked it like any other read
+@pytest.mark.parametrize("call, error", [
+    (lambda store: lusztig_f(store, "E0", "E1", 0, 0, "plain"), ValueError),
+    (lambda store: check_power_factorial(store, "E1", 0, "plain"), ValueError),
+    (lambda store: lusztig_f(store, "bogus", "E1", 1, 0), KeyError),
+    (lambda store: check_power_factorial(store, "bogus", 0), KeyError),
+    (lambda store: lusztig_f(store, "E0", "E1", -1, 0), ValueError),
+    (lambda store: check_power_factorial(store, "E1", -1), ValueError),
+], ids=["lusztig-f-norm", "power-factorial-norm", "lusztig-f-op",
+        "power-factorial-op", "lusztig-f-order", "power-factorial-order"])
+def test_order_zero_reads_are_checked_before_they_drop_out(call, error):
+    with pytest.raises(error):
+        call(_store(_ctx(length=3)))
+
+
+def test_words_refuse_a_negative_order():
+    store = _store(_ctx(length=3))
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        word_operator(store, (("E1", 1), ("E1", -1)), LAURENT_RING)
 
 
 def test_increment_and_factorial_polys():
@@ -167,6 +190,15 @@ def test_merge_binomial():
     check3 = check_mulo(store3, q_sector=1, k=0, j=1)
     assert check3.status == EXACT_ZERO
     assert check3.extra["coefficient"] == 1
+
+
+def test_merge_binomial_refuses_a_sector_outside_0_to_n_minus_1():
+    store = DividedPowerStore(_ctx(length=4))
+    for q_sector in (-1, 2):
+        with pytest.raises(ValueError, match="Q must lie in 0..N-1"):
+            check_mulo(store, q_sector, 1, 1)
+    for q_sector in (0, 1):
+        assert check_mulo(store, q_sector, 1, 1).ok
 
 
 def test_merge_binomial_vacuous_when_chain_too_short():
@@ -347,8 +379,8 @@ def test_store_repeated_get_builds_no_identity(monkeypatch, tmp_path):
     assert store.get("F1", 0, NORM_OMEGA) is store.get("E1", 0, NORM_Q)
 
 
-@pytest.mark.parametrize("ring", [cyclo_ring(2), FloatRing(2)],
-                         ids=["cyclotomic", "float"])
+@pytest.mark.parametrize("ring", [cyclo_ring(2), FloatRing(2), PhiAdicRing(2, 2)],
+                         ids=["cyclotomic", "float", "phi-adic"])
 def test_store_specializes_orders_zero_and_one_once_for_both_norms(monkeypatch,
                                                                   ring):
     import qloop.divpow as divpow
@@ -398,7 +430,9 @@ def test_store_specializes_each_operator_of_a_run_once(monkeypatch):
         return real(op, ring)
     monkeypatch.setattr(divpow, "specialize_operator", counting)
     run(RunConfig(n_param=2, length=3))
-    assert len(calls) == len({id(op) for op in calls}) == 82
+    # 82 while the merge-binomial's order-0 read took the store's identity
+    # image; the evaluator now checks that read and drops the factor
+    assert len(calls) == len({id(op) for op in calls}) == 81
 
 
 def test_store_order_one_is_the_registered_operator(tmp_path):

@@ -8,15 +8,20 @@ from hypothesis import strategies as st
 
 import qloop.serre
 from qloop.blocks import CycloBlock
+from qloop.divpow import NORM_OMEGA, evaluate_specs, word_operator
 from qloop.identity import EXACT_ZERO, NONZERO, VACUOUS_ZERO
-from qloop.repchain import ChainContext, GradedOperator, build_site_rep, rescaled_rep
+from qloop.repchain import (
+    ChainContext,
+    GradedOperator,
+    build_site_rep,
+    identity_operator,
+    rescaled_rep,
+)
 from qloop.rings import LAURENT_RING, InternalInconsistency, LaurentPoly, cyclo_ring
 from qloop.serre import (
     InvalidRegime,
-    _evaluate_specs,
     _ladder_narrow_specs,
     _ladder_wide_specs,
-    _word_operator,
     build_loop_generators,
     check_BCN,
     check_CBN,
@@ -54,6 +59,15 @@ def test_f_at_m0_reduces_to_single_power():
     store = _store(2, 3)
     f = lusztig_f(store, "E0", "E1", 2, 0)
     assert f == store.get("E1", 2, "q_fact")
+    # a word of only order-0 reads is the identity
+    assert lusztig_f(store, "E0", "E1", 0, 0) == identity_operator(store.ctx, LAURENT_RING)
+
+
+def test_word_reads_name_their_own_normalization():
+    ring = cyclo_ring(2)
+    got = word_operator(STORE_27, (("E0", 2, NORM_OMEGA),), ring, "q_fact")
+    assert got == STORE_27.get("E0", 2, NORM_OMEGA, ring)
+    assert got != STORE_27.get("E0", 2, "q_fact", ring)
 
 
 def test_f_no_vanishing_at_m_equal_2n():
@@ -156,9 +170,9 @@ def test_id2_gap_zero_extension_is_genuinely_false():
     # residual once the chain is long enough to see it
     store = _store(2, 5)
     specs = _ladder_narrow_specs("E0", "E1", 1, 2, 2)
-    check = _evaluate_specs("serre.ladder-narrow",
-                            {"n": 1, "m": 2, "N": 2, "L": 5},
-                            specs, store, "q_fact", cyclo_ring(2))
+    check = evaluate_specs(store, "serre.ladder-narrow",
+                           {"n": 1, "m": 2, "N": 2, "L": 5},
+                           specs, cyclo_ring(2), "q_fact")
     assert check.status == NONZERO
     assert check.witness["sector"] == -4
     assert check.witness["value"] == "1"
@@ -220,8 +234,8 @@ def test_three_term_sign_tamper_detected():
         (-1, (("E0", 3), ("E1", 1), ("E0", 2))),   # true sign is +1 here
         (1, (("E0", 1), ("E1", 1), ("E0", 4))),
     ]
-    check = _evaluate_specs("serre.three-term", {"N": 2, "L": 5, "Q": 1},
-                            specs, store, "q_fact", cyclo_ring(2))
+    check = evaluate_specs(store, "serre.three-term", {"N": 2, "L": 5, "Q": 1},
+                           specs, cyclo_ring(2), "q_fact")
     assert check.status == NONZERO
 
 
@@ -248,7 +262,7 @@ def test_three_term_builds_each_word_once(monkeypatch):
     for word in ((("E0", 5), ("E1", 1)),
                  (("E0", 3), ("E1", 1), ("E0", 2)),
                  (("E0", 1), ("E1", 1), ("E0", 4))):
-        _word_operator(STORE_27, word, "q_fact", ring)
+        word_operator(STORE_27, word, ring, "q_fact")
     assert per_check == len(calls) > 0
 
 
@@ -405,18 +419,26 @@ def test_lemma_chain_all_exact_with_integer_coefficients():
     assert sum(1 for c in chain if c.family == "loop.block-commutator") == 1
 
 
-def test_lemma_coefficient_tamper_detected():
+def test_lemma_coefficient_tamper_detected(monkeypatch):
     # 2 means 2: doubling squared lowering against the merged form with any
     # other integer must leave a residual
     store = _store(2, 5)
     q, n1, n2 = 1, 3, 5
     lhs = (("C0bar", q), ("B1bar", n1), ("C0bar", q), ("B1bar", n1))
     rhs = (("C0bar", q), ("B1bar", q), ("C0bar", q), ("B1bar", n2))
+    scaled = []
+    real = GradedOperator.scale
+    monkeypatch.setattr(GradedOperator, "scale",
+                        lambda op, c: scaled.append(c) or real(op, c))
     for coeff, expected in ((2, EXACT_ZERO), (1, NONZERO), (3, NONZERO)):
-        check = _evaluate_specs("loop.normal-form", {"c": coeff},
-                                [(1, lhs), (-coeff, rhs)],
-                                store, "omega_fact", cyclo_ring(2))
+        scaled.clear()
+        check = evaluate_specs(store, "loop.normal-form", {"c": coeff},
+                               [(1, lhs), (-coeff, rhs)],
+                               cyclo_ring(2), "omega_fact")
         assert check.status == expected
+        # a term of coefficient 1 or -1 is not scaled; an int scales as an int
+        assert scaled == ([] if coeff == 1 else [-coeff])
+        assert all(type(c) is int for c in scaled)
 
 
 # ---------------------------------------------------------------------------
