@@ -158,7 +158,7 @@ class DividedPowerStore:
             ring=LAURENT_RING) -> GradedOperator:
         self._check_read(op_id, n, normalization)
         with self._lock:
-            if ring.kind != "laurent" and (n <= 1 or ring.kind != "phi-adic"):
+            if ring.kind in ("cyclotomic", "float") or (ring.kind == "phi-adic" and n <= 1):
                 key = (op_id if n else "", normalization if n > 1 else NORM_Q, n, ring)
                 out = self._specialized.get(key)
                 if out is None:
