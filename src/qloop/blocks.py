@@ -24,7 +24,10 @@ sector.  Three engines cover the scalar rings:
 make_block picks the engine for a ring, and specialize_block maps a block
 into another ring; the layout is private to this module, read elsewhere
 only through shape, entries(), nnz() and the arithmetic methods, and,
-for the disk cache, nonzero_cells and block_from_cells.
+for the disk cache, laurent_terms and block_from_terms: a Laurent block
+as arrays of its (cell, exponent, coefficient) terms, and the block of
+such terms in the Laurent ring or, by the one gather that specialization
+uses, in a quotient ring.
 Blocks are immutable by convention: every operation returns a new block.
 
 _exact_dtype is the one dtype rule for exact arithmetic.  It reads a bound
@@ -87,6 +90,24 @@ class DictBlock:
         for r, c, v in triples:
             if v:
                 cols.setdefault(c, {})[r] = v
+        return cls(ring, nrows, ncols, cols)
+
+    @classmethod
+    def from_terms(cls, ring, nrows, ncols, cells, ends, exps, coeffs) -> "DictBlock":
+        """The block of laurent_terms' arrays, cell after cell in row-major
+        order, each entry's terms in the order given."""
+        rows, cols_of = np.divmod(cells, ncols)
+        exps, coeffs = exps.tolist(), coeffs.tolist()
+        cols: dict = {}
+        if len(exps) == len(cells):  # every entry a monomial
+            for r, c, e, x in zip(rows.tolist(), cols_of.tolist(), exps, coeffs):
+                cols.setdefault(c, {})[r] = LaurentPoly._raw({e: x})
+        else:
+            start = 0
+            for r, c, end in zip(rows.tolist(), cols_of.tolist(), ends.tolist()):
+                cols.setdefault(c, {})[r] = LaurentPoly._raw(
+                    dict(zip(exps[start:end], coeffs[start:end])))
+                start = end
         return cls(ring, nrows, ncols, cols)
 
     def entries(self):
@@ -485,68 +506,70 @@ class ComplexBlock:
 Block = DictBlock | CycloBlock | ComplexBlock  # for annotations elsewhere
 
 
-def _laurent_coords(block: DictBlock, ring) -> np.ndarray:
-    """A Laurent block's coordinates in a quotient ring, by one gather of its
-    (row, col, exponent, coefficient) terms against the ring's q-power rows.
-    A partial sum is at most max|row| times a cell's sum of |coefficient|,
-    the bound _exact_dtype reads."""
-    cells, starts, exps, coeffs, weight = [], [], [], [], 0
+def laurent_terms(block: DictBlock) -> tuple[np.ndarray, ...]:
+    """A Laurent block's terms as four arrays: the row-major index
+    row * ncols + col of each nonzero cell, ascending; the running term
+    count at the end of each cell; and each term's exponent, ascending
+    within its cell, and coefficient.  The coefficients are int64 while
+    every |coefficient| is below INT64_SAFE, exact Python ints beyond."""
+    ncols = block.ncols
+    cells, counts, exps, coeffs = [], [], [], []
     for c, col in block.cols.items():
         for r, v in col.items():
-            cells.append(r * block.ncols + c)
-            starts.append(len(exps))
+            cells.append(r * ncols + c)
+            counts.append(len(v.c))
             exps += v.c
             coeffs += v.c.values()
-            weight = max(weight, sum(map(abs, v.c.values())))
+    top = max(map(abs, coeffs), default=0)
+    cells, counts = np.array(cells, dtype=np.int64), np.array(counts, dtype=np.int64)
+    exps = np.array(exps, dtype=np.int64)
+    coeffs = np.array(coeffs, dtype=np.int64 if top < INT64_SAFE else object)
+    order = np.argsort(cells)
+    terms = np.lexsort((exps, np.repeat(cells, counts)))
+    return cells[order], np.cumsum(counts[order]), exps[terms], coeffs[terms]
+
+
+def block_from_terms(ring, nrows: int, ncols: int, cells: np.ndarray,
+                     ends: np.ndarray, exps: np.ndarray,
+                     coeffs: np.ndarray) -> Block:
+    """The block of `ring` holding the Laurent terms that laurent_terms
+    gives: a DictBlock over the Laurent ring, and over a quotient ring a
+    CycloBlock, by one gather of the terms against the ring's q-power
+    rows.  A partial sum of the gather is at most max|row| times a cell's
+    sum of |coefficient|, the bound _exact_dtype reads."""
+    if not isinstance(ring, PhiAdicRing):
+        return DictBlock.from_terms(ring, nrows, ncols, cells, ends, exps, coeffs)
     width = ring.quo.degree
-    out = np.zeros((block.nrows * block.ncols, width), dtype=np.int64)
-    if cells:
-        rows = ring.quo.q_rows(np.array(exps))
-        bound = weight * max(_max_abs(rows), 1)
-        coeffs = np.array(coeffs, dtype=np.int64 if bound < INT64_SAFE else object)
+    out = np.zeros((nrows * ncols, width), dtype=np.int64)
+    if len(cells):
+        starts = np.concatenate(([0], ends[:-1]))
+        mags = np.abs(coeffs)
+        if mags.dtype != object and int(mags.max()) * len(mags) >= 2**63:
+            mags = mags.astype(object)  # a cell's sum might overflow int64
+        rows = ring.quo.q_rows(exps)
+        bound = int(np.add.reduceat(mags, starts).max()) * max(_max_abs(rows), 1)
         out, rows, coeffs = _exact_dtype(bound, out, rows, coeffs)
         out[cells] = np.add.reduceat(rows * coeffs[:, None], starts, axis=0)
-    return out.reshape(block.nrows, block.ncols, width)
+    return CycloBlock(ring, out.reshape(nrows, ncols, width))
 
 
 def specialize_block(block: Block, ring) -> Block:
     """The block with every entry mapped into `ring`: a Laurent block into a
-    quotient ring by _laurent_coords, a coordinate block into a quotient
-    ring of its N with no more digits by one integer matrix (reduction, so
-    digit zero in the cyclotomic ring), the rest entry by entry with
-    ring.coerce (into the float ring; any other pair makes coerce raise)."""
+    quotient ring by the gather of block_from_terms, a coordinate block
+    into a quotient ring of its N with no more digits by one integer matrix
+    (reduction, so digit zero in the cyclotomic ring), the rest entry by
+    entry with ring.coerce (into the float ring; any other pair makes
+    coerce raise)."""
     if isinstance(ring, PhiAdicRing):
         if isinstance(block, DictBlock):
-            return CycloBlock(ring, _laurent_coords(block, ring))
+            return block_from_terms(ring, block.nrows, block.ncols,
+                                    *laurent_terms(block))
         if isinstance(block, CycloBlock) and block.ring.n_param == ring.n_param \
                 and block.ring.trunc_order >= ring.trunc_order:
             reduced = block._at(min(block.prec, ring.quo.prec))
             return CycloBlock(ring, reduced.arr, reduced._max)
     triples = [(r, c, ring.coerce(v)) for r, c, v in block.entries()]
     return make_block(ring, block.shape[0], block.shape[1], triples)
-
-
-def nonzero_cells(block: Block) -> tuple[int, np.ndarray, np.ndarray] | None:
-    """A quotient-ring block as (width, cells, coords): the ascending
-    row-major indices of its cells with a nonzero coordinate, and their
-    (cells, width) int64 coordinates, the rest being zeros; None when its
-    coordinates are exact Python ints, beyond the int64 tier."""
-    arr = block.arr
-    if arr.dtype != np.int64:
-        return None
-    rows, cols, width = arr.shape
-    flat = arr.reshape(rows * cols, width)
-    cells = np.flatnonzero(flat.any(axis=1))
-    return width, cells, flat[cells]
-
-
-def block_from_cells(ring, nrows: int, ncols: int, cells: np.ndarray,
-                     coords: np.ndarray, max_abs: int) -> Block:
-    """The block of `ring` whose cells hold coords and are zero elsewhere,
-    inverse to nonzero_cells; max_abs is the largest |coordinate|."""
-    arr = np.zeros((nrows * ncols, ring.quo.degree), dtype=np.int64)
-    arr[cells] = coords
-    return CycloBlock(ring, arr.reshape(nrows, ncols, ring.quo.degree), max_abs)
 
 
 def make_block(ring, nrows, ncols, triples) -> Block:

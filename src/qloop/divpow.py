@@ -20,7 +20,7 @@ import threading
 from math import comb
 
 from .identity import EXACT_ZERO, VACUOUS_ZERO, IdentityCheck, REGISTRY
-from .opcache import DISABLED_CACHE, OperatorCache, image_fits, make_key, rep_digest
+from .opcache import DISABLED_CACHE, OperatorCache, make_key, rep_digest
 from .qcomb import omega_factorial, omega_int, q_factorial, q_int
 from .repchain import (
     ChainContext,
@@ -113,20 +113,18 @@ class DividedPowerStore:
     one identity, so one image serves every op_id.  Phi-adic images of
     orders 2 and up, K+1 digits wide and read once or twice, are recomputed.
 
-    With a disk cache, every order the fill computes is also specialized
-    to the chain's cyclotomic ring cyclo_ring(N), memoized, and written to
-    the order's file next to the Laurent power.  So get(op_id, n >= 2,
-    norm, cyclo_ring(N)) tries the memo, then the file's image, and only
-    then fills and specializes: a warm run reads its root images with no
-    Laurent decode and no specialization.  A file whose Laurent section
-    reads but whose image does not is rewritten.
+    With a disk cache, every order the fill computes is written to the
+    order's file as its Laurent terms.  get(op_id, n >= 2, norm,
+    cyclo_ring(N)) tries the memo, then gathers the image from the file's
+    terms, and only then fills and specializes: a warm run reads its root
+    images with no Laurent polynomial and no specialization.  A corrupt file
+    misses on both kinds of load, and the fill rewrites it.
 
     Checks take the store explicitly and never mutate what it returns.
     The fill is idempotent, so one coarse lock around it keeps a library
     caller's threads that share a store correct without cleverness.  A
     run's worker processes do not share it: each fills its own forked copy,
-    and they meet only in the disk cache, through Laurent powers and root
-    images alike.
+    and they meet only in the disk cache's files.
     """
 
     def __init__(self, ctx: ChainContext, cache: OperatorCache = DISABLED_CACHE):
@@ -172,28 +170,19 @@ class DividedPowerStore:
 
     def _image(self, op_id: str, n: int, normalization: str, ring) -> GradedOperator:
         """theta^(n) in a cyclotomic or float ring, not yet memoized: over
-        the chain's cyclotomic ring from the disk cache when the order's
-        file holds its image, else specialized from the Laurent power.
+        the chain's cyclotomic ring gathered from the order's file when
+        the disk cache holds it, else specialized from the Laurent power.
         Caller holds the lock."""
-        on_disk = n > 1 and self.cache.enabled and ring is cyclo_ring(self.ctx.n_param)
-        if on_disk:
+        if n > 1 and self.cache.enabled and ring is cyclo_ring(self.ctx.n_param):
             image = self.cache.load(self._key(op_id, normalization, n), self.ctx, ring)
             if image is not None:
                 return image
-        laurent = self._fill(op_id, n, normalization)
-        image = self._specialized.get((op_id, normalization, n, ring))
-        if image is None:
-            image = specialize_operator(laurent, ring)
-            if on_disk and image_fits(image):
-                # the Laurent section was read, so the image section was
-                # corrupt: mend the file
-                self.cache.store(self._key(op_id, normalization, n), laurent, image)
-        return image
+        return specialize_operator(self._fill(op_id, n, normalization), ring)
 
     def _fill(self, op_id: str, n: int, normalization: str) -> GradedOperator:
-        """Laurent theta^(n), filling missing orders; caller holds the lock.
-        An order computed here goes to the disk cache with its image over
-        cyclo_ring(N), which is memoized too."""
+        """Laurent theta^(n), filling missing orders from the disk cache or
+        one _divided_step, which writes the order's file; caller holds the
+        lock."""
         base = self._base[op_id]
         seq = self._memo.get((op_id, normalization))
         if seq is None:
@@ -204,12 +193,7 @@ class DividedPowerStore:
             cached = self.cache.load(key, self.ctx)
             if cached is None:
                 cached = _divided_step(base, seq[k - 1], k, normalization)
-                image = None
-                if self.cache.enabled:
-                    ring = cyclo_ring(self.ctx.n_param)
-                    image = self._specialized[(op_id, normalization, k, ring)] = \
-                        specialize_operator(cached, ring)
-                self.cache.store(key, cached, image)
+                self.cache.store(key, cached)
             seq.append(cached)
         return seq[n]
 

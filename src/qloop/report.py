@@ -301,7 +301,9 @@ class RunConfig:
 class _RunEnv:
     """The divided-power store (and through it the chain) shared by every
     job of a run.  A rescaled env scales every site representation it
-    builds, the run's own and any a job builds for itself."""
+    builds, the run's own and any a job builds for itself.  It builds one
+    float ring and one phi-adic ring per truncation order K, because the
+    store memoizes images per ring object."""
 
     def __init__(self, config: RunConfig, cache: OperatorCache, rescale: bool = False):
         self.config = config
@@ -312,6 +314,7 @@ class _RunEnv:
             raise ConfigError(str(exc)) from None
         self.store = make_store(ChainContext(rep, config.length), cache)
         self._float_ring = FloatRing(config.n_param)
+        self._adic_rings: dict[int, PhiAdicRing] = {}
 
     def site_rep(self, kind: str):
         """The run's site representation of `kind`, rescaled when the env is."""
@@ -331,7 +334,10 @@ class _RunEnv:
             return cyclo_ring(n)
         if mode == "float":
             return self._float_ring
-        return PhiAdicRing(n, _generic_trunc_order(n, max_order))
+        k = _generic_trunc_order(n, max_order)
+        if k not in self._adic_rings:
+            self._adic_rings[k] = PhiAdicRing(n, k)
+        return self._adic_rings[k]
 
     def root_ring(self):
         """Ring for identities that hold only at the root of unity."""

@@ -1,6 +1,7 @@
 """Round-trip, corruption, and idempotency behavior of the operator cache."""
 
 import copy
+import functools
 import hashlib
 import json
 import os
@@ -11,14 +12,17 @@ import sys
 import numpy as np
 import pytest
 
-from qloop import opcache
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qloop import divpow, opcache
+from qloop.blocks import DictBlock, make_block
 from qloop.cli import main
 from qloop.divpow import NORMALIZATIONS, DividedPowerStore
 from qloop.opcache import (
     MAGIC,
     OperatorCache,
     deserialize_operator,
-    image_fits,
     make_key,
     rep_digest,
     serialize_operator,
@@ -26,12 +30,20 @@ from qloop.opcache import (
 from qloop.report import strip_timing
 from qloop.repchain import (
     ChainContext,
+    GradedOperator,
     build_chain_generators,
     build_site_rep,
     rescaled_rep,
     specialize_operator,
 )
-from qloop.rings import FloatRing, LaurentPoly, NotDivisible, PhiAdicRing, cyclo_ring
+from qloop.rings import (
+    LAURENT_RING,
+    FloatRing,
+    LaurentPoly,
+    NotDivisible,
+    PhiAdicRing,
+    cyclo_ring,
+)
 
 
 def _ctx(length=3):
@@ -51,15 +63,6 @@ def test_roundtrip_bit_identical():
     back = deserialize_operator(blob, key, ctx)
     assert back == e1 and back.shift == e1.shift
     assert serialize_operator(key, back) == blob
-
-
-def test_roundtrip_huge_and_negative_coefficients():
-    ctx = _ctx(2)
-    e1 = build_chain_generators(ctx)["E1"]
-    scaled = e1.scale(LaurentPoly({-5: -(2**100), 0: 3}))
-    key = _key(ctx, "scaled")
-    back = deserialize_operator(serialize_operator(key, scaled), key, ctx)
-    assert back == scaled
 
 
 def test_key_mismatch_and_corruption_are_misses(tmp_path):
@@ -95,13 +98,13 @@ def test_images_load_only_over_the_chains_cyclotomic_ring(tmp_path):
     key = _key(ctx)
     e1 = build_chain_generators(ctx)["E1"]
     ring = cyclo_ring(2)
-    cache.store(key, e1, specialize_operator(e1, ring))
+    cache.store(key, e1)
     assert cache.load(key, ctx, ring) == specialize_operator(e1, ring)
     blob = cache.path_for(key).read_bytes()
     for other in (cyclo_ring(3), PhiAdicRing(2, 1), FloatRing(2)):
         assert cache.load(key, ctx, other) is None
         with pytest.raises(ValueError, match="chain's cyclotomic ring"):
-            opcache.deserialize_image(blob, key, ctx, other)
+            deserialize_operator(blob, key, ctx, other)
 
 
 def test_store_is_idempotent(tmp_path):
@@ -170,6 +173,109 @@ def test_truncated_file_is_a_miss(tmp_path):
     for cut in range(len(blob)):
         cache.path_for(key).write_bytes(blob[:cut])
         assert cache.load(key, ctx) is None, cut
+        assert cache.load(key, ctx, cyclo_ring(2)) is None, cut
+
+
+# ---------------------------------------------------------------------------
+# random operators: one file, two loads
+
+
+# (kind, N, params, L) of chains small enough to draw whole operators on
+_SMALL_CHAINS = (("spin_half", 2, None, 1), ("spin_half", 2, None, 3),
+                 ("highest_weight", 3, None, 2), ("cyclic", 3, {"c": 0}, 2))
+_COEFFS = st.integers(-(2**62 - 1), 2**62 - 1).filter(bool)
+
+
+@st.composite
+def _laurent_operators(draw):
+    """A Laurent operator on a small chain: a random shift, a random set
+    of sectors, and in each a few cells of up to four terms with negative
+    exponents and coefficients up to 2^62 - 1 in size."""
+    kind, n_param, params, length = draw(st.sampled_from(_SMALL_CHAINS))
+    ctx = ChainContext(build_site_rep(kind, n_param, params), length)
+    shift = draw(st.integers(-2, 2))
+    blocks = {}
+    for g, states in ctx.sectors.items():
+        target = ctx.sectors.get(ctx.wrap_grade(g + shift))
+        if target is None or not draw(st.booleans()):
+            continue
+        cells = draw(st.dictionaries(
+            st.tuples(st.integers(0, len(target) - 1), st.integers(0, len(states) - 1)),
+            st.dictionaries(st.integers(-40, 40), _COEFFS, min_size=1, max_size=4),
+            max_size=6))
+        blocks[g] = make_block(LAURENT_RING, len(target), len(states),
+                               [(r, c, LaurentPoly(t)) for (r, c), t in cells.items()])
+    return GradedOperator(ctx, LAURENT_RING, shift, blocks)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_laurent_operators())
+def test_random_operators_round_trip_over_both_rings(op):
+    ctx = op.ctx
+    key = _key(ctx)
+    blob = serialize_operator(key, op)
+    back = deserialize_operator(blob, key, ctx)
+    assert back == op and back.shift == op.shift
+    assert serialize_operator(key, back) == blob
+    ring = cyclo_ring(ctx.n_param)
+    image = deserialize_operator(blob, key, ctx, ring)
+    want = specialize_operator(op, ring)
+    assert image.ring is ring and image.shift == want.shift
+    assert sorted(image.blocks) == sorted(want.blocks)
+    for g, block in want.blocks.items():
+        # int64 unless a cell's terms may sum beyond the int64 tier, and
+        # then exact ints on both routes
+        assert image.blocks[g].arr.dtype == block.arr.dtype
+        assert np.array_equal(image.blocks[g].arr, block.arr)
+    # and entry by entry against the scalar map into the ring
+    assert image.entries() == [(g, r, c, ring.coerce(v)) for g, r, c, v in op.entries()
+                               if not ring.is_zero(ring.coerce(v))]
+
+
+def test_a_coefficient_beyond_int64_writes_no_file(tmp_path):
+    ctx = _ctx()
+    cache = OperatorCache(tmp_path)
+    e1 = build_chain_generators(ctx)["E1"]
+    for coeff in (opcache.INT64_SAFE, -opcache.INT64_SAFE, 2**100):
+        key = _key(ctx, f"scaled{coeff}")
+        scaled = e1.scale(LaurentPoly({-5: coeff, 0: 3}))
+        assert serialize_operator(key, scaled) is None
+        cache.store(key, scaled)
+        assert cache.load(key, ctx) is None
+        assert cache.load(key, ctx, cyclo_ring(2)) is None
+    assert list(tmp_path.iterdir()) == []
+    # the largest coefficient the rule admits is written and read back
+    key = _key(ctx, "largest")
+    largest = e1.scale(LaurentPoly({-5: -(opcache.INT64_SAFE - 1), 0: 3}))
+    cache.store(key, largest)
+    assert cache.load(key, ctx) == largest
+
+
+def test_powers_beyond_the_int64_rule_are_recomputed(tmp_path, monkeypatch):
+    cache, report = tmp_path / "opcache", tmp_path / "report.json"
+    argv = ["run", "--backend", "highest_weight", "--N", "3", "--L", "3",
+            "--suite", "id1", "--cache-dir", str(cache), "--report", str(report)]
+    assert main(argv) == 0
+    want = strip_timing(json.loads(report.read_text()))
+    for path in cache.iterdir():
+        path.unlink()
+    # the rule's bound lowered to 2 leaves out every power with a
+    # coefficient of size 2 or more, as 2^62 would on a larger chain
+    monkeypatch.setattr(opcache, "INT64_SAFE", 2)
+    runs = []
+    real = OperatorCache.store
+    monkeypatch.setattr(OperatorCache, "store",
+                        lambda self, key, op: runs[-1].add(key) or real(self, key, op))
+    for _ in range(2):
+        runs.append(set())
+        assert main(argv) == 0
+        assert strip_timing(json.loads(report.read_text())) == want
+    cold, warm = runs
+    # every load of a power left out missed, so the warm run filled and
+    # offered exactly those again
+    written = {path.name for path in cache.iterdir()}
+    assert warm and warm < cold
+    assert {OperatorCache(cache).path_for(key).name for key in cold - warm} == written
 
 
 # ---------------------------------------------------------------------------
@@ -177,232 +283,177 @@ def test_truncated_file_is_a_miss(tmp_path):
 
 
 def _parse(blob):
-    """A cache file as a dict: "head" (magic and key), "shift" and
-    "sectors" of the Laurent section, [[grade, nrows, ncols,
-    [[row, col, [[exponent, sign, magnitude bytes], ...]], ...]], ...],
-    "laurent_tail", the bytes after its sectors (none), "image", None when absent or [shift, [[grade, nrows, ncols, width,
-    [[cell, [coordinate, ...]], ...]], ...]], and "tail", the bytes after
-    it.  The checksum must hold."""
+    """A cache file as a dict: "head" (magic and key), "shift", "sectors",
+    [[grade, nrows, ncols, [[cell, [[exponent, coefficient], ...]], ...]],
+    ...], and "tail", the bytes after them.  The checksum must hold."""
     pos = len(MAGIC)
     (klen,) = struct.unpack_from("<I", blob, pos)
     pos += 4 + klen
     head, digest, body = blob[:pos], blob[pos:pos + 32], blob[pos + 32:]
     assert hashlib.sha256(body).digest() == digest
-    (laurent_len,) = struct.unpack_from("<Q", body, 0)
-    shift, nsectors = struct.unpack_from("<qI", body, 8)
-    pos = 20
+    shift, nsectors = struct.unpack_from("<qI", body, 0)
+    pos = 12
     sectors = []
     for _ in range(nsectors):
-        g, nrows, ncols, nnz = struct.unpack_from("<qIII", body, pos)
-        pos += 20
-        entries = []
-        for _ in range(nnz):
-            row, col, nterms = struct.unpack_from("<III", body, pos)
-            pos += 12
-            terms = []
-            for _ in range(nterms):
-                e, sign, nbytes = struct.unpack_from("<qbI", body, pos)
-                pos += 13
-                terms.append([e, sign, body[pos:pos + nbytes]])
-                pos += nbytes
-            entries.append([row, col, terms])
-        sectors.append([g, nrows, ncols, entries])
-    assert pos == 8 + laurent_len
-    image = None
-    (present,) = struct.unpack_from("<B", body, pos)
-    pos += 1
-    if present:
-        image_shift, nsectors = struct.unpack_from("<qI", body, pos)
-        pos += 12
-        image_sectors = []
-        for _ in range(nsectors):
-            g, nrows, ncols, width, ncells = struct.unpack_from("<qIIII", body, pos)
-            pos += 24
-            cells = struct.unpack_from(f"<{ncells}I", body, pos)
-            pos += 4 * ncells
-            coords = struct.unpack_from(f"<{ncells * width}q", body, pos)
-            pos += 8 * ncells * width
-            image_sectors.append([g, nrows, ncols, width, [
-                [cell, list(coords[i * width:(i + 1) * width])]
-                for i, cell in enumerate(cells)]])
-        image = [image_shift, image_sectors]
-    return {"head": head, "shift": shift, "sectors": sectors, "laurent_tail": b"",
-            "image": image, "tail": body[pos:]}
+        g, nrows, ncols, ncells, nterms = struct.unpack_from("<qIIII", body, pos)
+        pos += 24
+        cells = struct.unpack_from(f"<{ncells}I", body, pos)
+        ends = struct.unpack_from(f"<{ncells}I", body, pos + 4 * ncells)
+        pos += 8 * ncells
+        exps = struct.unpack_from(f"<{nterms}q", body, pos)
+        coeffs = struct.unpack_from(f"<{nterms}q", body, pos + 8 * nterms)
+        pos += 16 * nterms
+        starts = (0, *ends[:-1])
+        sectors.append([g, nrows, ncols, [
+            [cell, [[exps[i], coeffs[i]] for i in range(start, end)]]
+            for cell, start, end in zip(cells, starts, ends)]])
+    return {"head": head, "shift": shift, "sectors": sectors, "tail": body[pos:]}
 
 
 def _emit(parsed):
     """The file of a _parse result, with its checksum recomputed."""
-    laurent = [struct.pack("<qI", parsed["shift"], len(parsed["sectors"]))]
-    for g, nrows, ncols, entries in parsed["sectors"]:
-        laurent.append(struct.pack("<qIII", g, nrows, ncols, len(entries)))
-        for row, col, terms in entries:
-            laurent.append(struct.pack("<III", row, col, len(terms)))
-            for e, sign, mag in terms:
-                laurent.append(struct.pack("<qbI", e, sign, len(mag)) + mag)
-    laurent = b"".join(laurent) + parsed["laurent_tail"]
-    image = [struct.pack("<B", parsed["image"] is not None)]
-    if parsed["image"] is not None:
-        image_shift, sectors = parsed["image"]
-        image.append(struct.pack("<qI", image_shift, len(sectors)))
-        for g, nrows, ncols, width, cells in sectors:
-            image.append(struct.pack("<qIIII", g, nrows, ncols, width, len(cells)))
-            image += [struct.pack("<I", cell) for cell, _ in cells]
-            image += [struct.pack(f"<{len(coords)}q", *coords) for _, coords in cells]
-    body = b"".join([struct.pack("<Q", len(laurent)), laurent, *image, parsed["tail"]])
+    body = [struct.pack("<qI", parsed["shift"], len(parsed["sectors"]))]
+    for g, nrows, ncols, cells in parsed["sectors"]:
+        terms = [term for _, cell_terms in cells for term in cell_terms]
+        ends, end = [], 0
+        for _, cell_terms in cells:
+            end += len(cell_terms)
+            ends.append(end)
+        body += [struct.pack("<qIIII", g, nrows, ncols, len(cells), len(terms)),
+                 struct.pack(f"<{len(cells)}I", *(cell for cell, _ in cells)),
+                 struct.pack(f"<{len(cells)}I", *ends),
+                 struct.pack(f"<{len(terms)}q", *(e for e, _ in terms)),
+                 struct.pack(f"<{len(terms)}q", *(c for _, c in terms))]
+    body = b"".join(body) + parsed["tail"]
     return parsed["head"] + hashlib.sha256(body).digest() + body
 
 
-CORRUPTIONS = ("row-out-of-range", "col-out-of-range", "repeated-entry",
-               "zero-terms", "repeated-exponent", "zero-magnitude", "bad-sign",
-               "laurent-length-mismatch")
-IMAGE_CORRUPTIONS = ("cell-out-of-range", "cells-not-ascending", "zero-cell",
-                     "wrong-width", "trailing-bytes", "repeated-sector",
-                     "coordinate-beyond-int64")
+CORRUPTIONS = ("cell-out-of-range", "cells-not-ascending", "repeated-entry",
+               "zero-terms", "repeated-exponent", "zero-magnitude",
+               "coefficient-beyond-int64", "empty-sector", "repeated-sector",
+               "descending-sectors", "trailing-bytes", "truncated")
 
 
 def _corrupt(blob, kind):
-    """blob with its first entry (a Laurent kind) or its first image cells
-    (an image kind) corrupted, and its checksum recomputed, so only the
-    reader's structural checks can reject it; None when it has nothing the
-    kind applies to."""
+    """blob with one thing the writer never writes, and its checksum
+    recomputed, so only the reader's structural checks can reject it; None
+    when it has nothing the kind applies to."""
+    if kind == "truncated":
+        return blob[:len(blob) // 2]
     parsed = _parse(blob)
     assert _emit(parsed) == blob
-    if kind in IMAGE_CORRUPTIONS:
-        return _corrupt_image(parsed, kind)
-    if kind == "laurent-length-mismatch":
-        # a byte inside the section's length that no sector accounts for
-        parsed["laurent_tail"] = b"\x00"
+    sectors = parsed["sectors"]
+    if kind == "trailing-bytes":
+        parsed["tail"] += b"\x00"
         return _emit(parsed)
-    sector = next((s for s in parsed["sectors"] if s[3]), None)
+    if kind in ("empty-sector", "repeated-sector", "descending-sectors"):
+        if len(sectors) < (2 if kind == "descending-sectors" else 1):
+            return None
+        if kind == "empty-sector":
+            sectors[0][3] = []
+        elif kind == "repeated-sector":
+            sectors.insert(1, copy.deepcopy(sectors[0]))
+        else:
+            sectors[0], sectors[1] = sectors[1], sectors[0]
+        return _emit(parsed)
+    fewest = 2 if kind == "cells-not-ascending" else 1
+    sector = next((s for s in sectors if len(s[3]) >= fewest), None)
     if sector is None:
         return None
-    _, nrows, ncols, entries = sector
-    entry = entries[0]
-    terms = entry[2]
-    if kind == "row-out-of-range":
-        entry[0] = nrows + 3
-    elif kind == "col-out-of-range":
-        entry[1] = ncols + 3
+    _, nrows, ncols, cells = sector
+    terms = cells[0][1]
+    if kind == "cell-out-of-range":
+        cells[-1][0] = nrows * ncols + 3  # still ascending
+    elif kind == "cells-not-ascending":
+        cells[0], cells[1] = cells[1], cells[0]
     elif kind == "repeated-entry":
-        entries.insert(1, copy.deepcopy(entry))
+        cells.insert(1, copy.deepcopy(cells[0]))
     elif kind == "zero-terms":
         terms.clear()
     elif kind == "repeated-exponent":
         terms.insert(1, list(terms[0]))
     elif kind == "zero-magnitude":
-        terms[0][2] = b"\x00"
-    elif kind == "bad-sign":
-        terms[0][1] = 2
+        terms[0][1] = 0
+    elif kind == "coefficient-beyond-int64":
+        terms[0][1] = -opcache.INT64_SAFE
     else:
         raise ValueError(kind)
     return _emit(parsed)
 
 
-def _corrupt_image(parsed, kind):
-    if parsed["image"] is None:
-        return None
-    if kind == "trailing-bytes":
-        parsed["tail"] += b"\x00"
-        return _emit(parsed)
-    if kind == "repeated-sector":
-        sectors = parsed["image"][1]
-        if not sectors:
-            return None
-        sectors.insert(1, copy.deepcopy(sectors[0]))
-        return _emit(parsed)
-    fewest = 2 if kind == "cells-not-ascending" else 1
-    sector = next((s for s in parsed["image"][1] if len(s[4]) >= fewest), None)
-    if sector is None:
-        return None
-    _, nrows, ncols, _, cells = sector
-    if kind == "cell-out-of-range":
-        cells[-1][0] = nrows * ncols + 3  # still ascending
-    elif kind == "cells-not-ascending":
-        cells[0], cells[1] = cells[1], cells[0]
-    elif kind == "zero-cell":
-        cells[0][1] = [0] * len(cells[0][1])
-    elif kind == "wrong-width":
-        sector[3] += 1
-        for cell in cells:
-            cell[1].append(0)
-    elif kind == "coordinate-beyond-int64":
-        cells[0][1][0] = opcache.INT64_SAFE
-    else:
-        raise ValueError(kind)
-    return _emit(parsed)
-
-
-def _file_with_image(ctx, key, op_id="E1"):
-    """The file of a generator and its image over cyclo_ring(N)."""
-    op = build_chain_generators(ctx)[op_id]
-    return serialize_operator(key, op, specialize_operator(op, cyclo_ring(ctx.n_param)))
+def _corrupt_file(tmp_path, kind):
+    """A cache holding E1's file with the corruption, its key and chain."""
+    ctx = _ctx()
+    cache = OperatorCache(tmp_path)
+    key = _key(ctx)
+    bad = _corrupt(serialize_operator(key, build_chain_generators(ctx)["E1"]), kind)
+    assert bad is not None
+    cache.path_for(key).write_bytes(bad)
+    return cache, key, ctx
 
 
 @pytest.mark.parametrize("kind", CORRUPTIONS)
 def test_entries_the_writer_never_writes_are_misses(tmp_path, kind):
-    ctx = _ctx()
-    cache = OperatorCache(tmp_path)
-    key = _key(ctx)
-    cache.path_for(key).write_bytes(_corrupt(_file_with_image(ctx, key), kind))
+    cache, key, ctx = _corrupt_file(tmp_path, kind)
     assert cache.load(key, ctx) is None
-    # the reader parses only the section it needs, so the corrupt Laurent
-    # section leaves the image readable
-    assert cache.load(key, ctx, cyclo_ring(2)) is not None
 
 
-@pytest.mark.parametrize("kind", IMAGE_CORRUPTIONS)
+@pytest.mark.parametrize("kind", CORRUPTIONS)
 def test_image_cells_the_writer_never_writes_are_misses(tmp_path, kind):
-    ctx = _ctx()
-    cache = OperatorCache(tmp_path)
-    key = _key(ctx)
-    cache.path_for(key).write_bytes(_corrupt(_file_with_image(ctx, key), kind))
+    # the root image is gathered from the same checked arrays
+    cache, key, ctx = _corrupt_file(tmp_path, kind)
     assert cache.load(key, ctx, cyclo_ring(2)) is None
-    assert cache.load(key, ctx) == build_chain_generators(ctx)["E1"]
 
 
-def _rerun_mends(tmp_path, kinds, ring_argv):
+def _rerun_mends(tmp_path, corrupters, ring_argv):
+    """A cold run, then for each corrupter a rerun over the run's files,
+    each passed through it (None: left as it is), must give the same
+    report and rewrite every corrupted file as the cold run wrote it."""
     cache, report = tmp_path / "opcache", tmp_path / "report.json"
     argv = ["run", "--N", "2", "--L", "3", "--suite", "id1", *ring_argv,
             "--cache-dir", str(cache), "--report", str(report)]
     assert main(argv) == 0
     cold = strip_timing(json.loads(report.read_text()))
     blobs = {path: path.read_bytes() for path in cache.iterdir()}
-    for kind in kinds:
+    for corrupt in corrupters:
         corrupted = 0
         for path, blob in blobs.items():
-            bad = _corrupt(blob, kind)
+            bad = corrupt(blob)
             path.write_bytes(blob if bad is None else bad)
             corrupted += bad is not None
-        assert corrupted, kind
-        assert main(argv) == 0, kind
-        assert strip_timing(json.loads(report.read_text())) == cold, kind
-        assert {path: path.read_bytes() for path in cache.iterdir()} == blobs, kind
+        assert corrupted, corrupt
+        assert main(argv) == 0, corrupt
+        assert strip_timing(json.loads(report.read_text())) == cold, corrupt
+        assert {path: path.read_bytes() for path in cache.iterdir()} == blobs, corrupt
+
+
+def _corrupters(kinds):
+    return [functools.partial(_corrupt, kind=kind) for kind in kinds]
 
 
 def test_corrupt_cache_files_are_recomputed_and_rewritten(tmp_path):
-    # a float run reads every power's Laurent section
-    _rerun_mends(tmp_path, CORRUPTIONS, ["--ring", "float"])
+    # a float run reads every power's Laurent terms
+    _rerun_mends(tmp_path, _corrupters(CORRUPTIONS), ["--ring", "float"])
 
 
 def test_corrupt_images_are_recomputed_and_rewritten(tmp_path):
-    # a cyclotomic run reads the images, and the Laurent sections after a miss
-    _rerun_mends(tmp_path, IMAGE_CORRUPTIONS, [])
+    # a cyclotomic run gathers the images, then misses on the Laurent load
+    # too, fills the power and rewrites its file
+    _rerun_mends(tmp_path, _corrupters(CORRUPTIONS), [])
 
 
 # ---------------------------------------------------------------------------
-# the checksum, the first layout, and images
+# the checksum and the earlier layouts
 
 
 def _flip_a_coefficient_bit(blob):
-    """blob with bit 1 of its first coefficient's last magnitude byte
-    flipped and the old checksum kept, so one bit differs; None when it
-    has no entry."""
+    """blob with bit 1 of its first coefficient flipped and the old
+    checksum kept, so one bit differs; None when it has no term."""
     parsed = _parse(blob)
     sector = next((s for s in parsed["sectors"] if s[3]), None)
     if sector is None:
         return None
-    term = sector[3][0][2][0]
-    term[2] = term[2][:-1] + bytes([term[2][-1] ^ 2])
+    sector[3][0][1][0][1] ^= 2
     flipped = _emit(parsed)
     start = len(parsed["head"])
     flipped = flipped[:start] + blob[start:start + 32] + flipped[start + 32:]
@@ -414,55 +465,60 @@ def test_a_flipped_coefficient_bit_is_a_miss(tmp_path):
     ctx = _ctx()
     cache = OperatorCache(tmp_path)
     key = _key(ctx)
-    cache.path_for(key).write_bytes(_flip_a_coefficient_bit(_file_with_image(ctx, key)))
+    blob = serialize_operator(key, build_chain_generators(ctx)["E1"])
+    cache.path_for(key).write_bytes(_flip_a_coefficient_bit(blob))
     assert cache.load(key, ctx) is None
     assert cache.load(key, ctx, cyclo_ring(2)) is None
 
 
 def test_flipped_bits_are_recomputed_and_rewritten(tmp_path):
-    cache, report = tmp_path / "opcache", tmp_path / "report.json"
-    argv = ["run", "--N", "2", "--L", "3", "--suite", "id1",
-            "--cache-dir", str(cache), "--report", str(report)]
-    assert main(argv) == 0
-    cold = strip_timing(json.loads(report.read_text()))
-    blobs = {path: path.read_bytes() for path in cache.iterdir()}
-    flipped = 0
-    for path, blob in blobs.items():
-        bad = _flip_a_coefficient_bit(blob)
-        if bad is not None:
-            path.write_bytes(bad)
-            flipped += 1
-    assert flipped
-    assert main(argv) == 0
-    assert strip_timing(json.loads(report.read_text())) == cold
-    assert {path: path.read_bytes() for path in cache.iterdir()} == blobs
+    # a cyclotomic run gathers root images, a float run reads Laurent terms
+    for name, ring_argv in (("cyclotomic", []), ("float", ["--ring", "float"])):
+        (tmp_path / name).mkdir()
+        _rerun_mends(tmp_path / name, [_flip_a_coefficient_bit], ring_argv)
+
+
+def _laurent_section(blob):
+    """The key part of blob's header, and the Laurent section of the
+    earlier layouts holding its operator: shift and sectors, each entry
+    with its terms as a sign byte and a big-endian magnitude."""
+    parsed = _parse(blob)
+    out = [struct.pack("<qI", parsed["shift"], len(parsed["sectors"]))]
+    for g, nrows, ncols, cells in parsed["sectors"]:
+        out.append(struct.pack("<qIII", g, nrows, ncols, len(cells)))
+        for cell, terms in cells:
+            out.append(struct.pack("<III", *divmod(cell, ncols), len(terms)))
+            for e, c in terms:
+                mag = abs(c).to_bytes((abs(c).bit_length() + 7) // 8, "big")
+                out.append(struct.pack("<qbI", e, -1 if c < 0 else 1, len(mag)) + mag)
+    return parsed["head"][len(MAGIC):], b"".join(out)
 
 
 def _first_layout(blob):
-    """The file of the first layout ("QLOOPOP1"), magic, key and Laurent
-    section, holding blob's operator."""
-    head = _parse(blob)["head"]
-    body = blob[len(head) + 32:]
-    (laurent_len,) = struct.unpack_from("<Q", body, 0)
-    return b"QLOOPOP1" + head[len(MAGIC):] + body[8:8 + laurent_len]
+    """The "QLOOPOP1" file of blob's operator: magic, key, Laurent section."""
+    key, laurent = _laurent_section(blob)
+    return b"QLOOPOP1" + key + laurent
+
+
+def _second_layout(blob):
+    """The "QLOOPOP2" file of blob's operator: magic, key, checksum, then
+    the Laurent section's length, the section and an absent image."""
+    key, laurent = _laurent_section(blob)
+    body = struct.pack("<Q", len(laurent)) + laurent + b"\x00"
+    return b"QLOOPOP2" + key + hashlib.sha256(body).digest() + body
 
 
 def test_first_layout_files_are_misses_and_get_rewritten(tmp_path):
-    cache, report = tmp_path / "opcache", tmp_path / "report.json"
-    argv = ["run", "--N", "2", "--L", "3", "--suite", "id1",
-            "--cache-dir", str(cache), "--report", str(report)]
-    assert main(argv) == 0
-    blobs = {path: path.read_bytes() for path in cache.iterdir()}
+    # and those of the second layout, which held a root image as well
     ctx = _ctx()
     key = _key(ctx)
+    blob = serialize_operator(key, build_chain_generators(ctx)["E1"])
     reader = OperatorCache(tmp_path / "one")
-    reader.path_for(key).write_bytes(_first_layout(_file_with_image(ctx, key)))
-    assert reader.load(key, ctx) is None
-    assert reader.load(key, ctx, cyclo_ring(2)) is None
-    for path, blob in blobs.items():
-        path.write_bytes(_first_layout(blob))
-    assert main(argv) == 0
-    assert {path: path.read_bytes() for path in cache.iterdir()} == blobs
+    for layout in (_first_layout, _second_layout):
+        reader.path_for(key).write_bytes(layout(blob))
+        assert reader.load(key, ctx) is None
+        assert reader.load(key, ctx, cyclo_ring(2)) is None
+    _rerun_mends(tmp_path, [_first_layout, _second_layout], [])
 
 
 CHAINS = (("spin_half", 2, None), ("highest_weight", 3, None), ("cyclic", 3, {"c": 0}))
@@ -496,19 +552,6 @@ def test_stored_images_equal_the_specialized_laurent_powers(
     assert compared >= 6
 
 
-def test_an_image_beyond_int64_is_left_out_and_recomputed(tmp_path):
-    ctx = _ctx()
-    cache = OperatorCache(tmp_path)
-    key = _key(ctx, "scaled")
-    scaled = build_chain_generators(ctx)["E1"].scale(LaurentPoly({-5: -(2**100), 0: 3}))
-    image = specialize_operator(scaled, cyclo_ring(2))
-    assert not image_fits(image)
-    cache.store(key, scaled, image)
-    assert _parse(cache.path_for(key).read_bytes())["image"] is None
-    assert cache.load(key, ctx, cyclo_ring(2)) is None
-    assert cache.load(key, ctx) == scaled
-
-
 def test_warm_root_runs_read_images_only(tmp_path, monkeypatch):
     cache, report = tmp_path / "opcache", tmp_path / "report.json"
     argv = ["run", "--N", "2", "--L", "5", "--Q", "1", "--suite", "lemmas",
@@ -519,12 +562,19 @@ def test_warm_root_runs_read_images_only(tmp_path, monkeypatch):
     stamps = {path.name: (path.stat().st_ino, path.stat().st_mtime_ns)
               for path in cache.iterdir()}
     assert stamps
-    decodes = []
-    real = opcache.deserialize_operator
-    monkeypatch.setattr(opcache, "deserialize_operator",
-                        lambda *args: decodes.append(args) or real(*args))
+    built, steps, orders = [], [], []
+    real_build, real_fill = DictBlock.from_terms.__func__, DividedPowerStore._fill
+    monkeypatch.setattr(DictBlock, "from_terms", classmethod(
+        lambda cls, *args: built.append(args) or real_build(cls, *args)))
+    monkeypatch.setattr(divpow, "_divided_step", lambda *args: steps.append(args))
+    monkeypatch.setattr(DividedPowerStore, "_fill",
+                        lambda self, op_id, n, norm: orders.append(n)
+                        or real_fill(self, op_id, n, norm))
     assert main(argv) == 0
-    assert decodes == []
+    # no Laurent block is decoded and no power is filled, so the store
+    # specializes only orders 0 and 1, which the cache does not hold
+    assert built == [] and steps == []
+    assert orders and max(orders) <= 1
     assert strip_timing(json.loads(report.read_text())) == cold
     assert {path.name: (path.stat().st_ino, path.stat().st_mtime_ns)
             for path in cache.iterdir()} == stamps

@@ -224,6 +224,35 @@ def test_a_float_run_builds_one_float_ring():
     assert env.generic_ring() is ring and env.generic_ring(max_order=3) is ring
 
 
+def test_a_phi_adic_run_builds_one_ring_per_truncation_order(monkeypatch):
+    # the store memoizes orders 0 and 1 per ring object, so jobs of one K
+    # must share a ring; the adic audit's own specializations stay outside
+    import qloop.divpow as divpow
+    env = _RunEnv(RunConfig(n_param=3, length=2, ring="phi-adic"), DISABLED_CACHE)
+    assert env.generic_ring(max_order=2) is env.generic_ring(max_order=2)
+    assert env.generic_ring().trunc_order != env.generic_ring(max_order=8).trunc_order
+    in_get, made = [], []
+    real_get, real_specialize = divpow.DividedPowerStore.get, divpow.specialize_operator
+
+    def get(self, *args, **kwargs):
+        in_get.append(True)
+        try:
+            return real_get(self, *args, **kwargs)
+        finally:
+            in_get.pop()
+
+    def specialize(op, ring):
+        if in_get and ring.kind == "phi-adic":
+            made.append((op, ring.trunc_order))
+        return real_specialize(op, ring)
+    monkeypatch.setattr(divpow.DividedPowerStore, "get", get)
+    monkeypatch.setattr(divpow, "specialize_operator", specialize)
+    run(RunConfig(backend="highest_weight", n_param=3, length=3, ring="phi-adic"))
+    # 88 with a new ring per job; orders 2 and up are recomputed by design
+    assert len(made) == 70
+    assert len({(id(op), k) for op, k in made}) == 62
+
+
 @pytest.mark.parametrize("kwargs,message", [
     ({"n_param": True}, "N must be an integer >= 2, got True"),
     ({"length": True}, "L must be an integer in 1..14, got True"),
