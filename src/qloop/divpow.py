@@ -8,16 +8,22 @@ specialization.  NotDivisible from an entry is a mathematical finding, not
 a bug, and is surfaced as such.
 
 The DividedPowerStore also holds the chain's plain operators (order 1 is
-the operator itself).  Every chain-level check, here and in serre, is a
-residual sum of (coeff, word) specs that evaluate_specs alone reads and
-classifies; a word's factor is an operator as it is, an (op_id, order)
-read in the call's normalization, or an (op_id, order, normalization) read.
+the operator itself).  Every chain-level check, here and in serre, states
+its records as Residuals: data built from the chain and the check's
+arguments, whose (coeff, word) specs evaluate_specs alone reads and
+classifies.  A word's factor is an (op_id, order) read in the residual's
+normalization, an (op_id, order, normalization) read, a Sum of specs (an
+inline combination), or a callable that builds an operator by a route of
+its own, reading no divided power of the store.  So residual_reads lists
+every store read of a residual without evaluating it.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from math import comb
+from typing import Any, Callable, NamedTuple
 
 from .identity import EXACT_ZERO, VACUOUS_ZERO, IdentityCheck, REGISTRY
 from .opcache import DISABLED_CACHE, OperatorCache, make_key, rep_digest
@@ -100,6 +106,11 @@ def divided_power(op: GradedOperator, n: int, normalization: str) -> GradedOpera
     return _divide_entries(op.power(n), factorial_poly(n, normalization))
 
 
+def _memoized(n: int, ring) -> bool:
+    """Whether a store memoizes the image of an order-n power in ring."""
+    return ring.kind in ("cyclotomic", "float") or (ring.kind == "phi-adic" and n <= 1)
+
+
 class DividedPowerStore:
     """The one owner of a run's divided powers of named base operators.
 
@@ -122,9 +133,9 @@ class DividedPowerStore:
 
     Checks take the store explicitly and never mutate what it returns.
     The fill is idempotent, so one coarse lock around it keeps a library
-    caller's threads that share a store correct without cleverness.  A
-    run's worker processes do not share it: each fills its own forked copy,
-    and they meet only in the disk cache's files.
+    caller's threads that share a store correct without cleverness.  A run
+    with worker processes fill()s every power its jobs read before it
+    forks, so each worker reads the one filled copy it inherits.
     """
 
     def __init__(self, ctx: ChainContext, cache: OperatorCache = DISABLED_CACHE):
@@ -156,7 +167,7 @@ class DividedPowerStore:
             ring=LAURENT_RING) -> GradedOperator:
         self._check_read(op_id, n, normalization)
         with self._lock:
-            if ring.kind in ("cyclotomic", "float") or (ring.kind == "phi-adic" and n <= 1):
+            if _memoized(n, ring):
                 key = (op_id if n else "", normalization if n > 1 else NORM_Q, n, ring)
                 out = self._specialized.get(key)
                 if out is None:
@@ -164,6 +175,11 @@ class DividedPowerStore:
                 return out
             laurent = self._fill(op_id, n, normalization)
         return specialize_operator(laurent, ring)
+
+    def fill(self, op_id: str, n: int, normalization: str, ring=LAURENT_RING) -> None:
+        """Fill what get(op_id, n, normalization, ring) reads: the Laurent
+        power, and its image in `ring` where the store memoizes one."""
+        self.get(op_id, n, normalization, ring if _memoized(n, ring) else LAURENT_RING)
 
     def _key(self, op_id: str, normalization: str, n: int) -> str:
         return make_key(self._rep_digest, self.ctx.length, op_id, normalization, n)
@@ -202,31 +218,75 @@ class DividedPowerStore:
 # residual specs: the one evaluator of every chain-level check
 
 
+class Sum:
+    """An inline factor: the sum of its (coeff, word) specs, built once per
+    check call however many words of the call hold it."""
+
+    __slots__ = ("specs",)
+
+    def __init__(self, *specs):
+        self.specs = specs
+
+
+class Residual(NamedTuple):
+    """One check record, as data: the residual sum of coeff * word over
+    specs in ring.  extra is copied into the record; finish(check, terms),
+    when given, completes the record from the scaled terms and returns it."""
+
+    family: str
+    params: dict
+    specs: list
+    ring: Any
+    normalization: str = NORM_Q
+    extra: dict | None = None
+    finish: Callable | None = None
+
+
+def _inline(store: DividedPowerStore, f, ring, normalization: str,
+            memo: dict | None) -> GradedOperator:
+    """A Sum or callable factor, built once per memo."""
+    key = (f, ring, normalization)
+    if memo is not None and key in memo:
+        return memo[key]
+    if callable(f):
+        op = f()
+    else:
+        terms = spec_terms(store, f.specs, ring, normalization, memo)
+        op = sum(terms[1:], terms[0])
+    if memo is not None:
+        memo[key] = op
+    return op
+
+
 def word_operator(store: DividedPowerStore, word, ring,
-                  normalization: str = NORM_Q) -> GradedOperator:
-    """Left-to-right product over `ring` of a word's factors: an operator
-    as it is, an (op_id, order) read in `normalization`, or an (op_id,
-    order, normalization) read.  An order-0 read is the identity and drops
-    out, once the store has checked it like any other read."""
+                  normalization: str = NORM_Q, memo: dict | None = None
+                  ) -> GradedOperator:
+    """Left-to-right product over `ring` of a word's factors, read in
+    `normalization` unless a read names its own; memo holds the inline
+    factors a check call has built.  An order-0 read is the identity and
+    drops out, once the store has checked it like any other read."""
     factors = []
     for f in word:
-        if not isinstance(f, GradedOperator):
+        if isinstance(f, tuple):
             op_id, n, norm = f if len(f) == 3 else (*f, normalization)
             if not n:
                 store._check_read(op_id, n, norm)
                 continue
             f = store.get(op_id, n, norm, ring)
+        else:
+            f = _inline(store, f, ring, normalization, memo)
         factors.append(f)
     return operator_product(store.ctx, ring, factors)
 
 
 def spec_terms(store: DividedPowerStore, specs, ring,
-               normalization: str = NORM_Q) -> list[GradedOperator]:
+               normalization: str = NORM_Q, memo: dict | None = None
+               ) -> list[GradedOperator]:
     """coeff * word of each (coeff, word) spec: no scaling for 1 or -1, an
     int scales as an int, and only a LaurentPoly is coerced into the ring."""
     terms = []
     for coeff, word in specs:
-        op = word_operator(store, word, ring, normalization)
+        op = word_operator(store, word, ring, normalization, memo)
         if coeff == -1:
             op = -op
         elif coeff != 1:
@@ -236,10 +296,54 @@ def spec_terms(store: DividedPowerStore, specs, ring,
 
 
 def evaluate_specs(store: DividedPowerStore, family: str, params: dict, specs,
-                   ring, normalization: str = NORM_Q) -> IdentityCheck:
-    """The check record of the residual sum of coeff * word over specs."""
-    return evaluate_zero_identity(
-        family, params, spec_terms(store, specs, ring, normalization), ring)
+                   ring, normalization: str = NORM_Q, extra: dict | None = None,
+                   finish: Callable | None = None, memo: dict | None = None
+                   ) -> IdentityCheck:
+    """The check record of the residual sum of coeff * word over specs; its
+    arguments after the store are a Residual's fields."""
+    terms = spec_terms(store, specs, ring, normalization, memo)
+    check = evaluate_zero_identity(family, params, terms, ring)
+    if extra:
+        check.extra.update(extra)
+    return check if finish is None else finish(check, terms)
+
+
+def spec_check(build: Callable) -> Callable:
+    """The check that evaluates the Residual, or list of Residuals,
+    build(store, *args, **kw) states, with one memo for the call's inline
+    factors.  build stays reachable as check.residuals, so a run can list
+    a call's store reads without evaluating it."""
+    @functools.wraps(build)
+    def check(store: DividedPowerStore, *args, **kw):
+        residuals = build(store, *args, **kw)
+        if isinstance(residuals, Residual):
+            return evaluate_specs(store, *residuals)
+        memo: dict = {}
+        return [evaluate_specs(store, *r, memo=memo) for r in residuals]
+    check.residuals = build
+    return check
+
+
+def _spec_reads(specs, ring, normalization: str):
+    for _, word in specs:
+        for f in word:
+            if isinstance(f, Sum):
+                yield from _spec_reads(f.specs, ring, normalization)
+            elif isinstance(f, tuple):
+                op_id, n, norm = f if len(f) == 3 else (*f, normalization)
+                if n:
+                    yield op_id, n, norm, ring
+
+
+def residual_reads(residuals):
+    """The (op_id, order, normalization, ring) store reads of a Residual or
+    list of Residuals, in the order evaluating them makes them first, the
+    reads inside Sums included and order-0 reads left out.  A callable
+    factor's own route reads no divided power of the store."""
+    if isinstance(residuals, Residual):
+        residuals = [residuals]
+    for r in residuals:
+        yield from _spec_reads(r.specs, r.ring, r.normalization)
 
 
 # ---------------------------------------------------------------------------
@@ -294,21 +398,23 @@ def _check_sector(store: DividedPowerStore, q_sector: int) -> None:
         raise ValueError(f"Q must lie in 0..N-1 (got {q_sector})")
 
 
+@spec_check
 def check_power_factorial(store: DividedPowerStore, op_id: str, n: int,
                           normalization: str = NORM_Q) -> IdentityCheck:
     """The store's iterative theta^(n), times the factorial, against the
     plain power theta^n of the base operator."""
     params = {"op": op_id, "n": n, "norm": normalization, **_base_params(store)}
-    return evaluate_specs(store, "divpow.power-factorial", params, [
+    return Residual("divpow.power-factorial", params, [
         (factorial_poly(n, normalization), ((op_id, n),)),
         (-1, ((op_id, 1),) * n),
     ], LAURENT_RING, normalization)
 
 
+@spec_check
 def check_normalization_bridge(store: DividedPowerStore, op_id: str,
                                n: int) -> IdentityCheck:
     params = {"op": op_id, "n": n, **_base_params(store)}
-    return evaluate_specs(store, "divpow.normalization-bridge", params, [
+    return Residual("divpow.normalization-bridge", params, [
         (1, ((op_id, n, NORM_Q),)),
         (-LaurentPoly.q_power(n * (n - 1) // 2), ((op_id, n, NORM_OMEGA),)),
     ], LAURENT_RING)
@@ -320,6 +426,7 @@ def adic_trunc_order(n_param: int, n: int) -> int:
     return n // n_param + 1
 
 
+@spec_check
 def check_adic_agreement(store: DividedPowerStore, op_id: str, n: int,
                          normalization: str = NORM_OMEGA) -> IdentityCheck:
     """Dual-route audit: the store's symbolic division against truncated
@@ -327,26 +434,35 @@ def check_adic_agreement(store: DividedPowerStore, op_id: str, n: int,
     n_param = store.ctx.n_param
     params = {"op": op_id, "n": n, "norm": normalization, **_base_params(store)}
     cring = cyclo_ring(n_param)
-    adic = PhiAdicRing(n_param, adic_trunc_order(n_param, n))
-    # the phi-adic route stays independent of the store's powers
-    via_adic = divided_power(specialize_operator(store.base(op_id), adic),
-                             n, normalization)
-    return evaluate_specs(store, "divpow.adic-agreement", params, [
+
+    def via_adic() -> GradedOperator:
+        # the phi-adic route stays independent of the store's powers
+        adic = PhiAdicRing(n_param, adic_trunc_order(n_param, n))
+        power = divided_power(specialize_operator(store.base(op_id), adic),
+                              n, normalization)
+        return specialize_operator(power, cring)
+
+    return Residual("divpow.adic-agreement", params, [
         (1, ((op_id, n),)),
-        (-1, (specialize_operator(via_adic, cring),)),
+        (-1, (via_adic,)),
     ], cring, normalization)
 
 
-def check_nilpotency(store: DividedPowerStore, op_id: str, n: int) -> IdentityCheck:
-    params = {"op": op_id, "n": n, **_base_params(store)}
-    check = evaluate_specs(store, "divpow.nilpotency", params,
-                           [(1, ((op_id, n),))], LAURENT_RING)
+def _vacuous_is_exact(check: IdentityCheck, terms) -> IdentityCheck:
+    # a one-term vanishing claim is the content, not an empty statement
     if check.status == VACUOUS_ZERO:
-        # a one-term vanishing claim is the content, not an empty statement
         check.status = EXACT_ZERO
     return check
 
 
+@spec_check
+def check_nilpotency(store: DividedPowerStore, op_id: str, n: int) -> IdentityCheck:
+    params = {"op": op_id, "n": n, **_base_params(store)}
+    return Residual("divpow.nilpotency", params, [(1, ((op_id, n),))],
+                    LAURENT_RING, finish=_vacuous_is_exact)
+
+
+@spec_check
 def check_mulo(store: DividedPowerStore, q_sector: int, k: int, j: int,
                op_id: str = "B1bar") -> IdentityCheck:
     """Order-merging of clock-dressed divided powers across multiples of N,
@@ -355,12 +471,10 @@ def check_mulo(store: DividedPowerStore, q_sector: int, k: int, j: int,
     n_param = store.ctx.n_param
     params = {"op": op_id, "Q": q_sector, "k": k, "j": j, **_base_params(store)}
     coeff = comb(k + j, k)
-    check = evaluate_specs(store, "divpow.merge-binomial", params, [
+    return Residual("divpow.merge-binomial", params, [
         (1, ((op_id, k * n_param + q_sector), (op_id, j * n_param))),
         (-coeff, ((op_id, (k + j) * n_param + q_sector),)),
-    ], cyclo_ring(n_param), NORM_OMEGA)
-    check.extra["coefficient"] = coeff
-    return check
+    ], cyclo_ring(n_param), NORM_OMEGA, {"coefficient": coeff})
 
 
 _CROSS_RELATIONS = (
@@ -372,6 +486,7 @@ _CROSS_RELATIONS = (
 )
 
 
+@spec_check
 def check_cross_normalization(store: DividedPowerStore, n: int,
                               ring=None) -> list[IdentityCheck]:
     """The four order-n bridges between q-normalized plus/minus powers and
@@ -379,7 +494,7 @@ def check_cross_normalization(store: DividedPowerStore, n: int,
     ctx = store.ctx
     ring = ring if ring is not None else cyclo_ring(ctx.n_param)
     # one power of the half clock, shared by the four words
-    a_minus_half_n = word_operator(store, (("A_L_half_inv", 1),) * n, ring)
+    a_minus_half_n = Sum((1, (("A_L_half_inv", 1),) * n))
     out = []
     for pm_id, bar_id, side, signed, edge in _CROSS_RELATIONS:
         params = {"pm": pm_id, "bar": bar_id, "n": n, **_base_params(store),
@@ -389,8 +504,8 @@ def check_cross_normalization(store: DividedPowerStore, n: int,
         scalar = LaurentPoly.q_power(n * (1 - ctx.length)) if edge else LaurentPoly(1)
         if signed and n % 2 == 1:
             scalar = -scalar
-        out.append(evaluate_specs(store, "divpow.cross-normalization", params,
-                                  [(1, ((pm_id, n),)), (-scalar, dressed)], ring))
+        out.append(Residual("divpow.cross-normalization", params,
+                            [(1, ((pm_id, n),)), (-scalar, dressed)], ring))
     return out
 
 
@@ -428,6 +543,7 @@ REGISTRY.register(
 )
 
 
+@spec_check
 def check_chain_chevalley(store: DividedPowerStore,
                           ring=LAURENT_RING) -> list[IdentityCheck]:
     """Level-zero relations of the global generators, reported one by one."""
@@ -435,10 +551,10 @@ def check_chain_chevalley(store: DividedPowerStore,
     out = []
 
     def run(family, params, specs):
-        out.append(evaluate_specs(store, family, dict(base, **params), specs, ring))
+        out.append(Residual(family, dict(base, **params), specs, ring))
 
-    def word(*names):
-        return word_operator(store, [(name, 1) for name in names], ring)
+    def commutator(a, b):
+        return Sum((1, ((a, 1), (b, 1))), (-1, ((b, 1), (a, 1))))
 
     for name, e in (("E1", 2), ("E0", -2), ("F1", -2), ("F0", 2)):
         run("chain.k-exchange", {"generator": name}, [
@@ -448,9 +564,10 @@ def check_chain_chevalley(store: DividedPowerStore,
     bracket = LaurentPoly.q_power(1) - LaurentPoly.q_power(-1)
     for a, b, inv_first in (("E1", "F1", False), ("E0", "F0", True)):
         # each side stays one term of the record: (ab - ba)[1] and K - K^-1
-        rhs = word("K_inv") - word("K") if inv_first else word("K") - word("K_inv")
+        k, k_inv = (("K", 1),), (("K_inv", 1),)
+        rhs = Sum((1, k_inv), (-1, k)) if inv_first else Sum((1, k), (-1, k_inv))
         run("chain.ef-commutator", {"pair": a + b},
-            [(bracket, (word(a, b) - word(b, a),)), (-1, (rhs,))])
+            [(bracket, (commutator(a, b),)), (-1, (rhs,))])
     for a, b in (("E1", "F0"), ("E0", "F1")):
         run("chain.mixed-commutator", {"pair": a + b},
             [(1, ((a, 1), (b, 1))), (-1, ((b, 1), (a, 1)))])
@@ -463,6 +580,7 @@ def check_chain_chevalley(store: DividedPowerStore,
     return out
 
 
+@spec_check
 def check_half_clock_commutation(store: DividedPowerStore,
                                  ring=LAURENT_RING) -> list[IdentityCheck]:
     """The two clock-dressing exchange laws for all four barred operators."""
@@ -476,7 +594,7 @@ def check_half_clock_commutation(store: DividedPowerStore,
     for name in ("C0bar", "CL1bar", "B1bar", "BLbar"):
         pair = (("A_L_half_inv", 1), (name, 1))
         left, right = pair if name.startswith("C") else pair[::-1]
-        out.append(evaluate_specs(
-            store, "chain.half-clock-commutation", dict(base, op=name),
+        out.append(Residual(
+            "chain.half-clock-commutation", dict(base, op=name),
             [(1, (left, right)), (-LaurentPoly.q_power(1), (right, left))], ring))
     return out

@@ -45,8 +45,8 @@ range, cells out of ascending order, an entry with no terms, exponents
 out of ascending order, a zero coefficient or one beyond the int64 rule,
 a truncated array or trailing bytes.  Writes go through a temp file and
 an atomic rename, so concurrent readers never see partial files and
-concurrent writers of the same key (two worker processes filling the
-same power) leave one whole file.  A write that fails (a full disk)
+concurrent writers of the same key (two runs filling the same power)
+leave one whole file.  A write that fails (a full disk)
 removes its temp file and raises CacheWriteError, which a run turns into
 a resource error.  A store replaces whatever file the key had, so a
 corrupt file is mended by the first run that misses on it.

@@ -16,13 +16,19 @@ hands each check the env's store and, where the job names a ring
 selector, the ring it picks from the env.
 
 Worker processes.  The jobs are pure-Python exact arithmetic, so threads
-would queue on the interpreter lock; workers are processes forked after the
-envs are built.  Each inherits the run's (job, env) pairs through the fork,
-fills its own copy of the stores, and sends back only IdentityCheck lists,
-in job order.  Contiguous chunks of jobs go to one worker, so jobs
-that read the same divided powers mostly share one copy.  A worker that
-dies ends the run with ResourceError.  Where the platform cannot fork, or
-the calling process runs other threads, the jobs run in the calling process.
+would queue on the interpreter lock; workers are forked processes.  A job
+declares the divided powers it reads: the store reads of the Residuals its
+checks state, listed without evaluating them.  Before it forks, the run
+fills the union of those reads into each env's store, in job order, so
+every power is computed once, here, and every worker inherits it filled.
+The jobs are then cut into one contiguous chunk per worker: this process
+runs the first, and each forked child runs one more and sends back its
+IdentityCheck lists, pickled on a pipe.  Each worker starts on a CPU of
+its own, then may move.  A child that dies ends the run with
+ResourceError; a child whose parent dies exits.  Where the platform
+cannot fork, or the calling process runs other threads, the jobs run in
+the calling process and fill what they read as they go, as a one-worker
+run does.
 
 Ring modes.  Identities that hold for generic q honor the configured ring
 (laurent, cyclotomic image, phi-adic, float).  Identities that hold only at
@@ -41,14 +47,16 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
 import threading
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from . import __version__
 from .divpow import (
+    DividedPowerStore,
     adic_trunc_order,
     check_adic_agreement,
     check_chain_chevalley,
@@ -58,6 +66,7 @@ from .divpow import (
     check_nilpotency,
     check_normalization_bridge,
     check_power_factorial,
+    residual_reads,
 )
 from .identity import (
     APPROX_ZERO,
@@ -300,10 +309,10 @@ class RunConfig:
 
 class _RunEnv:
     """The divided-power store (and through it the chain) shared by every
-    job of a run.  A rescaled env scales every site representation it
-    builds, the run's own and any a job builds for itself.  It builds one
-    float ring and one phi-adic ring per truncation order K, because the
-    store memoizes images per ring object."""
+    job of a run, and the g-forms job's store.  A rescaled env scales every
+    site representation it builds.  It builds one float ring and one
+    phi-adic ring per truncation order K, because the store memoizes images
+    per ring object."""
 
     def __init__(self, config: RunConfig, cache: OperatorCache, rescale: bool = False):
         self.config = config
@@ -313,8 +322,21 @@ class _RunEnv:
         except (UnsupportedKind, InvalidParams) as exc:
             raise ConfigError(str(exc)) from None
         self.store = make_store(ChainContext(rep, config.length), cache)
+        self._g_forms_store: DividedPowerStore | None = None
         self._float_ring = FloatRing(config.n_param)
         self._adic_rings: dict[int, PhiAdicRing] = {}
+
+    def g_forms_store(self) -> DividedPowerStore:
+        """The store of the g-forms job, built on first use.  The
+        resummation is a polynomial identity: one small spin_half chain of
+        length 4 carries it, whatever the run's backend and length.  Its
+        cache keys hold the rep's digest and L=4, so it shares the run's
+        cache without touching the run's own chain's (or a rescaled one's)
+        powers."""
+        if self._g_forms_store is None:
+            self._g_forms_store = make_store(
+                ChainContext(self.site_rep("spin_half"), 4), self.store.cache)
+        return self._g_forms_store
 
     def site_rep(self, kind: str):
         """The run's site representation of `kind`, rescaled when the env is."""
@@ -354,6 +376,9 @@ class _Job:
     # the most base-Phi digits of any block its rings make: K+1 over a
     # phi-adic ring of truncation order K, 1 over any other ring
     digits: int = 1
+    # (store, (op_id, order, normalization, ring)) of every divided power
+    # the job reads from the env, in the order it first reads them
+    reads: Callable[[_RunEnv], Iterable] = lambda env: ()
 
 
 # the faults a job may raise; its Error record's kind is the name of the
@@ -367,13 +392,21 @@ _GUARDED = (
 )
 
 
+# the faults that end a run with ResourceError wherever a job meets them
+_RESOURCE_FAULTS = (MemoryError, CacheWriteError)
+
+
+def _resource_error(job: _Job, exc: BaseException) -> ResourceError:
+    if isinstance(exc, MemoryError):
+        return ResourceError(f"job {job.job_id} exhausted memory")
+    return ResourceError(str(exc))
+
+
 def _run_job(job: _Job, env: _RunEnv) -> list[IdentityCheck]:
     try:
         out = job.thunk(env)
-    except MemoryError as exc:
-        raise ResourceError(f"job {job.job_id} exhausted memory") from exc
-    except CacheWriteError as exc:
-        raise ResourceError(str(exc)) from exc
+    except _RESOURCE_FAULTS as exc:
+        raise _resource_error(job, exc) from exc
     except _GUARDED as exc:
         kind = next(e.__name__ for e in _GUARDED if isinstance(exc, e))
         return [make_check("run.guard", {"job": job.job_id}, ERROR, error_kind=kind,
@@ -387,18 +420,36 @@ def _run_job(job: _Job, env: _RunEnv) -> list[IdentityCheck]:
 
 
 def _job(job_id: str, suite: str, calls: list[tuple],
-         ring: Callable[[_RunEnv], Any] | None = None, digits: int = 1) -> _Job:
+         ring: Callable[[_RunEnv], Any] | None = None, digits: int = 1,
+         store: Callable[[_RunEnv], DividedPowerStore] | None = None) -> _Job:
     """A job running check(env.store, *args) for each (check, *args) of
-    calls, with ring=ring(env) when a ring selector is given, and returning
-    all their checks as one list, in call order."""
-    def thunk(env: _RunEnv) -> list[IdentityCheck]:
+    calls, with ring=ring(env) when a ring selector is given and on
+    store(env) when a store selector is, and returning all their checks as
+    one list, in call order.  Its reads are those of the Residuals each
+    check.residuals states for the same arguments."""
+    def bound(env: _RunEnv) -> tuple[DividedPowerStore, dict]:
         kw = {} if ring is None else {"ring": ring(env)}
+        return (env.store if store is None else store(env)), kw
+
+    def thunk(env: _RunEnv) -> list[IdentityCheck]:
+        on, kw = bound(env)
         out = []
         for check, *args in calls:
-            result = check(env.store, *args, **kw)
+            result = check(on, *args, **kw)
             out += result if isinstance(result, list) else [result]
         return out
-    return _Job(job_id, suite, thunk, digits)
+
+    def reads(env: _RunEnv) -> Iterable:
+        on, kw = bound(env)
+        for check, *args in calls:
+            try:
+                residuals = check.residuals(on, *args, **kw)
+            except _GUARDED:
+                continue  # the check raises it again in the job, which reports it
+            for read in residual_reads(residuals):
+                yield on, read
+
+    return _Job(job_id, suite, thunk, digits, reads)
 
 
 def _generic_job(config: RunConfig, job_id: str, suite: str, max_order: int,
@@ -533,15 +584,6 @@ def _jobs_id1(config: RunConfig) -> list[_Job]:
     return jobs
 
 
-def _g_forms_thunk(env: _RunEnv) -> list[IdentityCheck]:
-    # the resummation is a polynomial identity: one small spin_half chain
-    # of length 4 carries it, whatever the run's backend and length.  Its
-    # cache keys hold the rep's digest and L=4, so it shares the run's cache
-    # without touching the run's own chain (or a rescaled one's) powers.
-    store = make_store(ChainContext(env.site_rep("spin_half"), 4), env.store.cache)
-    return [check_g_forms(store, 1, 3, branch) for branch in ("full", "truncated")]
-
-
 def _jobs_id2(config: RunConfig) -> list[_Job]:
     n = config.n_param
     jobs = []
@@ -551,7 +593,9 @@ def _jobs_id2(config: RunConfig) -> list[_Job]:
             jobs.append(_job(f"id2/{name}-Q{q}", "id2", [
                 (dispatch_root_serre, k, m, pair) for pair in (_E_PAIR, _F_PAIR)
             ], _RunEnv.root_ring))
-    jobs.append(_Job("id2/g-forms", "id2", _g_forms_thunk))
+    jobs.append(_job("id2/g-forms", "id2", [
+        (check_g_forms, 1, 3, branch) for branch in ("full", "truncated")
+    ], store=_RunEnv.g_forms_store))
     return jobs
 
 
@@ -600,72 +644,128 @@ def _core_count() -> int:
         return os.cpu_count() or 1
 
 
-# The (job, env) pairs of the pool a worker process belongs to; set in the
-# worker right after the fork, never in the process that runs the pool.
-_WORKER_JOBS: list[tuple[_Job, _RunEnv]] = []
+def _prefill(pairs: list[tuple[_Job, _RunEnv]]) -> None:
+    """Fill every divided power the jobs read into its env's store, in job
+    order.  A read whose fill raises a guarded fault is left to the job
+    that reads it, which reports its own Error record."""
+    filled = set()
+    for job, env in pairs:
+        for store, read in job.reads(env):
+            if (store, read) in filled:
+                continue
+            filled.add((store, read))
+            try:
+                store.fill(*read)
+            except _GUARDED:
+                pass
+            except _RESOURCE_FAULTS as exc:
+                raise _resource_error(job, exc) from exc
 
 
-def _adopt_jobs(pairs: list[tuple[_Job, _RunEnv]]) -> None:
-    global _WORKER_JOBS
-    _WORKER_JOBS = pairs
-    threading.Thread(target=_exit_with_parent, daemon=True).start()
-
-
-def _exit_with_parent() -> None:
-    # a worker waits on its job queue forever; if the run is killed, end
-    # the worker too instead of leaving it behind
-    import multiprocessing
-    from multiprocessing.connection import wait
-
-    wait([multiprocessing.parent_process().sentinel])
+def _exit_with_parent(fd: int) -> None:
+    # the parent holds the pipe's only write end, so the read returns once
+    # the parent has exited, killed or not; a worker then ends too
+    os.read(fd, 1)
     os._exit(1)
 
 
-def _run_worker_job(index: int) -> list[IdentityCheck]:
-    return _run_job(*_WORKER_JOBS[index])
+def _move_to_cpu(k: int) -> None:
+    """Move this process onto the k-th CPU it may run on, then let it run
+    on any again.  A forked child starts on its parent's CPU, and over a
+    run this short the scheduler may leave the two sharing that one."""
+    if hasattr(os, "sched_setaffinity"):
+        allowed = os.sched_getaffinity(0)
+        try:
+            os.sched_setaffinity(0, {sorted(allowed)[k % len(allowed)]})
+        finally:
+            os.sched_setaffinity(0, allowed)
 
 
-def _fork_pool(workers: int, pairs: list[tuple[_Job, _RunEnv]]):
-    """A pool of `workers` forked processes that inherit `pairs`, or None
-    where the platform cannot fork or other threads run in this process (a
-    child would inherit any lock they hold, held forever).  The pool is
-    imported here, so a one-worker run never pays for it.  A worker also
-    inherits the caller's garbage collector state: in the qloop command the
-    collector is off and the import heap frozen, so no worker spends a
-    collector pass on the objects it inherited."""
-    if threading.active_count() > 1:
-        return None
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+def _work_in_child(k: int, chunk: list[tuple[_Job, _RunEnv]], out: int,
+                   alive: int) -> None:
+    """Forked worker k: run chunk, write (True, results) or (False, the
+    exception it raised) pickled to out, and exit; it never returns."""
+    status = 1
+    try:
+        threading.Thread(target=_exit_with_parent, args=(alive,), daemon=True).start()
+        _move_to_cpu(k)
+        try:
+            payload = (True, [_run_job(job, env) for job, env in chunk])
+        except Exception as exc:
+            # the parent raises it; the note keeps where it came from
+            import traceback
+            exc.add_note(f"raised in a forked worker:\n{traceback.format_exc()}")
+            payload = (False, exc)
+        with os.fdopen(out, "wb") as fh:
+            fh.write(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
+        status = 0
+    finally:
+        os._exit(status)
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    # fork, not spawn: the envs hold the run's stores, which cannot be
-    # pickled, and a spawned worker would rebuild the chain from scratch.
-    # The initargs reach the workers through the fork, unpickled.
-    return ProcessPoolExecutor(
-        max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_adopt_jobs, initargs=(pairs,))
+
+def _fork_workers(chunks: list[list[tuple[_Job, _RunEnv]]]) -> list[list[list[IdentityCheck]]]:
+    """The results of each chunk of (job, env) pairs: the first chunk runs
+    in this process, each other one in a child forked for it, which
+    inherits the pairs and the filled stores; chunk k starts on the k-th
+    CPU this process may run on.  A child's exception is
+    raised here; a child that dies is a ResourceError.  Children still
+    running when this returns or raises are killed."""
+    alive_r, alive_w = os.pipe()
+    children = []  # (pid, the read end of its result pipe)
+    try:
+        for k, chunk in enumerate(chunks[1:], 1):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError as exc:
+                os.close(r)
+                os.close(w)
+                raise ResourceError(f"cannot start a job worker process: {exc}") from exc
+            if pid == 0:
+                os.close(r)
+                os.close(alive_w)
+                for _, pipe in children:
+                    pipe.close()
+                _work_in_child(k, chunk, w, alive_r)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        _move_to_cpu(0)
+        results = [[_run_job(job, env) for job, env in chunks[0]]]
+        while children:
+            pid, pipe = children[0]
+            data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            pipe.close()
+            if status or not data:
+                raise ResourceError("a job worker process died (killed, or out of "
+                                    "memory)")
+            done, payload = pickle.loads(data)
+            if not done:
+                raise payload
+            results.append(payload)
+        return results
+    finally:
+        for fd in (alive_r, alive_w):
+            os.close(fd)
+        for pid, pipe in children:
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+            pipe.close()
 
 
 def _execute(pairs: list[tuple[_Job, _RunEnv]],
              workers: int) -> list[list[IdentityCheck]]:
-    pool = None
-    if workers > 1 and len(pairs) > 1:
+    """Each pair's checks, in order, on at most `workers` processes."""
+    if workers > 1:
         workers = min(workers, len(pairs), _core_count())
-        pool = _fork_pool(workers, pairs) if workers > 1 else None
-    if pool is None:
+    # a forked child would inherit any lock another thread holds, held forever
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [_run_job(job, env) for job, env in pairs]
-    from concurrent.futures.process import BrokenProcessPool
-
-    chunksize = math.ceil(len(pairs) / (4 * workers))
-    try:
-        with pool:
-            return list(pool.map(_run_worker_job, range(len(pairs)),
-                                 chunksize=chunksize))
-    except BrokenProcessPool as exc:
-        raise ResourceError("a job worker process died (killed, or out of "
-                            "memory)") from exc
+    _prefill(pairs)
+    bounds = [len(pairs) * i // workers for i in range(workers + 1)]
+    chunks = [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    return [checks for chunk in _fork_workers(chunks) for checks in chunk]
 
 
 def _collect(job_results) -> tuple[list[IdentityCheck], dict[str, list[IdentityCheck]]]:
@@ -833,8 +933,8 @@ def run(config: RunConfig) -> ReportDocument:
     rescaled_jobs = [job for job in jobs if job.suite in audited]
     try:
         env = _RunEnv(config, cache)
-        # both chains are built before the run's one pool forks, so every
-        # worker inherits both stores
+        # both chains are built, and filled, before the run forks its
+        # workers, so every worker inherits both stores
         rescaled_env = _RunEnv(config, cache, rescale=True) if audited else None
         results = _execute([(job, env) for job in jobs]
                            + [(job, rescaled_env) for job in rescaled_jobs],

@@ -2,12 +2,13 @@
 loop-generator lemma chain built from them.
 
 Everything here is an operator identity on a finite chain, verified in
-exact arithmetic and stated as residual specs for divpow.evaluate_specs:
-(coeff, word) pairs whose words multiply, left to right, operators as
-they are and (op_id, order) or (op_id, order, normalization) reads of a
-DividedPowerStore.  The four sector-Q loop generators are defined once,
-as words in _GENERATOR_WORDS.  Every public check takes that store as its
-first argument and reads the chain from store.ctx.
+exact arithmetic and stated as divpow Residuals: (coeff, word) specs whose
+words multiply, left to right, (op_id, order) or (op_id, order,
+normalization) reads of a DividedPowerStore and inline Sums of such
+words.  The four sector-Q loop generators are defined once, as words in
+_GENERATOR_WORDS.  Every public check takes that store as its first
+argument, reads the chain from store.ctx, and builds its Residuals
+without evaluating them, so a run can list the powers a check reads.
 Identities between the plus/minus generators use q-normalized powers;
 the clock-dressed (site-labeled) identities use w-normalized powers.
 
@@ -27,8 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .divpow import (NORM_OMEGA, NORM_Q, DividedPowerStore, _base_params, _check_sector,
-                     check_mulo, evaluate_specs, spec_terms, word_operator)
+from .divpow import (NORM_OMEGA, NORM_Q, DividedPowerStore, Residual, Sum, _base_params,
+                     _check_sector, check_mulo, evaluate_specs, spec_check, word_operator)
 from .identity import REGISTRY, NONZERO, IdentityCheck, InvalidRegime, make_check
 from .qcomb import c_coefficient_poly
 from .repchain import ChainContext, GradedOperator, first_entry_witness
@@ -128,10 +129,11 @@ def lusztig_f(store: DividedPowerStore, theta_i: str, theta_j: str, n: int,
     if theta_i == theta_j:
         raise ValueError("the two generators must differ")
     ring = LAURENT_RING if ring is None else ring
-    terms = spec_terms(store, _f_specs(theta_i, theta_j, n, m), ring, normalization)
-    return sum(terms[1:], terms[0])
+    return word_operator(store, (Sum(*_f_specs(theta_i, theta_j, n, m)),), ring,
+                         normalization)
 
 
+@spec_check
 def check_higher_serre(store: DividedPowerStore, n: int, m: int, pair,
                        ring=None) -> IdentityCheck:
     """Vanishing of the alternating combination for m > 2n.
@@ -145,8 +147,7 @@ def check_higher_serre(store: DividedPowerStore, n: int, m: int, pair,
     ring = LAURENT_RING if ring is None else ring
     params = {"theta_i": i_id, "theta_j": j_id, "n": n, "m": m,
               "ring": ring.kind, **_base_params(store)}
-    return evaluate_specs(store, "serre.f-vanishing", params,
-                          _f_specs(i_id, j_id, n, m), ring)
+    return Residual("serre.f-vanishing", params, _f_specs(i_id, j_id, n, m), ring)
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +187,7 @@ def _ladder_narrow_specs(i_id: str, j_id: str, n: int, m: int, n_param: int):
     return specs
 
 
+@spec_check
 def check_id1(store: DividedPowerStore, n: int, m: int, pair, *,
               ring=None) -> IdentityCheck:
     """Wide-gap ladder: the order-m power collapses onto N-spaced orders."""
@@ -197,18 +199,14 @@ def check_id1(store: DividedPowerStore, n: int, m: int, pair, *,
     ring = _root_ring(store, ring)
     params = {"theta_i": i_id, "theta_j": j_id, "n": n, "m": m,
               **_base_params(store)}
-    return evaluate_specs(store, "serre.ladder-wide", params,
-                          _ladder_wide_specs(i_id, j_id, n, m, n_param), ring)
+    return Residual("serre.ladder-wide", params,
+                    _ladder_wide_specs(i_id, j_id, n, m, n_param), ring)
 
 
-def check_id2(store: DividedPowerStore, n: int, m: int, pair, *,
-              ring=None) -> IdentityCheck:
-    """Narrow-gap ladder, obtained by right-multiplying with Ti^(N-m+2n).
-
-    Also verifies the supporting wrap vanishing that justifies dropping
-    the non-collapsing coefficients: Ti^(s) Ti^(N-m+2n) == 0 at the root
-    whenever s mod N lies in [m-2n, N-1].
-    """
+def _id2_residuals(store: DividedPowerStore, n: int, m: int, pair, *,
+                   ring=None) -> list[Residual]:
+    """check_id2's supporting wrap products, as one-word specs that must
+    each vanish, then its narrow ladder."""
     i_id, j_id = _proper_pair(pair)
     n_param = store.ctx.n_param
     gap = m - 2 * n
@@ -220,26 +218,39 @@ def check_id2(store: DividedPowerStore, n: int, m: int, pair, *,
     params = {"theta_i": i_id, "theta_j": j_id, "n": n, "m": m,
               **_base_params(store)}
     family = "serre.ladder-narrow"
-    support = 0
-    for s in range(m + 1):
-        if s % n_param < gap:
-            continue
-        prod = word_operator(store, ((i_id, s), (i_id, n_param - gap)), ring)
-        if not prod.is_zero():
-            witness = dict(first_entry_witness(prod), support_order=s)
+    support = Residual(family, params, [(1, ((i_id, s), (i_id, n_param - gap)))
+                                        for s in range(m + 1) if s % n_param >= gap],
+                       ring)
+    ladder = Residual(family, params, _ladder_narrow_specs(i_id, j_id, n, m, n_param),
+                      ring, extra={"support_products_zero": len(support.specs)})
+    return [support, ladder]
+
+
+def check_id2(store: DividedPowerStore, n: int, m: int, pair, *,
+              ring=None) -> IdentityCheck:
+    """Narrow-gap ladder, obtained by right-multiplying with Ti^(N-m+2n).
+
+    Also verifies the supporting wrap vanishing that justifies dropping
+    the non-collapsing coefficients: Ti^(s) Ti^(N-m+2n) == 0 at the root
+    whenever s mod N lies in [m-2n, N-1].
+    """
+    support, ladder = _id2_residuals(store, n, m, pair, ring=ring)
+    for _, word in support.specs:
+        product = word_operator(store, word, support.ring)
+        if not product.is_zero():
+            s = word[0][1]
+            witness = dict(first_entry_witness(product), support_order=s)
             return make_check(
-                family, params, NONZERO, witness=witness,
+                ladder.family, ladder.params, NONZERO, witness=witness,
                 detail=f"supporting wrap product at order s={s} is nonzero")
-        support += 1
-    check = evaluate_specs(store, family, params,
-                           _ladder_narrow_specs(i_id, j_id, n, m, n_param), ring)
-    check.extra["support_products_zero"] = support
-    return check
+    return evaluate_specs(store, *ladder)
 
 
-def dispatch_root_serre(store: DividedPowerStore, n: int, m: int, pair,
-                        **kw) -> IdentityCheck:
-    """Route (n, m) with m > 2n to the wide or narrow ladder.
+check_id2.residuals = _id2_residuals
+
+
+def _root_ladder(store: DividedPowerStore, n: int, m: int):
+    """check_id1 or check_id2, whichever regime (n, m) with m > 2n is in.
 
     The two regimes partition the gaps m - 2n >= 1; landing in both or
     neither would indicate a broken dichotomy and raises.
@@ -253,9 +264,17 @@ def dispatch_root_serre(store: DividedPowerStore, n: int, m: int, pair,
     if wide == narrow:
         raise InternalInconsistency(
             f"regime dichotomy violated at gap={gap}, N={n_param}")
-    if wide:
-        return check_id1(store, n, m, pair, **kw)
-    return check_id2(store, n, m, pair, **kw)
+    return check_id1 if wide else check_id2
+
+
+def dispatch_root_serre(store: DividedPowerStore, n: int, m: int, pair,
+                        **kw) -> IdentityCheck:
+    """Route (n, m) with m > 2n to the wide or narrow ladder."""
+    return _root_ladder(store, n, m)(store, n, m, pair, **kw)
+
+
+dispatch_root_serre.residuals = lambda store, n, m, pair, **kw: \
+    _root_ladder(store, n, m).residuals(store, n, m, pair, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +290,7 @@ REGISTRY.register(
 
 
 def _three_term(store: DividedPowerStore, q_sector: int, branch: str,
-                roles: str, ring) -> IdentityCheck:
+                roles: str, ring) -> Residual:
     n_param = store.ctx.n_param
     if branch not in _BRANCH_OPS:
         raise ValueError(f"unknown branch {branch!r}")
@@ -294,17 +313,18 @@ def _three_term(store: DividedPowerStore, q_sector: int, branch: str,
             "three-term instance differs from its wide-ladder specs")
     params = {"roles": roles, "branch": branch, "Q": q_sector,
               **_base_params(store)}
-    check = evaluate_specs(store, "serre.three-term", params, hand, ring)
-    check.extra["matches_wide_ladder"] = True
-    return check
+    return Residual("serre.three-term", params, hand, ring,
+                    extra={"matches_wide_ladder": True})
 
 
+@spec_check
 def check_BCN(store: DividedPowerStore, q_sector: int, branch: str = "plus", *,
               ring=None) -> IdentityCheck:
     """Three-term identity with the B-like operator outside."""
     return _three_term(store, q_sector, branch, "bc", ring)
 
 
+@spec_check
 def check_CBN(store: DividedPowerStore, q_sector: int, branch: str = "plus", *,
               ring=None) -> IdentityCheck:
     """Three-term identity with the C-like operator outside."""
@@ -322,6 +342,7 @@ REGISTRY.register(
 )
 
 
+@spec_check
 def check_g_forms(store: DividedPowerStore, n: int, m: int, branch: str = "full",
                   *, pair=("E0", "E1")) -> IdentityCheck:
     """The two constructions of the ladder's generating combination agree.
@@ -341,16 +362,16 @@ def check_g_forms(store: DividedPowerStore, n: int, m: int, branch: str = "full"
         raise ValueError(f"unknown branch {branch!r}")
     specs = []
     for l in range(0, min(top, m) + 1):
-        f_op = lusztig_f(store, i_id, j_id, n, m - l)
+        f_sum = Sum(*_f_specs(i_id, j_id, n, m - l))
         specs.append((LaurentPoly.q_power(l * (1 - m), -1 if l % 2 else 1),
-                      (f_op, (i_id, l))))
+                      (f_sum, (i_id, l))))
     for s in range(0, m + 1):
         coeff = c_coefficient_poly(s, n, m, n_param, branch)
         if not coeff.is_zero():
             specs.append((-coeff, ((i_id, m - s), (j_id, n), (i_id, s))))
     params = {"theta_i": i_id, "theta_j": j_id, "n": n, "m": m,
               "branch": branch, **_base_params(store)}
-    return evaluate_specs(store, "serre.g-resummation", params, specs, LAURENT_RING)
+    return Residual("serre.g-resummation", params, specs, LAURENT_RING)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +396,7 @@ REGISTRY.register(
 )
 
 
+@spec_check
 def check_site_suite(store: DividedPowerStore, q_sector: int,
                      side: str = "one_zero", *, ring=None) -> list[IdentityCheck]:
     """Three-term, swap, and four-term identities for one chain side.
@@ -397,7 +419,7 @@ def check_site_suite(store: DividedPowerStore, q_sector: int,
     def run(family, outer, inner, specs):
         params = {"side": side, "outer": outer, "inner": inner, "Q": q,
                   **_base_params(store)}
-        out.append(evaluate_specs(store, family, params, specs, ring, NORM_OMEGA))
+        out.append(Residual(family, params, specs, ring, NORM_OMEGA))
 
     for outer, inner in ((b_id, c_id), (c_id, b_id)):
         run("site.three-term", outer, inner, [
@@ -450,20 +472,21 @@ _GENERATOR_WORDS = {
 }
 
 
-def _loop_generators(store: DividedPowerStore, q_sector: int, names,
-                     ring) -> dict[str, GradedOperator]:
-    """The named sector-Q generators, each the product of its word."""
+def _loop_generators(store: DividedPowerStore, q_sector: int, names) -> dict[str, Sum]:
+    """The named sector-Q generators, each a Sum of its one word of
+    w-normalized reads."""
     n_param = store.ctx.n_param
-    return {name: word_operator(store, [(op_id, k * n_param + q_sector)
-                                        for op_id, k in _GENERATOR_WORDS[name]],
-                                ring, NORM_OMEGA)
+    return {name: Sum((1, tuple((op_id, k * n_param + q_sector, NORM_OMEGA)
+                                for op_id, k in _GENERATOR_WORDS[name])))
             for name in names}
 
 
 def build_loop_generators(store: DividedPowerStore, q_sector: int, *,
                           ring=None) -> LoopGenerators:
     _check_sector(store, q_sector)
-    ops = _loop_generators(store, q_sector, _GENERATOR_WORDS, _root_ring(store, ring))
+    ring = _root_ring(store, ring)
+    ops = {name: word_operator(store, (gen,), ring)
+           for name, gen in _loop_generators(store, q_sector, _GENERATOR_WORDS).items()}
     charges = {name: (op.charge if not op.is_zero() else None)
                for name, op in ops.items()}
     return LoopGenerators(Q=q_sector, charges=charges, **ops)
@@ -487,6 +510,7 @@ REGISTRY.register(
 )
 
 
+@spec_check
 def check_lemma_chain(store: DividedPowerStore, q_sector: int, *,
                       ring=None) -> list[IdentityCheck]:
     """Every stepping-stone between the site suite and the nested relations.
@@ -506,26 +530,25 @@ def check_lemma_chain(store: DividedPowerStore, q_sector: int, *,
     # order merges actually used by the chain, on both operators
     for op_id in (B, C):
         for k, j in ((1, 1), (2, 1), (0, 2)):
-            out.append(check_mulo(store, q, k, j, op_id=op_id))
+            out.append(check_mulo.residuals(store, q, k, j, op_id=op_id))
 
     # one-factor words of the minus and plus generators, built once
-    gens = _loop_generators(store, q, ("x_minus_1Q", "x_plus_0Q"), ring)
+    gens = _loop_generators(store, q, ("x_minus_1Q", "x_plus_0Q"))
     xm, xp = (gens["x_minus_1Q"],), (gens["x_plus_0Q"],)
 
     # lhs: a product of generators, or (reorder) a monomial word
     def run(lemma, lhs, coeff, rhs_word):
         params = {"lemma": lemma, "Q": q, **_base_params(store)}
-        check = evaluate_specs(store, "loop.normal-form", params,
-                               [(1, lhs), (-coeff, rhs_word)], ring, NORM_OMEGA)
-        check.extra["coefficient"] = coeff
-        out.append(check)
+        out.append(Residual("loop.normal-form", params,
+                            [(1, lhs), (-coeff, rhs_word)], ring, NORM_OMEGA,
+                            {"coefficient": coeff}))
 
     run("xp_xm.a", xp + xm, 1, ((C, q), (B, q), (C, n1), (B, n1)))
     run("xp_xm.b", xp + xm, 1, ((C, n1), (B, n1), (C, q), (B, q)))
 
     params = {"Q": q, **_base_params(store)}
-    out.append(evaluate_specs(
-        store, "loop.block-commutator", params,
+    out.append(Residual(
+        "loop.block-commutator", params,
         [(1, ((C, q), (B, q), (C, n1), (B, n1))),
          (-1, ((C, n1), (B, n1), (C, q), (B, q)))],
         ring, NORM_OMEGA))
@@ -578,6 +601,17 @@ def nested_commutator_words(depth: int = 3) -> dict[tuple, int]:
     return words
 
 
+def _flag_monomials(monomials: list[dict]):
+    """A finish that records, beside each monomial, whether its term is
+    nonzero."""
+    def finish(check: IdentityCheck, terms) -> IdentityCheck:
+        check.extra["monomials"] = [dict(m, nonzero=not term.is_zero())
+                                    for m, term in zip(monomials, terms)]
+        return check
+    return finish
+
+
+@spec_check
 def check_serre_nested(store: DividedPowerStore, q_sector: int,
                        family: str = "x", *, ring=None) -> list[IdentityCheck]:
     """The nested commutator relations for one generator family.
@@ -591,28 +625,20 @@ def check_serre_nested(store: DividedPowerStore, q_sector: int,
     if not names:
         raise ValueError(f"unknown generator family {family!r}")
     ring = _root_ring(store, ring)
-    minus, plus = _loop_generators(store, q_sector, names, ring).values()
+    minus, plus = _loop_generators(store, q_sector, names).values()
     expansion = nested_commutator_words(3)
     out = []
     for dominant in ("minus", "plus"):
         a, b = (plus, minus) if dominant == "minus" else (minus, plus)
         sign_of = {"a": "+" if dominant == "minus" else "-",
                    "b": "-" if dominant == "minus" else "+"}
-        specs = []
-        monomials = []
-        for word in sorted(expansion):
-            coeff = expansion[word]
-            op = word_operator(store, [a if letter == "a" else b for letter in word], ring)
-            specs.append((coeff, (op,)))
-            monomials.append({
-                "word": "".join(sign_of[letter] for letter in word),
-                "coefficient": coeff,
-                "nonzero": not op.is_zero(),
-            })
+        words = sorted(expansion)
+        specs = [(expansion[word], tuple(a if letter == "a" else b for letter in word))
+                 for word in words]
+        monomials = [{"word": "".join(sign_of[letter] for letter in word),
+                      "coefficient": expansion[word]} for word in words]
         params = {"family": family, "dominant": dominant, "Q": q_sector,
                   **_base_params(store)}
-        check = evaluate_specs(store, "loop.serre-nested", params, specs, ring,
-                               NORM_OMEGA)
-        check.extra["monomials"] = monomials
-        out.append(check)
+        out.append(Residual("loop.serre-nested", params, specs, ring, NORM_OMEGA,
+                            finish=_flag_monomials(monomials)))
     return out

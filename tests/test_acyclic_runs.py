@@ -40,20 +40,18 @@ def test_cold_and_warm_cache_runs_leave_nothing(unreachable_after, tmp_path):
 
 
 def test_a_pool_run_leaves_nothing(unreachable_after, monkeypatch):
-    real_pool = report._fork_pool
+    real_workers = report._fork_workers
     forked = []
 
-    def fork_pool(workers, pairs):
-        pool = real_pool(workers, pairs)
-        forked.append(pool is not None)
-        return pool
+    def fork_workers(chunks):
+        forked.append(len(chunks))
+        return real_workers(chunks)
 
     monkeypatch.setattr(report, "_core_count", lambda: 2)
-    monkeypatch.setattr(report, "_fork_pool", fork_pool)
+    monkeypatch.setattr(report, "_fork_workers", fork_workers)
     settings = {**_SPIN_HALF, "jobs": 2}
-    # the first pool of a process imports the pool modules, whose enum
-    # classes leave a fixed few cycles once; a run's own are measured after
-    _run_passing(**settings)
+    # the parent prefills the stores, runs the first chunk and unpickles
+    # the child's results: none of it may leave a cycle behind
     found = unreachable_after(_run_passing, **settings)
-    assert forked == [True, True]
+    assert forked == [2]
     assert not found, f"reference cycles left: {dict(found)}"

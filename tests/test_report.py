@@ -419,24 +419,17 @@ def test_report_file_round_trips(tmp_path):
 
 # --- worker processes -------------------------------------------------------
 
-class _InlinePool:
-    """Stands in for the fork pool: records its size, runs jobs in-process."""
+class _InlineWorkers:
+    """Stands in for the forked workers: records how many chunks (one per
+    worker) it is given, and runs them in-process."""
 
     sizes = []
 
-    def __init__(self, workers, pairs):
-        self.sizes.append(workers)
-        self.pairs = pairs
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, indices, chunksize=1):
-        assert chunksize >= 1
-        return [_run_job(*self.pairs[i]) for i in indices]
+    @classmethod
+    def run(cls, chunks):
+        assert all(chunks)
+        cls.sizes.append(len(chunks))
+        return [[_run_job(job, env) for job, env in chunk] for chunk in chunks]
 
 
 def test_worker_count_is_capped_without_starting_processes(monkeypatch, small_doc):
@@ -446,11 +439,11 @@ def test_worker_count_is_capped_without_starting_processes(monkeypatch, small_do
         raise AssertionError("a process was started")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    monkeypatch.setattr(report, "_fork_pool", _InlinePool)
-    _InlinePool.sizes = []
+    monkeypatch.setattr(report, "_fork_workers", _InlineWorkers.run)
+    _InlineWorkers.sizes = []
     doc = run(RunConfig(n_param=2, length=4, q_sectors=(1,), jobs=1000000))
-    assert _InlinePool.sizes, "the pool was never asked for"
-    assert max(_InlinePool.sizes) <= report._core_count()
+    assert _InlineWorkers.sizes, "the workers were never asked for"
+    assert max(_InlineWorkers.sizes) <= report._core_count()
     assert _stripped(doc, drop=("jobs",)) == _stripped(small_doc, drop=("jobs",))
 
 
@@ -459,12 +452,13 @@ def test_rescale_audit_runs_in_the_run_pool(monkeypatch):
     from qloop.cli import main
 
     monkeypatch.setattr(report, "_core_count", lambda: 2)
-    monkeypatch.setattr(report, "_fork_pool", _InlinePool)
-    _InlinePool.sizes = []
+    monkeypatch.setattr(report, "_fork_workers", _InlineWorkers.run)
+    _InlineWorkers.sizes = []
     assert main(["run", "--N", "2", "--L", "4", "--rescale-audit",
                  "--jobs", "2"]) == 0
-    # one pool for the plain and the rescaled jobs, not one per audited suite
-    assert _InlinePool.sizes == [2]
+    # one set of workers for the plain and the rescaled jobs, not one per
+    # audited suite
+    assert _InlineWorkers.sizes == [2]
 
 
 def test_other_threads_keep_the_run_in_process(monkeypatch, small_doc):
@@ -621,20 +615,138 @@ def test_workers_end_when_the_run_is_killed(tmp_path):
             os.kill(worker, 9)
 
 
-@pytest.mark.parametrize("settings", [
-    {"ring": "float"},
-    {"ring": "phi-adic"},
-    {"rescale_audit": True, "suites": ("id1", "id2", "site", "serre-nested")},
-], ids=["float", "phi-adic", "rescale-audit"])
+# `qloop run --jobs 2` with an audit hook, which forked children inherit,
+# that logs every import of the standard library's process pools
+_POOL_IMPORTS_RUN = """
+import os, sys
+log = sys.argv[1]
+
+def hook(event, args):
+    if event == "import" and args[0].split(".")[0] in ("multiprocessing", "concurrent"):
+        with open(log, "a") as fh:
+            fh.write(args[0] + "\\n")
+
+sys.addaudithook(hook)
+os.register_at_fork(after_in_child=lambda: open(log, "a").write("forked\\n"))
+import qloop.report as report
+report._core_count = lambda: 2
+from qloop.cli import main
+sys.exit(main(["run", "--N", "2", "--L", "3", "--jobs", "2"]))
+"""
+
+
+def test_a_jobs_run_imports_no_process_pool(tmp_path):
+    import subprocess
+    import sys
+
+    log = tmp_path / "imports.log"
+    proc = subprocess.run([sys.executable, "-c", _POOL_IMPORTS_RUN, str(log)],
+                          env=_src_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert log.read_text().split() == ["forked"]
+
+
+_SMALL = {"n_param": 2, "length": 4, "q_sectors": (1,)}
+_HW_N3_L3 = {"backend": "highest_weight", "n_param": 3, "length": 3}
+_WORKER_CONFIGS = {
+    "float": {**_SMALL, "ring": "float"},
+    "phi-adic": {**_SMALL, "ring": "phi-adic"},
+    "rescale-audit": {**_SMALL, "rescale_audit": True,
+                      "suites": ("id1", "id2", "site", "serre-nested")},
+    "cyclic-N3-L2": {"backend": "cyclic", "n_param": 3, "length": 2},
+    **{f"hw-N3-L3-{ring}": {**_HW_N3_L3, "ring": ring} for ring in RING_MODES},
+    # both envs, the plain and the rescaled one, are prefilled
+    "hw-N3-L3-rescale-audit": {**_HW_N3_L3, "rescale_audit": True},
+}
+
+
+def _docs_by_jobs(**settings):
+    return [_stripped(run(RunConfig(jobs=jobs, **settings)), drop=("jobs",))
+            for jobs in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("settings", list(_WORKER_CONFIGS.values()),
+                         ids=list(_WORKER_CONFIGS))
 def test_worker_processes_do_not_change_results(monkeypatch, settings):
     import qloop.report as report
 
     # more workers than this host may have cores, so three really fork
     monkeypatch.setattr(report, "_core_count", lambda: 3)
-    docs = [_stripped(run(RunConfig(n_param=2, length=4, q_sectors=(1,),
-                                    jobs=jobs, **settings)), drop=("jobs",))
-            for jobs in (1, 2, 3)]
+    docs = _docs_by_jobs(**settings)
     assert docs[0] == docs[1] == docs[2]
+
+
+def test_worker_processes_report_fill_faults_alike(monkeypatch):
+    import qloop.report as report
+    from qloop.divpow import DividedPowerStore
+
+    real_fill = DividedPowerStore._fill
+
+    def not_divisible(self, op_id, n, normalization):
+        if op_id in ("E0", "F1") and n in (2, 3):
+            raise NotDivisible(f"{op_id}^({n}) planted")
+        return real_fill(self, op_id, n, normalization)
+
+    # the prefill skips the reads whose fill raises, and each job that
+    # reads one reports the same Error record as it does on one worker
+    monkeypatch.setattr(DividedPowerStore, "_fill", not_divisible)
+    monkeypatch.setattr(report, "_core_count", lambda: 3)
+    docs = _docs_by_jobs(**_SMALL)
+    assert docs[0] == docs[1] == docs[2]
+    errors = json.loads(docs[0])["summary"]["error"]
+    assert errors > 5
+
+
+@pytest.mark.parametrize("fault", ["memory", "cache-write"])
+def test_a_resource_fault_while_prefilling_is_a_resource_error(monkeypatch, fault):
+    import qloop.report as report
+    from qloop.divpow import DividedPowerStore
+    from qloop.opcache import CacheWriteError
+
+    real_fill = DividedPowerStore.fill
+
+    def exhausted(self, op_id, n, normalization, ring=None):
+        if n >= 2:
+            if fault == "memory":
+                raise MemoryError
+            raise CacheWriteError(f"cannot write cache file {op_id}: planted")
+        return real_fill(self, op_id, n, normalization, ring)
+
+    def no_workers(chunks):
+        pytest.fail("the run forked after its prefill failed")
+
+    monkeypatch.setattr(DividedPowerStore, "fill", exhausted)
+    monkeypatch.setattr(report, "_fork_workers", no_workers)
+    monkeypatch.setattr(report, "_core_count", lambda: 2)
+    match = "exhausted memory" if fault == "memory" else "planted"
+    with pytest.raises(ResourceError, match=match):
+        run(RunConfig(jobs=2, **_SMALL))
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
+def test_each_worker_starts_on_its_own_cpu_and_stays_free_to_move(monkeypatch, tmp_path):
+    import qloop.report as report
+
+    allowed = os.sched_getaffinity(0)
+    for k in range(len(allowed) + 1):
+        report._move_to_cpu(k)
+        assert os.sched_getaffinity(0) == allowed
+    # chunk k of a forked run moves its process to the k-th allowed CPU
+    log = tmp_path / "moves.log"
+    real_move = report._move_to_cpu
+
+    def logged(k):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {k}\n")
+        real_move(k)
+
+    monkeypatch.setattr(report, "_move_to_cpu", logged)
+    monkeypatch.setattr(report, "_core_count", lambda: 2)
+    run(RunConfig(jobs=2, **_SMALL))
+    moves = dict(line.split() for line in log.read_text().splitlines())
+    assert moves.pop(str(os.getpid())) == "0"
+    assert list(moves.values()) == ["1"]
 
 
 def test_worker_processes_share_one_cold_cache(monkeypatch, small_doc, tmp_path):
@@ -642,7 +754,8 @@ def test_worker_processes_share_one_cold_cache(monkeypatch, small_doc, tmp_path)
 
     monkeypatch.setattr(report, "_core_count", lambda: 3)
     cache = tmp_path / "opcache"
-    # the widest pool fills the cold cache, with its workers writing at once
+    # the widest run fills the cold cache before it forks; the narrower
+    # ones read it warm
     for jobs in (3, 2, 1):
         doc = run(RunConfig(n_param=2, length=4, q_sectors=(1,), jobs=jobs,
                             cache_dir=str(cache)))
