@@ -243,19 +243,16 @@ class Residual(NamedTuple):
 
 
 def _inline(store: DividedPowerStore, f, ring, normalization: str,
-            memo: dict | None) -> GradedOperator:
+            memo: dict) -> GradedOperator:
     """A Sum or callable factor, built once per memo."""
     key = (f, ring, normalization)
-    if memo is not None and key in memo:
-        return memo[key]
-    if callable(f):
-        op = f()
-    else:
-        terms = spec_terms(store, f.specs, ring, normalization, memo)
-        op = sum(terms[1:], terms[0])
-    if memo is not None:
-        memo[key] = op
-    return op
+    if key not in memo:
+        if callable(f):
+            memo[key] = f()
+        else:
+            terms = spec_terms(store, f.specs, ring, normalization, memo)
+            memo[key] = sum(terms[1:], terms[0])
+    return memo[key]
 
 
 def word_operator(store: DividedPowerStore, word, ring,
@@ -265,6 +262,7 @@ def word_operator(store: DividedPowerStore, word, ring,
     `normalization` unless a read names its own; memo holds the inline
     factors a check call has built.  An order-0 read is the identity and
     drops out, once the store has checked it like any other read."""
+    memo = {} if memo is None else memo
     factors = []
     for f in word:
         if isinstance(f, tuple):

@@ -677,8 +677,9 @@ def _move_to_cpu(k: int) -> None:
         allowed = os.sched_getaffinity(0)
         try:
             os.sched_setaffinity(0, {sorted(allowed)[k % len(allowed)]})
-        finally:
-            os.sched_setaffinity(0, allowed)
+        except OSError:  # the CPU went offline, or a policy forbids the move
+            return
+        os.sched_setaffinity(0, allowed)
 
 
 def _work_in_child(k: int, chunk: list[tuple[_Job, _RunEnv]], out: int,

@@ -749,6 +749,23 @@ def test_each_worker_starts_on_its_own_cpu_and_stays_free_to_move(monkeypatch, t
     assert list(moves.values()) == ["1"]
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
+def test_a_worker_that_cannot_move_cpu_still_runs(monkeypatch, small_doc):
+    import qloop.report as report
+
+    real = os.sched_setaffinity
+
+    def refuse_one_cpu(pid, cpus):
+        if len(cpus) == 1:
+            raise OSError(22, "Invalid argument")
+        real(pid, cpus)
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse_one_cpu)
+    monkeypatch.setattr(report, "_core_count", lambda: 2)
+    doc = run(RunConfig(jobs=2, **_SMALL))
+    assert _stripped(doc, drop=("jobs",)) == _stripped(small_doc, drop=("jobs",))
+
+
 def test_worker_processes_share_one_cold_cache(monkeypatch, small_doc, tmp_path):
     import qloop.report as report
 
