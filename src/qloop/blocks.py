@@ -24,10 +24,10 @@ sector.  Three engines cover the scalar rings:
 make_block picks the engine for a ring, and specialize_block maps a block
 into another ring; the layout is private to this module, read elsewhere
 only through shape, entries(), nnz() and the arithmetic methods, and,
-for the disk cache, laurent_terms and block_from_terms: a Laurent block
-as arrays of its (cell, exponent, coefficient) terms, and the block of
-such terms in the Laurent ring or, by the one gather that specialization
-uses, in a quotient ring.
+for the disk cache, laurent_terms and blocks_from_terms: a Laurent block
+as arrays of its (cell, exponent, coefficient) terms, and the blocks of
+such terms, concatenated over several blocks, in the Laurent ring or, by
+the one gather that specialization uses, in a quotient ring.
 Blocks are immutable by convention: every operation returns a new block.
 
 _exact_dtype is the one dtype rule for exact arithmetic.  It reads a bound
@@ -529,28 +529,64 @@ def laurent_terms(block: DictBlock) -> tuple[np.ndarray, ...]:
     return cells[order], np.cumsum(counts[order]), exps[terms], coeffs[terms]
 
 
+def _gather(ring, ends: np.ndarray, exps: np.ndarray,
+            coeffs: np.ndarray) -> np.ndarray:
+    """The quotient-ring coordinates of each cell's terms, by one gather
+    of the terms against the ring's q-power rows.  A partial sum is at
+    most max|row| times a cell's sum of |coefficient|, the bound
+    _exact_dtype reads."""
+    starts = np.concatenate(([0], ends[:-1]))
+    mags = np.abs(coeffs)
+    if mags.dtype != object and int(mags.max()) * len(mags) >= 2**63:
+        mags = mags.astype(object)  # a cell's sum might overflow int64
+    rows = ring.quo.q_rows(exps)
+    bound = int(np.add.reduceat(mags, starts).max()) * max(_max_abs(rows), 1)
+    rows, coeffs = _exact_dtype(bound, rows, coeffs)
+    return np.add.reduceat(rows * coeffs[:, None], starts, axis=0)
+
+
+def blocks_from_terms(ring, shapes, counts, cells: np.ndarray, ends: np.ndarray,
+                      exps: np.ndarray, coeffs: np.ndarray) -> list[Block]:
+    """The blocks of `ring` holding Laurent terms in laurent_terms' layout,
+    concatenated over several blocks: block i has shape shapes[i] and the
+    next counts[i] cells, and ends runs over the terms of every block.
+    Over a quotient ring all blocks come from one gather of every term;
+    when that gather needs exact ints, and over the Laurent ring, each
+    block is built from its own terms, so a block takes the dtype tier it
+    would take alone."""
+    lasts = np.cumsum(counts).tolist()
+    if isinstance(ring, PhiAdicRing):
+        width = ring.quo.degree
+        sums = (_gather(ring, ends, exps, coeffs) if len(cells)
+                else np.zeros((0, width), dtype=np.int64))
+        if sums.dtype != object or len(shapes) == 1:
+            out, first = [], 0
+            for (nrows, ncols), last in zip(shapes, lasts):
+                arr = np.zeros((nrows * ncols, width), dtype=sums.dtype)
+                arr[cells[first:last]] = sums[first:last]
+                out.append(CycloBlock(ring, arr.reshape(nrows, ncols, width)))
+                first = last
+            return out
+    out, first, start = [], 0, 0
+    for (nrows, ncols), last in zip(shapes, lasts):
+        stop = int(ends[last - 1]) if last else 0
+        out.append(block_from_terms(ring, nrows, ncols, cells[first:last],
+                                    ends[first:last] - start,
+                                    exps[start:stop], coeffs[start:stop]))
+        first, start = last, stop
+    return out
+
+
 def block_from_terms(ring, nrows: int, ncols: int, cells: np.ndarray,
                      ends: np.ndarray, exps: np.ndarray,
                      coeffs: np.ndarray) -> Block:
     """The block of `ring` holding the Laurent terms that laurent_terms
-    gives: a DictBlock over the Laurent ring, and over a quotient ring a
-    CycloBlock, by one gather of the terms against the ring's q-power
-    rows.  A partial sum of the gather is at most max|row| times a cell's
-    sum of |coefficient|, the bound _exact_dtype reads."""
-    if not isinstance(ring, PhiAdicRing):
-        return DictBlock.from_terms(ring, nrows, ncols, cells, ends, exps, coeffs)
-    width = ring.quo.degree
-    out = np.zeros((nrows * ncols, width), dtype=np.int64)
-    if len(cells):
-        starts = np.concatenate(([0], ends[:-1]))
-        mags = np.abs(coeffs)
-        if mags.dtype != object and int(mags.max()) * len(mags) >= 2**63:
-            mags = mags.astype(object)  # a cell's sum might overflow int64
-        rows = ring.quo.q_rows(exps)
-        bound = int(np.add.reduceat(mags, starts).max()) * max(_max_abs(rows), 1)
-        out, rows, coeffs = _exact_dtype(bound, out, rows, coeffs)
-        out[cells] = np.add.reduceat(rows * coeffs[:, None], starts, axis=0)
-    return CycloBlock(ring, out.reshape(nrows, ncols, width))
+    gives: a DictBlock over the Laurent ring, a CycloBlock by one gather
+    over a quotient ring."""
+    if isinstance(ring, PhiAdicRing):
+        return blocks_from_terms(ring, ((nrows, ncols),), (len(cells),),
+                                 cells, ends, exps, coeffs)[0]
+    return DictBlock.from_terms(ring, nrows, ncols, cells, ends, exps, coeffs)
 
 
 def specialize_block(block: Block, ring) -> Block:

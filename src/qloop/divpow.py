@@ -16,6 +16,22 @@ normalization, an (op_id, order, normalization) read, a Sum of specs (an
 inline combination), or a callable that builds an operator by a route of
 its own, reading no divided power of the store.  So residual_reads lists
 every store read of a residual without evaluating it.
+
+A check call evaluates its words through one plan (_Plan), counted from
+its Residuals before any arithmetic: how many words start with each word
+prefix, keyed as the factors are (reads by op_id, order and
+normalization, Sums and callables by identity), and how often each
+factor the store does not hold itself occurs.  Each prefix is multiplied
+once, held in the call's memo while a word still reads it, and dropped
+once its last reader has extended it; a Sum is built once and dropped
+after its last occurrence.  In each left
+fold a product multiplies only the right operand's sector blocks that
+reach some reader's final support, found by one right-to-left pass over
+the later factors' block keys and shifts; words of one or two factors have
+no such pass to make.  Every product stays on GradedOperator.__matmul__ in
+left-to-right order, so nothing is reassociated: exact values, float sums
+and reports are those of the plain left fold.  The memo belongs to the
+call and is empty when it returns.
 """
 
 from __future__ import annotations
@@ -36,7 +52,6 @@ from .repchain import (
     build_chain_generators,
     evaluate_zero_identity,
     identity_operator,
-    operator_product,
     specialize_operator,
 )
 from .rings import (
@@ -106,9 +121,15 @@ def divided_power(op: GradedOperator, n: int, normalization: str) -> GradedOpera
     return _divide_entries(op.power(n), factorial_poly(n, normalization))
 
 
+def _recomputed(n: int, ring) -> bool:
+    """Whether each store read of an order-n power in ring builds its image
+    anew: phi-adic images of orders 2 and up, K+1 digits wide."""
+    return ring.kind == "phi-adic" and n > 1
+
+
 def _memoized(n: int, ring) -> bool:
     """Whether a store memoizes the image of an order-n power in ring."""
-    return ring.kind in ("cyclotomic", "float") or (ring.kind == "phi-adic" and n <= 1)
+    return ring.kind != "laurent" and not _recomputed(n, ring)
 
 
 class DividedPowerStore:
@@ -220,7 +241,8 @@ class DividedPowerStore:
 
 class Sum:
     """An inline factor: the sum of its (coeff, word) specs, built once per
-    check call however many words of the call hold it."""
+    check call however many words of the call hold it, and dropped after
+    the last of them."""
 
     __slots__ = ("specs",)
 
@@ -242,49 +264,204 @@ class Residual(NamedTuple):
     finish: Callable | None = None
 
 
-def _inline(store: DividedPowerStore, f, ring, normalization: str,
-            memo: dict) -> GradedOperator:
-    """A Sum or callable factor, built once per memo."""
-    key = (f, ring, normalization)
-    if key not in memo:
-        if callable(f):
-            memo[key] = f()
+class _Plan:
+    """The evaluation plan of one check call, counted from its specs before
+    any arithmetic.
+
+    A word's factors are keyed as (op_id, order, normalization) for a read
+    of order 1 or more and (factor, normalization) for a Sum or a callable;
+    an order-0 read is the identity and has no key.  pending counts the
+    reads still to come of each key: a prefix key (ring, keys[:j]),
+    2 <= j <= m, once per word that starts with it, and a factor key
+    (ring, (key,)) once per occurrence, for the factors the store does not
+    hold itself (inline factors, and the reads it builds anew each time).
+    readers lists the distinct words behind each prefix key.  The words
+    inside a Sum count once per (Sum, ring, normalization), as the Sum is
+    built once.  memo holds a factor or a prefix only while a read of it
+    is pending, so it is empty once every counted word has been evaluated.
+
+    A word starts from its longest held prefix and extends it left to
+    right on GradedOperator.__matmul__, so every product is one the plain
+    left fold makes, on the same operands.  A prefix that is not the whole
+    of every word reading it is formed only on the sectors those words'
+    later factors read (_need): the right operand of each product loses
+    the blocks that reach no reader's final support."""
+
+    def __init__(self, store: DividedPowerStore):
+        self.store = store
+        self.pending: dict[tuple, int] = {}
+        self.readers: dict[tuple, set] = {}
+        self.memo: dict[tuple, GradedOperator] = {}
+        self._keys: dict[tuple, tuple] = {}
+        self._reach: dict[tuple, list] = {}
+
+    def _keys_of(self, word, ring, normalization: str) -> tuple:
+        """The word's factor keys, whether the plan holds each factor (the
+        store holds its reads, but for the images it builds anew), and the
+        (op_id, normalization) of each order-0 read."""
+        got = self._keys.get((word, ring, normalization))
+        if got is None:
+            keys, zeros = [], []
+            for f in word:
+                if isinstance(f, tuple):
+                    op_id, n, norm = f if len(f) == 3 else (*f, normalization)
+                    if n:
+                        keys.append((op_id, n, norm))
+                    else:
+                        zeros.append((op_id, norm))
+                else:
+                    keys.append((f, normalization))
+            held = tuple(len(k) == 2 or _recomputed(k[1], ring) for k in keys)
+            got = self._keys[(word, ring, normalization)] = (tuple(keys), held, zeros)
+        return got
+
+    def add(self, specs, ring, normalization: str) -> None:
+        """Count the reads of the words of specs, the words of a Sum the
+        first time the Sum is seen."""
+        pending, readers = self.pending, self.readers
+        for _, word in specs:
+            keys, held, _ = self._keys_of(tuple(word), ring, normalization)
+            for k, h in zip(keys, held):
+                if h:
+                    key = (ring, (k,))
+                    if key not in pending and isinstance(k[0], Sum):
+                        self.add(k[0].specs, ring, k[1])
+                    pending[key] = pending.get(key, 0) + 1
+            for j in range(2, len(keys) + 1):
+                key = (ring, keys[:j])
+                pending[key] = pending.get(key, 0) + 1
+                readers.setdefault(key, set()).add((keys, held))
+
+    def _release(self, key) -> None:
+        """One pending read of key made; the last one frees it."""
+        left = self.pending.get(key, 0) - 1
+        if left > 0:
+            self.pending[key] = left
         else:
-            terms = spec_terms(store, f.specs, ring, normalization, memo)
-            memo[key] = sum(terms[1:], terms[0])
-    return memo[key]
+            self.pending.pop(key, None)
+            self.memo.pop(key, None)
+
+    def _factor(self, ring, k, held: bool) -> GradedOperator:
+        """The factor of key k over ring, from the store or, when the plan
+        holds it, from the memo while a read of it is pending; reading it
+        here does not count as one."""
+        if not held:
+            return self.store.get(*k, ring)
+        key = (ring, (k,))
+        op = self.memo.get(key)
+        if op is None:
+            if len(k) == 3:
+                op = self.store.get(*k, ring)
+            elif callable(k[0]):
+                op = k[0]()
+            else:
+                terms = spec_terms(self.store, k[0].specs, ring, k[1], self)
+                op = sum(terms[1:], terms[0])
+            if key in self.pending:
+                self.memo[key] = op
+        return op
+
+    def _reach_of(self, ring, keys: tuple, held: tuple) -> list:
+        """For each prefix length j of the word, the source sectors of its
+        j-factor prefix that the rest of the word reads on the way to its
+        final support, None at j = m (all of them): one right-to-left pass
+        over the block keys and shifts of factors 3..m."""
+        reach = self._reach.get((ring, keys))
+        if reach is None:
+            wrap = self.store.ctx.wrap_grade
+            reach = [None] * (len(keys) + 1)
+            for j in range(len(keys) - 1, 1, -1):
+                factor, need = self._factor(ring, keys[j], held[j]), reach[j + 1]
+                reach[j] = {wrap(g + factor.shift) for g in factor.blocks
+                            if need is None or g in need}
+            self._reach[(ring, keys)] = reach
+        return reach
+
+    def _need(self, ring, keys: tuple, held: tuple, j: int):
+        """The source sectors of the j-factor prefix of keys that some word
+        reading it needs, None for all."""
+        need = set()
+        for reader in self.readers.get((ring, keys[:j])) or ((keys, held),):
+            reach = self._reach_of(ring, *reader)[j]
+            if reach is None:
+                return None
+            need |= reach
+        return need
+
+    def word(self, word, ring, normalization: str) -> GradedOperator:
+        """The product of a word's factors over ring, left to right."""
+        keys, held, zeros = self._keys_of(tuple(word), ring, normalization)
+        for op_id, norm in zeros:
+            # the identity drops out, once the store has checked the read
+            self.store._check_read(op_id, 0, norm)
+        m = len(keys)
+        if not m:
+            return identity_operator(self.store.ctx, ring)
+        memo, pending = self.memo, self.pending
+        start = m
+        while start > 1 and (ring, keys[:start]) not in memo:
+            start -= 1
+        out = memo[(ring, keys[:start])] if start > 1 else self._factor(ring, keys[0], held[0])
+        # the factors and shorter prefixes the held prefix covers are read
+        for j in range(start):
+            if held[j]:
+                self._release((ring, keys[j:j + 1]))
+        for j in range(2, start):
+            self._release((ring, keys[:j]))
+        for j in range(start + 1, m + 1):
+            factor = self._factor(ring, keys[j - 1], held[j - 1])
+            if j < m:
+                need = self._need(ring, keys, held, j)
+                if need is not None:
+                    factor = factor.restricted(need)
+            out = out @ factor
+            if held[j - 1]:
+                self._release((ring, keys[j - 1:j]))
+            key = (ring, keys[:j])
+            if pending.get(key, 0) > 1:
+                memo[key] = out
+            if j > 2:
+                prev = (ring, keys[:j - 1])
+                self._release(prev)
+                if pending.get(prev, 0) == pending.get(key, 0) - 1:
+                    # its other readers all read on to key, held for them
+                    memo.pop(prev, None)
+        if m > 1:
+            self._release((ring, keys))
+        return out
+
+
+def _plan_of(store: DividedPowerStore, specs, ring, normalization: str) -> _Plan:
+    plan = _Plan(store)
+    plan.add(specs, ring, normalization)
+    return plan
 
 
 def word_operator(store: DividedPowerStore, word, ring,
-                  normalization: str = NORM_Q, memo: dict | None = None
+                  normalization: str = NORM_Q, plan: _Plan | None = None
                   ) -> GradedOperator:
     """Left-to-right product over `ring` of a word's factors, read in
-    `normalization` unless a read names its own; memo holds the inline
-    factors a check call has built.  An order-0 read is the identity and
-    drops out, once the store has checked it like any other read."""
-    memo = {} if memo is None else memo
-    factors = []
-    for f in word:
-        if isinstance(f, tuple):
-            op_id, n, norm = f if len(f) == 3 else (*f, normalization)
-            if not n:
-                store._check_read(op_id, n, norm)
-                continue
-            f = store.get(op_id, n, norm, ring)
-        else:
-            f = _inline(store, f, ring, normalization, memo)
-        factors.append(f)
-    return operator_product(store.ctx, ring, factors)
+    `normalization` unless a read names its own.  An order-0 read is the
+    identity and drops out, once the store has checked it like any other
+    read.  plan is the check call's evaluation plan, which holds the
+    prefixes and inline factors its other words read; without one the
+    word is planned alone, so a word of three or more factors still
+    multiplies only the sector blocks that reach its final support."""
+    if plan is None:
+        plan = _plan_of(store, [(1, word)], ring, normalization)
+    return plan.word(word, ring, normalization)
 
 
 def spec_terms(store: DividedPowerStore, specs, ring,
-               normalization: str = NORM_Q, memo: dict | None = None
+               normalization: str = NORM_Q, plan: _Plan | None = None
                ) -> list[GradedOperator]:
     """coeff * word of each (coeff, word) spec: no scaling for 1 or -1, an
     int scales as an int, and only a LaurentPoly is coerced into the ring."""
+    if plan is None:
+        plan = _plan_of(store, specs, ring, normalization)
     terms = []
     for coeff, word in specs:
-        op = word_operator(store, word, ring, normalization, memo)
+        op = plan.word(word, ring, normalization)
         if coeff == -1:
             op = -op
         elif coeff != 1:
@@ -295,11 +472,12 @@ def spec_terms(store: DividedPowerStore, specs, ring,
 
 def evaluate_specs(store: DividedPowerStore, family: str, params: dict, specs,
                    ring, normalization: str = NORM_Q, extra: dict | None = None,
-                   finish: Callable | None = None, memo: dict | None = None
+                   finish: Callable | None = None, plan: _Plan | None = None
                    ) -> IdentityCheck:
     """The check record of the residual sum of coeff * word over specs; its
-    arguments after the store are a Residual's fields."""
-    terms = spec_terms(store, specs, ring, normalization, memo)
+    arguments after the store are a Residual's fields.  plan is the check
+    call's, planned alone when not given."""
+    terms = spec_terms(store, specs, ring, normalization, plan)
     check = evaluate_zero_identity(family, params, terms, ring)
     if extra:
         check.extra.update(extra)
@@ -308,16 +486,21 @@ def evaluate_specs(store: DividedPowerStore, family: str, params: dict, specs,
 
 def spec_check(build: Callable) -> Callable:
     """The check that evaluates the Residual, or list of Residuals,
-    build(store, *args, **kw) states, with one memo for the call's inline
-    factors.  build stays reachable as check.residuals, so a run can list
-    a call's store reads without evaluating it."""
+    build(store, *args, **kw) states, through one evaluation plan for the
+    whole call: each shared prefix and inline factor is built once and
+    freed after its last read.  build stays reachable as
+    check.residuals, so a run can list a call's store reads without
+    evaluating it."""
     @functools.wraps(build)
     def check(store: DividedPowerStore, *args, **kw):
         residuals = build(store, *args, **kw)
-        if isinstance(residuals, Residual):
-            return evaluate_specs(store, *residuals)
-        memo: dict = {}
-        return [evaluate_specs(store, *r, memo=memo) for r in residuals]
+        single = isinstance(residuals, Residual)
+        residuals = [residuals] if single else residuals
+        plan = _Plan(store)
+        for r in residuals:
+            plan.add(r.specs, r.ring, r.normalization)
+        checks = [evaluate_specs(store, *r, plan=plan) for r in residuals]
+        return checks[0] if single else checks
     check.residuals = build
     return check
 

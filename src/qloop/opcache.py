@@ -23,11 +23,13 @@ arrays, one run of them per sector:
             i64 exponent per term, ascending within its cell
             i64 coefficient per term
 
-A load reads the file into these arrays once, with one reader, and builds
-the operator from them in the ring it is asked for: the Laurent ring, or
-the chain's cyclotomic ring cyclo_ring(N), whose image comes from the one
-gather that specialize_block uses (blocks.block_from_terms), so a warm
-root run builds no Laurent polynomial.  Files of the earlier layouts
+A load reads every sector's arrays of the file into four arrays
+concatenated over the sectors, checks them in one pass with the sector
+offsets, and builds the operator from them in the ring it is asked for:
+the Laurent ring, or the chain's cyclotomic ring cyclo_ring(N), whose
+image comes from one gather over all sectors, the gather specialize_block
+uses (blocks.blocks_from_terms), so a warm root run builds no Laurent
+polynomial.  Files of the earlier layouts
 ("QLOOPOP1", "QLOOPOP2") are misses and get rewritten.
 
 The int64 rule: every coefficient lies strictly between -INT64_SAFE and
@@ -52,7 +54,7 @@ a resource error.  A store replaces whatever file the key had, so a
 corrupt file is mended by the first run that misses on it.
 
 Only operators with LaurentPoly entries are keyed (keys say ring=laurent).
-Blocks go through shape, entries(), laurent_terms and block_from_terms
+Blocks go through shape, entries(), laurent_terms and blocks_from_terms
 only.
 """
 
@@ -67,7 +69,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blocks import block_from_terms, laurent_terms
+from .blocks import blocks_from_terms, laurent_terms
 from .repchain import ChainContext, GradedOperator, SiteRep
 from .rings import INT64_SAFE, LAURENT_RING
 
@@ -154,18 +156,27 @@ def _check_sector(ctx: ChainContext, shift: int, g: int, nrows: int,
         raise ValueError("sector shapes do not match this chain")
 
 
-def _check_terms(size: int, cells: np.ndarray, ends: np.ndarray,
-                 exps: np.ndarray, coeffs: np.ndarray) -> None:
-    """Refuse a sector's arrays unless the writer could have written them."""
-    if not len(cells):
-        raise ValueError("empty sector")  # zero blocks are never stored
-    if cells[-1] >= size:
+def _check_terms(sizes: np.ndarray, counts: np.ndarray, nterms: np.ndarray,
+                 cells: np.ndarray, ends: np.ndarray, exps: np.ndarray,
+                 coeffs: np.ndarray) -> np.ndarray:
+    """Refuse the sectors' arrays, concatenated, unless the writer could
+    have written them: sector i has counts[i] cells below sizes[i] and
+    nterms[i] terms, and its ends count its own terms.  A cell is checked
+    as its index into the sectors' cell ranges laid end to end, and an end
+    as a count running over every sector's terms: each is strictly
+    increasing over the file exactly when it is within every sector.
+    Returns the running ends."""
+    last = counts.cumsum() - 1
+    size_ends, term_ends = sizes.cumsum(), nterms.cumsum()
+    cells = cells + (size_ends - sizes).repeat(counts)
+    if (cells[last] >= size_ends).any():
         raise ValueError("cell index out of range")
     if (cells[1:] <= cells[:-1]).any():
         raise ValueError("cells not strictly increasing")
-    if not ends[0] or (ends[1:] <= ends[:-1]).any():
+    ends = ends + (term_ends - nterms).repeat(counts)
+    if not ends[:1].all() or (ends[1:] <= ends[:-1]).any():
         raise ValueError("an entry with no terms")
-    if ends[-1] != len(exps):
+    if (ends[last] != term_ends).any():
         raise ValueError("term counts do not match the terms")
     descending = exps[1:] <= exps[:-1]
     descending[ends[:-1] - 1] = False  # a cell's first term follows another cell
@@ -175,32 +186,47 @@ def _check_terms(size: int, cells: np.ndarray, ends: np.ndarray,
         raise ValueError("zero coefficient")
     if not _fits(coeffs):
         raise ValueError("coefficient beyond the int64 rule")
+    return ends
 
 
-def _read(body: bytes, ctx: ChainContext) -> tuple[int, list[tuple]]:
-    """The shift and the checked (grade, nrows, ncols, cells, ends,
-    exponents, coefficients) of every sector of a body."""
+def _read(body: bytes, ctx: ChainContext) -> tuple:
+    """The shift, the grades and (nrows, ncols) shapes of the sectors of a
+    body, their cell counts, and their checked cells, ends, exponents and
+    coefficients, each concatenated over the sectors in one pass, with the
+    ends running over every sector's terms."""
+    view = memoryview(body)
     shift, nsectors = _HEAD.unpack_from(body, 0)
     pos = _HEAD.size
-    sectors = []
+    grades, shapes, sizes, counts, nterms = [], [], [], [], []
+    cells, ends, exps, coeffs = [], [], [], []
     for _ in range(nsectors):
-        g, nrows, ncols, ncells, nterms = _SECTOR.unpack_from(body, pos)
+        g, nrows, ncols, ncells, nterm = _SECTOR.unpack_from(body, pos)
         pos += _SECTOR.size
-        if sectors and g <= sectors[-1][0]:
+        if grades and g <= grades[-1]:
             raise ValueError("sectors not strictly increasing")
         _check_sector(ctx, shift, g, nrows, ncols)
-        end = pos + 8 * (ncells + 2 * nterms)
+        if not ncells:
+            raise ValueError("empty sector")  # zero blocks are never stored
+        mid, end = pos + 8 * ncells, pos + 8 * (ncells + 2 * nterm)
         if end > len(body):
             raise ValueError("truncated cache file")
-        cells, ends = np.frombuffer(body, "<u4", 2 * ncells, pos).reshape(2, ncells)
-        exps, coeffs = np.frombuffer(body, "<i8", 2 * nterms,
-                                     pos + 8 * ncells).reshape(2, nterms)
+        cells.append(view[pos:pos + 4 * ncells])
+        ends.append(view[pos + 4 * ncells:mid])
+        exps.append(view[mid:mid + 8 * nterm])
+        coeffs.append(view[mid + 8 * nterm:end])
         pos = end
-        _check_terms(nrows * ncols, cells, ends, exps, coeffs)
-        sectors.append((g, nrows, ncols, cells, ends, exps, coeffs))
+        grades.append(g)
+        shapes.append((nrows, ncols))
+        sizes.append(nrows * ncols)
+        counts.append(ncells)
+        nterms.append(nterm)
     if pos != len(body):
         raise ValueError("trailing bytes")
-    return shift, sectors
+    cells, ends = (np.frombuffer(b"".join(part), "<u4") for part in (cells, ends))
+    exps, coeffs = (np.frombuffer(b"".join(part), "<i8") for part in (exps, coeffs))
+    sizes, counts, nterms = (np.array(x, dtype=np.int64) for x in (sizes, counts, nterms))
+    ends = _check_terms(sizes, counts, nterms, cells, ends, exps, coeffs)
+    return shift, grades, shapes, counts, (cells, ends, exps, coeffs)
 
 
 def deserialize_operator(blob: bytes, expected_key: str, ctx: ChainContext,
@@ -212,11 +238,11 @@ def deserialize_operator(blob: bytes, expected_key: str, ctx: ChainContext,
         raise ValueError("loads are over the Laurent ring or the chain's "
                          "cyclotomic ring")
     try:
-        shift, sectors = _read(_body(blob, expected_key), ctx)
+        shift, grades, shapes, counts, arrays = _read(_body(blob, expected_key), ctx)
     except struct.error as exc:
         raise ValueError("truncated cache file") from exc
-    blocks = {g: block_from_terms(ring, *arrays) for g, *arrays in sectors}
-    return GradedOperator(ctx, ring, shift, blocks)
+    blocks = blocks_from_terms(ring, shapes, counts, *arrays)
+    return GradedOperator(ctx, ring, shift, dict(zip(grades, blocks)))
 
 
 class CacheWriteError(OSError):

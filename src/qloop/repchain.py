@@ -398,6 +398,13 @@ class GradedOperator:
         return GradedOperator(self.ctx, self.ring, self.shift,
                               {g: b.scale(scalar) for g, b in self.blocks.items()})
 
+    def restricted(self, sectors) -> "GradedOperator":
+        """The operator with only its blocks of source sectors in `sectors`."""
+        if all(g in sectors for g in self.blocks):
+            return self
+        return GradedOperator(self.ctx, self.ring, self.shift,
+                              {g: b for g, b in self.blocks.items() if g in sectors})
+
     def power(self, n: int) -> "GradedOperator":
         return operator_product(self.ctx, self.ring, [self] * n)
 
@@ -556,6 +563,10 @@ def build_barred_ops(ctx: ChainContext, gens: dict) -> dict:
         B1bar  =  q^(L-2) A^(1/2) E0      BLbar  =  q^-1 A^(1/2) F1
         C0bar  = -q^(L-2) E1 A^(1/2)      CL1bar = -q^-1 F0 A^(1/2)
 
+    A^(1/2) is q^g on sector g, so each is its generator with the block of
+    source sector g scaled by one monomial: the prefactor times q^g when
+    A^(1/2) is on the right, times q^(g + shift) when it is on the left.
+
     Refuses backends whose shifts wrap the clock labels: the integer-exponent
     A^(1/2) would pick up stray q^N = -1 signs on the wrap rows.
     """
@@ -563,15 +574,19 @@ def build_barred_ops(ctx: ChainContext, gens: dict) -> dict:
         raise WrapInconsistency(
             f"backend {ctx.rep.kind!r} wraps clock labels; the half-clock "
             "dressing is not single-valued there")
-    length = ctx.length
-    a_half = gens["A_L_half"]
-    pref_edge = LaurentPoly.q_power(length - 2)
-    pref_inner = LaurentPoly.q_power(-1)
+
+    def dressed(op_id, e, sign, half_on_left):
+        op = gens[op_id]
+        e += op.shift if half_on_left else 0
+        return GradedOperator(ctx, LAURENT_RING, op.shift, {
+            g: b.scale(LaurentPoly.q_power(e + g, sign)) for g, b in op.blocks.items()})
+
+    edge = ctx.length - 2
     return {
-        "B1bar": (a_half @ gens["E0"]).scale(pref_edge),
-        "BLbar": (a_half @ gens["F1"]).scale(pref_inner),
-        "C0bar": (gens["E1"] @ a_half).scale(-pref_edge),
-        "CL1bar": (gens["F0"] @ a_half).scale(-pref_inner),
+        "B1bar": dressed("E0", edge, 1, True),
+        "BLbar": dressed("F1", -1, 1, True),
+        "C0bar": dressed("E1", edge, -1, False),
+        "CL1bar": dressed("F0", -1, -1, False),
     }
 
 

@@ -444,6 +444,30 @@ def test_barred_length_one_example():
     assert entries == [(0, 1, "-q^-1")]
 
 
+@pytest.mark.parametrize("kind,n_param,length", [
+    ("spin_half", 2, 4), ("highest_weight", 3, 3), ("highest_weight", 4, 3),
+])
+def test_barred_operators_equal_their_product_definitions(kind, n_param, length):
+    # the oracle: the defining products with the diagonal half clock
+    # A^(1/2), then the prefactor, as a second scaling
+    ctx = ChainContext(build_site_rep(kind, n_param), length)
+    gens = build_chain_generators(ctx)
+    a_half = gens["A_L_half"]
+    edge, inner = LaurentPoly.q_power(length - 2), LaurentPoly.q_power(-1)
+    want = {
+        "B1bar": (a_half @ gens["E0"]).scale(edge),
+        "BLbar": (a_half @ gens["F1"]).scale(inner),
+        "C0bar": (gens["E1"] @ a_half).scale(-edge),
+        "CL1bar": (gens["F0"] @ a_half).scale(-inner),
+    }
+    got = build_barred_ops(ctx, gens)
+    assert set(got) == set(want)
+    for name, op in want.items():
+        assert got[name].shift == op.shift, name
+        assert sorted(got[name].blocks) == sorted(op.blocks), name
+        assert got[name].entries() == op.entries(), name
+
+
 def test_barred_shifts():
     ctx = ChainContext(build_site_rep("spin_half", 2), 3)
     barred = build_barred_ops(ctx, build_chain_generators(ctx))

@@ -19,8 +19,11 @@ from qloop.rings import LaurentPoly
 # Before the generators were written from their closed forms, each dressed
 # site entry made once per chain: 1222 __mul__.  Before every check went
 # through the one spec evaluator, which scales no term by 1 or -1 and
-# drops order-0 factors: 1060 products and 1733 _max_abs scans.
-PINNED = {"_product": 1040, "_max_abs": 1703, "__mul__": 974, "__add__": 1048}
+# drops order-0 factors: 1060 products and 1733 _max_abs scans.  Before
+# each check call evaluated its words through one plan, multiplying each
+# shared prefix once and only the sector blocks a residual reads: 1040
+# products and 1703 _max_abs scans.
+PINNED = {"_product": 610, "_max_abs": 1273, "__mul__": 974, "__add__": 1048}
 
 
 def _counting(counts, name, real):
