@@ -61,10 +61,8 @@ from .repchain import (
     build_barred_ops,
     build_chain_generators,
     build_site_rep,
-    charge_of,
     rep_self_check,
     rescaled_rep,
-    sector_project,
     specialize_operator,
 )
 from .rings import (
@@ -145,7 +143,6 @@ __all__ = [
     "build_chain_generators",
     "build_loop_generators",
     "build_site_rep",
-    "charge_of",
     "check_BCN",
     "check_CBN",
     "check_cross_normalization",
@@ -174,7 +171,6 @@ __all__ = [
     "rep_self_check",
     "rescaled_rep",
     "run",
-    "sector_project",
     "specialize_operator",
     "strip_timing",
     "__version__",

@@ -21,13 +21,16 @@ sector.  Three engines cover the scalar rings:
                   its max |coordinate| once, on first use, and keeps it.
 * ComplexBlock -- dense complex128, float smoke mode only.
 
-make_block picks the engine for a ring, and specialize_block maps a block
-into another ring; the layout is private to this module, read elsewhere
-only through shape, entries(), nnz() and the arithmetic methods, and,
-for the disk cache, laurent_terms and blocks_from_terms: a Laurent block
-as arrays of its (cell, exponent, coefficient) terms, and the blocks of
-such terms, concatenated over several blocks, in the Laurent ring or, by
-the one gather that specialization uses, in a quotient ring.
+make_block picks the engine for a ring, and specialize_blocks maps the
+blocks of an operator into another ring (specialize_block is its
+one-block spelling); the layout is private to this module, read
+elsewhere only through shape, entries(), nnz() and the arithmetic
+methods, and through the one terms layout of Laurent blocks:
+laurent_terms gives the (cell, exponent, coefficient) terms of a list of
+blocks as four arrays over all of them, and blocks_from_terms, the one
+builder, makes the blocks of such arrays in the Laurent ring or, by one
+gather of every term, in a quotient ring.  Specialization and the disk
+cache both go through that pair, and a cache file holds those arrays.
 Blocks are immutable by convention: every operation returns a new block.
 
 _exact_dtype is the one dtype rule for exact arithmetic.  It reads a bound
@@ -506,27 +509,37 @@ class ComplexBlock:
 Block = DictBlock | CycloBlock | ComplexBlock  # for annotations elsewhere
 
 
-def laurent_terms(block: DictBlock) -> tuple[np.ndarray, ...]:
-    """A Laurent block's terms as four arrays: the row-major index
-    row * ncols + col of each nonzero cell, ascending; the running term
-    count at the end of each cell; and each term's exponent, ascending
-    within its cell, and coefficient.  The coefficients are int64 while
-    every |coefficient| is below INT64_SAFE, exact Python ints beyond."""
-    ncols = block.ncols
-    cells, counts, exps, coeffs = [], [], [], []
-    for c, col in block.cols.items():
-        for r, v in col.items():
-            cells.append(r * ncols + c)
-            counts.append(len(v.c))
-            exps += v.c
-            coeffs += v.c.values()
+def laurent_terms(blocks: list[DictBlock]) -> tuple:
+    """The terms of Laurent blocks, in the order given, as their shapes,
+    their cell counts and four arrays over every block's terms: each
+    block's row-major cell indices row * ncols + col of its nonzero cells,
+    ascending; the running term count at the end of each cell, counted
+    over every block; and each term's exponent, ascending within its cell,
+    and coefficient.  The coefficients are int64 while every |coefficient|
+    is below INT64_SAFE, exact Python ints beyond.  This is the layout
+    blocks_from_terms reads and a cache file holds."""
+    cells, counts, exps, coeffs, ncells, offsets = [], [], [], [], [], [0]
+    for block in blocks:
+        ncols, first, offset = block.ncols, len(cells), offsets[-1]
+        # cells are numbered over the blocks laid end to end, so one sort
+        # orders every block's cells and keeps the blocks apart
+        for c, col in block.cols.items():
+            for r, v in col.items():
+                cells.append(offset + r * ncols + c)
+                counts.append(len(v.c))
+                exps += v.c
+                coeffs += v.c.values()
+        ncells.append(len(cells) - first)
+        offsets.append(offset + block.nrows * ncols)
     top = max(map(abs, coeffs), default=0)
-    cells, counts = np.array(cells, dtype=np.int64), np.array(counts, dtype=np.int64)
-    exps = np.array(exps, dtype=np.int64)
+    cells, counts, exps, ncells, offsets = (
+        np.array(x, dtype=np.int64) for x in (cells, counts, exps, ncells, offsets[:-1]))
     coeffs = np.array(coeffs, dtype=np.int64 if top < INT64_SAFE else object)
     order = np.argsort(cells)
     terms = np.lexsort((exps, np.repeat(cells, counts)))
-    return cells[order], np.cumsum(counts[order]), exps[terms], coeffs[terms]
+    own = cells[order] - np.repeat(offsets, ncells)
+    return ([block.shape for block in blocks], ncells, own, np.cumsum(counts[order]),
+            exps[terms], coeffs[terms])
 
 
 def _gather(ring, ends: np.ndarray, exps: np.ndarray,
@@ -534,78 +547,81 @@ def _gather(ring, ends: np.ndarray, exps: np.ndarray,
     """The quotient-ring coordinates of each cell's terms, by one gather
     of the terms against the ring's q-power rows.  A partial sum is at
     most max|row| times a cell's sum of |coefficient|, the bound
-    _exact_dtype reads."""
+    _exact_dtype reads, and that bound alone picks the tier, whatever
+    the coefficients' dtype."""
     starts = np.concatenate(([0], ends[:-1]))
     mags = np.abs(coeffs)
     if mags.dtype != object and int(mags.max()) * len(mags) >= 2**63:
         mags = mags.astype(object)  # a cell's sum might overflow int64
     rows = ring.quo.q_rows(exps)
     bound = int(np.add.reduceat(mags, starts).max()) * max(_max_abs(rows), 1)
+    if coeffs.dtype == object and bound < INT64_SAFE:
+        coeffs = coeffs.astype(np.int64)
     rows, coeffs = _exact_dtype(bound, rows, coeffs)
     return np.add.reduceat(rows * coeffs[:, None], starts, axis=0)
 
 
+def _own_terms(first: int, last: int, cells: np.ndarray, ends: np.ndarray,
+               exps: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Cells first..last of laurent_terms' arrays and their terms, with
+    the ends counted from their first term."""
+    start = int(ends[first - 1]) if first else 0
+    stop = int(ends[last - 1]) if last else 0
+    return cells[first:last], ends[first:last] - start, exps[start:stop], coeffs[start:stop]
+
+
 def blocks_from_terms(ring, shapes, counts, cells: np.ndarray, ends: np.ndarray,
                       exps: np.ndarray, coeffs: np.ndarray) -> list[Block]:
-    """The blocks of `ring` holding Laurent terms in laurent_terms' layout,
-    concatenated over several blocks: block i has shape shapes[i] and the
-    next counts[i] cells, and ends runs over the terms of every block.
-    Over a quotient ring all blocks come from one gather of every term;
-    when that gather needs exact ints, and over the Laurent ring, each
-    block is built from its own terms, so a block takes the dtype tier it
-    would take alone."""
+    """The blocks of `ring` holding Laurent terms in laurent_terms'
+    layout: block i has shape shapes[i] and the next counts[i] cells.
+    Over the Laurent ring each is a DictBlock of its own terms.  Over a
+    quotient ring all come from one gather of every term; when that
+    gather needs exact ints, each block of several is gathered again from
+    its own terms, so a block takes the dtype tier it would take alone."""
     lasts = np.cumsum(counts).tolist()
-    if isinstance(ring, PhiAdicRing):
-        width = ring.quo.degree
-        sums = (_gather(ring, ends, exps, coeffs) if len(cells)
-                else np.zeros((0, width), dtype=np.int64))
-        if sums.dtype != object or len(shapes) == 1:
-            out, first = [], 0
-            for (nrows, ncols), last in zip(shapes, lasts):
-                arr = np.zeros((nrows * ncols, width), dtype=sums.dtype)
-                arr[cells[first:last]] = sums[first:last]
-                out.append(CycloBlock(ring, arr.reshape(nrows, ncols, width)))
-                first = last
-            return out
-    out, first, start = [], 0, 0
-    for (nrows, ncols), last in zip(shapes, lasts):
-        stop = int(ends[last - 1]) if last else 0
-        out.append(block_from_terms(ring, nrows, ncols, cells[first:last],
-                                    ends[first:last] - start,
-                                    exps[start:stop], coeffs[start:stop]))
-        first, start = last, stop
+    spans = list(zip(shapes, [0, *lasts[:-1]], lasts))
+    arrays = (cells, ends, exps, coeffs)
+    if not isinstance(ring, PhiAdicRing):
+        return [DictBlock.from_terms(ring, nrows, ncols, *_own_terms(first, last, *arrays))
+                for (nrows, ncols), first, last in spans]
+    width = ring.quo.degree
+    sums = (_gather(ring, ends, exps, coeffs) if len(cells)
+            else np.zeros((0, width), dtype=np.int64))
+    if sums.dtype == object and len(spans) > 1:
+        return [blocks_from_terms(ring, [shape], [last - first],
+                                  *_own_terms(first, last, *arrays))[0]
+                for shape, first, last in spans]
+    out = []
+    for (nrows, ncols), first, last in spans:
+        arr = np.zeros((nrows * ncols, width), dtype=sums.dtype)
+        arr[cells[first:last]] = sums[first:last]
+        out.append(CycloBlock(ring, arr.reshape(nrows, ncols, width)))
     return out
 
 
-def block_from_terms(ring, nrows: int, ncols: int, cells: np.ndarray,
-                     ends: np.ndarray, exps: np.ndarray,
-                     coeffs: np.ndarray) -> Block:
-    """The block of `ring` holding the Laurent terms that laurent_terms
-    gives: a DictBlock over the Laurent ring, a CycloBlock by one gather
-    over a quotient ring."""
-    if isinstance(ring, PhiAdicRing):
-        return blocks_from_terms(ring, ((nrows, ncols),), (len(cells),),
-                                 cells, ends, exps, coeffs)[0]
-    return DictBlock.from_terms(ring, nrows, ncols, cells, ends, exps, coeffs)
-
-
-def specialize_block(block: Block, ring) -> Block:
-    """The block with every entry mapped into `ring`: a Laurent block into a
-    quotient ring by the gather of block_from_terms, a coordinate block
-    into a quotient ring of its N with no more digits by one integer matrix
+def specialize_blocks(blocks: list[Block], ring) -> list[Block]:
+    """Blocks of one ring with every entry mapped into `ring`: Laurent
+    blocks into a quotient ring by one gather of all their terms
+    (laurent_terms, blocks_from_terms), coordinate blocks into a quotient
+    ring of their N with no more digits by one integer matrix each
     (reduction, so digit zero in the cyclotomic ring), the rest entry by
     entry with ring.coerce (into the float ring; any other pair makes
     coerce raise)."""
     if isinstance(ring, PhiAdicRing):
-        if isinstance(block, DictBlock):
-            return block_from_terms(ring, block.nrows, block.ncols,
-                                    *laurent_terms(block))
-        if isinstance(block, CycloBlock) and block.ring.n_param == ring.n_param \
-                and block.ring.trunc_order >= ring.trunc_order:
-            reduced = block._at(min(block.prec, ring.quo.prec))
-            return CycloBlock(ring, reduced.arr, reduced._max)
-    triples = [(r, c, ring.coerce(v)) for r, c, v in block.entries()]
-    return make_block(ring, block.shape[0], block.shape[1], triples)
+        if all(isinstance(block, DictBlock) for block in blocks):
+            return blocks_from_terms(ring, *laurent_terms(blocks))
+        if all(isinstance(block, CycloBlock) and block.ring.n_param == ring.n_param
+               and block.ring.trunc_order >= ring.trunc_order for block in blocks):
+            reduced = [block._at(min(block.prec, ring.quo.prec)) for block in blocks]
+            return [CycloBlock(ring, block.arr, block._max) for block in reduced]
+    return [make_block(ring, *block.shape, [(r, c, ring.coerce(v))
+                                            for r, c, v in block.entries()])
+            for block in blocks]
+
+
+def specialize_block(block: Block, ring) -> Block:
+    """One block mapped into `ring` (specialize_blocks)."""
+    return specialize_blocks([block], ring)[0]
 
 
 def make_block(ring, nrows, ncols, triples) -> Block:

@@ -8,29 +8,32 @@ they are the same chain, so a rescaled representation or a cyclic family
 with another c never reads another chain's powers.  The digest is stable
 across processes: it hashes text, never Python's salted hash().
 
-One file per key holds the Laurent operator's terms as little-endian
-arrays, one run of them per sector:
+One file per key holds the Laurent operator's terms in the layout
+blocks.laurent_terms gives for its blocks in grade order, as little-endian
+arrays over all sectors at once:
 
-    8 bytes   magic "QLOOPOP3"
+    8 bytes   magic "QLOOPOP4"
     u32       key length, then the canonical key string (utf-8)
     32 bytes  SHA-256 of the body
     body:
-        i64 sector shift, u32 sector count
-        per sector, in strictly ascending grade:
-            i64 grade, u32 nrows, u32 ncols, u32 cell count, u32 term count
-            u32 cell index (row * ncols + col) per cell, ascending
-            u32 running term count per cell: where its terms end
-            i64 exponent per term, ascending within its cell
-            i64 coefficient per term
+        i64 sector shift, u32 sector count, u32 term count
+        sector table, in strictly ascending grade:
+            i64 grade, u32 nrows, u32 ncols, u32 cell count
+        u32 cell index (row * ncols + col) per cell, ascending within
+            its sector, the sectors' cells one after another
+        u32 running term count per cell, over every sector's terms
+        i64 exponent per term, ascending within its cell
+        i64 coefficient per term
 
-A load reads every sector's arrays of the file into four arrays
-concatenated over the sectors, checks them in one pass with the sector
-offsets, and builds the operator from them in the ring it is asked for:
-the Laurent ring, or the chain's cyclotomic ring cyclo_ring(N), whose
-image comes from one gather over all sectors, the gather specialize_block
-uses (blocks.blocks_from_terms), so a warm root run builds no Laurent
-polynomial.  Files of the earlier layouts
-("QLOOPOP1", "QLOOPOP2") are misses and get rewritten.
+So the writer joins four arrays, and a load reads them at offsets the
+header and the table fix, checks them in one pass over the sectors, and
+builds the operator from them (blocks.blocks_from_terms) in the ring it
+is asked for: the Laurent ring, or the chain's cyclotomic ring
+cyclo_ring(N), whose image comes from one gather of every term, the one
+specialization uses, so a warm root run builds no Laurent polynomial.
+This module frames and validates that layout; blocks owns it.  Files of
+the earlier layouts ("QLOOPOP1", "QLOOPOP2", "QLOOPOP3") are misses and
+get rewritten.
 
 The int64 rule: every coefficient lies strictly between -INT64_SAFE and
 INT64_SAFE (2^62).  An operator with a coefficient beyond writes no file,
@@ -54,8 +57,8 @@ a resource error.  A store replaces whatever file the key had, so a
 corrupt file is mended by the first run that misses on it.
 
 Only operators with LaurentPoly entries are keyed (keys say ring=laurent).
-Blocks go through shape, entries(), laurent_terms and blocks_from_terms
-only.
+Blocks go through entries() (for the digest), laurent_terms and
+blocks_from_terms only.
 """
 
 from __future__ import annotations
@@ -73,12 +76,12 @@ from .blocks import blocks_from_terms, laurent_terms
 from .repchain import ChainContext, GradedOperator, SiteRep
 from .rings import INT64_SAFE, LAURENT_RING
 
-MAGIC = b"QLOOPOP3"
+MAGIC = b"QLOOPOP4"
 _DIGEST_BYTES = 32
 
 _U32 = struct.Struct("<I")
-_HEAD = struct.Struct("<qI")        # shift, sector count
-_SECTOR = struct.Struct("<qIIII")   # grade, nrows, ncols, cells, terms
+_HEAD = struct.Struct("<qII")       # shift, sector count, term count
+_SECTOR = struct.Struct("<qIII")    # grade, nrows, ncols, cell count
 
 
 def rep_digest(rep: SiteRep) -> str:
@@ -113,16 +116,16 @@ def serialize_operator(key: str, op: GradedOperator) -> bytes | None:
     the int64 rule, which a file cannot hold."""
     if op.ring is not LAURENT_RING:
         raise ValueError("only symbolic operators are cached")
-    parts = [_HEAD.pack(op.shift, len(op.blocks))]
-    for g in sorted(op.blocks):
-        block = op.blocks[g]
-        cells, ends, exps, coeffs = laurent_terms(block)
-        if not _fits(coeffs):
-            return None
-        parts += [_SECTOR.pack(g, *block.shape, len(cells), len(exps)),
-                  cells.astype("<u4").tobytes(), ends.astype("<u4").tobytes(),
-                  exps.astype("<i8").tobytes(), coeffs.astype("<i8").tobytes()]
-    body = b"".join(parts)
+    grades = sorted(op.blocks)
+    shapes, counts, cells, ends, exps, coeffs = laurent_terms(
+        [op.blocks[g] for g in grades])
+    if not _fits(coeffs):
+        return None
+    body = b"".join((
+        _HEAD.pack(op.shift, len(grades), len(exps)),
+        *(_SECTOR.pack(g, *shape, n) for g, shape, n in zip(grades, shapes, counts.tolist())),
+        cells.astype("<u4").tobytes(), ends.astype("<u4").tobytes(),
+        exps.astype("<i8").tobytes(), coeffs.astype("<i8").tobytes()))
     kb = key.encode()
     return b"".join((MAGIC, _U32.pack(len(kb)), kb,
                      hashlib.sha256(body).digest(), body))
@@ -149,34 +152,24 @@ def _body(blob: bytes, expected_key: str) -> bytes:
     return body
 
 
-def _check_sector(ctx: ChainContext, shift: int, g: int, nrows: int,
-                  ncols: int) -> None:
-    if (len(ctx.sectors.get(ctx.wrap_grade(g + shift), ())) != nrows
-            or len(ctx.sectors.get(g, ())) != ncols):
-        raise ValueError("sector shapes do not match this chain")
-
-
-def _check_terms(sizes: np.ndarray, counts: np.ndarray, nterms: np.ndarray,
+def _check_terms(sizes: np.ndarray, counts: np.ndarray, nterms: int,
                  cells: np.ndarray, ends: np.ndarray, exps: np.ndarray,
-                 coeffs: np.ndarray) -> np.ndarray:
-    """Refuse the sectors' arrays, concatenated, unless the writer could
-    have written them: sector i has counts[i] cells below sizes[i] and
-    nterms[i] terms, and its ends count its own terms.  A cell is checked
-    as its index into the sectors' cell ranges laid end to end, and an end
-    as a count running over every sector's terms: each is strictly
-    increasing over the file exactly when it is within every sector.
-    Returns the running ends."""
+                 coeffs: np.ndarray) -> None:
+    """Refuse the arrays of a body unless the writer could have written
+    them: sector i has counts[i] cells below sizes[i], ascending, and the
+    ends count nterms terms.  A cell is checked as its index into the
+    sectors' cell ranges laid end to end, which is strictly increasing
+    over the file exactly when it is within every sector."""
     last = counts.cumsum() - 1
-    size_ends, term_ends = sizes.cumsum(), nterms.cumsum()
+    size_ends = sizes.cumsum()
     cells = cells + (size_ends - sizes).repeat(counts)
     if (cells[last] >= size_ends).any():
         raise ValueError("cell index out of range")
     if (cells[1:] <= cells[:-1]).any():
         raise ValueError("cells not strictly increasing")
-    ends = ends + (term_ends - nterms).repeat(counts)
     if not ends[:1].all() or (ends[1:] <= ends[:-1]).any():
         raise ValueError("an entry with no terms")
-    if (ends[last] != term_ends).any():
+    if (int(ends[-1]) if len(ends) else 0) != nterms:
         raise ValueError("term counts do not match the terms")
     descending = exps[1:] <= exps[:-1]
     descending[ends[:-1] - 1] = False  # a cell's first term follows another cell
@@ -186,47 +179,42 @@ def _check_terms(sizes: np.ndarray, counts: np.ndarray, nterms: np.ndarray,
         raise ValueError("zero coefficient")
     if not _fits(coeffs):
         raise ValueError("coefficient beyond the int64 rule")
-    return ends
 
 
 def _read(body: bytes, ctx: ChainContext) -> tuple:
-    """The shift, the grades and (nrows, ncols) shapes of the sectors of a
-    body, their cell counts, and their checked cells, ends, exponents and
-    coefficients, each concatenated over the sectors in one pass, with the
-    ends running over every sector's terms."""
-    view = memoryview(body)
-    shift, nsectors = _HEAD.unpack_from(body, 0)
-    pos = _HEAD.size
-    grades, shapes, sizes, counts, nterms = [], [], [], [], []
-    cells, ends, exps, coeffs = [], [], [], []
-    for _ in range(nsectors):
-        g, nrows, ncols, ncells, nterm = _SECTOR.unpack_from(body, pos)
-        pos += _SECTOR.size
+    """The shift and the grades of the sectors of a body, and their
+    shapes, cell counts, cells, ends, exponents and coefficients in
+    laurent_terms' layout, checked."""
+    shift, nsectors, nterms = _HEAD.unpack_from(body, 0)
+    pos = _HEAD.size + _SECTOR.size * nsectors
+    if pos > len(body):
+        raise ValueError("truncated cache file")
+    grades, shapes, counts = [], [], []
+    for g, nrows, ncols, ncells in _SECTOR.iter_unpack(body[_HEAD.size:pos]):
         if grades and g <= grades[-1]:
             raise ValueError("sectors not strictly increasing")
-        _check_sector(ctx, shift, g, nrows, ncols)
+        if (len(ctx.sectors.get(ctx.wrap_grade(g + shift), ())) != nrows
+                or len(ctx.sectors.get(g, ())) != ncols):
+            raise ValueError("sector shapes do not match this chain")
         if not ncells:
             raise ValueError("empty sector")  # zero blocks are never stored
-        mid, end = pos + 8 * ncells, pos + 8 * (ncells + 2 * nterm)
-        if end > len(body):
-            raise ValueError("truncated cache file")
-        cells.append(view[pos:pos + 4 * ncells])
-        ends.append(view[pos + 4 * ncells:mid])
-        exps.append(view[mid:mid + 8 * nterm])
-        coeffs.append(view[mid + 8 * nterm:end])
-        pos = end
         grades.append(g)
         shapes.append((nrows, ncols))
-        sizes.append(nrows * ncols)
         counts.append(ncells)
-        nterms.append(nterm)
-    if pos != len(body):
+    ncells = sum(counts)
+    size = pos + 8 * ncells + 16 * nterms
+    if size > len(body):
+        raise ValueError("truncated cache file")
+    if size < len(body):
         raise ValueError("trailing bytes")
-    cells, ends = (np.frombuffer(b"".join(part), "<u4") for part in (cells, ends))
-    exps, coeffs = (np.frombuffer(b"".join(part), "<i8") for part in (exps, coeffs))
-    sizes, counts, nterms = (np.array(x, dtype=np.int64) for x in (sizes, counts, nterms))
-    ends = _check_terms(sizes, counts, nterms, cells, ends, exps, coeffs)
-    return shift, grades, shapes, counts, (cells, ends, exps, coeffs)
+    cells = np.frombuffer(body, "<u4", ncells, pos)
+    ends = np.frombuffer(body, "<u4", ncells, pos + 4 * ncells)
+    exps = np.frombuffer(body, "<i8", nterms, pos + 8 * ncells)
+    coeffs = np.frombuffer(body, "<i8", nterms, pos + 8 * ncells + 8 * nterms)
+    counts = np.array(counts, dtype=np.int64)
+    sizes = np.array([nrows * ncols for nrows, ncols in shapes], dtype=np.int64)
+    _check_terms(sizes, counts, nterms, cells, ends, exps, coeffs)
+    return shift, grades, (shapes, counts, cells, ends, exps, coeffs)
 
 
 def deserialize_operator(blob: bytes, expected_key: str, ctx: ChainContext,
@@ -238,10 +226,10 @@ def deserialize_operator(blob: bytes, expected_key: str, ctx: ChainContext,
         raise ValueError("loads are over the Laurent ring or the chain's "
                          "cyclotomic ring")
     try:
-        shift, grades, shapes, counts, arrays = _read(_body(blob, expected_key), ctx)
+        shift, grades, terms = _read(_body(blob, expected_key), ctx)
     except struct.error as exc:
         raise ValueError("truncated cache file") from exc
-    blocks = blocks_from_terms(ring, shapes, counts, *arrays)
+    blocks = blocks_from_terms(ring, *terms)
     return GradedOperator(ctx, ring, shift, dict(zip(grades, blocks)))
 
 

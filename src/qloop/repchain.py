@@ -22,7 +22,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-from .blocks import Block, make_block, specialize_block
+from .blocks import Block, make_block, specialize_block, specialize_blocks
 from .identity import (
     EXACT_ZERO,
     APPROX_ZERO,
@@ -445,24 +445,6 @@ def operator_product(ctx: ChainContext, ring, factors) -> GradedOperator:
     return identity_operator(ctx, ring) if out is None else out
 
 
-def charge_of(op: GradedOperator) -> int:
-    """Sector shift modulo N, consistency-checked against the blocks."""
-    ctx = op.ctx
-    for g, block in op.blocks.items():
-        dst = ctx.wrap_grade(g + op.shift)
-        want_rows = len(ctx.sectors[dst])
-        if block.shape[0] != want_rows or block.shape[1] != len(ctx.sectors[g]):
-            raise NotGraded(f"block at sector {g} has inconsistent shape")
-    return op.shift % ctx.n_param
-
-
-def sector_project(op: GradedOperator, charge_q: int) -> GradedOperator:
-    """Restrict the domain to source sectors of charge class Q (mod N)."""
-    n = op.ctx.n_param
-    kept = {g: b for g, b in op.blocks.items() if g % n == charge_q % n}
-    return GradedOperator(op.ctx, op.ring, op.shift, kept)
-
-
 # ---------------------------------------------------------------------------
 # chain generators
 
@@ -595,14 +577,15 @@ def build_barred_ops(ctx: ChainContext, gens: dict) -> dict:
 
 
 def specialize_operator(op: GradedOperator, ring) -> GradedOperator:
-    """Map an operator into `ring` block by block (specialize_block): a
-    Laurent operator into any ring, a phi-adic one into a quotient ring of
-    the same N with no more digits (the cyclotomic ring takes digit zero).
-    An operator already in `ring` is returned as it is."""
+    """Map an operator into `ring` with all its blocks at once
+    (specialize_blocks): a Laurent operator into any ring, into a quotient
+    ring by one gather of every term, a phi-adic one into a quotient ring
+    of the same N with no more digits (the cyclotomic ring takes digit
+    zero).  An operator already in `ring` is returned as it is."""
     if ring is op.ring:
         return op
-    blocks = {g: specialize_block(b, ring) for g, b in op.blocks.items()}
-    return GradedOperator(op.ctx, ring, op.shift, blocks)
+    blocks = specialize_blocks(list(op.blocks.values()), ring)
+    return GradedOperator(op.ctx, ring, op.shift, dict(zip(op.blocks, blocks)))
 
 
 # ---------------------------------------------------------------------------

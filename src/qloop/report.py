@@ -52,6 +52,7 @@ import threading
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Iterable
 
 from . import __version__
@@ -263,6 +264,9 @@ class RunConfig:
                     "edge-modified generators; the cyclic family exists only "
                     "at the root of unity (use spin_half or highest_weight)"
                 )
+        if not self.selected_suites():
+            raise ConfigError(
+                f"no suite selected; choose 'all' or one of {SUITE_NAMES}")
         if not _is_int(self.jobs) or self.jobs < 1:
             raise ConfigError(f"jobs must be a positive integer, got {self.jobs!r}")
         jobs = _job_list(self)
@@ -309,22 +313,28 @@ class RunConfig:
 
 class _RunEnv:
     """The divided-power store (and through it the chain) shared by every
-    job of a run, and the g-forms job's store.  A rescaled env scales every
-    site representation it builds.  It builds one float ring and one
+    job of a run, and the g-forms job's store, each built on first use, so
+    a run whose jobs read neither builds no chain.  A rescaled env scales
+    every site representation it builds.  It builds one float ring and one
     phi-adic ring per truncation order K, because the store memoizes images
     per ring object."""
 
     def __init__(self, config: RunConfig, cache: OperatorCache, rescale: bool = False):
         self.config = config
         self.rescale = rescale
+        self.cache = cache
         try:
-            rep = self.site_rep(config.backend)
+            self._rep = self.site_rep(config.backend)
         except (UnsupportedKind, InvalidParams) as exc:
             raise ConfigError(str(exc)) from None
-        self.store = make_store(ChainContext(rep, config.length), cache)
         self._g_forms_store: DividedPowerStore | None = None
         self._float_ring = FloatRing(config.n_param)
         self._adic_rings: dict[int, PhiAdicRing] = {}
+
+    @cached_property
+    def store(self) -> DividedPowerStore:
+        """The store of the run's chain, built on first use."""
+        return make_store(ChainContext(self._rep, self.config.length), self.cache)
 
     def g_forms_store(self) -> DividedPowerStore:
         """The store of the g-forms job, built on first use.  The
@@ -335,7 +345,7 @@ class _RunEnv:
         powers."""
         if self._g_forms_store is None:
             self._g_forms_store = make_store(
-                ChainContext(self.site_rep("spin_half"), 4), self.store.cache)
+                ChainContext(self.site_rep("spin_half"), 4), self.cache)
         return self._g_forms_store
 
     def site_rep(self, kind: str):
@@ -934,8 +944,8 @@ def run(config: RunConfig) -> ReportDocument:
     rescaled_jobs = [job for job in jobs if job.suite in audited]
     try:
         env = _RunEnv(config, cache)
-        # both chains are built, and filled, before the run forks its
-        # workers, so every worker inherits both stores
+        # a --jobs run builds and fills both chains' stores in its prefill,
+        # before it forks its workers, so every worker inherits them
         rescaled_env = _RunEnv(config, cache, rescale=True) if audited else None
         results = _execute([(job, env) for job in jobs]
                            + [(job, rescaled_env) for job in rescaled_jobs],

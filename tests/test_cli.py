@@ -59,10 +59,10 @@ def test_memory_error_while_building_the_run_exits_three(monkeypatch, capsys):
         report.run(RunConfig(n_param=2, length=2, suites=("id2",),
                              rescale_audit=True))
     assert len(calls) == 1
-    assert main(["--suite", "qcomb", "--N", "2", "--L", "2"]) == 3
+    assert main(["--suite", "rep-gate", "--N", "2", "--L", "2"]) == 3
     assert "resource error" in capsys.readouterr().err
     with pytest.raises(ResourceError):
-        report.run(RunConfig(n_param=2, length=2, suites=("qcomb",)))
+        report.run(RunConfig(n_param=2, length=2, suites=("rep-gate",)))
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -133,6 +133,32 @@ def test_length_bound_is_not_configurable(tmp_path, capsys):
     assert "unknown config key 'max_L'" in capsys.readouterr().err
     assert main(["--L", "15"]) == 2
     assert "L must be an integer in 1..14" in capsys.readouterr().err
+
+
+def test_an_empty_suite_selection_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("suite=\nN=2\nL=2\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "config error: no suite selected" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="no suite selected"):
+        report.run(RunConfig(n_param=2, length=2, suites=()))
+
+
+def test_a_run_whose_jobs_read_no_store_builds_no_chain(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a chain was built that no job reads")
+
+    def bad_rep(*args):
+        raise report.InvalidParams("bad parameter")
+
+    monkeypatch.setattr(report, "ChainContext", refuse)
+    assert main(["run", "--suite", "qcomb", "--N", "2", "--L", "14"]) == 0
+    assert "checks: 108" in capsys.readouterr().out
+    # the run's site representation is still built, and a bad parameter
+    # refused, before any job runs
+    monkeypatch.setattr(report, "build_site_rep", bad_rep)
+    assert main(["run", "--suite", "qcomb", "--N", "2"]) == 2
+    assert "config error: bad parameter" in capsys.readouterr().err
 
 
 @pytest.fixture

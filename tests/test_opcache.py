@@ -291,39 +291,42 @@ def _parse(blob):
     pos += 4 + klen
     head, digest, body = blob[:pos], blob[pos:pos + 32], blob[pos + 32:]
     assert hashlib.sha256(body).digest() == digest
-    shift, nsectors = struct.unpack_from("<qI", body, 0)
-    pos = 12
-    sectors = []
-    for _ in range(nsectors):
-        g, nrows, ncols, ncells, nterms = struct.unpack_from("<qIIII", body, pos)
-        pos += 24
-        cells = struct.unpack_from(f"<{ncells}I", body, pos)
-        ends = struct.unpack_from(f"<{ncells}I", body, pos + 4 * ncells)
-        pos += 8 * ncells
-        exps = struct.unpack_from(f"<{nterms}q", body, pos)
-        coeffs = struct.unpack_from(f"<{nterms}q", body, pos + 8 * nterms)
-        pos += 16 * nterms
-        starts = (0, *ends[:-1])
+    shift, nsectors, nterms = struct.unpack_from("<qII", body, 0)
+    table = [struct.unpack_from("<qIII", body, 16 + 20 * i) for i in range(nsectors)]
+    pos = 16 + 20 * nsectors
+    ncells = sum(count for *_, count in table)
+    cells = struct.unpack_from(f"<{ncells}I", body, pos)
+    ends = struct.unpack_from(f"<{ncells}I", body, pos + 4 * ncells)
+    pos += 8 * ncells
+    exps = struct.unpack_from(f"<{nterms}q", body, pos)
+    coeffs = struct.unpack_from(f"<{nterms}q", body, pos + 8 * nterms)
+    pos += 16 * nterms
+    starts = (0, *ends[:-1])
+    sectors, first = [], 0
+    for g, nrows, ncols, count in table:
         sectors.append([g, nrows, ncols, [
-            [cell, [[exps[i], coeffs[i]] for i in range(start, end)]]
-            for cell, start, end in zip(cells, starts, ends)]])
+            [cells[i], [[exps[j], coeffs[j]] for j in range(starts[i], ends[i])]]
+            for i in range(first, first + count)]])
+        first += count
     return {"head": head, "shift": shift, "sectors": sectors, "tail": body[pos:]}
 
 
 def _emit(parsed):
     """The file of a _parse result, with its checksum recomputed."""
-    body = [struct.pack("<qI", parsed["shift"], len(parsed["sectors"]))]
-    for g, nrows, ncols, cells in parsed["sectors"]:
-        terms = [term for _, cell_terms in cells for term in cell_terms]
-        ends, end = [], 0
-        for _, cell_terms in cells:
-            end += len(cell_terms)
-            ends.append(end)
-        body += [struct.pack("<qIIII", g, nrows, ncols, len(cells), len(terms)),
-                 struct.pack(f"<{len(cells)}I", *(cell for cell, _ in cells)),
-                 struct.pack(f"<{len(cells)}I", *ends),
-                 struct.pack(f"<{len(terms)}q", *(e for e, _ in terms)),
-                 struct.pack(f"<{len(terms)}q", *(c for _, c in terms))]
+    sectors = parsed["sectors"]
+    cells = [cell for *_, sector_cells in sectors for cell in sector_cells]
+    terms = [term for _, cell_terms in cells for term in cell_terms]
+    ends, end = [], 0
+    for _, cell_terms in cells:
+        end += len(cell_terms)
+        ends.append(end)
+    body = [struct.pack("<qII", parsed["shift"], len(sectors), len(terms)),
+            *(struct.pack("<qIII", g, nrows, ncols, len(sector_cells))
+              for g, nrows, ncols, sector_cells in sectors),
+            struct.pack(f"<{len(cells)}I", *(cell for cell, _ in cells)),
+            struct.pack(f"<{len(cells)}I", *ends),
+            struct.pack(f"<{len(terms)}q", *(e for e, _ in terms)),
+            struct.pack(f"<{len(terms)}q", *(c for _, c in terms))]
     body = b"".join(body) + parsed["tail"]
     return parsed["head"] + hashlib.sha256(body).digest() + body
 
@@ -508,17 +511,42 @@ def _second_layout(blob):
     return b"QLOOPOP2" + key + hashlib.sha256(body).digest() + body
 
 
+def _third_layout(blob):
+    """The "QLOOPOP3" file of blob's operator: magic, key, checksum, then
+    the shift and each sector's shape, cells, ends, exponents and
+    coefficients, one sector after another, its ends counting its own
+    terms."""
+    parsed = _parse(blob)
+    body = [struct.pack("<qI", parsed["shift"], len(parsed["sectors"]))]
+    for g, nrows, ncols, cells in parsed["sectors"]:
+        terms = [term for _, cell_terms in cells for term in cell_terms]
+        ends, end = [], 0
+        for _, cell_terms in cells:
+            end += len(cell_terms)
+            ends.append(end)
+        body += [struct.pack("<qIIII", g, nrows, ncols, len(cells), len(terms)),
+                 struct.pack(f"<{len(cells)}I", *(cell for cell, _ in cells)),
+                 struct.pack(f"<{len(cells)}I", *ends),
+                 struct.pack(f"<{len(terms)}q", *(e for e, _ in terms)),
+                 struct.pack(f"<{len(terms)}q", *(c for _, c in terms))]
+    body = b"".join(body)
+    return (b"QLOOPOP3" + parsed["head"][len(MAGIC):]
+            + hashlib.sha256(body).digest() + body)
+
+
 def test_first_layout_files_are_misses_and_get_rewritten(tmp_path):
-    # and those of the second layout, which held a root image as well
+    # and those of the second layout, which held a root image as well, and
+    # of the third, which held each sector's terms apart
     ctx = _ctx()
     key = _key(ctx)
     blob = serialize_operator(key, build_chain_generators(ctx)["E1"])
     reader = OperatorCache(tmp_path / "one")
-    for layout in (_first_layout, _second_layout):
+    layouts = (_first_layout, _second_layout, _third_layout)
+    for layout in layouts:
         reader.path_for(key).write_bytes(layout(blob))
         assert reader.load(key, ctx) is None
         assert reader.load(key, ctx, cyclo_ring(2)) is None
-    _rerun_mends(tmp_path, [_first_layout, _second_layout], [])
+    _rerun_mends(tmp_path, list(layouts), [])
 
 
 CHAINS = (("spin_half", 2, None), ("highest_weight", 3, None), ("cyclic", 3, {"c": 0}))

@@ -32,11 +32,9 @@ from qloop.repchain import (
     build_barred_ops,
     build_chain_generators,
     build_site_rep,
-    charge_of,
     invert_diag,
     rep_self_check,
     rescaled_rep,
-    sector_project,
     specialize_operator,
 )
 from qloop.rings import (
@@ -404,10 +402,10 @@ def test_grading_example_l2():
         for g, states in ctx.sectors.items()})
     conj = a @ e1 @ a_inv
     assert conj == e1.scale(LaurentPoly.q_power(-2))
-    assert charge_of(e1) == (-1) % 2
-    assert charge_of(gens["F0"]) == (-1) % 2
-    assert charge_of(gens["E0"]) == 1
-    assert charge_of(gens["F1"]) == 1
+    assert e1.charge == (-1) % 2
+    assert gens["F0"].charge == (-1) % 2
+    assert gens["E0"].charge == 1
+    assert gens["F1"].charge == 1
 
 
 def test_a_half_squares_to_a():
@@ -490,16 +488,6 @@ def test_cyclic_backend_refuses_half_clock():
 # graded storage mechanics
 
 
-def test_sector_project_keeps_charge_class():
-    ctx = ChainContext(build_site_rep("spin_half", 2), 4)
-    e1 = build_chain_generators(ctx)["E1"]
-    proj = sector_project(e1, 1)
-    assert set(proj.blocks) == {g for g in e1.blocks if g % 2 == 1}
-    assert not sector_project(e1, 0).is_zero()
-    assert sector_project(e1, 0).blocks.keys() | proj.blocks.keys() == \
-        e1.blocks.keys()
-
-
 def test_equality_across_shifts_and_rings_is_false():
     ctx = ChainContext(build_site_rep("spin_half", 2), 3)
     gens = build_chain_generators(ctx)
@@ -542,15 +530,6 @@ def test_zero_operators_are_equal_across_shifts_and_rings():
     assert zero_e1 == zero_f1
     assert zero_e1 == specialize_operator(zero_f1, cyclo_ring(2))
     assert (zero_e1 == gens["E1"]) is False
-
-
-def test_charge_of_validates_block_shapes():
-    ctx = ChainContext(build_site_rep("spin_half", 2), 2)
-    e1 = build_chain_generators(ctx)["E1"]
-    assert charge_of(e1) == 1 % 2
-    bad = GradedOperator(ctx, LAURENT_RING, 0, dict(e1.blocks))
-    with pytest.raises(NotGraded):
-        charge_of(bad)
 
 
 def test_block_algebra_laws():

@@ -22,8 +22,10 @@ from qloop.rings import LaurentPoly
 # drops order-0 factors: 1060 products and 1733 _max_abs scans.  Before
 # each check call evaluated its words through one plan, multiplying each
 # shared prefix once and only the sector blocks a residual reads: 1040
-# products and 1703 _max_abs scans.
-PINNED = {"_product": 610, "_max_abs": 1273, "__mul__": 974, "__add__": 1048}
+# products and 1703 _max_abs scans.  Before each Laurent operator
+# reached a quotient ring by one gather of all its blocks' terms, one
+# scan of the q-power rows per block: 1273 _max_abs scans.
+PINNED = {"_product": 610, "_max_abs": 1153, "__mul__": 974, "__add__": 1048}
 
 
 def _counting(counts, name, real):
