@@ -134,7 +134,7 @@ def _load_config_file(path: str) -> dict[str, object]:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     out: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):

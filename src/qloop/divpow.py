@@ -14,8 +14,9 @@ arguments, whose (coeff, word) specs evaluate_specs alone reads and
 classifies.  A word's factor is an (op_id, order) read in the residual's
 normalization, an (op_id, order, normalization) read, a Sum of specs (an
 inline combination), or a callable that builds an operator by a route of
-its own, reading no divided power of the store.  So residual_reads lists
-every store read of a residual without evaluating it.
+its own, reading no divided power of the store.  So the plan that
+evaluates a check call (plan_of) lists every store read of its Residuals
+before it evaluates any: a --jobs run fills those reads before it forks.
 
 A check call evaluates its words through one plan (_Plan), counted from
 its Residuals before any arithmetic: how many words start with each word
@@ -275,9 +276,10 @@ class _Plan:
     2 <= j <= m, once per word that starts with it, and a factor key
     (ring, (key,)) once per occurrence, for the factors the store does not
     hold itself (inline factors, and the reads it builds anew each time).
-    readers lists the distinct words behind each prefix key.  The words
-    inside a Sum count once per (Sum, ring, normalization), as the Sum is
-    built once.  memo holds a factor or a prefix only while a read of it
+    readers lists the distinct words behind each prefix key, and reads
+    every (op_id, order, normalization, ring) store read of order 1 or
+    more, in the order evaluation first makes it.  The words inside a Sum
+    count once per (Sum, ring, normalization), as the Sum is built once.  memo holds a factor or a prefix only while a read of it
     is pending, so it is empty once every counted word has been evaluated.
 
     A word starts from its longest held prefix and extends it left to
@@ -291,6 +293,7 @@ class _Plan:
         self.store = store
         self.pending: dict[tuple, int] = {}
         self.readers: dict[tuple, set] = {}
+        self.reads: dict[tuple, None] = {}
         self.memo: dict[tuple, GradedOperator] = {}
         self._keys: dict[tuple, tuple] = {}
         self._reach: dict[tuple, list] = {}
@@ -322,6 +325,8 @@ class _Plan:
         for _, word in specs:
             keys, held, _ = self._keys_of(tuple(word), ring, normalization)
             for k, h in zip(keys, held):
+                if len(k) == 3:
+                    self.reads[(*k, ring)] = None
                 if h:
                     key = (ring, (k,))
                     if key not in pending and isinstance(k[0], Sum):
@@ -431,9 +436,12 @@ class _Plan:
         return out
 
 
-def _plan_of(store: DividedPowerStore, specs, ring, normalization: str) -> _Plan:
+def plan_of(store: DividedPowerStore, residuals) -> _Plan:
+    """The evaluation plan of a Residual or a list of them, one check
+    call's; its reads are every store read evaluating them makes."""
     plan = _Plan(store)
-    plan.add(specs, ring, normalization)
+    for r in [residuals] if isinstance(residuals, Residual) else residuals:
+        plan.add(r.specs, r.ring, r.normalization)
     return plan
 
 
@@ -448,7 +456,8 @@ def word_operator(store: DividedPowerStore, word, ring,
     word is planned alone, so a word of three or more factors still
     multiplies only the sector blocks that reach its final support."""
     if plan is None:
-        plan = _plan_of(store, [(1, word)], ring, normalization)
+        plan = _Plan(store)
+        plan.add([(1, word)], ring, normalization)
     return plan.word(word, ring, normalization)
 
 
@@ -458,7 +467,8 @@ def spec_terms(store: DividedPowerStore, specs, ring,
     """coeff * word of each (coeff, word) spec: no scaling for 1 or -1, an
     int scales as an int, and only a LaurentPoly is coerced into the ring."""
     if plan is None:
-        plan = _plan_of(store, specs, ring, normalization)
+        plan = _Plan(store)
+        plan.add(specs, ring, normalization)
     terms = []
     for coeff, word in specs:
         op = plan.word(word, ring, normalization)
@@ -489,42 +499,17 @@ def spec_check(build: Callable) -> Callable:
     build(store, *args, **kw) states, through one evaluation plan for the
     whole call: each shared prefix and inline factor is built once and
     freed after its last read.  build stays reachable as
-    check.residuals, so a run can list a call's store reads without
-    evaluating it."""
+    check.residuals, so a run can plan a call, and list its store reads,
+    without evaluating it."""
     @functools.wraps(build)
     def check(store: DividedPowerStore, *args, **kw):
         residuals = build(store, *args, **kw)
-        single = isinstance(residuals, Residual)
-        residuals = [residuals] if single else residuals
-        plan = _Plan(store)
-        for r in residuals:
-            plan.add(r.specs, r.ring, r.normalization)
-        checks = [evaluate_specs(store, *r, plan=plan) for r in residuals]
-        return checks[0] if single else checks
+        plan = plan_of(store, residuals)
+        if isinstance(residuals, Residual):
+            return evaluate_specs(store, *residuals, plan=plan)
+        return [evaluate_specs(store, *r, plan=plan) for r in residuals]
     check.residuals = build
     return check
-
-
-def _spec_reads(specs, ring, normalization: str):
-    for _, word in specs:
-        for f in word:
-            if isinstance(f, Sum):
-                yield from _spec_reads(f.specs, ring, normalization)
-            elif isinstance(f, tuple):
-                op_id, n, norm = f if len(f) == 3 else (*f, normalization)
-                if n:
-                    yield op_id, n, norm, ring
-
-
-def residual_reads(residuals):
-    """The (op_id, order, normalization, ring) store reads of a Residual or
-    list of Residuals, in the order evaluating them makes them first, the
-    reads inside Sums included and order-0 reads left out.  A callable
-    factor's own route reads no divided power of the store."""
-    if isinstance(residuals, Residual):
-        residuals = [residuals]
-    for r in residuals:
-        yield from _spec_reads(r.specs, r.ring, r.normalization)
 
 
 # ---------------------------------------------------------------------------

@@ -10,21 +10,22 @@ caches and any worker count produce the same document modulo milliseconds.
 validate() builds the run's one job list from the config, before any chain
 or ring table.  A job declares the base-Phi digits its rings make, which
 the memory budget reads, and runs against the env (chain and store) it is
-given: the rescale audit reruns the same jobs on a rescaled env.  A
-store-backed job is its list of (check, *args) calls, run by _job, which
-hands each check the env's store and, where the job names a ring
-selector, the ring it picks from the env.
+given: the rescale audit reruns the same jobs on a rescaled env.  Every
+job is plain data, its list of (check, *args) calls: _Job.run hands each
+check the env's store (the job names which, or none for a call that takes
+no store, as qcomb's sweeps and the site gates) and, where the job names
+a ring selector, the ring it picks from the env.
 
 Worker processes.  The jobs are pure-Python exact arithmetic, so threads
 would queue on the interpreter lock; workers are forked processes.  A job
-declares the divided powers it reads: the store reads of the Residuals its
-checks state, listed without evaluating them.  Before it forks, the run
-fills the union of those reads into each env's store, in job order, so
-every power is computed once, here, and every worker inherits it filled.
-The jobs are then cut into one contiguous chunk per worker: this process
-runs the first, and each forked child runs one more and sends back its
-IdentityCheck lists, pickled on a pipe.  Each worker starts on a CPU of
-its own, then may move.  A child that dies ends the run with
+declares the divided powers it reads: the store reads of the plan that
+evaluates each of its calls, listed without evaluating them.  Before it
+forks, the run fills the union of those reads into each env's store, in
+job order, so every power is computed once, here, and every worker
+inherits it filled.  The jobs are then cut into one contiguous chunk per
+worker: this process runs the first, and each forked child runs one more
+and sends back its IdentityCheck lists, pickled on a pipe.  Each worker
+starts on a CPU of its own, then may move.  A child that dies ends the run with
 ResourceError; a child whose parent dies exits.  Where the platform
 cannot fork, or the calling process runs other threads, the jobs run in
 the calling process and fill what they read as they go, as a one-worker
@@ -67,7 +68,7 @@ from .divpow import (
     check_nilpotency,
     check_normalization_bridge,
     check_power_factorial,
-    residual_reads,
+    plan_of,
 )
 from .identity import (
     APPROX_ZERO,
@@ -146,6 +147,9 @@ _NOT_CYCLIC_SUITES = frozenset(
 # Suites rerun under the rescale audit.  The rep-gate and barred suites are
 # excluded on purpose: the level-zero commutator is not rescale invariant.
 _AUDIT_SUITES = ("id1", "id2", "site", "lemmas", "serre-nested")
+
+# the rescale audit scales raising generators by alpha, lowering by beta
+_RESCALE = (LaurentPoly.q_power(3), LaurentPoly({1: -1}))
 
 _E_PAIR = ("E0", "E1")
 _F_PAIR = ("F1", "F0")
@@ -327,7 +331,6 @@ class _RunEnv:
             self._rep = self.site_rep(config.backend)
         except (UnsupportedKind, InvalidParams) as exc:
             raise ConfigError(str(exc)) from None
-        self._g_forms_store: DividedPowerStore | None = None
         self._float_ring = FloatRing(config.n_param)
         self._adic_rings: dict[int, PhiAdicRing] = {}
 
@@ -336,6 +339,7 @@ class _RunEnv:
         """The store of the run's chain, built on first use."""
         return make_store(ChainContext(self._rep, self.config.length), self.cache)
 
+    @cached_property
     def g_forms_store(self) -> DividedPowerStore:
         """The store of the g-forms job, built on first use.  The
         resummation is a polynomial identity: one small spin_half chain of
@@ -343,17 +347,14 @@ class _RunEnv:
         cache keys hold the rep's digest and L=4, so it shares the run's
         cache without touching the run's own chain's (or a rescaled one's)
         powers."""
-        if self._g_forms_store is None:
-            self._g_forms_store = make_store(
-                ChainContext(self.site_rep("spin_half"), 4), self.cache)
-        return self._g_forms_store
+        return make_store(ChainContext(self.site_rep("spin_half"), 4), self.cache)
 
     def site_rep(self, kind: str):
         """The run's site representation of `kind`, rescaled when the env is."""
         params = {"c": 0} if kind == "cyclic" else None
         rep = build_site_rep(kind, self.config.n_param, params)
         if self.rescale:
-            rep = rescaled_rep(rep, LaurentPoly.q_power(3), LaurentPoly({1: -1}))
+            rep = rescaled_rep(rep, *_RESCALE)
         return rep
 
     def generic_ring(self, max_order: int = 0):
@@ -380,15 +381,48 @@ class _RunEnv:
 
 @dataclass
 class _Job:
+    """A job: its (check, *args) calls, run in order.  A call runs as
+    check(store, *args, ring=ring(env)), with no store where the job names
+    none and no ring where it names no ring selector."""
+
     job_id: str
     suite: str
-    thunk: Callable[[_RunEnv], Any]
+    calls: list[tuple]
+    ring: Callable[[_RunEnv], Any] | None = None
     # the most base-Phi digits of any block its rings make: K+1 over a
     # phi-adic ring of truncation order K, 1 over any other ring
     digits: int = 1
-    # (store, (op_id, order, normalization, ring)) of every divided power
-    # the job reads from the env, in the order it first reads them
-    reads: Callable[[_RunEnv], Iterable] = lambda env: ()
+    # the env attribute holding the store its calls read, None for none
+    store: str | None = "store"
+
+    def _bound(self, env: _RunEnv) -> tuple[list, dict]:
+        """The leading arguments (the store, if any) and keywords of a call."""
+        head = [] if self.store is None else [getattr(env, self.store)]
+        return head, ({} if self.ring is None else {"ring": self.ring(env)})
+
+    def run(self, env: _RunEnv) -> list[IdentityCheck]:
+        """Every call's checks as one list, in call order."""
+        head, kw = self._bound(env)
+        out = []
+        for check, *args in self.calls:
+            result = check(*head, *args, **kw)
+            out += result if isinstance(result, list) else [result]
+        return out
+
+    def reads(self, env: _RunEnv) -> Iterable:
+        """(store, (op_id, order, normalization, ring)) of every divided
+        power the job reads from the env: call by call, the reads of the
+        plan that evaluates the call, in the order it first makes them."""
+        if self.store is None:
+            return
+        (store,), kw = self._bound(env)
+        for check, *args in self.calls:
+            try:
+                residuals = check.residuals(store, *args, **kw)
+            except _GUARDED:
+                continue  # the check raises it again in the job, which reports it
+            for read in plan_of(store, residuals).reads:
+                yield store, read
 
 
 # the faults a job may raise; its Error record's kind is the name of the
@@ -414,52 +448,17 @@ def _resource_error(job: _Job, exc: BaseException) -> ResourceError:
 
 def _run_job(job: _Job, env: _RunEnv) -> list[IdentityCheck]:
     try:
-        out = job.thunk(env)
+        return job.run(env)
     except _RESOURCE_FAULTS as exc:
         raise _resource_error(job, exc) from exc
     except _GUARDED as exc:
         kind = next(e.__name__ for e in _GUARDED if isinstance(exc, e))
         return [make_check("run.guard", {"job": job.job_id}, ERROR, error_kind=kind,
                            detail=f"{type(exc).__name__}: {exc}")]
-    return list(out) if isinstance(out, (list, tuple)) else [out]
 
 
 # ---------------------------------------------------------------------------
-# Suite builders.  Each makes a deterministic list of jobs from the config:
-# _job builds those that run store checks, and the rest keep a thunk.
-
-
-def _job(job_id: str, suite: str, calls: list[tuple],
-         ring: Callable[[_RunEnv], Any] | None = None, digits: int = 1,
-         store: Callable[[_RunEnv], DividedPowerStore] | None = None) -> _Job:
-    """A job running check(env.store, *args) for each (check, *args) of
-    calls, with ring=ring(env) when a ring selector is given and on
-    store(env) when a store selector is, and returning all their checks as
-    one list, in call order.  Its reads are those of the Residuals each
-    check.residuals states for the same arguments."""
-    def bound(env: _RunEnv) -> tuple[DividedPowerStore, dict]:
-        kw = {} if ring is None else {"ring": ring(env)}
-        return (env.store if store is None else store(env)), kw
-
-    def thunk(env: _RunEnv) -> list[IdentityCheck]:
-        on, kw = bound(env)
-        out = []
-        for check, *args in calls:
-            result = check(on, *args, **kw)
-            out += result if isinstance(result, list) else [result]
-        return out
-
-    def reads(env: _RunEnv) -> Iterable:
-        on, kw = bound(env)
-        for check, *args in calls:
-            try:
-                residuals = check.residuals(on, *args, **kw)
-            except _GUARDED:
-                continue  # the check raises it again in the job, which reports it
-            for read in residual_reads(residuals):
-                yield on, read
-
-    return _Job(job_id, suite, thunk, digits, reads)
+# Suite builders.  Each makes a deterministic list of jobs from the config.
 
 
 def _generic_job(config: RunConfig, job_id: str, suite: str, max_order: int,
@@ -468,50 +467,46 @@ def _generic_job(config: RunConfig, job_id: str, suite: str, max_order: int,
     declaring the digits of that ring's blocks."""
     phi_adic = config.ring == "phi-adic"
     digits = _generic_trunc_order(config.n_param, max_order) + 1 if phi_adic else 1
-    return _job(job_id, suite, calls,
-                lambda env: env.generic_ring(max_order), digits)
+    return _Job(job_id, suite, calls, lambda env: env.generic_ring(max_order), digits)
+
+
+# qcomb's sweeps: each job calls one, so its checks are listed only as it runs
+
+
+def _q_omega_factorials(n: int) -> list[IdentityCheck]:
+    return [check_q_omega_factorial_relation(k, n) for k in range(2 * n + 3)]
+
+
+def _binomial_bridge(n: int) -> list[IdentityCheck]:
+    return [check_binomial_bridge(s, l, n) for s in range(4 * n + 1) for l in range(s + 1)]
+
+
+def _gauss_periodicity(n: int) -> list[IdentityCheck]:
+    return [check_gauss_periodicity(k, p, l, n)
+            for k in range(5) for p in range(n) for l in range(n)]
+
+
+def _alternating_sums(n: int) -> list[IdentityCheck]:
+    return [check_alternating_sum(p, n) for p in range(4 * n + 1)]
+
+
+def _vanishing_wraps(n: int) -> list[IdentityCheck]:
+    return [check_vanishing_wrap(p, half, 2 * half + a, n, k)
+            for half in range(3) for a in range(1, n) for p in range(a, n)
+            for k in range(3)]
+
+
+def _omega_lucas(n: int) -> list[IdentityCheck]:
+    return [check_omega_lucas((k + j) * n + q, k * n + q, n)
+            for q in range(n) for k in range(3) for j in range(3)]
 
 
 def _jobs_qcomb(config: RunConfig) -> list[_Job]:
-    n = config.n_param
-    jobs = []
-
-    def add(name, thunk):
-        jobs.append(_Job(f"qcomb/{name}", "qcomb", thunk))
-
-    add("factorial", lambda env: [
-        check_q_omega_factorial_relation(k, n) for k in range(2 * n + 3)
-    ])
-    add("bridge", lambda env: [
-        check_binomial_bridge(s, l, n) for s in range(4 * n + 1) for l in range(s + 1)
-    ])
-    add("periodicity", lambda env: [
-        check_gauss_periodicity(k, p, l, n)
-        for k in range(5) for p in range(n) for l in range(n)
-    ])
-    add("delta-sum", lambda env: [check_alternating_sum(p, n) for p in range(4 * n + 1)])
-
-    def wrap_thunk(env):
-        out = []
-        for half in range(3):
-            for a in range(1, n):
-                for p in range(a, n):
-                    for k in range(3):
-                        out.append(check_vanishing_wrap(p, half, 2 * half + a, n, k))
-        return out
-
-    add("wrap-vanishing", wrap_thunk)
-
-    def lucas_thunk(env):
-        out = []
-        for q in range(n):
-            for k in range(3):
-                for j in range(3):
-                    out.append(check_omega_lucas((k + j) * n + q, k * n + q, n))
-        return out
-
-    add("omega-lucas", lucas_thunk)
-    return jobs
+    sweeps = (("factorial", _q_omega_factorials), ("bridge", _binomial_bridge),
+              ("periodicity", _gauss_periodicity), ("delta-sum", _alternating_sums),
+              ("wrap-vanishing", _vanishing_wraps), ("omega-lucas", _omega_lucas))
+    return [_Job(f"qcomb/{name}", "qcomb", [(sweep, config.n_param)], store=None)
+            for name, sweep in sweeps]
 
 
 def _jobs_rep_gate(config: RunConfig) -> list[_Job]:
@@ -520,14 +515,14 @@ def _jobs_rep_gate(config: RunConfig) -> list[_Job]:
     # The chain-level Chevalley checks below stay in the configured ring.
     jobs = [
         _Job(f"rep-gate/site-{kind}", "rep-gate",
-             lambda env, kind=kind, params=params: rep_self_check(
-                 build_site_rep(kind, n, params), "root_of_unity"))
+             [(rep_self_check, build_site_rep(kind, n, params), "root_of_unity")],
+             store=None)
         for kind, params in (("spin_half", None), ("highest_weight", None),
                              ("cyclic", {"c": 0}))
     ]
     calls = [(check_chain_chevalley,)]
     if config.backend == "cyclic":
-        jobs.append(_job("rep-gate/chain-chevalley", "rep-gate", calls,
+        jobs.append(_Job("rep-gate/chain-chevalley", "rep-gate", calls,
                          _RunEnv.root_ring))
     else:
         jobs.append(_generic_job(config, "rep-gate/chain-chevalley", "rep-gate", 0,
@@ -553,18 +548,18 @@ def _jobs_divpow(config: RunConfig) -> list[_Job]:
     adic_orders = (n, n + 1)
     jobs = []
     for op_id in op_ids:
-        jobs.append(_job(f"divpow/{op_id}-factorial", "divpow",
+        jobs.append(_Job(f"divpow/{op_id}-factorial", "divpow",
                          [(check_power_factorial, op_id, k) for k in orders]))
-        jobs.append(_job(f"divpow/{op_id}-bridge", "divpow",
+        jobs.append(_Job(f"divpow/{op_id}-bridge", "divpow",
                          [(check_normalization_bridge, op_id, k) for k in orders]))
-        jobs.append(_job(f"divpow/{op_id}-adic", "divpow",
+        jobs.append(_Job(f"divpow/{op_id}-adic", "divpow",
                          [(check_adic_agreement, op_id, k) for k in adic_orders],
                          digits=adic_trunc_order(n, max(adic_orders)) + 1))
         if config.backend == "spin_half":
             # each site operator squares to zero, so order L+1 must vanish
-            jobs.append(_job(f"divpow/{op_id}-nilpotency", "divpow",
+            jobs.append(_Job(f"divpow/{op_id}-nilpotency", "divpow",
                              [(check_nilpotency, op_id, config.length + 1)]))
-    jobs.append(_job("divpow/merge-binomial", "divpow", [
+    jobs.append(_Job("divpow/merge-binomial", "divpow", [
         (check_mulo, q, k, j, op_id)
         for q in config.sectors()
         for k, j in ((1, 1), (2, 1), (0, 2), (1, 2))
@@ -579,15 +574,15 @@ def _jobs_id1(config: RunConfig) -> list[_Job]:
     jobs = [
         _generic_job(config, "id1/higher-generic", "id1", 3,
                      [(check_higher_serre, 1, 3, pair) for pair in pairs]),
-        _job("id1/higher-root", "id1", [
+        _Job("id1/higher-root", "id1", [
             (check_higher_serre, k, m, pair)
             for (k, m) in ((1, 4), (2, 5), (2, 6)) for pair in pairs
         ], _RunEnv.root_ring),
-        _job("id1/ladder-base", "id1", [(check_id1, 0, n, pair) for pair in pairs],
+        _Job("id1/ladder-base", "id1", [(check_id1, 0, n, pair) for pair in pairs],
              _RunEnv.root_ring),
     ]
     for q in config.sectors():
-        jobs.append(_job(f"id1/three-term-Q{q}", "id1", [
+        jobs.append(_Job(f"id1/three-term-Q{q}", "id1", [
             (fn, q, branch) for fn in (check_BCN, check_CBN)
             for branch in ("plus", "minus")
         ], _RunEnv.root_ring))
@@ -600,28 +595,28 @@ def _jobs_id2(config: RunConfig) -> list[_Job]:
     for q in config.sectors():
         # at Q = 0 both entries have gap N and route to the wide ladder
         for name, (k, m) in (("swap", (q, n + q)), ("four-term", (n + q, 3 * n + q))):
-            jobs.append(_job(f"id2/{name}-Q{q}", "id2", [
+            jobs.append(_Job(f"id2/{name}-Q{q}", "id2", [
                 (dispatch_root_serre, k, m, pair) for pair in (_E_PAIR, _F_PAIR)
             ], _RunEnv.root_ring))
-    jobs.append(_job("id2/g-forms", "id2", [
+    jobs.append(_Job("id2/g-forms", "id2", [
         (check_g_forms, 1, 3, branch) for branch in ("full", "truncated")
-    ], store=_RunEnv.g_forms_store))
+    ], store="g_forms_store"))
     return jobs
 
 
 def _jobs_site(config: RunConfig) -> list[_Job]:
-    return [_job(f"site/Q{q}-{side}", "site", [(check_site_suite, q, side)],
+    return [_Job(f"site/Q{q}-{side}", "site", [(check_site_suite, q, side)],
                  _RunEnv.root_ring)
             for q in config.sectors() for side in ("one_zero", "L_Lm1")]
 
 
 def _jobs_lemmas(config: RunConfig) -> list[_Job]:
-    return [_job(f"lemmas/Q{q}", "lemmas", [(check_lemma_chain, q)], _RunEnv.root_ring)
+    return [_Job(f"lemmas/Q{q}", "lemmas", [(check_lemma_chain, q)], _RunEnv.root_ring)
             for q in config.sectors()]
 
 
 def _jobs_serre_nested(config: RunConfig) -> list[_Job]:
-    return [_job(f"serre-nested/Q{q}-{family}", "serre-nested",
+    return [_Job(f"serre-nested/Q{q}-{family}", "serre-nested",
                  [(check_serre_nested, q, family)], _RunEnv.root_ring)
             for q in config.sectors() for family in ("x", "xbar")]
 
@@ -809,6 +804,7 @@ def _audit_checks(suites: list[str], per_suite: dict[str, list[IdentityCheck]],
     rescaled_per_suite: dict[str, list[IdentityCheck]] = defaultdict(list)
     for job, checks in rescaled_results:
         rescaled_per_suite[job.suite].extend(checks)
+    alpha, beta = (c.render() for c in _RESCALE)
     out = []
     for suite in suites:
         plain = {c.check_id: c.status for c in per_suite.get(suite, [])}
@@ -821,7 +817,7 @@ def _audit_checks(suites: list[str], per_suite: dict[str, list[IdentityCheck]],
             if a != b:
                 mismatches.append({"check": cid, "plain": a, "rescaled": b})
         cid = format_check_id("audit.rescale", {"suite": suite})
-        params = {"suite": suite, "alpha": "q^3", "beta": "-q"}
+        params = {"suite": suite, "alpha": alpha, "beta": beta}
         if mismatches:
             out.append(make_check(
                 "audit.rescale", params, NONZERO, check_id=cid,
@@ -923,7 +919,8 @@ def _prepare_outputs(config: RunConfig) -> OperatorCache:
         if os.path.isdir(path):
             raise ConfigError(f"cannot write report to {path}: it is a directory")
         try:
-            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+            # a symlink's target is what open() writes
+            os.makedirs(os.path.dirname(os.path.realpath(path)), exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot write report to {path}: {exc.strerror}") from None
     return cache
@@ -967,8 +964,12 @@ def run(config: RunConfig) -> ReportDocument:
         total_millis=(time.perf_counter() - t0) * 1000.0,
     )
     if config.report_path:
-        with open(config.report_path, "w", encoding="utf-8") as fh:
-            fh.write(doc.to_json())
+        try:
+            with open(config.report_path, "w", encoding="utf-8") as fh:
+                fh.write(doc.to_json())
+        except OSError as exc:
+            raise ResourceError(
+                f"cannot write report to {config.report_path}: {exc.strerror}") from None
     return doc
 
 

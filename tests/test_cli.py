@@ -154,6 +154,10 @@ def test_a_run_whose_jobs_read_no_store_builds_no_chain(monkeypatch, capsys):
     monkeypatch.setattr(report, "ChainContext", refuse)
     assert main(["run", "--suite", "qcomb", "--N", "2", "--L", "14"]) == 0
     assert "checks: 108" in capsys.readouterr().out
+    # nor does the prefill of a --jobs run, which reads no store either
+    monkeypatch.setattr(report, "_core_count", lambda: 2)
+    assert main(["run", "--suite", "qcomb", "--N", "2", "--L", "14", "--jobs", "2"]) == 0
+    assert "checks: 108" in capsys.readouterr().out
     # the run's site representation is still built, and a bad parameter
     # refused, before any job runs
     monkeypatch.setattr(report, "build_site_rep", bad_rep)
@@ -178,6 +182,30 @@ def test_state_budget_exits_two_before_any_chain_is_built(no_chain, capsys):
 def test_ring_table_budget_exits_two_before_any_chain_is_built(no_chain, capsys):
     assert main(["run", "--N", "1000000", "--L", "2"]) == 2
     assert "phi(2N) must be at most 322" in capsys.readouterr().err
+
+
+def test_a_report_link_into_a_missing_directory_is_written(tmp_path, capsys):
+    target = tmp_path / "missing" / "sub" / "out.json"
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert main(["run", "--N", "2", "--L", "2", "--suite", "lemmas",
+                 "--report", str(link)]) == 0
+    assert json.loads(target.read_text())["config"]["suites"] == ["lemmas"]
+
+
+def test_a_failed_report_write_exits_three(monkeypatch, capsys, tmp_path):
+    import errno
+    import io
+
+    class FullDisk(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(report, "open", lambda *args, **kw: FullDisk(), raising=False)
+    path = tmp_path / "report.json"
+    assert main(["run", "--N", "2", "--suite", "qcomb", "--report", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        f"resource error: cannot write report to {path}: No space left on device\n")
 
 
 def test_report_path_that_is_a_directory_exits_two(no_chain, tmp_path, capsys):
@@ -241,6 +269,15 @@ def test_config_file_errors_name_their_location_once(tmp_path, capsys):
 def test_missing_config_file_exits_two(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "none.cfg")]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_a_config_file_that_is_not_utf8_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xff\xfeN=2\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config file {cfg}: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_env_cache_dir_default(tmp_path, monkeypatch):

@@ -161,7 +161,7 @@ def test_ring_digits_reads_each_jobs_declared_digits(monkeypatch):
     config = RunConfig(n_param=100, length=2, suites=("qcomb",))
     assert max(job.digits for job in config.validate()) == 1
     monkeypatch.setitem(report._SUITE_BUILDERS, "qcomb", lambda config: real(config) + [
-        _Job("qcomb/planted", "qcomb", lambda env: [], digits=7)])
+        _Job("qcomb/planted", "qcomb", [], digits=7, store=None)])
     # phi(200) = 80, and a table of 7 digits fits phi(2N) <= 46 only
     with pytest.raises(ConfigError, match=r"Z\[q\]/Phi_2N\^7 table"):
         config.validate()
@@ -182,6 +182,24 @@ def test_validate_builds_the_job_list_and_no_chain_or_table(monkeypatch, ring):
         assert built == list(config.selected_suites())
         assert {job.suite for job in jobs} == set(built)
         built.clear()
+
+
+def test_every_job_is_a_list_of_check_calls():
+    from test_job_list import GOLDEN
+
+    for kwargs, _ in GOLDEN:
+        config = RunConfig(**kwargs)
+        env = _RunEnv(config, DISABLED_CACHE)
+        for job in config.validate():
+            assert isinstance(job, _Job), job
+            assert isinstance(job.calls, list) and job.calls, job.job_id
+            assert all(isinstance(call, tuple) and callable(call[0])
+                       for call in job.calls), job.job_id
+            if job.suite == "qcomb" or job.job_id.startswith("rep-gate/site-"):
+                assert job.store is None, job.job_id
+                assert list(job.reads(env)) == [], job.job_id
+        # declaring no reads built no chain
+        assert "store" not in vars(env) and "g_forms_store" not in vars(env)
 
 
 def test_rescale_audit_builds_each_suite_once(monkeypatch):
@@ -498,7 +516,8 @@ def _builder_with(job_fn):
     real = report._SUITE_BUILDERS["qcomb"]
 
     def builder(config):
-        return real(config) + [_Job("qcomb/planted", "qcomb", lambda env: job_fn())]
+        return real(config) + [_Job("qcomb/planted", "qcomb",
+                                     [(lambda env: job_fn(), None)], store=None)]
 
     return builder
 
@@ -530,8 +549,8 @@ def test_a_worker_that_dies_is_a_resource_error(monkeypatch):
         os._exit(1)
 
     monkeypatch.setattr(report, "_core_count", lambda: 2)
-    pairs = [(_Job("qcomb/fine", "qcomb", lambda env: []), None),
-             (_Job("qcomb/dies", "qcomb", die), None)]
+    pairs = [(_Job("qcomb/fine", "qcomb", [], store=None), None),
+             (_Job("qcomb/dies", "qcomb", [(die, None)], store=None), None)]
     with pytest.raises(ResourceError, match="a job worker process died"):
         report._execute(pairs, 2)
 
@@ -551,7 +570,7 @@ def planted(env):
     return []
 
 report._SUITE_BUILDERS["qcomb"] = lambda config: real(config) + [
-    report._Job("qcomb/planted", "qcomb", planted)]
+    report._Job("qcomb/planted", "qcomb", [(planted, None)], store=None)]
 report._core_count = lambda: 2
 from qloop.cli import main
 sys.exit(main(["run", "--N", "2", "--L", "2", "--suite", "qcomb", "--jobs", "2"]))
@@ -925,7 +944,7 @@ def test_guard_converts_faults_to_error_records():
         def boom(env):
             raise exc
 
-        out = _run_job(_Job("t/x", "id1", boom), None)
+        out = _run_job(_Job("t/x", "id1", [(boom, None)], store=None), None)
         assert len(out) == 1 and out[0].status == ERROR
         assert out[0].family == "run.guard"
         assert out[0].error_kind == kind
@@ -938,7 +957,7 @@ def test_guard_escalates_memory_errors():
         raise MemoryError("chain too large")
 
     with pytest.raises(ResourceError):
-        _run_job(_Job("t/big", "site", boom), None)
+        _run_job(_Job("t/big", "site", [(boom, None)], store=None), None)
 
 
 def test_collect_rejects_conflicting_duplicate_ids():
