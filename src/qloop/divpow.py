@@ -279,8 +279,9 @@ class _Plan:
     readers lists the distinct words behind each prefix key, and reads
     every (op_id, order, normalization, ring) store read of order 1 or
     more, in the order evaluation first makes it.  The words inside a Sum
-    count once per (Sum, ring, normalization), as the Sum is built once.  memo holds a factor or a prefix only while a read of it
-    is pending, so it is empty once every counted word has been evaluated.
+    count once per (Sum, ring, normalization), as the Sum is built once.
+    memo holds a factor or a prefix only while a read of it is pending, so
+    it is empty once every counted word has been evaluated.
 
     A word starts from its longest held prefix and extends it left to
     right on GradedOperator.__matmul__, so every product is one the plain
